@@ -106,13 +106,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    construction = None
     doc = serialization.load_document(args.file)
-    inst = serialization.dict_to_instance(doc)
     if "construction" in doc:
-        construction = serialization.dict_to_construction(doc)
-    if construction is not None:
-        report = verify_construction(construction, args.s, args.t)
+        report = verify_construction(
+            serialization.dict_to_construction(doc), args.s, args.t
+        )
         payload = {
             "variant": report.variant,
             "naive_count": report.naive_count,
@@ -129,6 +127,7 @@ def _cmd_verify(args) -> int:
         }
         witness = report.witness
     else:
+        inst = serialization.dict_to_instance(doc)
         work = IncidenceInstance(inst.points, inst.flats, args.s, args.t)
         naive = count_incidences(work, strategy="naive")
         hashed = count_incidences(work, strategy="hashed")

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, ResourceLimit, SizeShortfall
+from .errors import InvalidInput, InvariantViolation, ResourceLimit, SizeShortfall
 from .exponents import DimensionChain, DimPair, term_from_chain
 from .geometry import (
     Flat,
@@ -51,13 +51,15 @@ from .incidence import (
     DEFAULT_COMPARISON_LIMIT,
     IncidenceInstance,
     KstWitness,
+    _exact_dots,
+    _int_point_matrix,
+    _int_root_floor,
     count_incidences,
     find_kst,
 )
 
 DEFAULT_EPSILON_PRIME = 0.1
 _GRID_LIMIT = 10**7
-_INT64_SAFE = 2**62
 _PAD_NORMAL_BOX = 3
 _SPHERE_PAD_BOX = 40
 
@@ -173,24 +175,6 @@ def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
     return out
 
 
-def _int_root_floor(x: int, r: int) -> int:
-    if x < 0 or r < 1:
-        raise InvalidInput("root domain error")
-    if x in (0, 1) or r == 1:
-        return x
-    high = 1
-    while high**r <= x:
-        high <<= 1
-    low = high >> 1
-    while high - low > 1:
-        mid = (low + high) // 2
-        if mid**r <= x:
-            low = mid
-        else:
-            high = mid
-    return low
-
-
 # ---------------------------------------------------------------------------
 # admissible normal selection
 # ---------------------------------------------------------------------------
@@ -202,7 +186,7 @@ def _span_equations(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[in
     if not rows:
         rows = [[Fraction(0)] * dim]
     basis = linalg.nullspace(rows)
-    return [tuple(linalg.clear_denominators(row)) for row in basis]
+    return [linalg.integer_row_and_offset(row, 0)[0] for row in basis]
 
 
 def _count_on_subspace(
@@ -211,20 +195,9 @@ def _count_on_subspace(
     max_abs: int,
 ) -> int:
     """How many rows of ``matrix`` satisfy every homogeneous equation."""
-    if matrix.shape[0] == 0:
-        return 0
     mask = np.ones(matrix.shape[0], dtype=bool)
     for eq in equations:
-        bound = sum(abs(a) for a in eq) * max_abs
-        if bound > _INT64_SAFE:
-            return sum(
-                1
-                for row in matrix.tolist()
-                if all(
-                    sum(a * x for a, x in zip(e, row)) == 0 for e in equations
-                )
-            )
-        mask &= (matrix @ np.array(eq, dtype=np.int64)) == 0
+        mask &= _exact_dots(matrix, max_abs, eq) == 0
     return int(mask.sum())
 
 
@@ -330,50 +303,28 @@ def _box_side_sphere(d: int, m: int, n: int, eps: float) -> float:
     return n ** ((d - 1) / denom) / m ** ((d - 1) / ((d - 2) * denom))
 
 
-def _points_int_matrix(points: Sequence[RatPoint]) -> tuple[np.ndarray, list[RatPoint]]:
-    """Split points into an int64 matrix and the rational remainder."""
-    int_rows, extras = [], []
-    for p in points:
-        ic = p.int_coords()
-        if ic is not None and max((abs(c) for c in ic), default=0) < 2**31:
-            int_rows.append(ic)
-        else:
-            extras.append(p)
-    dim = points[0].dim if points else 0
-    matrix = (
-        np.array(int_rows, dtype=np.int64)
-        if int_rows
-        else np.zeros((0, dim), dtype=np.int64)
-    )
-    return matrix, extras
-
-
 def _achieved_offsets(
-    matrix: np.ndarray, extras: Sequence[RatPoint], v: IntVector
+    v: IntVector,
+    points: Sequence[RatPoint],
+    split: tuple[np.ndarray, list[int], list[int], int],
 ) -> set:
-    """Exact set of dot products <v, p> over all points."""
-    offsets: set = set()
-    if matrix.shape[0]:
-        bound = sum(abs(c) for c in v.coords) * int(np.abs(matrix).max(initial=0))
-        if bound > _INT64_SAFE:
-            for row in matrix.tolist():
-                offsets.add(sum(a * x for a, x in zip(v.coords, row)))
-        else:
-            dots = matrix @ np.array(v.coords, dtype=np.int64)
-            offsets.update(np.unique(dots).tolist())
-    for p in extras:
-        offsets.add(sum(a * x for a, x in zip(v.coords, p.coords)))
+    """Exact set of dot products <v, p> over all points; ``split`` is
+    ``_int_point_matrix(points)``."""
+    matrix, _, leftover, max_abs = split
+    offsets = set(np.unique(_exact_dots(matrix, max_abs, v.coords)).tolist())
+    for i in leftover:
+        offsets.add(sum(a * x for a, x in zip(v.coords, points[i].coords)))
     return offsets
 
 
 def _core_hyperplanes(
     points: Sequence[RatPoint], normals: Sequence[IntVector]
 ) -> tuple[list[Flat], dict[IntVector, set]]:
-    matrix, extras = _points_int_matrix(points)
+    split = _int_point_matrix(points)
     flats: list[Flat] = []
     achieved: dict[IntVector, set] = {}
     for v in normals:
-        offsets = _achieved_offsets(matrix, extras, v)
+        offsets = _achieved_offsets(v, points, split)
         achieved[v] = offsets
         for c in sorted(offsets):
             flats.append(make_hyperplane(v, c))
@@ -396,7 +347,7 @@ def _pad_hyperplanes(
         return []
     pool = primitive_vectors(2 * _PAD_NORMAL_BOX, d)
     rng.shuffle(pool)
-    matrix, extras = _points_int_matrix(points)
+    split = _int_point_matrix(points)
     pads: list[Flat] = []
     used: set[tuple[tuple[int, ...], Fraction]] = set()
     ranges: dict[IntVector, tuple[int, int]] = {}
@@ -409,7 +360,7 @@ def _pad_hyperplanes(
             )
         v = pool[(len(pads) + attempts) % len(pool)]
         if v not in achieved:
-            achieved[v] = _achieved_offsets(matrix, extras, v)
+            achieved[v] = _achieved_offsets(v, points, split)
         if v not in ranges:
             ints = [int(x) for x in achieved[v] if Fraction(x).denominator == 1]
             ranges[v] = (min(ints, default=0), max(ints, default=0))
@@ -553,7 +504,8 @@ def _sphere_pad_points(
         coords = tuple(x - scale * c for x, c in zip(base.coords, w))
         if coords in existing:
             continue
-        assert sum(c * c for c in coords) == delta_sq
+        if sum(c * c for c in coords) != delta_sq:
+            raise InvariantViolation("sphere padding point left the sphere")
         on_some = False
         for v in normals:
             dot = sum(a * x for a, x in zip(v.coords, coords))
@@ -684,23 +636,16 @@ def embed_configuration(
     for f in inner.flats:
         if f.dim != d_inner - 1:
             raise InvalidInput("inner configuration must consist of hyperplanes")
-    carrier_rows = [
-        [Fraction(int(j == i)) for j in range(d_outer)]
-        for i in range(d_inner, d_outer)
-    ]
-    carrier = Flat(d_outer, carrier_rows, [Fraction(0)] * (d_outer - d_inner))
-    points = tuple(
-        RatPoint(tuple(p.coords) + (Fraction(0),) * (d_outer - d_inner))
-        for p in inner.points
-    )
+    carrier = embedding_carrier(d_inner, d_outer)
+    zeros = (Fraction(0),) * (d_outer - d_inner)
+    points = tuple(RatPoint(p.coords + zeros) for p in inner.points)
     rng = Random(seed)
     new_flats: list[Flat] = []
     for f in inner.flats:
-        rows = [list(r) + [Fraction(0)] * (d_outer - d_inner) for r in f.equations]
         embedded = Flat(
             d_outer,
-            rows + carrier_rows,
-            list(f.rhs) + [Fraction(0)] * (d_outer - d_inner),
+            tuple(r + zeros for r in f.equations) + carrier.equations,
+            f.rhs + carrier.rhs,
         )
         if k == d_inner - 1:
             new_flats.append(embedded)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +28,13 @@ from .constructions import (
     embed_configuration,
     predicted_lower_bound_exponents,
 )
-from .errors import InvalidInput, ResourceLimit, SweepFailed
+from .errors import (
+    DegenerateRandomness,
+    InvalidInput,
+    ResourceLimit,
+    SizeShortfall,
+    SweepFailed,
+)
 from .incidence import (
     IncidenceInstance,
     count_incidences,
@@ -39,7 +43,6 @@ from .incidence import (
 )
 from . import serialization
 
-THREADS_ENV = "INCLAB_THREADS"
 SWEEP_KST_LIMIT = 10**8
 
 
@@ -86,14 +89,6 @@ class SweepSpec:
         return cls(**doc)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_rung(spec: SweepSpec, index: int, m: int, n: int) -> ConstructionOutput:
     seed = spec.seed * 1_000_003 + index
     cfg = ConstructionConfig(
@@ -114,7 +109,9 @@ def _measure_rung(
     record: dict = {"index": index, "m_target": m, "n_target": n, "failed": False}
     try:
         out = _build_rung(spec, index, m, n)
-    except Exception as exc:  # a failed rung must not sink the sweep
+    except (InvalidInput, SizeShortfall, DegenerateRandomness, ResourceLimit) as exc:
+        # a rung the inputs cannot build is recorded, not fatal; anything
+        # else is a bug and propagates
         record.update(failed=True, error=f"{type(exc).__name__}: {exc}")
         return record
     t_claim = out.t_measured + 1
@@ -202,19 +199,9 @@ def run_sweep(spec: SweepSpec, output: str | Path | None = None) -> dict:
     if out_path is not None:
         out_dir = out_path.parent / (out_path.name + ".instances")
         out_dir.mkdir(parents=True, exist_ok=True)
-    workers = _thread_count()
-    jobs = list(enumerate(spec.ladder))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_measure_rung, spec, i, m, n, out_dir)
-                for i, (m, n) in jobs
-            ]
-            rungs = [f.result() for f in futures]
-    else:
-        rungs = [_measure_rung(spec, i, m, n, out_dir) for i, (m, n) in jobs]
-    rungs.sort(key=lambda r: r["index"])  # deterministic ordered merge
-
+    rungs = [
+        _measure_rung(spec, i, m, n, out_dir) for i, (m, n) in enumerate(spec.ladder)
+    ]
     good = [r for r in rungs if not r["failed"]]
     if len(good) < 3:
         raise SweepFailed(f"only {len(good)} rungs succeeded; need at least 3")

@@ -20,7 +20,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import DegenerateRandomness, InvalidInput
+from .errors import DegenerateRandomness, InvalidInput, InvariantViolation
 
 RETRY_BUDGET = 32
 EXTENSION_BOX = 10**6  # generic directions are drawn from [-B, B]^d
@@ -132,10 +132,10 @@ class Flat:
             if len(row) != ambient_dim:
                 raise InvalidInput("equation width does not match ambient dimension")
         if eqs:
-            solved = linalg.solve_affine([list(r) for r in eqs], list(b))
+            solved = linalg.solve_affine(eqs, b)
             if solved is None:
                 raise InvalidInput("inconsistent system does not define a flat")
-            d = ambient_dim - linalg.rank([list(r) for r in eqs])
+            d = len(solved[1])
         else:
             d = ambient_dim
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -155,10 +155,9 @@ class Flat:
                 for i in range(self.ambient_dim)
             ]
             return origin, basis
-        solved = linalg.solve_affine(
-            [list(r) for r in self.equations], list(self.rhs)
-        )
-        assert solved is not None  # construction guarantees consistency
+        solved = linalg.solve_affine(self.equations, self.rhs)
+        if solved is None:
+            raise InvariantViolation("a constructed flat became inconsistent")
         particular, basis = solved
         return RatPoint(particular), basis
 
@@ -201,13 +200,12 @@ def intersect(f1: Flat, f2: Flat) -> Flat | None:
     """
     if f1.ambient_dim != f2.ambient_dim:
         raise InvalidInput("flats live in different ambient dimensions")
-    stacked = [list(r) for r in f1.equations] + [list(r) for r in f2.equations]
-    rhs = list(f1.rhs) + list(f2.rhs)
-    if not stacked:
-        return Flat(f1.ambient_dim, [], [])
-    if linalg.solve_affine(stacked, rhs) is None:
+    try:
+        return Flat(f1.ambient_dim, f1.equations + f2.equations, f1.rhs + f2.rhs)
+    except InvalidInput:
+        # both systems are well formed, so the only rejection is an
+        # inconsistent stack: the flats are disjoint
         return None
-    return Flat(f1.ambient_dim, stacked, rhs)
 
 
 def flats_equal(f1: Flat, f2: Flat) -> bool:
@@ -361,9 +359,9 @@ def generic_extension(
                     for _ in range(ambient_dim)
                 ]
             )
-        if linalg.rank(directions) != target_dim:
-            continue
         normal_rows = linalg.nullspace(directions)
+        if ambient_dim - len(normal_rows) != target_dim:
+            continue  # the drawn directions are dependent
         rhs = [
             sum(a * x for a, x in zip(row, base_point.coords)) for row in normal_rows
         ]
@@ -401,7 +399,7 @@ def find_collinear_triple(
         pi = points[i].coords
         for j in range(i + 1, n):
             delta = [a - b for a, b in zip(points[j].coords, pi)]
-            key = tuple(linalg.clear_denominators(delta))
+            key, _ = linalg.integer_row_and_offset(delta, 0)
             if all(v == 0 for v in key):
                 continue  # duplicate point: not a direction
             if key in seen:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, ResourceLimit
+from .errors import InvalidInput, InvariantViolation, ResourceLimit
 from .geometry import Flat, RatPoint, contains
 
 DEFAULT_COMPARISON_LIMIT = 10**9
@@ -87,16 +87,12 @@ def count_incidences(inst: IncidenceInstance, strategy: str = "auto") -> int:
     raise InvalidInput(f"unknown counting strategy {strategy!r}")
 
 
-def _scaled_rows(flat: Flat) -> list[tuple[tuple[int, ...], Fraction]]:
-    return flat.integer_equations()
-
-
 def _count_naive(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
     """Reference count: evaluate every equation of every flat at every point."""
     int_points = [p.int_coords() for p in points]
     total = 0
     for flat in flats:
-        rows = _scaled_rows(flat)
+        rows = flat.integer_equations()
         int_rhs = [c.numerator if c.denominator == 1 else None for _, c in rows]
         for p, ip in zip(points, int_points):
             if ip is not None:
@@ -163,19 +159,19 @@ def _int_point_matrix(
     return matrix, mat_idx, leftover, max_abs
 
 
-def _group_dots(
-    normal: tuple[int, ...],
-    matrix: np.ndarray,
-    max_abs: int,
-) -> np.ndarray | None:
-    """Dot products of every matrix row with ``normal`` (int64), or ``None``
-    when the exact result could overflow int64."""
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    bound = sum(abs(a) for a in normal) * max_abs
-    if bound > _INT64_SAFE:
-        return None
-    return matrix @ np.array(normal, dtype=np.int64)
+def _exact_dots(matrix: np.ndarray, max_abs: int, row: Sequence[int]) -> np.ndarray:
+    """Exact dot products of every row of ``matrix`` with the integer ``row``.
+
+    ``max_abs`` bounds the entries of ``matrix``.  The products are int64
+    when ``sum|row| * max_abs`` provably fits, and Python integers (an
+    object array) otherwise; either way they compare and hash exactly.
+    """
+    # max(., 1): the row itself must fit int64 even when every point is 0
+    if sum(abs(a) for a in row) * max(max_abs, 1) <= _INT64_SAFE:
+        return matrix @ np.array(row, dtype=np.int64)
+    return np.array(
+        [sum(a * x for a, x in zip(row, r)) for r in matrix.tolist()], dtype=object
+    )
 
 
 def _count_hashed(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
@@ -192,15 +188,10 @@ def _count_hashed(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
     matrix, mat_idx, leftover_idx, max_abs = _int_point_matrix(points)
     total = 0
     for normal, offsets in groups.items():
-        dots = _group_dots(normal, matrix, max_abs)
-        if dots is None:
-            # exact big-integer fallback for the bulk points
-            counter: Counter = Counter()
-            for row in matrix.tolist():
-                counter[sum(a * x for a, x in zip(normal, row))] += 1
-        else:
-            values, counts = np.unique(dots, return_counts=True)
-            counter = dict(zip(values.tolist(), counts.tolist()))
+        values, counts = np.unique(
+            _exact_dots(matrix, max_abs, normal), return_counts=True
+        )
+        counter = dict(zip(values.tolist(), counts.tolist()))
         for offset, multiplicity in offsets.items():
             if offset.denominator == 1:
                 total += counter.get(offset.numerator, 0) * multiplicity
@@ -208,43 +199,18 @@ def _count_hashed(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
             dot = sum(a * x for a, x in zip(normal, points[i].coords))
             total += offsets.get(dot, 0)
     for flat in others:
-        total += _count_flat_members(flat, points, matrix, mat_idx, leftover_idx)
+        total += int(_flat_member_mask(flat, matrix, max_abs).sum())
+        total += sum(1 for i in leftover_idx if contains(flat, points[i]))
     return total
 
 
-def _count_flat_members(
-    flat: Flat,
-    points: Sequence[RatPoint],
-    matrix: np.ndarray,
-    mat_idx: list[int],
-    leftover_idx: list[int],
-) -> int:
-    mask = _flat_member_mask(flat, matrix)
-    if mask is None:
-        count = sum(1 for i in mat_idx if contains(flat, points[i]))
-    else:
-        count = int(mask.sum())
-    count += sum(1 for i in leftover_idx if contains(flat, points[i]))
-    return count
-
-
-def _flat_member_mask(flat: Flat, matrix: np.ndarray) -> np.ndarray | None:
-    """Boolean membership of the int-matrix points in ``flat`` (None when a
-    safe vectorized evaluation is not possible)."""
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    max_abs = int(np.abs(matrix).max(initial=0))
+def _flat_member_mask(flat: Flat, matrix: np.ndarray, max_abs: int) -> np.ndarray:
+    """Boolean membership of the int-matrix points in ``flat``."""
     mask = np.ones(matrix.shape[0], dtype=bool)
     for row, offset in flat.integer_equations():
         if offset.denominator != 1:
             return np.zeros(matrix.shape[0], dtype=bool)
-        if abs(offset.numerator) > _INT64_SAFE:
-            return None
-        bound = sum(abs(a) for a in row) * max_abs
-        if bound > _INT64_SAFE:
-            return None
-        dots = matrix @ np.array(row, dtype=np.int64)
-        mask &= dots == offset.numerator
+        mask &= _exact_dots(matrix, max_abs, row) == offset.numerator
     return mask
 
 
@@ -271,15 +237,8 @@ def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[i
         flats_by_offset: dict[Fraction, list[int]] = defaultdict(list)
         for offset, j in offset_flats:
             flats_by_offset[offset].append(j)
-        dots = _group_dots(normal, matrix, max_abs)
-        if dots is None:
-            dot_list = [
-                sum(a * x for a, x in zip(normal, row)) for row in matrix.tolist()
-            ]
-        else:
-            dot_list = dots.tolist()
         buckets: dict[int, list[int]] = defaultdict(list)
-        for local_i, value in enumerate(dot_list):
+        for local_i, value in enumerate(_exact_dots(matrix, max_abs, normal).tolist()):
             buckets[value].append(mat_idx[local_i])
         for offset, flat_ids in flats_by_offset.items():
             bits = 0
@@ -295,14 +254,9 @@ def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[i
     for j in others:
         flat = flats[j]
         bit = 1 << j
-        member = _flat_member_mask(flat, matrix)
-        if member is None:
-            for local_i, i in enumerate(mat_idx):
-                if contains(flat, points[i]):
-                    masks[i] |= bit
-        else:
-            for local_i in np.nonzero(member)[0].tolist():
-                masks[mat_idx[local_i]] |= bit
+        member = _flat_member_mask(flat, matrix, max_abs)
+        for local_i in np.nonzero(member)[0].tolist():
+            masks[mat_idx[local_i]] |= bit
         for i in leftover_idx:
             if contains(flat, points[i]):
                 masks[i] |= bit
@@ -355,75 +309,69 @@ def find_kst(
 
 def _find_kst_points_side(inst: IncidenceInstance) -> KstWitness | None:
     masks = incidence_masks(inst.points, inst.flats)
-    m, s, t = len(inst.points), inst.s, inst.t
-    if s == 2:
-        for i in range(m):
-            mi = masks[i]
-            if mi.bit_count() < t:
-                continue
-            for j in range(i + 1, m):
-                common = mi & masks[j]
-                if common.bit_count() >= t:
-                    return KstWitness((i, j), _lowest_bits(common, t))
+    found = _first_common_subset(masks, inst.s, inst.t)
+    if found is None:
         return None
-    if s == 3:
-        for i in range(m):
-            mi = masks[i]
-            if mi.bit_count() < t:
-                continue
-            for j in range(i + 1, m):
-                pair = mi & masks[j]
-                if pair.bit_count() < t:
-                    continue
-                for k in range(j + 1, m):
-                    common = pair & masks[k]
-                    if common.bit_count() >= t:
-                        return KstWitness((i, j, k), _lowest_bits(common, t))
-        return None
-    from itertools import combinations
-
-    for subset in combinations(range(m), s):
-        common = masks[subset[0]]
-        for i in subset[1:]:
-            common &= masks[i]
-            if common.bit_count() < t:
-                break
-        else:
-            if common.bit_count() >= t:
-                return KstWitness(subset, _lowest_bits(common, t))
-    return None
+    subset, common = found
+    return KstWitness(subset, _lowest_bits(common, inst.t))
 
 
 def _find_kst_flats_side(inst: IncidenceInstance) -> KstWitness | None:
-    from itertools import combinations
-
     point_masks = incidence_masks(inst.points, inst.flats)
-    n, s, t = len(inst.flats), inst.s, inst.t
-    flat_masks = [0] * n
+    flat_masks = [0] * len(inst.flats)
     for i, mask in enumerate(point_masks):
         remaining = mask
         while remaining:
             low = remaining & -remaining
             flat_masks[low.bit_length() - 1] |= 1 << i
             remaining ^= low
-    for subset in combinations(range(n), t):
-        common = flat_masks[subset[0]]
-        for j in subset[1:]:
-            common &= flat_masks[j]
-            if common.bit_count() < s:
+    found = _first_common_subset(flat_masks, inst.t, inst.s)
+    if found is None:
+        return None
+    subset, common = found
+    return KstWitness(_lowest_bits(common, inst.s), subset)
+
+
+def _first_common_subset(
+    masks: Sequence[int], size: int, need: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The lexicographically first ``size`` indices whose masks share at
+    least ``need`` bits, with their common mask; ``None`` when none do.
+
+    Depth-first over increasing indices, so subsets are met in
+    ``itertools.combinations`` order.  A branch is cut as soon as its
+    common mask has fewer than ``need`` bits: extending it only clears bits.
+    """
+    n = len(masks)
+    chosen: list[int] = []
+    commons = [-1]  # commons[k] is the common mask of chosen[:k]; -1 has every bit
+    start = 0
+    while True:
+        depth, common = len(chosen), commons[-1]
+        for i in range(start, n - size + depth + 1):
+            here = common & masks[i]
+            if here.bit_count() >= need:
                 break
-        else:
-            if common.bit_count() >= s:
-                return KstWitness(_lowest_bits(common, s), subset)
-    return None
+        else:  # no index left at this depth: backtrack
+            if not chosen:
+                return None
+            start = chosen.pop() + 1
+            commons.pop()
+            continue
+        chosen.append(i)
+        if depth + 1 == size:
+            return tuple(chosen), here
+        commons.append(here)
+        start = i + 1
 
 
 def _check_witness(inst: IncidenceInstance, witness: KstWitness) -> None:
     for i in witness.point_indices:
         for j in witness.flat_indices:
-            assert contains(inst.flats[j], inst.points[i]), (
-                f"unsound witness: point {i} not on flat {j}"
-            )
+            if not contains(inst.flats[j], inst.points[i]):
+                raise InvariantViolation(
+                    f"unsound witness: point {i} not on flat {j}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +415,9 @@ def kst_bound_value(m: int, n: int, s: int, digits: int = 30) -> BoundValue:
 
 
 def _int_root_floor(x: int, r: int) -> int:
-    if x < 0:
-        raise InvalidInput("negative radicand")
+    """Largest integer whose ``r``-th power is at most ``x``."""
+    if x < 0 or r < 1:
+        raise InvalidInput("root domain error")
     if x in (0, 1) or r == 1:
         return x
     high = 1

@@ -18,10 +18,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def row_echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of a copy of ``matrix``.
 
@@ -64,32 +60,22 @@ def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
 def solve_affine(
     a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[Row, Matrix] | None:
-    """Solve ``a @ x = b`` exactly.
+    """Solve ``a @ x = b`` exactly, with one elimination of ``[a | b]``.
 
     Returns ``(particular, nullspace_basis)`` where ``particular`` is one
     solution and ``nullspace_basis`` spans the solution set's directions,
-    or ``None`` when the system is inconsistent.
+    or ``None`` when the system is inconsistent.  The basis has
+    ``len(a[0]) - rank(a)`` vectors.
     """
     if not a:
         raise ValueError("empty system has no well-defined column count")
     n_cols = len(a[0])
-    augmented = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = row_echelon(augmented)
+    red, pivots = row_echelon([list(row) + [bi] for row, bi in zip(a, b)])
     if n_cols in pivots:
         return None  # pivot in the constants column: inconsistent
     particular: Row = [ZERO] * n_cols
     for i, c in enumerate(pivots):
         particular[c] = red[i][n_cols]
-    basis = nullspace(a)
-    return particular, basis
-
-
-def nullspace(a: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Basis of ``{x : a @ x = 0}``, as a list of vectors."""
-    if not a:
-        raise ValueError("empty system has no well-defined column count")
-    n_cols = len(a[0])
-    red, pivots = row_echelon(a)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis: Matrix = []
@@ -99,13 +85,12 @@ def nullspace(a: Sequence[Sequence[Fraction]]) -> Matrix:
         for i, pc in enumerate(pivots):
             vec[pc] = -red[i][fc]
         basis.append(vec)
-    return basis
+    return particular, basis
 
 
-def is_consistent(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> bool:
-    if not a:
-        return True
-    return solve_affine(a, b) is not None
+def nullspace(a: Sequence[Sequence[Fraction]]) -> Matrix:
+    """Basis of ``{x : a @ x = 0}``, as a list of vectors."""
+    return solve_affine(a, [ZERO] * len(a))[1]
 
 
 def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Row | None:
@@ -122,56 +107,24 @@ def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Row 
     return particular
 
 
-def clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row to a primitive integer row.
-
-    The result spans the same hyperplane: entries are multiplied by the lcm
-    of denominators and divided by the gcd of the numerators.  Sign is
-    canonical: the first nonzero entry is positive.  The zero row maps to
-    all zeros.
-    """
-    lcm = 1
-    for x in row:
-        d = Fraction(x).denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(Fraction(x) * lcm) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        return ints
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
-
-
 def integer_row_and_offset(
     coefficients: Sequence[Fraction], constant: Fraction
 ) -> tuple[tuple[int, ...], Fraction]:
     """Rescale one equation ``coefficients @ x = constant`` so the left side
     is a primitive, sign-canonical integer vector.  The constant is scaled
-    by the same factor and may remain rational."""
+    by the same factor and may remain rational.  The zero row stays zero.
+
+    With ``constant`` 0 this is the primitive integer representative of a
+    rational direction, which spans the same hyperplane or line.
+    """
     lcm = 1
     for x in coefficients:
-        d = Fraction(x).denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(Fraction(x) * lcm) for x in coefficients]
-    scaled_constant = Fraction(constant) * lcm
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+        lcm = lcm // gcd(lcm, x.denominator) * x.denominator
+    ints = [x.numerator * (lcm // x.denominator) for x in coefficients]
+    g = gcd(*ints)
     if g == 0:
-        return tuple(ints), scaled_constant
-    ints = [v // g for v in ints]
-    scaled_constant /= g
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-                scaled_constant = -scaled_constant
-            break
-    return tuple(ints), scaled_constant
+        return tuple(ints), Fraction(constant) * lcm
+    if next(v for v in ints if v != 0) < 0:
+        g = -g
+    c = Fraction(constant)
+    return tuple(v // g for v in ints), Fraction(c.numerator * lcm, c.denominator * g)

@@ -78,6 +78,28 @@ def count_incidences_direct(points, flats) -> int:
     return total
 
 
+def first_kst_bruteforce(points, flats, s: int, t: int, side: str):
+    """The first K_{s,t} witness in ``itertools.combinations`` order, as
+    ``(point_indices, flat_indices)``, or ``None``.
+
+    ``side="points"`` walks s-subsets of points and takes the t lowest
+    common flats; ``side="flats"`` walks t-subsets of flats and takes the s
+    lowest common points.  Incidence is direct substitution.
+    """
+    on = [[point_on_flat(p.coords, f.equations, f.rhs) for f in flats] for p in points]
+    if side == "points":
+        for subset in combinations(range(len(points)), s):
+            common = [j for j in range(len(flats)) if all(on[i][j] for i in subset)]
+            if len(common) >= t:
+                return subset, tuple(common[:t])
+        return None
+    for subset in combinations(range(len(flats)), t):
+        common = [i for i in range(len(points)) if all(on[i][j] for j in subset)]
+        if len(common) >= s:
+            return tuple(common[:s]), subset
+    return None
+
+
 def collinear_triples_bruteforce(points) -> list[tuple[int, int, int]]:
     """All collinear triples, by a 2x-minor rank test on the differences."""
     out = []

@@ -133,6 +133,29 @@ class TestNormalSelection:
         assert not sel.verified
         assert sel.t_measured == len(sel.vectors)  # trivial bound
 
+    def test_subspace_count_is_exact_across_int64_bound(self):
+        import numpy as np
+
+        from inclab.constructions import _count_on_subspace
+
+        rng = Random(62)
+        for _ in range(60):
+            scale = rng.choice((1, 2**31 - 1, 2**31 + 1, 2**61 + 3, 2**62))
+            rows = [
+                [rng.randint(-1, 1) * (scale if rng.random() < 0.5 else 1)
+                 for _ in range(3)]
+                for _ in range(rng.randint(1, 8))
+            ]
+            matrix = np.array(rows, dtype=np.int64)
+            max_abs = max(abs(x) for row in rows for x in row)
+            eqs = [tuple(rng.randint(-3, 3) for _ in range(3))
+                   for _ in range(rng.randint(1, 2))]
+            expected = sum(
+                1 for row in rows
+                if all(sum(a * x for a, x in zip(e, row)) == 0 for e in eqs)
+            )
+            assert _count_on_subspace(eqs, matrix, max_abs) == expected
+
     def test_non_primitive_candidates_rejected(self):
         with pytest.raises(InvalidInput):
             select_admissible_normals([IntVector((2, 4))], 1, 2, 1, seed=0)
@@ -189,6 +212,32 @@ class TestGridConstruction:
         inst = IncidenceInstance(out.points, out.flats, 2, out.t_measured + 1)
         assert find_kst(inst) is None
 
+    def test_core_offsets_are_exact_dot_products_across_int64_bounds(self):
+        from inclab import RatPoint
+        from inclab.constructions import _core_hyperplanes
+
+        rng = Random(3162)
+        magnitudes = (0, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**62 - 1, 2**62, 2**62 + 1)
+        for _ in range(40):
+            d = rng.randint(2, 3)
+            points = []
+            for _ in range(rng.randint(1, 10)):
+                coords = [rng.choice((-1, 1)) * rng.choice(magnitudes)
+                          for _ in range(d)]
+                if rng.random() < 0.2:
+                    coords[0] = Fraction(rng.randint(-9, 9), 2)
+                points.append(RatPoint(coords))
+            normals = [IntVector(v) for v in
+                       {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4)}
+                       if any(v)]
+            flats, achieved = _core_hyperplanes(points, normals)
+            for v in normals:
+                assert achieved[v] == {
+                    sum(a * x for a, x in zip(v.coords, p.coords)) for p in points
+                }
+            assert len(flats) == sum(len(achieved[v]) for v in normals)
+            assert count_incidences_direct(points, flats) == len(points) * len(normals)
+
     def test_determinism(self):
         cfg = ConstructionConfig(d=2, m=25, n=50, seed=11, box_side=3)
         a = build_grid_construction(cfg)
@@ -244,18 +293,15 @@ class TestSphereConstruction:
     def test_padding_points_are_on_sphere_and_off_all_hyperplanes(self):
         from random import Random
 
-        from inclab.constructions import (
-            _achieved_offsets,
-            _points_int_matrix,
-            _sphere_pad_points,
-        )
+        from inclab.constructions import _achieved_offsets, _sphere_pad_points
+        from inclab.incidence import _int_point_matrix
 
         cfg = ConstructionConfig(d=4, m=60, n=200, seed=5, box_side=2, s=3)
         out = build_sphere_construction(cfg)
         delta_sq = int(sum(c * c for c in out.points[0].coords))
-        matrix, extras = _points_int_matrix(out.points)
+        split = _int_point_matrix(out.points)
         achieved = {
-            v: _achieved_offsets(matrix, extras, v) for v in out.normals_used
+            v: _achieved_offsets(v, out.points, split) for v in out.normals_used
         }
         pads = _sphere_pad_points(
             out.points[0], delta_sq, 12, {p.coords for p in out.points},

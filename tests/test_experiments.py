@@ -181,10 +181,12 @@ class TestRunSweep:
             r["incidences"] for r in base_report["rungs"]
         ]
 
-    def test_thread_env_gives_same_report(self, tmp_path, monkeypatch):
-        r1 = run_sweep(self.small_spec())
-        monkeypatch.setenv("INCLAB_THREADS", "3")
-        r2 = run_sweep(self.small_spec())
-        r1.pop("generated_at")
-        r2.pop("generated_at")
-        assert r1 == r2
+    def test_invariant_violation_in_a_rung_propagates(self, monkeypatch):
+        from inclab import InvariantViolation, experiments
+
+        def broken(cfg):
+            raise InvariantViolation("forged bug")
+
+        monkeypatch.setattr(experiments, "build_grid_construction", broken)
+        with pytest.raises(InvariantViolation):
+            run_sweep(self.small_spec())

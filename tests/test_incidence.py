@@ -10,6 +10,8 @@ from inclab import (
     IncidenceInstance,
     IntVector,
     InvalidInput,
+    InvariantViolation,
+    KstWitness,
     RatPoint,
     ResourceLimit,
     contains,
@@ -20,7 +22,7 @@ from inclab import (
     make_hyperplane,
 )
 
-from oracles import count_incidences_direct, int_root_floor
+from oracles import count_incidences_direct, first_kst_bruteforce, int_root_floor
 
 
 def P(*coords):
@@ -108,6 +110,50 @@ class TestCounting:
             naive = count_incidences(inst, "naive")
             hashed = count_incidences(inst, "hashed")
             assert naive == hashed, f"strategy split on trial {trial}"
+            assert naive == count_incidences_direct(points, flats)
+
+    def test_naive_hashed_masks_agree_across_int64_bounds(self):
+        # coordinates on both sides of the int64-safe cut (2^62) and of the
+        # old 2^31 cut, rational points, and non-hyperplane flats
+        rng = Random(31062)
+        magnitudes = (0, 1, 5, 2**31 - 1, 2**31, 2**31 + 1, 2**62 - 1, 2**62, 2**62 + 1)
+        for trial in range(120):
+            d = rng.randint(2, 3)
+            big = rng.sample(magnitudes, 3)
+
+            def coord():
+                roll = rng.random()
+                if roll < 0.15:
+                    return Fraction(rng.randint(-7, 7), rng.choice((2, 3)))
+                if roll < 0.6:
+                    return rng.choice((-1, 1)) * rng.choice(big)
+                return rng.randint(-3, 3)
+
+            points = [P(*[coord() for _ in range(d)])
+                      for _ in range(rng.randint(1, 12))]
+            flats = []
+            for _ in range(rng.randint(1, 10)):
+                anchor = rng.choice(points)
+                if rng.random() < 0.7:
+                    v = IntVector([rng.randint(-2, 2) for _ in range(d)])
+                    if v.is_zero():
+                        continue
+                    flats.append(make_hyperplane(v, v.dot(anchor)))
+                else:
+                    rows = [[rng.randint(-2, 2) for _ in range(d)]
+                            for _ in range(d - 1)]
+                    rows.append([rng.randint(-2, 2) for _ in range(d)])
+                    rhs = [sum(a * x for a, x in zip(r, anchor.coords)) for r in rows]
+                    flats.append(Flat(d, rows, rhs))
+                if rng.random() < 0.2:
+                    flats.append(flats[-1])  # duplicate flat
+            if not flats:
+                continue
+            inst = IncidenceInstance(points, flats, 2, 1)
+            naive = count_incidences(inst, "naive")
+            hashed = count_incidences(inst, "hashed")
+            popcount = sum(mask.bit_count() for mask in incidence_masks(points, flats))
+            assert naive == hashed == popcount, f"split on trial {trial}"
             assert naive == count_incidences_direct(points, flats)
 
     def test_monotone_in_flats(self):
@@ -208,6 +254,17 @@ class TestFindKst:
         assert witness is not None
         assert witness.point_indices == (0, 1)
 
+    def test_flats_side_search_deeper_than_the_recursion_limit(self):
+        import sys
+
+        t = sys.getrecursionlimit() + 100
+        line = make_hyperplane(IntVector((1, -1)), 0)
+        inst = IncidenceInstance([P(0, 0), P(1, 1)], [line] * t, 2, t)
+        witness = find_kst(inst)
+        assert witness is not None
+        assert witness.point_indices == (0, 1)
+        assert witness.flat_indices == tuple(range(t))
+
     def test_resource_limit_reports_budget(self):
         points = [P(x, y) for x in range(30) for y in range(30)]
         flats = [make_hyperplane(IntVector((1, 0)), c) for c in range(30)]
@@ -238,6 +295,63 @@ class TestFindKst:
                 for i in witness.point_indices:
                     for j in witness.flat_indices:
                         assert contains(flats[j], points[i])
+
+    def test_both_sides_return_the_bruteforce_first_witness(self):
+        from inclab.incidence import _find_kst_flats_side, _find_kst_points_side
+
+        rng = Random(4242)
+        for trial in range(150):
+            d = rng.randint(2, 3)
+            points = [P(*[rng.randint(0, 3) for _ in range(d)])
+                      for _ in range(rng.randint(2, 9))]
+            flats = []
+            for _ in range(rng.randint(1, 9)):
+                anchor = rng.choice(points)
+                if d == 3 and rng.random() < 0.25:
+                    # a line: not a hyperplane, so it takes the mask path
+                    rows = [[1, 0, 0], [0, rng.randint(-1, 1), 1]]
+                    rhs = [sum(a * x for a, x in zip(r, anchor.coords)) for r in rows]
+                    flats.append(Flat(d, rows, rhs))
+                else:
+                    v = IntVector([rng.randint(-1, 1) for _ in range(d)])
+                    if v.is_zero():
+                        continue
+                    flats.append(make_hyperplane(v, v.dot(anchor)))
+                if rng.random() < 0.3:
+                    flats.append(flats[-1])  # duplicate flat
+            if not flats:
+                continue
+            s = rng.choice((2, 3, 4))
+            t = rng.randint(1, 3)
+            if len(points) < s or len(flats) < t:
+                continue
+            inst = IncidenceInstance(points, flats, s, t)
+            for side, search in (("points", _find_kst_points_side),
+                                 ("flats", _find_kst_flats_side)):
+                expected = first_kst_bruteforce(points, flats, s, t, side)
+                witness = search(inst)
+                got = None if witness is None else (witness.point_indices,
+                                                   witness.flat_indices)
+                assert got == expected, f"{side} side, trial {trial}"
+            chosen = find_kst(inst)
+            found = (
+                first_kst_bruteforce(points, flats, s, t, "points"),
+                first_kst_bruteforce(points, flats, s, t, "flats"),
+            )
+            if chosen is None:
+                assert found == (None, None)
+            else:
+                assert (chosen.point_indices, chosen.flat_indices) in found
+
+    def test_forged_unsound_witness_is_an_invariant_violation(self):
+        from inclab.incidence import _check_witness
+
+        points = [P(0, 0), P(1, 1), P(5, 0)]
+        line = make_hyperplane(IntVector((1, -1)), 0)
+        inst = IncidenceInstance(points, [line], 2, 1)
+        _check_witness(inst, KstWitness((0, 1), (0,)))
+        with pytest.raises(InvariantViolation):
+            _check_witness(inst, KstWitness((0, 2), (0,)))
 
 
 class TestBoundValue:

@@ -81,10 +81,12 @@ def test_solve_square_rejects_non_square():
 
 
 def test_clear_denominators_primitive_and_sign():
+    # with a zero constant, integer_row_and_offset is the primitive
+    # sign-canonical integer direction of the row
     row = [Fraction(2, 3), Fraction(-4, 3), Fraction(0)]
-    assert linalg.clear_denominators(row) == [1, -2, 0]
-    assert linalg.clear_denominators([Fraction(-2), Fraction(4)]) == [1, -2]
-    assert linalg.clear_denominators([Fraction(0), Fraction(0)]) == [0, 0]
+    assert linalg.integer_row_and_offset(row, 0)[0] == (1, -2, 0)
+    assert linalg.integer_row_and_offset([Fraction(-2), Fraction(4)], 0)[0] == (1, -2)
+    assert linalg.integer_row_and_offset([Fraction(0), Fraction(0)], 0)[0] == (0, 0)
 
 
 def test_integer_row_and_offset_scales_consistently():
