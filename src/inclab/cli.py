@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import serialization
 from .constructions import (
@@ -164,7 +163,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    spec = SweepSpec.from_dict(serialization.load_document(args.spec))
     report = run_sweep(spec, output=args.output)
     pred = report["prediction"]
     print(

@@ -69,16 +69,25 @@ class SweepSpec:
     def __post_init__(self):
         if self.construction not in ("a", "b", "embed"):
             raise InvalidInput(f"unknown construction {self.construction!r}")
-        if len(self.ladder) < 3:
+        try:
+            ladder = tuple((int(m), int(n)) for m, n in self.ladder)
+        except (TypeError, ValueError):
+            raise InvalidInput(
+                f"ladder must be a list of [m, n] integer pairs, got {self.ladder!r}"
+            ) from None
+        if len(ladder) < 3:
             raise InvalidInput("ladder needs at least 3 rungs")
         if self.construction == "embed" and (self.d_outer is None or self.k is None):
             raise InvalidInput("embed sweeps need d_outer and k")
-        object.__setattr__(
-            self, "ladder", tuple((int(m), int(n)) for m, n in self.ladder)
-        )
+        object.__setattr__(self, "ladder", ladder)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
+        if not isinstance(doc, dict):
+            raise InvalidInput(f"a sweep spec is a JSON object, got {type(doc).__name__}")
+        missing = {"construction", "d", "ladder"} - set(doc)
+        if missing:
+            raise InvalidInput(f"sweep spec lacks required fields: {sorted(missing)}")
         known = {
             "construction", "d", "ladder", "s", "t_cap", "d_outer", "k",
             "epsilon_prime", "epsilon", "seed",

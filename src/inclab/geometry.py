@@ -345,7 +345,8 @@ def generic_extension(
         if within.ambient_dim != ambient_dim:
             raise InvalidInput("guard flat lives in a different ambient dimension")
         meet = intersect(h, within)
-        if meet is None or not flats_equal(meet, h):
+        # meet = h & within lies inside h, so it is h exactly when the dims agree
+        if meet is None or meet.dim != h.dim:
             raise InvalidInput("guard flat must contain the flat being extended")
     rng = seed if isinstance(seed, Random) else Random(seed)
     base_point, base_dirs = h.solution()
@@ -370,7 +371,9 @@ def generic_extension(
             continue
         if within is not None:
             meet = intersect(candidate, within)
-            if meet is None or not flats_equal(meet, h):
+            # candidate contains h by construction and within contains h, so
+            # meet contains h; it is h exactly when the dims agree
+            if meet is None or meet.dim != h.dim:
                 continue
         return candidate
     raise DegenerateRandomness(

@@ -2,8 +2,12 @@
 
 Two interchangeable counting strategies are provided and must always agree:
 
-* ``naive``  -- direct pair-by-pair membership evaluation, O(m n).  This is
-  the reference path; it never groups, buckets, or vectorizes per-family.
+* ``naive``  -- every equation of every flat evaluated at every point,
+  O(m n).  This is the reference path; it never groups flats by normal or
+  buckets points by offset.  Integer points are checked densely: the
+  flats' equation rows are stacked and multiplied by a block of points at
+  a time in int64, where that provably cannot overflow; other flats and
+  points keep exact Python arithmetic.
 * ``hashed`` -- hyperplanes are grouped by their primitive integer normal
   and points are bucketed by exact dot product, so each group costs one
   pass over the points.  Integer work is vectorized with numpy when the
@@ -30,6 +34,7 @@ from .geometry import Flat, RatPoint, contains
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _INT64_SAFE = 2**62
+_DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
 
 
 @dataclass(frozen=True)
@@ -89,28 +94,62 @@ def count_incidences(inst: IncidenceInstance, strategy: str = "auto") -> int:
 
 def _count_naive(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
     """Reference count: evaluate every equation of every flat at every point."""
-    int_points = [p.int_coords() for p in points]
+    matrix, _, leftover, max_abs = _int_point_matrix(points)
+    scale = max(max_abs, 1)  # the rows themselves must fit int64 too
+    int_rows: list[list[int]] | None = None
+    dense: list[list[tuple[tuple[int, ...], int]]] = []
     total = 0
     for flat in flats:
-        rows = flat.integer_equations()
-        int_rhs = [c.numerator if c.denominator == 1 else None for _, c in rows]
-        for p, ip in zip(points, int_points):
-            if ip is not None:
-                ok = True
-                for (row, _), b in zip(rows, int_rhs):
-                    if b is None:
-                        ok = False  # integer point cannot hit a non-integer offset
-                        break
-                    acc = 0
-                    for a, x in zip(row, ip):
-                        acc += a * x
-                    if acc != b:
-                        ok = False
-                        break
-                if ok:
-                    total += 1
-            elif contains(flat, p):
-                total += 1
+        if not flat.equations:
+            total += len(points)  # the whole space
+            continue
+        total += sum(1 for i in leftover if contains(flat, points[i]))
+        eqs = flat.integer_equations()
+        if any(c.denominator != 1 for _, c in eqs):
+            continue  # no integer point reaches a rational offset
+        int_eqs = [(row, c.numerator) for row, c in eqs]
+        if all(sum(abs(a) for a in row) * scale <= _INT64_SAFE for row, _ in int_eqs):
+            # every |<row, x>| is at most _INT64_SAFE, so a larger offset is
+            # unreachable (and must not be cast to int64)
+            if all(abs(c) <= _INT64_SAFE for _, c in int_eqs):
+                dense.append(int_eqs)
+            continue
+        if int_rows is None:
+            int_rows = matrix.tolist()
+        total += sum(
+            1
+            for x in int_rows
+            if all(sum(a * v for a, v in zip(row, x)) == c for row, c in int_eqs)
+        )
+    return total + _count_dense(matrix, dense)
+
+
+def _count_dense(
+    matrix: np.ndarray, flats: Sequence[Sequence[tuple[tuple[int, ...], int]]]
+) -> int:
+    """Pairs (row of ``matrix``, flat) where the point meets every equation.
+
+    Each flat is a list of int64-safe ``(row, offset)`` equations.  Flats
+    are stacked into an equation matrix a chunk at a time, and points are
+    taken a block at a time, so a block holds at most ``_DENSE_ENTRIES``
+    products (or one point's worth, for a flat with more rows than that).
+    """
+    total = 0
+    lo = 0
+    while lo < len(flats) and matrix.shape[0]:
+        hi, width = lo, 0
+        while hi < len(flats) and (hi == lo or width + len(flats[hi]) <= _DENSE_ENTRIES):
+            width += len(flats[hi])
+            hi += 1
+        chunk = flats[lo:hi]
+        rows = np.array([row for eqs in chunk for row, _ in eqs], dtype=np.int64)
+        offsets = np.array([c for eqs in chunk for _, c in eqs], dtype=np.int64)
+        starts = np.cumsum([0] + [len(eqs) for eqs in chunk[:-1]])
+        step = max(1, _DENSE_ENTRIES // width)
+        for p in range(0, matrix.shape[0], step):
+            hits = matrix[p : p + step] @ rows.T == offsets
+            total += int(np.count_nonzero(np.logical_and.reduceat(hits, starts, axis=1)))
+        lo = hi
     return total
 
 
@@ -166,6 +205,8 @@ def _exact_dots(matrix: np.ndarray, max_abs: int, row: Sequence[int]) -> np.ndar
     when ``sum|row| * max_abs`` provably fits, and Python integers (an
     object array) otherwise; either way they compare and hash exactly.
     """
+    if not matrix.shape[0]:
+        return np.zeros(0, dtype=np.int64)  # no points: no columns to multiply
     # max(., 1): the row itself must fit int64 even when every point is 0
     if sum(abs(a) for a in row) * max(max_abs, 1) <= _INT64_SAFE:
         return matrix @ np.array(row, dtype=np.int64)

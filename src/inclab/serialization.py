@@ -30,7 +30,33 @@ def _enc(x: Fraction) -> list[int]:
 def _dec(pair: Any) -> Fraction:
     if not (isinstance(pair, list) and len(pair) == 2):
         raise InvalidInput(f"expected [numerator, denominator], got {pair!r}")
-    return Fraction(int(pair[0]), int(pair[1]))
+    num, den = _int(pair[0], "numerator"), _int(pair[1], "denominator")
+    if den == 0:
+        raise InvalidInput(f"zero denominator in rational {pair!r}")
+    return Fraction(num, den)
+
+
+def _int(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidInput(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _require_object(doc: Any) -> None:
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"an instance file holds a JSON object, got {type(doc).__name__}")
+
+
+def _field(doc: dict, key: str, where: str) -> Any:
+    if key not in doc:
+        raise InvalidInput(f"{where} has no {key!r} field")
+    return doc[key]
 
 
 def instance_to_dict(
@@ -68,41 +94,67 @@ def instance_to_dict(
 
 
 def dict_to_instance(doc: dict) -> IncidenceInstance:
+    _require_object(doc)
     if doc.get("schema") != SCHEMA_VERSION:
         raise InvalidInput(f"unsupported schema {doc.get('schema')!r}")
-    dim = int(doc["ambient_dim"])
-    points = tuple(RatPoint([_dec(c) for c in row]) for row in doc["points"])
-    flats = tuple(
-        Flat(
-            dim,
-            [[_dec(a) for a in row] for row in spec["A"]],
-            [_dec(c) for c in spec["b"]],
+    dim = _int(_field(doc, "ambient_dim", "instance"), "ambient_dim")
+    if dim < 1:
+        raise InvalidInput(f"ambient_dim must be positive, got {dim}")
+    points = []
+    for i, row in enumerate(_list(_field(doc, "points", "instance"), "points")):
+        if len(_list(row, f"point {i}")) != dim:
+            raise InvalidInput(
+                f"point {i} has {len(row)} coordinates in an ambient_dim {dim} file"
+            )
+        points.append(RatPoint([_dec(c) for c in row]))
+    flats = []
+    for j, spec in enumerate(_list(_field(doc, "flats", "instance"), "flats")):
+        if not isinstance(spec, dict):
+            raise InvalidInput(f"flat {j} must be an object with 'A' and 'b'")
+        rows = _list(_field(spec, "A", f"flat {j}"), f"flat {j} 'A'")
+        rhs = _list(_field(spec, "b", f"flat {j}"), f"flat {j} 'b'")
+        flats.append(
+            Flat(
+                dim,
+                [[_dec(a) for a in _list(row, f"flat {j} row")] for row in rows],
+                [_dec(c) for c in rhs],
+            )
         )
-        for spec in doc["flats"]
-    )
-    return IncidenceInstance(points, flats, int(doc.get("s", 2)), int(doc.get("t", 1)))
+    s = _int(doc.get("s", 2), "s")
+    t = _int(doc.get("t", 1), "t")
+    return IncidenceInstance(points, flats, s, t)
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:
+    _require_object(doc)
     block = doc.get("construction")
     if block is None:
         raise InvalidInput("file has no construction block")
+    if not isinstance(block, dict):
+        raise InvalidInput("the construction block must be an object")
     inst = dict_to_instance(doc)
+
+    def field(key: str) -> Any:
+        return _field(block, key, "construction block")
+
     inner = block.get("inner_ambient_dim")
     return ConstructionOutput(
-        variant=block["variant"],
+        variant=field("variant"),
         ambient_dim=inst.ambient_dim,
         points=inst.points,
         flats=inst.flats,
-        normals_used=tuple(IntVector(v) for v in block["normals_used"]),
-        t_measured=int(block["t_measured"]),
-        t_verified=bool(block["t_verified"]),
-        predicted_incidences=int(block["predicted_incidences"]),
-        padding_start=int(block["padding_start"]),
-        core_point_count=int(block["core_point_count"]),
-        seed=int(block["seed"]),
-        inner_ambient_dim=None if inner is None else int(inner),
-        notes=tuple(block.get("notes", ())),
+        normals_used=tuple(
+            IntVector([_int(c, "normal coordinate") for c in _list(v, "normal")])
+            for v in _list(field("normals_used"), "normals_used")
+        ),
+        t_measured=_int(field("t_measured"), "t_measured"),
+        t_verified=bool(field("t_verified")),
+        predicted_incidences=_int(field("predicted_incidences"), "predicted_incidences"),
+        padding_start=_int(field("padding_start"), "padding_start"),
+        core_point_count=_int(field("core_point_count"), "core_point_count"),
+        seed=_int(field("seed"), "seed"),
+        inner_ambient_dim=None if inner is None else _int(inner, "inner_ambient_dim"),
+        notes=tuple(_list(block.get("notes", []), "notes")),
     )
 
 
@@ -128,7 +180,12 @@ def save_construction(
 
 
 def load_document(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON document in ``path``; :class:`InvalidInput` when it cannot
+    be read or parsed.  Its consumers check its shape."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from None
 
 
 def load_instance(path: str | Path) -> IncidenceInstance:

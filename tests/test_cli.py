@@ -194,3 +194,69 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "error" in err
+
+
+class TestMalformedInput:
+    """Malformed files exit 2 with ``error: ...`` from every reading command."""
+
+    @pytest.fixture
+    def construction_doc(self, capsys, tmp_path):
+        target = tmp_path / "valid.inc.json"
+        run_cli(
+            capsys, "construct", "--variant", "a", "--d", "2", "--m", "9",
+            "--n", "12", "--seed", "1", "--box-side", "2", "-o", str(target),
+        )
+        return json.loads(target.read_text())
+
+    def assert_rejected(self, capsys, tmp_path, text, commands):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        bad, out_path = str(path), str(tmp_path / "out.json")
+        argvs = {
+            "verify": ["verify", bad, "--s", "2", "--t", "2"],
+            "embed": ["embed", bad, "--d-outer", "4", "--k", "2", "-o", out_path],
+            "oracle": ["oracle", "count", bad],
+            "sweep": ["sweep", bad, "-o", out_path],
+        }
+        for command in commands:
+            code, out, err = run_cli(capsys, *argvs[command])
+            assert code == 2, f"{command}: exit {code}"
+            assert err.startswith("error: "), f"{command}: {err!r}"
+            assert out == ""
+
+    def assert_instance_rejected(self, capsys, tmp_path, text):
+        self.assert_rejected(capsys, tmp_path, text, ("verify", "embed", "oracle"))
+
+    def test_non_json(self, capsys, tmp_path):
+        self.assert_rejected(
+            capsys, tmp_path, "{not json",
+            ("verify", "embed", "oracle", "sweep"),
+        )
+
+    def test_top_level_list(self, capsys, tmp_path):
+        self.assert_rejected(
+            capsys, tmp_path, "[1, 2]",
+            ("verify", "embed", "oracle", "sweep"),
+        )
+
+    def test_missing_ambient_dim(self, capsys, tmp_path, construction_doc):
+        del construction_doc["ambient_dim"]
+        self.assert_instance_rejected(capsys, tmp_path, json.dumps(construction_doc))
+
+    def test_zero_denominator(self, capsys, tmp_path, construction_doc):
+        construction_doc["points"][0][0] = [1, 0]
+        self.assert_instance_rejected(capsys, tmp_path, json.dumps(construction_doc))
+
+    def test_point_of_wrong_dimension(self, capsys, tmp_path, construction_doc):
+        # with no flat to disagree with, only ambient_dim exposes the 1-D point
+        construction_doc["points"] = [[[1, 1]]]
+        construction_doc["flats"] = []
+        self.assert_instance_rejected(capsys, tmp_path, json.dumps(construction_doc))
+
+    def test_sweep_spec_without_ladder(self, capsys, tmp_path):
+        spec = {"construction": "a", "d": 2, "s": 2}
+        self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))
+
+    def test_sweep_ladder_rung_of_one_number(self, capsys, tmp_path):
+        spec = {"construction": "a", "d": 2, "ladder": [[16, 30], [4], [256, 120]]}
+        self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))

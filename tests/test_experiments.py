@@ -30,6 +30,20 @@ class TestSpecValidation:
                 {"construction": "a", "d": 2, "ladder": [[8, 8]] * 3, "bogus": 1}
             )
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [["a", 2]],
+            {"construction": "a", "d": 2},  # no ladder
+            {"construction": "a", "d": 2, "ladder": [[8, 8], [4], [32, 32]]},
+            {"construction": "a", "d": 2, "ladder": 5},
+        ],
+        ids=["not-an-object", "no-ladder", "short-rung", "ladder-not-a-list"],
+    )
+    def test_from_dict_rejects_malformed_specs(self, doc):
+        with pytest.raises(InvalidInput):
+            SweepSpec.from_dict(doc)
+
 
 class TestFit:
     def test_recovers_exact_power_law_two_variable(self):

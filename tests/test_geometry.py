@@ -276,6 +276,37 @@ class TestGenericExtension:
             shifted = RatPoint([a + b for a, b in zip(point.coords, vec)])
             assert contains(plane, shifted)
 
+    def test_guard_flat_must_contain_original(self):
+        z_axis = Flat(3, [[1, 0, 0], [0, 1, 0]], [0, 0])
+        disjoint = make_hyperplane(IntVector((1, 0, 0)), 1)  # x = 1 misses it
+        crossing = make_hyperplane(IntVector((0, 0, 1)), 0)  # z = 0 meets it once
+        for within in (disjoint, crossing):
+            with pytest.raises(InvalidInput):
+                generic_extension(z_axis, 2, 3, seed=1, within=within)
+
+    def test_draw_inside_guard_flat_is_rejected_then_retried(self):
+        class ScriptedRandom(Random):
+            def __init__(self, values):
+                super().__init__(0)
+                self.values = list(values)
+
+            def randint(self, a, b):
+                value = self.values.pop(0)
+                if not a <= value <= b:
+                    raise AssertionError(f"scripted value {value} outside [{a}, {b}]")
+                return value
+
+        z_axis = Flat(3, [[1, 0, 0], [0, 1, 0]], [0, 0])
+        within = make_hyperplane(IntVector((1, 0, 0)), 0)  # x = 0 contains the z-axis
+        # first draw (0, 5, 3) lies in x = 0: the extension is ``within``
+        # itself and meets it in a plane; second draw (1, 0, 0) is generic
+        rng = ScriptedRandom([0, 5, 3, 1, 0, 0])
+        plane = generic_extension(z_axis, 2, 3, seed=rng, within=within)
+        assert rng.values == []  # exactly two draws were made
+        assert flats_equal(plane, make_hyperplane(IntVector((0, 1, 0)), 0))
+        meet = intersect(plane, within)
+        assert meet is not None and flats_equal(meet, z_axis)
+
     def test_k_equal_dim_rejected(self):
         point_flat = Flat(2, [[1, 0], [0, 1]], [0, 0])
         with pytest.raises(InvalidInput):

@@ -4,7 +4,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from inclab import incidence
 from inclab import (
     Flat,
     IncidenceInstance,
@@ -173,6 +175,107 @@ class TestCounting:
     def test_mixed_dimension_instance_rejected(self):
         with pytest.raises(InvalidInput):
             IncidenceInstance([P(0, 0)], [make_hyperplane(IntVector((1, 0, 0)), 0)], 2, 1)
+
+
+MAGNITUDES = (0, 1, 5, 2**31 - 1, 2**31, 2**31 + 1, 2**62 - 1, 2**62, 2**62 + 1,
+              2**63 - 1, 2**63, 2**63 + 1)
+
+
+def coordinates():
+    return st.one_of(
+        st.integers(-3, 3),
+        st.builds(lambda sign, m: sign * m, st.sampled_from((-1, 1)),
+                  st.sampled_from(MAGNITUDES)),
+        st.builds(Fraction, st.integers(-7, 7), st.sampled_from((2, 3))),
+    )
+
+
+@st.composite
+def mixed_instances(draw):
+    """Points and flats across the int64 cuts: rational points, offsets past
+    2^62 on rows inside and outside the product bound, rational offsets,
+    duplicates, whole-space and 0-dimensional flats, empty point lists."""
+    d = draw(st.integers(2, 3))
+    point = st.tuples(*[coordinates()] * d).map(RatPoint)
+    points = draw(st.lists(point, max_size=8))
+    coefficient = st.one_of(st.integers(-2, 2), st.sampled_from((2**31, -(2**62), 2**63)))
+    flats = []
+    for _ in range(draw(st.integers(0, 8))):
+        anchor = draw(st.sampled_from(points) if points else point)
+        kind = draw(st.sampled_from(("hyperplane", "shifted", "system", "point",
+                                     "whole", "duplicate")))
+        if kind in ("hyperplane", "shifted"):
+            normal = draw(st.tuples(*[coefficient] * d))
+            if not any(normal):
+                normal = (1,) + normal[1:]
+            offset = sum(a * x for a, x in zip(normal, anchor.coords))
+            if kind == "shifted":
+                offset += draw(st.sampled_from((1, 2**62, -(2**62), 2**63, Fraction(1, 2))))
+            flats.append(Flat(d, [normal], [offset]))
+        elif kind == "system":
+            rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                                 min_size=1, max_size=d))
+            rhs = [sum(a * x for a, x in zip(r, anchor.coords)) for r in rows]
+            flats.append(Flat(d, rows, rhs))
+        elif kind == "point":
+            identity = [[int(i == j) for j in range(d)] for i in range(d)]
+            flats.append(Flat(d, identity, anchor.coords))
+        elif kind == "whole":
+            flats.append(Flat(d, [], []))
+        elif flats:
+            flats.append(draw(st.sampled_from(flats)))
+    return points, flats
+
+
+def assert_all_counts_agree(points, flats):
+    inst = IncidenceInstance(points, flats, 2, 1)
+    naive = count_incidences(inst, "naive")
+    hashed = count_incidences(inst, "hashed")
+    popcount = sum(mask.bit_count() for mask in incidence_masks(points, flats))
+    direct = count_incidences_direct(points, flats)
+    assert naive == hashed == popcount == direct
+
+
+class TestDenseNaive:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mixed_instances())
+    def test_naive_hashed_masks_direct_agree(self, case):
+        assert_all_counts_agree(*case)
+
+    def test_offset_past_int64_cut_on_a_row_inside_the_bound(self):
+        # the row passes the product bound, so its offset past 2^62 is
+        # unreachable for the small points and must never reach int64
+        points = [P(0, 0), P(1, 2), P(2**62 + 1, 0)]
+        flats = [make_hyperplane(IntVector((1, 0)), 2**62 + 1)]
+        assert count_incidences(IncidenceInstance(points, flats, 2, 1), "naive") == 1
+        assert_all_counts_agree(points, flats)
+
+    def test_offset_past_int64_cut_on_a_row_outside_the_bound(self):
+        # sum|row| * max_abs exceeds the cut: exact substitution must still
+        # find the in-matrix point on the far offset
+        points = [P(2**62, 3), P(0, 0)]
+        flats = [make_hyperplane(IntVector((1, 1)), 2**62 + 3)]
+        assert count_incidences(IncidenceInstance(points, flats, 2, 1), "naive") == 1
+        assert_all_counts_agree(points, flats)
+
+    def test_points_span_several_dense_blocks(self):
+        points = [P(x, y) for x in range(-15, 15) for y in range(-15, 15)]
+        flats = [make_hyperplane(IntVector(v), c)
+                 for v in ((1, 0), (0, 1), (1, 1), (1, -2), (3, 1))
+                 for c in range(-6, 6)]
+        flats += [Flat(2, [[1, 0], [0, 1]], [x, 2 * x]) for x in range(-25, 25)]
+        flats += [Flat(2, [], []), make_hyperplane(IntVector((2, 4)), 3)]
+        rows = sum(len(f.equations) for f in flats)
+        assert len(points) * rows > 2 * incidence._DENSE_ENTRIES
+        assert_all_counts_agree(points, flats)
+
+    def test_flat_chunks_and_a_flat_wider_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(incidence, "_DENSE_ENTRIES", 5)
+        points = [P(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+        flats = [make_hyperplane(IntVector((1, k)), k) for k in range(-3, 4)]
+        flats.append(Flat(2, [[1, 1]] * 4 + [[1, -1]] * 4, [2] * 4 + [0] * 4))
+        flats += [Flat(2, [[1, 0], [0, 1]], [1, 1]), Flat(2, [[2, 0]], [1])]
+        assert_all_counts_agree(points, flats)
 
 
 class TestMasks:

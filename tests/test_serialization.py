@@ -85,6 +85,49 @@ def test_unsupported_schema_rejected():
         dict_to_instance({"schema": 99})
 
 
+def _plain_doc():
+    return instance_to_dict(small_instance())
+
+
+def _without(doc, key):
+    del doc[key]
+    return doc
+
+
+def _with_point(doc, point):
+    doc["points"].append(point)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        _without(_plain_doc(), "ambient_dim"),
+        _without(_plain_doc(), "points"),
+        _with_point(_plain_doc(), [[1, 0], [0, 1]]),  # zero denominator
+        _with_point(_plain_doc(), [[1, 1]]),  # 1-D point in a 2-D file
+        _with_point(_plain_doc(), [["x", 1], [0, 1]]),
+        {**_plain_doc(), "flats": [{"A": [[[1, 1], [0, 1]]]}]},  # no "b"
+        {**_plain_doc(), "ambient_dim": 0},
+    ],
+    ids=["top-level-list", "no-ambient-dim", "no-points", "zero-denominator",
+         "short-point", "non-integer", "flat-without-b", "zero-dim"],
+)
+def test_malformed_documents_rejected(doc):
+    with pytest.raises(InvalidInput):
+        dict_to_instance(doc)
+
+
+def test_malformed_files_rejected(tmp_path):
+    path = tmp_path / "bad.inc.json"
+    path.write_text("{not json")
+    with pytest.raises(InvalidInput):
+        load_instance(path)
+    with pytest.raises(InvalidInput):
+        load_instance(tmp_path / "missing.inc.json")
+
+
 def test_canonical_json_is_stable():
     doc = {"b": 1, "a": [2, 3]}
     assert canonical_json(doc) == canonical_json({"a": [2, 3], "b": 1})

@@ -16,3 +16,27 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def _referenced_names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_naive_count_shares_no_code_with_the_hashed_path():
+    # the reference count checks the grouped path, so it may not reach any
+    # of its grouping helpers, directly or through a module-level helper
+    tree = ast.parse((SOURCE / "incidence.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo, names = set(), ["_count_naive"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        found = _referenced_names(functions[name])
+        names |= found
+        todo += [n for n in found if n in functions]
+    forbidden = {"_hyperplane_key", "_flat_member_mask", "_count_hashed", "unique"}
+    assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
