@@ -1,6 +1,7 @@
 """Lower-bound point/hyperplane constructions with verified parameters.
 
-Two generators are provided:
+Two generators are provided, both entries into one construction body
+that takes the few values setting them apart from ``_VARIANTS``:
 
 * :func:`build_grid_construction` -- an integer grid of points plus, for a
   set of admissible primitive normal directions, every hyperplane with that
@@ -51,9 +52,11 @@ from .incidence import (
     DEFAULT_COMPARISON_LIMIT,
     IncidenceInstance,
     KstWitness,
+    _PointSplit,
     _exact_dots,
     _int_point_matrix,
     _int_root_floor,
+    _normal_dots,
     count_incidences,
     find_kst,
 )
@@ -62,6 +65,10 @@ DEFAULT_EPSILON_PRIME = 0.1
 _GRID_LIMIT = 10**7
 _PAD_NORMAL_BOX = 3
 _SPHERE_PAD_BOX = 40
+# variant -> (codimension of the guarded subspaces, drop e, slope a, regime):
+# the regime is m <= n^p with p = d - e, which is also the exponent sizing
+# the point grid, and a enters the normal-box formula of _box_side
+_VARIANTS = {"a": (1, 0, 2, "n^d"), "b": (2, 2, 3, "n^(d-2)")}
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,8 @@ class ConstructionConfig:
             raise InvalidInput("ambient dimension must be at least 2")
         if self.m < 1 or self.n < 1:
             raise InvalidInput("m and n must be positive")
+        if self.box_side is not None and self.box_side < 1:
+            raise InvalidInput(f"box side must be at least 1, got {self.box_side}")
 
 
 @dataclass(frozen=True)
@@ -289,50 +298,38 @@ def measure_max_coverage(
 
 
 # ---------------------------------------------------------------------------
-# construction (grid variant)
+# construction (both variants)
 # ---------------------------------------------------------------------------
 
 
-def _box_side_grid(d: int, m: int, n: int, eps: float) -> float:
-    denom = 2 * d - 1 - (d - 1) * eps
-    return n ** ((d - 1) / denom) / m ** ((d - 1) / (d * denom))
-
-
-def _box_side_sphere(d: int, m: int, n: int, eps: float) -> float:
-    denom = 3 * d - 1 - (d - 1) * eps
-    return n ** ((d - 1) / denom) / m ** ((d - 1) / ((d - 2) * denom))
+def _box_side(d: int, m: int, n: int, eps: float, slope: int, power: int) -> float:
+    """The normal-box side n^((d-1)/D) / m^((d-1)/(power D)), where
+    D = slope d - 1 - (d-1) eps."""
+    denom = slope * d - 1 - (d - 1) * eps
+    return n ** ((d - 1) / denom) / m ** ((d - 1) / (power * denom))
 
 
 def _achieved_offsets(
-    v: IntVector,
-    points: Sequence[RatPoint],
-    split: tuple[np.ndarray, list[int], list[int], int],
+    v: IntVector, points: Sequence[RatPoint], split: _PointSplit
 ) -> set:
     """Exact set of dot products <v, p> over all points; ``split`` is
     ``_int_point_matrix(points)``."""
-    matrix, _, leftover, max_abs = split
-    offsets = set(np.unique(_exact_dots(matrix, max_abs, v.coords)).tolist())
-    for i in leftover:
-        offsets.add(sum(a * x for a, x in zip(v.coords, points[i].coords)))
-    return offsets
+    dots, leftover_dots = _normal_dots(v.coords, points, split)
+    return set(np.unique(dots).tolist()) | set(leftover_dots)
 
 
 def _core_hyperplanes(
-    points: Sequence[RatPoint], normals: Sequence[IntVector]
+    points: Sequence[RatPoint], normals: Sequence[IntVector], split: _PointSplit
 ) -> tuple[list[Flat], dict[IntVector, set]]:
-    split = _int_point_matrix(points)
-    flats: list[Flat] = []
-    achieved: dict[IntVector, set] = {}
-    for v in normals:
-        offsets = _achieved_offsets(v, points, split)
-        achieved[v] = offsets
-        for c in sorted(offsets):
-            flats.append(make_hyperplane(v, c))
+    """One hyperplane per normal and achieved offset, and the offset sets."""
+    achieved = {v: _achieved_offsets(v, points, split) for v in normals}
+    flats = [make_hyperplane(v, c) for v in normals for c in sorted(achieved[v])]
     return flats, achieved
 
 
 def _pad_hyperplanes(
     points: Sequence[RatPoint],
+    split: _PointSplit,
     count: int,
     d: int,
     rng: Random,
@@ -347,7 +344,6 @@ def _pad_hyperplanes(
         return []
     pool = primitive_vectors(2 * _PAD_NORMAL_BOX, d)
     rng.shuffle(pool)
-    split = _int_point_matrix(points)
     pads: list[Flat] = []
     used: set[tuple[tuple[int, ...], Fraction]] = set()
     ranges: dict[IntVector, tuple[int, int]] = {}
@@ -381,28 +377,58 @@ def build_grid_construction(cfg: ConstructionConfig) -> ConstructionOutput:
     Padding hyperplanes (when ``cfg.pad`` and the core family is short of
     ``n``) are each verified to add zero incidences.
     """
+    return _build_construction(cfg, "a")
+
+
+def build_sphere_construction(cfg: ConstructionConfig) -> ConstructionOutput:
+    """Integer sphere points plus hyperplanes with (d-2)-admissible normals.
+
+    No three points are collinear (a line meets a sphere at most twice),
+    and no linear (d-2)-subspace holds more than the measured number of
+    normals, which together bound the common hyperplanes of any point
+    triple.  Points padded to reach ``m`` stay on the same sphere and are
+    verified to meet no hyperplane, so the exact incidence count is
+    ``core_point_count * |V|``.
+    """
+    if cfg.d < 4:
+        raise InvalidInput("the sphere construction needs d >= 4")
+    return _build_construction(cfg, "b")
+
+
+def _build_construction(cfg: ConstructionConfig, variant: str) -> ConstructionOutput:
+    """The body of both generators; ``variant`` is "a" (grid) or "b" (sphere)."""
+    codim, drop, slope, regime = _VARIANTS[variant]
     d, m, n = cfg.d, cfg.m, cfg.n
+    power = d - drop
     notes: list[str] = []
-    if m > n**d:
-        msg = f"regime warning: m={m} exceeds n^d={n**d}"
+    if m > n**power:
+        msg = f"regime warning: m={m} exceeds {regime}={n**power}"
         warnings.warn(msg)
         notes.append(msg)
     if cfg.box_side is not None:
         box_real = float(cfg.box_side)
         notes.append(f"normal box side override: {cfg.box_side}")
     else:
-        box_real = _box_side_grid(d, m, n, cfg.epsilon_prime)
+        box_real = _box_side(d, m, n, cfg.epsilon_prime, slope, power)
         if box_real < 1:
             raise InvalidInput(
-                f"normal box side {box_real:.4g} < 1: m is too large relative to n^d;"
-                " decrease m or increase n"
+                f"normal box side {box_real:.4g} < 1: m is too large relative to"
+                f" {regime}; decrease m or increase n"
             )
     box = max(1, round(box_real))
-    target = max(1, round(box_real ** (d / (d - 1) - cfg.epsilon_prime)))
-    points = lattice_points(d, m)
+    target = max(1, round(box_real ** (codim * d / (d - 1) - cfg.epsilon_prime)))
+    if variant == "b":
+        core_points, delta_sq, side = _sphere_grid_bucket(d, m)
+        notes.append(
+            f"sizing grid side {side} (exponent 1/(d-2) reading; the alternative"
+            f" family-size reading with exponent 1/d is recorded here, not used);"
+            f" squared radius {delta_sq}, bucket kept {len(core_points)}"
+        )
+    else:
+        core_points = lattice_points(d, m)
     rng = Random(cfg.seed)
     candidates = primitive_vectors(box, d)
-    flat_dim = d - 1
+    flat_dim = d - codim
     t_cap = cfg.t_cap if cfg.t_cap is not None else flat_dim + 1
     selection = select_admissible_normals(
         candidates, flat_dim, t_cap, target, seed=rng.randrange(2**32)
@@ -412,35 +438,47 @@ def build_grid_construction(cfg: ConstructionConfig) -> ConstructionOutput:
             f"normal shortfall: wanted {target}, selected {len(selection.vectors)}"
             f" from {len(candidates)} candidates"
         )
-    core, achieved = _core_hyperplanes(points, selection.vectors)
+    split = _int_point_matrix(core_points)
+    core, achieved = _core_hyperplanes(core_points, selection.vectors, split)
     notes.append(
         f"box side {box} (formula value {box_real:.4f}), |V|={len(selection.vectors)},"
         f" core hyperplanes {len(core)}"
     )
+    points = list(core_points)
+    if variant == "b" and len(points) < m:
+        if delta_sq == 0:
+            raise SizeShortfall(
+                "cannot pad a zero-radius sphere", achieved=len(points)
+            )
+        pads = _sphere_pad_points(
+            points[0], delta_sq, m - len(points), {p.coords for p in points},
+            selection.vectors, achieved, rng,
+        )
+        notes.append(f"padded {len(pads)} rational sphere points to reach m={m}")
+        points.extend(pads)
+        # padding hyperplanes below must also avoid the padded points, so
+        # the point split and the cached offset sets have to cover them
+        split = _int_point_matrix(points)
+        achieved = {v: _achieved_offsets(v, points, split) for v in achieved}
     flats = list(core)
     if cfg.pad and len(flats) < n:
-        flats.extend(_pad_hyperplanes(points, n - len(flats), d, rng, achieved))
+        flats.extend(_pad_hyperplanes(points, split, n - len(flats), d, rng, achieved))
     elif len(flats) > n:
         notes.append(f"core family already exceeds n: {len(flats)} > {n}; kept all")
     return ConstructionOutput(
-        variant="a",
+        variant=variant,
         ambient_dim=d,
         points=tuple(points),
         flats=tuple(flats),
         normals_used=selection.vectors,
         t_measured=selection.t_measured,
         t_verified=selection.verified,
-        predicted_incidences=m * len(selection.vectors),
+        predicted_incidences=len(core_points) * len(selection.vectors),
         padding_start=len(core),
-        core_point_count=m,
+        core_point_count=len(core_points),
         seed=cfg.seed,
         notes=tuple(notes),
     )
-
-
-# ---------------------------------------------------------------------------
-# construction (sphere variant)
-# ---------------------------------------------------------------------------
 
 
 def _sphere_grid_bucket(d: int, m: int) -> tuple[list[RatPoint], int, int]:
@@ -517,98 +555,6 @@ def _sphere_pad_points(
         existing.add(coords)
         pads.append(RatPoint(coords))
     return pads
-
-
-def build_sphere_construction(cfg: ConstructionConfig) -> ConstructionOutput:
-    """Integer sphere points plus hyperplanes with (d-2)-admissible normals.
-
-    No three points are collinear (a line meets a sphere at most twice),
-    and no linear (d-2)-subspace holds more than the measured number of
-    normals, which together bound the common hyperplanes of any point
-    triple.  Points padded to reach ``m`` stay on the same sphere and are
-    verified to meet no hyperplane, so the exact incidence count is
-    ``core_point_count * |V|``.
-    """
-    d, m, n = cfg.d, cfg.m, cfg.n
-    if d < 4:
-        raise InvalidInput("the sphere construction needs d >= 4")
-    notes: list[str] = []
-    if m > n ** (d - 2):
-        msg = f"regime warning: m={m} exceeds n^(d-2)={n ** (d - 2)}"
-        warnings.warn(msg)
-        notes.append(msg)
-    if cfg.box_side is not None:
-        box_real = float(cfg.box_side)
-        notes.append(f"normal box side override: {cfg.box_side}")
-    else:
-        box_real = _box_side_sphere(d, m, n, cfg.epsilon_prime)
-        if box_real < 1:
-            raise InvalidInput(
-                f"normal box side {box_real:.4g} < 1: m is too large relative to"
-                " n^(d-2); decrease m or increase n"
-            )
-    box = max(1, round(box_real))
-    target = max(1, round(box_real ** (2 * d / (d - 1) - cfg.epsilon_prime)))
-    core_points, delta_sq, side = _sphere_grid_bucket(d, m)
-    notes.append(
-        f"sizing grid side {side} (exponent 1/(d-2) reading; the alternative"
-        f" family-size reading with exponent 1/d is recorded here, not used);"
-        f" squared radius {delta_sq}, bucket kept {len(core_points)}"
-    )
-    rng = Random(cfg.seed)
-    candidates = primitive_vectors(box, d)
-    flat_dim = d - 2
-    t_cap = cfg.t_cap if cfg.t_cap is not None else flat_dim + 1
-    selection = select_admissible_normals(
-        candidates, flat_dim, t_cap, target, seed=rng.randrange(2**32)
-    )
-    if len(selection.vectors) < target:
-        notes.append(
-            f"normal shortfall: wanted {target}, selected {len(selection.vectors)}"
-            f" from {len(candidates)} candidates"
-        )
-    core, achieved = _core_hyperplanes(core_points, selection.vectors)
-    notes.append(
-        f"box side {box} (formula value {box_real:.4f}), |V|={len(selection.vectors)},"
-        f" core hyperplanes {len(core)}"
-    )
-    points = list(core_points)
-    if len(points) < m:
-        if delta_sq == 0:
-            raise SizeShortfall(
-                "cannot pad a zero-radius sphere", achieved=len(points)
-            )
-        existing = {p.coords for p in points}
-        pads = _sphere_pad_points(
-            points[0], delta_sq, m - len(points), existing,
-            selection.vectors, achieved, rng,
-        )
-        notes.append(f"padded {len(pads)} rational sphere points to reach m={m}")
-        points.extend(pads)
-        # padding hyperplanes below must also avoid the padded points, so
-        # the cached offset sets have to cover them
-        for v in achieved:
-            for p in pads:
-                achieved[v].add(sum(a * x for a, x in zip(v.coords, p.coords)))
-    flats = list(core)
-    if cfg.pad and len(flats) < n:
-        flats.extend(_pad_hyperplanes(points, n - len(flats), d, rng, achieved))
-    elif len(flats) > n:
-        notes.append(f"core family already exceeds n: {len(flats)} > {n}; kept all")
-    return ConstructionOutput(
-        variant="b",
-        ambient_dim=d,
-        points=tuple(points),
-        flats=tuple(flats),
-        normals_used=selection.vectors,
-        t_measured=selection.t_measured,
-        t_verified=selection.verified,
-        predicted_incidences=len(core_points) * len(selection.vectors),
-        padding_start=len(core),
-        core_point_count=len(core_points),
-        seed=cfg.seed,
-        notes=tuple(notes),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,19 @@ class SweepSpec:
     def __post_init__(self):
         if self.construction not in ("a", "b", "embed"):
             raise InvalidInput(f"unknown construction {self.construction!r}")
+        for name in ("d", "s", "seed", "t_cap", "d_outer", "k"):
+            value = getattr(self, name)
+            if value is not None or name in ("d", "s", "seed"):
+                serialization._int(value, name)
+        for name in ("epsilon_prime", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidInput(f"{name} must be a number, got {value!r}")
         try:
-            ladder = tuple((int(m), int(n)) for m, n in self.ladder)
+            ladder = tuple(
+                (serialization._int(m, "m"), serialization._int(n, "n"))
+                for m, n in self.ladder
+            )
         except (TypeError, ValueError):
             raise InvalidInput(
                 f"ladder must be a list of [m, n] integer pairs, got {self.ladder!r}"
@@ -207,7 +218,10 @@ def run_sweep(spec: SweepSpec, output: str | Path | None = None) -> dict:
     out_dir = None
     if out_path is not None:
         out_dir = out_path.parent / (out_path.name + ".instances")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {out_dir}: {exc}") from None
     rungs = [
         _measure_rung(spec, i, m, n, out_dir) for i, (m, n) in enumerate(spec.ladder)
     ]
@@ -248,5 +262,8 @@ def run_sweep(spec: SweepSpec, output: str | Path | None = None) -> dict:
         "generated_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
     if out_path is not None:
-        out_path.write_text(serialization.canonical_json(report))
+        try:
+            out_path.write_text(serialization.canonical_json(report))
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {out_path}: {exc}") from None
     return report

@@ -19,7 +19,7 @@ All counts are exact; there is no tolerance anywhere in this module.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -35,6 +35,10 @@ from .geometry import Flat, RatPoint, contains
 DEFAULT_COMPARISON_LIMIT = 10**9
 _INT64_SAFE = 2**62
 _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
+# _int_point_matrix's result: (matrix, matrix_point_indices, leftover_indices, max_abs)
+_PointSplit = tuple[np.ndarray, list[int], list[int], int]
+# primitive normal -> offset -> indices of the hyperplanes with that key
+_FlatGroups = dict[tuple[int, ...], dict[Fraction, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -164,13 +168,10 @@ def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], Fraction] | None:
             [list(r) + [b] for r, b in zip(flat.equations, flat.rhs)]
         )
         row, c = reduced[0][:-1], reduced[0][-1]
-    normal, offset = linalg.integer_row_and_offset(row, c)
-    return normal, offset
+    return linalg.integer_row_and_offset(row, c)
 
 
-def _int_point_matrix(
-    points: Sequence[RatPoint],
-) -> tuple[np.ndarray, list[int], list[int], int]:
+def _int_point_matrix(points: Sequence[RatPoint]) -> _PointSplit:
     """Split points into an int64-safe matrix plus leftover indices.
 
     Returns (matrix, matrix_point_indices, leftover_indices, max_abs)."""
@@ -215,33 +216,45 @@ def _exact_dots(matrix: np.ndarray, max_abs: int, row: Sequence[int]) -> np.ndar
     )
 
 
-def _count_hashed(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
-    groups: dict[tuple[int, ...], Counter] = defaultdict(Counter)
-    others: list[Flat] = []
-    for flat in flats:
+def _normal_dots(
+    normal: Sequence[int], points: Sequence[RatPoint], split: _PointSplit
+) -> tuple[np.ndarray, list]:
+    """Exact dot products of ``normal`` with every point, one per point: an
+    array over the int-matrix points and a list over the leftover ones."""
+    matrix, _, leftover, max_abs = split
+    dots = _exact_dots(matrix, max_abs, normal)
+    return dots, [sum(a * x for a, x in zip(normal, points[i].coords)) for i in leftover]
+
+
+def _group_flats(flats: Sequence[Flat]) -> tuple[_FlatGroups, list[int]]:
+    """Hyperplane indices by primitive normal, then by offset; and the
+    indices of every other flat."""
+    groups: _FlatGroups = defaultdict(lambda: defaultdict(list))
+    others: list[int] = []
+    for j, flat in enumerate(flats):
         key = _hyperplane_key(flat)
         if key is None:
-            others.append(flat)
+            others.append(j)
         else:
             normal, offset = key
-            groups[normal][offset] += 1
+            groups[normal][offset].append(j)
+    return groups, others
 
-    matrix, mat_idx, leftover_idx, max_abs = _int_point_matrix(points)
+
+def _count_hashed(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
+    groups, others = _group_flats(flats)
+    split = _int_point_matrix(points)
     total = 0
-    for normal, offsets in groups.items():
-        values, counts = np.unique(
-            _exact_dots(matrix, max_abs, normal), return_counts=True
-        )
+    for normal, by_offset in groups.items():
+        dots, leftover_dots = _normal_dots(normal, points, split)
+        values, counts = np.unique(dots, return_counts=True)
         counter = dict(zip(values.tolist(), counts.tolist()))
-        for offset, multiplicity in offsets.items():
+        for offset, flat_ids in by_offset.items():
             if offset.denominator == 1:
-                total += counter.get(offset.numerator, 0) * multiplicity
-        for i in leftover_idx:
-            dot = sum(a * x for a, x in zip(normal, points[i].coords))
-            total += offsets.get(dot, 0)
-    for flat in others:
-        total += int(_flat_member_mask(flat, matrix, max_abs).sum())
-        total += sum(1 for i in leftover_idx if contains(flat, points[i]))
+                total += counter.get(offset.numerator, 0) * len(flat_ids)
+        total += sum(len(by_offset.get(dot, ())) for dot in leftover_dots)
+    for j in others:
+        total += len(_flat_members(flats[j], points, split))
     return total
 
 
@@ -255,6 +268,17 @@ def _flat_member_mask(flat: Flat, matrix: np.ndarray, max_abs: int) -> np.ndarra
     return mask
 
 
+def _flat_members(
+    flat: Flat, points: Sequence[RatPoint], split: _PointSplit
+) -> list[int]:
+    """Indices of the points on ``flat``."""
+    matrix, mat_idx, leftover, max_abs = split
+    member = _flat_member_mask(flat, matrix, max_abs)
+    return [mat_idx[k] for k in np.flatnonzero(member).tolist()] + [
+        i for i in leftover if contains(flat, points[i])
+    ]
+
+
 # ---------------------------------------------------------------------------
 # incidence masks and K_{s,t} search
 # ---------------------------------------------------------------------------
@@ -263,44 +287,22 @@ def _flat_member_mask(flat: Flat, matrix: np.ndarray, max_abs: int) -> np.ndarra
 def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[int]:
     """Per-point bitmasks of incident flats (bit j <=> on flats[j])."""
     masks = [0] * len(points)
-    by_group: dict[tuple[int, ...], list[tuple[Fraction, int]]] = defaultdict(list)
-    others: list[int] = []
-    for j, flat in enumerate(flats):
-        key = _hyperplane_key(flat)
-        if key is None:
-            others.append(j)
-        else:
-            normal, offset = key
-            by_group[normal].append((offset, j))
-
-    matrix, mat_idx, leftover_idx, max_abs = _int_point_matrix(points)
-    for normal, offset_flats in by_group.items():
-        flats_by_offset: dict[Fraction, list[int]] = defaultdict(list)
-        for offset, j in offset_flats:
-            flats_by_offset[offset].append(j)
-        buckets: dict[int, list[int]] = defaultdict(list)
-        for local_i, value in enumerate(_exact_dots(matrix, max_abs, normal).tolist()):
-            buckets[value].append(mat_idx[local_i])
-        for offset, flat_ids in flats_by_offset.items():
-            bits = 0
-            for j in flat_ids:
-                bits |= 1 << j
-            if offset.denominator == 1:
-                for i in buckets.get(offset.numerator, ()):
-                    masks[i] |= bits
-            for i in leftover_idx:
-                dot = sum(a * x for a, x in zip(normal, points[i].coords))
-                if dot == offset:
-                    masks[i] |= bits
+    groups, others = _group_flats(flats)
+    split = _int_point_matrix(points)
+    _, mat_idx, leftover, _ = split
+    order = mat_idx + leftover
+    for normal, by_offset in groups.items():
+        dots, leftover_dots = _normal_dots(normal, points, split)
+        buckets: dict = defaultdict(list)  # exact dot value -> point indices
+        for i, dot in zip(order, dots.tolist() + leftover_dots):
+            buckets[dot].append(i)
+        for offset, flat_ids in by_offset.items():
+            bits = sum(1 << j for j in flat_ids)
+            for i in buckets.get(offset, ()):
+                masks[i] |= bits
     for j in others:
-        flat = flats[j]
-        bit = 1 << j
-        member = _flat_member_mask(flat, matrix, max_abs)
-        for local_i in np.nonzero(member)[0].tolist():
-            masks[mat_idx[local_i]] |= bit
-        for i in leftover_idx:
-            if contains(flat, points[i]):
-                masks[i] |= bit
+        for i in _flat_members(flats[j], points, split):
+            masks[i] |= 1 << j
     return masks
 
 
@@ -339,38 +341,29 @@ def find_kst(
             limit=limit,
             estimate=min(cost_points, cost_flats),
         )
-    if cost_points <= cost_flats:
-        witness = _find_kst_points_side(inst)
-    else:
-        witness = _find_kst_flats_side(inst)
+    witness = _search_kst(inst, "points" if cost_points <= cost_flats else "flats")
     if witness is not None:
         _check_witness(inst, witness)
     return witness
 
 
-def _find_kst_points_side(inst: IncidenceInstance) -> KstWitness | None:
+def _search_kst(inst: IncidenceInstance, side: str) -> KstWitness | None:
+    """The first witness in index order of ``side``'s subsets: s points
+    (``"points"``) or t flats (``"flats"``) sharing enough incidences."""
     masks = incidence_masks(inst.points, inst.flats)
-    found = _first_common_subset(masks, inst.s, inst.t)
+    size, need = inst.s, inst.t
+    if side == "flats":  # per-flat masks of incident points
+        by_flat = [0] * len(inst.flats)
+        for i, mask in enumerate(masks):
+            for j in _lowest_bits(mask, len(inst.flats)):
+                by_flat[j] |= 1 << i
+        masks, size, need = by_flat, need, size
+    found = _first_common_subset(masks, size, need)
     if found is None:
         return None
     subset, common = found
-    return KstWitness(subset, _lowest_bits(common, inst.t))
-
-
-def _find_kst_flats_side(inst: IncidenceInstance) -> KstWitness | None:
-    point_masks = incidence_masks(inst.points, inst.flats)
-    flat_masks = [0] * len(inst.flats)
-    for i, mask in enumerate(point_masks):
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            flat_masks[low.bit_length() - 1] |= 1 << i
-            remaining ^= low
-    found = _first_common_subset(flat_masks, inst.t, inst.s)
-    if found is None:
-        return None
-    subset, common = found
-    return KstWitness(_lowest_bits(common, inst.s), subset)
+    other = _lowest_bits(common, need)
+    return KstWitness(other, subset) if side == "flats" else KstWitness(subset, other)
 
 
 def _first_common_subset(

@@ -48,6 +48,13 @@ def _list(value: Any, what: str) -> list:
     return value
 
 
+def _count_up_to(value: Any, what: str, high: int) -> int:
+    count = _int(value, what)
+    if not 0 <= count <= high:
+        raise InvalidInput(f"{what} must lie in [0, {high}], got {count}")
+    return count
+
+
 def _require_object(doc: Any) -> None:
     if not isinstance(doc, dict):
         raise InvalidInput(f"an instance file holds a JSON object, got {type(doc).__name__}")
@@ -137,9 +144,15 @@ def dict_to_construction(doc: dict) -> ConstructionOutput:
     def field(key: str) -> Any:
         return _field(block, key, "construction block")
 
+    variant = field("variant")
+    if variant not in ("a", "b", "embed"):
+        raise InvalidInput(f"unknown construction variant {variant!r}")
+    notes = _list(block.get("notes", []), "notes")
+    if not all(isinstance(note, str) for note in notes):
+        raise InvalidInput("construction notes must be strings")
     inner = block.get("inner_ambient_dim")
     return ConstructionOutput(
-        variant=field("variant"),
+        variant=variant,
         ambient_dim=inst.ambient_dim,
         points=inst.points,
         flats=inst.flats,
@@ -150,11 +163,15 @@ def dict_to_construction(doc: dict) -> ConstructionOutput:
         t_measured=_int(field("t_measured"), "t_measured"),
         t_verified=bool(field("t_verified")),
         predicted_incidences=_int(field("predicted_incidences"), "predicted_incidences"),
-        padding_start=_int(field("padding_start"), "padding_start"),
-        core_point_count=_int(field("core_point_count"), "core_point_count"),
+        padding_start=_count_up_to(
+            field("padding_start"), "padding_start", len(inst.flats)
+        ),
+        core_point_count=_count_up_to(
+            field("core_point_count"), "core_point_count", len(inst.points)
+        ),
         seed=_int(field("seed"), "seed"),
         inner_ambient_dim=None if inner is None else _int(inner, "inner_ambient_dim"),
-        notes=tuple(_list(block.get("notes", []), "notes")),
+        notes=tuple(notes),
     )
 
 
@@ -168,7 +185,10 @@ def save_instance(
     construction: ConstructionOutput | None = None,
 ) -> Path:
     path = Path(path)
-    path.write_text(canonical_json(instance_to_dict(inst, construction)))
+    try:
+        path.write_text(canonical_json(instance_to_dict(inst, construction)))
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}") from None
     return path
 
 

@@ -260,3 +260,78 @@ class TestMalformedInput:
     def test_sweep_ladder_rung_of_one_number(self, capsys, tmp_path):
         spec = {"construction": "a", "d": 2, "ladder": [[16, 30], [4], [256, 120]]}
         self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))
+
+    def test_sweep_spec_integer_field_of_wrong_type(self, capsys, tmp_path):
+        ladder = [[16, 30], [64, 60], [256, 120]]
+        for field, value in (("d", "2"), ("s", "2"), ("seed", "x"), ("t_cap", "3")):
+            spec = {"construction": "a", "d": 2, "ladder": ladder, field: value}
+            self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))
+        spec = {"construction": "embed", "d": 2, "d_outer": "4", "k": 2, "ladder": ladder}
+        self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))
+
+    def test_sweep_spec_epsilon_not_a_number(self, capsys, tmp_path):
+        spec = {"construction": "a", "d": 2, "epsilon_prime": "0.1",
+                "ladder": [[16, 30], [64, 60], [256, 120]]}
+        self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))
+
+    def test_sweep_ladder_rung_not_an_integer(self, capsys, tmp_path):
+        for rung in ([16.5, 16], [True, 16]):
+            spec = {"construction": "a", "d": 2, "ladder": [rung, [64, 60], [256, 120]]}
+            self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))
+
+    def test_unknown_construction_variant(self, capsys, tmp_path, construction_doc):
+        construction_doc["construction"]["variant"] = "zzz"
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(construction_doc), ("verify", "embed")
+        )
+
+    def test_construction_counts_out_of_range(self, capsys, tmp_path, construction_doc):
+        for key, value in (("padding_start", -5), ("padding_start", 10**6),
+                           ("core_point_count", 10**6)):
+            doc = json.loads(json.dumps(construction_doc))
+            doc["construction"][key] = value
+            self.assert_rejected(capsys, tmp_path, json.dumps(doc), ("verify", "embed"))
+
+    def test_construction_note_not_a_string(self, capsys, tmp_path, construction_doc):
+        construction_doc["construction"]["notes"] = [["nested"]]
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(construction_doc), ("verify", "embed")
+        )
+
+
+class TestUnusableArguments:
+    """``construct`` and ``sweep`` exit 2 with ``error: ...`` on an output
+    path they cannot write or a box side below 1."""
+
+    def construct(self, capsys, output, *extra):
+        return run_cli(
+            capsys, "construct", "--variant", "a", "--d", "2", "--m", "9",
+            "--n", "12", "-o", str(output), *extra,
+        )
+
+    def test_output_in_a_missing_directory(self, capsys, tmp_path):
+        code, out, err = self.construct(capsys, tmp_path / "missing_dir" / "x.inc.json")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+
+    def test_sweep_output_under_a_file(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        ladder = [[16, 30], [64, 60], [256, 120]]
+        spec.write_text(json.dumps({"construction": "a", "d": 2, "ladder": ladder}))
+        (tmp_path / "afile").write_text("x")
+        # a path below a plain file, and a directory in place of the report
+        for output in ("afile/report.json", "."):
+            target = str(tmp_path / output)
+            code, out, err = run_cli(capsys, "sweep", str(spec), "-o", target)
+            assert code == 2, output
+            assert err.startswith("error: ")
+            assert out == ""
+
+    @pytest.mark.parametrize("side", ["-3", "0"])
+    def test_box_side_below_one(self, capsys, tmp_path, side):
+        target = tmp_path / "x.inc.json"
+        code, out, err = self.construct(capsys, target, "--box-side", side)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not target.exists()

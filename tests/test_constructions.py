@@ -215,6 +215,7 @@ class TestGridConstruction:
     def test_core_offsets_are_exact_dot_products_across_int64_bounds(self):
         from inclab import RatPoint
         from inclab.constructions import _core_hyperplanes
+        from inclab.incidence import _int_point_matrix
 
         rng = Random(3162)
         magnitudes = (0, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**62 - 1, 2**62, 2**62 + 1)
@@ -230,7 +231,8 @@ class TestGridConstruction:
             normals = [IntVector(v) for v in
                        {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4)}
                        if any(v)]
-            flats, achieved = _core_hyperplanes(points, normals)
+            split = _int_point_matrix(points)
+            flats, achieved = _core_hyperplanes(points, normals, split)
             for v in normals:
                 assert achieved[v] == {
                     sum(a * x for a, x in zip(v.coords, p.coords)) for p in points
@@ -354,6 +356,24 @@ class TestSphereConstruction:
             == out.predicted_incidences
         )
         assert count_incidences(full, "naive") == out.predicted_incidences
+
+    def test_padding_hyperplanes_avoid_padded_points(self, monkeypatch):
+        # generated pad points are rationals whose dot products with the
+        # padding normals are almost never integers, so stand-in integer
+        # points show whether the padding hyperplanes see the padded points
+        from inclab import RatPoint, constructions
+
+        def integer_pads(base, delta_sq, needed, *rest):
+            return [RatPoint((100 + k, 0, 0, 0, 0)) for k in range(needed)]
+
+        monkeypatch.setattr(constructions, "_sphere_pad_points", integer_pads)
+        for seed in range(4):
+            cfg = ConstructionConfig(d=5, m=216, n=400, seed=seed, box_side=2, s=3)
+            out = build_sphere_construction(cfg)
+            padded = out.points[out.core_point_count:]
+            assert len(padded) == 6
+            for f in out.flats[out.padding_start:]:
+                assert not any(contains(f, p) for p in padded)
 
 
 class TestEmbedding:

@@ -11,6 +11,9 @@ from inclab.serialization import load_instance
 from inclab import count_incidences
 
 
+VALID_SPEC = {"construction": "a", "d": 2, "ladder": [[16, 30], [64, 60], [256, 120]]}
+
+
 class TestSpecValidation:
     def test_short_ladder_rejected(self):
         with pytest.raises(InvalidInput):
@@ -37,12 +40,34 @@ class TestSpecValidation:
             {"construction": "a", "d": 2},  # no ladder
             {"construction": "a", "d": 2, "ladder": [[8, 8], [4], [32, 32]]},
             {"construction": "a", "d": 2, "ladder": 5},
+            {**VALID_SPEC, "d": "2"},
+            {**VALID_SPEC, "d": 2.0},
+            {**VALID_SPEC, "s": "2"},
+            {**VALID_SPEC, "s": True},
+            {**VALID_SPEC, "seed": "x"},
+            {**VALID_SPEC, "t_cap": "3"},
+            {**VALID_SPEC, "construction": "embed", "d_outer": "4", "k": 2},
+            {**VALID_SPEC, "construction": "embed", "d_outer": 4, "k": 2.5},
+            {**VALID_SPEC, "epsilon_prime": "0.1"},
+            {**VALID_SPEC, "epsilon": None},
+            {**VALID_SPEC, "epsilon": True},
+            {**VALID_SPEC, "ladder": [[16, 30], [64.5, 60], [256, 120]]},
+            {**VALID_SPEC, "ladder": [[16, 30], [True, 60], [256, 120]]},
+            {**VALID_SPEC, "ladder": [[16, 30], [64, "60"], [256, 120]]},
         ],
-        ids=["not-an-object", "no-ladder", "short-rung", "ladder-not-a-list"],
+        ids=["not-an-object", "no-ladder", "short-rung", "ladder-not-a-list",
+             "d-string", "d-float", "s-string", "s-bool", "seed-string",
+             "t_cap-string", "d_outer-string", "k-float", "epsilon_prime-string",
+             "epsilon-null", "epsilon-bool", "rung-float", "rung-bool",
+             "rung-string"],
     )
     def test_from_dict_rejects_malformed_specs(self, doc):
         with pytest.raises(InvalidInput):
             SweepSpec.from_dict(doc)
+
+    def test_valid_spec_base_is_accepted(self):
+        spec = SweepSpec.from_dict({**VALID_SPEC, "epsilon": 0, "t_cap": 3})
+        assert spec.ladder == ((16, 30), (64, 60), (256, 120))
 
 
 class TestFit:

@@ -400,7 +400,7 @@ class TestFindKst:
                         assert contains(flats[j], points[i])
 
     def test_both_sides_return_the_bruteforce_first_witness(self):
-        from inclab.incidence import _find_kst_flats_side, _find_kst_points_side
+        from inclab.incidence import _search_kst
 
         rng = Random(4242)
         for trial in range(150):
@@ -429,10 +429,9 @@ class TestFindKst:
             if len(points) < s or len(flats) < t:
                 continue
             inst = IncidenceInstance(points, flats, s, t)
-            for side, search in (("points", _find_kst_points_side),
-                                 ("flats", _find_kst_flats_side)):
+            for side in ("points", "flats"):
                 expected = first_kst_bruteforce(points, flats, s, t, side)
-                witness = search(inst)
+                witness = _search_kst(inst, side)
                 got = None if witness is None else (witness.point_indices,
                                                    witness.flat_indices)
                 assert got == expected, f"{side} side, trial {trial}"

@@ -21,6 +21,7 @@ from inclab import (
 )
 from inclab.serialization import (
     canonical_json,
+    dict_to_construction,
     dict_to_instance,
     instance_to_dict,
 )
@@ -99,6 +100,19 @@ def _with_point(doc, point):
     return doc
 
 
+def _construction_doc(**block):
+    out = build_grid_construction(ConstructionConfig(d=2, m=9, n=20, seed=1, box_side=2))
+    doc = instance_to_dict(IncidenceInstance(out.points, out.flats, 2, 1), out)
+    doc["construction"].update(block)
+    return doc
+
+
+def test_construction_doc_base_is_accepted():
+    out = dict_to_construction(_construction_doc())
+    assert (out.padding_start, len(out.flats), out.core_point_count) == (16, 20, 9)
+    assert dict_to_construction(_construction_doc(padding_start=20)).padding_start == 20
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -110,13 +124,24 @@ def _with_point(doc, point):
         _with_point(_plain_doc(), [["x", 1], [0, 1]]),
         {**_plain_doc(), "flats": [{"A": [[[1, 1], [0, 1]]]}]},  # no "b"
         {**_plain_doc(), "ambient_dim": 0},
+        _construction_doc(variant="zzz"),
+        _construction_doc(padding_start=-5),
+        _construction_doc(padding_start=10**6),
+        _construction_doc(padding_start=21),  # one past the 20 flats
+        _construction_doc(core_point_count=-1),
+        _construction_doc(core_point_count=10),  # one past the 9 points
+        _construction_doc(notes=["fine", 7]),
     ],
     ids=["top-level-list", "no-ambient-dim", "no-points", "zero-denominator",
-         "short-point", "non-integer", "flat-without-b", "zero-dim"],
+         "short-point", "non-integer", "flat-without-b", "zero-dim",
+         "unknown-variant", "negative-padding-start", "huge-padding-start",
+         "padding-start-past-flats", "negative-core-point-count",
+         "core-point-count-past-points", "non-string-note"],
 )
 def test_malformed_documents_rejected(doc):
+    has_block = isinstance(doc, dict) and "construction" in doc
     with pytest.raises(InvalidInput):
-        dict_to_instance(doc)
+        (dict_to_construction if has_block else dict_to_instance)(doc)
 
 
 def test_malformed_files_rejected(tmp_path):
@@ -126,6 +151,11 @@ def test_malformed_files_rejected(tmp_path):
         load_instance(path)
     with pytest.raises(InvalidInput):
         load_instance(tmp_path / "missing.inc.json")
+
+
+def test_unwritable_path_is_invalid_input(tmp_path):
+    with pytest.raises(InvalidInput):
+        save_instance(tmp_path / "missing_dir" / "x.inc.json", small_instance())
 
 
 def test_canonical_json_is_stable():
