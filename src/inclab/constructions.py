@@ -53,6 +53,7 @@ from .incidence import (
     IncidenceInstance,
     KstWitness,
     _PointSplit,
+    _count_hashed,
     _exact_dots,
     _int_point_matrix,
     _int_root_floor,
@@ -684,8 +685,9 @@ def verify_construction(
         naive = None
         counts_agree = None
         notes.append("naive recount skipped above the size cap")
-    core_inst = IncidenceInstance(out.points, out.flats[: out.padding_start], s, t)
-    core_count = count_incidences(core_inst, strategy="hashed")
+    # the core flats are a prefix, counted from the classification shared
+    # by the hashed count above and the K_{s,t} search below
+    core_count = _count_hashed(inst, out.padding_start)
     matches = core_count == out.predicted_incidences
     witness = None
     try:

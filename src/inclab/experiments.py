@@ -142,6 +142,7 @@ def _measure_rung(
         kst_status = "witness" if witness is not None else "free"
     except ResourceLimit:
         kst_status = "unverified"
+    del inst  # frees the flat classification it caches before the rung is saved
     # reported ratio against the K_{s,t}-free counting bound shape
     # m n^(1-1/s) + n; the hidden constant is problem dependent, so this is
     # informational, never an asserted inequality

@@ -27,7 +27,7 @@ EXTENSION_BOX = 10**6  # generic directions are drawn from [-B, B]^d
 
 
 def _fractions(coords: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,15 @@ class Flat:
         for row in eqs:
             if len(row) != ambient_dim:
                 raise InvalidInput("equation width does not match ambient dimension")
-        if eqs:
-            solved = linalg.solve_affine(eqs, b)
-            if solved is None:
-                raise InvalidInput("inconsistent system does not define a flat")
-            d = len(solved[1])
+        if len(eqs) == 1 and any(eqs[0]):
+            d = ambient_dim - 1  # a hyperplane: no elimination needed
         else:
-            d = ambient_dim
+            # consistency and rank from the pivots alone; a lone zero row
+            # has no pivot, or one in the constants column when b != 0
+            _, pivots = linalg.integer_rref([row + (c,) for row, c in zip(eqs, b)])
+            if ambient_dim in pivots:
+                raise InvalidInput("inconsistent system does not define a flat")
+            d = ambient_dim - len(pivots)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "equations", eqs)
         object.__setattr__(self, "rhs", b)

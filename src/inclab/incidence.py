@@ -19,10 +19,12 @@ All counts are exact; there is no tolerance anywhere in this module.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
@@ -39,6 +41,8 @@ _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive
 _PointSplit = tuple[np.ndarray, list[int], list[int], int]
 # primitive normal -> offset -> indices of the hyperplanes with that key
 _FlatGroups = dict[tuple[int, ...], dict[Fraction, list[int]]]
+# _group_flats's result: (hyperplane groups, indices of every other flat)
+_Grouping = tuple[_FlatGroups, list[int]]
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,13 @@ class IncidenceInstance:
             return self.flats[0].ambient_dim
         raise InvalidInput("empty instance has no ambient dimension")
 
+    @cached_property
+    def _grouping(self) -> _Grouping:
+        """The flats classified once per instance, for the hashed counts and
+        the incidence masks of the K_{s,t} search; kept while the instance
+        lives."""
+        return _group_flats(self.flats)
+
 
 @dataclass(frozen=True)
 class KstWitness:
@@ -90,7 +101,7 @@ class KstWitness:
 def count_incidences(inst: IncidenceInstance, strategy: str = "auto") -> int:
     """Exact number of (point, flat) incidences in the instance."""
     if strategy in ("auto", "hashed"):
-        return _count_hashed(inst.points, inst.flats)
+        return _count_hashed(inst, len(inst.flats))
     if strategy == "naive":
         return _count_naive(inst.points, inst.flats)
     raise InvalidInput(f"unknown counting strategy {strategy!r}")
@@ -164,10 +175,11 @@ def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], Fraction] | None:
     if len(flat.equations) == 1:
         row, c = flat.equations[0], flat.rhs[0]
     else:
-        reduced, pivots = linalg.row_echelon(
-            [list(r) + [b] for r, b in zip(flat.equations, flat.rhs)]
+        # rank 1: the kernel returns one row, a multiple of the hyperplane's
+        (top,), _ = linalg.integer_rref(
+            [r + (b,) for r, b in zip(flat.equations, flat.rhs)]
         )
-        row, c = reduced[0][:-1], reduced[0][-1]
+        row, c = top[:-1], top[-1]
     return linalg.integer_row_and_offset(row, c)
 
 
@@ -226,7 +238,7 @@ def _normal_dots(
     return dots, [sum(a * x for a, x in zip(normal, points[i].coords)) for i in leftover]
 
 
-def _group_flats(flats: Sequence[Flat]) -> tuple[_FlatGroups, list[int]]:
+def _group_flats(flats: Sequence[Flat]) -> _Grouping:
     """Hyperplane indices by primitive normal, then by offset; and the
     indices of every other flat."""
     groups: _FlatGroups = defaultdict(lambda: defaultdict(list))
@@ -241,20 +253,25 @@ def _group_flats(flats: Sequence[Flat]) -> tuple[_FlatGroups, list[int]]:
     return groups, others
 
 
-def _count_hashed(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
-    groups, others = _group_flats(flats)
+def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
+    """Incidences between the points and ``inst.flats[:stop]``, from the
+    instance's one classification of all its flats."""
+    groups, others = inst._grouping
+    points = inst.points
     split = _int_point_matrix(points)
     total = 0
     for normal, by_offset in groups.items():
         dots, leftover_dots = _normal_dots(normal, points, split)
         values, counts = np.unique(dots, return_counts=True)
         counter = dict(zip(values.tolist(), counts.tolist()))
+        # flat indices ascend within each list, so bisect counts those < stop
         for offset, flat_ids in by_offset.items():
             if offset.denominator == 1:
-                total += counter.get(offset.numerator, 0) * len(flat_ids)
-        total += sum(len(by_offset.get(dot, ())) for dot in leftover_dots)
+                total += counter.get(offset.numerator, 0) * bisect_left(flat_ids, stop)
+        total += sum(bisect_left(by_offset.get(dot, ()), stop) for dot in leftover_dots)
     for j in others:
-        total += len(_flat_members(flats[j], points, split))
+        if j < stop:
+            total += len(_flat_members(inst.flats[j], points, split))
     return total
 
 
@@ -286,8 +303,15 @@ def _flat_members(
 
 def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[int]:
     """Per-point bitmasks of incident flats (bit j <=> on flats[j])."""
+    return _grouped_masks(points, flats, _group_flats(flats))
+
+
+def _grouped_masks(
+    points: Sequence[RatPoint], flats: Sequence[Flat], grouping: _Grouping
+) -> list[int]:
+    """:func:`incidence_masks`, given ``_group_flats(flats)``."""
     masks = [0] * len(points)
-    groups, others = _group_flats(flats)
+    groups, others = grouping
     split = _int_point_matrix(points)
     _, mat_idx, leftover, _ = split
     order = mat_idx + leftover
@@ -350,7 +374,7 @@ def find_kst(
 def _search_kst(inst: IncidenceInstance, side: str) -> KstWitness | None:
     """The first witness in index order of ``side``'s subsets: s points
     (``"points"``) or t flats (``"flats"``) sharing enough incidences."""
-    masks = incidence_masks(inst.points, inst.flats)
+    masks = _grouped_masks(inst.points, inst.flats, inst._grouping)
     size, need = inst.s, inst.t
     if side == "flats":  # per-flat masks of incident points
         by_flat = [0] * len(inst.flats)

@@ -2,13 +2,15 @@
 
 Matrices are lists of rows, rows are lists of ``fractions.Fraction``.  No
 floating point appears anywhere in this module; every rank, solution, and
-nullspace is exact.  Inputs are never mutated.
+nullspace is exact.  Elimination is fraction-free: :func:`integer_rref`
+scales each row to integers once and eliminates on Python integers, and
+``Fraction``s are built only from its final rows.  Inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Row = list[Fraction]
@@ -18,43 +20,70 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of ``matrix``.
+
+    Each row is scaled once to a primitive integer row with the same
+    solution set; elimination then runs on Python integers only, and every
+    updated row is divided by the gcd of its entries, so entries stay small.
+    Returns ``(rows, pivots)``: one nonzero integer row per pivot column, in
+    order, where ``rows[i]`` is an integer multiple of the ``i``-th row of
+    the RREF (nonzero at ``pivots[i]``, zero at every other pivot column).
+    Zero rows of the RREF are left out.
+    """
+    rows = [row for row in map(_integer_row, matrix) if any(row)]
+    n_cols = len(matrix[0]) if matrix else 0
+    pivots: list[int] = []
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            a = row[c]
+            if i == r or not a:
+                continue
+            g = gcd(a, p)
+            fp, fa = p // g, a // g
+            new = [fp * x - fa * y for x, y in zip(row, prow)]
+            h = gcd(*new)
+            rows[i] = [x // h for x in new] if h > 1 else new
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """``row`` scaled by a positive rational to a primitive integer row."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def row_echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of a copy of ``matrix``.
 
     Returns the RREF and the list of pivot column indices (one per nonzero
-    row, in order).
+    row, in order).  The elimination is :func:`integer_rref`; each entry
+    becomes a ``Fraction`` only at the end, divided by its row's pivot.
     """
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if not m:
+    if not matrix:
         return [], []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+    rows, pivots = integer_rref(matrix)
+    n_cols = len(matrix[0])
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    red += [[ZERO] * n_cols for _ in range(len(matrix) - len(rows))]
+    return red, pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    _, pivots = row_echelon(matrix)
-    return len(pivots)
+    return len(integer_rref(matrix)[1])
 
 
 def solve_affine(
@@ -70,20 +99,20 @@ def solve_affine(
     if not a:
         raise ValueError("empty system has no well-defined column count")
     n_cols = len(a[0])
-    red, pivots = row_echelon([list(row) + [bi] for row, bi in zip(a, b)])
+    rows, pivots = integer_rref([list(row) + [bi] for row, bi in zip(a, b)])
     if n_cols in pivots:
         return None  # pivot in the constants column: inconsistent
     particular: Row = [ZERO] * n_cols
-    for i, c in enumerate(pivots):
-        particular[c] = red[i][n_cols]
+    for row, c in zip(rows, pivots):
+        particular[c] = Fraction(row[n_cols], row[c])
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis: Matrix = []
     for fc in free_cols:
         vec: Row = [ZERO] * n_cols
         vec[fc] = ONE
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return particular, basis
 
@@ -117,14 +146,12 @@ def integer_row_and_offset(
     With ``constant`` 0 this is the primitive integer representative of a
     rational direction, which spans the same hyperplane or line.
     """
-    lcm = 1
-    for x in coefficients:
-        lcm = lcm // gcd(lcm, x.denominator) * x.denominator
-    ints = [x.numerator * (lcm // x.denominator) for x in coefficients]
+    scale = lcm(*(x.denominator for x in coefficients))
+    ints = [x.numerator * (scale // x.denominator) for x in coefficients]
     g = gcd(*ints)
     if g == 0:
-        return tuple(ints), Fraction(constant) * lcm
+        return tuple(ints), Fraction(constant) * scale
     if next(v for v in ints if v != 0) < 0:
         g = -g
     c = Fraction(constant)
-    return tuple(v // g for v in ints), Fraction(c.numerator * lcm, c.denominator * g)
+    return tuple(v // g for v in ints), Fraction(c.numerator * scale, c.denominator * g)

@@ -150,7 +150,15 @@ def dict_to_construction(doc: dict) -> ConstructionOutput:
     notes = _list(block.get("notes", []), "notes")
     if not all(isinstance(note, str) for note in notes):
         raise InvalidInput("construction notes must be strings")
+    t_verified = field("t_verified")
+    if not isinstance(t_verified, bool):
+        raise InvalidInput(f"t_verified must be true or false, got {t_verified!r}")
     inner = block.get("inner_ambient_dim")
+    if inner is not None and not 2 <= _int(inner, "inner_ambient_dim") < inst.ambient_dim:
+        raise InvalidInput(
+            f"inner_ambient_dim must be null or lie in [2, {inst.ambient_dim - 1}],"
+            f" got {inner}"
+        )
     return ConstructionOutput(
         variant=variant,
         ambient_dim=inst.ambient_dim,
@@ -161,7 +169,7 @@ def dict_to_construction(doc: dict) -> ConstructionOutput:
             for v in _list(field("normals_used"), "normals_used")
         ),
         t_measured=_int(field("t_measured"), "t_measured"),
-        t_verified=bool(field("t_verified")),
+        t_verified=t_verified,
         predicted_incidences=_int(field("predicted_incidences"), "predicted_incidences"),
         padding_start=_count_up_to(
             field("padding_start"), "padding_start", len(inst.flats)
@@ -170,7 +178,7 @@ def dict_to_construction(doc: dict) -> ConstructionOutput:
             field("core_point_count"), "core_point_count", len(inst.points)
         ),
         seed=_int(field("seed"), "seed"),
-        inner_ambient_dim=None if inner is None else _int(inner, "inner_ambient_dim"),
+        inner_ambient_dim=inner,
         notes=tuple(notes),
     )
 

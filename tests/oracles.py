@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately brute force and shares no code with the
-library paths it checks: determinant-by-cofactor rank, direct membership
-evaluation, exhaustive chain enumeration, and recursive gcd.  Slow is fine;
-these run on small inputs only.
+library paths it checks: determinant-by-cofactor rank, Fraction
+Gauss-Jordan elimination, direct membership evaluation, exhaustive chain
+enumeration, and recursive gcd.  Slow is fine; these run on small inputs
+only.
 """
 
 from __future__ import annotations
@@ -55,6 +56,58 @@ def minor_rank(matrix) -> int:
                 if determinant(sub) != 0:
                     return size
     return 0
+
+
+def fraction_row_echelon(matrix):
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions,
+    with the pivot column indices; zero rows stay at the bottom."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    if not m:
+        return [], []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = None
+        for i in range(r, n_rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def fraction_solve_affine(a, b):
+    """``(particular, nullspace_basis)`` of ``a @ x = b`` read off the
+    :func:`fraction_row_echelon` of ``[a | b]``, or ``None`` when it is
+    inconsistent."""
+    n_cols = len(a[0])
+    red, pivots = fraction_row_echelon([list(row) + [bi] for row, bi in zip(a, b)])
+    if n_cols in pivots:
+        return None
+    particular = [Fraction(0)] * n_cols
+    for i, c in enumerate(pivots):
+        particular[c] = red[i][n_cols]
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][fc]
+        basis.append(vec)
+    return particular, basis
 
 
 def point_on_flat(coords, equations, rhs) -> bool:

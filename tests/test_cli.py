@@ -208,7 +208,20 @@ class TestMalformedInput:
         )
         return json.loads(target.read_text())
 
-    def assert_rejected(self, capsys, tmp_path, text, commands):
+    @pytest.fixture
+    def embedded_doc(self, capsys, tmp_path):
+        planar, target = tmp_path / "planar.inc.json", tmp_path / "embedded.inc.json"
+        run_cli(
+            capsys, "construct", "--variant", "a", "--d", "2", "--m", "9",
+            "--n", "12", "--seed", "1", "--box-side", "2", "-o", str(planar),
+        )
+        run_cli(
+            capsys, "embed", str(planar), "--d-outer", "4", "--k", "2",
+            "--seed", "1", "-o", str(target),
+        )
+        return json.loads(target.read_text())
+
+    def assert_rejected(self, capsys, tmp_path, text, commands, mentions=""):
         path = tmp_path / "bad.json"
         path.write_text(text)
         bad, out_path = str(path), str(tmp_path / "out.json")
@@ -222,6 +235,7 @@ class TestMalformedInput:
             code, out, err = run_cli(capsys, *argvs[command])
             assert code == 2, f"{command}: exit {code}"
             assert err.startswith("error: "), f"{command}: {err!r}"
+            assert mentions in err, f"{command}: {err!r}"
             assert out == ""
 
     def assert_instance_rejected(self, capsys, tmp_path, text):
@@ -296,6 +310,44 @@ class TestMalformedInput:
         construction_doc["construction"]["notes"] = [["nested"]]
         self.assert_rejected(
             capsys, tmp_path, json.dumps(construction_doc), ("verify", "embed")
+        )
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_t_verified_not_a_boolean(self, capsys, tmp_path, construction_doc, value):
+        # bool() would read the string "false" as a verified t
+        construction_doc["construction"]["t_verified"] = value
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(construction_doc), ("verify", "embed"),
+            mentions="t_verified",
+        )
+
+    def test_embedded_doc_base_is_accepted(self, capsys, tmp_path, embedded_doc):
+        path = tmp_path / "embedded.inc.json"
+        assert embedded_doc["construction"]["inner_ambient_dim"] == 2
+        code, out, _ = run_cli(capsys, "verify", str(path), "--s", "2", "--t", "2")
+        assert code == 0
+        assert json.loads(out)["predicted_exponents"] == ["2/3", "2/3"]
+
+    def test_inner_ambient_dim_past_the_ambient_dim(self, capsys, tmp_path, embedded_doc):
+        # without the check, verify exits 0 and reports the exponents for d=9
+        embedded_doc["construction"]["inner_ambient_dim"] = 9
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(embedded_doc), ("verify", "embed"),
+            mentions="inner_ambient_dim",
+        )
+
+    def test_inner_ambient_dim_of_one(self, capsys, tmp_path, embedded_doc):
+        embedded_doc["construction"]["inner_ambient_dim"] = 1
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(embedded_doc), ("verify", "embed"),
+            mentions="inner_ambient_dim",
+        )
+
+    def test_inner_ambient_dim_negative(self, capsys, tmp_path, embedded_doc):
+        embedded_doc["construction"]["inner_ambient_dim"] = -3
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(embedded_doc), ("verify", "embed"),
+            mentions="inner_ambient_dim",
         )
 
 

@@ -28,6 +28,7 @@ from inclab import (
     select_admissible_normals,
     verify_construction,
 )
+from inclab import incidence
 from inclab.serialization import instance_to_dict
 
 from oracles import collinear_triples_bruteforce, count_incidences_direct, minor_rank
@@ -478,6 +479,22 @@ class TestVerifyConstruction:
         report = verify_construction(corrupted, 2, out.t_measured + 1)
         assert report.kst_status == "witness"
         assert report.witness is not None
+
+    def test_flats_are_classified_once(self, monkeypatch):
+        # the hashed count, the core count and the K_{s,t} masks share one
+        # classification of the flats
+        calls = []
+        group_flats = incidence._group_flats
+        monkeypatch.setattr(
+            incidence, "_group_flats", lambda flats: calls.append(len(flats)) or group_flats(flats)
+        )
+        out = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))
+        report = verify_construction(out, 2, out.t_measured + 1)
+        assert calls == [len(out.flats)]
+        assert report.kst_status == "free"
+        assert report.core_count == count_incidences_direct(
+            out.points, out.flats[: out.padding_start]
+        )
 
     def test_variant_b_report_includes_collinearity(self):
         cfg = ConstructionConfig(d=4, m=30, n=100, seed=2, box_side=2, s=3)

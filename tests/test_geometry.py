@@ -61,6 +61,22 @@ class TestHyperplanes:
         with pytest.raises(InvalidInput):
             Flat(2, [[1, 0], [1, 0]], [0, 1])
 
+    def test_single_zero_row_with_nonzero_rhs_is_not_a_flat(self):
+        with pytest.raises(InvalidInput):
+            Flat(3, [[0, 0, 0]], [Fraction(1, 2)])
+
+    def test_single_zero_row_with_zero_rhs_is_the_whole_space(self):
+        whole = Flat(3, [[0, 0, 0]], [0])
+        assert whole.dim == 3
+        assert contains(whole, P(7, Fraction(-1, 3), 2))
+
+    def test_single_rational_row_is_a_hyperplane(self):
+        plane = Flat(3, [[Fraction(1, 2), 0, Fraction(-2, 3)]], [Fraction(5, 6)])
+        assert plane.dim == 2
+        assert plane.equations == ((Fraction(1, 2), Fraction(0), Fraction(-2, 3)),)
+        assert contains(plane, P(Fraction(5, 3), 4, 0))
+        assert not contains(plane, P(0, 0, 0))
+
 
 class TestIntersect:
     def test_parallel_lines_empty(self):

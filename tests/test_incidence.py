@@ -241,6 +241,12 @@ class TestDenseNaive:
     @given(mixed_instances())
     def test_naive_hashed_masks_direct_agree(self, case):
         assert_all_counts_agree(*case)
+        points, flats = case
+        inst = IncidenceInstance(points, flats, 2, 1)
+        for stop in range(len(flats)):  # prefixes, from the one classification
+            assert incidence._count_hashed(inst, stop) == count_incidences_direct(
+                points, flats[:stop]
+            )
 
     def test_offset_past_int64_cut_on_a_row_inside_the_bound(self):
         # the row passes the product bound, so its offset past 2^62 is

@@ -1,13 +1,15 @@
-"""Exact elimination cross-checked against minor-rank and substitution."""
+"""Exact elimination cross-checked against minor-rank, substitution and a
+Fraction Gauss-Jordan oracle."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from inclab import linalg
+from inclab import Flat, InvalidInput, linalg
 
-from oracles import minor_rank
+from oracles import fraction_row_echelon, fraction_solve_affine, minor_rank
 
 
 def frac_matrix(rows):
@@ -100,3 +102,63 @@ def test_integer_row_and_offset_scales_consistently():
     x, y = Fraction(1), Fraction(9, 8)
     assert Fraction(-2, 3) * x + Fraction(4, 3) * y == Fraction(5, 6)
     assert row[0] * x + row[1] * y == c
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(2**62 - 2, 2**62 + 2),
+    st.integers(-(2**70), 2**70),
+).map(Fraction)
+
+
+@st.composite
+def systems(draw):
+    """``(a, b)``: 1-4 drawn rows of width 1-5 plus up to two derived rows
+    (a zero row, a duplicate, or a combination of two rows), in shuffled
+    order.  A derived row's right side is either the consistent one or off
+    by one, which makes the system inconsistent."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(ENTRIES, min_size=width, max_size=width)
+    a = draw(st.lists(row, min_size=1, max_size=4))
+    b = draw(st.lists(ENTRIES, min_size=len(a), max_size=len(a)))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "combo"]), max_size=2)):
+        i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+        x, y = draw(ENTRIES), draw(ENTRIES)
+        if kind == "zero":
+            new, c = [Fraction(0)] * width, Fraction(0)
+        elif kind == "dup":
+            new, c = list(a[i]), b[i]
+        else:
+            new = [x * u + y * v for u, v in zip(a[i], a[j])]
+            c = x * b[i] + y * b[j]
+        a.append(new)
+        b.append(c + draw(st.sampled_from([0, 0, 1])))
+    order = draw(st.permutations(range(len(a))))
+    return [a[k] for k in order], [b[k] for k in order]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_integer_kernel_matches_the_fraction_oracle(system):
+    a, b = system
+    width = len(a[0])
+    augmented = [row + [c] for row, c in zip(a, b)]
+    rows, pivots = linalg.integer_rref(augmented)
+    red, oracle_pivots = fraction_row_echelon(augmented)
+    assert pivots == oracle_pivots
+    for row, c, ref in zip(rows, pivots, red):  # integer multiples of the RREF rows
+        assert all(type(x) is int for x in row)
+        assert [Fraction(x, row[c]) for x in row] == ref
+    assert linalg.row_echelon(augmented) == (red, oracle_pivots)
+    assert linalg.row_echelon(a) == fraction_row_echelon(a)
+    assert linalg.solve_affine(a, b) == fraction_solve_affine(a, b)
+    assert linalg.nullspace(a) == fraction_solve_affine(a, [0] * len(a))[1]
+    rank_a = minor_rank(a)
+    assert linalg.rank(a) == rank_a
+    if minor_rank(augmented) > rank_a:
+        with pytest.raises(InvalidInput):
+            Flat(width, a, b)
+    else:
+        assert Flat(width, a, b).dim == width - rank_a
+

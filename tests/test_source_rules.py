@@ -40,3 +40,13 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
         todo += [n for n in found if n in functions]
     forbidden = {"_hyperplane_key", "_flat_member_mask", "_count_hashed", "unique"}
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
+
+
+def test_flat_construction_runs_no_fraction_elimination():
+    # Flat.__init__ takes rank and consistency from the integer kernel's
+    # pivots; the Fraction-building solvers stay out of flat construction
+    tree = ast.parse((SOURCE / "geometry.py").read_text())
+    flat = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Flat")
+    init = next(n for n in flat.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    found = _referenced_names(init) & {"row_echelon", "solve_affine"}
+    assert not found, f"Flat.__init__ references {sorted(found)}"
