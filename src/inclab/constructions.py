@@ -57,7 +57,7 @@ from .incidence import (
     _exact_dots,
     _int_point_matrix,
     _int_root_floor,
-    _normal_dots,
+    _value_counts,
     count_incidences,
     find_kst,
 )
@@ -192,22 +192,16 @@ def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
 
 def _span_equations(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
     """Primitive integer equations of the linear span of ``vectors``."""
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    if not rows:
-        rows = [[Fraction(0)] * dim]
+    rows = [list(v) for v in vectors] or [[0] * dim]
     basis = linalg.nullspace(rows)
     return [linalg.integer_row_and_offset(row, 0)[0] for row in basis]
 
 
-def _count_on_subspace(
-    equations: Sequence[tuple[int, ...]],
-    matrix: np.ndarray,
-    max_abs: int,
-) -> int:
-    """How many rows of ``matrix`` satisfy every homogeneous equation."""
-    mask = np.ones(matrix.shape[0], dtype=bool)
+def _count_on_subspace(equations: Sequence[tuple[int, ...]], split: _PointSplit) -> int:
+    """How many of the split vectors satisfy every homogeneous equation."""
+    mask = np.ones(split.size, dtype=bool)
     for eq in equations:
-        mask &= _exact_dots(matrix, max_abs, eq) == 0
+        mask &= _exact_dots(split, eq) == 0
     return int(mask.sum())
 
 
@@ -248,8 +242,7 @@ def select_admissible_normals(
     Random(seed).shuffle(order)
 
     selected: list[IntVector] = []
-    sel_matrix = np.zeros((0, d), dtype=np.int64)
-    max_abs = 0
+    split = _int_point_matrix(selected)
     subset_size = flat_dim - 1
     for cand in order:
         if len(selected) >= target_size:
@@ -262,14 +255,13 @@ def select_admissible_normals(
             for idx_subset in combinations(pool, min(subset_size, len(selected))):
                 span = [cand.coords] + [selected[i].coords for i in idx_subset]
                 eqs = _span_equations(span, d)
-                count = _count_on_subspace(eqs, sel_matrix, max_abs) + 1
+                count = _count_on_subspace(eqs, split) + 1
                 if count > t_max:
                     accept = False
                     break
         if accept:
             selected.append(cand)
-            sel_matrix = np.array([v.coords for v in selected], dtype=np.int64)
-            max_abs = max(max_abs, max(abs(c) for c in cand.coords))
+            split = _int_point_matrix(selected)
     selected.sort(key=lambda v: v.coords)
     t_measured, verified = measure_max_coverage(selected, flat_dim, limit)
     return NormalSelection(tuple(selected), t_measured, verified, target_size)
@@ -289,12 +281,11 @@ def measure_max_coverage(
     estimate = comb(n, flat_dim) * (n * d + d**3)
     if estimate > limit:
         return n, False  # trivial bound; marked unverified above the size cap
-    matrix = np.array([v.coords for v in vectors], dtype=np.int64)
-    max_abs = int(np.abs(matrix).max())
+    split = _int_point_matrix(vectors)
     best = 0
     for subset in combinations(range(n), flat_dim):
         eqs = _span_equations([vectors[i].coords for i in subset], d)
-        best = max(best, _count_on_subspace(eqs, matrix, max_abs))
+        best = max(best, _count_on_subspace(eqs, split))
     return best, True
 
 
@@ -310,26 +301,21 @@ def _box_side(d: int, m: int, n: int, eps: float, slope: int, power: int) -> flo
     return n ** ((d - 1) / denom) / m ** ((d - 1) / (power * denom))
 
 
-def _achieved_offsets(
-    v: IntVector, points: Sequence[RatPoint], split: _PointSplit
-) -> set:
-    """Exact set of dot products <v, p> over all points; ``split`` is
-    ``_int_point_matrix(points)``."""
-    dots, leftover_dots = _normal_dots(v.coords, points, split)
-    return set(np.unique(dots).tolist()) | set(leftover_dots)
+def _achieved_offsets(v: IntVector, split: _PointSplit) -> set:
+    """Exact set of dot products <v, p> over the split points."""
+    return set(_value_counts(_exact_dots(split, v.coords)))
 
 
 def _core_hyperplanes(
-    points: Sequence[RatPoint], normals: Sequence[IntVector], split: _PointSplit
+    normals: Sequence[IntVector], split: _PointSplit
 ) -> tuple[list[Flat], dict[IntVector, set]]:
     """One hyperplane per normal and achieved offset, and the offset sets."""
-    achieved = {v: _achieved_offsets(v, points, split) for v in normals}
+    achieved = {v: _achieved_offsets(v, split) for v in normals}
     flats = [make_hyperplane(v, c) for v in normals for c in sorted(achieved[v])]
     return flats, achieved
 
 
 def _pad_hyperplanes(
-    points: Sequence[RatPoint],
     split: _PointSplit,
     count: int,
     d: int,
@@ -346,7 +332,7 @@ def _pad_hyperplanes(
     pool = primitive_vectors(2 * _PAD_NORMAL_BOX, d)
     rng.shuffle(pool)
     pads: list[Flat] = []
-    used: set[tuple[tuple[int, ...], Fraction]] = set()
+    used: set[tuple[tuple[int, ...], int]] = set()
     ranges: dict[IntVector, tuple[int, int]] = {}
     attempts = 0
     while len(pads) < count:
@@ -357,12 +343,13 @@ def _pad_hyperplanes(
             )
         v = pool[(len(pads) + attempts) % len(pool)]
         if v not in achieved:
-            achieved[v] = _achieved_offsets(v, points, split)
+            achieved[v] = _achieved_offsets(v, split)
         if v not in ranges:
-            ints = [int(x) for x in achieved[v] if Fraction(x).denominator == 1]
+            # an integral dot of a rational point is an integral Fraction
+            ints = [int(x) for x in achieved[v] if x == int(x)]
             ranges[v] = (min(ints, default=0), max(ints, default=0))
         low, high = ranges[v]
-        offset = Fraction(rng.randint(low - count - 8, high + count + 8))
+        offset = rng.randint(low - count - 8, high + count + 8)
         if offset in achieved[v] or (v.coords, offset) in used:
             continue
         used.add((v.coords, offset))
@@ -440,7 +427,7 @@ def _build_construction(cfg: ConstructionConfig, variant: str) -> ConstructionOu
             f" from {len(candidates)} candidates"
         )
     split = _int_point_matrix(core_points)
-    core, achieved = _core_hyperplanes(core_points, selection.vectors, split)
+    core, achieved = _core_hyperplanes(selection.vectors, split)
     notes.append(
         f"box side {box} (formula value {box_real:.4f}), |V|={len(selection.vectors)},"
         f" core hyperplanes {len(core)}"
@@ -460,10 +447,10 @@ def _build_construction(cfg: ConstructionConfig, variant: str) -> ConstructionOu
         # padding hyperplanes below must also avoid the padded points, so
         # the point split and the cached offset sets have to cover them
         split = _int_point_matrix(points)
-        achieved = {v: _achieved_offsets(v, points, split) for v in achieved}
+        achieved = {v: _achieved_offsets(v, split) for v in achieved}
     flats = list(core)
     if cfg.pad and len(flats) < n:
-        flats.extend(_pad_hyperplanes(points, split, n - len(flats), d, rng, achieved))
+        flats.extend(_pad_hyperplanes(split, n - len(flats), d, rng, achieved))
     elif len(flats) > n:
         notes.append(f"core family already exceeds n: {len(flats)} > {n}; kept all")
     return ConstructionOutput(
@@ -622,11 +609,8 @@ def embed_configuration(
 
 def embedding_carrier(d_inner: int, d_outer: int) -> Flat:
     """The coordinate flat of R^{d_outer} that carries an embedded R^{d_inner}."""
-    rows = [
-        [Fraction(int(j == i)) for j in range(d_outer)]
-        for i in range(d_inner, d_outer)
-    ]
-    return Flat(d_outer, rows, [Fraction(0)] * (d_outer - d_inner))
+    rows = [[int(j == i) for j in range(d_outer)] for i in range(d_inner, d_outer)]
+    return Flat(d_outer, rows, [0] * (d_outer - d_inner))
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,9 @@ class Flat:
         particular, basis = solved
         return RatPoint(particular), basis
 
-    def integer_equations(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Each equation rescaled to a primitive integer coefficient row."""
+    def integer_equations(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
+        """Each equation rescaled to a primitive integer coefficient row; an
+        integral offset is an ``int``."""
         return [
             linalg.integer_row_and_offset(row, c)
             for row, c in zip(self.equations, self.rhs)
@@ -175,11 +176,7 @@ def make_hyperplane(normal: IntVector, offset: int | Fraction) -> Flat:
     """The hyperplane ``{x : <normal, x> = offset}``."""
     if normal.is_zero():
         raise InvalidInput("hyperplane normal must be nonzero")
-    return Flat(
-        normal.dim,
-        [tuple(Fraction(c) for c in normal.coords)],
-        [Fraction(offset)],
-    )
+    return Flat(normal.dim, [normal.coords], [offset])
 
 
 def contains(f: Flat, p: RatPoint) -> bool:
@@ -357,10 +354,7 @@ def generic_extension(
         directions = [list(v) for v in base_dirs]
         for _ in range(extra):
             directions.append(
-                [
-                    Fraction(rng.randint(-EXTENSION_BOX, EXTENSION_BOX))
-                    for _ in range(ambient_dim)
-                ]
+                [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
             )
         normal_rows = linalg.nullspace(directions)
         if ambient_dim - len(normal_rows) != target_dim:

@@ -10,9 +10,10 @@ Two interchangeable counting strategies are provided and must always agree:
   points keep exact Python arithmetic.
 * ``hashed`` -- hyperplanes are grouped by their primitive integer normal
   and points are bucketed by exact dot product, so each group costs one
-  pass over the points.  Integer work is vectorized with numpy when the
-  magnitudes provably fit in int64; anything else falls back to exact
-  Fraction arithmetic.
+  pass over the points.  The dots of a normal with every point form one
+  array in point order: a single int64 product when every point is an
+  integer point and the magnitudes provably fit, and otherwise an object
+  array of exact Python integers and ``Fraction``s.
 
 All counts are exact; there is no tolerance anywhere in this module.
 """
@@ -20,27 +21,25 @@ All counts are exact; there is no tolerance anywhere in this module.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
-from .geometry import Flat, RatPoint, contains
+from .geometry import Flat, IntVector, RatPoint, contains
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _INT64_SAFE = 2**62
 _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
-# _int_point_matrix's result: (matrix, matrix_point_indices, leftover_indices, max_abs)
-_PointSplit = tuple[np.ndarray, list[int], list[int], int]
 # primitive normal -> offset -> indices of the hyperplanes with that key
-_FlatGroups = dict[tuple[int, ...], dict[Fraction, list[int]]]
+_FlatGroups = dict[tuple[int, ...], dict[int | Fraction, list[int]]]
 # _group_flats's result: (hyperplane groups, indices of every other flat)
 _Grouping = tuple[_FlatGroups, list[int]]
 
@@ -120,21 +119,20 @@ def _count_naive(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
             continue
         total += sum(1 for i in leftover if contains(flat, points[i]))
         eqs = flat.integer_equations()
-        if any(c.denominator != 1 for _, c in eqs):
+        if any(isinstance(c, Fraction) for _, c in eqs):
             continue  # no integer point reaches a rational offset
-        int_eqs = [(row, c.numerator) for row, c in eqs]
-        if all(sum(abs(a) for a in row) * scale <= _INT64_SAFE for row, _ in int_eqs):
+        if all(sum(abs(a) for a in row) * scale <= _INT64_SAFE for row, _ in eqs):
             # every |<row, x>| is at most _INT64_SAFE, so a larger offset is
             # unreachable (and must not be cast to int64)
-            if all(abs(c) <= _INT64_SAFE for _, c in int_eqs):
-                dense.append(int_eqs)
+            if all(abs(c) <= _INT64_SAFE for _, c in eqs):
+                dense.append(eqs)
             continue
         if int_rows is None:
             int_rows = matrix.tolist()
         total += sum(
             1
             for x in int_rows
-            if all(sum(a * v for a, v in zip(row, x)) == c for row, c in int_eqs)
+            if all(sum(a * v for a, v in zip(row, x)) == c for row, c in eqs)
         )
     return total + _count_dense(matrix, dense)
 
@@ -168,7 +166,7 @@ def _count_dense(
     return total
 
 
-def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], Fraction] | None:
+def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], int | Fraction] | None:
     """Primitive integer normal and scaled offset for a hyperplane flat."""
     if flat.dim != flat.ambient_dim - 1:
         return None
@@ -183,59 +181,81 @@ def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], Fraction] | None:
     return linalg.integer_row_and_offset(row, c)
 
 
-def _int_point_matrix(points: Sequence[RatPoint]) -> _PointSplit:
-    """Split points into an int64-safe matrix plus leftover indices.
+class _PointSplit(NamedTuple):
+    """Points made ready for exact dot products: the integer points within
+    2^62 as one int64 matrix, the others (rational, or past 2^62) as they
+    are."""
 
-    Returns (matrix, matrix_point_indices, leftover_indices, max_abs)."""
-    mat_rows: list[tuple[int, ...]] = []
+    matrix: np.ndarray
+    rows: list[int]  # the point index of each matrix row
+    leftover: dict[int, tuple]  # point index -> coordinates
+    max_abs: int  # bound on the matrix entries
+
+    @property
+    def size(self) -> int:
+        return len(self.rows) + len(self.leftover)
+
+
+def _int_point_matrix(points: Sequence[RatPoint | IntVector]) -> _PointSplit:
+    """Split points, or integer vectors, for :func:`_exact_dots`."""
+    mat_rows: list[list[int]] = []
     mat_idx: list[int] = []
-    leftover: list[int] = []
+    leftover: dict[int, tuple] = {}
     max_abs = 0
     for i, p in enumerate(points):
-        ic = p.int_coords()
-        if ic is None:
-            leftover.append(i)
-            continue
-        m = max((abs(c) for c in ic), default=0)
-        if m > _INT64_SAFE:
-            leftover.append(i)
-            continue
-        max_abs = max(max_abs, m)
-        mat_rows.append(ic)
-        mat_idx.append(i)
+        coords = p.coords  # ints or Fractions: both carry a denominator
+        if all(c.denominator == 1 for c in coords):
+            ic = [c.numerator for c in coords]
+            m = max(map(abs, ic), default=0)
+            if m <= _INT64_SAFE:
+                max_abs = max(max_abs, m)
+                mat_rows.append(ic)
+                mat_idx.append(i)
+                continue
+        leftover[i] = coords
     dim = points[0].dim if points else 0
     if mat_rows:
         matrix = np.array(mat_rows, dtype=np.int64)
     else:
         matrix = np.zeros((0, dim), dtype=np.int64)
-    return matrix, mat_idx, leftover, max_abs
+    return _PointSplit(matrix, mat_idx, leftover, max_abs)
 
 
-def _exact_dots(matrix: np.ndarray, max_abs: int, row: Sequence[int]) -> np.ndarray:
-    """Exact dot products of every row of ``matrix`` with the integer ``row``.
+def _exact_dots(split: _PointSplit, row: Sequence[int]) -> np.ndarray:
+    """Exact dot products of the integer ``row`` with every point, in point
+    order.
 
-    ``max_abs`` bounds the entries of ``matrix``.  The products are int64
-    when ``sum|row| * max_abs`` provably fits, and Python integers (an
-    object array) otherwise; either way they compare and hash exactly.
+    One int64 product when every point is in the matrix and
+    ``sum|row| * max_abs`` provably fits; otherwise an object array of
+    Python integers and ``Fraction``s.  Either way the values compare and
+    hash exactly.
     """
-    if not matrix.shape[0]:
+    matrix, rows, leftover, max_abs = split
+    if not split.size:
         return np.zeros(0, dtype=np.int64)  # no points: no columns to multiply
     # max(., 1): the row itself must fit int64 even when every point is 0
     if sum(abs(a) for a in row) * max(max_abs, 1) <= _INT64_SAFE:
-        return matrix @ np.array(row, dtype=np.int64)
-    return np.array(
-        [sum(a * x for a, x in zip(row, r)) for r in matrix.tolist()], dtype=object
-    )
+        matrix_dots = matrix @ np.array(row, dtype=np.int64)
+        if not leftover:
+            return matrix_dots
+    else:
+        matrix_dots = [sum(a * x for a, x in zip(row, r)) for r in matrix.tolist()]
+    dots = np.empty(split.size, dtype=object)
+    dots[rows] = matrix_dots
+    dots[list(leftover)] = [sum(a * x for a, x in zip(row, c)) for c in leftover.values()]
+    return dots
 
 
-def _normal_dots(
-    normal: Sequence[int], points: Sequence[RatPoint], split: _PointSplit
-) -> tuple[np.ndarray, list]:
-    """Exact dot products of ``normal`` with every point, one per point: an
-    array over the int-matrix points and a list over the leftover ones."""
-    matrix, _, leftover, max_abs = split
-    dots = _exact_dots(matrix, max_abs, normal)
-    return dots, [sum(a * x for a, x in zip(normal, points[i].coords)) for i in leftover]
+def _value_counts(dots: np.ndarray) -> dict:
+    """Each distinct value in ``dots`` with its number of occurrences.
+
+    An int64 array goes through ``np.unique``; an object array is counted
+    by hashing, since sorting it compares Python objects pair by pair.
+    """
+    if dots.dtype == object:
+        return Counter(dots.tolist())
+    values, counts = np.unique(dots, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _group_flats(flats: Sequence[Flat]) -> _Grouping:
@@ -257,43 +277,28 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
     """Incidences between the points and ``inst.flats[:stop]``, from the
     instance's one classification of all its flats."""
     groups, others = inst._grouping
-    points = inst.points
-    split = _int_point_matrix(points)
+    split = _int_point_matrix(inst.points)
     total = 0
     for normal, by_offset in groups.items():
-        dots, leftover_dots = _normal_dots(normal, points, split)
-        values, counts = np.unique(dots, return_counts=True)
-        counter = dict(zip(values.tolist(), counts.tolist()))
+        counts = _value_counts(_exact_dots(split, normal))
         # flat indices ascend within each list, so bisect counts those < stop
         for offset, flat_ids in by_offset.items():
-            if offset.denominator == 1:
-                total += counter.get(offset.numerator, 0) * bisect_left(flat_ids, stop)
-        total += sum(bisect_left(by_offset.get(dot, ()), stop) for dot in leftover_dots)
+            total += counts.get(offset, 0) * bisect_left(flat_ids, stop)
     for j in others:
         if j < stop:
-            total += len(_flat_members(inst.flats[j], points, split))
+            total += len(_flat_members(inst.flats[j], split))
     return total
 
 
-def _flat_member_mask(flat: Flat, matrix: np.ndarray, max_abs: int) -> np.ndarray:
-    """Boolean membership of the int-matrix points in ``flat``."""
-    mask = np.ones(matrix.shape[0], dtype=bool)
+def _flat_members(flat: Flat, split: _PointSplit) -> np.ndarray:
+    """Indices of the points on ``flat``, ascending."""
+    on = np.ones(split.size, dtype=bool)
     for row, offset in flat.integer_equations():
-        if offset.denominator != 1:
-            return np.zeros(matrix.shape[0], dtype=bool)
-        mask &= _exact_dots(matrix, max_abs, row) == offset.numerator
-    return mask
-
-
-def _flat_members(
-    flat: Flat, points: Sequence[RatPoint], split: _PointSplit
-) -> list[int]:
-    """Indices of the points on ``flat``."""
-    matrix, mat_idx, leftover, max_abs = split
-    member = _flat_member_mask(flat, matrix, max_abs)
-    return [mat_idx[k] for k in np.flatnonzero(member).tolist()] + [
-        i for i in leftover if contains(flat, points[i])
-    ]
+        dots = _exact_dots(split, row)
+        if isinstance(offset, Fraction) and dots.dtype != object:
+            return np.zeros(0, dtype=np.intp)  # no integer point reaches a rational offset
+        on &= dots == offset
+    return np.flatnonzero(on)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +318,16 @@ def _grouped_masks(
     masks = [0] * len(points)
     groups, others = grouping
     split = _int_point_matrix(points)
-    _, mat_idx, leftover, _ = split
-    order = mat_idx + leftover
     for normal, by_offset in groups.items():
-        dots, leftover_dots = _normal_dots(normal, points, split)
         buckets: dict = defaultdict(list)  # exact dot value -> point indices
-        for i, dot in zip(order, dots.tolist() + leftover_dots):
+        for i, dot in enumerate(_exact_dots(split, normal).tolist()):
             buckets[dot].append(i)
         for offset, flat_ids in by_offset.items():
             bits = sum(1 << j for j in flat_ids)
             for i in buckets.get(offset, ()):
                 masks[i] |= bits
     for j in others:
-        for i in _flat_members(flats[j], points, split):
+        for i in _flat_members(flats[j], split).tolist():
             masks[i] |= 1 << j
     return masks
 

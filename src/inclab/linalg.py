@@ -66,22 +66,6 @@ def _integer_row(row: Sequence) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def row_echelon(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form of a copy of ``matrix``.
-
-    Returns the RREF and the list of pivot column indices (one per nonzero
-    row, in order).  The elimination is :func:`integer_rref`; each entry
-    becomes a ``Fraction`` only at the end, divided by its row's pivot.
-    """
-    if not matrix:
-        return [], []
-    rows, pivots = integer_rref(matrix)
-    n_cols = len(matrix[0])
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-    red += [[ZERO] * n_cols for _ in range(len(matrix) - len(rows))]
-    return red, pivots
-
-
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return len(integer_rref(matrix)[1])
 
@@ -137,11 +121,12 @@ def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Row 
 
 
 def integer_row_and_offset(
-    coefficients: Sequence[Fraction], constant: Fraction
-) -> tuple[tuple[int, ...], Fraction]:
+    coefficients: Sequence[Fraction | int], constant: Fraction | int
+) -> tuple[tuple[int, ...], int | Fraction]:
     """Rescale one equation ``coefficients @ x = constant`` so the left side
     is a primitive, sign-canonical integer vector.  The constant is scaled
-    by the same factor and may remain rational.  The zero row stays zero.
+    by the same factor; it is returned as an ``int`` when integral and as a
+    ``Fraction`` otherwise.  The zero row stays zero.
 
     With ``constant`` 0 this is the primitive integer representative of a
     rational direction, which spans the same hyperplane or line.
@@ -150,8 +135,9 @@ def integer_row_and_offset(
     ints = [x.numerator * (scale // x.denominator) for x in coefficients]
     g = gcd(*ints)
     if g == 0:
-        return tuple(ints), Fraction(constant) * scale
-    if next(v for v in ints if v != 0) < 0:
+        g = 1  # the zero row: only the constant is scaled
+    elif next(v for v in ints if v != 0) < 0:
         g = -g
-    c = Fraction(constant)
-    return tuple(v // g for v in ints), Fraction(c.numerator * scale, c.denominator * g)
+    num, den = constant.numerator * scale, constant.denominator * g
+    offset = num // den if num % den == 0 else Fraction(num, den)
+    return tuple(v // g for v in ints), offset

@@ -23,8 +23,7 @@ FILE_SUFFIX = ".inc.json"
 
 
 def _enc(x: Fraction) -> list[int]:
-    f = Fraction(x)
-    return [f.numerator, f.denominator]
+    return [x.numerator, x.denominator]
 
 
 def _dec(pair: Any) -> Fraction:

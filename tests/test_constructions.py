@@ -135,9 +135,8 @@ class TestNormalSelection:
         assert sel.t_measured == len(sel.vectors)  # trivial bound
 
     def test_subspace_count_is_exact_across_int64_bound(self):
-        import numpy as np
-
         from inclab.constructions import _count_on_subspace
+        from inclab.incidence import _int_point_matrix
 
         rng = Random(62)
         for _ in range(60):
@@ -147,15 +146,14 @@ class TestNormalSelection:
                  for _ in range(3)]
                 for _ in range(rng.randint(1, 8))
             ]
-            matrix = np.array(rows, dtype=np.int64)
-            max_abs = max(abs(x) for row in rows for x in row)
+            split = _int_point_matrix([IntVector(row) for row in rows])
             eqs = [tuple(rng.randint(-3, 3) for _ in range(3))
                    for _ in range(rng.randint(1, 2))]
             expected = sum(
                 1 for row in rows
                 if all(sum(a * x for a, x in zip(e, row)) == 0 for e in eqs)
             )
-            assert _count_on_subspace(eqs, matrix, max_abs) == expected
+            assert _count_on_subspace(eqs, split) == expected
 
     def test_non_primitive_candidates_rejected(self):
         with pytest.raises(InvalidInput):
@@ -233,7 +231,7 @@ class TestGridConstruction:
                        {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4)}
                        if any(v)]
             split = _int_point_matrix(points)
-            flats, achieved = _core_hyperplanes(points, normals, split)
+            flats, achieved = _core_hyperplanes(normals, split)
             for v in normals:
                 assert achieved[v] == {
                     sum(a * x for a, x in zip(v.coords, p.coords)) for p in points
@@ -304,7 +302,7 @@ class TestSphereConstruction:
         delta_sq = int(sum(c * c for c in out.points[0].coords))
         split = _int_point_matrix(out.points)
         achieved = {
-            v: _achieved_offsets(v, out.points, split) for v in out.normals_used
+            v: _achieved_offsets(v, split) for v in out.normals_used
         }
         pads = _sphere_pad_points(
             out.points[0], delta_sq, 12, {p.coords for p in out.points},
@@ -375,6 +373,43 @@ class TestSphereConstruction:
             assert len(padded) == 6
             for f in out.flats[out.padding_start:]:
                 assert not any(contains(f, p) for p in padded)
+
+    def test_padding_on_a_core_normal_sees_the_padded_points(self, monkeypatch):
+        # a padding normal that is also a core normal has its offset set
+        # from the core points; it must be widened to the padded points
+        # before the padding hyperplanes are drawn.  The stand-in pad normal
+        # is a core normal, and the stand-in pad points fill every integer
+        # offset just above the core ones, so a stale set lets about half
+        # of the drawn hyperplanes through a padded point.
+        from dataclasses import replace
+
+        from inclab import RatPoint, constructions
+
+        cfg = ConstructionConfig(d=5, m=512, n=200, seed=0, box_side=2, s=3, pad=False)
+        first = build_sphere_construction(cfg)
+        v = first.normals_used[0]
+        axis = next(j for j, c in enumerate(v.coords) if c)  # that coordinate is 1
+        high = max(int(v.dot(p)) for p in first.points[: first.core_point_count])
+
+        def integer_pads(base, delta_sq, needed, *rest):
+            return [RatPoint([high + k if j == axis else 0 for j in range(5)])
+                    for k in range(1, needed + 1)]
+
+        real_pool = constructions.primitive_vectors
+
+        def pad_pool(box_side, d):
+            if box_side == 2 * constructions._PAD_NORMAL_BOX:
+                return [v]
+            return real_pool(box_side, d)
+
+        monkeypatch.setattr(constructions, "_sphere_pad_points", integer_pads)
+        monkeypatch.setattr(constructions, "primitive_vectors", pad_pool)
+        out = build_sphere_construction(replace(cfg, n=first.padding_start + 20, pad=True))
+        assert out.normals_used == first.normals_used
+        assert len(out.points) - out.core_point_count == 32
+        pads = IncidenceInstance(out.points, out.flats[out.padding_start:], 3, 1)
+        assert len(pads.flats) == 20
+        assert count_incidences(pads, "naive") == 0
 
 
 class TestEmbedding:
