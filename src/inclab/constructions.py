@@ -345,8 +345,7 @@ def _pad_hyperplanes(
         if v not in achieved:
             achieved[v] = _achieved_offsets(v, split)
         if v not in ranges:
-            # an integral dot of a rational point is an integral Fraction
-            ints = [int(x) for x in achieved[v] if x == int(x)]
+            ints = [x for x in achieved[v] if type(x) is int]
             ranges[v] = (min(ints, default=0), max(ints, default=0))
         low, high = ranges[v]
         offset = rng.randint(low - count - 8, high + count + 8)
@@ -498,7 +497,7 @@ def _sphere_pad_points(
     base: RatPoint,
     delta_sq: int,
     needed: int,
-    existing: set[tuple[Fraction, ...]],
+    existing: set[tuple[int | Fraction, ...]],
     normals: Sequence[IntVector],
     achieved: dict[IntVector, set],
     rng: Random,
@@ -523,10 +522,10 @@ def _sphere_pad_points(
         wnorm = sum(c * c for c in w)
         if wnorm == 0:
             continue
-        proj = sum(Fraction(c) * x for c, x in zip(w, base.coords))
+        proj = sum(c * x for c, x in zip(w, base.coords))
         if proj == 0:
             continue
-        scale = Fraction(2) * proj / wnorm
+        scale = Fraction(2 * proj, wnorm)
         coords = tuple(x - scale * c for x, c in zip(base.coords, w))
         if coords in existing:
             continue
@@ -571,7 +570,7 @@ def embed_configuration(
         if f.dim != d_inner - 1:
             raise InvalidInput("inner configuration must consist of hyperplanes")
     carrier = embedding_carrier(d_inner, d_outer)
-    zeros = (Fraction(0),) * (d_outer - d_inner)
+    zeros = (0,) * (d_outer - d_inner)
     points = tuple(RatPoint(p.coords + zeros) for p in inner.points)
     rng = Random(seed)
     new_flats: list[Flat] = []

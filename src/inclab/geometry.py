@@ -1,7 +1,8 @@
 """Exact geometry of points, integer vectors, and affine flats in R^d.
 
-All coordinates are exact rationals (``fractions.Fraction``) or arbitrary
-precision integers; nothing here ever touches floating point.  A flat is
+Every coordinate, coefficient and right-hand side is exact: an ``int`` when
+integral and a ``fractions.Fraction`` only when not (:func:`_exact`), which
+compare and hash alike; nothing here ever touches floating point.  A flat is
 stored by a consistent linear system ``A x = b``, never by a parametrization
 and never in a canonical form: incidence tests and intersections are single
 elimination passes, and set equality is decided by mutual containment.
@@ -26,8 +27,16 @@ RETRY_BUDGET = 32
 EXTENSION_BOX = 10**6  # generic directions are drawn from [-B, B]^d
 
 
-def _fractions(coords: Iterable) -> tuple[Fraction, ...]:
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+def _exact(x) -> int | Fraction:
+    """``x`` as an ``int`` when integral, else as a ``Fraction``: an ``int``
+    passes through, and anything else ``Fraction`` accepts (a ``Fraction``,
+    ``bool``, numpy integer, string or float) is converted, so no numpy
+    scalar is ever stored."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return int(x.numerator) if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -76,10 +85,10 @@ class IntVector:
 class RatPoint:
     """A point of R^d with exact rational coordinates."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __init__(self, coords: Iterable):
-        cs = _fractions(coords)
+        cs = tuple(map(_exact, coords))
         if len(cs) < 1:
             raise InvalidInput("point needs at least one coordinate")
         object.__setattr__(self, "coords", cs)
@@ -90,9 +99,7 @@ class RatPoint:
 
     def int_coords(self) -> tuple[int, ...] | None:
         """Integer view of the coordinates, or None if any is non-integral."""
-        if all(c.denominator == 1 for c in self.coords):
-            return tuple(c.numerator for c in self.coords)
-        return None
+        return self.coords if all(type(c) is int for c in self.coords) else None
 
 
 def is_primitive(v: IntVector) -> bool:
@@ -117,15 +124,15 @@ class Flat:
     """
 
     ambient_dim: int
-    equations: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    equations: tuple[tuple[int | Fraction, ...], ...]
+    rhs: tuple[int | Fraction, ...]
     dim: int
 
     def __init__(self, ambient_dim: int, equations: Sequence[Sequence], rhs: Sequence):
         if ambient_dim < 1:
             raise InvalidInput("ambient dimension must be positive")
-        eqs = tuple(_fractions(row) for row in equations)
-        b = _fractions(rhs)
+        eqs = tuple(tuple(map(_exact, row)) for row in equations)
+        b = tuple(map(_exact, rhs))
         if len(eqs) != len(b):
             raise InvalidInput("equation count does not match right-hand side")
         for row in eqs:
@@ -148,15 +155,11 @@ class Flat:
     def contains(self, p: RatPoint) -> bool:
         return contains(self, p)
 
-    def solution(self) -> tuple[RatPoint, list[list[Fraction]]]:
+    def solution(self) -> tuple[RatPoint, list[list[int | Fraction]]]:
         """One point on the flat plus a basis of its direction space."""
         if not self.equations:
-            origin = RatPoint([Fraction(0)] * self.ambient_dim)
-            basis = [
-                [Fraction(int(i == j)) for j in range(self.ambient_dim)]
-                for i in range(self.ambient_dim)
-            ]
-            return origin, basis
+            d = self.ambient_dim
+            return RatPoint([0] * d), [[int(i == j) for j in range(d)] for i in range(d)]
         solved = linalg.solve_affine(self.equations, self.rhs)
         if solved is None:
             raise InvariantViolation("a constructed flat became inconsistent")
@@ -236,12 +239,12 @@ def flats_equal(f1: Flat, f2: Flat) -> bool:
 class ComplexRational:
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    re: int | Fraction
+    im: int | Fraction
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _exact(re))
+        object.__setattr__(self, "im", _exact(im))
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
         return ComplexRational(self.re + other.re, self.im + other.im)
@@ -290,11 +293,7 @@ class ComplexHyperplane:
 
 def embed_complex_point(point: Sequence[ComplexRational]) -> RatPoint:
     """The real image of a complex point: interleaved (re, im) coordinates."""
-    coords: list[Fraction] = []
-    for z in point:
-        coords.append(z.re)
-        coords.append(z.im)
-    return RatPoint(coords)
+    return RatPoint([x for z in point for x in (z.re, z.im)])
 
 
 def embed_complex_hyperplane(h: ComplexHyperplane) -> Flat:
@@ -306,11 +305,8 @@ def embed_complex_hyperplane(h: ComplexHyperplane) -> Flat:
     returned flat.
     """
     d = h.dim
-    row_re: list[Fraction] = []
-    row_im: list[Fraction] = []
-    for coeff in h.a:
-        row_re.extend([coeff.re, -coeff.im])
-        row_im.extend([coeff.im, coeff.re])
+    row_re = [x for c in h.a for x in (c.re, -c.im)]
+    row_im = [x for c in h.a for x in (c.im, c.re)]
     return Flat(2 * d, [row_re, row_im], [h.b.re, h.b.im])
 
 

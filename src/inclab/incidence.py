@@ -13,9 +13,12 @@ Two interchangeable counting strategies are provided and must always agree:
   pass over the points.  The dots of a normal with every point form one
   array in point order: a single int64 product when every point is an
   integer point and the magnitudes provably fit, and otherwise an object
-  array of exact Python integers and ``Fraction``s.
+  array of Python-int sums over each other point's common denominator, an
+  ``int`` when integral and a ``Fraction`` only when not.
 
-All counts are exact; there is no tolerance anywhere in this module.
+An instance splits its points and classifies its flats once, for every
+count and the masks.  All counts are exact; there is no tolerance anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +86,11 @@ class IncidenceInstance:
         lives."""
         return _group_flats(self.flats)
 
+    @cached_property
+    def _split(self) -> _PointSplit:
+        """The points split once per instance, for every count and the masks."""
+        return _int_point_matrix(self.points)
+
 
 @dataclass(frozen=True)
 class KstWitness:
@@ -102,22 +110,22 @@ def count_incidences(inst: IncidenceInstance, strategy: str = "auto") -> int:
     if strategy in ("auto", "hashed"):
         return _count_hashed(inst, len(inst.flats))
     if strategy == "naive":
-        return _count_naive(inst.points, inst.flats)
+        return _count_naive(inst)
     raise InvalidInput(f"unknown counting strategy {strategy!r}")
 
 
-def _count_naive(points: Sequence[RatPoint], flats: Sequence[Flat]) -> int:
+def _count_naive(inst: IncidenceInstance) -> int:
     """Reference count: evaluate every equation of every flat at every point."""
-    matrix, _, leftover, max_abs = _int_point_matrix(points)
+    matrix, _, leftover, max_abs = inst._split
     scale = max(max_abs, 1)  # the rows themselves must fit int64 too
     int_rows: list[list[int]] | None = None
     dense: list[list[tuple[tuple[int, ...], int]]] = []
     total = 0
-    for flat in flats:
+    for flat in inst.flats:
         if not flat.equations:
-            total += len(points)  # the whole space
+            total += len(inst.points)  # the whole space
             continue
-        total += sum(1 for i in leftover if contains(flat, points[i]))
+        total += sum(1 for i in leftover if contains(flat, inst.points[i]))
         eqs = flat.integer_equations()
         if any(isinstance(c, Fraction) for _, c in eqs):
             continue  # no integer point reaches a rational offset
@@ -183,12 +191,12 @@ def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], int | Fraction] | None
 
 class _PointSplit(NamedTuple):
     """Points made ready for exact dot products: the integer points within
-    2^62 as one int64 matrix, the others (rational, or past 2^62) as they
-    are."""
+    2^62 as one int64 matrix, and each other point (rational, or past 2^62)
+    as integer numerators over one common denominator."""
 
     matrix: np.ndarray
     rows: list[int]  # the point index of each matrix row
-    leftover: dict[int, tuple]  # point index -> coordinates
+    leftover: dict[int, tuple[tuple[int, ...], int]]  # index -> (numerators, denominator)
     max_abs: int  # bound on the matrix entries
 
     @property
@@ -200,24 +208,21 @@ def _int_point_matrix(points: Sequence[RatPoint | IntVector]) -> _PointSplit:
     """Split points, or integer vectors, for :func:`_exact_dots`."""
     mat_rows: list[list[int]] = []
     mat_idx: list[int] = []
-    leftover: dict[int, tuple] = {}
+    leftover: dict[int, tuple[tuple[int, ...], int]] = {}
     max_abs = 0
     for i, p in enumerate(points):
-        coords = p.coords  # ints or Fractions: both carry a denominator
-        if all(c.denominator == 1 for c in coords):
-            ic = [c.numerator for c in coords]
-            m = max(map(abs, ic), default=0)
+        coords = p.coords
+        if all(type(c) is int for c in coords):
+            m = max(map(abs, coords))
             if m <= _INT64_SAFE:
                 max_abs = max(max_abs, m)
-                mat_rows.append(ic)
+                mat_rows.append(coords)
                 mat_idx.append(i)
                 continue
-        leftover[i] = coords
+        den = lcm(*(c.denominator for c in coords))
+        leftover[i] = tuple(c.numerator * (den // c.denominator) for c in coords), den
     dim = points[0].dim if points else 0
-    if mat_rows:
-        matrix = np.array(mat_rows, dtype=np.int64)
-    else:
-        matrix = np.zeros((0, dim), dtype=np.int64)
+    matrix = np.array(mat_rows, dtype=np.int64).reshape(len(mat_rows), dim)
     return _PointSplit(matrix, mat_idx, leftover, max_abs)
 
 
@@ -226,9 +231,9 @@ def _exact_dots(split: _PointSplit, row: Sequence[int]) -> np.ndarray:
     order.
 
     One int64 product when every point is in the matrix and
-    ``sum|row| * max_abs`` provably fits; otherwise an object array of
-    Python integers and ``Fraction``s.  Either way the values compare and
-    hash exactly.
+    ``sum|row| * max_abs`` provably fits; otherwise an object array holding
+    an ``int`` per integral dot and a ``Fraction`` per other one.  Either
+    way the values compare and hash exactly.
     """
     matrix, rows, leftover, max_abs = split
     if not split.size:
@@ -242,7 +247,9 @@ def _exact_dots(split: _PointSplit, row: Sequence[int]) -> np.ndarray:
         matrix_dots = [sum(a * x for a, x in zip(row, r)) for r in matrix.tolist()]
     dots = np.empty(split.size, dtype=object)
     dots[rows] = matrix_dots
-    dots[list(leftover)] = [sum(a * x for a, x in zip(row, c)) for c in leftover.values()]
+    for i, (nums, den) in leftover.items():
+        num = sum(a * x for a, x in zip(row, nums))
+        dots[i] = num // den if num % den == 0 else Fraction(num, den)
     return dots
 
 
@@ -277,7 +284,7 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
     """Incidences between the points and ``inst.flats[:stop]``, from the
     instance's one classification of all its flats."""
     groups, others = inst._grouping
-    split = _int_point_matrix(inst.points)
+    split = inst._split
     total = 0
     for normal, by_offset in groups.items():
         counts = _value_counts(_exact_dots(split, normal))
@@ -308,16 +315,15 @@ def _flat_members(flat: Flat, split: _PointSplit) -> np.ndarray:
 
 def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[int]:
     """Per-point bitmasks of incident flats (bit j <=> on flats[j])."""
-    return _grouped_masks(points, flats, _group_flats(flats))
+    return _grouped_masks(IncidenceInstance(points, flats, 2, 1))  # s, t unused
 
 
-def _grouped_masks(
-    points: Sequence[RatPoint], flats: Sequence[Flat], grouping: _Grouping
-) -> list[int]:
-    """:func:`incidence_masks`, given ``_group_flats(flats)``."""
-    masks = [0] * len(points)
-    groups, others = grouping
-    split = _int_point_matrix(points)
+def _grouped_masks(inst: IncidenceInstance) -> list[int]:
+    """:func:`incidence_masks` from the instance's one classification and
+    one point split."""
+    masks = [0] * len(inst.points)
+    groups, others = inst._grouping
+    split = inst._split
     for normal, by_offset in groups.items():
         buckets: dict = defaultdict(list)  # exact dot value -> point indices
         for i, dot in enumerate(_exact_dots(split, normal).tolist()):
@@ -327,7 +333,7 @@ def _grouped_masks(
             for i in buckets.get(offset, ()):
                 masks[i] |= bits
     for j in others:
-        for i in _flat_members(flats[j], split).tolist():
+        for i in _flat_members(inst.flats[j], split).tolist():
             masks[i] |= 1 << j
     return masks
 
@@ -376,7 +382,7 @@ def find_kst(
 def _search_kst(inst: IncidenceInstance, side: str) -> KstWitness | None:
     """The first witness in index order of ``side``'s subsets: s points
     (``"points"``) or t flats (``"flats"``) sharing enough incidences."""
-    masks = _grouped_masks(inst.points, inst.flats, inst._grouping)
+    masks = _grouped_masks(inst)
     size, need = inst.s, inst.t
     if side == "flats":  # per-flat masks of incident points
         by_flat = [0] * len(inst.flats)

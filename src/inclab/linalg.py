@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, rows are lists of ``fractions.Fraction``.  No
+Matrices are lists of rows of exact numbers (``int`` or ``Fraction``).  No
 floating point appears anywhere in this module; every rank, solution, and
 nullspace is exact.  Elimination is fraction-free: :func:`integer_rref`
 scales each row to integers once and eliminates on Python integers, and
@@ -13,11 +13,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-Row = list[Fraction]
+Row = list[int | Fraction]
 Matrix = list[Row]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -58,10 +55,10 @@ def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]
 
 
 def _integer_row(row: Sequence) -> list[int]:
-    """``row`` scaled by a positive rational to a primitive integer row."""
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    scale = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (scale // x.denominator) for x in values]
+    """``row`` of exact numbers scaled by a positive rational to a primitive
+    integer row."""
+    scale = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -86,15 +83,15 @@ def solve_affine(
     rows, pivots = integer_rref([list(row) + [bi] for row, bi in zip(a, b)])
     if n_cols in pivots:
         return None  # pivot in the constants column: inconsistent
-    particular: Row = [ZERO] * n_cols
+    particular: Row = [0] * n_cols
     for row, c in zip(rows, pivots):
         particular[c] = Fraction(row[n_cols], row[c])
     pivot_set = set(pivots)
     free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis: Matrix = []
     for fc in free_cols:
-        vec: Row = [ZERO] * n_cols
-        vec[fc] = ONE
+        vec: Row = [0] * n_cols
+        vec[fc] = 1
         for row, pc in zip(rows, pivots):
             vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
@@ -103,7 +100,7 @@ def solve_affine(
 
 def nullspace(a: Sequence[Sequence[Fraction]]) -> Matrix:
     """Basis of ``{x : a @ x = 0}``, as a list of vectors."""
-    return solve_affine(a, [ZERO] * len(a))[1]
+    return solve_affine(a, [0] * len(a))[1]
 
 
 def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Row | None:

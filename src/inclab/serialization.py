@@ -22,17 +22,17 @@ SCHEMA_VERSION = 1
 FILE_SUFFIX = ".inc.json"
 
 
-def _enc(x: Fraction) -> list[int]:
+def _enc(x: int | Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def _dec(pair: Any) -> Fraction:
+def _dec(pair: Any) -> int | Fraction:
     if not (isinstance(pair, list) and len(pair) == 2):
         raise InvalidInput(f"expected [numerator, denominator], got {pair!r}")
     num, den = _int(pair[0], "numerator"), _int(pair[1], "denominator")
     if den == 0:
         raise InvalidInput(f"zero denominator in rational {pair!r}")
-    return Fraction(num, den)
+    return num if den == 1 else Fraction(num, den)
 
 
 def _int(value: Any, what: str) -> int:

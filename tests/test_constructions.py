@@ -531,6 +531,20 @@ class TestVerifyConstruction:
             out.points, out.flats[: out.padding_start]
         )
 
+    def test_points_are_split_once(self, monkeypatch):
+        # the naive count, both hashed counts and the K_{s,t} masks read the
+        # instance's one point split
+        out = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))
+        calls = []
+        split = incidence._int_point_matrix
+        monkeypatch.setattr(
+            incidence, "_int_point_matrix", lambda points: calls.append(len(points)) or split(points)
+        )
+        report = verify_construction(out, 2, out.t_measured + 1)
+        assert calls == [len(out.points)]
+        assert report.counts_agree and report.matches_predicted
+        assert report.kst_status == "free"
+
     def test_variant_b_report_includes_collinearity(self):
         cfg = ConstructionConfig(d=4, m=30, n=100, seed=2, box_side=2, s=3)
         out = build_sphere_construction(cfg)

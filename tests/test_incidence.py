@@ -3,6 +3,7 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -182,12 +183,22 @@ MAGNITUDES = (0, 1, 5, 2**31 - 1, 2**31, 2**31 + 1, 2**62 - 1, 2**62, 2**62 + 1,
 
 
 def coordinates():
+    """Exact values in every input form: ints across the int64 cuts,
+    rationals, integral ``Fraction``s and numpy integers."""
     return st.one_of(
         st.integers(-3, 3),
         st.builds(lambda sign, m: sign * m, st.sampled_from((-1, 1)),
                   st.sampled_from(MAGNITUDES)),
         st.builds(Fraction, st.integers(-7, 7), st.sampled_from((2, 3))),
+        st.builds(Fraction, st.integers(-7, 7)),
+        st.builds(lambda sign, m: np.int64(sign * m), st.sampled_from((-1, 1)),
+                  st.sampled_from([m for m in MAGNITUDES if m < 2**63])),
     )
+
+
+def integral_values_are_int(values):
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in values)
 
 
 @st.composite
@@ -198,7 +209,8 @@ def mixed_instances(draw):
     d = draw(st.integers(2, 3))
     point = st.tuples(*[coordinates()] * d).map(RatPoint)
     points = draw(st.lists(point, max_size=8))
-    coefficient = st.one_of(st.integers(-2, 2), st.sampled_from((2**31, -(2**62), 2**63)))
+    coefficient = st.one_of(st.integers(-2, 2), st.sampled_from((2**31, -(2**62), 2**63)),
+                            st.builds(Fraction, st.integers(-2, 2)))
     flats = []
     for _ in range(draw(st.integers(0, 8))):
         anchor = draw(st.sampled_from(points) if points else point)
@@ -247,6 +259,32 @@ class TestDenseNaive:
             assert incidence._count_hashed(inst, stop) == count_incidences_direct(
                 points, flats[:stop]
             )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mixed_instances())
+    def test_integral_values_are_stored_and_dotted_as_int(self, case):
+        points, flats = case
+        for p in points:
+            assert integral_values_are_int(p.coords)
+        for f in flats:
+            assert integral_values_are_int(f.rhs)
+            assert all(integral_values_are_int(row) for row in f.equations)
+        split = incidence._int_point_matrix(points)
+        for f in flats:
+            for row, _ in f.integer_equations():
+                assert integral_values_are_int(incidence._exact_dots(split, row).tolist())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(coordinates(), min_size=1, max_size=4))
+    def test_the_number_form_never_changes_equality_or_hash(self, values):
+        as_fractions = [Fraction(x) for x in values]
+        point, twin = RatPoint(values), RatPoint(as_fractions)
+        assert point == twin and hash(point) == hash(twin)
+        # the offset is the row's first entry: an all-zero row gets offset 0
+        flat = Flat(len(values), [values], [values[0]])
+        flat_twin = Flat(len(values), [as_fractions], [as_fractions[0]])
+        assert flat == flat_twin and hash(flat) == hash(flat_twin)
+        assert integral_values_are_int(point.coords + flat.equations[0] + flat.rhs)
 
     def test_offset_past_int64_cut_on_a_row_inside_the_bound(self):
         # the row passes the product bound, so its offset past 2^62 is

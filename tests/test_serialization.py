@@ -1,8 +1,10 @@
 """Round-trips through the .inc.json format."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inclab import (
     ConstructionConfig,
@@ -13,6 +15,7 @@ from inclab import (
     RatPoint,
     build_grid_construction,
     count_incidences,
+    embed_configuration,
     load_construction,
     load_instance,
     make_hyperplane,
@@ -161,3 +164,56 @@ def test_unwritable_path_is_invalid_input(tmp_path):
 def test_canonical_json_is_stable():
     doc = {"b": 1, "a": [2, 3]}
     assert canonical_json(doc) == canonical_json({"a": [2, 3], "b": 1})
+
+
+def _fuzz_documents():
+    """A grid document and an embedded one (rational non-hyperplane flats),
+    as text, so each example mutates its own copy."""
+    out = build_grid_construction(ConstructionConfig(d=2, m=9, n=12, seed=1, box_side=2))
+    embedded = embed_configuration(out, 4, 2, seed=2)
+    return [
+        canonical_json(instance_to_dict(IncidenceInstance(c.points, c.flats, 2, 2), c))
+        for c in (out, embedded)
+    ]
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from((0, -1, 1, 2**64))
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_documents_fail_only_with_invalid_input(data):
+    # one node of a valid document deleted or replaced by any JSON value
+    doc = json.loads(data.draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if path and data.draw(st.booleans()):
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    else:
+        doc = data.draw(JSON_VALUES)
+    for load in (dict_to_instance, dict_to_construction):
+        try:
+            load(doc)
+        except InvalidInput:
+            pass

@@ -53,3 +53,25 @@ def test_flat_construction_runs_no_fraction_elimination():
     init = next(n for n in flat.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
     found = _referenced_names(init) & {"row_echelon", "solve_affine"}
     assert not found, f"Flat.__init__ references {sorted(found)}"
+
+
+def test_integer_construction_paths_build_no_fraction():
+    # grid points, hyperplanes and the embedding are integer objects, and
+    # Flat and RatPoint keep integral values as int, so these bodies need
+    # no Fraction (an annotation may still name one: make_hyperplane
+    # accepts a rational offset)
+    wanted = {
+        "geometry.py": {"make_hyperplane"},
+        "constructions.py": {"lattice_points", "_core_hyperplanes", "_pad_hyperplanes",
+                             "embedding_carrier", "embed_configuration"},
+    }
+    seen, found = set(), []
+    for module, names in wanted.items():
+        tree = ast.parse((SOURCE / module).read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                seen.add(node.name)
+                if any("Fraction" in _referenced_names(stmt) for stmt in node.body):
+                    found.append(node.name)
+    assert seen == set().union(*wanted.values())
+    assert not found, f"Fraction in {sorted(found)}"
