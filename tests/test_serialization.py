@@ -1,6 +1,7 @@
 """Round-trips through the .inc.json format."""
 
 import json
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
@@ -178,9 +179,13 @@ def _fuzz_documents():
 
 
 FUZZ_DOCUMENTS = _fuzz_documents()
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.sampled_from((0, -1, 1, 2**64))
-    | st.floats() | st.text(max_size=3),
+JSON_SCALARS = st.one_of(
+    st.sampled_from((0, -1, 1, 2, 2**64)), st.integers(), st.none(), st.booleans(),
+    st.floats(), st.text(max_size=3),
+)
+# half scalars, since a recursive strategy alone draws mostly containers
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
@@ -213,7 +218,5 @@ def test_mutated_documents_fail_only_with_invalid_input(data):
     else:
         doc = data.draw(JSON_VALUES)
     for load in (dict_to_instance, dict_to_construction):
-        try:
+        with suppress(InvalidInput):
             load(doc)
-        except InvalidInput:
-            pass
