@@ -4,12 +4,22 @@ Schema (version 1): rationals are ``[numerator, denominator]`` pairs,
 points are arrays of rationals, flats are ``{"A": rows, "b": vector}``
 with ``A`` row-major.  Generated instances carry a ``construction`` block
 with the verified bookkeeping so they can be re-checked and embedded.
+
+The file text is ``json.dumps(doc, sort_keys=True, indent=1)`` plus a
+newline.  :func:`save_instance` writes it directly: ``json.dumps`` renders
+the small members, and ``str.format`` renders the points and flats straight
+from their exact values, with one template per point shape and one per
+equation count, built from one item template per nesting depth.  The
+reference path, ``canonical_json(instance_to_dict(...))``, builds the
+document and lets ``json`` render all of it; it shares no code with the
+writer, and the tests require the two texts to be equal.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -101,8 +111,12 @@ def instance_to_dict(
 
 def dict_to_instance(doc: dict) -> IncidenceInstance:
     _require_object(doc)
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise InvalidInput(f"unsupported schema {doc.get('schema')!r}")
+    schema = _int(_field(doc, "schema", "instance"), "schema")
+    if schema != SCHEMA_VERSION:
+        raise InvalidInput(f"unsupported schema {schema}")
+    kind = _field(doc, "kind", "instance")
+    if kind != "incidence-instance":
+        raise InvalidInput(f"kind must be 'incidence-instance', got {kind!r}")
     dim = _int(_field(doc, "ambient_dim", "instance"), "ambient_dim")
     if dim < 1:
         raise InvalidInput(f"ambient_dim must be positive, got {dim}")
@@ -186,14 +200,91 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _array(items: list[str], indent: int) -> str:
+    """The JSON array of the item texts ``items``, each at ``indent``
+    spaces and the closing ``]`` one space less."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
+
+
+def _rational_templates(first: int, count: int, indent: int) -> list[str]:
+    """Templates of ``count`` ``[numerator, denominator]`` items at
+    ``indent`` spaces, filled by ``str.format`` arguments ``first``,
+    ``first + 1``, ...: an ``int`` and a ``Fraction`` both have the two
+    attributes."""
+    pad, end = "\n" + " " * (indent + 1), "\n" + " " * indent
+    return [
+        f"[{pad}{{{i}.numerator}},{pad}{{{i}.denominator}}{end}]"
+        for i in range(first, first + count)
+    ]
+
+
+def _points_text(points: tuple[RatPoint, ...], dim: int) -> str:
+    point = _array(_rational_templates(0, dim, 3), 3)
+    return _array([point.format(*p.coords) for p in points], 2)
+
+
+def _flats_text(flats: tuple[Flat, ...], dim: int) -> str:
+    templates: dict[int, str] = {}  # by equation count
+    items = []
+    for f in flats:
+        rows = len(f.rhs)
+        if rows not in templates:
+            a = [_array(_rational_templates(r * dim, dim, 5), 5) for r in range(rows)]
+            b = _rational_templates(rows * dim, rows, 4)
+            templates[rows] = (
+                '{{\n   "A": ' + _array(a, 4) + ',\n   "b": ' + _array(b, 4) + "\n  }}"
+            )
+        items.append(templates[rows].format(*chain(*f.equations, f.rhs)))
+    return _array(items, 2)
+
+
+def _instance_text(inst: IncidenceInstance, construction: ConstructionOutput | None) -> str:
+    """The ``.inc.json`` text of ``inst`` and its construction block."""
+    small: dict = {
+        "schema": SCHEMA_VERSION,
+        "kind": "incidence-instance",
+        "ambient_dim": inst.ambient_dim,
+        "s": inst.s,
+        "t": inst.t,
+    }
+    if construction is not None:
+        small["construction"] = {
+            "variant": construction.variant,
+            "normals_used": [list(v.coords) for v in construction.normals_used],
+            "t_measured": construction.t_measured,
+            "t_verified": construction.t_verified,
+            "predicted_incidences": construction.predicted_incidences,
+            "padding_start": construction.padding_start,
+            "core_point_count": construction.core_point_count,
+            "seed": construction.seed,
+            "inner_ambient_dim": construction.inner_ambient_dim,
+            "notes": list(construction.notes),
+        }
+    # a JSON string holds no raw newline, so indenting a member's text one
+    # level deeper is one replace
+    members = {
+        key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+        for key, value in small.items()
+    }
+    members["points"] = _points_text(inst.points, inst.ambient_dim)
+    members["flats"] = _flats_text(inst.flats, inst.ambient_dim)
+    body = ",\n ".join(f'"{key}": {members[key]}' for key in sorted(members))
+    return "{\n " + body + "\n}\n"
+
+
 def save_instance(
     path: str | Path,
     inst: IncidenceInstance,
     construction: ConstructionOutput | None = None,
 ) -> Path:
+    """Write ``inst`` (and its construction block) as ``.inc.json``; the
+    text equals ``canonical_json(instance_to_dict(inst, construction))``."""
     path = Path(path)
     try:
-        path.write_text(canonical_json(instance_to_dict(inst, construction)))
+        path.write_text(_instance_text(inst, construction))
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc}") from None
     return path

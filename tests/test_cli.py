@@ -267,6 +267,21 @@ class TestMalformedInput:
         construction_doc["flats"] = []
         self.assert_instance_rejected(capsys, tmp_path, json.dumps(construction_doc))
 
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_non_integer_schema(self, capsys, tmp_path, construction_doc, schema):
+        construction_doc["schema"] = schema
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(construction_doc), ("verify", "embed", "oracle"),
+            mentions="schema",
+        )
+
+    def test_wrong_kind(self, capsys, tmp_path, construction_doc):
+        construction_doc["kind"] = "sweep-report"
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(construction_doc), ("verify", "embed", "oracle"),
+            mentions="kind",
+        )
+
     def test_sweep_spec_without_ladder(self, capsys, tmp_path):
         spec = {"construction": "a", "d": 2, "s": 2}
         self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))

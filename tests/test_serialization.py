@@ -1,5 +1,6 @@
 """Round-trips through the .inc.json format."""
 
+import hashlib
 import json
 from contextlib import suppress
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from inclab import (
     ConstructionConfig,
+    ConstructionOutput,
     Flat,
     IncidenceInstance,
     IntVector,
@@ -29,6 +31,7 @@ from inclab.serialization import (
     dict_to_instance,
     instance_to_dict,
 )
+from test_golden import CONSTRUCTIONS, DIGESTS
 
 
 def small_instance():
@@ -220,3 +223,72 @@ def test_mutated_documents_fail_only_with_invalid_input(data):
     for load in (dict_to_instance, dict_to_construction):
         with suppress(InvalidInput):
             load(doc)
+
+
+# exact values: small, past int64 either way, and rational
+EXACT = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**63, 2**70),
+    st.integers(-(2**70), -(2**63) - 1),
+    st.fractions(max_denominator=10**20),
+)
+NOTES = st.text(st.sampled_from('a "\\\n\té€😀'), max_size=6) | st.text(max_size=4)
+
+
+@st.composite
+def flats(draw, dim):
+    # a random system through a random point, a point flat, or the whole space
+    through = draw(st.lists(EXACT, min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(("system", "point", "space")))
+    if kind == "space":
+        return Flat(dim, [], [])
+    if kind == "point":
+        return Flat(dim, [[int(i == j) for j in range(dim)] for i in range(dim)], through)
+    equation = st.lists(EXACT, min_size=dim, max_size=dim)
+    rows = draw(st.lists(equation, min_size=1, max_size=3))
+    return Flat(dim, rows, [sum(a * x for a, x in zip(row, through)) for row in rows])
+
+
+@st.composite
+def instances_with_constructions(draw):
+    dim = draw(st.integers(1, 4))
+    point = st.lists(EXACT, min_size=dim, max_size=dim).map(RatPoint)
+    points = draw(st.lists(point, max_size=4))
+    flat_list = draw(st.lists(flats(dim), min_size=0 if points else 1, max_size=4))
+    s, t = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    inst = IncidenceInstance(points, flat_list, s, t)
+    if draw(st.booleans()):
+        return inst, None
+    normal = st.lists(st.integers(), min_size=dim, max_size=dim).map(IntVector)
+    return inst, ConstructionOutput(
+        variant=draw(st.sampled_from(("a", "b", "embed"))),
+        ambient_dim=dim,
+        points=inst.points,
+        flats=inst.flats,
+        normals_used=tuple(draw(st.lists(normal, max_size=3))),
+        t_measured=draw(st.integers(0, 9)),
+        t_verified=draw(st.booleans()),
+        predicted_incidences=draw(st.integers(0, 2**70)),
+        padding_start=draw(st.integers(0, len(flat_list))),
+        core_point_count=draw(st.integers(0, len(points))),
+        seed=draw(st.integers()),
+        inner_ambient_dim=draw(st.none() | st.integers(2, 9)),
+        notes=tuple(draw(st.lists(NOTES, max_size=3))),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(instances_with_constructions())
+def test_saved_text_equals_the_reference_path(tmp_path_factory, case):
+    inst, construction = case
+    path = tmp_path_factory.getbasetemp() / "same.inc.json"
+    save_instance(path, inst, construction)
+    reference = canonical_json(instance_to_dict(inst, construction))
+    assert path.read_bytes() == reference.encode()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_saved_construction_has_the_golden_bytes(tmp_path, name):
+    out = CONSTRUCTIONS[name]()
+    path = save_construction(tmp_path / f"{name}.inc.json", out, 2, out.t_measured + 1)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]

@@ -24,12 +24,12 @@ def _referenced_names(node) -> set[str]:
     }
 
 
-def test_naive_count_shares_no_code_with_the_hashed_path():
-    # the reference count checks the grouped path, so it may not reach any
-    # of its grouping helpers, directly or through a module-level helper
-    tree = ast.parse((SOURCE / "incidence.py").read_text())
+def _reach(module: str, start: str) -> tuple[set[str], set[str]]:
+    """The module-level functions of ``module`` that ``start`` reaches,
+    directly or through each other, and every name those reference."""
+    tree = ast.parse((SOURCE / module).read_text())
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    seen, todo, names = set(), ["_count_naive"], set()
+    seen, todo, names = set(), [start], set()
     while todo:
         name = todo.pop()
         if name in seen:
@@ -38,11 +38,30 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
         found = _referenced_names(functions[name])
         names |= found
         todo += [n for n in found if n in functions]
+    return seen, names
+
+
+def test_naive_count_shares_no_code_with_the_hashed_path():
+    # the reference count checks the grouped path, so it may not reach any
+    # of its grouping helpers, directly or through a module-level helper
+    _, names = _reach("incidence.py", "_count_naive")
     forbidden = {
         "_hyperplane_key", "_count_hashed", "_flat_members", "_exact_dots",
         "_value_counts", "unique",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
+
+
+def test_instance_writer_shares_no_code_with_the_reference_path():
+    # the writer's text is checked against canonical_json(instance_to_dict(...)),
+    # so neither path may reach the other's helpers
+    writer, writer_names = _reach("serialization.py", "save_instance")
+    reference = {"instance_to_dict", "canonical_json", "_enc"}
+    found = writer_names & reference
+    assert not found, f"save_instance reaches {sorted(found)}"
+    _, names = _reach("serialization.py", "instance_to_dict")
+    shared = names & (writer - {"save_instance"})
+    assert not shared, f"instance_to_dict reaches {sorted(shared)}"
 
 
 def test_flat_construction_runs_no_fraction_elimination():
