@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 from . import serialization
 from .constructions import (
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .experiments import SweepSpec, run_sweep
 from .exponents import enumerate_chains, term_from_chain, term_from_system
-from .incidence import IncidenceInstance, count_incidences, find_kst
+from .incidence import IncidenceInstance, count_incidences, kst_verdict
 
 
 def _cmd_exponents(args) -> int:
@@ -111,42 +112,24 @@ def _cmd_verify(args) -> int:
             serialization.dict_to_construction(doc), args.s, args.t
         )
         payload = {
-            "variant": report.variant,
-            "naive_count": report.naive_count,
-            "hashed_count": report.hashed_count,
-            "core_count": report.core_count,
-            "predicted_count": report.predicted_count,
-            "counts_agree": report.counts_agree,
-            "matches_predicted": report.matches_predicted,
-            "kst_status": report.kst_status,
-            "t_measured": report.t_measured,
-            "collinear_triple": report.collinear_triple,
-            "predicted_exponents": [str(x) for x in report.predicted_exponents],
-            "notes": list(report.notes),
+            f.name: getattr(report, f.name) for f in fields(report) if f.name != "witness"
         }
+        payload["predicted_exponents"] = [str(x) for x in report.predicted_exponents]
         witness = report.witness
     else:
         inst = serialization.dict_to_instance(doc)
         work = IncidenceInstance(inst.points, inst.flats, args.s, args.t)
         naive = count_incidences(work, strategy="naive")
         hashed = count_incidences(work, strategy="hashed")
-        try:
-            witness = find_kst(work)
-            kst_status = "witness" if witness else "free"
-        except ResourceLimit as exc:
-            witness = None
-            kst_status = f"unverified ({exc})"
+        kst_status, witness, gave_up = kst_verdict(work)
         payload = {
             "naive_count": naive,
             "hashed_count": hashed,
             "counts_agree": naive == hashed,
-            "kst_status": kst_status,
+            "kst_status": kst_status if gave_up is None else f"{kst_status} ({gave_up})",
         }
     if witness is not None:
-        payload["witness"] = {
-            "point_indices": list(witness.point_indices),
-            "flat_indices": list(witness.flat_indices),
-        }
+        payload["witness"] = asdict(witness)
     print(json.dumps(payload, indent=2))
     return 1 if witness is not None else 0
 
@@ -175,8 +158,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.action != "count":
-        raise InvalidInput(f"unknown oracle action {args.action!r}")
     inst = serialization.load_instance(args.file)
     print(count_incidences(inst, strategy="naive"))
     return 0

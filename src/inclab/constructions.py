@@ -29,15 +29,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from itertools import combinations
+from math import comb, inf
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, InvariantViolation, ResourceLimit, SizeShortfall
+from .errors import InvalidInput, InvariantViolation, SizeShortfall
 from .exponents import DimensionChain, DimPair, term_from_chain
 from .geometry import (
     Flat,
@@ -57,9 +57,10 @@ from .incidence import (
     _exact_dots,
     _int_point_matrix,
     _int_root_floor,
+    _members,
     _value_counts,
     count_incidences,
-    find_kst,
+    kst_verdict,
 )
 
 DEFAULT_EPSILON_PRIME = 0.1
@@ -99,6 +100,8 @@ class ConstructionConfig:
             raise InvalidInput("m and n must be positive")
         if self.box_side is not None and self.box_side < 1:
             raise InvalidInput(f"box side must be at least 1, got {self.box_side}")
+        if not -inf < self.epsilon_prime < inf:
+            raise InvalidInput(f"epsilon_prime must be finite, got {self.epsilon_prime}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,18 @@ class ConstructionOutput:
 # ---------------------------------------------------------------------------
 
 
+def _box(low: int, high: int, d: int) -> np.ndarray:
+    """The integer points of ``[low, high]^d`` as int64 rows, in
+    lexicographic order."""
+    side = high - low + 1
+    if side**d > _GRID_LIMIT:
+        raise InvalidInput(f"integer box of side {side} in R^{d} is beyond desk scale")
+    # one (d, side^d) index array, read point by point through its transpose
+    points = np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T
+    points += low
+    return points
+
+
 def lattice_points(d: int, m: int) -> list[RatPoint]:
     """The first ``m`` points, in lexicographic order, of the integer grid
     ``{0, ..., g-1}^d`` with the smallest side ``g`` satisfying g^d >= m."""
@@ -147,14 +162,7 @@ def lattice_points(d: int, m: int) -> list[RatPoint]:
     if d < 1:
         raise InvalidInput("d must be positive")
     side = _int_root_floor(m - 1, d) + 1
-    if side**d > _GRID_LIMIT:
-        raise InvalidInput(f"grid of side {side} in R^{d} is beyond desk scale")
-    out: list[RatPoint] = []
-    for coords in product(range(side), repeat=d):
-        if len(out) == m:
-            break
-        out.append(RatPoint(coords))
-    return out
+    return [RatPoint(row) for row in _box(0, side - 1, d)[:m].tolist()]
 
 
 def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
@@ -170,19 +178,13 @@ def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
     if d < 1:
         raise InvalidInput("d must be positive")
     half = box_side // 2
-    if (2 * half + 1) ** d > _GRID_LIMIT:
-        raise InvalidInput("normal box is beyond desk scale")
-    out: list[IntVector] = []
-    for coords in product(range(-half, half + 1), repeat=d):
-        vec = IntVector(coords)
-        if vec.is_zero():
-            continue
-        first_nonzero = next(c for c in coords if c != 0)
-        if first_nonzero < 0:
-            continue  # keep one representative of {v, -v}
-        if vec.content() == 1:
-            out.append(vec)
-    return out
+    box = _box(-half, half, d)
+    # negation reverses lexicographic order, so the zero vector sits in the
+    # middle and the rows after it are those whose first nonzero entry is
+    # positive: one representative of each {v, -v}
+    positive = box[len(box) // 2 + 1 :]
+    primitive = positive[np.gcd.reduce(positive, axis=1) == 1]
+    return [IntVector(row) for row in primitive.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +197,6 @@ def _span_equations(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[in
     rows = [list(v) for v in vectors] or [[0] * dim]
     basis = linalg.nullspace(rows)
     return [linalg.integer_row_and_offset(row, 0)[0] for row in basis]
-
-
-def _count_on_subspace(equations: Sequence[tuple[int, ...]], split: _PointSplit) -> int:
-    """How many of the split vectors satisfy every homogeneous equation."""
-    mask = np.ones(split.size, dtype=bool)
-    for eq in equations:
-        mask &= _exact_dots(split, eq) == 0
-    return int(mask.sum())
 
 
 def select_admissible_normals(
@@ -254,8 +248,8 @@ def select_admissible_normals(
             pool = range(len(selected))
             for idx_subset in combinations(pool, min(subset_size, len(selected))):
                 span = [cand.coords] + [selected[i].coords for i in idx_subset]
-                eqs = _span_equations(span, d)
-                count = _count_on_subspace(eqs, split) + 1
+                eqs = [(eq, 0) for eq in _span_equations(span, d)]
+                count = len(_members(split, eqs)) + 1
                 if count > t_max:
                     accept = False
                     break
@@ -284,8 +278,8 @@ def measure_max_coverage(
     split = _int_point_matrix(vectors)
     best = 0
     for subset in combinations(range(n), flat_dim):
-        eqs = _span_equations([vectors[i].coords for i in subset], d)
-        best = max(best, _count_on_subspace(eqs, split))
+        eqs = [(eq, 0) for eq in _span_equations([vectors[i].coords for i in subset], d)]
+        best = max(best, len(_members(split, eqs)))
     return best, True
 
 
@@ -477,19 +471,11 @@ def _sphere_grid_bucket(d: int, m: int) -> tuple[list[RatPoint], int, int]:
     truncated lexicographically to at most m points.
     """
     side = _int_root_floor(m - 1, d - 2) + 1
-    if side**d > _GRID_LIMIT:
-        raise InvalidInput(
-            f"sphere grid of side {side} in R^{d} is beyond desk scale"
-        )
-    axes = [np.arange(side, dtype=np.int64)] * d
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    coords = _box(0, side - 1, d)
     squares = (coords * coords).sum(axis=1)
     values, counts = np.unique(squares, return_counts=True)
     delta_sq = int(values[int(np.argmax(counts))])
-    bucket = coords[squares == delta_sq]
-    order = np.lexsort(tuple(bucket[:, j] for j in range(d - 1, -1, -1)))
-    bucket = bucket[order]
-    points = [RatPoint(tuple(int(x) for x in row)) for row in bucket[:m]]
+    points = [RatPoint(row) for row in coords[squares == delta_sq][:m].tolist()]
     return points, delta_sq, side
 
 
@@ -672,13 +658,9 @@ def verify_construction(
     # by the hashed count above and the K_{s,t} search below
     core_count = _count_hashed(inst, out.padding_start)
     matches = core_count == out.predicted_incidences
-    witness = None
-    try:
-        witness = find_kst(inst, limit=kst_limit)
-        kst_status = "witness" if witness is not None else "free"
-    except ResourceLimit as exc:
-        kst_status = "unverified"
-        notes.append(f"K_{{{s},{t}}} search unverified: {exc}")
+    kst_status, witness, gave_up = kst_verdict(inst, kst_limit)
+    if gave_up is not None:
+        notes.append(f"K_{{{s},{t}}} search {kst_status}: {gave_up}")
     collinear = None
     if out.variant == "b" and len(out.points) <= 2000:
         collinear = find_collinear_triple(out.points)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -38,8 +38,8 @@ from .errors import (
 from .incidence import (
     IncidenceInstance,
     count_incidences,
-    find_kst,
     kst_bound_value,
+    kst_verdict,
 )
 from . import serialization
 
@@ -77,6 +77,8 @@ class SweepSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InvalidInput(f"{name} must be a number, got {value!r}")
+            if not -math.inf < value < math.inf:
+                raise InvalidInput(f"{name} must be finite, got {value!r}")
         try:
             ladder = tuple(
                 (serialization._int(m, "m"), serialization._int(n, "n"))
@@ -99,11 +101,7 @@ class SweepSpec:
         missing = {"construction", "d", "ladder"} - set(doc)
         if missing:
             raise InvalidInput(f"sweep spec lacks required fields: {sorted(missing)}")
-        known = {
-            "construction", "d", "ladder", "s", "t_cap", "d_outer", "k",
-            "epsilon_prime", "epsilon", "seed",
-        }
-        extra = set(doc) - known
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise InvalidInput(f"unknown sweep spec fields: {sorted(extra)}")
         return cls(**doc)
@@ -137,11 +135,7 @@ def _measure_rung(
     t_claim = out.t_measured + 1
     inst = IncidenceInstance(out.points, out.flats, spec.s, t_claim)
     incidences = count_incidences(inst, strategy="hashed")
-    try:
-        witness = find_kst(inst, limit=SWEEP_KST_LIMIT)
-        kst_status = "witness" if witness is not None else "free"
-    except ResourceLimit:
-        kst_status = "unverified"
+    kst_status, _, _ = kst_verdict(inst, SWEEP_KST_LIMIT)
     del inst  # frees the flat classification it caches before the rung is saved
     # reported ratio against the K_{s,t}-free counting bound shape
     # m n^(1-1/s) + n; the hidden constant is problem dependent, so this is

@@ -46,9 +46,11 @@ class IntVector:
     coords: tuple[int, ...]
 
     def __init__(self, coords: Iterable[int]):
-        cs = tuple(int(c) for c in coords)
+        cs = tuple(map(_exact, coords))
         if len(cs) < 1:
             raise InvalidInput("vector needs at least one coordinate")
+        if not all(type(c) is int for c in cs):
+            raise InvalidInput(f"vector coordinates must be integers, got {cs}")
         object.__setattr__(self, "coords", cs)
 
     @property

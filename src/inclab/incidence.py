@@ -34,7 +34,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
 from .geometry import Flat, IntVector, RatPoint, contains
 
@@ -175,18 +174,12 @@ def _count_dense(
 
 
 def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], int | Fraction] | None:
-    """Primitive integer normal and scaled offset for a hyperplane flat."""
-    if flat.dim != flat.ambient_dim - 1:
+    """Primitive integer normal and scaled offset of a flat with one nonzero
+    equation, the rule :class:`Flat` reads a hyperplane by; ``None`` for
+    every other flat."""
+    if len(flat.equations) != 1 or not any(flat.equations[0]):
         return None
-    if len(flat.equations) == 1:
-        row, c = flat.equations[0], flat.rhs[0]
-    else:
-        # rank 1: the kernel returns one row, a multiple of the hyperplane's
-        (top,), _ = linalg.integer_rref(
-            [r + (b,) for r, b in zip(flat.equations, flat.rhs)]
-        )
-        row, c = top[:-1], top[-1]
-    return linalg.integer_row_and_offset(row, c)
+    return flat.integer_equations()[0]
 
 
 class _PointSplit(NamedTuple):
@@ -293,14 +286,17 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
             total += counts.get(offset, 0) * bisect_left(flat_ids, stop)
     for j in others:
         if j < stop:
-            total += len(_flat_members(inst.flats[j], split))
+            total += len(_members(split, inst.flats[j].integer_equations()))
     return total
 
 
-def _flat_members(flat: Flat, split: _PointSplit) -> np.ndarray:
-    """Indices of the points on ``flat``, ascending."""
+def _members(
+    split: _PointSplit, equations: Sequence[tuple[Sequence[int], int | Fraction]]
+) -> np.ndarray:
+    """Indices of the split points meeting every integer ``(row, offset)``
+    equation, ascending."""
     on = np.ones(split.size, dtype=bool)
-    for row, offset in flat.integer_equations():
+    for row, offset in equations:
         dots = _exact_dots(split, row)
         if isinstance(offset, Fraction) and dots.dtype != object:
             return np.zeros(0, dtype=np.intp)  # no integer point reaches a rational offset
@@ -333,7 +329,7 @@ def _grouped_masks(inst: IncidenceInstance) -> list[int]:
             for i in buckets.get(offset, ()):
                 masks[i] |= bits
     for j in others:
-        for i in _flat_members(inst.flats[j], split).tolist():
+        for i in _members(split, inst.flats[j].integer_equations()).tolist():
             masks[i] |= 1 << j
     return masks
 
@@ -377,6 +373,21 @@ def find_kst(
     if witness is not None:
         _check_witness(inst, witness)
     return witness
+
+
+def kst_verdict(
+    inst: IncidenceInstance, limit: int = DEFAULT_COMPARISON_LIMIT
+) -> tuple[str, KstWitness | None, ResourceLimit | None]:
+    """:func:`find_kst` read as ``(status, witness, gave_up)``: status
+    "witness" with the witness, "free", or "unverified" with the
+    :class:`ResourceLimit` that stopped the search."""
+    try:
+        witness = find_kst(inst, limit=limit)
+    except ResourceLimit as exc:
+        # a kept traceback would keep the search's frames, and through them
+        # the instance and its cached classification, alive with the caller
+        return "unverified", None, exc.with_traceback(None)
+    return ("free" if witness is None else "witness"), witness, None
 
 
 def _search_kst(inst: IncidenceInstance, side: str) -> KstWitness | None:

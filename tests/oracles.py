@@ -10,7 +10,7 @@ only.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -151,6 +151,31 @@ def first_kst_bruteforce(points, flats, s: int, t: int, side: str):
         if len(common) >= s:
             return tuple(common[:s]), subset
     return None
+
+
+def lattice_points_product(d: int, m: int) -> list[tuple[int, ...]]:
+    """The first m points of the smallest grid {0, ..., g-1}^d holding m,
+    in ``itertools.product`` order."""
+    side = int_root_floor(m - 1, d) + 1
+    out = []
+    for coords in product(range(side), repeat=d):
+        if len(out) == m:
+            break
+        out.append(coords)
+    return out
+
+
+def primitive_vectors_product(box_side: int, d: int) -> list[tuple[int, ...]]:
+    """The vectors of the centered box of side ``box_side`` whose first
+    nonzero entry is positive and whose entries have gcd 1, tested one by
+    one in ``itertools.product`` order."""
+    half = box_side // 2
+    out = []
+    for coords in product(range(-half, half + 1), repeat=d):
+        nonzero = [c for c in coords if c != 0]
+        if nonzero and nonzero[0] > 0 and gcd_all(coords) == 1:
+            out.append(coords)
+    return out
 
 
 def collinear_triples_bruteforce(points) -> list[tuple[int, int, int]]:

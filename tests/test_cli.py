@@ -101,6 +101,32 @@ class TestConstructVerifyRoundTrip:
         assert payload["witness"]["point_indices"] == [0, 1]
 
 
+    def test_verify_plain_instance_over_the_search_budget(self, capsys, tmp_path):
+        # 5200 points on as many parallel lines, one line each: C(5200, 2)
+        # pairs times 82 mask words just exceeds the default budget
+        size = 5200
+        doc = {
+            "schema": 1,
+            "kind": "incidence-instance",
+            "ambient_dim": 2,
+            "s": 2,
+            "t": 2,
+            "points": [[[i, 1], [0, 1]] for i in range(size)],
+            "flats": [{"A": [[[1, 1], [0, 1]]], "b": [[j, 1]]} for j in range(size)],
+        }
+        path = tmp_path / "wide.inc.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--s", "2", "--t", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "naive_count": size,
+            "hashed_count": size,
+            "counts_agree": True,
+            "kst_status": "unverified (K_{2,2} search needs ~1.11e+09 comparisons,"
+                          " over the budget of 1000000000)",
+        }
+
+
 class TestEmbedCommand:
     def test_embed_preserves_count(self, capsys, tmp_path):
         src = str(tmp_path / "inner.inc.json")
@@ -303,6 +329,15 @@ class TestMalformedInput:
                 "ladder": [[16, 30], [64, 60], [256, 120]]}
         self.assert_rejected(capsys, tmp_path, json.dumps(spec), ("sweep",))
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("field", ["epsilon_prime", "epsilon"])
+    def test_sweep_spec_epsilon_not_finite(self, capsys, tmp_path, field, value):
+        # json reads NaN and Infinity: a NaN epsilon_prime crashed the build,
+        # and an infinite epsilon wrote Infinity, which is not JSON, to the report
+        ladder = "[[16, 30], [64, 60], [256, 120]]"
+        text = f'{{"construction": "a", "d": 2, "ladder": {ladder}, "{field}": {value}}}'
+        self.assert_rejected(capsys, tmp_path, text, ("sweep",), mentions=field)
+
     def test_sweep_ladder_rung_not_an_integer(self, capsys, tmp_path):
         for rung in ([16.5, 16], [True, 16]):
             spec = {"construction": "a", "d": 2, "ladder": [rung, [64, 60], [256, 120]]}
@@ -368,7 +403,7 @@ class TestMalformedInput:
 
 class TestUnusableArguments:
     """``construct`` and ``sweep`` exit 2 with ``error: ...`` on an output
-    path they cannot write or a box side below 1."""
+    path they cannot write, a box side below 1 or a non-finite epsilon."""
 
     def construct(self, capsys, output, *extra):
         return run_cli(
@@ -395,6 +430,14 @@ class TestUnusableArguments:
             assert err.startswith("error: ")
             assert out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_epsilon_prime_not_finite(self, capsys, tmp_path, value):
+        target = tmp_path / "x.inc.json"
+        code, out, err = self.construct(capsys, target, "--epsilon-prime", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "epsilon_prime" in err
+        assert not target.exists()
+
     @pytest.mark.parametrize("side", ["-3", "0"])
     def test_box_side_below_one(self, capsys, tmp_path, side):
         target = tmp_path / "x.inc.json"
@@ -402,3 +445,4 @@ class TestUnusableArguments:
         assert code == 2
         assert err.startswith("error: ")
         assert not target.exists()
+

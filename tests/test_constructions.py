@@ -31,7 +31,13 @@ from inclab import (
 from inclab import incidence
 from inclab.serialization import instance_to_dict
 
-from oracles import collinear_triples_bruteforce, count_incidences_direct, minor_rank
+from oracles import (
+    collinear_triples_bruteforce,
+    count_incidences_direct,
+    lattice_points_product,
+    minor_rank,
+    primitive_vectors_product,
+)
 
 
 class TestLatticePoints:
@@ -78,6 +84,24 @@ class TestPrimitiveVectors:
             assert v.content() == 1
             first = next(c for c in v.coords if c != 0)
             assert first > 0
+
+
+class TestEnumeratorsMatchTheProductOracle:
+    # the grids and the normal candidates come from one numpy box; the
+    # one-by-one itertools.product enumeration pins every entry and its order
+    def test_lattice_points(self):
+        for d in range(1, 5):
+            for m in (1, 2, 3, 7, 8, 9, 16, 17, 26, 64, 100, 257):
+                coords = [p.coords for p in lattice_points(d, m)]
+                assert coords == lattice_points_product(d, m), (d, m)
+                assert all(type(c) is int for point in coords for c in point)
+
+    def test_primitive_vectors(self):
+        for d in range(1, 5):
+            for side in range(1, 8):
+                coords = [v.coords for v in primitive_vectors(side, d)]
+                assert coords == primitive_vectors_product(side, d), (d, side)
+                assert all(type(c) is int for vec in coords for c in vec)
 
 
 def max_coverage_oracle(vectors, flat_dim):
@@ -135,8 +159,7 @@ class TestNormalSelection:
         assert sel.t_measured == len(sel.vectors)  # trivial bound
 
     def test_subspace_count_is_exact_across_int64_bound(self):
-        from inclab.constructions import _count_on_subspace
-        from inclab.incidence import _int_point_matrix
+        from inclab.incidence import _int_point_matrix, _members
 
         rng = Random(62)
         for _ in range(60):
@@ -153,7 +176,7 @@ class TestNormalSelection:
                 1 for row in rows
                 if all(sum(a * x for a, x in zip(e, row)) == 0 for e in eqs)
             )
-            assert _count_on_subspace(eqs, split) == expected
+            assert len(_members(split, [(eq, 0) for eq in eqs])) == expected
 
     def test_non_primitive_candidates_rejected(self):
         with pytest.raises(InvalidInput):
@@ -544,6 +567,18 @@ class TestVerifyConstruction:
         assert calls == [len(out.points)]
         assert report.counts_agree and report.matches_predicted
         assert report.kst_status == "free"
+
+    def test_unverified_search_is_noted(self):
+        out = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))
+        assert out.t_measured + 1 == 2
+        # C(49, 2) point pairs of one mask word each, under C(60, 2) flat pairs
+        report = verify_construction(out, 2, 2, kst_limit=100)
+        assert (report.kst_status, report.witness) == ("unverified", None)
+        assert report.notes == (
+            "K_{2,2} search unverified: K_{2,2} search needs ~1.18e+03 comparisons,"
+            " over the budget of 100",
+        )
+        assert report.counts_agree and report.matches_predicted
 
     def test_variant_b_report_includes_collinearity(self):
         cfg = ConstructionConfig(d=4, m=30, n=100, seed=2, box_side=2, s=3)

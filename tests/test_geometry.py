@@ -3,6 +3,7 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from inclab import (
@@ -147,6 +148,25 @@ def _random_flat(rng: Random, d: int) -> Flat:
                 return Flat(d, rows, rhs)
             except InvalidInput:
                 continue
+
+
+class TestIntVector:
+    def test_integral_values_become_int(self):
+        v = IntVector([Fraction(4, 2), np.int64(-3), 2.0, 5])
+        assert v.coords == (2, -3, 2, 5)
+        assert all(type(c) is int for c in v.coords)
+
+    @pytest.mark.parametrize(
+        "coords", [[Fraction(1, 2), 1.9, 3], [1.9, 3], [0, Fraction(-7, 3)]]
+    )
+    def test_non_integral_coordinate_rejected(self, coords):
+        # int() would truncate these to a different vector
+        with pytest.raises(InvalidInput):
+            IntVector(coords)
+
+    def test_no_hyperplane_from_a_non_integral_normal(self):
+        with pytest.raises(InvalidInput):
+            make_hyperplane(IntVector([0.5, 1]), 3)
 
 
 class TestPrimitive:

@@ -1,5 +1,6 @@
 """Counting strategies, K_{s,t} search, and the reporting bound."""
 
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -205,7 +206,8 @@ def integral_values_are_int(values):
 def mixed_instances(draw):
     """Points and flats across the int64 cuts: rational points, offsets past
     2^62 on rows inside and outside the product bound, rational offsets,
-    duplicates, whole-space and 0-dimensional flats, empty point lists."""
+    duplicates, redundant hyperplane systems, whole-space and 0-dimensional
+    flats, empty point lists."""
     d = draw(st.integers(2, 3))
     point = st.tuples(*[coordinates()] * d).map(RatPoint)
     points = draw(st.lists(point, max_size=8))
@@ -214,8 +216,8 @@ def mixed_instances(draw):
     flats = []
     for _ in range(draw(st.integers(0, 8))):
         anchor = draw(st.sampled_from(points) if points else point)
-        kind = draw(st.sampled_from(("hyperplane", "shifted", "system", "point",
-                                     "whole", "duplicate")))
+        kind = draw(st.sampled_from(("hyperplane", "shifted", "system", "redundant",
+                                     "point", "whole", "duplicate")))
         if kind in ("hyperplane", "shifted"):
             normal = draw(st.tuples(*[coefficient] * d))
             if not any(normal):
@@ -229,6 +231,16 @@ def mixed_instances(draw):
                                  min_size=1, max_size=d))
             rhs = [sum(a * x for a, x in zip(r, anchor.coords)) for r in rows]
             flats.append(Flat(d, rows, rhs))
+        elif kind == "redundant":
+            # one hyperplane written as two proportional equations, or with
+            # an extra zero row (factor 0): counted as a non-hyperplane flat
+            normal = draw(st.tuples(*[coefficient] * d))
+            if not any(normal):
+                normal = (1,) + normal[1:]
+            offset = sum(a * x for a, x in zip(normal, anchor.coords))
+            factor = draw(st.sampled_from((0, -1, 3, Fraction(1, 2))))
+            flats.append(Flat(d, [normal, [factor * a for a in normal]],
+                              [offset, factor * offset]))
         elif kind == "point":
             identity = [[int(i == j) for j in range(d)] for i in range(d)]
             flats.append(Flat(d, identity, anchor.coords))
@@ -420,6 +432,32 @@ class TestFindKst:
             find_kst(inst, limit=1000)
         assert err.value.limit == 1000
         assert err.value.estimate is not None and err.value.estimate > 1000
+
+    def test_verdict_reads_each_outcome(self):
+        points = [P(x, y) for x in range(30) for y in range(30)]
+        flats = [make_hyperplane(IntVector((1, 0)), c) for c in range(30)]
+        witness = find_kst(IncidenceInstance(points, flats, 2, 1))
+        assert incidence.kst_verdict(IncidenceInstance(points, flats, 2, 1)) == (
+            "witness", witness, None)
+        assert incidence.kst_verdict(IncidenceInstance(points, flats, 2, 2)) == (
+            "free", None, None)
+        status, none, gave_up = incidence.kst_verdict(
+            IncidenceInstance(points, flats, 5, 2), limit=1000)
+        assert (status, none) == ("unverified", None)
+        assert isinstance(gave_up, ResourceLimit) and gave_up.limit == 1000
+
+    def test_unverified_verdict_keeps_no_instance_alive(self):
+        # the sweep drops each rung's instance, and its cached flat
+        # classification, before saving the rung; the returned
+        # ResourceLimit must not hold it through the search's frames
+        points = [P(x, y) for x in range(30) for y in range(30)]
+        flats = [make_hyperplane(IntVector((1, 0)), c) for c in range(30)]
+        inst = IncidenceInstance(points, flats, 5, 2)
+        alive = weakref.ref(inst)
+        status, _, gave_up = incidence.kst_verdict(inst, limit=1000)
+        del inst
+        assert status == "unverified" and gave_up is not None
+        assert alive() is None
 
     def test_witness_soundness_on_random_instances(self):
         rng = Random(707)

@@ -46,10 +46,26 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     # of its grouping helpers, directly or through a module-level helper
     _, names = _reach("incidence.py", "_count_naive")
     forbidden = {
-        "_hyperplane_key", "_count_hashed", "_flat_members", "_exact_dots",
+        "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
         "_value_counts", "unique",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
+
+
+def test_only_incidence_calls_the_kst_search():
+    # incidence.kst_verdict alone turns a find_kst result or its ResourceLimit
+    # into "witness", "free" or "unverified"; any other caller would spell
+    # the verdict again (the package __init__ only re-exports the name)
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name in ("incidence.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                    for a in n.names}
+        if "find_kst" in _referenced_names(tree) | imported:
+            found.append(path.name)
+    assert not found, f"find_kst named in {found}"
 
 
 def test_instance_writer_shares_no_code_with_the_reference_path():
