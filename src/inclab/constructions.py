@@ -30,13 +30,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, inf
+from math import inf
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import InvalidInput, InvariantViolation, SizeShortfall
 from .exponents import DimensionChain, DimPair, term_from_chain
 from .geometry import (
@@ -57,7 +56,9 @@ from .incidence import (
     _exact_dots,
     _int_point_matrix,
     _int_root_floor,
+    _max_subspace_weight,
     _members,
+    _span_equations,
     _value_counts,
     count_incidences,
     kst_verdict,
@@ -192,13 +193,6 @@ def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
 # ---------------------------------------------------------------------------
 
 
-def _span_equations(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
-    """Primitive integer equations of the linear span of ``vectors``."""
-    rows = [list(v) for v in vectors] or [[0] * dim]
-    basis = linalg.nullspace(rows)
-    return [linalg.integer_row_and_offset(row, 0)[0] for row in basis]
-
-
 def select_admissible_normals(
     candidates: Sequence[IntVector],
     flat_dim: int,
@@ -266,21 +260,10 @@ def measure_max_coverage(
 ) -> tuple[int, bool]:
     """Exact maximum number of ``vectors`` inside any linear subspace of
     dimension ``flat_dim``, by exhaustive search over spanning subsets."""
-    n = len(vectors)
-    if n == 0:
-        return 0, True
-    d = vectors[0].dim
-    if n <= flat_dim:
-        return n, True
-    estimate = comb(n, flat_dim) * (n * d + d**3)
-    if estimate > limit:
-        return n, False  # trivial bound; marked unverified above the size cap
-    split = _int_point_matrix(vectors)
-    best = 0
-    for subset in combinations(range(n), flat_dim):
-        eqs = [(eq, 0) for eq in _span_equations([vectors[i].coords for i in subset], d)]
-        best = max(best, len(_members(split, eqs)))
-    return best, True
+    coords = [v.coords for v in vectors]
+    best = _max_subspace_weight(coords, [1] * len(coords), flat_dim, limit)
+    # trivial bound; marked unverified above the size cap
+    return (len(vectors), False) if best is None else (best, True)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,14 @@ def _exact(x) -> int | Fraction:
     """``x`` as an ``int`` when integral, else as a ``Fraction``: an ``int``
     passes through, and anything else ``Fraction`` accepts (a ``Fraction``,
     ``bool``, numpy integer, string or float) is converted, so no numpy
-    scalar is ever stored."""
+    scalar is ever stored.  A non-finite float is :class:`InvalidInput`."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, OverflowError) as exc:  # nan and inf have no ratio
+            raise InvalidInput(f"not an exact number: {x!r}") from exc
     return int(x.numerator) if x.denominator == 1 else x
 
 

@@ -17,8 +17,16 @@ Two interchangeable counting strategies are provided and must always agree:
   ``int`` when integral and a ``Fraction`` only when not.
 
 An instance splits its points and classifies its flats once, for every
-count and the masks.  All counts are exact; there is no tolerance anywhere
-in this module.
+count, the K_{s,t} certificate and the masks.  All counts are exact; there
+is no tolerance anywhere in this module.
+
+K_{s,t} freeness is settled by one of two exact paths.  The certificate
+reads the hyperplane groups: s points that are not all one point have
+their common hyperplanes' normals in one (d-1)-dimensional linear
+subspace, so a bound on the flats they can share comes from the normals
+and the per-offset point counts, without enumerating any subset.  When
+that bound is below t the instance is free; otherwise a pruned search over
+point or flat subsets of the incidence masks runs, within a work budget.
 """
 
 from __future__ import annotations
@@ -29,11 +37,13 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import comb, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
 from .geometry import Flat, IntVector, RatPoint, contains
 
@@ -80,15 +90,27 @@ class IncidenceInstance:
 
     @cached_property
     def _grouping(self) -> _Grouping:
-        """The flats classified once per instance, for the hashed counts and
-        the incidence masks of the K_{s,t} search; kept while the instance
-        lives."""
+        """The flats classified once per instance, for the hashed counts,
+        the K_{s,t} certificate and the incidence masks of the K_{s,t}
+        search; kept while the instance lives."""
         return _group_flats(self.flats)
 
     @cached_property
     def _split(self) -> _PointSplit:
         """The points split once per instance, for every count and the masks."""
         return _int_point_matrix(self.points)
+
+    @cached_property
+    def _offset_counts(self) -> dict[tuple[int, ...], dict[int | Fraction, int]]:
+        """For each hyperplane group, the number of points at each of its
+        offsets: one pass over the points per normal, for the hashed counts
+        and the K_{s,t} certificate."""
+        split = self._split
+        out = {}
+        for normal, by_offset in self._grouping[0].items():
+            counts = _value_counts(_exact_dots(split, normal))
+            out[normal] = {offset: counts.get(offset, 0) for offset in by_offset}
+        return out
 
 
 @dataclass(frozen=True)
@@ -199,22 +221,38 @@ class _PointSplit(NamedTuple):
 
 def _int_point_matrix(points: Sequence[RatPoint | IntVector]) -> _PointSplit:
     """Split points, or integer vectors, for :func:`_exact_dots`."""
-    mat_rows: list[list[int]] = []
+    return _split_coords([p.coords for p in points], points[0].dim if points else 0)
+
+
+def _split_coords(coords: Sequence[tuple[int | Fraction, ...]], dim: int) -> _PointSplit:
+    """:func:`_int_point_matrix` of the exact coordinate tuples ``coords``.
+
+    One ``np.array`` of every coordinate when numpy reads them all as int64
+    within 2^62; otherwise point by point.
+    """
+    if coords:
+        # Fractions and ints past int64 make an object or float array
+        matrix = np.array(coords)
+        # two bounds, not np.abs: abs(-2^63) wraps to itself in int64
+        if matrix.dtype == np.int64 and (
+            (matrix >= -_INT64_SAFE) & (matrix <= _INT64_SAFE)
+        ).all():
+            max_abs = max(int(matrix.max()), -int(matrix.min()))
+            return _PointSplit(matrix, list(range(len(coords))), {}, max_abs)
+    mat_rows: list[tuple[int, ...]] = []
     mat_idx: list[int] = []
     leftover: dict[int, tuple[tuple[int, ...], int]] = {}
     max_abs = 0
-    for i, p in enumerate(points):
-        coords = p.coords
-        if all(type(c) is int for c in coords):
-            m = max(map(abs, coords))
+    for i, cs in enumerate(coords):
+        if all(type(c) is int for c in cs):
+            m = max(map(abs, cs))
             if m <= _INT64_SAFE:
                 max_abs = max(max_abs, m)
-                mat_rows.append(coords)
+                mat_rows.append(cs)
                 mat_idx.append(i)
                 continue
-        den = lcm(*(c.denominator for c in coords))
-        leftover[i] = tuple(c.numerator * (den // c.denominator) for c in coords), den
-    dim = points[0].dim if points else 0
+        den = lcm(*(c.denominator for c in cs))
+        leftover[i] = tuple(c.numerator * (den // c.denominator) for c in cs), den
     matrix = np.array(mat_rows, dtype=np.int64).reshape(len(mat_rows), dim)
     return _PointSplit(matrix, mat_idx, leftover, max_abs)
 
@@ -277,16 +315,16 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
     """Incidences between the points and ``inst.flats[:stop]``, from the
     instance's one classification of all its flats."""
     groups, others = inst._grouping
-    split = inst._split
+    offset_counts = inst._offset_counts
     total = 0
     for normal, by_offset in groups.items():
-        counts = _value_counts(_exact_dots(split, normal))
+        counts = offset_counts[normal]
         # flat indices ascend within each list, so bisect counts those < stop
         for offset, flat_ids in by_offset.items():
-            total += counts.get(offset, 0) * bisect_left(flat_ids, stop)
+            total += counts[offset] * bisect_left(flat_ids, stop)
     for j in others:
         if j < stop:
-            total += len(_members(split, inst.flats[j].integer_equations()))
+            total += len(_members(inst._split, inst.flats[j].integer_equations()))
     return total
 
 
@@ -302,6 +340,99 @@ def _members(
             return np.zeros(0, dtype=np.intp)  # no integer point reaches a rational offset
         on &= dots == offset
     return np.flatnonzero(on)
+
+
+# ---------------------------------------------------------------------------
+# subspace coverage and the K_{s,t} certificate from the normal groups
+# ---------------------------------------------------------------------------
+
+
+def _span_equations(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
+    """Primitive integer equations of the linear span of ``vectors``."""
+    rows = [list(v) for v in vectors] or [[0] * dim]
+    basis = linalg.nullspace(rows)
+    return [linalg.integer_row_and_offset(row, 0)[0] for row in basis]
+
+
+def _max_subspace_weight(
+    vectors: Sequence[tuple[int, ...]], weights: Sequence[int], flat_dim: int, limit: int
+) -> int | None:
+    """Largest total weight of the integer ``vectors`` inside one linear
+    subspace of dimension ``flat_dim``, by exhaustive search over spanning
+    subsets; ``None`` when that search would exceed ``limit`` work.
+
+    Exact for nonnegative weights: every subset spans at most ``flat_dim``
+    dimensions, and the vectors inside a ``flat_dim``-subspace, completed to
+    ``flat_dim`` vectors, span a subspace holding all of them (dependent
+    subsets included).
+    """
+    n = len(vectors)
+    if n <= flat_dim:
+        return sum(weights)
+    d = len(vectors[0])
+    if comb(n, flat_dim) * (n * d + d**3) > limit:
+        return None
+    split = _split_coords(vectors, d)
+    w = np.array(weights, dtype=np.int64)
+    best = 0
+    for subset in combinations(range(n), flat_dim):
+        eqs = [(eq, 0) for eq in _span_equations([vectors[i] for i in subset], d)]
+        best = max(best, int(w[_members(split, eqs)].sum()))
+    return best
+
+
+def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
+    """Why the normal-group certificate cannot show ``inst`` K_{s,t}-free,
+    or ``None`` when it does.
+
+    s points that are not all one point span a flat of dimension at least
+    1, so every hyperplane through them has its normal in one linear
+    subspace of dimension d-1, and all of them with one normal g share one
+    offset.  They meet at most w_g of the group with normal g, the most
+    flats at one (g, offset) whose bucket holds s points or more, and at
+    most every non-hyperplane flat.  When the largest total w_g inside a
+    (d-1)-subspace, plus the non-hyperplane flats, is below t, no K_{s,t}
+    exists.  Reads the instance's one point split and its cached offset
+    counts; builds no incidence masks.
+    """
+    groups, others = inst._grouping
+    s, t = inst.s, inst.t
+    if len(others) >= t:
+        return f"certificate bound reaches t={t}: {len(others)} non-hyperplane flats"
+    # one dot pass per group and the point tally, each counted in the
+    # 64-point words the search estimate counts
+    cost = (len(groups) + 1) * max(1, -(-len(inst.points) // 64))
+    if cost > limit:
+        return "certificate over budget"
+    repeat = _max_point_multiplicity(inst._split)
+    if repeat >= s:
+        return f"certificate void: one point occurs {repeat} times, s={s}"
+    weights = {}
+    for normal, by_offset in groups.items():
+        counts = inst._offset_counts[normal]
+        w = max((len(ids) for c, ids in by_offset.items() if counts[c] >= s), default=0)
+        if w:
+            weights[normal] = w
+    best = _max_subspace_weight(
+        list(weights), list(weights.values()), inst.ambient_dim - 1, limit - cost
+    )
+    if best is None:
+        return "certificate over budget"
+    bound = best + len(others)
+    return None if bound < t else f"certificate bound {bound} reaches t={t}"
+
+
+def _max_point_multiplicity(split: _PointSplit) -> int:
+    """The most times one point value occurs among the split points."""
+    matrix, _, leftover, _ = split
+    # (numerators, denominator) is one form per value, and no leftover
+    # point equals a matrix row
+    top = max(Counter(leftover.values()).values(), default=0)
+    if len(matrix):
+        rows = matrix[np.lexsort(matrix.T)]  # equal rows become runs
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        top = max(top, int(np.diff(np.r_[starts, len(rows)]).max()))
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +480,15 @@ def find_kst(
 ) -> KstWitness | None:
     """A K_{s,t} witness (s points on t common flats) or ``None``.
 
-    The search side (point subsets vs flat subsets) is chosen by comparing
-    estimated costs.  The first witness in index order is returned, so the
-    result is deterministic.  Raises :class:`ResourceLimit` when both sides
-    exceed ``limit`` elementary comparisons.
+    First the normal-group certificate (:func:`_certificate_gap`) may show
+    the instance free without enumerating any subset, when it costs no
+    more than ``limit`` and the search.  Otherwise the search side (point
+    subsets vs flat subsets) is chosen by comparing estimated costs, and
+    the first witness in index order is returned, so the result is
+    deterministic.  Raises :class:`ResourceLimit` only when neither the
+    certificate nor the search settles the instance: the certificate does
+    not apply or is over budget, and both sides exceed ``limit``
+    elementary comparisons.  Its message says why the certificate did not.
     """
     m, n = len(inst.points), len(inst.flats)
     s, t = inst.s, inst.t
@@ -362,12 +498,17 @@ def find_kst(
     point_words = max(1, -(-m // 64))
     cost_points = comb(m, s) * flat_words
     cost_flats = comb(n, t) * point_words
-    if min(cost_points, cost_flats) > limit:
+    search = min(cost_points, cost_flats)
+    # the certificate may cost no more than the search it would spare
+    gap = _certificate_gap(inst, min(limit, search))
+    if gap is None:
+        return None
+    if search > limit:
         raise ResourceLimit(
-            f"K_{{{s},{t}}} search needs ~{min(cost_points, cost_flats):.3g} comparisons,"
-            f" over the budget of {limit}",
+            f"K_{{{s},{t}}} search needs ~{search:.3g} comparisons,"
+            f" over the budget of {limit} ({gap})",
             limit=limit,
-            estimate=min(cost_points, cost_flats),
+            estimate=search,
         )
     witness = _search_kst(inst, "points" if cost_points <= cost_flats else "flats")
     if witness is not None:

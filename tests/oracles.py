@@ -153,6 +153,37 @@ def first_kst_bruteforce(points, flats, s: int, t: int, side: str):
     return None
 
 
+def max_subspace_weight_bruteforce(vectors, weights, flat_dim: int) -> int:
+    """Largest total weight of a subset of ``vectors`` whose rank is at most
+    ``flat_dim``, over every subset, by minor rank."""
+    best = 0
+    for size in range(len(vectors) + 1):
+        for subset in combinations(range(len(vectors)), size):
+            if minor_rank([list(vectors[i]) for i in subset]) <= flat_dim:
+                best = max(best, sum(weights[i] for i in subset))
+    return best
+
+
+def point_split_loop(points):
+    """A point split made one coordinate at a time: the integer points
+    within 2^62 as rows with their point indices, every other point as
+    (numerators, least common denominator), and the largest entry of the
+    rows in absolute value."""
+    rows, indices, leftover, max_abs = [], [], {}, 0
+    for i, p in enumerate(points):
+        coords = [Fraction(c) for c in p.coords]
+        if all(c.denominator == 1 and abs(c) <= 2**62 for c in coords):
+            rows.append([int(c) for c in coords])
+            indices.append(i)
+            max_abs = max([max_abs] + [abs(int(c)) for c in coords])
+            continue
+        den = 1
+        for c in coords:
+            den = den * c.denominator // gcd_euclid(den, c.denominator)
+        leftover[i] = (tuple(int(c * den) for c in coords), den)
+    return rows, indices, leftover, max_abs
+
+
 def lattice_points_product(d: int, m: int) -> list[tuple[int, ...]]:
     """The first m points of the smallest grid {0, ..., g-1}^d holding m,
     in ``itertools.product`` order."""

@@ -103,7 +103,8 @@ class TestConstructVerifyRoundTrip:
 
     def test_verify_plain_instance_over_the_search_budget(self, capsys, tmp_path):
         # 5200 points on as many parallel lines, one line each: C(5200, 2)
-        # pairs times 82 mask words just exceeds the default budget
+        # pairs times 82 mask words just exceeds the default budget, and
+        # one flat per (normal, offset) certifies K_{2,2}-freeness instead
         size = 5200
         doc = {
             "schema": 1,
@@ -122,8 +123,20 @@ class TestConstructVerifyRoundTrip:
             "naive_count": size,
             "hashed_count": size,
             "counts_agree": True,
+            "kst_status": "free",
+        }
+        # the first point twice: two copies of one point void the certificate
+        doc["points"].append(doc["points"][0])
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--s", "2", "--t", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "naive_count": size + 1,
+            "hashed_count": size + 1,
+            "counts_agree": True,
             "kst_status": "unverified (K_{2,2} search needs ~1.11e+09 comparisons,"
-                          " over the budget of 1000000000)",
+                          " over the budget of 1000000000"
+                          " (certificate void: one point occurs 2 times, s=2))",
         }
 
 

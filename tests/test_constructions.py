@@ -1,5 +1,6 @@
 """Generators: grids, admissible normals, spheres, embeddings."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -571,12 +572,20 @@ class TestVerifyConstruction:
     def test_unverified_search_is_noted(self):
         out = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))
         assert out.t_measured + 1 == 2
-        # C(49, 2) point pairs of one mask word each, under C(60, 2) flat pairs
+        # C(49, 2) point pairs of one mask word each are over 100, but one
+        # flat per (normal, offset) certifies K_{2,2}-freeness within it
         report = verify_construction(out, 2, 2, kst_limit=100)
+        assert (report.kst_status, report.witness, report.notes) == ("free", None, ())
+        # a second copy of a core line through two points reaches t = 2, so
+        # the certificate gives way to the search, which is over budget
+        line = next(f for f in out.flats[: out.padding_start]
+                    if sum(contains(f, p) for p in out.points) >= 2)
+        doubled = replace(out, flats=out.flats + (line,))
+        report = verify_construction(doubled, 2, 2, kst_limit=100)
         assert (report.kst_status, report.witness) == ("unverified", None)
         assert report.notes == (
             "K_{2,2} search unverified: K_{2,2} search needs ~1.18e+03 comparisons,"
-            " over the budget of 100",
+            " over the budget of 100 (certificate bound 2 reaches t=2)",
         )
         assert report.counts_agree and report.matches_predicted
 

@@ -9,6 +9,7 @@ import pytest
 from inclab import InvalidInput, SweepFailed, SweepSpec, fit_power_law, run_sweep
 from inclab.serialization import load_instance
 from inclab import count_incidences
+from inclab.experiments import SWEEP_KST_LIMIT, _measure_rung
 
 
 VALID_SPEC = {"construction": "a", "d": 2, "ladder": [[16, 30], [64, 60], [256, 120]]}
@@ -127,6 +128,14 @@ class TestRunSweep:
             assert rung["kst_bound_ratio"] > 0
         assert report["fit"]["kind"] in ("composite", "two_variable")
         assert (tmp_path / "report.json").exists()
+
+    def test_grid_rung_at_4096_is_certified_free(self):
+        # the subset search would need C(4096, 2) pairs of 64 mask words,
+        # over the sweep budget; the normal-group certificate settles it
+        spec = self.small_spec(seed=1, ladder=((256, 256), (1024, 1024), (4096, 4096)))
+        rung = _measure_rung(spec, 2, 4096, 4096, None)
+        assert math.comb(rung["m_actual"], 2) * -(-rung["n_actual"] // 64) > SWEEP_KST_LIMIT
+        assert rung["kst_status"] == "free"
 
     def test_rung_instances_rederivable(self, tmp_path):
         report = run_sweep(self.small_spec(), output=tmp_path / "report.json")

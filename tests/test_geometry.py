@@ -169,6 +169,26 @@ class TestIntVector:
             make_hyperplane(IntVector([0.5, 1]), 3)
 
 
+class TestNonFiniteValues:
+    # nan and inf have no exact ratio; Fraction raises ValueError or
+    # OverflowError for them, which must surface as InvalidInput
+    def test_point_with_nan_rejected(self):
+        with pytest.raises(InvalidInput):
+            RatPoint([float("nan"), 1])
+
+    def test_vector_with_inf_rejected(self):
+        with pytest.raises(InvalidInput):
+            IntVector([float("inf"), 1])
+
+    def test_flat_with_nan_coefficient_rejected(self):
+        with pytest.raises(InvalidInput):
+            Flat(2, [[float("nan"), 1]], [0])
+
+    def test_flat_with_infinite_offset_rejected(self):
+        with pytest.raises(InvalidInput):
+            Flat(2, [[1, 1]], [float("-inf")])
+
+
 class TestPrimitive:
     def test_spec_examples(self):
         assert not is_primitive(IntVector((2, 4)))

@@ -26,7 +26,13 @@ from inclab import (
     make_hyperplane,
 )
 
-from oracles import count_incidences_direct, first_kst_bruteforce, int_root_floor
+from oracles import (
+    count_incidences_direct,
+    first_kst_bruteforce,
+    int_root_floor,
+    max_subspace_weight_bruteforce,
+    point_split_loop,
+)
 
 
 def P(*coords):
@@ -427,11 +433,19 @@ class TestFindKst:
     def test_resource_limit_reports_budget(self):
         points = [P(x, y) for x in range(30) for y in range(30)]
         flats = [make_hyperplane(IntVector((1, 0)), c) for c in range(30)]
+        # C(900, 5) point subsets are far over 1000, but one normal group
+        # with one flat per offset certifies K_{5,2}-freeness
+        assert find_kst(IncidenceInstance(points, flats, 5, 2), limit=1000) is None
+        # two point flats, as many as t, leave the certificate no room
+        flats += [Flat(2, [[1, 0], [0, 1]], [0, 0]), Flat(2, [[1, 0], [0, 1]], [1, 1])]
         inst = IncidenceInstance(points, flats, 5, 2)
         with pytest.raises(ResourceLimit) as err:
             find_kst(inst, limit=1000)
         assert err.value.limit == 1000
         assert err.value.estimate is not None and err.value.estimate > 1000
+        assert str(err.value).endswith(
+            "over the budget of 1000"
+            " (certificate bound reaches t=2: 2 non-hyperplane flats)")
 
     def test_verdict_reads_each_outcome(self):
         points = [P(x, y) for x in range(30) for y in range(30)]
@@ -441,10 +455,15 @@ class TestFindKst:
             "witness", witness, None)
         assert incidence.kst_verdict(IncidenceInstance(points, flats, 2, 2)) == (
             "free", None, None)
+        assert incidence.kst_verdict(IncidenceInstance(points, flats, 5, 2), limit=1000) == (
+            "free", None, None)
+        # one point five times: s copies of it would be one point, on which
+        # the normal argument says nothing
         status, none, gave_up = incidence.kst_verdict(
-            IncidenceInstance(points, flats, 5, 2), limit=1000)
+            IncidenceInstance(points + [P(0, 0)] * 4, flats, 5, 2), limit=1000)
         assert (status, none) == ("unverified", None)
         assert isinstance(gave_up, ResourceLimit) and gave_up.limit == 1000
+        assert str(gave_up).endswith("(certificate void: one point occurs 5 times, s=5)")
 
     def test_unverified_verdict_keeps_no_instance_alive(self):
         # the sweep drops each rung's instance, and its cached flat
@@ -456,7 +475,15 @@ class TestFindKst:
         alive = weakref.ref(inst)
         status, _, gave_up = incidence.kst_verdict(inst, limit=1000)
         del inst
+        assert status == "free" and gave_up is None
+        assert alive() is None
+        # a doubled line through 30 points: w_g = 2 reaches t
+        inst = IncidenceInstance(points, flats + flats[:1], 5, 2)
+        alive = weakref.ref(inst)
+        status, _, gave_up = incidence.kst_verdict(inst, limit=1000)
+        del inst
         assert status == "unverified" and gave_up is not None
+        assert str(gave_up).endswith("(certificate bound 2 reaches t=2)")
         assert alive() is None
 
     def test_witness_soundness_on_random_instances(self):
@@ -536,6 +563,115 @@ class TestFindKst:
         _check_witness(inst, KstWitness((0, 1), (0,)))
         with pytest.raises(InvariantViolation):
             _check_witness(inst, KstWitness((0, 2), (0,)))
+
+
+@st.composite
+def certificate_instances(draw):
+    """Small instances for the K_{s,t} certificate in R^2..R^4: rational and
+    repeated points, hyperplanes through the points with non-primitive
+    normals and duplicates, point-free padding hyperplanes, and lines and
+    point flats that are not hyperplanes."""
+    d = draw(st.integers(2, 4))
+    value = st.one_of(st.integers(0, 2),
+                      st.builds(Fraction, st.integers(-3, 3), st.sampled_from((2, 3))))
+    points = draw(st.lists(st.tuples(*[value] * d).map(RatPoint), min_size=2, max_size=7))
+    if draw(st.integers(0, 3)) == 0:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))  # repeated points
+    normal = st.tuples(*[st.integers(-2, 2)] * d).filter(any)
+    flats = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("through", "through", "through", "padding",
+                                     "duplicate", "duplicate", "line", "point")))
+        anchor = draw(st.sampled_from(points))
+        if kind == "padding":
+            a = draw(normal)
+            reach = max(abs(sum(x * c for x, c in zip(a, p.coords))) for p in points)
+            flats.append(Flat(d, [a], [reach + 1]))
+        elif kind == "duplicate" and flats:
+            flats.append(draw(st.sampled_from(flats)))
+        elif kind == "line":
+            rows = [draw(normal) for _ in range(d - 1)]
+            flats.append(Flat(d, rows, [sum(x * c for x, c in zip(r, anchor.coords))
+                                        for r in rows]))
+        elif kind == "point":
+            identity = [[int(i == j) for j in range(d)] for i in range(d)]
+            flats.append(Flat(d, identity, anchor.coords))
+        else:
+            a = draw(normal)
+            flats.append(Flat(d, [a], [sum(x * c for x, c in zip(a, anchor.coords))]))
+    return points, flats, draw(st.integers(2, 4)), draw(st.integers(1, 4))
+
+
+class TestKstCertificate:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(certificate_instances())
+    def test_a_certified_free_instance_has_no_witness(self, case):
+        points, flats, s, t = case
+        inst = IncidenceInstance(points, flats, s, t)
+        if incidence._certificate_gap(inst, incidence.DEFAULT_COMPARISON_LIMIT) is None:
+            assert first_kst_bruteforce(points, flats, s, t, "points") is None
+            assert find_kst(inst) is None
+
+    def test_duplicate_hyperplanes_count_with_multiplicity(self):
+        # a doubled line through two points is a K_{2,2}; a weight of 1 per
+        # (normal, offset) in place of its multiplicity would call it free
+        points = [P(0, 0), P(1, 1), P(5, 0)]
+        line = make_hyperplane(IntVector((1, -1)), 0)
+        inst = IncidenceInstance(points, [line, line], 2, 2)
+        assert first_kst_bruteforce(points, [line, line], 2, 2, "points") == ((0, 1), (0, 1))
+        gap = incidence._certificate_gap(inst, incidence.DEFAULT_COMPARISON_LIMIT)
+        assert gap == "certificate bound 2 reaches t=2"
+        assert find_kst(inst) == KstWitness((0, 1), (0, 1))
+
+    def test_normals_in_one_subspace_add_up(self):
+        # three planes through the x-axis of R^3 share its points: their
+        # normals lie in the plane x = 0, so the bound is 3
+        points = [P(x, 0, 0) for x in range(4)] + [P(0, 1, 1)]
+        flats = [make_hyperplane(IntVector(v), 0) for v in ((0, 1, 0), (0, 0, 1), (0, 1, 1))]
+        assert incidence._certificate_gap(IncidenceInstance(points, flats, 2, 3), 10**9) == (
+            "certificate bound 3 reaches t=3")
+        assert incidence._certificate_gap(IncidenceInstance(points, flats, 2, 4), 10**9) is None
+        assert find_kst(IncidenceInstance(points, flats, 4, 3)) == KstWitness(
+            (0, 1, 2, 3), (0, 1, 2))
+
+    def test_certificate_over_budget_falls_back_to_the_search(self):
+        points = [P(x, y) for x in range(3) for y in range(3)]
+        flats = [make_hyperplane(IntVector((1, 0)), c) for c in range(3)]
+        inst = IncidenceInstance(points, flats, 2, 2)
+        assert incidence._certificate_gap(inst, 1) == "certificate over budget"
+        assert incidence._certificate_gap(inst, 2) is None
+        with pytest.raises(ResourceLimit) as err:
+            find_kst(inst, limit=1)
+        assert str(err.value).endswith("over the budget of 1 (certificate over budget)")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * d).filter(any), max_size=6),
+        st.integers(1, d - 1))), st.data())
+    def test_subspace_weight_matches_the_rank_oracle(self, case, data):
+        vectors, flat_dim = case
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(vectors),
+                                     max_size=len(vectors)))
+        got = incidence._max_subspace_weight(vectors, weights, flat_dim, 10**9)
+        assert got == max_subspace_weight_bruteforce(vectors, weights, flat_dim)
+
+
+SPLIT_VALUES = (0, 1, -7, 2**62, -(2**62), 2**62 + 1, -(2**62) - 1, -(2**63), 2**63,
+                Fraction(1, 2), Fraction(-5, 3))
+
+
+class TestPointSplit:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.one_of(st.integers(-3, 3), st.sampled_from(SPLIT_VALUES))] * d)
+        .map(RatPoint), min_size=1, max_size=6)))
+    def test_split_equals_the_point_by_point_loop(self, points):
+        split = incidence._int_point_matrix(points)
+        rows, indices, leftover, max_abs = point_split_loop(points)
+        assert split.matrix.dtype == np.int64
+        assert split.matrix.shape == (len(rows), points[0].dim)
+        assert split.matrix.tolist() == rows
+        assert (split.rows, split.leftover, split.max_abs) == (indices, leftover, max_abs)
 
 
 class TestBoundValue:

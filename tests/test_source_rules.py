@@ -25,10 +25,14 @@ def _referenced_names(node) -> set[str]:
 
 
 def _reach(module: str, start: str) -> tuple[set[str], set[str]]:
-    """The module-level functions of ``module`` that ``start`` reaches,
+    """The module-level functions of ``module``, and the non-dunder methods
+    of its classes (such as cached properties), that ``start`` reaches,
     directly or through each other, and every name those reference."""
     tree = ast.parse((SOURCE / module).read_text())
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        functions.update({n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)
+                          and not n.name.startswith("__")})
     seen, todo, names = set(), [start], set()
     while todo:
         name = todo.pop()
@@ -50,6 +54,16 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
         "_value_counts", "unique",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
+
+
+def test_kst_certificate_builds_no_masks():
+    # the normal-group certificate is an independent path to "free": it may
+    # not reach the masks or the subset search that it stands in for
+    reached, names = _reach("incidence.py", "_certificate_gap")
+    assert "_offset_counts" in reached  # the rule follows the cached properties
+    forbidden = {"_grouped_masks", "_first_common_subset", "_search_kst"}
+    found = (reached | names) & forbidden
+    assert not found, f"_certificate_gap reaches {sorted(found)}"
 
 
 def test_only_incidence_calls_the_kst_search():
