@@ -145,17 +145,21 @@ class Flat:
                 raise InvalidInput("equation width does not match ambient dimension")
         if len(eqs) == 1 and any(eqs[0]):
             d = ambient_dim - 1  # a hyperplane: no elimination needed
+            echelon = None
         else:
             # consistency and rank from the pivots alone; a lone zero row
             # has no pivot, or one in the constants column when b != 0
-            _, pivots = linalg.integer_rref([row + (c,) for row, c in zip(eqs, b)])
-            if ambient_dim in pivots:
+            echelon = linalg.integer_rref([row + (c,) for row, c in zip(eqs, b)])
+            if ambient_dim in echelon[1]:
                 raise InvalidInput("inconsistent system does not define a flat")
-            d = ambient_dim - len(pivots)
+            d = ambient_dim - len(echelon[1])
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "equations", eqs)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "dim", d)
+        # not a field: kept out of equality, hashing and repr, and read by
+        # solution() in place of a second elimination
+        object.__setattr__(self, "_echelon", echelon)
 
     def contains(self, p: RatPoint) -> bool:
         return contains(self, p)
@@ -165,7 +169,10 @@ class Flat:
         if not self.equations:
             d = self.ambient_dim
             return RatPoint([0] * d), [[int(i == j) for j in range(d)] for i in range(d)]
-        solved = linalg.solve_affine(self.equations, self.rhs)
+        echelon = self._echelon
+        if echelon is None:  # a hyperplane: its one row is not reduced yet
+            echelon = linalg.integer_rref([self.equations[0] + self.rhs])
+        solved = linalg.solve_rref(*echelon, self.ambient_dim)
         if solved is None:
             raise InvariantViolation("a constructed flat became inconsistent")
         particular, basis = solved
@@ -334,6 +341,12 @@ def generic_extension(
     randomness.  When ``within`` is given (a flat containing ``h``), the
     draw is accepted only if the extension meets ``within`` exactly in
     ``h``; degenerate draws are retried, never emitted.
+
+    Both guard checks are exact linear checks on vectors at hand
+    (:func:`_holds`, :func:`_meets_only_in_base`), not intersections.
+    Each draw runs three eliminations (the direction nullspace, the
+    candidate flat and one rank); ``h.solution()`` runs one more only when
+    ``h`` is a hyperplane.
     """
     if ambient_dim != h.ambient_dim:
         raise InvalidInput("flat does not live in the stated ambient dimension")
@@ -341,41 +354,60 @@ def generic_extension(
         raise InvalidInput(
             f"target dimension must satisfy {h.dim} < k < {ambient_dim}, got {target_dim}"
         )
+    base_point, base_dirs = h.solution()
     if within is not None:
         if within.ambient_dim != ambient_dim:
             raise InvalidInput("guard flat lives in a different ambient dimension")
-        meet = intersect(h, within)
-        # meet = h & within lies inside h, so it is h exactly when the dims agree
-        if meet is None or meet.dim != h.dim:
+        if not _holds(within, base_point, base_dirs):
             raise InvalidInput("guard flat must contain the flat being extended")
     rng = seed if isinstance(seed, Random) else Random(seed)
-    base_point, base_dirs = h.solution()
     extra = target_dim - h.dim
     for _ in range(retry_budget):
-        directions = [list(v) for v in base_dirs]
-        for _ in range(extra):
-            directions.append(
-                [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
-            )
-        normal_rows = linalg.nullspace(directions)
+        drawn = [
+            [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
+            for _ in range(extra)
+        ]
+        normal_rows = linalg.nullspace([list(v) for v in base_dirs] + drawn)
         if ambient_dim - len(normal_rows) != target_dim:
             continue  # the drawn directions are dependent
-        rhs = [
-            sum(a * x for a, x in zip(row, base_point.coords)) for row in normal_rows
-        ]
+        rhs = [_dot(row, base_point.coords) for row in normal_rows]
         candidate = Flat(ambient_dim, normal_rows, rhs)
         if candidate.dim != target_dim:
             continue
-        if within is not None:
-            meet = intersect(candidate, within)
-            # candidate contains h by construction and within contains h, so
-            # meet contains h; it is h exactly when the dims agree
-            if meet is None or meet.dim != h.dim:
-                continue
+        if within is not None and not _meets_only_in_base(within, drawn):
+            continue  # the extension meets within in more than h
         return candidate
     raise DegenerateRandomness(
         f"no verified generic extension after {retry_budget} draws"
     )
+
+
+def _holds(outer: Flat, point: RatPoint, directions: Sequence[Sequence]) -> bool:
+    """Whether ``outer`` contains the flat through ``point`` whose direction
+    space ``directions`` span: it holds the point, and its equations vanish
+    on every direction."""
+    return contains(outer, point) and not any(
+        _dot(row, v) for row in outer.equations for v in directions
+    )
+
+
+def _meets_only_in_base(within: Flat, drawn: Sequence[Sequence[int]]) -> bool:
+    """For a flat h inside ``within``: whether h extended by the directions
+    ``drawn`` gains their full dimension and meets ``within`` in h alone.
+
+    A point p + u + e of the extension (p on h, u along h, e in the span of
+    E = ``drawn``) lies in ``within`` exactly when W e = 0, W the equations
+    of ``within``, since W vanishes on h's directions.  So both hold exactly
+    when W E c is nonzero for every nonzero coefficient vector c (a c with
+    E c = 0, or with E c along h, has W E c = 0): when W E has rank
+    ``len(drawn)``.
+    """
+    rows = [[_dot(row, e) for e in drawn] for row in within.equations]
+    return linalg.rank(rows) == len(drawn)
+
+
+def _dot(a: Sequence, b: Sequence) -> int | Fraction:
+    return sum(x * y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ is no tolerance anywhere in this module.
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
 reads the hyperplane groups: s points that are not all one point have
 their common hyperplanes' normals in one (d-1)-dimensional linear
-subspace, so a bound on the flats they can share comes from the normals
-and the per-offset point counts, without enumerating any subset.  When
-that bound is below t the instance is free; otherwise a pruned search over
-point or flat subsets of the incidence masks runs, within a work budget.
+subspace, so a bound on the hyperplanes they can share comes from the
+normals and the per-offset point counts, without enumerating any point
+subset.  The other flats they share are tallied exactly from the
+s-subsets of each such flat's member list.  When the sum of the two is
+below t the instance is free; otherwise a pruned search over point or
+flat subsets of the incidence masks runs, within a work budget.
 """
 
 from __future__ import annotations
@@ -111,6 +113,17 @@ class IncidenceInstance:
             counts = _value_counts(_exact_dots(split, normal))
             out[normal] = {offset: counts.get(offset, 0) for offset in by_offset}
         return out
+
+    @cached_property
+    def _other_members(self) -> dict[int, list[int]]:
+        """For each flat that is not a hyperplane, the indices of its points,
+        ascending: one membership pass per flat, for the hashed counts, the
+        K_{s,t} certificate and the incidence masks."""
+        split = self._split
+        return {
+            j: _members(split, self.flats[j].integer_equations()).tolist()
+            for j in self._grouping[1]
+        }
 
 
 @dataclass(frozen=True)
@@ -313,8 +326,8 @@ def _group_flats(flats: Sequence[Flat]) -> _Grouping:
 
 def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
     """Incidences between the points and ``inst.flats[:stop]``, from the
-    instance's one classification of all its flats."""
-    groups, others = inst._grouping
+    instance's one classification of all its flats and its member lists."""
+    groups = inst._grouping[0]
     offset_counts = inst._offset_counts
     total = 0
     for normal, by_offset in groups.items():
@@ -322,9 +335,9 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
         # flat indices ascend within each list, so bisect counts those < stop
         for offset, flat_ids in by_offset.items():
             total += counts[offset] * bisect_left(flat_ids, stop)
-    for j in others:
+    for j, members in inst._other_members.items():
         if j < stop:
-            total += len(_members(inst._split, inst.flats[j].integer_equations()))
+            total += len(members)
     return total
 
 
@@ -382,31 +395,40 @@ def _max_subspace_weight(
 
 
 def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
-    """Why the normal-group certificate cannot show ``inst`` K_{s,t}-free,
-    or ``None`` when it does.
+    """Why the certificate cannot show ``inst`` K_{s,t}-free, or ``None``
+    when it does.
 
     s points that are not all one point span a flat of dimension at least
     1, so every hyperplane through them has its normal in one linear
     subspace of dimension d-1, and all of them with one normal g share one
     offset.  They meet at most w_g of the group with normal g, the most
-    flats at one (g, offset) whose bucket holds s points or more, and at
-    most every non-hyperplane flat.  When the largest total w_g inside a
-    (d-1)-subspace, plus the non-hyperplane flats, is below t, no K_{s,t}
-    exists.  Reads the instance's one point split and its cached offset
-    counts; builds no incidence masks.
+    flats at one (g, offset) whose bucket holds s points or more.  The
+    other flats they share are counted exactly: a tally of the s-subsets
+    of each non-hyperplane flat's member list gives the most such flats
+    sharing one s-subset.  When the largest total w_g inside a
+    (d-1)-subspace, plus that tally's maximum, is below t, no K_{s,t}
+    exists.  Reads the instance's one point split, its cached offset
+    counts and member lists; builds no incidence masks.
     """
     groups, others = inst._grouping
     s, t = inst.s, inst.t
-    if len(others) >= t:
-        return f"certificate bound reaches t={t}: {len(others)} non-hyperplane flats"
-    # one dot pass per group and the point tally, each counted in the
-    # 64-point words the search estimate counts
-    cost = (len(groups) + 1) * max(1, -(-len(inst.points) // 64))
+    # one dot pass per group, one membership pass per non-hyperplane flat
+    # and the point tally, each counted in the 64-point words the search
+    # estimate counts
+    cost = (len(groups) + len(others) + 1) * max(1, -(-len(inst.points) // 64))
     if cost > limit:
         return "certificate over budget"
     repeat = _max_point_multiplicity(inst._split)
     if repeat >= s:
         return f"certificate void: one point occurs {repeat} times, s={s}"
+    members = list(inst._other_members.values())
+    # one s-subset tallied costs about as much as 64 mask words of the
+    # search: about 270-570 ns a subset against 8 ns a word, measured in
+    # process on CPython 3.11
+    cost += 64 * sum(comb(len(points), s) for points in members)
+    if cost > limit:
+        return "certificate over budget"
+    shared = _most_sharing(members, s)
     weights = {}
     for normal, by_offset in groups.items():
         counts = inst._offset_counts[normal]
@@ -418,8 +440,30 @@ def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
     )
     if best is None:
         return "certificate over budget"
-    bound = best + len(others)
+    bound = best + shared
     return None if bound < t else f"certificate bound {bound} reaches t={t}"
+
+
+def _most_sharing(member_lists: Sequence[list[int]], s: int) -> int:
+    """The most of the ascending ``member_lists`` that contain one s-subset.
+
+    A tally of the s-subsets of every list, taken one smallest element at
+    a time: only the subsets that start at one point are held at once, not
+    one entry per subset of the whole instance.
+    """
+    starts: dict[int, list[tuple[list[int], int]]] = defaultdict(list)
+    for members in member_lists:
+        for k in range(len(members) - s + 1):
+            starts[members[k]].append((members, k))
+    top = 0
+    for spots in starts.values():
+        if len(spots) > top:  # a subset starting here is in len(spots) lists at most
+            tally = Counter(
+                tail for members, k in spots
+                for tail in combinations(members[k + 1:], s - 1)
+            )
+            top = max(top, max(tally.values()))
+    return top
 
 
 def _max_point_multiplicity(split: _PointSplit) -> int:
@@ -446,10 +490,10 @@ def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[i
 
 
 def _grouped_masks(inst: IncidenceInstance) -> list[int]:
-    """:func:`incidence_masks` from the instance's one classification and
-    one point split."""
+    """:func:`incidence_masks` from the instance's one classification, one
+    point split and one member list per non-hyperplane flat."""
     masks = [0] * len(inst.points)
-    groups, others = inst._grouping
+    groups = inst._grouping[0]
     split = inst._split
     for normal, by_offset in groups.items():
         buckets: dict = defaultdict(list)  # exact dot value -> point indices
@@ -459,8 +503,8 @@ def _grouped_masks(inst: IncidenceInstance) -> list[int]:
             bits = sum(1 << j for j in flat_ids)
             for i in buckets.get(offset, ()):
                 masks[i] |= bits
-    for j in others:
-        for i in _members(split, inst.flats[j].integer_equations()).tolist():
+    for j, members in inst._other_members.items():
+        for i in members:
             masks[i] |= 1 << j
     return masks
 
@@ -480,12 +524,12 @@ def find_kst(
 ) -> KstWitness | None:
     """A K_{s,t} witness (s points on t common flats) or ``None``.
 
-    First the normal-group certificate (:func:`_certificate_gap`) may show
-    the instance free without enumerating any subset, when it costs no
-    more than ``limit`` and the search.  Otherwise the search side (point
-    subsets vs flat subsets) is chosen by comparing estimated costs, and
-    the first witness in index order is returned, so the result is
-    deterministic.  Raises :class:`ResourceLimit` only when neither the
+    First the certificate (:func:`_certificate_gap`) may show the instance
+    free from the hyperplane normals and the member lists of the other
+    flats, without the masks, when it costs no more than ``limit`` and the
+    search.  Otherwise the search side (point subsets vs flat subsets) is
+    chosen by comparing estimated costs, and the first witness in index
+    order is returned, so the result is deterministic.  Raises :class:`ResourceLimit` only when neither the
     certificate nor the search settles the instance: the certificate does
     not apply or is over budget, and both sides exceed ``limit``
     elementary comparisons.  Its message says why the certificate did not.

@@ -81,6 +81,15 @@ def solve_affine(
         raise ValueError("empty system has no well-defined column count")
     n_cols = len(a[0])
     rows, pivots = integer_rref([list(row) + [bi] for row, bi in zip(a, b)])
+    return solve_rref(rows, pivots, n_cols)
+
+
+def solve_rref(
+    rows: Sequence[Sequence[int]], pivots: Sequence[int], n_cols: int
+) -> tuple[Row, Matrix] | None:
+    """:func:`solve_affine` read off ``(rows, pivots)``, the
+    :func:`integer_rref` of an augmented system ``[a | b]`` with ``n_cols``
+    unknowns; no further elimination."""
     if n_cols in pivots:
         return None  # pivot in the constants column: inconsistent
     particular: Row = [0] * n_cols
@@ -128,13 +137,18 @@ def integer_row_and_offset(
     With ``constant`` 0 this is the primitive integer representative of a
     rational direction, which spans the same hyperplane or line.
     """
-    scale = lcm(*(x.denominator for x in coefficients))
-    ints = [x.numerator * (scale // x.denominator) for x in coefficients]
+    if all(type(x) is int for x in coefficients):
+        scale, ints = 1, coefficients  # no denominators to clear
+    else:
+        scale = lcm(*(x.denominator for x in coefficients))
+        ints = [x.numerator * (scale // x.denominator) for x in coefficients]
     g = gcd(*ints)
     if g == 0:
         g = 1  # the zero row: only the constant is scaled
     elif next(v for v in ints if v != 0) < 0:
         g = -g
+    if g == 1 and scale == 1 and type(constant) is int:
+        return tuple(ints), constant  # already primitive and sign-canonical
     num, den = constant.numerator * scale, constant.denominator * g
     offset = num // den if num % den == 0 else Fraction(num, den)
     return tuple(v // g for v in ints), offset

@@ -164,6 +164,17 @@ def max_subspace_weight_bruteforce(vectors, weights, flat_dim: int) -> int:
     return best
 
 
+def most_sharing_bruteforce(member_lists, s: int) -> int:
+    """The most of ``member_lists`` holding one s-subset, over every
+    s-subset of their union, each checked against every list."""
+    union = sorted(set().union(*map(set, member_lists)))
+    return max(
+        (sum(set(subset) <= set(members) for members in member_lists)
+         for subset in combinations(union, s)),
+        default=0,
+    )
+
+
 def point_split_loop(points):
     """A point split made one coordinate at a time: the integer points
     within 2^62 as rows with their point indices, every other point as

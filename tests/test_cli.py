@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, machine-readable output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import inclab
 from inclab.cli import main
 
 
@@ -25,6 +30,18 @@ class TestExponentsCommand:
         assert singleton["alpha"] == "3/4"
         assert singleton["beta"] == "5/8"
         assert all(t["cross_check"] == "ok" for t in doc["terms"])
+
+    def test_runs_as_a_module_from_a_source_checkout(self):
+        # python -m inclab with only the source tree on the path, as the
+        # tests themselves run
+        env = dict(os.environ, PYTHONPATH=str(Path(inclab.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "inclab", "exponents", "--k", "1", "--d", "2",
+             "--s", "2", "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["terms"][0]["cross_check"] == "ok"
 
     def test_text_mode_mentions_chains(self, capsys):
         code, out, _ = run_cli(capsys, "exponents", "--k", "1", "--d", "2", "--s", "2")

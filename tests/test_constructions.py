@@ -464,6 +464,26 @@ class TestEmbedding:
             )
             assert flats_equal(meet, embedded)
 
+    @pytest.mark.parametrize("size", [256, 1024])
+    def test_embedded_grid_is_certified_free(self, size, monkeypatch):
+        # every embedded flat is a 2-flat of R^4, none a hyperplane; two of
+        # them share at most one point, which the member-list tally proves
+        inner = build_grid_construction(ConstructionConfig(d=2, m=size, n=size, seed=1))
+        emb = embed_configuration(inner, 4, 2, seed=1)
+        inst = IncidenceInstance(emb.points, emb.flats, 2, emb.t_measured + 1)
+        assert not inst._grouping[0] and len(inst._grouping[1]) == len(emb.flats)
+        assert incidence._certificate_gap(inst, incidence.DEFAULT_COMPARISON_LIMIT) is None
+        if size > 256:
+            # at 256 the pair search (130,560 mask words) is cheaper than the
+            # tally (6,320 pairs at 64 words each), and find_kst runs it
+            def no_search(*args):
+                raise AssertionError("the mask search ran")
+
+            monkeypatch.setattr(incidence, "_first_common_subset", no_search)
+        assert find_kst(inst) is None
+        report = verify_construction(emb, 2, emb.t_measured + 1)
+        assert report.kst_status == "free" and report.counts_agree
+
     def test_pure_embedding_when_k_is_inner_hyperplane_dim(self):
         inner = self._inner(6)
         emb = embed_configuration(inner, 4, 1, seed=3)

@@ -5,7 +5,9 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from inclab import geometry, linalg
 from inclab import (
     ComplexHyperplane,
     ComplexRational,
@@ -24,7 +26,13 @@ from inclab import (
     make_hyperplane,
 )
 
-from oracles import collinear_triples_bruteforce, gcd_all, minor_rank
+from oracles import (
+    collinear_triples_bruteforce,
+    fraction_row_echelon,
+    fraction_solve_affine,
+    gcd_all,
+    minor_rank,
+)
 
 
 def P(*coords):
@@ -148,6 +156,26 @@ def _random_flat(rng: Random, d: int) -> Flat:
                 return Flat(d, rows, rhs)
             except InvalidInput:
                 continue
+
+
+class TestSolution:
+    def test_solution_equals_one_elimination_of_the_system(self):
+        # solution() reads the echelon form the constructor kept; a
+        # hyperplane, which keeps none, eliminates on demand
+        rng = Random(31)
+        flats = [_random_flat(rng, rng.randint(2, 5)) for _ in range(80)]
+        flats += [make_hyperplane(IntVector((0, -2, 3)), Fraction(5, 2)),
+                  Flat(3, [[0, 0, 0]], [0]), Flat(2, [[1, 2], [2, 4]], [3, 6])]
+        for f in flats:
+            particular, basis = linalg.solve_affine(f.equations, f.rhs)
+            point, directions = f.solution()
+            assert point == RatPoint(particular) and directions == basis
+
+    def test_kept_echelon_form_is_not_part_of_the_value(self):
+        a = Flat(2, [[1, 2], [2, 4]], [3, 6])
+        b = Flat(2, [[1, 2], [2, 4]], [3, 6])
+        a.solution()
+        assert a == b and hash(a) == hash(b) and "echelon" not in repr(a)
 
 
 class TestIntVector:
@@ -372,6 +400,70 @@ class TestGenericExtension:
             generic_extension(line, 1, 2, seed=1)
         with pytest.raises(InvalidInput):
             generic_extension(line, 2, 2, seed=1)
+
+
+def _flat_through(point, directions, d):
+    """The flat through ``point`` spanned by ``directions``, its equations
+    taken from the Fraction oracle's nullspace."""
+    if directions:
+        normals = fraction_solve_affine(directions, [0] * len(directions))[1]
+    else:
+        normals = [[int(i == j) for j in range(d)] for i in range(d)]
+    return Flat(d, normals, [sum(a * x for a, x in zip(row, point)) for row in normals])
+
+
+def _meet_dim(f1, f2):
+    """Dimension of the meet of two flats from the Fraction oracle's echelon
+    form of their stacked systems; ``None`` when they are disjoint."""
+    d = f1.ambient_dim
+    rows = [list(r) + [c] for r, c in zip(f1.equations + f2.equations, f1.rhs + f2.rhs)]
+    if not rows:
+        return d
+    _, pivots = fraction_row_echelon(rows)
+    return None if d in pivots else d - len(pivots)
+
+
+@st.composite
+def guarded_draws(draw):
+    """A flat h, a guard containing it or not, and drawn directions that are
+    generic, dependent (on each other or on h) or inside the guard."""
+    d = draw(st.integers(2, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    point = draw(vec)
+    h_dirs = draw(st.lists(vec, max_size=d - 2))
+    w_dirs = draw(st.lists(vec, max_size=d - 1 - len(h_dirs)))
+    kind = draw(st.sampled_from(("contains", "own", "contains", "pivot")))
+    if kind == "contains":
+        guard = _flat_through(point, h_dirs + w_dirs, d)
+    elif kind == "pivot":  # through h's point, but maybe not along h
+        guard = _flat_through(point, draw(st.lists(vec, max_size=d - 1)), d)
+    else:  # a guard drawn on its own, which may miss h
+        guard = _flat_through(draw(vec), draw(st.lists(vec, max_size=d - 1)), d)
+    drawn = []
+    for kind in draw(st.lists(st.sampled_from(("generic", "dependent", "inside")),
+                              min_size=1, max_size=d - 1)):
+        if kind == "generic":
+            drawn.append(draw(st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d)))
+        else:
+            pool = drawn + h_dirs if kind == "dependent" else h_dirs + w_dirs
+            coef = draw(st.lists(st.integers(-2, 2), min_size=len(pool), max_size=len(pool)))
+            drawn.append([sum(c * v[i] for c, v in zip(coef, pool)) for i in range(d)])
+    return _flat_through(point, h_dirs, d), guard, point, h_dirs, drawn
+
+
+class TestGuardChecks:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(guarded_draws())
+    def test_guard_checks_match_the_oracle_meet(self, case):
+        h, guard, point, h_dirs, drawn = case
+        d = h.ambient_dim
+        holds = _meet_dim(h, guard) == h.dim
+        assert geometry._holds(guard, *h.solution()) == holds
+        if not holds:
+            return
+        extension = _flat_through(point, h_dirs + drawn, d)
+        wanted = extension.dim == h.dim + len(drawn) and _meet_dim(extension, guard) == h.dim
+        assert geometry._meets_only_in_base(guard, drawn) == wanted
 
 
 class TestCollinearity:

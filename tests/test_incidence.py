@@ -29,8 +29,10 @@ from inclab import (
 from oracles import (
     count_incidences_direct,
     first_kst_bruteforce,
+    fraction_solve_affine,
     int_root_floor,
     max_subspace_weight_bruteforce,
+    most_sharing_bruteforce,
     point_split_loop,
 )
 
@@ -436,16 +438,20 @@ class TestFindKst:
         # C(900, 5) point subsets are far over 1000, but one normal group
         # with one flat per offset certifies K_{5,2}-freeness
         assert find_kst(IncidenceInstance(points, flats, 5, 2), limit=1000) is None
-        # two point flats, as many as t, leave the certificate no room
-        flats += [Flat(2, [[1, 0], [0, 1]], [0, 0]), Flat(2, [[1, 0], [0, 1]], [1, 1])]
-        inst = IncidenceInstance(points, flats, 5, 2)
+        # two point flats hold one point each, so no 5 points share them
+        points_flats = [Flat(2, [[1, 0], [0, 1]], [0, 0]), Flat(2, [[1, 0], [0, 1]], [1, 1])]
+        assert find_kst(IncidenceInstance(points, flats + points_flats, 5, 2),
+                        limit=1000) is None
+        # the line y = 6x holds 5 points; given twice as a redundant system
+        # it is no hyperplane, and the tally finds those 5 points on both
+        line = Flat(2, [[6, -1], [12, -2]], [0, 0])
+        inst = IncidenceInstance(points, flats + [line, line], 5, 2)
         with pytest.raises(ResourceLimit) as err:
             find_kst(inst, limit=1000)
         assert err.value.limit == 1000
         assert err.value.estimate is not None and err.value.estimate > 1000
         assert str(err.value).endswith(
-            "over the budget of 1000"
-            " (certificate bound reaches t=2: 2 non-hyperplane flats)")
+            "over the budget of 1000 (certificate bound 3 reaches t=2)")
 
     def test_verdict_reads_each_outcome(self):
         points = [P(x, y) for x in range(30) for y in range(30)]
@@ -565,12 +571,33 @@ class TestFindKst:
             _check_witness(inst, KstWitness((0, 2), (0,)))
 
 
+def _through(points, d, codim, mix):
+    """Equations of a flat of codimension at most ``codim`` through
+    ``points``: ``mix`` combines the Fraction oracle's basis of the normals
+    to their span (one of them repeated in R^2, so that a line is no
+    hyperplane)."""
+    base = points[0].coords
+    diffs = [[a - b for a, b in zip(p.coords, base)] for p in points[1:]]
+    normals = (fraction_solve_affine(diffs, [0] * len(diffs))[1] if diffs
+               else [[int(i == j) for j in range(d)] for i in range(d)])
+    if not normals:  # the points span R^d: a flat through the first alone
+        return _through(points[:1], d, codim, mix)
+    rows = [[sum(c * n[i] for c, n in zip(coef, normals)) for i in range(d)]
+            for coef in mix[:codim]]
+    rows = [r for r in rows if any(r)] or [normals[0]]
+    if len(rows) == 1:
+        rows.append([2 * a for a in rows[0]])  # a redundant system, not a hyperplane
+    return rows, [sum(a * x for a, x in zip(r, base)) for r in rows]
+
+
 @st.composite
 def certificate_instances(draw):
     """Small instances for the K_{s,t} certificate in R^2..R^4: rational and
     repeated points, hyperplanes through the points with non-primitive
-    normals and duplicates, point-free padding hyperplanes, and lines and
-    point flats that are not hyperplanes."""
+    normals and duplicates, point-free padding hyperplanes, and flats that
+    are not hyperplanes: lines and codimension-2 flats through two or more
+    drawn points (some given twice), lines through one point, and point
+    flats."""
     d = draw(st.integers(2, 4))
     value = st.one_of(st.integers(0, 2),
                       st.builds(Fraction, st.integers(-3, 3), st.sampled_from((2, 3))))
@@ -581,9 +608,18 @@ def certificate_instances(draw):
     flats = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(("through", "through", "through", "padding",
-                                     "duplicate", "duplicate", "line", "point")))
+                                     "duplicate", "duplicate", "line", "point",
+                                     "spanned", "spanned", "spanned twice")))
         anchor = draw(st.sampled_from(points))
-        if kind == "padding":
+        if kind.startswith("spanned"):
+            on = draw(st.lists(st.sampled_from(points), min_size=2, max_size=3))
+            codim = draw(st.sampled_from((d - 1, 2))) if d > 2 else 1
+            mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                min_size=codim, max_size=codim))
+            flats.append(Flat(d, *_through(on, d, codim, mix)))
+            if kind == "spanned twice":
+                flats.append(flats[-1])
+        elif kind == "padding":
             a = draw(normal)
             reach = max(abs(sum(x * c for x, c in zip(a, p.coords))) for p in points)
             flats.append(Flat(d, [a], [reach + 1]))
@@ -633,6 +669,39 @@ class TestKstCertificate:
         assert incidence._certificate_gap(IncidenceInstance(points, flats, 2, 4), 10**9) is None
         assert find_kst(IncidenceInstance(points, flats, 4, 3)) == KstWitness(
             (0, 1, 2, 3), (0, 1, 2))
+
+    def test_non_hyperplane_flats_count_what_they_share(self):
+        # three lines of R^3 through the x-axis points: two share points 0..3,
+        # the third only point 0; pairs are shared twice at most
+        points = [P(x, 0, 0) for x in range(4)] + [P(0, 1, 1)]
+        axis = Flat(3, [[0, 1, 0], [0, 0, 1]], [0, 0])
+        redundant_axis = Flat(3, [[0, 1, 1], [0, 2, -2], [0, 1, 0]], [0, 0, 0])
+        skew = Flat(3, [[1, 0, 0], [0, 1, -1]], [0, 0])  # holds points 0 and 4
+        flats = [axis, redundant_axis, skew]
+        gap = incidence._certificate_gap(IncidenceInstance(points, flats, 2, 2), 10**9)
+        assert gap == "certificate bound 2 reaches t=2"
+        assert incidence._certificate_gap(IncidenceInstance(points, flats, 2, 3), 10**9) is None
+        assert find_kst(IncidenceInstance(points, flats, 2, 3)) is None
+        assert find_kst(IncidenceInstance(points, flats, 2, 2)) == KstWitness((0, 1), (0, 1))
+
+    def test_the_tally_is_charged_per_subset(self):
+        # one pass per line and one for the points, one word each, then
+        # 64 words for each pair on a line: C(4, 2) = 6 on the axis, and 1
+        # on the line x = 0, y = z through points 0 and 4
+        points = [P(x, 0, 0) for x in range(4)] + [P(0, 1, 1)]
+        flats = [Flat(3, [[0, 1, 0], [0, 0, 1]], [0, 0]),
+                 Flat(3, [[1, 0, 0], [0, 1, -1]], [0, 0])]
+        inst = IncidenceInstance(points, flats, 2, 2)
+        cost = 3 + 64 * (6 + 1)
+        assert incidence._certificate_gap(inst, cost - 1) == "certificate over budget"
+        assert incidence._certificate_gap(inst, cost) is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 7), unique=True).map(sorted), max_size=7),
+           st.integers(2, 4))
+    def test_most_sharing_matches_the_bruteforce_tally(self, member_lists, s):
+        assert incidence._most_sharing(member_lists, s) == most_sharing_bruteforce(
+            member_lists, s)
 
     def test_certificate_over_budget_falls_back_to_the_search(self):
         points = [P(x, y) for x in range(3) for y in range(3)]

@@ -111,6 +111,38 @@ def test_integer_row_and_offset_scales_consistently():
         assert got == offset and type(got) is int
 
 
+@pytest.mark.parametrize("row, constant, expected", [
+    ((1, -2, 0), 7, ((1, -2, 0), 7)),  # primitive, sign-canonical: unchanged
+    ((0, 0, 0), 5, ((0, 0, 0), 5)),  # zero row: only the constant is scaled, by 1
+    ((0, 0), Fraction(3, 2), ((0, 0), Fraction(3, 2))),
+    ((0, -3, 1), 2, ((0, 3, -1), -2)),  # negative leading entry
+    ((-2, 4), 6, ((1, -2), -3)),  # negative and non-primitive
+    ((4, 6), 3, ((2, 3), Fraction(3, 2))),  # non-primitive: the offset halves
+    ((4, 6), 8, ((2, 3), 4)),
+    ((1, 2), Fraction(7, 2), ((1, 2), Fraction(7, 2))),  # Fraction constants
+    ((-4, 6), Fraction(2, 3), ((2, -3), Fraction(-1, 3))),
+    ((6, 9), Fraction(3, 2), ((2, 3), Fraction(1, 2))),
+    # a rational row with an int constant still scales the constant
+    ((Fraction(3, 2), 0, 0, 1), 3, ((3, 0, 0, 2), 6)),
+])
+def test_integer_rows_keep_their_canonical_form(row, constant, expected):
+    got = linalg.integer_row_and_offset(row, constant)
+    assert got == expected
+    assert all(type(a) is int for a in got[0])
+    assert type(got[1]) is type(expected[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+       st.one_of(st.integers(-9, 9), st.fractions(max_denominator=6)))
+def test_integer_rows_match_their_fraction_form(row, constant):
+    # an all-int row skips the denominator pass; the result, and the type
+    # of the offset, are those of the same row given as Fractions
+    got = linalg.integer_row_and_offset(row, constant)
+    want = linalg.integer_row_and_offset([Fraction(a) for a in row], constant)
+    assert got == want and type(got[1]) is type(want[1])
+
+
 ENTRIES = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
