@@ -15,10 +15,10 @@ that takes the few values setting them apart from ``_VARIANTS``:
   (d-2)-dimensional subspaces.
 
 Admissibility is *verified*, not assumed: the selection procedure is a
-seeded greedy filter, and the exact maximum number of chosen directions
-inside any linear subspace of the guarded dimension is measured by
-exhaustive search (with a work-budget guard).  All downstream freeness
-claims use the measured value, never an asymptotic promise.
+seeded greedy filter whose exhaustive search over spanning subsets also
+measures the exact maximum number of chosen directions inside any linear
+subspace of the guarded dimension.  All downstream freeness claims use
+the measured value, never an asymptotic promise.
 
 Constructions are deterministic: identical configuration plus seed gives a
 bit-identical output.
@@ -27,9 +27,8 @@ bit-identical output.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 from math import inf
 from random import Random
 from typing import Sequence
@@ -54,11 +53,11 @@ from .incidence import (
     _PointSplit,
     _count_hashed,
     _exact_dots,
+    _heaviest_span,
     _int_point_matrix,
     _int_root_floor,
     _max_subspace_weight,
-    _members,
-    _span_equations,
+    _split_coords,
     _value_counts,
     count_incidences,
     kst_verdict,
@@ -66,6 +65,7 @@ from .incidence import (
 
 DEFAULT_EPSILON_PRIME = 0.1
 _GRID_LIMIT = 10**7
+_NAIVE_LIMIT = 4 * 10**7  # point-flat pairs up to which verify also counts naively
 _PAD_NORMAL_BOX = 3
 _SPHERE_PAD_BOX = 40
 # variant -> (codimension of the guarded subspaces, drop e, slope a, regime):
@@ -107,6 +107,9 @@ class ConstructionConfig:
 
 @dataclass(frozen=True)
 class NormalSelection:
+    """Sorted normals, their exact coverage ``t_measured`` of one guarded
+    subspace, and the number ``requested``; ``verified`` is always true."""
+
     vectors: tuple[IntVector, ...]
     t_measured: int
     verified: bool
@@ -194,21 +197,15 @@ def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
 
 
 def select_admissible_normals(
-    candidates: Sequence[IntVector],
-    flat_dim: int,
-    t_max: int,
-    target_size: int,
-    seed: int,
-    limit: int = DEFAULT_COMPARISON_LIMIT,
+    candidates: Sequence[IntVector], flat_dim: int, t_max: int, target_size: int, seed: int
 ) -> NormalSelection:
     """Greedy selection of normals so that no linear subspace of dimension
     ``flat_dim`` contains more than ``t_max`` of them.
 
-    Candidates are visited in seeded random order and accepted when the
-    cap provably survives.  The returned ``t_measured`` is the exact
-    maximum subspace coverage of the final set, found by exhaustive search
-    over spanning subsets; if that search would exceed ``limit`` work, the
-    selection is returned with ``verified=False`` and the trivial bound.
+    Candidates are visited in seeded random order, and each is accepted
+    when no span of itself and ``flat_dim - 1`` accepted normals holds more
+    than ``t_max`` of them.  The largest such load among the accepted
+    normals is ``t_measured``, the exact coverage of the final set.
     """
     if not candidates:
         return NormalSelection((), 0, True, target_size)
@@ -229,30 +226,26 @@ def select_admissible_normals(
     order = sorted(candidates, key=lambda v: v.coords)
     Random(seed).shuffle(order)
 
-    selected: list[IntVector] = []
-    split = _int_point_matrix(selected)
-    subset_size = flat_dim - 1
+    coords: list[tuple[int, ...]] = []  # the accepted normals
+    split, weights = _split_coords(coords, d), np.ones(0, np.int64)
+    t_measured = 0
     for cand in order:
-        if len(selected) >= target_size:
+        if len(coords) >= target_size:
             break
-        if len(selected) + 1 <= t_max:
-            accept = True
-        else:
-            accept = True
-            pool = range(len(selected))
-            for idx_subset in combinations(pool, min(subset_size, len(selected))):
-                span = [cand.coords] + [selected[i].coords for i in idx_subset]
-                eqs = [(eq, 0) for eq in _span_equations(span, d)]
-                count = len(_members(split, eqs)) + 1
-                if count > t_max:
-                    accept = False
-                    break
-        if accept:
-            selected.append(cand)
-            split = _int_point_matrix(selected)
-    selected.sort(key=lambda v: v.coords)
-    t_measured, verified = measure_max_coverage(selected, flat_dim, limit)
-    return NormalSelection(tuple(selected), t_measured, verified, target_size)
+        load = 1 + _heaviest_span(
+            (cand.coords,), coords, split, weights, flat_dim, t_max - 1
+        )
+        if load > t_max:
+            continue
+        # the largest load is the exact coverage: each checked span has
+        # dimension at most flat_dim, so no load exceeds it; and the last
+        # normal accepted into a subspace W checks a span (itself and
+        # flat_dim - 1 earlier normals) holding every earlier member of W
+        t_measured = max(t_measured, load)
+        coords.append(cand.coords)
+        split, weights = _split_coords(coords, d), np.ones(len(coords), np.int64)
+    vectors = tuple(map(IntVector, sorted(coords)))
+    return NormalSelection(vectors, t_measured, True, target_size)
 
 
 def measure_max_coverage(
@@ -558,17 +551,12 @@ def embed_configuration(
     notes = inner.notes + (
         f"embedded from R^{d_inner} into R^{d_outer} as {k}-flats (seed {seed})",
     )
-    return ConstructionOutput(
+    return replace(
+        inner,
         variant="embed",
         ambient_dim=d_outer,
         points=points,
         flats=tuple(new_flats),
-        normals_used=inner.normals_used,
-        t_measured=inner.t_measured,
-        t_verified=inner.t_verified,
-        predicted_incidences=inner.predicted_incidences,
-        padding_start=inner.padding_start,
-        core_point_count=inner.core_point_count,
         seed=seed,
         inner_ambient_dim=d_inner,
         notes=notes,
@@ -623,14 +611,13 @@ def verify_construction(
     s: int,
     t: int,
     kst_limit: int = DEFAULT_COMPARISON_LIMIT,
-    naive_limit: int = 4 * 10**7,
 ) -> VerificationReport:
     """Recount the instance with both strategies, search for a K_{s,t}
     witness, and compare against the predicted count and exponents."""
     notes: list[str] = []
     inst = IncidenceInstance(out.points, out.flats, s, t)
     hashed = count_incidences(inst, strategy="hashed")
-    if len(out.points) * max(1, len(out.flats)) <= naive_limit:
+    if len(out.points) * max(1, len(out.flats)) <= _NAIVE_LIMIT:
         naive = count_incidences(inst, strategy="naive")
         counts_agree = naive == hashed
     else:

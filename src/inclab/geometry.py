@@ -372,8 +372,6 @@ def generic_extension(
             continue  # the drawn directions are dependent
         rhs = [_dot(row, base_point.coords) for row in normal_rows]
         candidate = Flat(ambient_dim, normal_rows, rhs)
-        if candidate.dim != target_dim:
-            continue
         if within is not None and not _meets_only_in_base(within, drawn):
             continue  # the extension meets within in more than h
         return candidate

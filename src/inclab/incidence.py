@@ -360,11 +360,25 @@ def _members(
 # ---------------------------------------------------------------------------
 
 
-def _span_equations(vectors: Sequence[Sequence[int]], dim: int) -> list[tuple[int, ...]]:
-    """Primitive integer equations of the linear span of ``vectors``."""
-    rows = [list(v) for v in vectors] or [[0] * dim]
-    basis = linalg.nullspace(rows)
-    return [linalg.integer_row_and_offset(row, 0)[0] for row in basis]
+def _heaviest_span(
+    fixed: Sequence[tuple[int, ...]], vectors: Sequence[tuple[int, ...]],
+    split: _PointSplit, weights: np.ndarray, flat_dim: int, cap: int,
+) -> int:
+    """Largest total weight of the integer ``vectors`` (split as ``split``) in
+    the span of ``fixed`` and ``flat_dim - len(fixed)`` of them, over every
+    choice, or the first total above ``cap``.  The library's one walk over
+    spanning subsets: a nullspace, a membership pass and a sum per subset."""
+    best = 0
+    size = min(flat_dim - len(fixed), len(vectors))
+    for subset in combinations(range(len(vectors)), size):
+        rows = [list(v) for v in fixed] + [list(vectors[i]) for i in subset]
+        # no rows only for flat_dim 0, whose one span is the origin
+        basis = linalg.nullspace(rows or [[0] * len(vectors[0])])
+        eqs = [(linalg.integer_row_and_offset(row, 0)[0], 0) for row in basis]
+        best = max(best, int(weights[_members(split, eqs)].sum()))
+        if best > cap:
+            break
+    return best
 
 
 def _max_subspace_weight(
@@ -385,13 +399,14 @@ def _max_subspace_weight(
     d = len(vectors[0])
     if comb(n, flat_dim) * (n * d + d**3) > limit:
         return None
-    split = _split_coords(vectors, d)
-    w = np.array(weights, dtype=np.int64)
-    best = 0
-    for subset in combinations(range(n), flat_dim):
-        eqs = [(eq, 0) for eq in _span_equations([vectors[i] for i in subset], d)]
-        best = max(best, int(w[_members(split, eqs)].sum()))
-    return best
+    split, w = _split_coords(vectors, d), np.array(weights, dtype=np.int64)
+    # no span outweighs all the vectors, so the search never stops early
+    return _heaviest_span((), vectors, split, w, flat_dim, sum(weights))
+
+
+def _words(n: int) -> int:
+    """64-bit words in an ``n``-bit mask, at least one: the unit of search work."""
+    return max(1, -(-n // 64))
 
 
 def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
@@ -415,7 +430,7 @@ def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
     # one dot pass per group, one membership pass per non-hyperplane flat
     # and the point tally, each counted in the 64-point words the search
     # estimate counts
-    cost = (len(groups) + len(others) + 1) * max(1, -(-len(inst.points) // 64))
+    cost = (len(groups) + len(others) + 1) * _words(len(inst.points))
     if cost > limit:
         return "certificate over budget"
     repeat = _max_point_multiplicity(inst._split)
@@ -538,10 +553,8 @@ def find_kst(
     s, t = inst.s, inst.t
     if m < s or n < t:
         return None
-    flat_words = max(1, -(-n // 64))
-    point_words = max(1, -(-m // 64))
-    cost_points = comb(m, s) * flat_words
-    cost_flats = comb(n, t) * point_words
+    cost_points = comb(m, s) * _words(n)
+    cost_flats = comb(n, t) * _words(m)
     search = min(cost_points, cost_flats)
     # the certificate may cost no more than the search it would spare
     gap = _certificate_gap(inst, min(limit, search))

@@ -6,6 +6,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inclab import (
     ConstructionConfig,
@@ -36,6 +37,7 @@ from oracles import (
     collinear_triples_bruteforce,
     count_incidences_direct,
     lattice_points_product,
+    max_subspace_weight_bruteforce,
     minor_rank,
     primitive_vectors_product,
 )
@@ -153,11 +155,38 @@ class TestNormalSelection:
             assert verified
             assert got == max_coverage_oracle(chosen, 2)
 
-    def test_unverified_above_cap(self):
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 5).flatmap(lambda d: st.tuples(
+        st.just(d), st.sampled_from([k for k in (d - 1, d - 2) if k >= 1]))),
+        st.integers(0, 3), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_selection_measures_its_exact_coverage(self, case, extra, target, seed):
+        # targets at or below t_max accept every candidate they visit;
+        # larger ones also reject some
+        d, flat_dim = case
+        t_max = flat_dim + extra
+        candidates = primitive_vectors(4 if d <= 3 else 2, d)
+        sel = select_admissible_normals(candidates, flat_dim, t_max, target, seed)
+        coords = [v.coords for v in sel.vectors]
+        assert sel.verified
+        assert measure_max_coverage(sel.vectors, flat_dim) == (sel.t_measured, True)
+        assert sel.t_measured == max_subspace_weight_bruteforce(
+            coords, [1] * len(coords), flat_dim)
+
+    def test_coverage_of_accepts_below_the_cap_is_measured(self):
+        # three normals in one plane, all accepted before any can break t_max
+        candidates = [IntVector((1, 0, 0)), IntVector((0, 1, 0)), IntVector((1, 1, 0))]
+        sel = select_admissible_normals(candidates, 2, 3, 3, seed=0)
+        assert len(sel.vectors) == 3
+        assert sel.t_measured == 3
+        assert sel.verified
+
+    def test_exact_where_a_budgeted_measure_gives_up(self):
         candidates = primitive_vectors(4, 3)
-        sel = select_admissible_normals(candidates, 2, 3, 10, seed=0, limit=10)
-        assert not sel.verified
-        assert sel.t_measured == len(sel.vectors)  # trivial bound
+        sel = select_admissible_normals(candidates, 2, 3, 10, seed=0)
+        assert measure_max_coverage(sel.vectors, 2, limit=10) == (len(sel.vectors), False)
+        assert sel.verified
+        assert sel.t_measured == max_coverage_oracle(sel.vectors, 2)
+        assert sel.t_measured < len(sel.vectors)
 
     def test_subspace_count_is_exact_across_int64_bound(self):
         from inclab.incidence import _int_point_matrix, _members

@@ -124,3 +124,15 @@ def test_integer_construction_paths_build_no_fraction():
                     found.append(node.name)
     assert seen == set().union(*wanted.values())
     assert not found, f"Fraction in {sorted(found)}"
+
+
+def test_one_walk_over_spanning_subsets():
+    # selection measures its coverage in the acceptance walk itself, so it
+    # runs no second search; and one incidence function takes the spans
+    _, names = _reach("constructions.py", "select_admissible_normals")
+    found = names & {"measure_max_coverage", "_max_subspace_weight"}
+    assert not found, f"select_admissible_normals reaches {sorted(found)}"
+    tree = ast.parse((SOURCE / "incidence.py").read_text())
+    walkers = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+               and "nullspace" in _referenced_names(n)]
+    assert walkers == ["_heaviest_span"], f"nullspace named in {walkers}"
