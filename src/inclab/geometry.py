@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -153,26 +153,44 @@ class Flat:
             if ambient_dim in echelon[1]:
                 raise InvalidInput("inconsistent system does not define a flat")
             d = ambient_dim - len(echelon[1])
+        self._set(ambient_dim, eqs, b, d, echelon)
+
+    def _set(self, ambient_dim, equations, rhs, dim, echelon) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "equations", eqs)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "dim", dim)
         # not a field: kept out of equality, hashing and repr, and read by
-        # solution() in place of a second elimination
+        # solution() in place of a second elimination; None when the system
+        # was never reduced
         object.__setattr__(self, "_echelon", echelon)
+
+    @classmethod
+    def _spanned(cls, ambient_dim: int, equations, rhs, dim: int) -> "Flat":
+        """The flat of a system known to be consistent, of exact values and
+        of rank ``ambient_dim - dim``: the same value ``Flat(...)`` gives,
+        built with no elimination."""
+        flat = object.__new__(cls)
+        flat._set(ambient_dim, equations, rhs, dim, None)
+        return flat
 
     def contains(self, p: RatPoint) -> bool:
         return contains(self, p)
+
+    def _reduced(self) -> tuple[list[list[int]], list[int]]:
+        """The integer echelon form of ``[A | b]``: the kept one, or one
+        elimination when there is none (a hyperplane, or a flat built by
+        :meth:`_spanned`)."""
+        if self._echelon is not None:
+            return self._echelon
+        return linalg.integer_rref([row + (c,) for row, c in zip(self.equations, self.rhs)])
 
     def solution(self) -> tuple[RatPoint, list[list[int | Fraction]]]:
         """One point on the flat plus a basis of its direction space."""
         if not self.equations:
             d = self.ambient_dim
             return RatPoint([0] * d), [[int(i == j) for j in range(d)] for i in range(d)]
-        echelon = self._echelon
-        if echelon is None:  # a hyperplane: its one row is not reduced yet
-            echelon = linalg.integer_rref([self.equations[0] + self.rhs])
-        solved = linalg.solve_rref(*echelon, self.ambient_dim)
+        solved = linalg.solve_rref(*self._reduced(), self.ambient_dim)
         if solved is None:
             raise InvariantViolation("a constructed flat became inconsistent")
         particular, basis = solved
@@ -342,11 +360,14 @@ def generic_extension(
     draw is accepted only if the extension meets ``within`` exactly in
     ``h``; degenerate draws are retried, never emitted.
 
-    Both guard checks are exact linear checks on vectors at hand
-    (:func:`_holds`, :func:`_meets_only_in_base`), not intersections.
-    Each draw runs three eliminations (the direction nullspace, the
-    candidate flat and one rank); ``h.solution()`` runs one more only when
-    ``h`` is a hyperplane.
+    ``h`` is read as integers off its echelon form (:func:`_integer_view`),
+    and both guard checks are exact linear checks on vectors at hand
+    (:func:`_holds`, :func:`_meets_only_in_base`), not intersections.  Each
+    draw runs two eliminations (the direction nullspace and one rank).  The
+    accepted nullspace rows are the extension's equations, so it is built
+    with no further elimination (``Flat._spanned``), and its right-hand
+    sides are integer dots with ``h``'s homogeneous base point.  An ``h``
+    that keeps no echelon form (an earlier extension) costs one more.
     """
     if ambient_dim != h.ambient_dim:
         raise InvalidInput("flat does not live in the stated ambient dimension")
@@ -354,11 +375,11 @@ def generic_extension(
         raise InvalidInput(
             f"target dimension must satisfy {h.dim} < k < {ambient_dim}, got {target_dim}"
         )
-    base_point, base_dirs = h.solution()
+    point, q, directions = _integer_view(h)
     if within is not None:
         if within.ambient_dim != ambient_dim:
             raise InvalidInput("guard flat lives in a different ambient dimension")
-        if not _holds(within, base_point, base_dirs):
+        if not _holds(within, point, q, directions):
             raise InvalidInput("guard flat must contain the flat being extended")
     rng = seed if isinstance(seed, Random) else Random(seed)
     extra = target_dim - h.dim
@@ -367,26 +388,62 @@ def generic_extension(
             [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
             for _ in range(extra)
         ]
-        normal_rows = linalg.nullspace([list(v) for v in base_dirs] + drawn)
+        normal_rows = linalg.nullspace(directions + drawn)
         if ambient_dim - len(normal_rows) != target_dim:
             continue  # the drawn directions are dependent
-        rhs = [_dot(row, base_point.coords) for row in normal_rows]
-        candidate = Flat(ambient_dim, normal_rows, rhs)
         if within is not None and not _meets_only_in_base(within, drawn):
             continue  # the extension meets within in more than h
-        return candidate
+        return Flat._spanned(
+            ambient_dim,
+            tuple(tuple(map(_exact, row)) for row in normal_rows),
+            tuple(_offset(row, point, q) for row in normal_rows),
+            target_dim,
+        )
     raise DegenerateRandomness(
         f"no verified generic extension after {retry_budget} draws"
     )
 
 
-def _holds(outer: Flat, point: RatPoint, directions: Sequence[Sequence]) -> bool:
-    """Whether ``outer`` contains the flat through ``point`` whose direction
-    space ``directions`` span: it holds the point, and its equations vanish
-    on every direction."""
-    return contains(outer, point) and not any(
-        _dot(row, v) for row in outer.equations for v in directions
-    )
+def _integer_view(h: Flat) -> tuple[list[int], int, list[list[int]]]:
+    """``h`` in integers, read off its echelon form: a base point as a
+    homogeneous vector ``(P, q)``, q > 0, with ``P / q`` the point of
+    ``h.solution()``, and a primitive positive multiple of each direction
+    of ``h.solution()``, in its order."""
+    rows, pivots = h._reduced()
+    n = h.ambient_dim
+    q = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    scales = [(row, c, q // row[c]) for row, c in zip(rows, pivots)]
+    point = [0] * n
+    for row, c, scale in scales:
+        point[c] = row[n] * scale
+    directions = []
+    pivot_set = set(pivots)
+    for fc in (c for c in range(n) if c not in pivot_set):
+        vec = [0] * n
+        vec[fc] = q
+        for row, c, scale in scales:
+            vec[c] = -row[fc] * scale
+        g = gcd(*vec)
+        directions.append([x // g for x in vec] if g > 1 else vec)
+    return point, q, directions
+
+
+def _offset(row: Sequence, point: Sequence[int], q: int) -> int | Fraction:
+    """``row @ (point / q)`` for a row of exact numbers: one integer dot of
+    ``point`` with ``row`` scaled by the lcm L of its denominators, and one
+    ``Fraction`` of it over ``L * q``."""
+    scale = lcm(*(x.denominator for x in row))
+    dot = sum(x.numerator * (scale // x.denominator) * p for x, p in zip(row, point))
+    return _exact(Fraction(dot, scale * q))
+
+
+def _holds(outer: Flat, point: Sequence[int], q: int, directions: Sequence[Sequence]) -> bool:
+    """Whether ``outer`` contains the flat through ``point / q`` whose
+    direction space ``directions`` span: each equation ``a @ x = c`` has
+    ``a @ point == c * q``, and vanishes on every direction."""
+    return all(
+        _dot(row, point) == c * q for row, c in zip(outer.equations, outer.rhs)
+    ) and not any(_dot(row, v) for row in outer.equations for v in directions)
 
 
 def _meets_only_in_base(within: Flat, drawn: Sequence[Sequence[int]]) -> bool:

@@ -3,8 +3,9 @@
 Matrices are lists of rows of exact numbers (``int`` or ``Fraction``).  No
 floating point appears anywhere in this module; every rank, solution, and
 nullspace is exact.  Elimination is fraction-free: :func:`integer_rref`
-scales each row to integers once and eliminates on Python integers, and
-``Fraction``s are built only from its final rows.  Inputs are never mutated.
+scales each row to integers once (a row of ``int``s only to its primitive
+form) and eliminates on Python integers, and ``Fraction``s are built only
+from its final rows.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -56,9 +57,12 @@ def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]
 
 def _integer_row(row: Sequence) -> list[int]:
     """``row`` of exact numbers scaled by a positive rational to a primitive
-    integer row."""
-    scale = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (scale // x.denominator) for x in row]
+    integer row; a row of ``int``s skips the denominator pass."""
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        scale = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

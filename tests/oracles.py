@@ -4,13 +4,17 @@ Everything here is deliberately brute force and shares no code with the
 library paths it checks: determinant-by-cofactor rank, Fraction
 Gauss-Jordan elimination, direct membership evaluation, exhaustive chain
 enumeration, and recursive gcd.  Slow is fine; these run on small inputs
-only.
+only.  The one library name used is the ``Flat`` constructor, by which
+:func:`generic_extension_fraction` builds its result: that constructor's
+elimination is the slow path it stands for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from inclab import Flat
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -108,6 +112,44 @@ def fraction_solve_affine(a, b):
             vec[pc] = -red[i][fc]
         basis.append(vec)
     return particular, basis
+
+
+def generic_extension_fraction(h, target_dim, ambient_dim, rng, within, retry_budget, box):
+    """A generic extension the slow way, drawing from ``rng`` exactly as the
+    library does: h's point and directions from ``h.solution()``, the
+    direction nullspace and the guard rank by :func:`fraction_row_echelon`,
+    right-hand sides as ``Fraction`` dots, and the candidate built by
+    ``Flat(...)``, which eliminates its system again.  Raises ``ValueError``
+    when ``within`` does not contain h; ``None`` when every draw is
+    degenerate."""
+    point, directions = h.solution()
+    if within is not None and not (
+        point_on_flat(point.coords, within.equations, within.rhs)
+        and all(_fraction_dot(row, v) == 0 for row in within.equations for v in directions)
+    ):
+        raise ValueError("guard flat must contain the flat being extended")
+    extra = target_dim - h.dim
+    for _ in range(retry_budget):
+        drawn = [[rng.randint(-box, box) for _ in range(ambient_dim)] for _ in range(extra)]
+        stacked = [list(v) for v in directions] + drawn
+        normal_rows = fraction_solve_affine(stacked, [0] * len(stacked))[1]
+        if ambient_dim - len(normal_rows) != target_dim:
+            continue
+        rhs = [_fraction_dot(row, point.coords) for row in normal_rows]
+        candidate = Flat(ambient_dim, normal_rows, rhs)
+        if within is not None:
+            guard_rows = [[_fraction_dot(row, e) for e in drawn] for row in within.equations]
+            if len(fraction_row_echelon(guard_rows)[1]) != len(drawn):
+                continue
+        return candidate
+    return None
+
+
+def _fraction_dot(a, b) -> Fraction:
+    total = Fraction(0)
+    for x, y in zip(a, b):
+        total += Fraction(x) * Fraction(y)
+    return total
 
 
 def point_on_flat(coords, equations, rhs) -> bool:

@@ -5,12 +5,13 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from inclab import geometry, linalg
 from inclab import (
     ComplexHyperplane,
     ComplexRational,
+    DegenerateRandomness,
     Flat,
     IntVector,
     InvalidInput,
@@ -31,6 +32,7 @@ from oracles import (
     fraction_row_echelon,
     fraction_solve_affine,
     gcd_all,
+    generic_extension_fraction,
     minor_rank,
 )
 
@@ -176,6 +178,45 @@ class TestSolution:
         b = Flat(2, [[1, 2], [2, 4]], [3, 6])
         a.solution()
         assert a == b and hash(a) == hash(b) and "echelon" not in repr(a)
+
+
+    def test_extension_built_without_elimination_is_the_constructor_value(self):
+        # a generic extension's rows come reduced on the nullspace's free
+        # columns, which are in general not the pivots integer_rref picks
+        # (free columns [2, 3] against pivots [0, 2] for an extension in
+        # R^4); so it keeps no echelon form, and solution() eliminates once,
+        # exactly as Flat(...) did when built
+        rng = Random(5)
+        for _ in range(80):
+            d = rng.randint(2, 5)
+            spanned = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(1, d))]
+            normals = linalg.nullspace(spanned)
+            if not normals:
+                continue
+            # right-hand sides whose denominators are not their rows'
+            rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in normals]
+            flat = Flat._spanned(d, tuple(tuple(map(geometry._exact, row)) for row in normals),
+                                 tuple(map(geometry._exact, rhs)), d - len(normals))
+            built = Flat(d, normals, rhs)
+            assert flat == built and hash(flat) == hash(built) and flat.dim == built.dim
+            assert flat._echelon is None and flat._reduced() == built._reduced()
+            assert flat.solution() == built.solution()
+
+    def test_integer_view_is_the_solution_in_integers(self):
+        rng = Random(8)
+        flats = [_random_flat(rng, rng.randint(2, 5)) for _ in range(80)]
+        flats += [make_hyperplane(IntVector((2, 3)), 1), Flat(2, [[1, 2], [2, 4]], [3, 6]),
+                  Flat(3, [[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, 1, Fraction(1, 2)])]
+        for f in flats:
+            point, directions = f.solution()
+            homogeneous, q, integer_dirs = geometry._integer_view(f)
+            assert q > 0 and all(type(x) is int for x in homogeneous)
+            assert RatPoint([Fraction(x, q) for x in homogeneous]) == point
+            assert len(integer_dirs) == len(directions)
+            for v, u in zip(integer_dirs, directions):
+                assert all(type(x) is int for x in v) and gcd_all(v) == 1
+                ratio = next(Fraction(a) / b for a, b in zip(v, u) if b)
+                assert ratio > 0 and all(a == ratio * b for a, b in zip(v, u))
 
 
 class TestIntVector:
@@ -451,6 +492,82 @@ def guarded_draws(draw):
     return _flat_through(point, h_dirs, d), guard, point, h_dirs, drawn
 
 
+class SmallBox(Random):
+    """Draws every integer from {0, 1}, whatever range is asked for, so that
+    dependent draws, draws inside the guard and so retries are common."""
+
+    def randint(self, a, b):
+        return super().randint(0, 1)
+
+
+@st.composite
+def extension_cases(draw):
+    """A flat h of R^d, a target dimension, a guard flat or None, and a
+    draw source given twice: the seed for the library and an equal stream
+    for the oracle."""
+    d = draw(st.integers(2, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    rational = st.fractions(-3, 3, max_denominator=4)
+    kind = draw(st.sampled_from(("lifted", "point", "through")))
+    if kind == "lifted":  # a hyperplane of R^d0 such as 2x + 3y = 1, in x_j = 0 for j >= d0
+        d0 = draw(st.integers(1, d - 1))
+        normal = draw(st.lists(st.integers(-3, 3), min_size=d0, max_size=d0).filter(any))
+        carrier = [[int(i == j) for i in range(d)] for j in range(d0, d)]
+        h = Flat(d, [normal + [0] * (d - d0)] + carrier, [draw(rational)] + [0] * (d - d0))
+    elif kind == "point":  # a rational point cut out by non-coordinate rows
+        point = draw(st.lists(rational, min_size=d, max_size=d))
+        rows = draw(st.lists(vec, min_size=d, max_size=d))
+        h = Flat(d, rows, [sum(a * x for a, x in zip(row, point)) for row in rows])
+    else:
+        point = draw(st.lists(rational, min_size=d, max_size=d))
+        h = _flat_through(point, draw(st.lists(vec, max_size=d - 2)), d)
+    assume(h.dim < d - 1)
+    target = draw(st.integers(h.dim + 1, d - 1))
+    base, h_dirs = fraction_solve_affine(h.equations, h.rhs)
+    guard = draw(st.sampled_from(("none", "through", "own") + ("carrier",) * (kind == "lifted")))
+    if guard == "none":
+        within = None
+    elif guard == "through":  # contains h, on rows that are not coordinate rows
+        within = _flat_through(base, h_dirs + draw(st.lists(vec, max_size=d - 1)), d)
+    elif guard == "own":  # drawn on its own, so it may miss h
+        within = _flat_through(draw(vec), draw(st.lists(vec, max_size=d - 1)), d)
+    else:
+        within = Flat(d, carrier, [0] * len(carrier))
+    seed = draw(st.integers(0, 2**32))
+    source = draw(st.sampled_from(("seed", "random", "small", "small")))
+    if source == "seed":
+        return h, target, within, seed, Random(seed)
+    box = SmallBox if source == "small" else Random
+    return h, target, within, box(seed), box(seed)
+
+
+class TestExtensionOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(extension_cases())
+    def test_integer_path_matches_the_fraction_oracle(self, case):
+        # the same draws through h.solution(), Fraction dots and Flat(...)
+        # give the same flat, value for value and type for type
+        h, target, within, seed, oracle_rng = case
+        d = h.ambient_dim
+        try:
+            expected = generic_extension_fraction(
+                h, target, d, oracle_rng, within,
+                geometry.RETRY_BUDGET, geometry.EXTENSION_BOX)
+        except ValueError:
+            with pytest.raises(InvalidInput):
+                generic_extension(h, target, d, seed, within=within)
+            return
+        if expected is None:
+            with pytest.raises(DegenerateRandomness):
+                generic_extension(h, target, d, seed, within=within)
+            return
+        got = generic_extension(h, target, d, seed, within=within)
+        assert (got.equations, got.rhs, got.dim) == (expected.equations, expected.rhs, expected.dim)
+        assert [list(map(type, row)) for row in got.equations + (got.rhs,)] == [
+            list(map(type, row)) for row in expected.equations + (expected.rhs,)]
+        assert got.solution() == expected.solution()
+
+
 class TestGuardChecks:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(guarded_draws())
@@ -458,7 +575,7 @@ class TestGuardChecks:
         h, guard, point, h_dirs, drawn = case
         d = h.ambient_dim
         holds = _meet_dim(h, guard) == h.dim
-        assert geometry._holds(guard, *h.solution()) == holds
+        assert geometry._holds(guard, *geometry._integer_view(h)) == holds
         if not holds:
             return
         extension = _flat_through(point, h_dirs + drawn, d)

@@ -199,3 +199,16 @@ def test_integer_kernel_matches_the_fraction_oracle(system):
     else:
         assert Flat(width, a, b).dim == width - rank_a
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)), min_size=1, max_size=6),
+       st.integers(-6, 6).filter(bool))
+def test_int_rows_skip_the_denominator_pass_with_the_same_result(row, factor):
+    # zero rows, negative leads and non-primitive rows (scaled by factor)
+    # come out as they do when the same row is given as Fractions
+    scaled = [factor * x for x in row]
+    for ints in (row, scaled, tuple(scaled)):
+        got = linalg._integer_row(ints)
+        assert got == linalg._integer_row([Fraction(x) for x in ints])
+        assert type(got) is list and all(type(x) is int for x in got)

@@ -104,6 +104,14 @@ def test_flat_construction_runs_no_fraction_elimination():
     assert not found, f"Flat.__init__ references {sorted(found)}"
 
 
+def test_generic_extension_reads_no_fraction_solution():
+    # the extension reads h as integers off its echelon form; a call of
+    # h.solution() would bring back the Fraction point and directions
+    reached, names = _reach("geometry.py", "generic_extension")
+    assert "_integer_view" in reached  # the rule follows the helpers
+    assert "solution" not in reached | names
+
+
 def test_integer_construction_paths_build_no_fraction():
     # grid points, hyperplanes and the embedding are integer objects, and
     # Flat and RatPoint keep integral values as int, so these bodies need
