@@ -41,6 +41,7 @@ from .geometry import (
     Flat,
     IntVector,
     RatPoint,
+    _int,
     find_collinear_triple,
     generic_extension,
     is_primitive,
@@ -95,6 +96,10 @@ class ConstructionConfig:
     epsilon_prime: float = DEFAULT_EPSILON_PRIME
 
     def __post_init__(self):
+        for name in ("d", "m", "n", "s", "seed", "t_cap", "box_side"):
+            value = getattr(self, name)
+            if value is not None or name not in ("t_cap", "box_side"):
+                _int(value, name)
         if self.d < 2:
             raise InvalidInput("ambient dimension must be at least 2")
         if self.m < 1 or self.n < 1:

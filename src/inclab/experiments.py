@@ -35,6 +35,7 @@ from .errors import (
     SizeShortfall,
     SweepFailed,
 )
+from .geometry import _int
 from .incidence import (
     IncidenceInstance,
     count_incidences,
@@ -72,7 +73,7 @@ class SweepSpec:
         for name in ("d", "s", "seed", "t_cap", "d_outer", "k"):
             value = getattr(self, name)
             if value is not None or name in ("d", "s", "seed"):
-                serialization._int(value, name)
+                _int(value, name)
         for name in ("epsilon_prime", "epsilon"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -81,7 +82,7 @@ class SweepSpec:
                 raise InvalidInput(f"{name} must be finite, got {value!r}")
         try:
             ladder = tuple(
-                (serialization._int(m, "m"), serialization._int(n, "n"))
+                (_int(m, "m"), _int(n, "n"))
                 for m, n in self.ladder
             )
         except (TypeError, ValueError):

@@ -273,22 +273,16 @@ def term_from_system(chain: DimensionChain, s: int) -> BoundTerm:
         raise InvalidInput("s must be at least 2")
     pairs = chain.pairs
     u = len(pairs) - 1
-    size = u + 2
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    matrix.append([Fraction(1)] + [Fraction(s)] * (u + 1))
-    rhs.append(Fraction(s))
+    augmented = [[1] + [s] * (u + 1) + [s]]
     for j, pair in enumerate(pairs):
-        row = [Fraction(pair.d)]
-        row += [Fraction(pair.d - pair.k)] * (j + 1)
-        row += [Fraction(0)] * (u - j)
-        matrix.append(row)
-        rhs.append(Fraction(pair.d))
-    solution = linalg.solve_square(matrix, rhs)
-    if solution is None:
+        augmented.append([pair.d] + [pair.d - pair.k] * (j + 1) + [0] * (u - j) + [pair.d])
+    solved = linalg.solve_rref(*linalg.integer_rref(augmented), u + 2)
+    if solved is None or solved[2]:  # no solution, or not a unique one
         raise DegenerateSystem(
             f"singular exponent system for chain {[(p.k, p.d) for p in pairs]}"
         )
+    point, den, _ = solved
+    solution = [Fraction(x, den) for x in point]
     alpha, beta = solution[0], solution[1]
     q_exponents = tuple((pairs[j], solution[j + 1]) for j in range(1, u + 1))
     return BoundTerm(alpha=alpha, beta=beta, q_exponents=q_exponents, s=s)

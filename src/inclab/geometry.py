@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from random import Random
 from typing import Iterable, Sequence
 
@@ -42,6 +42,14 @@ def _exact(x) -> int | Fraction:
     return int(x.numerator) if x.denominator == 1 else x
 
 
+def _int(value, what: str) -> int:
+    """``value`` when it is an ``int`` (a ``bool`` is not), else
+    :class:`InvalidInput`: an integer parameter is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class IntVector:
     """An integer coordinate vector (lattice point / hyperplane normal)."""
@@ -61,14 +69,11 @@ class IntVector:
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def content(self) -> int:
         """gcd of all coordinates (0 for the zero vector)."""
-        g = 0
-        for c in self.coords:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coords)
 
     def sign_canonical(self) -> "IntVector":
         """The representative of {v, -v} whose first nonzero entry is > 0."""
@@ -161,7 +166,7 @@ class Flat:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "dim", dim)
         # not a field: kept out of equality, hashing and repr, and read by
-        # solution() in place of a second elimination; None when the system
+        # _solved() in place of a second elimination; None when the system
         # was never reduced
         object.__setattr__(self, "_echelon", echelon)
 
@@ -177,24 +182,27 @@ class Flat:
     def contains(self, p: RatPoint) -> bool:
         return contains(self, p)
 
-    def _reduced(self) -> tuple[list[list[int]], list[int]]:
-        """The integer echelon form of ``[A | b]``: the kept one, or one
-        elimination when there is none (a hyperplane, or a flat built by
-        :meth:`_spanned`)."""
-        if self._echelon is not None:
-            return self._echelon
-        return linalg.integer_rref([row + (c,) for row, c in zip(self.equations, self.rhs)])
-
-    def solution(self) -> tuple[RatPoint, list[list[int | Fraction]]]:
-        """One point on the flat plus a basis of its direction space."""
-        if not self.equations:
-            d = self.ambient_dim
-            return RatPoint([0] * d), [[int(i == j) for j in range(d)] for i in range(d)]
-        solved = linalg.solve_rref(*self._reduced(), self.ambient_dim)
+    def _solved(self) -> tuple[list[int], int, list[list[int]]]:
+        """``(P, q, directions)``: the flat in integers, read by
+        :func:`linalg.solve_rref` off the integer echelon form of ``[A | b]``,
+        the kept one or one elimination when there is none (a hyperplane, or
+        a flat built by :meth:`_spanned`)."""
+        echelon = self._echelon
+        if echelon is None:
+            echelon = linalg.integer_rref([row + (c,) for row, c in zip(self.equations, self.rhs)])
+        solved = linalg.solve_rref(*echelon, self.ambient_dim)
         if solved is None:
             raise InvariantViolation("a constructed flat became inconsistent")
-        particular, basis = solved
-        return RatPoint(particular), basis
+        return solved
+
+    def solution(self) -> tuple[RatPoint, list[list[int | Fraction]]]:
+        """One point on the flat plus a basis of its direction space: the
+        integer :meth:`_solved` divided by its ``q``, so each basis vector
+        has a unit entry at its own free column."""
+        point, q, directions = self._solved()
+        return RatPoint([Fraction(x, q) for x in point]), [
+            [_exact(Fraction(x, q)) for x in v] for v in directions
+        ]
 
     def integer_equations(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Each equation rescaled to a primitive integer coefficient row; an
@@ -360,14 +368,16 @@ def generic_extension(
     draw is accepted only if the extension meets ``within`` exactly in
     ``h``; degenerate draws are retried, never emitted.
 
-    ``h`` is read as integers off its echelon form (:func:`_integer_view`),
-    and both guard checks are exact linear checks on vectors at hand
-    (:func:`_holds`, :func:`_meets_only_in_base`), not intersections.  Each
-    draw runs two eliminations (the direction nullspace and one rank).  The
-    accepted nullspace rows are the extension's equations, so it is built
-    with no further elimination (``Flat._spanned``), and its right-hand
-    sides are integer dots with ``h``'s homogeneous base point.  An ``h``
-    that keeps no echelon form (an earlier extension) costs one more.
+    ``h`` is read in integers off its echelon form (``Flat._solved``: a
+    base point ``P / q`` and directions), and both guard checks are exact
+    linear checks on vectors at hand (:func:`_holds`,
+    :func:`_meets_only_in_base`), not intersections.  Each draw runs two
+    eliminations (the direction nullspace and one rank).  The accepted
+    integer nullspace rows over their denominator, ``row / qn``, are the
+    extension's equations, so it is built with no further elimination
+    (``Flat._spanned``), and each right-hand side is one
+    ``Fraction(row @ P, qn * q)``.  An ``h`` that keeps no echelon form (an
+    earlier extension) costs one more.
     """
     if ambient_dim != h.ambient_dim:
         raise InvalidInput("flat does not live in the stated ambient dimension")
@@ -375,7 +385,7 @@ def generic_extension(
         raise InvalidInput(
             f"target dimension must satisfy {h.dim} < k < {ambient_dim}, got {target_dim}"
         )
-    point, q, directions = _integer_view(h)
+    point, q, directions = h._solved()
     if within is not None:
         if within.ambient_dim != ambient_dim:
             raise InvalidInput("guard flat lives in a different ambient dimension")
@@ -388,53 +398,20 @@ def generic_extension(
             [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
             for _ in range(extra)
         ]
-        normal_rows = linalg.nullspace(directions + drawn)
+        qn, normal_rows = linalg.nullspace(directions + drawn)
         if ambient_dim - len(normal_rows) != target_dim:
             continue  # the drawn directions are dependent
         if within is not None and not _meets_only_in_base(within, drawn):
             continue  # the extension meets within in more than h
         return Flat._spanned(
             ambient_dim,
-            tuple(tuple(map(_exact, row)) for row in normal_rows),
-            tuple(_offset(row, point, q) for row in normal_rows),
+            tuple(tuple(_exact(Fraction(x, qn)) for x in row) for row in normal_rows),
+            tuple(_exact(Fraction(_dot(row, point), qn * q)) for row in normal_rows),
             target_dim,
         )
     raise DegenerateRandomness(
         f"no verified generic extension after {retry_budget} draws"
     )
-
-
-def _integer_view(h: Flat) -> tuple[list[int], int, list[list[int]]]:
-    """``h`` in integers, read off its echelon form: a base point as a
-    homogeneous vector ``(P, q)``, q > 0, with ``P / q`` the point of
-    ``h.solution()``, and a primitive positive multiple of each direction
-    of ``h.solution()``, in its order."""
-    rows, pivots = h._reduced()
-    n = h.ambient_dim
-    q = lcm(*(row[c] for row, c in zip(rows, pivots)))
-    scales = [(row, c, q // row[c]) for row, c in zip(rows, pivots)]
-    point = [0] * n
-    for row, c, scale in scales:
-        point[c] = row[n] * scale
-    directions = []
-    pivot_set = set(pivots)
-    for fc in (c for c in range(n) if c not in pivot_set):
-        vec = [0] * n
-        vec[fc] = q
-        for row, c, scale in scales:
-            vec[c] = -row[fc] * scale
-        g = gcd(*vec)
-        directions.append([x // g for x in vec] if g > 1 else vec)
-    return point, q, directions
-
-
-def _offset(row: Sequence, point: Sequence[int], q: int) -> int | Fraction:
-    """``row @ (point / q)`` for a row of exact numbers: one integer dot of
-    ``point`` with ``row`` scaled by the lcm L of its denominators, and one
-    ``Fraction`` of it over ``L * q``."""
-    scale = lcm(*(x.denominator for x in row))
-    dot = sum(x.numerator * (scale // x.denominator) * p for x, p in zip(row, point))
-    return _exact(Fraction(dot, scale * q))
 
 
 def _holds(outer: Flat, point: Sequence[int], q: int, directions: Sequence[Sequence]) -> bool:

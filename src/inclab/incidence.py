@@ -47,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
-from .geometry import Flat, IntVector, RatPoint, contains
+from .geometry import Flat, IntVector, RatPoint, _int, contains
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _INT64_SAFE = 2**62
@@ -73,14 +73,14 @@ class IncidenceInstance:
         dims = {p.dim for p in pts} | {f.ambient_dim for f in fls}
         if len(dims) > 1:
             raise InvalidInput(f"mixed ambient dimensions in instance: {sorted(dims)}")
-        if s < 2:
+        if _int(s, "s") < 2:
             raise InvalidInput("s must be at least 2")
-        if t < 1:
+        if _int(t, "t") < 1:
             raise InvalidInput("t must be at least 1")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "flats", fls)
-        object.__setattr__(self, "s", int(s))
-        object.__setattr__(self, "t", int(t))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
     @property
     def ambient_dim(self) -> int:
@@ -373,9 +373,8 @@ def _heaviest_span(
     for subset in combinations(range(len(vectors)), size):
         rows = [list(v) for v in fixed] + [list(vectors[i]) for i in subset]
         # no rows only for flat_dim 0, whose one span is the origin
-        basis = linalg.nullspace(rows or [[0] * len(vectors[0])])
-        eqs = [(linalg.integer_row_and_offset(row, 0)[0], 0) for row in basis]
-        best = max(best, int(weights[_members(split, eqs)].sum()))
+        _, basis = linalg.nullspace(rows or [[0] * len(vectors[0])])
+        best = max(best, int(weights[_members(split, [(row, 0) for row in basis])].sum()))
         if best > cap:
             break
     return best

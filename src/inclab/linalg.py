@@ -4,8 +4,11 @@ Matrices are lists of rows of exact numbers (``int`` or ``Fraction``).  No
 floating point appears anywhere in this module; every rank, solution, and
 nullspace is exact.  Elimination is fraction-free: :func:`integer_rref`
 scales each row to integers once (a row of ``int``s only to its primitive
-form) and eliminates on Python integers, and ``Fraction``s are built only
-from its final rows.  Inputs are never mutated.
+form) and eliminates on Python integers, and :func:`solve_rref` reads every
+solution off its rows in integers, as integer vectors over one common
+denominator.  Only :func:`integer_row_and_offset` builds a ``Fraction``, for
+a rational offset; a caller builds one only where a public value needs it.
+Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
-
-Row = list[int | Fraction]
-Matrix = list[Row]
 
 
 def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -67,67 +67,51 @@ def _integer_row(row: Sequence) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
-def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+def rank(matrix: Sequence[Sequence]) -> int:
     return len(integer_rref(matrix)[1])
-
-
-def solve_affine(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> tuple[Row, Matrix] | None:
-    """Solve ``a @ x = b`` exactly, with one elimination of ``[a | b]``.
-
-    Returns ``(particular, nullspace_basis)`` where ``particular`` is one
-    solution and ``nullspace_basis`` spans the solution set's directions,
-    or ``None`` when the system is inconsistent.  The basis has
-    ``len(a[0]) - rank(a)`` vectors.
-    """
-    if not a:
-        raise ValueError("empty system has no well-defined column count")
-    n_cols = len(a[0])
-    rows, pivots = integer_rref([list(row) + [bi] for row, bi in zip(a, b)])
-    return solve_rref(rows, pivots, n_cols)
 
 
 def solve_rref(
     rows: Sequence[Sequence[int]], pivots: Sequence[int], n_cols: int
-) -> tuple[Row, Matrix] | None:
-    """:func:`solve_affine` read off ``(rows, pivots)``, the
-    :func:`integer_rref` of an augmented system ``[a | b]`` with ``n_cols``
-    unknowns; no further elimination."""
+) -> tuple[list[int], int, list[list[int]]] | None:
+    """The solutions of a system read in integers off ``(rows, pivots)``,
+    the :func:`integer_rref` of its augmented matrix ``[a | b]`` with
+    ``n_cols`` unknowns; no further elimination.
+
+    Returns ``(point, q, directions)``, or ``None`` when the system is
+    inconsistent.  ``q > 0`` is the lcm of the pivot entries (1 when there
+    are none) and ``point / q`` is one solution.  There is one direction
+    per free column, ``q`` there and 0 at the other free columns, so the
+    ``direction / q`` are the basis of the solution set's directions that
+    is the identity on the free columns.
+    """
     if n_cols in pivots:
         return None  # pivot in the constants column: inconsistent
-    particular: Row = [0] * n_cols
-    for row, c in zip(rows, pivots):
-        particular[c] = Fraction(row[n_cols], row[c])
+    q = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    scales = [(row, c, q // row[c]) for row, c in zip(rows, pivots)]
+    point = [0] * n_cols
+    for row, c, scale in scales:
+        point[c] = row[n_cols] * scale
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis: Matrix = []
-    for fc in free_cols:
-        vec: Row = [0] * n_cols
-        vec[fc] = 1
-        for row, pc in zip(rows, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
-        basis.append(vec)
-    return particular, basis
+    directions = []
+    for fc in (c for c in range(n_cols) if c not in pivot_set):
+        vec = [0] * n_cols
+        vec[fc] = q
+        for row, c, scale in scales:
+            vec[c] = -row[fc] * scale
+        directions.append(vec)
+    return point, q, directions
 
 
-def nullspace(a: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Basis of ``{x : a @ x = 0}``, as a list of vectors."""
-    return solve_affine(a, [0] * len(a))[1]
-
-
-def solve_square(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Row | None:
-    """Unique solution of a square system, or ``None`` when singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    result = solve_affine(a, b)
-    if result is None:
-        return None
-    particular, basis = result
-    if basis:
-        return None  # underdetermined counts as singular here
-    return particular
+def nullspace(a: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """``(q, directions)``: the ``direction / q`` are a basis of
+    ``{x : a @ x = 0}``, as :func:`solve_rref` reads it."""
+    if not a:
+        raise ValueError("empty system has no well-defined column count")
+    rows, pivots = integer_rref(a)
+    # the homogeneous system's constants column, appended after elimination
+    _, q, directions = solve_rref([row + [0] for row in rows], pivots, len(a[0]))
+    return q, directions
 
 
 def integer_row_and_offset(

@@ -25,7 +25,7 @@ from typing import Any
 
 from .constructions import ConstructionOutput
 from .errors import InvalidInput
-from .geometry import Flat, IntVector, RatPoint
+from .geometry import Flat, IntVector, RatPoint, _int
 from .incidence import IncidenceInstance
 
 SCHEMA_VERSION = 1
@@ -43,12 +43,6 @@ def _dec(pair: Any) -> int | Fraction:
     if den == 0:
         raise InvalidInput(f"zero denominator in rational {pair!r}")
     return num if den == 1 else Fraction(num, den)
-
-
-def _int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInput(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _list(value: Any, what: str) -> list:

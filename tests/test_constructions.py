@@ -314,6 +314,15 @@ class TestGridConstruction:
             with pytest.raises(InvalidInput):
                 build_grid_construction(cfg)
 
+    @pytest.mark.parametrize("name, value", [
+        ("m", 100.5), ("d", 2.0), ("n", "300"), ("s", 2.5), ("seed", 1.5),
+        ("t_cap", 3.0), ("box_side", 2.5), ("d", True),
+    ])
+    def test_non_integer_parameters_rejected(self, name, value):
+        fields = {"d": 2, "m": 100, "n": 300, name: value}
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            ConstructionConfig(**fields)
+
     def test_regime_warning_is_note_not_error(self):
         cfg = ConstructionConfig(d=2, m=10, n=3, seed=0, box_side=2)
         with pytest.warns(UserWarning, match="regime"):

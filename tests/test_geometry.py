@@ -163,15 +163,21 @@ def _random_flat(rng: Random, d: int) -> Flat:
 class TestSolution:
     def test_solution_equals_one_elimination_of_the_system(self):
         # solution() reads the echelon form the constructor kept; a
-        # hyperplane, which keeps none, eliminates on demand
+        # hyperplane, which keeps none, eliminates on demand; the whole
+        # space, with no equations, is read by the same reader
         rng = Random(31)
         flats = [_random_flat(rng, rng.randint(2, 5)) for _ in range(80)]
         flats += [make_hyperplane(IntVector((0, -2, 3)), Fraction(5, 2)),
-                  Flat(3, [[0, 0, 0]], [0]), Flat(2, [[1, 2], [2, 4]], [3, 6])]
+                  Flat(3, [[0, 0, 0]], [0]), Flat(2, [[1, 2], [2, 4]], [3, 6]),
+                  Flat(3, [], [])]
         for f in flats:
-            particular, basis = linalg.solve_affine(f.equations, f.rhs)
+            augmented = [list(row) + [c] for row, c in zip(f.equations, f.rhs)]
+            p, q, basis = linalg.solve_rref(*linalg.integer_rref(augmented), f.ambient_dim)
             point, directions = f.solution()
-            assert point == RatPoint(particular) and directions == basis
+            assert point == RatPoint([Fraction(x, q) for x in p])
+            assert directions == [[Fraction(x, q) for x in v] for v in basis]
+        assert Flat(3, [], []).solution() == (
+            RatPoint([0, 0, 0]), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_kept_echelon_form_is_not_part_of_the_value(self):
         a = Flat(2, [[1, 2], [2, 4]], [3, 6])
@@ -190,16 +196,17 @@ class TestSolution:
         for _ in range(80):
             d = rng.randint(2, 5)
             spanned = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(1, d))]
-            normals = linalg.nullspace(spanned)
-            if not normals:
+            q, rows = linalg.nullspace(spanned)
+            if not rows:
                 continue
+            normals = [[Fraction(x, q) for x in row] for row in rows]
             # right-hand sides whose denominators are not their rows'
             rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in normals]
             flat = Flat._spanned(d, tuple(tuple(map(geometry._exact, row)) for row in normals),
                                  tuple(map(geometry._exact, rhs)), d - len(normals))
             built = Flat(d, normals, rhs)
             assert flat == built and hash(flat) == hash(built) and flat.dim == built.dim
-            assert flat._echelon is None and flat._reduced() == built._reduced()
+            assert flat._echelon is None and flat._solved() == built._solved()
             assert flat.solution() == built.solution()
 
     def test_integer_view_is_the_solution_in_integers(self):
@@ -209,14 +216,12 @@ class TestSolution:
                   Flat(3, [[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, 1, Fraction(1, 2)])]
         for f in flats:
             point, directions = f.solution()
-            homogeneous, q, integer_dirs = geometry._integer_view(f)
-            assert q > 0 and all(type(x) is int for x in homogeneous)
+            homogeneous, q, integer_dirs = f._solved()
+            assert type(q) is int and q > 0 and all(type(x) is int for x in homogeneous)
             assert RatPoint([Fraction(x, q) for x in homogeneous]) == point
             assert len(integer_dirs) == len(directions)
             for v, u in zip(integer_dirs, directions):
-                assert all(type(x) is int for x in v) and gcd_all(v) == 1
-                ratio = next(Fraction(a) / b for a, b in zip(v, u) if b)
-                assert ratio > 0 and all(a == ratio * b for a, b in zip(v, u))
+                assert all(type(x) is int for x in v) and v == [q * x for x in u]
 
 
 class TestIntVector:
@@ -575,7 +580,7 @@ class TestGuardChecks:
         h, guard, point, h_dirs, drawn = case
         d = h.ambient_dim
         holds = _meet_dim(h, guard) == h.dim
-        assert geometry._holds(guard, *geometry._integer_view(h)) == holds
+        assert geometry._holds(guard, *h._solved()) == holds
         if not holds:
             return
         extension = _flat_through(point, h_dirs + drawn, d)

@@ -68,6 +68,13 @@ class TestCounting:
         with pytest.raises(InvalidInput):
             count_incidences(IncidenceInstance(points, flats, 2, 1), "fast")
 
+    @pytest.mark.parametrize("s, t", [(2.5, 3.9), (2, 3.0), (2.0, 3), (True, 3), ("2", 3)])
+    def test_non_integer_s_or_t_rejected(self, s, t):
+        # int() would run 2.5 and 3.9 as s=2, t=3
+        points, flats = grid_and_axis_lines()
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            IncidenceInstance(points, flats, s, t)
+
     def test_rational_points_and_offsets_count_exactly(self):
         points = [P(Fraction(1, 2), Fraction(1, 3)), P(1, 1), P(Fraction(1, 2), 2)]
         flats = [

@@ -34,7 +34,7 @@ def test_rank_matches_minor_rank_on_random_matrices():
         assert linalg.rank(m) == minor_rank(m)
 
 
-def test_solve_affine_substitutes_back():
+def test_solve_rref_substitutes_back():
     rng = Random(7)
     for _ in range(80):
         n_rows = rng.randint(1, 4)
@@ -44,42 +44,29 @@ def test_solve_affine_substitutes_back():
             for _ in range(n_rows)
         ]
         b = [Fraction(rng.randint(-3, 3)) for _ in range(n_rows)]
-        solved = linalg.solve_affine(a, b)
+        augmented = [row + [bb] for row, bb in zip(a, b)]
+        solved = linalg.solve_rref(*linalg.integer_rref(augmented), n_cols)
         if solved is None:
             # inconsistent: rank of [A|b] must exceed rank of A
-            assert linalg.rank([row + [bb] for row, bb in zip(a, b)]) > linalg.rank(a)
+            assert linalg.rank(augmented) > linalg.rank(a)
             continue
-        particular, basis = solved
+        point, q, directions = solved
+        assert q > 0
         for row, bb in zip(a, b):
-            assert sum(x * y for x, y in zip(row, particular)) == bb
-        for vec in basis:
+            assert sum(x * y for x, y in zip(row, point)) == bb * q
+        for vec in directions:
             for row in a:
                 assert sum(x * y for x, y in zip(row, vec)) == 0
-        assert len(basis) == n_cols - linalg.rank(a)
+        assert len(directions) == n_cols - linalg.rank(a)
 
 
 def test_nullspace_dimension_and_membership():
     a = frac_matrix([[1, 2, 3], [2, 4, 6]])
-    basis = linalg.nullspace(a)
-    assert len(basis) == 2
+    q, basis = linalg.nullspace(a)
+    assert len(basis) == 2 and q == 1
+    assert [vec[1:] for vec in basis] == [[1, 0], [0, 1]]  # q at each free column
     for vec in basis:
         assert sum(x * y for x, y in zip(a[0], vec)) == 0
-
-
-def test_solve_square_unique_and_singular():
-    a = frac_matrix([[1, 1], [1, -1]])
-    assert linalg.solve_square(a, [Fraction(3), Fraction(1)]) == [
-        Fraction(2),
-        Fraction(1),
-    ]
-    singular = frac_matrix([[1, 1], [2, 2]])
-    assert linalg.solve_square(singular, [Fraction(1), Fraction(2)]) is None
-    assert linalg.solve_square(singular, [Fraction(1), Fraction(3)]) is None
-
-
-def test_solve_square_rejects_non_square():
-    with pytest.raises(ValueError):
-        linalg.solve_square([[Fraction(1), Fraction(2)]], [Fraction(1)])
 
 
 def test_clear_denominators_primitive_and_sign():
@@ -177,6 +164,18 @@ def systems(draw):
     return [a[k] for k in order], [b[k] for k in order]
 
 
+def _over_q(solved):
+    """``(point / q, [direction / q, ...])`` of a :func:`linalg.solve_rref`
+    result, after checking that ``q > 0`` and that every entry is an ``int``;
+    ``None`` stays ``None``."""
+    if solved is None:
+        return None
+    point, q, directions = solved
+    assert type(q) is int and q > 0
+    assert all(type(x) is int for v in [point, *directions] for x in v)
+    return [Fraction(x, q) for x in point], [[Fraction(x, q) for x in v] for v in directions]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(systems())
 def test_integer_kernel_matches_the_fraction_oracle(system):
@@ -189,8 +188,10 @@ def test_integer_kernel_matches_the_fraction_oracle(system):
     for row, c, ref in zip(rows, pivots, red):  # integer multiples of the RREF rows
         assert all(type(x) is int for x in row)
         assert [Fraction(x, row[c]) for x in row] == ref
-    assert linalg.solve_affine(a, b) == fraction_solve_affine(a, b)
-    assert linalg.nullspace(a) == fraction_solve_affine(a, [0] * len(a))[1]
+    # the reader's integer solution, divided by its q, is the oracle's
+    assert _over_q(linalg.solve_rref(rows, pivots, width)) == fraction_solve_affine(a, b)
+    q, directions = linalg.nullspace(a)
+    assert _over_q(([0] * width, q, directions)) == fraction_solve_affine(a, [0] * len(a))
     rank_a = minor_rank(a)
     assert linalg.rank(a) == rank_a
     if minor_rank(augmented) > rank_a:

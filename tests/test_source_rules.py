@@ -96,19 +96,27 @@ def test_instance_writer_shares_no_code_with_the_reference_path():
 
 def test_flat_construction_runs_no_fraction_elimination():
     # Flat.__init__ takes rank and consistency from the integer kernel's
-    # pivots; the Fraction-building solvers stay out of flat construction
+    # pivots; it reads no solution off them
     tree = ast.parse((SOURCE / "geometry.py").read_text())
     flat = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Flat")
     init = next(n for n in flat.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
-    found = _referenced_names(init) & {"row_echelon", "solve_affine"}
+    found = _referenced_names(init) & {"solve_rref", "_solved", "solution", "Fraction"}
     assert not found, f"Flat.__init__ references {sorted(found)}"
+
+
+def test_exact_kernel_builds_no_fraction():
+    # elimination and the one solution reader stay in integers; callers
+    # build a Fraction only where a public value needs one
+    for start in ("integer_rref", "solve_rref", "nullspace", "rank"):
+        _, names = _reach("linalg.py", start)
+        assert "Fraction" not in names, f"{start} reaches Fraction"
 
 
 def test_generic_extension_reads_no_fraction_solution():
     # the extension reads h as integers off its echelon form; a call of
     # h.solution() would bring back the Fraction point and directions
     reached, names = _reach("geometry.py", "generic_extension")
-    assert "_integer_view" in reached  # the rule follows the helpers
+    assert "solve_rref" in names  # the rule follows the helpers
     assert "solution" not in reached | names
 
 
