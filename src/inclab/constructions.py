@@ -53,7 +53,7 @@ from .incidence import (
     KstWitness,
     _PointSplit,
     _count_hashed,
-    _exact_dots,
+    _dot_values,
     _heaviest_span,
     _int_point_matrix,
     _int_root_floor,
@@ -67,6 +67,7 @@ from .incidence import (
 DEFAULT_EPSILON_PRIME = 0.1
 _GRID_LIMIT = 10**7
 _NAIVE_LIMIT = 4 * 10**7  # point-flat pairs up to which verify also counts naively
+_COLLINEAR_LIMIT = 2000  # sphere points up to which verify scans for collinear triples
 _PAD_NORMAL_BOX = 3
 _SPHERE_PAD_BOX = 40
 # variant -> (codimension of the guarded subspaces, drop e, slope a, regime):
@@ -278,7 +279,7 @@ def _box_side(d: int, m: int, n: int, eps: float, slope: int, power: int) -> flo
 
 def _achieved_offsets(v: IntVector, split: _PointSplit) -> set:
     """Exact set of dot products <v, p> over the split points."""
-    return set(_value_counts(_exact_dots(split, v.coords)))
+    return set(_value_counts(_dot_values(split, v.coords)))
 
 
 def _core_hyperplanes(
@@ -637,8 +638,11 @@ def verify_construction(
     if gave_up is not None:
         notes.append(f"K_{{{s},{t}}} search {kst_status}: {gave_up}")
     collinear = None
-    if out.variant == "b" and len(out.points) <= 2000:
-        collinear = find_collinear_triple(out.points)
+    if out.variant == "b":
+        if len(out.points) <= _COLLINEAR_LIMIT:
+            collinear = find_collinear_triple(out.points)
+        else:
+            notes.append("collinearity scan skipped above the size cap")
     base_d = out.inner_ambient_dim or out.ambient_dim
     return VerificationReport(
         variant=out.variant,

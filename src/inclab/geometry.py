@@ -455,7 +455,8 @@ def find_collinear_triple(
     Exhaustive over all triples: for each anchor, directions to later points
     are reduced to a primitive representative; a repeated direction at one
     anchor is exactly a collinear triple through it, and every collinear
-    triple repeats a direction at its lowest-index point.
+    triple repeats a direction at its lowest-index point or holds a copy
+    of that point, which is on one line with it and any other point.
     """
     n = len(points)
     for i in range(n):
@@ -464,9 +465,10 @@ def find_collinear_triple(
         for j in range(i + 1, n):
             delta = [a - b for a, b in zip(points[j].coords, pi)]
             key, _ = linalg.integer_row_and_offset(delta, 0)
-            if all(v == 0 for v in key):
-                continue  # duplicate point: not a direction
             if key in seen:
                 return (i, seen[key], j)
+            # a copy (the zero key) is the first key seen, or it returned
+            if seen and not (any(key) and any(next(iter(seen)))):
+                return (i, next(iter(seen.values())), j)
             seen[key] = j
     return None

@@ -4,20 +4,22 @@ Two interchangeable counting strategies are provided and must always agree:
 
 * ``naive``  -- every equation of every flat evaluated at every point,
   O(m n).  This is the reference path; it never groups flats by normal or
-  buckets points by offset.  Integer points are checked densely: the
-  flats' equation rows are stacked and multiplied by a block of points at
-  a time in int64, where that provably cannot overflow; other flats and
-  points keep exact Python arithmetic.
+  buckets points by offset.  The flats' homogeneous equation rows are
+  stacked and multiplied by a block of points at a time, in int64 where
+  that provably cannot overflow and in Python ints otherwise.
 * ``hashed`` -- hyperplanes are grouped by their primitive integer normal
   and points are bucketed by exact dot product, so each group costs one
   pass over the points.  The dots of a normal with every point form one
-  array in point order: a single int64 product when every point is an
-  integer point and the magnitudes provably fit, and otherwise an object
-  array of Python-int sums over each other point's common denominator, an
-  ``int`` when integral and a ``Fraction`` only when not.
+  array in point order: an int64 product when the magnitudes provably
+  fit, with an ``int`` or ``Fraction`` value built only for a point with
+  a denominator.
 
-An instance splits its points and classifies its flats once, for every
-count, the K_{s,t} certificate and the masks.  All counts are exact; there
+Every point is stored once in homogeneous integer form: its primitive
+integer row P over its denominator q > 0, so x = P / q.  An equation
+a.x = c/e then holds exactly when (e a).P - c q = 0, so membership and
+the naive count compare one integer product with zero.  An instance
+splits its points and classifies its flats once, for every count, the
+K_{s,t} certificate and the masks.  All counts are exact; there
 is no tolerance anywhere in this module.
 
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
@@ -40,14 +42,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb
+from numbers import Rational
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
-from .geometry import Flat, IntVector, RatPoint, _int, contains
+from .geometry import Flat, IntVector, RatPoint, _exact, _int, contains
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _INT64_SAFE = 2**62
@@ -110,7 +113,7 @@ class IncidenceInstance:
         split = self._split
         out = {}
         for normal, by_offset in self._grouping[0].items():
-            counts = _value_counts(_exact_dots(split, normal))
+            counts = _value_counts(_dot_values(split, normal))
             out[normal] = {offset: counts.get(offset, 0) for offset in by_offset}
         return out
 
@@ -149,43 +152,39 @@ def count_incidences(inst: IncidenceInstance, strategy: str = "auto") -> int:
 
 
 def _count_naive(inst: IncidenceInstance) -> int:
-    """Reference count: evaluate every equation of every flat at every point."""
-    matrix, _, leftover, max_abs = inst._split
-    scale = max(max_abs, 1)  # the rows themselves must fit int64 too
-    int_rows: list[list[int]] | None = None
-    dense: list[list[tuple[tuple[int, ...], int]]] = []
+    """Reference count: evaluate every equation of every flat at every point.
+
+    An equation a.x = c/e is the integer row (e a, -c), zero on a point's
+    (P, q) exactly when the point meets it.  A flat is counted in int64
+    when its rows provably fit, and in Python ints otherwise.
+    """
+    matrix, q, max_abs, _ = inst._split
+    dense: list[list[list[int]]] = []
+    wide: list[list[list[int]]] = []
     total = 0
     for flat in inst.flats:
         if not flat.equations:
             total += len(inst.points)  # the whole space
             continue
-        total += sum(1 for i in leftover if contains(flat, inst.points[i]))
-        eqs = flat.integer_equations()
-        if any(isinstance(c, Fraction) for _, c in eqs):
-            continue  # no integer point reaches a rational offset
-        if all(sum(abs(a) for a in row) * scale <= _INT64_SAFE for row, _ in eqs):
-            # every |<row, x>| is at most _INT64_SAFE, so a larger offset is
-            # unreachable (and must not be cast to int64)
-            if all(abs(c) <= _INT64_SAFE for _, c in eqs):
-                dense.append(eqs)
-            continue
-        if int_rows is None:
-            int_rows = matrix.tolist()
-        total += sum(
-            1
-            for x in int_rows
-            if all(sum(a * v for a, v in zip(row, x)) == c for row, c in eqs)
-        )
-    return total + _count_dense(matrix, dense)
+        rows = [
+            [c.denominator * a for a in row] + [-c.numerator]
+            for row, c in flat.integer_equations()
+        ]
+        fits = all(sum(map(abs, row)) * max_abs <= _INT64_SAFE for row in rows)
+        (dense if fits else wide).append(rows)
+    total += _count_dense(matrix, q, dense)
+    if wide:
+        total += _count_dense(matrix.astype(object), q.astype(object), wide)
+    return total
 
 
 def _count_dense(
-    matrix: np.ndarray, flats: Sequence[Sequence[tuple[tuple[int, ...], int]]]
+    matrix: np.ndarray, q: np.ndarray, flats: Sequence[Sequence[Sequence[int]]]
 ) -> int:
-    """Pairs (row of ``matrix``, flat) where the point meets every equation.
+    """Pairs (point (P, q) of ``matrix`` and ``q``, flat) where the point
+    zeroes every homogeneous row of the flat, in the dtype of ``matrix``.
 
-    Each flat is a list of int64-safe ``(row, offset)`` equations.  Flats
-    are stacked into an equation matrix a chunk at a time, and points are
+    Flats are stacked into a row matrix a chunk at a time, and points are
     taken a block at a time, so a block holds at most ``_DENSE_ENTRIES``
     products (or one point's worth, for a flat with more rows than that).
     """
@@ -197,12 +196,12 @@ def _count_dense(
             width += len(flats[hi])
             hi += 1
         chunk = flats[lo:hi]
-        rows = np.array([row for eqs in chunk for row, _ in eqs], dtype=np.int64)
-        offsets = np.array([c for eqs in chunk for _, c in eqs], dtype=np.int64)
+        rows = np.array([row for eqs in chunk for row in eqs], dtype=matrix.dtype)
         starts = np.cumsum([0] + [len(eqs) for eqs in chunk[:-1]])
         step = max(1, _DENSE_ENTRIES // width)
         for p in range(0, matrix.shape[0], step):
-            hits = matrix[p : p + step] @ rows.T == offsets
+            points = np.column_stack((matrix[p : p + step], q[p : p + step]))
+            hits = points @ rows.T == 0
             total += int(np.count_nonzero(np.logical_and.reduceat(hits, starts, axis=1)))
         lo = hi
     return total
@@ -218,18 +217,14 @@ def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], int | Fraction] | None
 
 
 class _PointSplit(NamedTuple):
-    """Points made ready for exact dot products: the integer points within
-    2^62 as one int64 matrix, and each other point (rational, or past 2^62)
-    as integer numerators over one common denominator."""
+    """Points made ready for exact dot products, in point order: point i is
+    ``matrix[i] / q[i]``, its primitive homogeneous integer form.  Both arrays
+    are int64 when every entry is within 2^62, and Python ints otherwise."""
 
     matrix: np.ndarray
-    rows: list[int]  # the point index of each matrix row
-    leftover: dict[int, tuple[tuple[int, ...], int]]  # index -> (numerators, denominator)
-    max_abs: int  # bound on the matrix entries
-
-    @property
-    def size(self) -> int:
-        return len(self.rows) + len(self.leftover)
+    q: np.ndarray  # the denominators, all positive
+    max_abs: int  # bound on the entries of ``matrix`` and ``q``
+    integral: bool  # every q is 1
 
 
 def _int_point_matrix(points: Sequence[RatPoint | IntVector]) -> _PointSplit:
@@ -237,7 +232,7 @@ def _int_point_matrix(points: Sequence[RatPoint | IntVector]) -> _PointSplit:
     return _split_coords([p.coords for p in points], points[0].dim if points else 0)
 
 
-def _split_coords(coords: Sequence[tuple[int | Fraction, ...]], dim: int) -> _PointSplit:
+def _split_coords(coords: Sequence[Sequence[Rational]], dim: int) -> _PointSplit:
     """:func:`_int_point_matrix` of the exact coordinate tuples ``coords``.
 
     One ``np.array`` of every coordinate when numpy reads them all as int64
@@ -250,51 +245,45 @@ def _split_coords(coords: Sequence[tuple[int | Fraction, ...]], dim: int) -> _Po
         if matrix.dtype == np.int64 and (
             (matrix >= -_INT64_SAFE) & (matrix <= _INT64_SAFE)
         ).all():
-            max_abs = max(int(matrix.max()), -int(matrix.min()))
-            return _PointSplit(matrix, list(range(len(coords))), {}, max_abs)
-    mat_rows: list[tuple[int, ...]] = []
-    mat_idx: list[int] = []
-    leftover: dict[int, tuple[tuple[int, ...], int]] = {}
-    max_abs = 0
-    for i, cs in enumerate(coords):
-        if all(type(c) is int for c in cs):
-            m = max(map(abs, cs))
-            if m <= _INT64_SAFE:
-                max_abs = max(max_abs, m)
-                mat_rows.append(cs)
-                mat_idx.append(i)
-                continue
-        den = lcm(*(c.denominator for c in cs))
-        leftover[i] = tuple(c.numerator * (den // c.denominator) for c in cs), den
-    matrix = np.array(mat_rows, dtype=np.int64).reshape(len(mat_rows), dim)
-    return _PointSplit(matrix, mat_idx, leftover, max_abs)
+            max_abs = max(int(matrix.max()), -int(matrix.min()), 1)
+            return _PointSplit(matrix, np.ones(len(coords), np.int64), max_abs, True)
+    pairs = [linalg.clear_denominators(cs) for cs in coords]
+    max_abs = max((max(den, *map(abs, ints)) for ints, den in pairs), default=0)
+    dtype = np.int64 if max_abs <= _INT64_SAFE else object
+    matrix = np.array([ints for ints, _ in pairs], dtype=dtype).reshape(len(pairs), dim)
+    q = np.array([den for _, den in pairs], dtype=dtype)
+    return _PointSplit(matrix, q, max_abs, bool((q == 1).all()))
 
 
-def _exact_dots(split: _PointSplit, row: Sequence[int]) -> np.ndarray:
-    """Exact dot products of the integer ``row`` with every point, in point
-    order.
+def _exact_dots(split: _PointSplit, row: Sequence[int], c: int = 0) -> np.ndarray:
+    """``row @ P - c * q`` over the split points, in point order: zero
+    exactly at the points on the hyperplane ``row . x = c``.
 
-    One int64 product when every point is in the matrix and
-    ``sum|row| * max_abs`` provably fits; otherwise an object array holding
-    an ``int`` per integral dot and a ``Fraction`` per other one.  Either
-    way the values compare and hash exactly.
+    One int64 product when ``(sum|row| + |c|) * max_abs`` provably fits;
+    otherwise Python ints in an object array.  Either way it is exact.
     """
-    matrix, rows, leftover, max_abs = split
-    if not split.size:
+    matrix, q, max_abs, _ = split
+    if not len(q):
         return np.zeros(0, dtype=np.int64)  # no points: no columns to multiply
-    # max(., 1): the row itself must fit int64 even when every point is 0
-    if sum(abs(a) for a in row) * max(max_abs, 1) <= _INT64_SAFE:
-        matrix_dots = matrix @ np.array(row, dtype=np.int64)
-        if not leftover:
-            return matrix_dots
+    if (sum(abs(a) for a in row) + abs(c)) * max_abs <= _INT64_SAFE:
+        dots = matrix @ np.array(row, dtype=np.int64)
     else:
-        matrix_dots = [sum(a * x for a, x in zip(row, r)) for r in matrix.tolist()]
-    dots = np.empty(split.size, dtype=object)
-    dots[rows] = matrix_dots
-    for i, (nums, den) in leftover.items():
-        num = sum(a * x for a, x in zip(row, nums))
-        dots[i] = num // den if num % den == 0 else Fraction(num, den)
-    return dots
+        matrix, q = matrix.astype(object), q.astype(object)
+        dots = matrix @ np.array(row, dtype=object)
+    return dots - c * q if c else dots
+
+
+def _dot_values(split: _PointSplit, row: Sequence[int]) -> np.ndarray:
+    """The exact values ``row . x`` over the split points, in point order,
+    for bucketing: the :func:`_exact_dots` when every q is 1, and otherwise
+    with an ``int`` or ``Fraction`` built for each point whose q is not 1."""
+    dots = _exact_dots(split, row)
+    if split.integral:
+        return dots
+    values = dots.astype(object)
+    for i in np.flatnonzero(split.q != 1).tolist():
+        values[i] = _exact(Fraction(values[i], int(split.q[i])))
+    return values
 
 
 def _value_counts(dots: np.ndarray) -> dict:
@@ -342,16 +331,15 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
 
 
 def _members(
-    split: _PointSplit, equations: Sequence[tuple[Sequence[int], int | Fraction]]
+    split: _PointSplit, equations: Sequence[tuple[Sequence[int], Rational]]
 ) -> np.ndarray:
     """Indices of the split points meeting every integer ``(row, offset)``
-    equation, ascending."""
-    on = np.ones(split.size, dtype=bool)
+    equation, ascending: for an offset c/e, those where
+    ``(e row) @ P - c q`` is zero."""
+    on = np.ones(len(split.q), dtype=bool)
     for row, offset in equations:
-        dots = _exact_dots(split, row)
-        if isinstance(offset, Fraction) and dots.dtype != object:
-            return np.zeros(0, dtype=np.intp)  # no integer point reaches a rational offset
-        on &= dots == offset
+        e = offset.denominator
+        on &= _exact_dots(split, [e * a for a in row], offset.numerator) == 0
     return np.flatnonzero(on)
 
 
@@ -481,16 +469,13 @@ def _most_sharing(member_lists: Sequence[list[int]], s: int) -> int:
 
 
 def _max_point_multiplicity(split: _PointSplit) -> int:
-    """The most times one point value occurs among the split points."""
-    matrix, _, leftover, _ = split
-    # (numerators, denominator) is one form per value, and no leftover
-    # point equals a matrix row
-    top = max(Counter(leftover.values()).values(), default=0)
-    if len(matrix):
-        rows = matrix[np.lexsort(matrix.T)]  # equal rows become runs
-        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-        top = max(top, int(np.diff(np.r_[starts, len(rows)]).max()))
-    return top
+    """The most times one point value occurs among the split points: the
+    most equal (P, q) rows, since the primitive form with q > 0 is one
+    form per point."""
+    rows = np.column_stack((split.matrix, split.q))
+    rows = rows[np.lexsort(rows.T)]  # equal rows become runs
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    return int(np.diff(np.r_[starts, len(rows)]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +496,7 @@ def _grouped_masks(inst: IncidenceInstance) -> list[int]:
     split = inst._split
     for normal, by_offset in groups.items():
         buckets: dict = defaultdict(list)  # exact dot value -> point indices
-        for i, dot in enumerate(_exact_dots(split, normal).tolist()):
+        for i, dot in enumerate(_dot_values(split, normal).tolist()):
             buckets[dot].append(i)
         for offset, flat_ids in by_offset.items():
             bits = sum(1 << j for j in flat_ids)

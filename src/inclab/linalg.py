@@ -58,13 +58,19 @@ def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]
 def _integer_row(row: Sequence) -> list[int]:
     """``row`` of exact numbers scaled by a positive rational to a primitive
     integer row; a row of ``int``s skips the denominator pass."""
-    if all(type(x) is int for x in row):
-        ints = list(row)
-    else:
-        scale = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (scale // x.denominator) for x in row]
+    ints, _ = clear_denominators(row)
     g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return [x // g for x in ints] if g > 1 else list(ints)
+
+
+def clear_denominators(row: Sequence) -> tuple[Sequence[int], int]:
+    """``(ints, q)`` with ``row == ints / q`` for the exact numbers in ``row``:
+    ``q > 0`` is the lcm of their denominators, so ``ints`` and ``q`` have no
+    common factor.  A row of ``int``s comes back as it is, with ``q`` 1."""
+    if all(type(x) is int for x in row):
+        return row, 1
+    q = lcm(*(x.denominator for x in row))
+    return [x.numerator * (q // x.denominator) for x in row], q
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
@@ -125,11 +131,7 @@ def integer_row_and_offset(
     With ``constant`` 0 this is the primitive integer representative of a
     rational direction, which spans the same hyperplane or line.
     """
-    if all(type(x) is int for x in coefficients):
-        scale, ints = 1, coefficients  # no denominators to clear
-    else:
-        scale = lcm(*(x.denominator for x in coefficients))
-        ints = [x.numerator * (scale // x.denominator) for x in coefficients]
+    ints, scale = clear_denominators(coefficients)
     g = gcd(*ints)
     if g == 0:
         g = 1  # the zero row: only the constant is scaled

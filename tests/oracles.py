@@ -218,23 +218,19 @@ def most_sharing_bruteforce(member_lists, s: int) -> int:
 
 
 def point_split_loop(points):
-    """A point split made one coordinate at a time: the integer points
-    within 2^62 as rows with their point indices, every other point as
-    (numerators, least common denominator), and the largest entry of the
-    rows in absolute value."""
-    rows, indices, leftover, max_abs = [], [], {}, 0
-    for i, p in enumerate(points):
+    """A point split made one coordinate at a time: each point as the
+    integer row of its coordinates times their least common denominator q,
+    with q, and the largest of every row entry and q in absolute value."""
+    rows, qs, max_abs = [], [], 0
+    for p in points:
         coords = [Fraction(c) for c in p.coords]
-        if all(c.denominator == 1 and abs(c) <= 2**62 for c in coords):
-            rows.append([int(c) for c in coords])
-            indices.append(i)
-            max_abs = max([max_abs] + [abs(int(c)) for c in coords])
-            continue
         den = 1
         for c in coords:
             den = den * c.denominator // gcd_euclid(den, c.denominator)
-        leftover[i] = (tuple(int(c * den) for c in coords), den)
-    return rows, indices, leftover, max_abs
+        rows.append([int(c * den) for c in coords])
+        qs.append(den)
+        max_abs = max([max_abs, den] + [abs(x) for x in rows[-1]])
+    return rows, qs, max_abs
 
 
 def lattice_points_product(d: int, m: int) -> list[tuple[int, ...]]:

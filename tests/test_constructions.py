@@ -654,6 +654,16 @@ class TestVerifyConstruction:
         assert report.collinear_triple is None
         assert report.predicted_exponents == (Fraction(7, 11), Fraction(8, 11))
 
+    def test_a_skipped_collinearity_scan_is_noted(self, monkeypatch):
+        from inclab import constructions
+
+        cfg = ConstructionConfig(d=4, m=30, n=100, seed=2, box_side=2, s=3)
+        out = build_sphere_construction(cfg)
+        monkeypatch.setattr(constructions, "_COLLINEAR_LIMIT", len(out.points) - 1)
+        report = verify_construction(out, 3, out.t_measured + 1)
+        assert report.collinear_triple is None
+        assert report.notes == ("collinearity scan skipped above the size cap",)
+
 
 class TestPredictedExponents:
     def test_grid_variant_matches_chain_term(self):

@@ -593,13 +593,9 @@ class TestCollinearity:
         rng = Random(77)
         for _ in range(40):
             d = rng.randint(2, 4)
-            pts = []
-            seen = set()
-            for _ in range(rng.randint(3, 12)):
-                c = tuple(rng.randint(0, 4) for _ in range(d))
-                if c not in seen:
-                    seen.add(c)
-                    pts.append(RatPoint(c))
+            # repeated points included: two equal points are on a line with any third
+            pts = [RatPoint(tuple(rng.randint(0, 4) for _ in range(d)))
+                   for _ in range(rng.randint(3, 12))]
             triples = collinear_triples_bruteforce(pts)
             found = find_collinear_triple(pts)
             if triples:
@@ -614,3 +610,9 @@ class TestCollinearity:
     def test_explicit_collinear_triple_found(self):
         pts = [P(0, 0), P(5, 7), P(1, 1), P(3, 3)]
         assert find_collinear_triple(pts) == (0, 2, 3)
+
+    def test_a_copy_of_the_anchor_makes_a_triple(self):
+        assert find_collinear_triple([P(0, 0), P(0, 0), P(1, 2)]) == (0, 1, 2)
+        assert find_collinear_triple([P(0, 0), P(1, 2), P(0, 0)]) == (0, 1, 2)
+        assert find_collinear_triple([P(3, 1), P(0, 0), P(1, 2), P(0, 0)]) == (0, 1, 3)
+        assert find_collinear_triple([P(0, 0), P(0, 0)]) is None

@@ -30,6 +30,7 @@ from oracles import (
     count_incidences_direct,
     first_kst_bruteforce,
     fraction_solve_affine,
+    gcd_all,
     int_root_floor,
     max_subspace_weight_bruteforce,
     most_sharing_bruteforce,
@@ -299,7 +300,7 @@ class TestDenseNaive:
         split = incidence._int_point_matrix(points)
         for f in flats:
             for row, _ in f.integer_equations():
-                assert integral_values_are_int(incidence._exact_dots(split, row).tolist())
+                assert integral_values_are_int(incidence._dot_values(split, row).tolist())
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.lists(coordinates(), min_size=1, max_size=4))
@@ -743,11 +744,46 @@ class TestPointSplit:
         .map(RatPoint), min_size=1, max_size=6)))
     def test_split_equals_the_point_by_point_loop(self, points):
         split = incidence._int_point_matrix(points)
-        rows, indices, leftover, max_abs = point_split_loop(points)
-        assert split.matrix.dtype == np.int64
-        assert split.matrix.shape == (len(rows), points[0].dim)
+        rows, qs, max_abs = point_split_loop(points)
+        dtype = np.int64 if max_abs <= 2**62 else object
+        assert split.matrix.dtype == split.q.dtype == dtype
+        assert split.matrix.shape == (len(points), points[0].dim)
         assert split.matrix.tolist() == rows
-        assert (split.rows, split.leftover, split.max_abs) == (indices, leftover, max_abs)
+        assert split.q.tolist() == qs
+        assert split.max_abs == max_abs
+        assert split.integral == all(q == 1 for q in qs)
+        for row, q in zip(rows, qs):
+            assert q > 0 and gcd_all(row + [q]) == 1
+
+    def test_rational_points_beside_one_past_int64_run_in_python_ints(self):
+        # one coordinate past 2^62 moves the whole split, rational points
+        # included, to Python ints
+        half, big = Fraction(1, 2), 2**62 + 1
+        points = [P(half, Fraction(1, 3)), P(1, 1), P(half, 2), P(big, 0),
+                  P(0, 0), P(half, Fraction(1, 3)), P(Fraction(3, 2), -1), P(half, 0)]
+        flats = [make_hyperplane(IntVector((1, 0)), half),
+                 make_hyperplane(IntVector((1, 1)), 2),
+                 make_hyperplane(IntVector((0, 1)), 0),
+                 make_hyperplane(IntVector((1, 0)), big),
+                 make_hyperplane(IntVector((2, 3)), 2),
+                 make_hyperplane(IntVector((1, 1)), half),
+                 Flat(2, [[1, 0], [0, 1]], [half, Fraction(1, 3)]),
+                 Flat(2, [[1, 0], [0, 2]], [big, 0]),
+                 Flat(2, [], [])]
+        split = incidence._int_point_matrix(points)
+        assert split.matrix.dtype == split.q.dtype == object
+        assert not split.integral
+        assert incidence._max_point_multiplicity(split) == 2
+        assert_all_counts_agree(points, flats)
+        for s, t in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+            inst = IncidenceInstance(points, flats, s, t)
+            witness = find_kst(inst)
+            found = tuple(first_kst_bruteforce(points, flats, s, t, side)
+                          for side in ("points", "flats"))
+            if witness is None:
+                assert found == (None, None), (s, t)
+            else:
+                assert (witness.point_indices, witness.flat_indices) in found
 
 
 class TestBoundValue:

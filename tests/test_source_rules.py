@@ -56,6 +56,20 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
 
 
+def test_point_paths_compare_integers_only():
+    # every point is one homogeneous integer row (P, q), so the split,
+    # membership, both dense counts and the multiplicity need no Fraction
+    # and no point-by-point substitution
+    found = {}
+    for start in ("_split_coords", "_exact_dots", "_members", "_count_naive",
+                  "_count_dense", "_max_point_multiplicity"):
+        reached, names = _reach("incidence.py", start)
+        hit = (reached | names) & {"Fraction", "contains"}
+        if hit:
+            found[start] = sorted(hit)
+    assert not found, f"integer point paths reach {found}"
+
+
 def test_kst_certificate_builds_no_masks():
     # the normal-group certificate is an independent path to "free": it may
     # not reach the masks or the subset search that it stands in for
