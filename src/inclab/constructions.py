@@ -29,7 +29,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import inf
 from random import Random
 from typing import Sequence
 
@@ -41,6 +40,7 @@ from .geometry import (
     Flat,
     IntVector,
     RatPoint,
+    _finite,
     _int,
     find_collinear_triple,
     generic_extension,
@@ -107,8 +107,7 @@ class ConstructionConfig:
             raise InvalidInput("m and n must be positive")
         if self.box_side is not None and self.box_side < 1:
             raise InvalidInput(f"box side must be at least 1, got {self.box_side}")
-        if not -inf < self.epsilon_prime < inf:
-            raise InvalidInput(f"epsilon_prime must be finite, got {self.epsilon_prime}")
+        _finite(self.epsilon_prime, "epsilon_prime")
 
 
 @dataclass(frozen=True)
@@ -167,9 +166,9 @@ def _box(low: int, high: int, d: int) -> np.ndarray:
 def lattice_points(d: int, m: int) -> list[RatPoint]:
     """The first ``m`` points, in lexicographic order, of the integer grid
     ``{0, ..., g-1}^d`` with the smallest side ``g`` satisfying g^d >= m."""
-    if m < 1:
+    if _int(m, "m") < 1:
         raise InvalidInput("m must be positive")
-    if d < 1:
+    if _int(d, "d") < 1:
         raise InvalidInput("d must be positive")
     side = _int_root_floor(m - 1, d) + 1
     return [RatPoint(row) for row in _box(0, side - 1, d)[:m].tolist()]
@@ -183,9 +182,9 @@ def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
     The box holds the integer points with every coordinate in
     ``[-floor(box_side/2), floor(box_side/2)]``.
     """
-    if box_side < 1:
+    if _int(box_side, "box side") < 1:
         raise InvalidInput("box side must be positive")
-    if d < 1:
+    if _int(d, "d") < 1:
         raise InvalidInput("d must be positive")
     half = box_side // 2
     box = _box(-half, half, d)
@@ -213,6 +212,9 @@ def select_admissible_normals(
     than ``t_max`` of them.  The largest such load among the accepted
     normals is ``t_measured``, the exact coverage of the final set.
     """
+    for value, what in ((flat_dim, "flat_dim"), (t_max, "t_max"),
+                        (target_size, "target_size"), (seed, "seed")):
+        _int(value, what)
     if not candidates:
         return NormalSelection((), 0, True, target_size)
     d = candidates[0].dim
@@ -260,7 +262,8 @@ def measure_max_coverage(
     """Exact maximum number of ``vectors`` inside any linear subspace of
     dimension ``flat_dim``, by exhaustive search over spanning subsets."""
     coords = [v.coords for v in vectors]
-    best = _max_subspace_weight(coords, [1] * len(coords), flat_dim, limit)
+    best = _max_subspace_weight(
+        coords, [1] * len(coords), _int(flat_dim, "flat_dim"), _int(limit, "limit"))
     # trivial bound; marked unverified above the size cap
     return (len(vectors), False) if best is None else (best, True)
 
@@ -528,25 +531,27 @@ def embed_configuration(
     so no new incidences are created and the count is preserved.
     """
     d_inner = inner.ambient_dim
-    if d_outer <= d_inner:
+    if _int(d_outer, "d_outer") <= d_inner:
         raise InvalidInput("outer dimension must exceed the inner one")
-    if not (d_inner - 1 <= k < d_outer):
+    if not (d_inner - 1 <= _int(k, "k") < d_outer):
         raise InvalidInput(
             f"need {d_inner - 1} <= k < {d_outer} for the replacement flats"
         )
     for f in inner.flats:
-        if f.dim != d_inner - 1:
-            raise InvalidInput("inner configuration must consist of hyperplanes")
+        if f.ambient_dim != d_inner or f.dim != d_inner - 1:
+            raise InvalidInput(f"inner configuration must consist of hyperplanes of R^{d_inner}")
     carrier = embedding_carrier(d_inner, d_outer)
     zeros = (0,) * (d_outer - d_inner)
     points = tuple(RatPoint(p.coords + zeros) for p in inner.points)
-    rng = Random(seed)
+    rng = Random(_int(seed, "seed"))
     new_flats: list[Flat] = []
     for f in inner.flats:
-        embedded = Flat(
+        # consistent by construction: a hyperplane plus the carrier's unit rows
+        embedded = Flat._spanned(
             d_outer,
             tuple(r + zeros for r in f.equations) + carrier.equations,
             f.rhs + carrier.rhs,
+            d_inner - 1,
         )
         if k == d_inner - 1:
             new_flats.append(embedded)
@@ -571,7 +576,8 @@ def embed_configuration(
 
 def embedding_carrier(d_inner: int, d_outer: int) -> Flat:
     """The coordinate flat of R^{d_outer} that carries an embedded R^{d_inner}."""
-    rows = [[int(j == i) for j in range(d_outer)] for i in range(d_inner, d_outer)]
+    rows = [[int(j == i) for j in range(d_outer)]
+            for i in range(_int(d_inner, "d_inner"), _int(d_outer, "d_outer"))]
     return Flat(d_outer, rows, [0] * (d_outer - d_inner))
 
 

@@ -35,7 +35,7 @@ from .errors import (
     SizeShortfall,
     SweepFailed,
 )
-from .geometry import _int
+from .geometry import _finite, _int
 from .incidence import (
     IncidenceInstance,
     count_incidences,
@@ -75,11 +75,7 @@ class SweepSpec:
             if value is not None or name in ("d", "s", "seed"):
                 _int(value, name)
         for name in ("epsilon_prime", "epsilon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidInput(f"{name} must be a number, got {value!r}")
-            if not -math.inf < value < math.inf:
-                raise InvalidInput(f"{name} must be finite, got {value!r}")
+            _finite(getattr(self, name), name)
         try:
             ladder = tuple(
                 (_int(m, "m"), _int(n, "n"))

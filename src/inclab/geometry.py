@@ -3,9 +3,10 @@
 Every coordinate, coefficient and right-hand side is exact: an ``int`` when
 integral and a ``fractions.Fraction`` only when not (:func:`_exact`), which
 compare and hash alike; nothing here ever touches floating point.  A flat is
-stored by a consistent linear system ``A x = b``, never by a parametrization
-and never in a canonical form: incidence tests and intersections are single
-elimination passes, and set equality is decided by mutual containment.
+stored by a consistent linear system ``A x = b`` and nothing else, never by a
+parametrization and never in a canonical form: incidence is an exact dot
+product, an intersection is one elimination of the stacked systems, and set
+equality is one containment check between flats of equal dimension.
 
 Everything in this module is an immutable value after construction and all
 operations are pure functions, so objects can be shared freely across
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from random import Random
 from typing import Iterable, Sequence
 
@@ -47,6 +48,16 @@ def _int(value, what: str) -> int:
     :class:`InvalidInput`: an integer parameter is never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> int | float:
+    """``value`` when it is a finite ``int`` or ``float`` (a ``bool`` is
+    not), else :class:`InvalidInput`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInput(f"{what} must be a number, got {value!r}")
+    if not -inf < value < inf:
+        raise InvalidInput(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -139,7 +150,7 @@ class Flat:
     dim: int
 
     def __init__(self, ambient_dim: int, equations: Sequence[Sequence], rhs: Sequence):
-        if ambient_dim < 1:
+        if _int(ambient_dim, "ambient dimension") < 1:
             raise InvalidInput("ambient dimension must be positive")
         eqs = tuple(tuple(map(_exact, row)) for row in equations)
         b = tuple(map(_exact, rhs))
@@ -150,25 +161,20 @@ class Flat:
                 raise InvalidInput("equation width does not match ambient dimension")
         if len(eqs) == 1 and any(eqs[0]):
             d = ambient_dim - 1  # a hyperplane: no elimination needed
-            echelon = None
         else:
             # consistency and rank from the pivots alone; a lone zero row
             # has no pivot, or one in the constants column when b != 0
-            echelon = linalg.integer_rref([row + (c,) for row, c in zip(eqs, b)])
-            if ambient_dim in echelon[1]:
+            _, pivots = linalg.integer_rref([row + (c,) for row, c in zip(eqs, b)])
+            if ambient_dim in pivots:
                 raise InvalidInput("inconsistent system does not define a flat")
-            d = ambient_dim - len(echelon[1])
-        self._set(ambient_dim, eqs, b, d, echelon)
+            d = ambient_dim - len(pivots)
+        self._set(ambient_dim, eqs, b, d)
 
-    def _set(self, ambient_dim, equations, rhs, dim, echelon) -> None:
+    def _set(self, ambient_dim, equations, rhs, dim) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "equations", equations)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "dim", dim)
-        # not a field: kept out of equality, hashing and repr, and read by
-        # _solved() in place of a second elimination; None when the system
-        # was never reduced
-        object.__setattr__(self, "_echelon", echelon)
 
     @classmethod
     def _spanned(cls, ambient_dim: int, equations, rhs, dim: int) -> "Flat":
@@ -176,7 +182,7 @@ class Flat:
         of rank ``ambient_dim - dim``: the same value ``Flat(...)`` gives,
         built with no elimination."""
         flat = object.__new__(cls)
-        flat._set(ambient_dim, equations, rhs, dim, None)
+        flat._set(ambient_dim, equations, rhs, dim)
         return flat
 
     def contains(self, p: RatPoint) -> bool:
@@ -184,13 +190,9 @@ class Flat:
 
     def _solved(self) -> tuple[list[int], int, list[list[int]]]:
         """``(P, q, directions)``: the flat in integers, read by
-        :func:`linalg.solve_rref` off the integer echelon form of ``[A | b]``,
-        the kept one or one elimination when there is none (a hyperplane, or
-        a flat built by :meth:`_spanned`)."""
-        echelon = self._echelon
-        if echelon is None:
-            echelon = linalg.integer_rref([row + (c,) for row, c in zip(self.equations, self.rhs)])
-        solved = linalg.solve_rref(*echelon, self.ambient_dim)
+        :func:`linalg.solve_rref` off one integer elimination of ``[A | b]``."""
+        augmented = [row + (c,) for row, c in zip(self.equations, self.rhs)]
+        solved = linalg.solve_rref(*linalg.integer_rref(augmented), self.ambient_dim)
         if solved is None:
             raise InvariantViolation("a constructed flat became inconsistent")
         return solved
@@ -249,23 +251,14 @@ def intersect(f1: Flat, f2: Flat) -> Flat | None:
 
 
 def flats_equal(f1: Flat, f2: Flat) -> bool:
-    """Set equality, decided by mutual containment.
-
-    The row spaces must coincide (equal ranks, and stacking adds no rank)
-    and the flats must share a solution point.  This avoids comparing any
-    canonical forms.
+    """Set equality: equal dimensions, and ``f2`` contains ``f1`` (it holds
+    f1's base point, and its equations vanish on f1's directions), since a
+    flat inside another of its dimension is that flat.  This avoids
+    comparing any canonical forms.
     """
     if f1.ambient_dim != f2.ambient_dim:
         raise InvalidInput("flats live in different ambient dimensions")
-    r1 = f1.ambient_dim - f1.dim
-    r2 = f2.ambient_dim - f2.dim
-    if r1 != r2:
-        return False
-    stacked = [list(r) for r in f1.equations] + [list(r) for r in f2.equations]
-    if stacked and linalg.rank(stacked) != r1:
-        return False
-    point, _ = f1.solution()
-    return contains(f2, point)
+    return f1.dim == f2.dim and _holds(f2, *f1._solved())
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +361,19 @@ def generic_extension(
     draw is accepted only if the extension meets ``within`` exactly in
     ``h``; degenerate draws are retried, never emitted.
 
-    ``h`` is read in integers off its echelon form (``Flat._solved``: a
-    base point ``P / q`` and directions), and both guard checks are exact
-    linear checks on vectors at hand (:func:`_holds`,
+    ``h`` is read in integers off one elimination of its system
+    (``Flat._solved``: a base point ``P / q`` and directions), and both
+    guard checks are exact linear checks on vectors at hand (:func:`_holds`,
     :func:`_meets_only_in_base`), not intersections.  Each draw runs two
     eliminations (the direction nullspace and one rank).  The accepted
     integer nullspace rows over their denominator, ``row / qn``, are the
     extension's equations, so it is built with no further elimination
     (``Flat._spanned``), and each right-hand side is one
-    ``Fraction(row @ P, qn * q)``.  An ``h`` that keeps no echelon form (an
-    earlier extension) costs one more.
+    ``Fraction(row @ P, qn * q)``.
     """
-    if ambient_dim != h.ambient_dim:
+    if _int(ambient_dim, "ambient dimension") != h.ambient_dim:
         raise InvalidInput("flat does not live in the stated ambient dimension")
-    if not (h.dim < target_dim < ambient_dim):
+    if not (h.dim < _int(target_dim, "target dimension") < ambient_dim):
         raise InvalidInput(
             f"target dimension must satisfy {h.dim} < k < {ambient_dim}, got {target_dim}"
         )
@@ -391,9 +383,9 @@ def generic_extension(
             raise InvalidInput("guard flat lives in a different ambient dimension")
         if not _holds(within, point, q, directions):
             raise InvalidInput("guard flat must contain the flat being extended")
-    rng = seed if isinstance(seed, Random) else Random(seed)
+    rng = seed if isinstance(seed, Random) else Random(_int(seed, "seed"))
     extra = target_dim - h.dim
-    for _ in range(retry_budget):
+    for _ in range(_int(retry_budget, "retry budget")):
         drawn = [
             [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
             for _ in range(extra)

@@ -170,8 +170,7 @@ def _count_naive(inst: IncidenceInstance) -> int:
             [c.denominator * a for a in row] + [-c.numerator]
             for row, c in flat.integer_equations()
         ]
-        fits = all(sum(map(abs, row)) * max_abs <= _INT64_SAFE for row in rows)
-        (dense if fits else wide).append(rows)
+        (dense if all(_fits_int64(row, max_abs) for row in rows) else wide).append(rows)
     total += _count_dense(matrix, q, dense)
     if wide:
         total += _count_dense(matrix.astype(object), q.astype(object), wide)
@@ -255,6 +254,12 @@ def _split_coords(coords: Sequence[Sequence[Rational]], dim: int) -> _PointSplit
     return _PointSplit(matrix, q, max_abs, bool((q == 1).all()))
 
 
+def _fits_int64(row: Sequence[int], max_abs: int) -> bool:
+    """Whether ``row`` dotted with any point row of entries within ``max_abs``
+    fits int64, partial sums included: ``sum|row| * max_abs <= 2^62``."""
+    return sum(map(abs, row)) * max_abs <= _INT64_SAFE
+
+
 def _exact_dots(split: _PointSplit, row: Sequence[int], c: int = 0) -> np.ndarray:
     """``row @ P - c * q`` over the split points, in point order: zero
     exactly at the points on the hyperplane ``row . x = c``.
@@ -265,7 +270,7 @@ def _exact_dots(split: _PointSplit, row: Sequence[int], c: int = 0) -> np.ndarra
     matrix, q, max_abs, _ = split
     if not len(q):
         return np.zeros(0, dtype=np.int64)  # no points: no columns to multiply
-    if (sum(abs(a) for a in row) + abs(c)) * max_abs <= _INT64_SAFE:
+    if _fits_int64((*row, c), max_abs):
         dots = matrix @ np.array(row, dtype=np.int64)
     else:
         matrix, q = matrix.astype(object), q.astype(object)

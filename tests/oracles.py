@@ -163,6 +163,21 @@ def point_on_flat(coords, equations, rhs) -> bool:
     return True
 
 
+def flats_equal_fraction(f1, f2) -> bool:
+    """Set equality the slow way, by mutual containment: the row spaces
+    coincide (equal ranks, and stacking the two systems adds no rank, each
+    rank by :func:`fraction_row_echelon`), and a point of ``f1`` from
+    :func:`fraction_solve_affine` satisfies ``f2`` (:func:`point_on_flat`)."""
+    def rank(rows):
+        return len(fraction_row_echelon(rows)[1])
+
+    r1 = rank(f1.equations)
+    if rank(f2.equations) != r1 or rank(f1.equations + f2.equations) != r1:
+        return False
+    point = fraction_solve_affine(f1.equations, f1.rhs)[0] if f1.equations else [0] * f1.ambient_dim
+    return point_on_flat(point, f2.equations, f2.rhs)
+
+
 def count_incidences_direct(points, flats) -> int:
     """Pair-by-pair substitution count; independent of the library."""
     total = 0

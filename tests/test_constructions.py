@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from inclab import (
     ConstructionConfig,
+    Flat,
     IncidenceInstance,
     IntVector,
     InvalidInput,
@@ -323,6 +324,11 @@ class TestGridConstruction:
         with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
             ConstructionConfig(**fields)
 
+    @pytest.mark.parametrize("value", ["0.1", None, True])
+    def test_epsilon_prime_must_be_a_number(self, value):
+        with pytest.raises(InvalidInput, match="epsilon_prime must be a number"):
+            ConstructionConfig(d=2, m=100, n=300, epsilon_prime=value)
+
     def test_regime_warning_is_note_not_error(self):
         cfg = ConstructionConfig(d=2, m=10, n=3, seed=0, box_side=2)
         with pytest.warns(UserWarning, match="regime"):
@@ -529,6 +535,8 @@ class TestEmbedding:
         before = count_incidences(IncidenceInstance(inner.points, inner.flats, 2, 1))
         after = count_incidences(IncidenceInstance(emb.points, emb.flats, 2, 1))
         assert before == after
+        # built with no elimination, each is the value the constructor gives
+        assert emb.flats == tuple(Flat(4, f.equations, f.rhs) for f in emb.flats)
 
     def test_dimension_preconditions(self):
         inner = self._inner(8)
@@ -538,6 +546,48 @@ class TestEmbedding:
             embed_configuration(inner, 4, 0, seed=0)
         with pytest.raises(InvalidInput):
             embed_configuration(inner, 4, 4, seed=0)
+
+
+class TestNonIntegerParameters:
+    """Every integer parameter is an ``int``: a float, a string or a bool is
+    :class:`InvalidInput`, never truncated, run as is, or a bare TypeError."""
+
+    @pytest.mark.parametrize("d, m", [(2.0, 5), (True, 5), (2, 5.0), (2, True)])
+    def test_lattice_points(self, d, m):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            lattice_points(d, m)
+
+    @pytest.mark.parametrize("box_side, d", [(3.0, 2), (True, 2), (3, 2.0), (3, "2")])
+    def test_primitive_vectors(self, box_side, d):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            primitive_vectors(box_side, d)
+
+    @pytest.mark.parametrize("flat_dim, t_max, target_size, seed", [
+        (1.0, 2, 4, 0), (True, 2, 4, 0), (1, 3.0, 4, 0), (1, 2, 4.0, 0), (1, 2, 4, 1.5),
+    ])
+    def test_select_admissible_normals(self, flat_dim, t_max, target_size, seed):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            select_admissible_normals(primitive_vectors(3, 2), flat_dim, t_max, target_size, seed)
+
+    @pytest.mark.parametrize("flat_dim, limit", [(1.0, 100), (True, 100), (1, 100.5)])
+    def test_measure_max_coverage(self, flat_dim, limit):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            measure_max_coverage(primitive_vectors(3, 2), flat_dim, limit)
+
+    @pytest.mark.parametrize("d_inner, d_outer", [(2.0, 4), (2, 4.0), (True, 3)])
+    def test_embedding_carrier(self, d_inner, d_outer):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            embedding_carrier(d_inner, d_outer)
+
+    @pytest.mark.parametrize("d_outer, k, seed", [
+        (4.0, 2, 1), (4, 2.0, 1), (4, True, 1), (4, 2, 1.5), (4, 1, "1"),
+    ])
+    def test_embed_configuration(self, d_outer, k, seed):
+        # a float seed would be written to the instance file, which the
+        # loader then refuses
+        inner = build_grid_construction(ConstructionConfig(d=2, m=9, n=9, seed=1, box_side=2))
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            embed_configuration(inner, d_outer, k, seed)
 
 
 class TestVerifyConstruction:

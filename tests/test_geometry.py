@@ -29,6 +29,7 @@ from inclab import (
 
 from oracles import (
     collinear_triples_bruteforce,
+    flats_equal_fraction,
     fraction_row_echelon,
     fraction_solve_affine,
     gcd_all,
@@ -87,6 +88,65 @@ class TestHyperplanes:
         assert plane.equations == ((Fraction(1, 2), Fraction(0), Fraction(-2, 3)),)
         assert contains(plane, P(Fraction(5, 3), 4, 0))
         assert not contains(plane, P(0, 0, 0))
+
+    @pytest.mark.parametrize("ambient_dim, equations, rhs", [
+        (2.5, [], []), (True, [[1]], [0]), (2.0, [[1, 0]], [0]), ("3", [], []),
+    ])
+    def test_non_integer_ambient_dimension_rejected(self, ambient_dim, equations, rhs):
+        with pytest.raises(InvalidInput, match="ambient dimension must be an integer"):
+            Flat(ambient_dim, equations, rhs)
+
+
+def _dot(row, point):
+    return sum(a * x for a, x in zip(row, point))
+
+
+@st.composite
+def flat_pairs(draw):
+    """Two flats of one R^d, and True when they are known to be equal: the
+    second is the first's system rewritten (rows scaled, redundant
+    combinations and a zero row added, order shuffled), or another flat:
+    the same rows through another point (parallel, mostly disjoint), other
+    rows through the same point (often of equal dimension), a flat drawn on
+    its own, or the whole space.  Either flat may come first."""
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    rational_point = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=d, max_size=d)
+    point = draw(rational_point)
+    rows = draw(st.lists(vec, max_size=d + 1))
+    first = Flat(d, rows, [_dot(row, point) for row in rows])
+    kind = draw(st.sampled_from(("rewritten", "parallel", "through", "own", "whole")))
+    equal = kind == "rewritten"
+    if equal:
+        scales = draw(st.lists(st.fractions(-3, 3, max_denominator=3).filter(bool),
+                               min_size=len(rows), max_size=len(rows)))
+        new = [[c * a for a in row] for c, row in zip(scales, rows)]
+        for _ in range(draw(st.integers(0, 2))):
+            coef = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            new.append([sum(c * row[i] for c, row in zip(coef, rows)) for i in range(d)])
+        new += [[0] * d] * draw(st.integers(0, 1))
+        new = draw(st.permutations(new))
+        second = Flat(d, new, [_dot(row, point) for row in new])
+    elif kind == "whole":
+        zero_rows = [[0] * d] * draw(st.integers(0, 1))
+        second = Flat(d, zero_rows, [0] * len(zero_rows))
+    else:
+        other_rows = rows if kind == "parallel" else draw(st.lists(vec, max_size=d + 1))
+        other_point = point if kind == "through" else draw(rational_point)
+        second = Flat(d, other_rows, [_dot(row, other_point) for row in other_rows])
+    return (second, first, equal) if draw(st.booleans()) else (first, second, equal)
+
+
+class TestSetEquality:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(flat_pairs())
+    def test_set_equality_matches_the_fraction_oracle(self, case):
+        # one containment check between flats of equal dimension, against
+        # the slow path: ranks of the stacked rows plus a shared point
+        f1, f2, equal = case
+        expected = flats_equal_fraction(f1, f2)
+        assert flats_equal(f1, f2) == flats_equal(f2, f1) == expected
+        assert expected or not equal
 
 
 class TestIntersect:
@@ -162,9 +222,10 @@ def _random_flat(rng: Random, d: int) -> Flat:
 
 class TestSolution:
     def test_solution_equals_one_elimination_of_the_system(self):
-        # solution() reads the echelon form the constructor kept; a
-        # hyperplane, which keeps none, eliminates on demand; the whole
-        # space, with no equations, is read by the same reader
+        # solution() eliminates the flat's system once, whether the
+        # constructor eliminated it (to find its rank) or not (a
+        # hyperplane); the whole space, with no equations, is read by the
+        # same reader
         rng = Random(31)
         flats = [_random_flat(rng, rng.randint(2, 5)) for _ in range(80)]
         flats += [make_hyperplane(IntVector((0, -2, 3)), Fraction(5, 2)),
@@ -180,18 +241,20 @@ class TestSolution:
             RatPoint([0, 0, 0]), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_kept_echelon_form_is_not_part_of_the_value(self):
+        # a flat keeps no echelon form at all: its state is its four fields,
+        # before and after solution() reads it
         a = Flat(2, [[1, 2], [2, 4]], [3, 6])
         b = Flat(2, [[1, 2], [2, 4]], [3, 6])
         a.solution()
         assert a == b and hash(a) == hash(b) and "echelon" not in repr(a)
+        assert vars(a).keys() == {"ambient_dim", "equations", "rhs", "dim"}
 
 
     def test_extension_built_without_elimination_is_the_constructor_value(self):
         # a generic extension's rows come reduced on the nullspace's free
         # columns, which are in general not the pivots integer_rref picks
         # (free columns [2, 3] against pivots [0, 2] for an extension in
-        # R^4); so it keeps no echelon form, and solution() eliminates once,
-        # exactly as Flat(...) did when built
+        # R^4); so solution() eliminates once, exactly as for Flat(...)
         rng = Random(5)
         for _ in range(80):
             d = rng.randint(2, 5)
@@ -206,7 +269,7 @@ class TestSolution:
                                  tuple(map(geometry._exact, rhs)), d - len(normals))
             built = Flat(d, normals, rhs)
             assert flat == built and hash(flat) == hash(built) and flat.dim == built.dim
-            assert flat._echelon is None and flat._solved() == built._solved()
+            assert flat._solved() == built._solved()
             assert flat.solution() == built.solution()
 
     def test_integer_view_is_the_solution_in_integers(self):
@@ -436,6 +499,16 @@ class TestGenericExtension:
         assert flats_equal(plane, make_hyperplane(IntVector((0, 1, 0)), 0))
         meet = intersect(plane, within)
         assert meet is not None and flats_equal(meet, z_axis)
+
+    @pytest.mark.parametrize("target_dim, ambient_dim, seed, retry_budget", [
+        (1.5, 2, 1, 8), (True, 2, 1, 8), (1, 2.0, 1, 8), (1, 2, 1.5, 8), (1, 2, "1", 8),
+        (1, 2, 1, 8.0),
+    ])
+    def test_non_integer_parameters_rejected(self, target_dim, ambient_dim, seed, retry_budget):
+        # a seed may be an int or a Random; every other parameter an int
+        point = Flat(2, [[1, 0], [0, 1]], [0, 0])
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            generic_extension(point, target_dim, ambient_dim, seed, retry_budget=retry_budget)
 
     def test_k_equal_dim_rejected(self):
         point_flat = Flat(2, [[1, 0], [0, 1]], [0, 0])

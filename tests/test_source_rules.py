@@ -118,6 +118,40 @@ def test_flat_construction_runs_no_fraction_elimination():
     assert not found, f"Flat.__init__ references {sorted(found)}"
 
 
+def _setattr_calls(node) -> list[ast.Call]:
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and isinstance(c.func, ast.Attribute) and c.func.attr == "__setattr__"]
+
+
+def test_a_flat_holds_only_its_system():
+    # a flat is its four fields and nothing else: no kept echelon form or
+    # integer rows ride along, since the sweep pays for every container
+    # kept per flat; so every object.__setattr__ in the package sets an
+    # attribute of its own object, and on a Flat one of its fields
+    elsewhere = [
+        f"{path.name}:{call.lineno}" for path in sorted(SOURCE.glob("*.py"))
+        for call in _setattr_calls(ast.parse(path.read_text()))
+        if not (isinstance(call.args[0], ast.Name) and call.args[0].id == "self")
+    ]
+    assert not elsewhere, f"attributes set on another object at {elsewhere}"
+    tree = ast.parse((SOURCE / "geometry.py").read_text())
+    flat = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Flat")
+    fields = {n.target.id for n in flat.body if isinstance(n, ast.AnnAssign)}
+    assert fields == {"ambient_dim", "equations", "rhs", "dim"}
+    names = {getattr(call.args[1], "value", None) for call in _setattr_calls(flat)}
+    assert names == fields, f"Flat sets {sorted(names, key=str)}"
+
+
+def test_set_equality_is_one_containment_check():
+    # flats_equal compares dimensions and runs the containment check that
+    # generic_extension runs; no stacked rank, Fraction solution or
+    # point-by-point substitution
+    reached, names = _reach("geometry.py", "flats_equal")
+    assert "_holds" in reached
+    found = (reached | names) & {"rank", "solution", "contains"}
+    assert not found, f"flats_equal reaches {sorted(found)}"
+
+
 def test_exact_kernel_builds_no_fraction():
     # elimination and the one solution reader stay in integers; callers
     # build a Fraction only where a public value needs one
