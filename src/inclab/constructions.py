@@ -38,6 +38,7 @@ from .errors import InvalidInput, InvariantViolation, SizeShortfall
 from .exponents import DimensionChain, DimPair, term_from_chain
 from .geometry import (
     Flat,
+    HyperplaneFamily,
     IntVector,
     RatPoint,
     _finite,
@@ -45,7 +46,6 @@ from .geometry import (
     find_collinear_triple,
     generic_extension,
     is_primitive,
-    make_hyperplane,
 )
 from .incidence import (
     DEFAULT_COMPARISON_LIMIT,
@@ -126,15 +126,17 @@ class ConstructionOutput:
     """A generated configuration plus its verified bookkeeping.
 
     ``flats[:padding_start]`` are the construction hyperplanes; the rest
-    are padding, each verified to contain no point.  For sphere instances
-    ``points[core_point_count:]`` are padded sphere points, each verified
-    to lie on no hyperplane.
+    are padding, each verified to contain no point.  A generator returns
+    its flats as one :class:`HyperplaneFamily`, which builds a ``Flat`` only
+    when one is read; an embedding or a loaded file holds a tuple.  For
+    sphere instances ``points[core_point_count:]`` are padded sphere
+    points, each verified to lie on no hyperplane.
     """
 
     variant: str
     ambient_dim: int
     points: tuple[RatPoint, ...]
-    flats: tuple[Flat, ...]
+    flats: Sequence[Flat]
     normals_used: tuple[IntVector, ...]
     t_measured: int
     t_verified: bool
@@ -287,11 +289,18 @@ def _achieved_offsets(v: IntVector, split: _PointSplit) -> set:
 
 def _core_hyperplanes(
     normals: Sequence[IntVector], split: _PointSplit
-) -> tuple[list[Flat], dict[IntVector, set]]:
-    """One hyperplane per normal and achieved offset, and the offset sets."""
+) -> tuple[HyperplaneFamily, dict[IntVector, set]]:
+    """One hyperplane per normal and achieved offset, in that order, as one
+    family; and the offset sets."""
     achieved = {v: _achieved_offsets(v, split) for v in normals}
-    flats = [make_hyperplane(v, c) for v in normals for c in sorted(achieved[v])]
-    return flats, achieved
+    offsets = [sorted(achieved[v]) for v in normals]
+    family = HyperplaneFamily(
+        split.matrix.shape[1],
+        [v.coords for v in normals],
+        np.repeat(np.arange(len(normals)), [len(cs) for cs in offsets]),
+        [c for cs in offsets for c in cs],
+    )
+    return family, achieved
 
 
 def _pad_hyperplanes(
@@ -300,39 +309,43 @@ def _pad_hyperplanes(
     d: int,
     rng: Random,
     achieved: dict[IntVector, set],
-) -> list[Flat]:
-    """``count`` hyperplanes, each verified to contain no point.
+) -> HyperplaneFamily:
+    """``count`` hyperplanes, each verified to contain no point, as one
+    family over the seeded pool of padding normals.
 
-    A normal's full offset set over the points is computed once; an offset
-    outside it proves the hyperplane is point-free.
+    A normal's full offset set over the points is computed once, or taken
+    from ``achieved``; an offset outside it proves the hyperplane is
+    point-free.
     """
-    if count <= 0:
-        return []
     pool = primitive_vectors(2 * _PAD_NORMAL_BOX, d)
     rng.shuffle(pool)
-    pads: list[Flat] = []
-    used: set[tuple[tuple[int, ...], int]] = set()
-    ranges: dict[IntVector, tuple[int, int]] = {}
+    # by pool index: the offset set, and its integer range
+    offset_sets: list[set | None] = [None] * len(pool)
+    ranges: list[tuple[int, int]] = [(0, 0)] * len(pool)
+    normal_ids: list[int] = []
+    offsets: list[int] = []
+    used: set[tuple[int, int]] = set()
     attempts = 0
-    while len(pads) < count:
+    while len(offsets) < count:
         attempts += 1
         if attempts > 64 * count + 1024:
             raise SizeShortfall(
-                f"could not place {count} point-free hyperplanes", achieved=len(pads)
+                f"could not place {count} point-free hyperplanes", achieved=len(offsets)
             )
-        v = pool[(len(pads) + attempts) % len(pool)]
-        if v not in achieved:
-            achieved[v] = _achieved_offsets(v, split)
-        if v not in ranges:
-            ints = [x for x in achieved[v] if type(x) is int]
-            ranges[v] = (min(ints, default=0), max(ints, default=0))
-        low, high = ranges[v]
+        i = (len(offsets) + attempts) % len(pool)
+        if offset_sets[i] is None:
+            v = pool[i]
+            offset_sets[i] = achieved[v] if v in achieved else _achieved_offsets(v, split)
+            ints = [x for x in offset_sets[i] if type(x) is int]
+            ranges[i] = (min(ints, default=0), max(ints, default=0))
+        low, high = ranges[i]
         offset = rng.randint(low - count - 8, high + count + 8)
-        if offset in achieved[v] or (v.coords, offset) in used:
+        if offset in offset_sets[i] or (i, offset) in used:
             continue
-        used.add((v.coords, offset))
-        pads.append(make_hyperplane(v, offset))
-    return pads
+        used.add((i, offset))
+        normal_ids.append(i)
+        offsets.append(offset)
+    return HyperplaneFamily(d, [v.coords for v in pool], normal_ids, offsets)
 
 
 def build_grid_construction(cfg: ConstructionConfig) -> ConstructionOutput:
@@ -426,16 +439,16 @@ def _build_construction(cfg: ConstructionConfig, variant: str) -> ConstructionOu
         # the point split and the cached offset sets have to cover them
         split = _int_point_matrix(points)
         achieved = {v: _achieved_offsets(v, split) for v in achieved}
-    flats = list(core)
-    if cfg.pad and len(flats) < n:
-        flats.extend(_pad_hyperplanes(split, n - len(flats), d, rng, achieved))
-    elif len(flats) > n:
-        notes.append(f"core family already exceeds n: {len(flats)} > {n}; kept all")
+    flats = core
+    if cfg.pad and len(core) < n:
+        flats = core + _pad_hyperplanes(split, n - len(core), d, rng, achieved)
+    elif len(core) > n:
+        notes.append(f"core family already exceeds n: {len(core)} > {n}; kept all")
     return ConstructionOutput(
         variant=variant,
         ambient_dim=d,
         points=tuple(points),
-        flats=tuple(flats),
+        flats=flats,
         normals_used=selection.vectors,
         t_measured=selection.t_measured,
         t_verified=selection.verified,

@@ -6,7 +6,9 @@ compare and hash alike; nothing here ever touches floating point.  A flat is
 stored by a consistent linear system ``A x = b`` and nothing else, never by a
 parametrization and never in a canonical form: incidence is an exact dot
 product, an intersection is one elimination of the stacked systems, and set
-equality is one containment check between flats of equal dimension.
+equality is one containment check between flats of equal dimension.  Many
+hyperplanes can be held as integer columns instead, in a
+:class:`HyperplaneFamily`, which builds each flat only when it is read.
 
 Everything in this module is an immutable value after construction and all
 operations are pure functions, so objects can be shared freely across
@@ -15,11 +17,14 @@ threads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 from random import Random
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import linalg
 from .errors import DegenerateRandomness, InvalidInput, InvariantViolation
@@ -220,6 +225,124 @@ def make_hyperplane(normal: IntVector, offset: int | Fraction) -> Flat:
     if normal.is_zero():
         raise InvalidInput("hyperplane normal must be nonzero")
     return Flat(normal.dim, [normal.coords], [offset])
+
+
+class HyperplaneFamily(SequenceABC):
+    """Hyperplanes of R^d held as integer columns: an immutable sequence of
+    :class:`Flat` that builds a flat only when one is read.
+
+    ``normals`` are nonzero integer rows, and hyperplane j is
+    ``{x : <normals[normal_ids[j]], x> = offsets[j]}``, the value
+    ``make_hyperplane`` gives.  ``offsets`` is an int64 array when
+    every offset fits, and otherwise an object array of exact ``int`` and
+    ``Fraction`` values.  Equality is element by element with any sequence
+    of flats, and the hash is the equal tuple's; ``+`` joins two families
+    into one, and a family and a tuple into a tuple.
+    """
+
+    __slots__ = ("ambient_dim", "normals", "normal_ids", "offsets")
+
+    def __init__(self, ambient_dim: int, normals: Iterable[Sequence[int]],
+                 normal_ids: Sequence[int], offsets: Sequence):
+        if _int(ambient_dim, "ambient dimension") < 1:
+            raise InvalidInput("ambient dimension must be positive")
+        rows = tuple(IntVector(row).coords for row in normals)
+        for row in rows:
+            if len(row) != ambient_dim:
+                raise InvalidInput("normal width does not match ambient dimension")
+            if not any(row):
+                raise InvalidInput("hyperplane normal must be nonzero")
+        ids = np.asarray(normal_ids)
+        if ids.size and (ids.dtype.kind not in "iu"
+                         or not 0 <= ids.min() <= ids.max() < len(rows)):
+            raise InvalidInput("normal ids must be indices of the normals")
+        ids = ids.astype(np.int64).reshape(-1)
+        column = _offset_column(offsets)
+        if len(column) != len(ids):
+            raise InvalidInput("offset count does not match normal id count")
+        self._set(ambient_dim, rows, ids, column)
+
+    def _set(self, ambient_dim, normals, normal_ids, offsets) -> None:
+        normal_ids.flags.writeable = offsets.flags.writeable = False
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "normal_ids", normal_ids)
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def _of(cls, ambient_dim, normals, normal_ids, offsets) -> "HyperplaneFamily":
+        """A family of columns already checked, with no further check."""
+        family = object.__new__(cls)
+        family._set(ambient_dim, normals, normal_ids, offsets)
+        return family
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a hyperplane family is immutable")
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def _flat(self, normal_id: int, offset) -> Flat:
+        d = self.ambient_dim
+        return Flat._spanned(d, (self.normals[normal_id],), (offset,), d - 1)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return HyperplaneFamily._of(self.ambient_dim, self.normals,
+                                        self.normal_ids[index], self.offsets[index])
+        offset = self.offsets[index]
+        return self._flat(int(self.normal_ids[index]),
+                          offset if self.offsets.dtype == object else int(offset))
+
+    def __iter__(self):
+        for normal_id, offset in zip(self.normal_ids.tolist(), self.offsets.tolist()):
+            yield self._flat(normal_id, offset)
+
+    def __eq__(self, other):
+        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, tuple):
+            return tuple(self) + other
+        if not isinstance(other, HyperplaneFamily):
+            return NotImplemented
+        if other.ambient_dim != self.ambient_dim:
+            raise InvalidInput("families live in different ambient dimensions")
+        index = {row: i for i, row in enumerate(self.normals)}
+        extra = tuple(row for row in other.normals if row not in index)
+        index.update((row, len(self.normals) + i) for i, row in enumerate(extra))
+        remap = np.array([index[row] for row in other.normals], dtype=np.int64)
+        return HyperplaneFamily._of(
+            self.ambient_dim, self.normals + extra,
+            np.concatenate((self.normal_ids, remap[other.normal_ids])),
+            np.concatenate((self.offsets, other.offsets)),
+        )
+
+    def __radd__(self, other):
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"HyperplaneFamily({len(self)} hyperplanes of R^{self.ambient_dim}"
+                f" over {len(self.normals)} normals)")
+
+
+def _offset_column(offsets) -> np.ndarray:
+    """The exact values ``offsets`` as an int64 array when every one is an
+    integer that fits, else as an object array of ``int`` and ``Fraction``."""
+    values = list(offsets)
+    if all(type(c) is int for c in values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass  # an offset past int64
+    column = np.empty(len(values), dtype=object)
+    column[:] = [_exact(c) for c in values]
+    return column
 
 
 def contains(f: Flat, p: RatPoint) -> bool:

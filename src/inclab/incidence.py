@@ -50,7 +50,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
-from .geometry import Flat, IntVector, RatPoint, _exact, _int, contains
+from .geometry import Flat, HyperplaneFamily, IntVector, RatPoint, _exact, _int, contains
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _INT64_SAFE = 2**62
@@ -63,17 +63,26 @@ _Grouping = tuple[_FlatGroups, list[int]]
 
 @dataclass(frozen=True)
 class IncidenceInstance:
-    """A point set, a flat family, and the forbidden-subgraph parameters."""
+    """A point set, a flat family, and the forbidden-subgraph parameters.
+
+    ``flats`` is kept as it is when it is a :class:`HyperplaneFamily`, so its
+    hyperplanes are grouped from its columns; any other sequence becomes a
+    tuple.
+    """
 
     points: tuple[RatPoint, ...]
-    flats: tuple[Flat, ...]
+    flats: Sequence[Flat]
     s: int
     t: int
 
     def __init__(self, points: Sequence[RatPoint], flats: Sequence[Flat], s: int, t: int):
         pts = tuple(points)
-        fls = tuple(flats)
-        dims = {p.dim for p in pts} | {f.ambient_dim for f in fls}
+        if isinstance(flats, HyperplaneFamily):
+            fls, flat_dims = flats, {flats.ambient_dim} if len(flats) else set()
+        else:
+            fls = tuple(flats)
+            flat_dims = {f.ambient_dim for f in fls}
+        dims = {p.dim for p in pts} | flat_dims
         if len(dims) > 1:
             raise InvalidInput(f"mixed ambient dimensions in instance: {sorted(dims)}")
         if _int(s, "s") < 2:
@@ -305,7 +314,11 @@ def _value_counts(dots: np.ndarray) -> dict:
 
 def _group_flats(flats: Sequence[Flat]) -> _Grouping:
     """Hyperplane indices by primitive normal, then by offset; and the
-    indices of every other flat."""
+    indices of every other flat.  A :class:`HyperplaneFamily` is grouped
+    from its columns (:func:`_group_family`), every other sequence flat by
+    flat."""
+    if isinstance(flats, HyperplaneFamily):
+        return _group_family(flats)
     groups: _FlatGroups = defaultdict(lambda: defaultdict(list))
     others: list[int] = []
     for j, flat in enumerate(flats):
@@ -316,6 +329,44 @@ def _group_flats(flats: Sequence[Flat]) -> _Grouping:
             normal, offset = key
             groups[normal][offset].append(j)
     return groups, others
+
+
+def _group_family(family: HyperplaneFamily) -> _Grouping:
+    """:func:`_group_flats` of a family, read off its columns: one stable
+    sort over (normal id, offset) makes each group one run of hyperplane
+    indices, ascending within it, and no flat is built.  Each normal is
+    read by the rule :func:`_hyperplane_key` reads a hyperplane by, once;
+    only a normal that is not primitive and sign-canonical rescales its
+    offsets."""
+    keys: dict[tuple[int, ...], int] = {}
+    key_ids, scales = [], []
+    for row in family.normals:
+        key, scale = linalg.integer_row_and_offset(row, 1)
+        key_ids.append(keys.setdefault(key, len(keys)))
+        scales.append(scale)
+    ids = np.array(key_ids, dtype=np.int64)[family.normal_ids]
+    offsets = family.offsets
+    if any(scale != 1 for scale in scales):
+        offsets = np.empty(len(ids), dtype=object)
+        offsets[:] = [_exact(c * scales[i]) for i, c in
+                      zip(family.normal_ids.tolist(), family.offsets.tolist())]
+    order = np.lexsort((offsets, ids))
+    ids, offsets = ids[order], offsets[order]
+    change = (ids[1:] != ids[:-1]) | (offsets[1:] != offsets[:-1])
+    starts = np.flatnonzero(np.r_[len(order) > 0, change])
+    bounds = np.r_[starts, len(order)].tolist()
+    order = order.tolist()
+    normals = list(keys)
+    groups: _FlatGroups = {}
+    last = None
+    for lo, hi, key_id, offset in zip(
+        bounds, bounds[1:], ids[starts].tolist(), offsets[starts].tolist()
+    ):
+        if key_id != last:
+            by_offset = groups[normals[key_id]] = {}
+            last = key_id
+        by_offset[offset] = order[lo:hi]
+    return groups, []
 
 
 def _count_hashed(inst: IncidenceInstance, stop: int) -> int:

@@ -7,29 +7,39 @@ with the verified bookkeeping so they can be re-checked and embedded.
 
 The file text is ``json.dumps(doc, sort_keys=True, indent=1)`` plus a
 newline.  :func:`save_instance` writes it directly: ``json.dumps`` renders
-the small members, and ``str.format`` renders the points and flats straight
-from their exact values, with one template per point shape and one per
-equation count, built from one item template per nesting depth.  The
-reference path, ``canonical_json(instance_to_dict(...))``, builds the
-document and lets ``json`` render all of it; it shares no code with the
-writer, and the tests require the two texts to be equal.
+the small members, and the points and flats are streamed ``_CHUNK`` at a
+time.  Each chunk is one ``%d`` template, repeated from one item template
+per point shape or equation count, filled from one flat list of integers:
+numerators and denominators, read off a :class:`HyperplaneFamily`'s
+columns or off every other flat's and every point's exact values.  The
+text goes to a new file beside the target, which replaces the target only
+once it is whole.  The reference path,
+``canonical_json(instance_to_dict(...))``, builds the document and lets
+``json`` render all of it; it shares no code with the writer, and the
+tests require the two texts to be equal.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import suppress
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .constructions import ConstructionOutput
 from .errors import InvalidInput
-from .geometry import Flat, IntVector, RatPoint, _int
+from .geometry import Flat, HyperplaneFamily, IntVector, RatPoint, _int
 from .incidence import IncidenceInstance
 
 SCHEMA_VERSION = 1
 FILE_SUFFIX = ".inc.json"
+_CHUNK = 4096  # points or flats rendered and written at a time
+_ITEM_SEP = ",\n  "  # between the items of the points and flats arrays
 
 
 def _enc(x: int | Fraction) -> list[int]:
@@ -203,40 +213,88 @@ def _array(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
 
 
-def _rational_templates(first: int, count: int, indent: int) -> list[str]:
-    """Templates of ``count`` ``[numerator, denominator]`` items at
-    ``indent`` spaces, filled by ``str.format`` arguments ``first``,
-    ``first + 1``, ...: an ``int`` and a ``Fraction`` both have the two
-    attributes."""
+def _rational_items(count: int, indent: int) -> list[str]:
+    """``count`` ``[numerator, denominator]`` items at ``indent`` spaces,
+    each a template of two ``%d``."""
     pad, end = "\n" + " " * (indent + 1), "\n" + " " * indent
-    return [
-        f"[{pad}{{{i}.numerator}},{pad}{{{i}.denominator}}{end}]"
-        for i in range(first, first + count)
-    ]
+    return [f"[{pad}%d,{pad}%d{end}]"] * count
 
 
-def _points_text(points: tuple[RatPoint, ...], dim: int) -> str:
-    point = _array(_rational_templates(0, dim, 3), 3)
-    return _array([point.format(*p.coords) for p in points], 2)
+def _flat_template(dim: int, rows: int) -> str:
+    """The ``%d`` template of a flat of ``rows`` equations in R^dim: each
+    row's pairs, then the right-hand side's."""
+    a = [_array(_rational_items(dim, 5), 5)] * rows
+    b = _array(_rational_items(rows, 4), 4)
+    return '{\n   "A": ' + _array(a, 4) + ',\n   "b": ' + b + "\n  }"
 
 
-def _flats_text(flats: tuple[Flat, ...], dim: int) -> str:
-    templates: dict[int, str] = {}  # by equation count
-    items = []
-    for f in flats:
-        rows = len(f.rhs)
-        if rows not in templates:
-            a = [_array(_rational_templates(r * dim, dim, 5), 5) for r in range(rows)]
-            b = _rational_templates(rows * dim, rows, 4)
-            templates[rows] = (
-                '{{\n   "A": ' + _array(a, 4) + ',\n   "b": ' + _array(b, 4) + "\n  }}"
-            )
-        items.append(templates[rows].format(*chain(*f.equations, f.rhs)))
-    return _array(items, 2)
+def _pairs(values) -> list[int]:
+    """The numerator and denominator of each exact value, in order."""
+    return [x for c in values for x in (c.numerator, c.denominator)]
 
 
-def _instance_text(inst: IncidenceInstance, construction: ConstructionOutput | None) -> str:
-    """The ``.inc.json`` text of ``inst`` and its construction block."""
+def _point_chunks(points: tuple[RatPoint, ...], dim: int):
+    """The points' item texts, ``_CHUNK`` points to a text."""
+    item = _array(_rational_items(dim, 3), 3)
+    for lo in range(0, len(points), _CHUNK):
+        chunk = points[lo : lo + _CHUNK]
+        values = _pairs(c for p in chunk for c in p.coords)
+        yield _ITEM_SEP.join([item] * len(chunk)) % tuple(values)
+
+
+def _flat_chunks(flats: Sequence[Flat], dim: int):
+    """The flats' item texts, ``_CHUNK`` flats to a text, with one template
+    per equation count; a family's values come from its columns."""
+    if isinstance(flats, HyperplaneFamily):
+        yield from _family_chunks(flats, dim)
+        return
+    templates: dict[int, str] = {}
+    for lo in range(0, len(flats), _CHUNK):
+        chunk = flats[lo : lo + _CHUNK]
+        items = []
+        for f in chunk:
+            rows = len(f.rhs)
+            if rows not in templates:
+                templates[rows] = _flat_template(dim, rows)
+            items.append(templates[rows])
+        values = _pairs(c for f in chunk for c in chain(*f.equations, f.rhs))
+        yield _ITEM_SEP.join(items) % tuple(values)
+
+
+def _family_chunks(family: HyperplaneFamily, dim: int):
+    """:func:`_flat_chunks` of a family: each chunk's values are one array
+    of the normal rows with denominator 1 and the offsets' pairs."""
+    item = _flat_template(dim, 1)
+    normals = np.array(family.normals, dtype=object).reshape(-1, dim)
+    if all(-(2**63) <= x < 2**63 for x in normals.flat):
+        normals = normals.astype(np.int64)
+    for lo in range(0, len(family), _CHUNK):
+        offsets = family.offsets[lo : lo + _CHUNK]
+        dtype = np.int64 if normals.dtype == offsets.dtype == np.int64 else object
+        values = np.ones((len(offsets), 2 * dim + 2), dtype=dtype)
+        values[:, : 2 * dim : 2] = normals[family.normal_ids[lo : lo + _CHUNK]]
+        if dtype == np.int64:
+            values[:, 2 * dim] = offsets
+        else:
+            values[:, 2 * dim :] = np.reshape(_pairs(offsets.tolist()), (-1, 2))
+        yield _ITEM_SEP.join([item] * len(offsets)) % tuple(values.ravel().tolist())
+
+
+def _write_array(out: TextIO, chunks: Iterable[str], indent: int) -> None:
+    """Write the JSON array whose item texts the ``chunks`` hold, as
+    :func:`_array` lays it out."""
+    pad = "\n" + " " * indent
+    empty = True
+    for chunk in chunks:
+        out.write(("[" if empty else ",") + pad + chunk)
+        empty = False
+    out.write("[]" if empty else pad[:-1] + "]")
+
+
+def _write_instance(
+    out: TextIO, inst: IncidenceInstance, construction: ConstructionOutput | None
+) -> None:
+    """Write the ``.inc.json`` text of ``inst`` and its construction block."""
     small: dict = {
         "schema": SCHEMA_VERSION,
         "kind": "incidence-instance",
@@ -259,14 +317,19 @@ def _instance_text(inst: IncidenceInstance, construction: ConstructionOutput | N
         }
     # a JSON string holds no raw newline, so indenting a member's text one
     # level deeper is one replace
-    members = {
+    members: dict = {
         key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
         for key, value in small.items()
     }
-    members["points"] = _points_text(inst.points, inst.ambient_dim)
-    members["flats"] = _flats_text(inst.flats, inst.ambient_dim)
-    body = ",\n ".join(f'"{key}": {members[key]}' for key in sorted(members))
-    return "{\n " + body + "\n}\n"
+    members["points"] = _point_chunks(inst.points, inst.ambient_dim)
+    members["flats"] = _flat_chunks(inst.flats, inst.ambient_dim)
+    for n, key in enumerate(sorted(members)):
+        out.write(("{\n " if n == 0 else ",\n ") + f'"{key}": ')
+        if isinstance(members[key], str):
+            out.write(members[key])
+        else:
+            _write_array(out, members[key], 2)
+    out.write("\n}\n")
 
 
 def save_instance(
@@ -275,10 +338,23 @@ def save_instance(
     construction: ConstructionOutput | None = None,
 ) -> Path:
     """Write ``inst`` (and its construction block) as ``.inc.json``; the
-    text equals ``canonical_json(instance_to_dict(inst, construction))``."""
+    text equals ``canonical_json(instance_to_dict(inst, construction))``.
+
+    The text is streamed into a new file beside ``path``, which replaces
+    ``path`` only once it is whole: a failed save leaves no partial file,
+    and an existing file as it was.
+    """
     path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        path.write_text(_instance_text(inst, construction))
+        try:
+            with partial.open("x", encoding="utf-8") as out:
+                _write_instance(out, inst, construction)
+            os.replace(partial, path)
+        except BaseException:
+            with suppress(OSError):
+                partial.unlink()
+            raise
     except OSError as exc:
         raise InvalidInput(f"cannot write {path}: {exc}") from None
     return path

@@ -13,6 +13,7 @@ from inclab import (
     ComplexRational,
     DegenerateRandomness,
     Flat,
+    IncidenceInstance,
     IntVector,
     InvalidInput,
     RatPoint,
@@ -26,6 +27,7 @@ from inclab import (
     is_primitive,
     make_hyperplane,
 )
+from inclab.incidence import _group_flats
 
 from oracles import (
     collinear_triples_bruteforce,
@@ -95,6 +97,91 @@ class TestHyperplanes:
     def test_non_integer_ambient_dimension_rejected(self, ambient_dim, equations, rhs):
         with pytest.raises(InvalidInput, match="ambient dimension must be an integer"):
             Flat(ambient_dim, equations, rhs)
+
+
+# offsets: small, at the int64 guard, past int64 either way, and rational
+FAMILY_OFFSETS = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from((2**62 + 1, -(2**62) - 1, 2**63 - 1, -(2**63))),
+    st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63) - 1),
+    st.fractions(max_denominator=12),
+)
+
+
+@st.composite
+def families(draw):
+    """A family over random nonzero normals (scaled, negative and repeated
+    ones included), with int64 offsets or any exact ones."""
+    d = draw(st.integers(1, 5))
+    normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    normals = draw(st.lists(normal, max_size=4))
+    offsets = st.integers(-9, 9) if draw(st.booleans()) else FAMILY_OFFSETS
+    flats = draw(st.lists(st.tuples(st.integers(0, 3), offsets),
+                          max_size=12 if normals else 0))
+    ids = [i % len(normals) for i, _ in flats]
+    return geometry.HyperplaneFamily(d, normals, ids, [c for _, c in flats])
+
+
+class TestHyperplaneFamily:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(families(), families(), st.integers(-14, 14), st.integers(-14, 14))
+    def test_family_is_its_hyperplanes(self, family, other, lo, hi):
+        flats = [make_hyperplane(IntVector(family.normals[i]), c)
+                 for i, c in zip(family.normal_ids.tolist(), family.offsets.tolist())]
+        as_tuple = tuple(flats)
+        assert list(family) == flats
+        assert [family[j] for j in range(-len(flats), len(flats))] == flats + flats
+        # grouped from the columns as the per-flat path groups the flats
+        assert _group_flats(family) == _group_flats(as_tuple)
+        assert IncidenceInstance([], family, 2, 1).flats is family
+        # the tuple operations
+        assert len(family) == len(flats)
+        assert family[lo:hi] == as_tuple[lo:hi] and as_tuple[lo:hi] == family[lo:hi]
+        assert family == as_tuple and as_tuple == family and family == flats
+        assert hash(family) == hash(as_tuple)
+        assert family + as_tuple == as_tuple + family == as_tuple * 2
+        assert type(family + as_tuple) is type(as_tuple + family) is tuple
+        if other.ambient_dim == family.ambient_dim:
+            joined = family + other
+            assert isinstance(joined, geometry.HyperplaneFamily)
+            assert joined == as_tuple + tuple(other)
+            assert _group_flats(joined) == _group_flats(tuple(joined))
+        else:
+            with pytest.raises(InvalidInput):
+                family + other
+
+    def test_offset_columns(self):
+        rational = geometry.HyperplaneFamily(
+            2, [(1, 2)], [0, 0, 0], [Fraction(4, 2), Fraction(1, 3), 2**62 + 1])
+        assert rational.offsets.dtype == object
+        assert [type(c) for c in rational.offsets] == [int, Fraction, int]
+        assert rational[0] == make_hyperplane(IntVector((1, 2)), 2)
+        wide = geometry.HyperplaneFamily(1, [(1,)], [0, 0], [2**63, -(2**63) - 1])
+        assert wide.offsets.dtype == object
+        fits = geometry.HyperplaneFamily(1, [(1,)], [0, 0], [2**63 - 1, -(2**63)])
+        assert fits.offsets.dtype == np.int64
+        assert list(fits) == [make_hyperplane(IntVector((1,)), c)
+                              for c in (2**63 - 1, -(2**63))]
+
+    @pytest.mark.parametrize("d, normals, ids, offsets", [
+        (2, [(0, 0)], [0], [1]),  # zero normal
+        (2, [(1, 0, 0)], [0], [1]),  # wrong width
+        (2, [(1, 0)], [1], [1]),  # id out of range
+        (2, [(1, 0)], [0.0], [1]),  # a float id
+        (2, [(1, 0)], [0, 0], [1]),  # more ids than offsets
+        (2, [(1, 0)], [0], [float("nan")]),
+        (2.0, [(1, 0)], [0], [1]),
+    ])
+    def test_malformed_columns_rejected(self, d, normals, ids, offsets):
+        with pytest.raises(InvalidInput):
+            geometry.HyperplaneFamily(d, normals, ids, offsets)
+
+    def test_immutable(self):
+        family = geometry.HyperplaneFamily(2, [(1, 0)], [0], [1])
+        with pytest.raises(AttributeError):
+            family.offsets = None
+        with pytest.raises(ValueError):
+            family.offsets[0] = 5
 
 
 def _dot(row, point):

@@ -25,7 +25,10 @@ from inclab import (
     save_construction,
     save_instance,
 )
+from inclab import serialization
+from inclab.geometry import HyperplaneFamily
 from inclab.serialization import (
+    _CHUNK,
     canonical_json,
     dict_to_construction,
     dict_to_instance,
@@ -163,6 +166,70 @@ def test_malformed_files_rejected(tmp_path):
 def test_unwritable_path_is_invalid_input(tmp_path):
     with pytest.raises(InvalidInput):
         save_instance(tmp_path / "missing_dir" / "x.inc.json", small_instance())
+
+
+def _failing_chunks(error):
+    def chunks(flats, dim):
+        yield "{}"  # one chunk out, then the renderer fails
+        raise error
+    return chunks
+
+
+@pytest.mark.parametrize("error, raised", [
+    (RuntimeError("renderer failed"), RuntimeError),
+    (OSError("disk full"), InvalidInput),
+])
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, error, raised):
+    new, old = tmp_path / "new.inc.json", tmp_path / "old.inc.json"
+    save_instance(old, small_instance())
+    before = old.read_bytes()
+    monkeypatch.setattr(serialization, "_flat_chunks", _failing_chunks(error))
+    for path in (new, old):
+        with pytest.raises(raised):
+            save_instance(path, small_instance())
+    assert not new.exists()
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.inc.json"]
+
+
+def _boundary_points(count):
+    # integers, rationals and entries past int64 in R^3
+    values = (0, -7, Fraction(5, 3), 2**63, -(2**64) - 3, Fraction(-(2**70), 9))
+    return [RatPoint([values[(i + k) % len(values)] for k in range(3)])
+            for i in range(count)]
+
+
+def _boundary_flats(count, kind):
+    """``count`` flats of R^3: a family with int64 offsets, a family with
+    exact offsets past int64 and rational ones, or a tuple of hyperplanes,
+    lines, points and the whole space (mixed equation counts)."""
+    normals = [(1, 0, 0), (1, -2, 3), (0, 0, 1), (2**63, 1, 0)]
+    if kind == "family-int64":
+        return HyperplaneFamily(3, normals[:3], [i % 3 for i in range(count)],
+                                [i - 9 for i in range(count)])
+    if kind == "family-exact":
+        offsets = (5, Fraction(-1, 2), 2**62 + 1, -(2**64))
+        return HyperplaneFamily(3, normals, [i % 4 for i in range(count)],
+                                [offsets[i % 4] + i for i in range(count)])
+    shapes = [
+        lambda i: make_hyperplane(IntVector((1, 2, -(2**63) - i)), Fraction(i, 7)),
+        lambda i: Flat(3, [[1, 0, 0], [0, 1, 0]], [i, Fraction(1, 2)]),
+        lambda i: Flat(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [i, -i, 2**64]),
+        lambda i: Flat(3, [], []),
+    ]
+    return tuple(shapes[i % len(shapes)](i) for i in range(count))
+
+
+@pytest.mark.parametrize("kind", ["family-int64", "family-exact", "tuple"])
+@pytest.mark.parametrize("point_count, flat_count", [
+    (0, 1), (1, 0), (1, 1),
+    (_CHUNK - 1, _CHUNK + 1), (_CHUNK, _CHUNK), (_CHUNK + 1, _CHUNK - 1),
+])
+def test_writer_at_chunk_boundaries(tmp_path, kind, point_count, flat_count):
+    inst = IncidenceInstance(_boundary_points(point_count),
+                             _boundary_flats(flat_count, kind), 2, 3)
+    path = save_instance(tmp_path / "chunks.inc.json", inst)
+    assert path.read_bytes() == canonical_json(instance_to_dict(inst)).encode()
 
 
 def test_canonical_json_is_stable():

@@ -51,7 +51,8 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     _, names = _reach("incidence.py", "_count_naive")
     forbidden = {
         "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
-        "_value_counts", "unique",
+        "_value_counts", "unique", "_group_family", "normals", "normal_ids",
+        "offsets",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
 
@@ -188,6 +189,18 @@ def test_integer_construction_paths_build_no_fraction():
                     found.append(node.name)
     assert seen == set().union(*wanted.values())
     assert not found, f"Fraction in {sorted(found)}"
+
+
+def test_constructions_fill_hyperplane_columns():
+    # the core and padding hyperplanes are written into a family's columns;
+    # a flat is built only when one is read
+    tree = ast.parse((SOURCE / "constructions.py").read_text())
+    bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)
+              and n.name in ("_core_hyperplanes", "_pad_hyperplanes")}
+    assert len(bodies) == 2
+    found = {name: sorted(_referenced_names(node) & {"make_hyperplane", "Flat"})
+             for name, node in bodies.items()}
+    assert not any(found.values()), f"core and padding hyperplanes name {found}"
 
 
 def test_one_walk_over_spanning_subsets():
