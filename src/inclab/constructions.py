@@ -40,9 +40,12 @@ from .geometry import (
     Flat,
     HyperplaneFamily,
     IntVector,
+    PointRows,
     RatPoint,
     _finite,
     _int,
+    _int_point_matrix,
+    _split_coords,
     find_collinear_triple,
     generic_extension,
     is_primitive,
@@ -51,14 +54,11 @@ from .incidence import (
     DEFAULT_COMPARISON_LIMIT,
     IncidenceInstance,
     KstWitness,
-    _PointSplit,
     _count_hashed,
     _dot_values,
     _heaviest_span,
-    _int_point_matrix,
     _int_root_floor,
     _max_subspace_weight,
-    _split_coords,
     _value_counts,
     count_incidences,
     kst_verdict,
@@ -128,14 +128,16 @@ class ConstructionOutput:
     ``flats[:padding_start]`` are the construction hyperplanes; the rest
     are padding, each verified to contain no point.  A generator returns
     its flats as one :class:`HyperplaneFamily`, which builds a ``Flat`` only
-    when one is read; an embedding or a loaded file holds a tuple.  For
-    sphere instances ``points[core_point_count:]`` are padded sphere
-    points, each verified to lie on no hyperplane.
+    when one is read; so does a loaded file of hyperplanes, and an
+    embedding holds a tuple.  The points of a generator, an embedding or a
+    loaded file are :class:`PointRows`, which build a ``RatPoint`` only when
+    one is read.  For sphere instances ``points[core_point_count:]`` are
+    padded sphere points, each verified to lie on no hyperplane.
     """
 
     variant: str
     ambient_dim: int
-    points: tuple[RatPoint, ...]
+    points: Sequence[RatPoint]
     flats: Sequence[Flat]
     normals_used: tuple[IntVector, ...]
     t_measured: int
@@ -165,15 +167,16 @@ def _box(low: int, high: int, d: int) -> np.ndarray:
     return points
 
 
-def lattice_points(d: int, m: int) -> list[RatPoint]:
+def lattice_points(d: int, m: int) -> Sequence[RatPoint]:
     """The first ``m`` points, in lexicographic order, of the integer grid
-    ``{0, ..., g-1}^d`` with the smallest side ``g`` satisfying g^d >= m."""
+    ``{0, ..., g-1}^d`` with the smallest side ``g`` satisfying g^d >= m,
+    as the rows of the box."""
     if _int(m, "m") < 1:
         raise InvalidInput("m must be positive")
     if _int(d, "d") < 1:
         raise InvalidInput("d must be positive")
     side = _int_root_floor(m - 1, d) + 1
-    return [RatPoint(row) for row in _box(0, side - 1, d)[:m].tolist()]
+    return PointRows._of(d, _box(0, side - 1, d)[:m], np.ones(m, np.int64))
 
 
 def primitive_vectors(box_side: int, d: int) -> list[IntVector]:
@@ -282,20 +285,20 @@ def _box_side(d: int, m: int, n: int, eps: float, slope: int, power: int) -> flo
     return n ** ((d - 1) / denom) / m ** ((d - 1) / (power * denom))
 
 
-def _achieved_offsets(v: IntVector, split: _PointSplit) -> set:
+def _achieved_offsets(v: IntVector, split: PointRows) -> set:
     """Exact set of dot products <v, p> over the split points."""
     return set(_value_counts(_dot_values(split, v.coords)))
 
 
 def _core_hyperplanes(
-    normals: Sequence[IntVector], split: _PointSplit
+    normals: Sequence[IntVector], split: PointRows
 ) -> tuple[HyperplaneFamily, dict[IntVector, set]]:
     """One hyperplane per normal and achieved offset, in that order, as one
     family; and the offset sets."""
     achieved = {v: _achieved_offsets(v, split) for v in normals}
     offsets = [sorted(achieved[v]) for v in normals]
     family = HyperplaneFamily(
-        split.matrix.shape[1],
+        split.ambient_dim,
         [v.coords for v in normals],
         np.repeat(np.arange(len(normals)), [len(cs) for cs in offsets]),
         [c for cs in offsets for c in cs],
@@ -304,7 +307,7 @@ def _core_hyperplanes(
 
 
 def _pad_hyperplanes(
-    split: _PointSplit,
+    split: PointRows,
     count: int,
     d: int,
     rng: Random,
@@ -417,37 +420,36 @@ def _build_construction(cfg: ConstructionConfig, variant: str) -> ConstructionOu
             f"normal shortfall: wanted {target}, selected {len(selection.vectors)}"
             f" from {len(candidates)} candidates"
         )
-    split = _int_point_matrix(core_points)
-    core, achieved = _core_hyperplanes(selection.vectors, split)
+    core, achieved = _core_hyperplanes(selection.vectors, core_points)
     notes.append(
         f"box side {box} (formula value {box_real:.4f}), |V|={len(selection.vectors)},"
         f" core hyperplanes {len(core)}"
     )
-    points = list(core_points)
+    points = core_points
     if variant == "b" and len(points) < m:
         if delta_sq == 0:
             raise SizeShortfall(
                 "cannot pad a zero-radius sphere", achieved=len(points)
             )
+        # the bucket's points are integer points: each row is its coordinates
         pads = _sphere_pad_points(
-            points[0], delta_sq, m - len(points), {p.coords for p in points},
+            points[0], delta_sq, m - len(points), set(map(tuple, points.matrix.tolist())),
             selection.vectors, achieved, rng,
         )
         notes.append(f"padded {len(pads)} rational sphere points to reach m={m}")
-        points.extend(pads)
+        points = core_points + tuple(pads)
         # padding hyperplanes below must also avoid the padded points, so
-        # the point split and the cached offset sets have to cover them
-        split = _int_point_matrix(points)
-        achieved = {v: _achieved_offsets(v, split) for v in achieved}
+        # the cached offset sets have to cover them
+        achieved = {v: _achieved_offsets(v, points) for v in achieved}
     flats = core
     if cfg.pad and len(core) < n:
-        flats = core + _pad_hyperplanes(split, n - len(core), d, rng, achieved)
+        flats = core + _pad_hyperplanes(points, n - len(core), d, rng, achieved)
     elif len(core) > n:
         notes.append(f"core family already exceeds n: {len(core)} > {n}; kept all")
     return ConstructionOutput(
         variant=variant,
         ambient_dim=d,
-        points=tuple(points),
+        points=points,
         flats=flats,
         normals_used=selection.vectors,
         t_measured=selection.t_measured,
@@ -460,21 +462,21 @@ def _build_construction(cfg: ConstructionConfig, variant: str) -> ConstructionOu
     )
 
 
-def _sphere_grid_bucket(d: int, m: int) -> tuple[list[RatPoint], int, int]:
+def _sphere_grid_bucket(d: int, m: int) -> tuple[PointRows, int, int]:
     """Points of the densest origin-centered sphere in the sizing grid.
 
     The grid has side ceil(m^(1/(d-2))) in R^d, so the pigeonhole over the
     O(m^(2/(d-2))) possible squared distances leaves a bucket of size
     Omega(m).  Ties pick the smallest squared radius; the bucket is
-    truncated lexicographically to at most m points.
+    truncated lexicographically to at most m points, kept as box rows.
     """
     side = _int_root_floor(m - 1, d - 2) + 1
     coords = _box(0, side - 1, d)
     squares = (coords * coords).sum(axis=1)
     values, counts = np.unique(squares, return_counts=True)
     delta_sq = int(values[int(np.argmax(counts))])
-    points = [RatPoint(row) for row in coords[squares == delta_sq][:m].tolist()]
-    return points, delta_sq, side
+    rows = coords[squares == delta_sq][:m]
+    return PointRows._of(d, rows, np.ones(len(rows), np.int64)), delta_sq, side
 
 
 def _sphere_pad_points(
@@ -553,9 +555,14 @@ def embed_configuration(
     for f in inner.flats:
         if f.ambient_dim != d_inner or f.dim != d_inner - 1:
             raise InvalidInput(f"inner configuration must consist of hyperplanes of R^{d_inner}")
+    rows = _int_point_matrix(inner.points)
+    if len(rows) and rows.ambient_dim != d_inner:
+        raise InvalidInput(f"inner configuration must consist of points of R^{d_inner}")
     carrier = embedding_carrier(d_inner, d_outer)
     zeros = (0,) * (d_outer - d_inner)
-    points = tuple(RatPoint(p.coords + zeros) for p in inner.points)
+    # a zero column appended to P keeps each row primitive over its q
+    padding = np.zeros((len(rows), d_outer - d_inner), rows.matrix.dtype)
+    points = PointRows._of(d_outer, np.hstack((rows.matrix, padding)), rows.q)
     rng = Random(_int(seed, "seed"))
     new_flats: list[Flat] = []
     for f in inner.flats:

@@ -9,6 +9,10 @@ product, an intersection is one elimination of the stacked systems, and set
 equality is one containment check between flats of equal dimension.  Many
 hyperplanes can be held as integer columns instead, in a
 :class:`HyperplaneFamily`, which builds each flat only when it is read.
+Many points are held the same way, as :class:`PointRows`: each point's
+primitive integer row P over its denominator q > 0, so x = P / q, with a
+:class:`RatPoint` built only when one is read.  :func:`_split_coords` is
+the one splitter of exact coordinates into such rows.
 
 Everything in this module is an immutable value after construction and all
 operations are pure functions, so objects can be shared freely across
@@ -21,6 +25,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
+from numbers import Rational
 from random import Random
 from typing import Iterable, Sequence
 
@@ -31,6 +36,7 @@ from .errors import DegenerateRandomness, InvalidInput, InvariantViolation
 
 RETRY_BUDGET = 32
 EXTENSION_BOX = 10**6  # generic directions are drawn from [-B, B]^d
+_INT64_SAFE = 2**62  # int64 point rows and sums of products within it cannot overflow
 
 
 def _exact(x) -> int | Fraction:
@@ -227,7 +233,26 @@ def make_hyperplane(normal: IntVector, offset: int | Fraction) -> Flat:
     return Flat(normal.dim, [normal.coords], [offset])
 
 
-class HyperplaneFamily(SequenceABC):
+class _ReadOnRequest(SequenceABC):
+    """An immutable sequence whose items are built only when read: equal,
+    item by item, to any sequence of equal items, with the equal tuple's
+    hash."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class HyperplaneFamily(_ReadOnRequest):
     """Hyperplanes of R^d held as integer columns: an immutable sequence of
     :class:`Flat` that builds a flat only when one is read.
 
@@ -276,9 +301,6 @@ class HyperplaneFamily(SequenceABC):
         family._set(ambient_dim, normals, normal_ids, offsets)
         return family
 
-    def __setattr__(self, name, value):
-        raise AttributeError("a hyperplane family is immutable")
-
     def __len__(self) -> int:
         return len(self.offsets)
 
@@ -297,14 +319,6 @@ class HyperplaneFamily(SequenceABC):
     def __iter__(self):
         for normal_id, offset in zip(self.normal_ids.tolist(), self.offsets.tolist()):
             yield self._flat(normal_id, offset)
-
-    def __eq__(self, other):
-        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __add__(self, other):
         if isinstance(other, tuple):
@@ -343,6 +357,115 @@ def _offset_column(offsets) -> np.ndarray:
     column = np.empty(len(values), dtype=object)
     column[:] = [_exact(c) for c in values]
     return column
+
+
+class PointRows(_ReadOnRequest):
+    """Points of R^d held as homogeneous integer rows: an immutable
+    sequence of :class:`RatPoint` that builds a point only when one is read.
+
+    Point i is ``matrix[i] / q[i]`` with ``q[i] > 0`` and no factor common
+    to the row and ``q[i]``, so each point value has exactly one row.  Both
+    arrays are int64 when every entry is within 2^62 and hold Python ints
+    otherwise; ``max_abs`` is the largest absolute entry (0 for no points)
+    and ``integral`` tells whether every q is 1.  Equality is element by
+    element with any sequence of points, and the hash is the equal
+    tuple's; ``+`` joins rows with rows or with a tuple of points into
+    rows.  Build one with :func:`_split_coords` or :func:`_int_point_matrix`.
+    """
+
+    __slots__ = ("ambient_dim", "matrix", "q", "max_abs", "integral")
+
+    @classmethod
+    def _of(cls, ambient_dim: int, matrix: np.ndarray, q: np.ndarray) -> "PointRows":
+        """The points ``matrix[i] / q[i]`` of rows already in that form, as
+        int64 or Python ints, with no further check; the dtype is set by
+        the entries' bound."""
+        max_abs = max(_largest(matrix), _largest(q))
+        dtype = np.int64 if max_abs <= _INT64_SAFE else object
+        matrix = matrix.astype(dtype, copy=False).reshape(len(q), ambient_dim)
+        q = q.astype(dtype, copy=False)
+        rows = object.__new__(cls)
+        rows._set(ambient_dim, matrix, q, max_abs, bool((q == 1).all()))
+        return rows
+
+    def _set(self, ambient_dim, matrix, q, max_abs, integral) -> None:
+        matrix.flags.writeable = q.flags.writeable = False
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "max_abs", max_abs)
+        object.__setattr__(self, "integral", integral)
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    @staticmethod
+    def _point(row: list[int], q: int) -> RatPoint:
+        return RatPoint(row if q == 1 else [Fraction(x, q) for x in row])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointRows._of(self.ambient_dim, self.matrix[index], self.q[index])
+        return self._point(self.matrix[index].tolist(), int(self.q[index]))
+
+    def __iter__(self):
+        for row, q in zip(self.matrix.tolist(), self.q.tolist()):
+            yield self._point(row, q)
+
+    def __add__(self, other):
+        if isinstance(other, tuple):
+            other = _int_point_matrix(other)
+        elif not isinstance(other, PointRows):
+            return NotImplemented
+        if not len(other):
+            return self
+        if not len(self):
+            return other
+        if other.ambient_dim != self.ambient_dim:
+            raise InvalidInput("points live in different ambient dimensions")
+        return PointRows._of(self.ambient_dim, np.concatenate((self.matrix, other.matrix)),
+                             np.concatenate((self.q, other.q)))
+
+    def __radd__(self, other):
+        return _int_point_matrix(other) + self if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PointRows({len(self)} points of R^{self.ambient_dim})"
+
+
+def _largest(a: np.ndarray) -> int:
+    """The largest absolute entry of ``a``, 0 when it has none; two bounds,
+    not ``np.abs``, since abs(-2^63) wraps to itself in int64."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int_point_matrix(points: Iterable[RatPoint | IntVector]) -> PointRows:
+    """``points`` as rows: :class:`PointRows` as they are, and any other
+    points, or integer vectors, split once by :func:`_split_coords`."""
+    if isinstance(points, PointRows):
+        return points
+    coords = [p.coords for p in points]
+    dims = set(map(len, coords))
+    if len(dims) > 1:
+        raise InvalidInput(f"mixed ambient dimensions in points: {sorted(dims)}")
+    return _split_coords(coords, dims.pop() if dims else 0)
+
+
+def _split_coords(coords: Sequence[Sequence[Rational]], dim: int) -> PointRows:
+    """The rows of the points whose exact coordinate tuples, each of ``dim``
+    entries, are ``coords``.
+
+    One ``np.array`` of every coordinate when numpy reads them all as
+    int64; otherwise point by point, each over the lcm of its denominators.
+    """
+    if coords:
+        # Fractions and ints past int64 make an object or float array
+        matrix = np.array(coords)
+        if matrix.dtype == np.int64:
+            return PointRows._of(dim, matrix, np.ones(len(coords), np.int64))
+    pairs = [linalg.clear_denominators(cs) for cs in coords]
+    return PointRows._of(dim, np.array([ints for ints, _ in pairs], dtype=object),
+                         np.array([q for _, q in pairs], dtype=object))
 
 
 def contains(f: Flat, p: RatPoint) -> bool:
@@ -573,12 +696,13 @@ def find_collinear_triple(
     triple repeats a direction at its lowest-index point or holds a copy
     of that point, which is on one line with it and any other point.
     """
-    n = len(points)
+    coords = [p.coords for p in points]  # each point read once
+    n = len(coords)
     for i in range(n):
         seen: dict[tuple[int, ...], int] = {}
-        pi = points[i].coords
+        pi = coords[i]
         for j in range(i + 1, n):
-            delta = [a - b for a, b in zip(points[j].coords, pi)]
+            delta = [a - b for a, b in zip(coords[j], pi)]
             key, _ = linalg.integer_row_and_offset(delta, 0)
             if key in seen:
                 return (i, seen[key], j)

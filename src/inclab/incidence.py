@@ -18,9 +18,10 @@ Every point is stored once in homogeneous integer form: its primitive
 integer row P over its denominator q > 0, so x = P / q.  An equation
 a.x = c/e then holds exactly when (e a).P - c q = 0, so membership and
 the naive count compare one integer product with zero.  An instance
-splits its points and classifies its flats once, for every count, the
-K_{s,t} certificate and the masks.  All counts are exact; there
-is no tolerance anywhere in this module.
+holds its points as these rows (:class:`~inclab.geometry.PointRows`),
+split once when they come as anything else, and classifies its flats
+once, for every count, the K_{s,t} certificate and the masks.  All counts
+are exact; there is no tolerance anywhere in this module.
 
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
 reads the hyperplane groups: s points that are not all one point have
@@ -44,16 +45,26 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from numbers import Rational
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
-from .geometry import Flat, HyperplaneFamily, IntVector, RatPoint, _exact, _int, contains
+from .geometry import (
+    _INT64_SAFE,
+    Flat,
+    HyperplaneFamily,
+    PointRows,
+    RatPoint,
+    _exact,
+    _int,
+    _int_point_matrix,
+    _split_coords,
+    contains,
+)
 
 DEFAULT_COMPARISON_LIMIT = 10**9
-_INT64_SAFE = 2**62
 _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
 # primitive normal -> offset -> indices of the hyperplanes with that key
 _FlatGroups = dict[tuple[int, ...], dict[int | Fraction, list[int]]]
@@ -65,24 +76,26 @@ _Grouping = tuple[_FlatGroups, list[int]]
 class IncidenceInstance:
     """A point set, a flat family, and the forbidden-subgraph parameters.
 
-    ``flats`` is kept as it is when it is a :class:`HyperplaneFamily`, so its
-    hyperplanes are grouped from its columns; any other sequence becomes a
-    tuple.
+    ``points`` are always held as :class:`PointRows`, the homogeneous
+    integer rows every count reads: rows are kept as they are, and any
+    other sequence of points is split once.  ``flats`` is kept as it is
+    when it is a :class:`HyperplaneFamily`, so its hyperplanes are grouped
+    from its columns; any other sequence becomes a tuple.
     """
 
-    points: tuple[RatPoint, ...]
+    points: Sequence[RatPoint]
     flats: Sequence[Flat]
     s: int
     t: int
 
     def __init__(self, points: Sequence[RatPoint], flats: Sequence[Flat], s: int, t: int):
-        pts = tuple(points)
+        pts = _int_point_matrix(points)
         if isinstance(flats, HyperplaneFamily):
             fls, flat_dims = flats, {flats.ambient_dim} if len(flats) else set()
         else:
             fls = tuple(flats)
             flat_dims = {f.ambient_dim for f in fls}
-        dims = {p.dim for p in pts} | flat_dims
+        dims = ({pts.ambient_dim} if len(pts) else set()) | flat_dims
         if len(dims) > 1:
             raise InvalidInput(f"mixed ambient dimensions in instance: {sorted(dims)}")
         if _int(s, "s") < 2:
@@ -96,8 +109,8 @@ class IncidenceInstance:
 
     @property
     def ambient_dim(self) -> int:
-        if self.points:
-            return self.points[0].dim
+        if len(self.points):
+            return self.points.ambient_dim
         if self.flats:
             return self.flats[0].ambient_dim
         raise InvalidInput("empty instance has no ambient dimension")
@@ -110,16 +123,11 @@ class IncidenceInstance:
         return _group_flats(self.flats)
 
     @cached_property
-    def _split(self) -> _PointSplit:
-        """The points split once per instance, for every count and the masks."""
-        return _int_point_matrix(self.points)
-
-    @cached_property
     def _offset_counts(self) -> dict[tuple[int, ...], dict[int | Fraction, int]]:
         """For each hyperplane group, the number of points at each of its
         offsets: one pass over the points per normal, for the hashed counts
         and the K_{s,t} certificate."""
-        split = self._split
+        split = self.points
         out = {}
         for normal, by_offset in self._grouping[0].items():
             counts = _value_counts(_dot_values(split, normal))
@@ -131,7 +139,7 @@ class IncidenceInstance:
         """For each flat that is not a hyperplane, the indices of its points,
         ascending: one membership pass per flat, for the hashed counts, the
         K_{s,t} certificate and the incidence masks."""
-        split = self._split
+        split = self.points
         return {
             j: _members(split, self.flats[j].integer_equations()).tolist()
             for j in self._grouping[1]
@@ -167,7 +175,7 @@ def _count_naive(inst: IncidenceInstance) -> int:
     (P, q) exactly when the point meets it.  A flat is counted in int64
     when its rows provably fit, and in Python ints otherwise.
     """
-    matrix, q, max_abs, _ = inst._split
+    matrix, q, max_abs = inst.points.matrix, inst.points.q, inst.points.max_abs
     dense: list[list[list[int]]] = []
     wide: list[list[list[int]]] = []
     total = 0
@@ -224,62 +232,23 @@ def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], int | Fraction] | None
     return flat.integer_equations()[0]
 
 
-class _PointSplit(NamedTuple):
-    """Points made ready for exact dot products, in point order: point i is
-    ``matrix[i] / q[i]``, its primitive homogeneous integer form.  Both arrays
-    are int64 when every entry is within 2^62, and Python ints otherwise."""
-
-    matrix: np.ndarray
-    q: np.ndarray  # the denominators, all positive
-    max_abs: int  # bound on the entries of ``matrix`` and ``q``
-    integral: bool  # every q is 1
-
-
-def _int_point_matrix(points: Sequence[RatPoint | IntVector]) -> _PointSplit:
-    """Split points, or integer vectors, for :func:`_exact_dots`."""
-    return _split_coords([p.coords for p in points], points[0].dim if points else 0)
-
-
-def _split_coords(coords: Sequence[Sequence[Rational]], dim: int) -> _PointSplit:
-    """:func:`_int_point_matrix` of the exact coordinate tuples ``coords``.
-
-    One ``np.array`` of every coordinate when numpy reads them all as int64
-    within 2^62; otherwise point by point.
-    """
-    if coords:
-        # Fractions and ints past int64 make an object or float array
-        matrix = np.array(coords)
-        # two bounds, not np.abs: abs(-2^63) wraps to itself in int64
-        if matrix.dtype == np.int64 and (
-            (matrix >= -_INT64_SAFE) & (matrix <= _INT64_SAFE)
-        ).all():
-            max_abs = max(int(matrix.max()), -int(matrix.min()), 1)
-            return _PointSplit(matrix, np.ones(len(coords), np.int64), max_abs, True)
-    pairs = [linalg.clear_denominators(cs) for cs in coords]
-    max_abs = max((max(den, *map(abs, ints)) for ints, den in pairs), default=0)
-    dtype = np.int64 if max_abs <= _INT64_SAFE else object
-    matrix = np.array([ints for ints, _ in pairs], dtype=dtype).reshape(len(pairs), dim)
-    q = np.array([den for _, den in pairs], dtype=dtype)
-    return _PointSplit(matrix, q, max_abs, bool((q == 1).all()))
-
-
 def _fits_int64(row: Sequence[int], max_abs: int) -> bool:
     """Whether ``row`` dotted with any point row of entries within ``max_abs``
     fits int64, partial sums included: ``sum|row| * max_abs <= 2^62``."""
     return sum(map(abs, row)) * max_abs <= _INT64_SAFE
 
 
-def _exact_dots(split: _PointSplit, row: Sequence[int], c: int = 0) -> np.ndarray:
+def _exact_dots(split: PointRows, row: Sequence[int], c: int = 0) -> np.ndarray:
     """``row @ P - c * q`` over the split points, in point order: zero
     exactly at the points on the hyperplane ``row . x = c``.
 
     One int64 product when ``(sum|row| + |c|) * max_abs`` provably fits;
     otherwise Python ints in an object array.  Either way it is exact.
     """
-    matrix, q, max_abs, _ = split
+    matrix, q = split.matrix, split.q
     if not len(q):
         return np.zeros(0, dtype=np.int64)  # no points: no columns to multiply
-    if _fits_int64((*row, c), max_abs):
+    if _fits_int64((*row, c), split.max_abs):
         dots = matrix @ np.array(row, dtype=np.int64)
     else:
         matrix, q = matrix.astype(object), q.astype(object)
@@ -287,7 +256,7 @@ def _exact_dots(split: _PointSplit, row: Sequence[int], c: int = 0) -> np.ndarra
     return dots - c * q if c else dots
 
 
-def _dot_values(split: _PointSplit, row: Sequence[int]) -> np.ndarray:
+def _dot_values(split: PointRows, row: Sequence[int]) -> np.ndarray:
     """The exact values ``row . x`` over the split points, in point order,
     for bucketing: the :func:`_exact_dots` when every q is 1, and otherwise
     with an ``int`` or ``Fraction`` built for each point whose q is not 1."""
@@ -387,7 +356,7 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
 
 
 def _members(
-    split: _PointSplit, equations: Sequence[tuple[Sequence[int], Rational]]
+    split: PointRows, equations: Sequence[tuple[Sequence[int], Rational]]
 ) -> np.ndarray:
     """Indices of the split points meeting every integer ``(row, offset)``
     equation, ascending: for an offset c/e, those where
@@ -406,7 +375,7 @@ def _members(
 
 def _heaviest_span(
     fixed: Sequence[tuple[int, ...]], vectors: Sequence[tuple[int, ...]],
-    split: _PointSplit, weights: np.ndarray, flat_dim: int, cap: int,
+    split: PointRows, weights: np.ndarray, flat_dim: int, cap: int,
 ) -> int:
     """Largest total weight of the integer ``vectors`` (split as ``split``) in
     the span of ``fixed`` and ``flat_dim - len(fixed)`` of them, over every
@@ -476,7 +445,7 @@ def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
     cost = (len(groups) + len(others) + 1) * _words(len(inst.points))
     if cost > limit:
         return "certificate over budget"
-    repeat = _max_point_multiplicity(inst._split)
+    repeat = _max_point_multiplicity(inst.points)
     if repeat >= s:
         return f"certificate void: one point occurs {repeat} times, s={s}"
     members = list(inst._other_members.values())
@@ -524,7 +493,7 @@ def _most_sharing(member_lists: Sequence[list[int]], s: int) -> int:
     return top
 
 
-def _max_point_multiplicity(split: _PointSplit) -> int:
+def _max_point_multiplicity(split: PointRows) -> int:
     """The most times one point value occurs among the split points: the
     most equal (P, q) rows, since the primitive form with q > 0 is one
     form per point."""
@@ -549,7 +518,7 @@ def _grouped_masks(inst: IncidenceInstance) -> list[int]:
     point split and one member list per non-hyperplane flat."""
     masks = [0] * len(inst.points)
     groups = inst._grouping[0]
-    split = inst._split
+    split = inst.points
     for normal, by_offset in groups.items():
         buckets: dict = defaultdict(list)  # exact dot value -> point indices
         for i, dot in enumerate(_dot_values(split, normal).tolist()):
@@ -681,9 +650,12 @@ def _first_common_subset(
 
 
 def _check_witness(inst: IncidenceInstance, witness: KstWitness) -> None:
+    # each point and flat read once: on rows or a family, a read builds one
+    flats = [(j, inst.flats[j]) for j in witness.flat_indices]
     for i in witness.point_indices:
-        for j in witness.flat_indices:
-            if not contains(inst.flats[j], inst.points[i]):
+        point = inst.points[i]
+        for j, flat in flats:
+            if not contains(flat, point):
                 raise InvariantViolation(
                     f"unsound witness: point {i} not on flat {j}"
                 )

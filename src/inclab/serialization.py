@@ -10,10 +10,15 @@ newline.  :func:`save_instance` writes it directly: ``json.dumps`` renders
 the small members, and the points and flats are streamed ``_CHUNK`` at a
 time.  Each chunk is one ``%d`` template, repeated from one item template
 per point shape or equation count, filled from one flat list of integers:
-numerators and denominators, read off a :class:`HyperplaneFamily`'s
-columns or off every other flat's and every point's exact values.  The
-text goes to a new file beside the target, which replaces the target only
-once it is whole.  The reference path,
+numerators and denominators, read off the points' rows and a
+:class:`HyperplaneFamily`'s columns, or off every other flat's exact
+values.  The text goes to a new file beside the target, which replaces
+the target only once it is whole.
+
+The loader builds no ``RatPoint``: it splits the decoded coordinates into
+rows once.  A file whose every flat is one nonzero integer row loads as
+one :class:`HyperplaneFamily` with no ``Flat`` built; any other file loads
+its flats one by one.  The reference path,
 ``canonical_json(instance_to_dict(...))``, builds the document and lets
 ``json`` render all of it; it shares no code with the writer, and the
 tests require the two texts to be equal.
@@ -33,7 +38,7 @@ import numpy as np
 
 from .constructions import ConstructionOutput
 from .errors import InvalidInput
-from .geometry import Flat, HyperplaneFamily, IntVector, RatPoint, _int
+from .geometry import Flat, HyperplaneFamily, IntVector, PointRows, _int, _split_coords
 from .incidence import IncidenceInstance
 
 SCHEMA_VERSION = 1
@@ -59,6 +64,13 @@ def _list(value: Any, what: str) -> list:
     if not isinstance(value, list):
         raise InvalidInput(f"{what} must be a list, got {value!r}")
     return value
+
+
+def _nonnegative(value: Any, what: str) -> int:
+    count = _int(value, what)
+    if count < 0:
+        raise InvalidInput(f"{what} must be nonnegative, got {count}")
+    return count
 
 
 def _count_up_to(value: Any, what: str, high: int) -> int:
@@ -124,29 +136,49 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
     dim = _int(_field(doc, "ambient_dim", "instance"), "ambient_dim")
     if dim < 1:
         raise InvalidInput(f"ambient_dim must be positive, got {dim}")
-    points = []
+    coords = []
     for i, row in enumerate(_list(_field(doc, "points", "instance"), "points")):
         if len(_list(row, f"point {i}")) != dim:
             raise InvalidInput(
                 f"point {i} has {len(row)} coordinates in an ambient_dim {dim} file"
             )
-        points.append(RatPoint([_dec(c) for c in row]))
-    flats = []
+        coords.append([_dec(c) for c in row])
+    points = _split_coords(coords, dim)
+    systems = []
     for j, spec in enumerate(_list(_field(doc, "flats", "instance"), "flats")):
         if not isinstance(spec, dict):
             raise InvalidInput(f"flat {j} must be an object with 'A' and 'b'")
         rows = _list(_field(spec, "A", f"flat {j}"), f"flat {j} 'A'")
         rhs = _list(_field(spec, "b", f"flat {j}"), f"flat {j} 'b'")
-        flats.append(
-            Flat(
-                dim,
-                [[_dec(a) for a in _list(row, f"flat {j} row")] for row in rows],
-                [_dec(c) for c in rhs],
-            )
-        )
+        systems.append((
+            [[_dec(a) for a in _list(row, f"flat {j} row")] for row in rows],
+            [_dec(c) for c in rhs],
+        ))
+    flats = _hyperplane_family(dim, systems)
+    if flats is None:
+        flats = [Flat(dim, rows, rhs) for rows, rhs in systems]
     s = _int(doc.get("s", 2), "s")
     t = _int(doc.get("t", 1), "t")
     return IncidenceInstance(points, flats, s, t)
+
+
+def _hyperplane_family(
+    dim: int, systems: Sequence[tuple[list[list], list]]
+) -> HyperplaneFamily | None:
+    """The decoded flat systems ``(A, b)`` as one family when there are
+    some and each is one nonzero integer row of ``dim`` entries with one
+    right-hand side, holding each distinct row once; otherwise ``None``."""
+    index: dict[tuple[int, ...], int] = {}
+    normal_ids, offsets = [], []
+    for rows, rhs in systems:
+        if len(rows) != 1 or len(rhs) != 1 or len(rows[0]) != dim:
+            return None
+        row = tuple(rows[0])
+        if not any(row) or not all(type(a) is int for a in row):
+            return None
+        normal_ids.append(index.setdefault(row, len(index)))
+        offsets.append(rhs[0])
+    return HyperplaneFamily(dim, list(index), normal_ids, offsets) if systems else None
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:
@@ -176,18 +208,23 @@ def dict_to_construction(doc: dict) -> ConstructionOutput:
             f"inner_ambient_dim must be null or lie in [2, {inst.ambient_dim - 1}],"
             f" got {inner}"
         )
+    normals = tuple(
+        IntVector([_int(c, "normal coordinate") for c in _list(v, "normal")])
+        for v in _list(field("normals_used"), "normals_used")
+    )
+    for v in normals:
+        if v.is_zero():
+            raise InvalidInput(f"normals_used holds the zero vector {list(v.coords)}")
     return ConstructionOutput(
         variant=variant,
         ambient_dim=inst.ambient_dim,
         points=inst.points,
         flats=inst.flats,
-        normals_used=tuple(
-            IntVector([_int(c, "normal coordinate") for c in _list(v, "normal")])
-            for v in _list(field("normals_used"), "normals_used")
-        ),
-        t_measured=_int(field("t_measured"), "t_measured"),
+        normals_used=normals,
+        t_measured=_nonnegative(field("t_measured"), "t_measured"),
         t_verified=t_verified,
-        predicted_incidences=_int(field("predicted_incidences"), "predicted_incidences"),
+        predicted_incidences=_nonnegative(
+            field("predicted_incidences"), "predicted_incidences"),
         padding_start=_count_up_to(
             field("padding_start"), "padding_start", len(inst.flats)
         ),
@@ -233,13 +270,20 @@ def _pairs(values) -> list[int]:
     return [x for c in values for x in (c.numerator, c.denominator)]
 
 
-def _point_chunks(points: tuple[RatPoint, ...], dim: int):
-    """The points' item texts, ``_CHUNK`` points to a text."""
+def _point_chunks(points: PointRows, dim: int):
+    """The points' item texts, ``_CHUNK`` points to a text, read off their
+    rows: coordinate k of a point is ``P[k] / q``, written over ``g =
+    gcd(P[k], q)`` in lowest terms."""
     item = _array(_rational_items(dim, 3), 3)
     for lo in range(0, len(points), _CHUNK):
-        chunk = points[lo : lo + _CHUNK]
-        values = _pairs(c for p in chunk for c in p.coords)
-        yield _ITEM_SEP.join([item] * len(chunk)) % tuple(values)
+        rows, q = points.matrix[lo : lo + _CHUNK], points.q[lo : lo + _CHUNK, None]
+        values = np.ones((len(q), 2 * dim), dtype=rows.dtype)
+        if points.integral:
+            values[:, ::2] = rows
+        else:
+            g = np.gcd(rows, q)  # positive, since q is
+            values[:, ::2], values[:, 1::2] = rows // g, q // g
+        yield _ITEM_SEP.join([item] * len(q)) % tuple(values.ravel().tolist())
 
 
 def _flat_chunks(flats: Sequence[Flat], dim: int):

@@ -386,6 +386,19 @@ class TestMalformedInput:
             doc["construction"][key] = value
             self.assert_rejected(capsys, tmp_path, json.dumps(doc), ("verify", "embed"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("normals_used", [[0, 0]]), ("t_measured", -1), ("predicted_incidences", -5),
+    ])
+    def test_impossible_construction_values(self, capsys, tmp_path, construction_doc,
+                                            key, value):
+        # a zero normal was carried into the embedded file, and t_measured -1
+        # reached embed as "t must be at least 1"
+        construction_doc["construction"][key] = value
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(construction_doc), ("verify", "embed"),
+            mentions=key,
+        )
+
     def test_construction_note_not_a_string(self, capsys, tmp_path, construction_doc):
         construction_doc["construction"]["notes"] = [["nested"]]
         self.assert_rejected(

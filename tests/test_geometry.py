@@ -27,7 +27,7 @@ from inclab import (
     is_primitive,
     make_hyperplane,
 )
-from inclab.incidence import _group_flats
+from inclab.incidence import _group_flats, _int_point_matrix
 
 from oracles import (
     collinear_triples_bruteforce,
@@ -37,6 +37,7 @@ from oracles import (
     gcd_all,
     generic_extension_fraction,
     minor_rank,
+    point_split_loop,
 )
 
 
@@ -182,6 +183,96 @@ class TestHyperplaneFamily:
             family.offsets = None
         with pytest.raises(ValueError):
             family.offsets[0] = 5
+
+
+ROW_VALUES = (0, 1, -7, 2**62, -(2**62), 2**62 + 1, -(2**62) - 1, 2**63, -(2**63),
+              -(2**64) - 5, Fraction(1, 2), Fraction(-5, 3), Fraction(2**64 + 1, 6))
+
+
+def point_lists(d):
+    """Lists of points of R^d, the empty list and repeated points included,
+    of small integers and of integers and rationals across the int64 cuts."""
+    point = st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(ROW_VALUES)),
+                     min_size=d, max_size=d).map(RatPoint)
+    return st.lists(point, max_size=5).flatmap(lambda pts: st.lists(
+        st.sampled_from(pts), max_size=3).map(lambda copies: pts + copies)
+        if pts else st.just(pts))
+
+
+def _rows(points, d):
+    return geometry._split_coords([p.coords for p in points], d)
+
+
+def assert_same_rows(rows, expected):
+    """``rows`` hold exactly ``expected``'s split, dtype, bound and flag."""
+    assert isinstance(rows, geometry.PointRows)
+    assert len(rows) == len(expected)
+    if len(rows):
+        assert rows.ambient_dim == expected.ambient_dim
+    assert rows.matrix.dtype == rows.q.dtype == expected.matrix.dtype
+    assert rows.matrix.tolist() == expected.matrix.tolist()
+    assert rows.q.tolist() == expected.q.tolist()
+    assert (rows.max_abs, rows.integral) == (expected.max_abs, expected.integral)
+
+
+class TestPointRows:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        st.just(d), point_lists(d), point_lists(d))), st.data())
+    def test_rows_are_their_points(self, case, data):
+        d, points, other = case
+        as_tuple = tuple(points)
+        rows = _rows(points, d)
+        # each point read is the RatPoint it was split from, number forms too
+        assert list(rows) == points
+        assert [[type(c) for c in p.coords] for p in rows] == [
+            [type(c) for c in p.coords] for p in points]
+        # the split is the point-by-point loop's, in int64 exactly when it fits
+        split_rows, qs, max_abs = point_split_loop(points)
+        assert rows.matrix.tolist() == split_rows and rows.q.tolist() == qs
+        assert rows.max_abs == max_abs and rows.integral == all(q == 1 for q in qs)
+        assert rows.matrix.dtype == (np.int64 if max_abs <= 2**62 else object)
+        assert rows.matrix.shape == (len(points), d)
+        # rows reached another way are the split of the equal tuple
+        k = data.draw(st.integers(0, len(points)))
+        padded = _rows(other + points + other, d)
+        assert_same_rows(_int_point_matrix(as_tuple), rows)
+        assert _int_point_matrix(rows) is rows
+        assert IncidenceInstance(rows, [], 2, 1).points is rows
+        assert_same_rows(padded[len(other) : len(other) + len(points)], rows)
+        assert_same_rows(_rows(points[:k], d) + _rows(points[k:], d), rows)
+        assert_same_rows(_rows(points[:k], d) + as_tuple[k:], rows)
+        assert_same_rows(as_tuple[:k] + _rows(points[k:], d), rows)
+        # the tuple operations
+        lo, hi = data.draw(st.integers(-7, 7)), data.draw(st.integers(-7, 7))
+        n = len(points)
+        assert [rows[j] for j in range(-n, n)] == points + points
+        assert rows[lo:hi] == as_tuple[lo:hi] and as_tuple[lo:hi] == rows[lo:hi]
+        assert rows == as_tuple and as_tuple == rows and rows == points
+        assert (rows == tuple(other)) == (as_tuple == tuple(other))
+        assert hash(rows) == hash(as_tuple)
+        joined = rows + tuple(other)
+        assert joined == as_tuple + tuple(other) and tuple(other) + rows == tuple(other) + as_tuple
+        assert isinstance(joined, geometry.PointRows)
+
+    def test_points_of_another_dimension_are_rejected(self):
+        rows = _rows([P(1, 2)], 2)
+        with pytest.raises(InvalidInput):
+            rows + (P(1, 2, 3),)
+        with pytest.raises(InvalidInput):
+            rows + _rows([P(1, 2, 3)], 3)
+        with pytest.raises(InvalidInput):
+            _int_point_matrix([P(1, 2), P(1, 2, 3)])
+        assert rows + () is rows and () + rows is rows
+
+    def test_immutable(self):
+        rows = _rows([P(1, Fraction(1, 2))], 2)
+        with pytest.raises(AttributeError):
+            rows.q = None
+        with pytest.raises(ValueError):
+            rows.matrix[0, 0] = 5
+        with pytest.raises(TypeError):
+            geometry.PointRows(2, rows.matrix, rows.q)
 
 
 def _dot(row, point):
@@ -770,6 +861,22 @@ class TestCollinearity:
     def test_explicit_collinear_triple_found(self):
         pts = [P(0, 0), P(5, 7), P(1, 1), P(3, 3)]
         assert find_collinear_triple(pts) == (0, 2, 3)
+
+    @pytest.mark.parametrize("points", [
+        [P(i, i * i) for i in range(9)],  # on a parabola: no triple
+        [P(i, i * i) for i in range(9)] + [P(4, 16)],  # a repeated point
+        [P(Fraction(i, 3), i * i) for i in range(9)] + [P(5, 5), P(7, 9)],
+    ])
+    def test_rows_give_the_verdict_of_the_tuple_reading_each_point_once(
+            self, monkeypatch, points):
+        rows = _rows(points, 2)
+        expected = find_collinear_triple(tuple(points))
+        built = []
+        point = geometry.PointRows._point
+        monkeypatch.setattr(geometry.PointRows, "_point", staticmethod(
+            lambda row, q: built.append(row) or point(row, q)))
+        assert find_collinear_triple(rows) == expected
+        assert len(built) == len(points)
 
     def test_a_copy_of_the_anchor_makes_a_triple(self):
         assert find_collinear_triple([P(0, 0), P(0, 0), P(1, 2)]) == (0, 1, 2)

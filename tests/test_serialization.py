@@ -5,6 +5,7 @@ import json
 from contextlib import suppress
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,8 @@ from inclab import (
     save_instance,
 )
 from inclab import serialization
-from inclab.geometry import HyperplaneFamily
+from inclab.geometry import HyperplaneFamily, PointRows
+from inclab.incidence import _group_flats
 from inclab.serialization import (
     _CHUNK,
     canonical_json,
@@ -230,6 +232,91 @@ def test_writer_at_chunk_boundaries(tmp_path, kind, point_count, flat_count):
                              _boundary_flats(flat_count, kind), 2, 3)
     path = save_instance(tmp_path / "chunks.inc.json", inst)
     assert path.read_bytes() == canonical_json(instance_to_dict(inst)).encode()
+
+
+# per kind: the coordinates, the rows' dtype and whether every q is 1
+POINT_ROW_KINDS = {
+    "int64": ((0, -7, 5, 2**62), np.int64, True),
+    "int64-rational": ((0, Fraction(-7, 3), Fraction(5, 6), -(2**40)), np.int64, False),
+    "object": ((0, -7, 2**63, -(2**64) - 3), object, True),
+    "object-rational": ((Fraction(4, 6), Fraction(5, 3), 2**63, Fraction(-(2**70), 9)),
+                        object, False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(POINT_ROW_KINDS))
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_point_rows_at_chunk_boundaries(tmp_path, kind, count):
+    # the writer reads each coordinate off the rows as P / q in lowest terms
+    values, dtype, integral = POINT_ROW_KINDS[kind]
+    points = [RatPoint([values[(i + k) % len(values)] for k in range(3)])
+              for i in range(count)]
+    inst = IncidenceInstance(points, [make_hyperplane(IntVector((1, 0, 0)), 0)], 2, 3)
+    assert isinstance(inst.points, PointRows)
+    if count:
+        assert inst.points.matrix.dtype == dtype and inst.points.integral == integral
+    path = save_instance(tmp_path / "rows.inc.json", inst)
+    assert path.read_bytes() == canonical_json(instance_to_dict(inst)).encode()
+
+
+def _hyperplane_instance(extra=()):
+    """Hyperplanes of R^2 over scaled, negative and repeated normals with
+    integer, rational and past-int64 offsets, then the flats ``extra``."""
+    flats = tuple(make_hyperplane(IntVector(row), c) for row, c in (
+        ((1, 2), 3), ((2, 4), 5), ((1, 2), Fraction(1, 3)), ((0, -1), 2**63),
+        ((1, 2), 3), ((-3, 1), -(2**64)), ((2, 4), Fraction(-7, 2)),
+    )) + tuple(extra)
+    points = [RatPoint(p) for p in ((1, 1), (Fraction(1, 2), 1), (3, 0), (0, -(2**63)),
+                                    (1, Fraction(1, 3)), (1, 1))]
+    return IncidenceInstance(points, flats, 2, 2)
+
+
+def test_hyperplane_file_loads_as_a_family(tmp_path):
+    inst = _hyperplane_instance()
+    loaded = dict_to_instance(instance_to_dict(inst))
+    assert isinstance(loaded.flats, HyperplaneFamily)
+    assert isinstance(loaded.points, PointRows) and loaded.points == inst.points
+    # the file's flats, read one by one with Flat(...), in both directions
+    assert loaded.flats == inst.flats and inst.flats == loaded.flats
+    assert _group_flats(loaded.flats) == _group_flats(inst.flats)
+    for strategy in ("naive", "hashed"):
+        assert count_incidences(loaded, strategy) == count_incidences(inst, strategy)
+    path = save_instance(tmp_path / "family.inc.json", loaded)
+    assert path.read_text() == canonical_json(instance_to_dict(inst))
+
+
+@pytest.mark.parametrize("extra", [
+    Flat(2, [[0, 0]], [0]),  # a zero row: the whole plane
+    Flat(2, [[Fraction(1, 2), 1]], [3]),  # rational coefficients
+    Flat(2, [[1, 0], [0, 1]], [1, Fraction(1, 2)]),  # two rows
+    Flat(2, [], []),  # no rows
+], ids=["zero-row", "rational-row", "two-rows", "no-rows"])
+def test_a_mixed_file_loads_flat_by_flat(extra):
+    inst = _hyperplane_instance([extra])
+    loaded = dict_to_instance(instance_to_dict(inst))
+    assert type(loaded.flats) is tuple
+    assert loaded.flats == inst.flats
+    assert count_incidences(loaded, "naive") == count_incidences(inst, "naive")
+
+
+@pytest.mark.parametrize("flat, message", [
+    ({"A": [[[0, 1], [0, 1]]], "b": [[1, 1]]}, "inconsistent system"),
+    ({"A": [[[1, 1], [2, 1], [3, 1]]], "b": [[1, 1]]}, "equation width"),
+    ({"A": [[[1, 1], [2, 1]]], "b": [[1, 1], [2, 1]]}, "equation count"),
+])
+def test_flats_no_family_holds_keep_their_errors(flat, message):
+    doc = instance_to_dict(_hyperplane_instance())
+    doc["flats"].append(flat)
+    with pytest.raises(InvalidInput, match=message):
+        dict_to_instance(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("normals_used", [[1, 1], [0, 0]]), ("t_measured", -1), ("predicted_incidences", -5),
+])
+def test_impossible_construction_values_are_named(key, value):
+    with pytest.raises(InvalidInput, match=key):
+        dict_to_construction(_construction_doc(**{key: value}))
 
 
 def test_canonical_json_is_stable():

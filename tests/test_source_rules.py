@@ -27,19 +27,24 @@ def _referenced_names(node) -> set[str]:
 def _reach(module: str, start: str) -> tuple[set[str], set[str]]:
     """The module-level functions of ``module``, and the non-dunder methods
     of its classes (such as cached properties), that ``start`` reaches,
-    directly or through each other, and every name those reference."""
+    directly or through each other, and every name those reference.  A
+    method name that several classes define reaches each of them."""
     tree = ast.parse((SOURCE / module).read_text())
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
-        functions.update({n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)
-                          and not n.name.startswith("__")})
+    functions: dict[str, list[ast.FunctionDef]] = {}
+    for n in tree.body:
+        if isinstance(n, ast.FunctionDef):
+            functions.setdefault(n.name, []).append(n)
+        elif isinstance(n, ast.ClassDef):
+            for m in n.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__"):
+                    functions.setdefault(m.name, []).append(m)
     seen, todo, names = set(), [start], set()
     while todo:
         name = todo.pop()
         if name in seen:
             continue
         seen.add(name)
-        found = _referenced_names(functions[name])
+        found = set().union(*map(_referenced_names, functions[name]))
         names |= found
         todo += [n for n in found if n in functions]
     return seen, names
@@ -62,9 +67,11 @@ def test_point_paths_compare_integers_only():
     # membership, both dense counts and the multiplicity need no Fraction
     # and no point-by-point substitution
     found = {}
-    for start in ("_split_coords", "_exact_dots", "_members", "_count_naive",
-                  "_count_dense", "_max_point_multiplicity"):
-        reached, names = _reach("incidence.py", start)
+    for module, start in (("geometry.py", "_split_coords"), ("incidence.py", "_exact_dots"),
+                          ("incidence.py", "_members"), ("incidence.py", "_count_naive"),
+                          ("incidence.py", "_count_dense"),
+                          ("incidence.py", "_max_point_multiplicity")):
+        reached, names = _reach(module, start)
         hit = (reached | names) & {"Fraction", "contains"}
         if hit:
             found[start] = sorted(hit)
@@ -201,6 +208,20 @@ def test_constructions_fill_hyperplane_columns():
     found = {name: sorted(_referenced_names(node) & {"make_hyperplane", "Flat"})
              for name, node in bodies.items()}
     assert not any(found.values()), f"core and padding hyperplanes name {found}"
+
+
+def test_constructions_fill_point_rows():
+    # grid points, sphere buckets and embedded points are box or shifted
+    # rows; a RatPoint is built only when one is read (an annotation may
+    # still name one: lattice_points returns a sequence of them)
+    tree = ast.parse((SOURCE / "constructions.py").read_text())
+    wanted = ("lattice_points", "_sphere_grid_bucket", "embed_configuration")
+    bodies = {n.name: n.body for n in tree.body if isinstance(n, ast.FunctionDef)
+              and n.name in wanted}
+    assert len(bodies) == len(wanted)
+    found = [name for name, body in bodies.items()
+             if any("RatPoint" in _referenced_names(stmt) for stmt in body)]
+    assert not found, f"RatPoint named in {sorted(found)}"
 
 
 def test_one_walk_over_spanning_subsets():
