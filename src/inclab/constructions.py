@@ -34,20 +34,24 @@ from typing import Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidInput, InvariantViolation, SizeShortfall
 from .exponents import DimensionChain, DimPair, term_from_chain
 from .geometry import (
     Flat,
+    FlatFamily,
     HyperplaneFamily,
     IntVector,
     PointRows,
     RatPoint,
+    _dot,
+    _extension_rows,
     _finite,
     _int,
     _int_point_matrix,
+    _rows_flat,
     _split_coords,
     find_collinear_triple,
-    generic_extension,
     is_primitive,
 )
 from .incidence import (
@@ -128,8 +132,10 @@ class ConstructionOutput:
     ``flats[:padding_start]`` are the construction hyperplanes; the rest
     are padding, each verified to contain no point.  A generator returns
     its flats as one :class:`HyperplaneFamily`, which builds a ``Flat`` only
-    when one is read; so does a loaded file of hyperplanes, and an
-    embedding holds a tuple.  The points of a generator, an embedding or a
+    when one is read; so does a loaded file of hyperplanes.  An embedding
+    into k-flats of codimension 2 or more, and a loaded file of such flats,
+    holds one :class:`FlatFamily`, and any other embedding a tuple.  The
+    points of a generator, an embedding or a
     loaded file are :class:`PointRows`, which build a ``RatPoint`` only when
     one is read.  For sphere instances ``points[core_point_count:]`` are
     padded sphere points, each verified to lie on no hyperplane.
@@ -544,6 +550,18 @@ def embed_configuration(
     The carrier flat F is {x : x_j = 0 for j >= d_inner}.  Each extension
     is verified exactly to meet F in nothing but the embedded hyperplane,
     so no new incidences are created and the count is preserved.
+
+    An embedded hyperplane's system is already reduced: its first equation
+    with a nonzero coefficient, made a primitive integer row with its
+    offset, then F's unit rows.  So its base point and directions are read
+    with one :func:`linalg.solve_rref` and no elimination, the same values
+    ``Flat._solved`` reads, and the draws are the ones
+    :func:`generic_extension` makes (:func:`_extension_rows`) on one
+    shared ``Random``.  Each accepted nullspace row over ``qn``, with the
+    base point ``P / q``, is kept as integers: ``row * q`` and
+    ``row @ P`` over ``qn * q``.  Extensions of codimension 2 or more are
+    held as one :class:`FlatFamily`; hyperplanes of R^{d_outer}, and the
+    embedded hyperplanes themselves (``k = d_inner - 1``), as a tuple.
     """
     d_inner = inner.ambient_dim
     if _int(d_outer, "d_outer") <= d_inner:
@@ -552,7 +570,8 @@ def embed_configuration(
         raise InvalidInput(
             f"need {d_inner - 1} <= k < {d_outer} for the replacement flats"
         )
-    for f in inner.flats:
+    inner_flats = list(inner.flats)
+    for f in inner_flats:
         if f.ambient_dim != d_inner or f.dim != d_inner - 1:
             raise InvalidInput(f"inner configuration must consist of hyperplanes of R^{d_inner}")
     rows = _int_point_matrix(inner.points)
@@ -564,21 +583,30 @@ def embed_configuration(
     padding = np.zeros((len(rows), d_outer - d_inner), rows.matrix.dtype)
     points = PointRows._of(d_outer, np.hstack((rows.matrix, padding)), rows.q)
     rng = Random(_int(seed, "seed"))
-    new_flats: list[Flat] = []
-    for f in inner.flats:
+    if k == d_inner - 1:
         # consistent by construction: a hyperplane plus the carrier's unit rows
-        embedded = Flat._spanned(
-            d_outer,
-            tuple(r + zeros for r in f.equations) + carrier.equations,
-            f.rhs + carrier.rhs,
-            d_inner - 1,
+        flats = tuple(
+            Flat._spanned(d_outer, tuple(r + zeros for r in f.equations) + carrier.equations,
+                          f.rhs + carrier.rhs, d_inner - 1)
+            for f in inner_flats
         )
-        if k == d_inner - 1:
-            new_flats.append(embedded)
-        else:
-            new_flats.append(
-                generic_extension(embedded, k, d_outer, rng, within=carrier)
-            )
+    else:
+        units = [list(row) + [0] for row in carrier.equations]
+        pivots = list(range(d_inner, d_outer))
+        blocks, dens = [], []
+        for f in inner_flats:
+            # f has rank 1 and is consistent, so every equation with a
+            # nonzero coefficient is a multiple of this one
+            a, c = next((a, c) for a, c in zip(f.equations, f.rhs) if any(a))
+            top = linalg._integer_row(a + zeros + (c,))
+            pivot = next(i for i, x in enumerate(top) if x)
+            point, q, directions = linalg.solve_rref([top] + units, [pivot] + pivots, d_outer)
+            qn, normal_rows = _extension_rows(directions, k, d_outer, rng, carrier)
+            blocks.append([[x * q for x in row] + [_dot(row, point)] for row in normal_rows])
+            dens.append([qn * q] * len(normal_rows))
+        r = d_outer - k
+        flats = (FlatFamily._of(d_outer, r, blocks, dens) if r > 1
+                 else tuple(_rows_flat(d_outer, b, q) for b, q in zip(blocks, dens)))
     notes = inner.notes + (
         f"embedded from R^{d_inner} into R^{d_outer} as {k}-flats (seed {seed})",
     )
@@ -587,7 +615,7 @@ def embed_configuration(
         variant="embed",
         ambient_dim=d_outer,
         points=points,
-        flats=tuple(new_flats),
+        flats=flats,
         seed=seed,
         inner_ambient_dim=d_inner,
         notes=notes,

@@ -8,7 +8,9 @@ parametrization and never in a canonical form: incidence is an exact dot
 product, an intersection is one elimination of the stacked systems, and set
 equality is one containment check between flats of equal dimension.  Many
 hyperplanes can be held as integer columns instead, in a
-:class:`HyperplaneFamily`, which builds each flat only when it is read.
+:class:`HyperplaneFamily`, and many flats of one codimension r >= 2 as
+integer row blocks, in a :class:`FlatFamily`; each builds a flat only
+when it is read.
 Many points are held the same way, as :class:`PointRows`: each point's
 primitive integer row P over its denominator q > 0, so x = P / q, with a
 :class:`RatPoint` built only when one is read.  :func:`_split_coords` is
@@ -359,6 +361,85 @@ def _offset_column(offsets) -> np.ndarray:
     return column
 
 
+class FlatFamily(_ReadOnRequest):
+    """Flats of R^d of one codimension r >= 2 held as integer row blocks:
+    an immutable sequence of :class:`Flat` that builds a flat only when one
+    is read.
+
+    ``rows`` has shape (n, r, d + 1) and ``den`` shape (n, r): equation i
+    of flat j is ``[a | c] = rows[j, i] / den[j, i]``, read ``a . x = c``,
+    with ``den[j, i] > 0`` and no other reduction.  Each flat's r equations
+    are independent and consistent, so flat j reads back as the
+    ``(d - r)``-flat of those exact values, the value ``Flat(...)`` gives.
+    Both arrays are int64 when every entry is within 2^62 and hold Python
+    ints otherwise.  Equality is element by element with any sequence of
+    flats, and the hash is the equal tuple's; ``+`` joins a family and a
+    tuple into a tuple.  Hyperplanes are a :class:`HyperplaneFamily`.
+    """
+
+    __slots__ = ("ambient_dim", "rows", "den")
+
+    @classmethod
+    def _of(cls, ambient_dim: int, codim: int, rows, den) -> "FlatFamily":
+        """The family of integer row blocks ``rows`` over ``den``, nested
+        lists or arrays of any dtype, already known to hold independent,
+        consistent equations over positive denominators; with no further
+        check.  The embedding and the loader build every family here."""
+        family = object.__new__(cls)
+        family._set(ambient_dim, *_block_arrays(rows, den, (len(den), codim, ambient_dim + 1)))
+        return family
+
+    def _set(self, ambient_dim, rows, den) -> None:
+        rows.flags.writeable = den.flags.writeable = False
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+
+    def __len__(self) -> int:
+        return len(self.den)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FlatFamily._of(self.ambient_dim, self.rows.shape[1],
+                                  self.rows[index], self.den[index])
+        return _rows_flat(self.ambient_dim, self.rows[index].tolist(),
+                          self.den[index].tolist())
+
+    def __iter__(self):
+        for rows, den in zip(self.rows.tolist(), self.den.tolist()):
+            yield _rows_flat(self.ambient_dim, rows, den)
+
+    def __add__(self, other):
+        return tuple(self) + other if isinstance(other, tuple) else NotImplemented
+
+    def __radd__(self, other):
+        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"FlatFamily({len(self)} flats of R^{self.ambient_dim}"
+                f" of codimension {self.rows.shape[1]})")
+
+
+def _rows_flat(ambient_dim: int, rows: list[list[int]], den: list[int]) -> Flat:
+    """The flat of the independent, consistent equations ``rows[i] /
+    den[i]`` (each ``[a | c]``, over ``den[i] > 0``), with no elimination."""
+    values = [[Fraction(x, q) if x % q else x // q for x in row] for row, q in zip(rows, den)]
+    return Flat._spanned(ambient_dim, tuple(tuple(v[:-1]) for v in values),
+                         tuple(v[-1] for v in values), ambient_dim - len(rows))
+
+
+def _block_arrays(rows, den, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``den`` as arrays of ``shape`` and ``shape[:2]``: both
+    int64 when every entry is within 2^62, else both of Python ints."""
+    try:
+        rows, den = np.array(rows, dtype=np.int64), np.array(den, dtype=np.int64)
+        if max(_largest(rows), _largest(den)) > _INT64_SAFE:
+            raise OverflowError  # near the int64 ends: keep Python ints
+    except OverflowError:
+        rows, den = np.array(rows, dtype=object), np.array(den, dtype=object)
+    return rows.reshape(shape), den.reshape(shape[:2])
+
+
 class PointRows(_ReadOnRequest):
     """Points of R^d held as homogeneous integer rows: an immutable
     sequence of :class:`RatPoint` that builds a point only when one is read.
@@ -608,14 +689,11 @@ def generic_extension(
     ``h``; degenerate draws are retried, never emitted.
 
     ``h`` is read in integers off one elimination of its system
-    (``Flat._solved``: a base point ``P / q`` and directions), and both
-    guard checks are exact linear checks on vectors at hand (:func:`_holds`,
-    :func:`_meets_only_in_base`), not intersections.  Each draw runs two
-    eliminations (the direction nullspace and one rank).  The accepted
-    integer nullspace rows over their denominator, ``row / qn``, are the
-    extension's equations, so it is built with no further elimination
-    (``Flat._spanned``), and each right-hand side is one
-    ``Fraction(row @ P, qn * q)``.
+    (``Flat._solved``: a base point ``P / q`` and directions), and the
+    draws are :func:`_extension_rows`.  The accepted integer nullspace rows
+    over their denominator, ``row / qn``, are the extension's equations,
+    so it is built with no further elimination (``Flat._spanned``), and
+    each right-hand side is one ``Fraction(row @ P, qn * q)``.
     """
     if _int(ambient_dim, "ambient dimension") != h.ambient_dim:
         raise InvalidInput("flat does not live in the stated ambient dimension")
@@ -630,7 +708,33 @@ def generic_extension(
         if not _holds(within, point, q, directions):
             raise InvalidInput("guard flat must contain the flat being extended")
     rng = seed if isinstance(seed, Random) else Random(_int(seed, "seed"))
-    extra = target_dim - h.dim
+    qn, normal_rows = _extension_rows(
+        directions, target_dim, ambient_dim, rng, within, retry_budget)
+    return Flat._spanned(
+        ambient_dim,
+        tuple(tuple(_exact(Fraction(x, qn)) for x in row) for row in normal_rows),
+        tuple(_exact(Fraction(_dot(row, point), qn * q)) for row in normal_rows),
+        target_dim,
+    )
+
+
+def _extension_rows(
+    directions: list[list[int]], target_dim: int, ambient_dim: int, rng: Random,
+    within: Flat | None, retry_budget: int = RETRY_BUDGET,
+) -> tuple[int, list[list[int]]]:
+    """The draws of a generic extension of the flat h whose directions are
+    ``directions`` in R^``ambient_dim``: ``(qn, rows)``, where the
+    ``row / qn`` are the equations (through the origin) of the span of h's
+    directions and the accepted draws, of dimension ``target_dim``.
+
+    Each draw takes ``target_dim - len(directions)`` directions from
+    ``rng`` in ``[-EXTENSION_BOX, EXTENSION_BOX]^d`` and runs two
+    eliminations: the nullspace, and the rank of
+    :func:`_meets_only_in_base` when ``within`` (a flat containing h) is
+    given.  A dependent or degenerate draw is retried, up to
+    ``retry_budget`` draws, then :class:`DegenerateRandomness`.
+    """
+    extra = target_dim - len(directions)
     for _ in range(_int(retry_budget, "retry budget")):
         drawn = [
             [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
@@ -641,12 +745,7 @@ def generic_extension(
             continue  # the drawn directions are dependent
         if within is not None and not _meets_only_in_base(within, drawn):
             continue  # the extension meets within in more than h
-        return Flat._spanned(
-            ambient_dim,
-            tuple(tuple(_exact(Fraction(x, qn)) for x in row) for row in normal_rows),
-            tuple(_exact(Fraction(_dot(row, point), qn * q)) for row in normal_rows),
-            target_dim,
-        )
+        return qn, normal_rows
     raise DegenerateRandomness(
         f"no verified generic extension after {retry_budget} draws"
     )

@@ -20,7 +20,11 @@ a.x = c/e then holds exactly when (e a).P - c q = 0, so membership and
 the naive count compare one integer product with zero.  An instance
 holds its points as these rows (:class:`~inclab.geometry.PointRows`),
 split once when they come as anything else, and classifies its flats
-once, for every count, the K_{s,t} certificate and the masks.  All counts
+once, for every count, the K_{s,t} certificate and the masks.  Flats of
+one codimension r >= 2 held as integer row blocks
+(:class:`~inclab.geometry.FlatFamily`) are counted off those rows, with
+no flat built: each row [a | c] is zero on a point's (P, -q) exactly
+when the point meets it.  All counts
 are exact; there is no tolerance anywhere in this module.
 
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
@@ -54,6 +58,7 @@ from .errors import InvalidInput, InvariantViolation, ResourceLimit
 from .geometry import (
     _INT64_SAFE,
     Flat,
+    FlatFamily,
     HyperplaneFamily,
     PointRows,
     RatPoint,
@@ -69,7 +74,7 @@ _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive
 # primitive normal -> offset -> indices of the hyperplanes with that key
 _FlatGroups = dict[tuple[int, ...], dict[int | Fraction, list[int]]]
 # _group_flats's result: (hyperplane groups, indices of every other flat)
-_Grouping = tuple[_FlatGroups, list[int]]
+_Grouping = tuple[_FlatGroups, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ class IncidenceInstance:
     integer rows every count reads: rows are kept as they are, and any
     other sequence of points is split once.  ``flats`` is kept as it is
     when it is a :class:`HyperplaneFamily`, so its hyperplanes are grouped
-    from its columns; any other sequence becomes a tuple.
+    from its columns, or a :class:`FlatFamily`, whose row blocks every
+    count reads; any other sequence becomes a tuple.
     """
 
     points: Sequence[RatPoint]
@@ -90,7 +96,7 @@ class IncidenceInstance:
 
     def __init__(self, points: Sequence[RatPoint], flats: Sequence[Flat], s: int, t: int):
         pts = _int_point_matrix(points)
-        if isinstance(flats, HyperplaneFamily):
+        if isinstance(flats, (HyperplaneFamily, FlatFamily)):
             fls, flat_dims = flats, {flats.ambient_dim} if len(flats) else set()
         else:
             fls = tuple(flats)
@@ -137,9 +143,12 @@ class IncidenceInstance:
     @cached_property
     def _other_members(self) -> dict[int, list[int]]:
         """For each flat that is not a hyperplane, the indices of its points,
-        ascending: one membership pass per flat, for the hashed counts, the
-        K_{s,t} certificate and the incidence masks."""
+        ascending: one membership pass per flat, or block products for a
+        :class:`FlatFamily`, for the hashed counts, the K_{s,t} certificate
+        and the incidence masks."""
         split = self.points
+        if isinstance(self.flats, FlatFamily):
+            return _family_members(split, self.flats)
         return {
             j: _members(split, self.flats[j].integer_equations()).tolist()
             for j in self._grouping[1]
@@ -172,25 +181,33 @@ def _count_naive(inst: IncidenceInstance) -> int:
     """Reference count: evaluate every equation of every flat at every point.
 
     An equation a.x = c/e is the integer row (e a, -c), zero on a point's
-    (P, q) exactly when the point meets it.  A flat is counted in int64
-    when its rows provably fit, and in Python ints otherwise.
+    (P, q) exactly when the point meets it; a :class:`FlatFamily`'s rows
+    [a | c] are taken as they are, zero on (P, -q).  A flat is counted in
+    int64 when its rows provably fit, and in Python ints otherwise.
     """
     matrix, q, max_abs = inst.points.matrix, inst.points.q, inst.points.max_abs
-    dense: list[list[list[int]]] = []
-    wide: list[list[list[int]]] = []
     total = 0
-    for flat in inst.flats:
-        if not flat.equations:
-            total += len(inst.points)  # the whole space
-            continue
-        rows = [
-            [c.denominator * a for a in row] + [-c.numerator]
-            for row, c in flat.integer_equations()
-        ]
-        (dense if all(_fits_int64(row, max_abs) for row in rows) else wide).append(rows)
-    total += _count_dense(matrix, q, dense)
-    if wide:
-        total += _count_dense(matrix.astype(object), q.astype(object), wide)
+    if isinstance(inst.flats, FlatFamily):
+        systems, q = inst.flats.rows.tolist(), -q
+    else:
+        systems = []
+        for flat in inst.flats:
+            if not flat.equations:
+                total += len(inst.points)  # the whole space
+                continue
+            systems.append([
+                [c.denominator * a for a in row] + [-c.numerator]
+                for row, c in flat.integer_equations()
+            ])
+    # by int64 fit and equation count, so each group has one row count
+    groups: dict[tuple[bool, int], list[list[list[int]]]] = defaultdict(list)
+    for rows in systems:
+        groups[all(_fits_int64(row, max_abs) for row in rows), len(rows)].append(rows)
+    for (fits, _), group in groups.items():
+        if fits:
+            total += _count_dense(matrix, q, group)
+        else:
+            total += _count_dense(matrix.astype(object), q.astype(object), group)
     return total
 
 
@@ -198,28 +215,31 @@ def _count_dense(
     matrix: np.ndarray, q: np.ndarray, flats: Sequence[Sequence[Sequence[int]]]
 ) -> int:
     """Pairs (point (P, q) of ``matrix`` and ``q``, flat) where the point
-    zeroes every homogeneous row of the flat, in the dtype of ``matrix``.
+    zeroes every homogeneous row of the flat, in the dtype of ``matrix``;
+    every flat has the same number r of rows.
 
     Flats are stacked into a row matrix a chunk at a time, and points are
     taken a block at a time, so a block holds at most ``_DENSE_ENTRIES``
     products (or one point's worth, for a flat with more rows than that).
+    A point is on flat i of a chunk when its products with rows i r, ...,
+    i r + r - 1 of the chunk are all zero: r strided columns of the block.
     """
+    if not flats or not matrix.shape[0]:
+        return 0
+    r = len(flats[0])
+    per_chunk = max(1, _DENSE_ENTRIES // r)
     total = 0
-    lo = 0
-    while lo < len(flats) and matrix.shape[0]:
-        hi, width = lo, 0
-        while hi < len(flats) and (hi == lo or width + len(flats[hi]) <= _DENSE_ENTRIES):
-            width += len(flats[hi])
-            hi += 1
-        chunk = flats[lo:hi]
-        rows = np.array([row for eqs in chunk for row in eqs], dtype=matrix.dtype)
-        starts = np.cumsum([0] + [len(eqs) for eqs in chunk[:-1]])
-        step = max(1, _DENSE_ENTRIES // width)
+    for lo in range(0, len(flats), per_chunk):
+        rows = np.array([row for eqs in flats[lo : lo + per_chunk] for row in eqs],
+                        dtype=matrix.dtype)
+        step = max(1, _DENSE_ENTRIES // len(rows))
         for p in range(0, matrix.shape[0], step):
             points = np.column_stack((matrix[p : p + step], q[p : p + step]))
             hits = points @ rows.T == 0
-            total += int(np.count_nonzero(np.logical_and.reduceat(hits, starts, axis=1)))
-        lo = hi
+            on = hits[:, ::r]
+            for i in range(1, r):
+                on = on & hits[:, i::r]
+            total += int(np.count_nonzero(on))
     return total
 
 
@@ -284,10 +304,13 @@ def _value_counts(dots: np.ndarray) -> dict:
 def _group_flats(flats: Sequence[Flat]) -> _Grouping:
     """Hyperplane indices by primitive normal, then by offset; and the
     indices of every other flat.  A :class:`HyperplaneFamily` is grouped
-    from its columns (:func:`_group_family`), every other sequence flat by
-    flat."""
+    from its columns (:func:`_group_family`); a :class:`FlatFamily` holds
+    no hyperplane, since each of its flats has r >= 2 independent
+    equations; every other sequence is grouped flat by flat."""
     if isinstance(flats, HyperplaneFamily):
         return _group_family(flats)
+    if isinstance(flats, FlatFamily):
+        return {}, range(len(flats))
     groups: _FlatGroups = defaultdict(lambda: defaultdict(list))
     others: list[int] = []
     for j, flat in enumerate(flats):
@@ -366,6 +389,42 @@ def _members(
         e = offset.denominator
         on &= _exact_dots(split, [e * a for a in row], offset.numerator) == 0
     return np.flatnonzero(on)
+
+
+def _family_members(split: PointRows, family: FlatFamily) -> dict[int, list[int]]:
+    """For each flat of ``family``, the indices of the split points on it,
+    ascending: those where every row [a | c] of the flat is zero on the
+    point's (P, -q).
+
+    The first rows of a block of flats are multiplied by a block of points
+    at a time, at most ``_DENSE_ENTRIES`` products a block, and a flat's
+    other rows are dotted only with the points its first row holds; in
+    int64 when every row provably fits, and in Python ints otherwise.
+    """
+    n, r, width = family.rows.shape
+    m = len(split)
+    rows = family.rows
+    points = np.column_stack((split.matrix, -split.q))
+    if not all(_fits_int64(row, split.max_abs) for row in rows.reshape(-1, width).tolist()):
+        rows, points = rows.astype(object), points.astype(object)
+    flats_per_block = max(1, _DENSE_ENTRIES // max(1, m))
+    points_per_block = max(1, _DENSE_ENTRIES // flats_per_block)
+    members: dict[int, list[int]] = {}
+    for lo in range(0, n, flats_per_block):
+        block = rows[lo : lo + flats_per_block]
+        on = np.zeros((len(block), m), dtype=bool)
+        for p in range(0, m, points_per_block):
+            chunk = points[p : p + points_per_block]
+            flat_ids, point_ids = np.nonzero(block[:, 0] @ chunk.T == 0)
+            rest = (block[flat_ids, 1:] * chunk[point_ids, None]).sum(axis=-1)
+            held = ~(rest != 0).any(axis=1)
+            on[flat_ids[held], p + point_ids[held]] = True
+        ids = np.nonzero(on)[1].tolist()
+        start = 0
+        for j, end in enumerate(np.cumsum(on.sum(axis=1)).tolist(), lo):
+            members[j] = ids[start:end]
+            start = end
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,19 @@ newline.  :func:`save_instance` writes it directly: ``json.dumps`` renders
 the small members, and the points and flats are streamed ``_CHUNK`` at a
 time.  Each chunk is one ``%d`` template, repeated from one item template
 per point shape or equation count, filled from one flat list of integers:
-numerators and denominators, read off the points' rows and a
-:class:`HyperplaneFamily`'s columns, or off every other flat's exact
-values.  The text goes to a new file beside the target, which replaces
-the target only once it is whole.
+numerators and denominators, read off the points' rows, a
+:class:`HyperplaneFamily`'s columns and a :class:`FlatFamily`'s rows, or
+off every other flat's exact values.  The text goes to a new file beside
+the target, which replaces the target only once it is whole.
 
 The loader builds no ``RatPoint``: it splits the decoded coordinates into
-rows once.  A file whose every flat is one nonzero integer row loads as
-one :class:`HyperplaneFamily` with no ``Flat`` built; any other file loads
-its flats one by one.  The reference path,
+rows once.  It decodes the flats' pairs once, straight to integer rows
+over the lcm of each equation's denominators, with no ``Fraction`` or
+``Flat`` built per flat.  A file whose every flat is one nonzero row of
+integer values loads as one :class:`HyperplaneFamily`, and a file whose
+every flat is a consistent system of the same r >= 2 independent
+equations as one :class:`FlatFamily`; any other file loads its flats one
+by one, with the errors of ``Flat(...)``.  The reference path,
 ``canonical_json(instance_to_dict(...))``, builds the document and lets
 ``json`` render all of it; it shares no code with the writer, and the
 tests require the two texts to be equal.
@@ -31,14 +35,24 @@ import os
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
 
+from . import linalg
 from .constructions import ConstructionOutput
 from .errors import InvalidInput
-from .geometry import Flat, HyperplaneFamily, IntVector, PointRows, _int, _split_coords
+from .geometry import (
+    Flat,
+    FlatFamily,
+    HyperplaneFamily,
+    IntVector,
+    PointRows,
+    _int,
+    _split_coords,
+)
 from .incidence import IncidenceInstance
 
 SCHEMA_VERSION = 1
@@ -51,12 +65,23 @@ def _enc(x: int | Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
-def _dec(pair: Any) -> int | Fraction:
+def _pair(pair: Any) -> tuple[int, int]:
+    """The integers of a ``[numerator, denominator]`` pair, the denominator
+    nonzero."""
+    if type(pair) is list and len(pair) == 2:
+        num, den = pair
+        if type(num) is type(den) is int and den:
+            return num, den  # what the checks below accept, at a glance
     if not (isinstance(pair, list) and len(pair) == 2):
         raise InvalidInput(f"expected [numerator, denominator], got {pair!r}")
     num, den = _int(pair[0], "numerator"), _int(pair[1], "denominator")
     if den == 0:
         raise InvalidInput(f"zero denominator in rational {pair!r}")
+    return num, den
+
+
+def _dec(pair: Any) -> int | Fraction:
+    num, den = _pair(pair)
     return num if den == 1 else Fraction(num, den)
 
 
@@ -144,41 +169,83 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
             )
         coords.append([_dec(c) for c in row])
     points = _split_coords(coords, dim)
-    systems = []
-    for j, spec in enumerate(_list(_field(doc, "flats", "instance"), "flats")):
-        if not isinstance(spec, dict):
-            raise InvalidInput(f"flat {j} must be an object with 'A' and 'b'")
-        rows = _list(_field(spec, "A", f"flat {j}"), f"flat {j} 'A'")
-        rhs = _list(_field(spec, "b", f"flat {j}"), f"flat {j} 'b'")
-        systems.append((
-            [[_dec(a) for a in _list(row, f"flat {j} row")] for row in rows],
-            [_dec(c) for c in rhs],
-        ))
-    flats = _hyperplane_family(dim, systems)
+    specs = _list(_field(doc, "flats", "instance"), "flats")
+    flats = _family(dim, specs)
     if flats is None:
+        systems = []
+        for j, spec in enumerate(specs):
+            if not isinstance(spec, dict):
+                raise InvalidInput(f"flat {j} must be an object with 'A' and 'b'")
+            rows = _list(_field(spec, "A", f"flat {j}"), f"flat {j} 'A'")
+            rhs = _list(_field(spec, "b", f"flat {j}"), f"flat {j} 'b'")
+            systems.append((
+                [[_dec(a) for a in _list(row, f"flat {j} row")] for row in rows],
+                [_dec(c) for c in rhs],
+            ))
         flats = [Flat(dim, rows, rhs) for rows, rhs in systems]
     s = _int(doc.get("s", 2), "s")
     t = _int(doc.get("t", 1), "t")
     return IncidenceInstance(points, flats, s, t)
 
 
+def _family(dim: int, specs: list) -> HyperplaneFamily | FlatFamily | None:
+    """The flats ``specs`` as one family when there are some, each a system
+    of the same number r of equations of ``dim`` entries, and each reads as
+    a family item: for r = 1 a nonzero row of integer values, for r >= 2
+    independent, consistent equations (one :func:`linalg.integer_rref` of
+    each flat's integer rows).  Otherwise ``None``, and the file loads one
+    by one, with the errors of ``Flat(...)``.
+
+    Each pair is decoded once, with :func:`_pair`'s checks and in the order
+    the one-by-one path decodes them, so a bad pair raises the error that
+    path would; each equation is scaled by the lcm of its denominators to
+    an integer row [a | c], and no ``Fraction`` is built for it.
+    """
+    blocks, dens = [], []
+    for spec in specs:
+        rows, rhs = (spec.get("A"), spec.get("b")) if isinstance(spec, dict) else (0, 0)
+        if not (isinstance(rows, list) and isinstance(rhs, list)
+                and len(blocks[0] if blocks else rows) == len(rows) == len(rhs) >= 1
+                and all(isinstance(row, list) and len(row) == dim for row in rows)):
+            return None
+        pairs = [[_pair(a) for a in row] for row in rows]
+        for row, c in zip(pairs, map(_pair, rhs)):
+            row.append(c)
+        block, den = [], []
+        for row in pairs:
+            q = lcm(*(d for _, d in row))
+            block.append([num * (q // d) for num, d in row])
+            den.append(q)
+        blocks.append(block)
+        dens.append(den)
+    if not blocks:
+        return None
+    if len(blocks[0]) == 1:
+        return _hyperplane_family(dim, blocks, dens)
+    for block in blocks:
+        _, pivots = linalg.integer_rref(block)
+        if len(pivots) != len(block) or dim in pivots:
+            return None  # flat errors, or flats of lower dimension
+    return FlatFamily._of(dim, len(blocks[0]), blocks, dens)
+
+
 def _hyperplane_family(
-    dim: int, systems: Sequence[tuple[list[list], list]]
+    dim: int, blocks: list[list[list[int]]], dens: list[list[int]]
 ) -> HyperplaneFamily | None:
-    """The decoded flat systems ``(A, b)`` as one family when there are
-    some and each is one nonzero integer row of ``dim`` entries with one
-    right-hand side, holding each distinct row once; otherwise ``None``."""
+    """The one-row blocks ``[[a | c]]`` over ``[[q]]`` as one family when
+    every ``a / q`` is a nonzero integer row, holding each distinct row
+    once; otherwise ``None``."""
     index: dict[tuple[int, ...], int] = {}
     normal_ids, offsets = [], []
-    for rows, rhs in systems:
-        if len(rows) != 1 or len(rhs) != 1 or len(rows[0]) != dim:
+    for [row], [q] in zip(blocks, dens):
+        if any(a % q for a in row[:-1]):
+            return None  # a rational coefficient
+        normal = tuple(a // q for a in row[:-1])
+        if not any(normal):
             return None
-        row = tuple(rows[0])
-        if not any(row) or not all(type(a) is int for a in row):
-            return None
-        normal_ids.append(index.setdefault(row, len(index)))
-        offsets.append(rhs[0])
-    return HyperplaneFamily(dim, list(index), normal_ids, offsets) if systems else None
+        normal_ids.append(index.setdefault(normal, len(index)))
+        offsets.append(row[-1] // q if row[-1] % q == 0 else Fraction(row[-1], q))
+    return HyperplaneFamily(dim, list(index), normal_ids, offsets)
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:
@@ -288,9 +355,13 @@ def _point_chunks(points: PointRows, dim: int):
 
 def _flat_chunks(flats: Sequence[Flat], dim: int):
     """The flats' item texts, ``_CHUNK`` flats to a text, with one template
-    per equation count; a family's values come from its columns."""
+    per equation count; a family's values come from its columns or row
+    blocks."""
     if isinstance(flats, HyperplaneFamily):
         yield from _family_chunks(flats, dim)
+        return
+    if isinstance(flats, FlatFamily):
+        yield from _block_chunks(flats, dim)
         return
     templates: dict[int, str] = {}
     for lo in range(0, len(flats), _CHUNK):
@@ -322,6 +393,24 @@ def _family_chunks(family: HyperplaneFamily, dim: int):
         else:
             values[:, 2 * dim :] = np.reshape(_pairs(offsets.tolist()), (-1, 2))
         yield _ITEM_SEP.join([item] * len(offsets)) % tuple(values.ravel().tolist())
+
+
+def _block_chunks(family: FlatFamily, dim: int):
+    """:func:`_flat_chunks` of a :class:`FlatFamily`: each value
+    ``rows[j, i, k] / den[j, i]`` is written over ``g = gcd(rows[j, i, k],
+    den[j, i])`` in lowest terms, each flat's equations' pairs first and
+    then its right-hand sides'."""
+    n, r, width = family.rows.shape
+    item = _flat_template(dim, r)
+    for lo in range(0, n, _CHUNK):
+        rows, den = family.rows[lo : lo + _CHUNK], family.den[lo : lo + _CHUNK, :, None]
+        g = np.gcd(rows, den)  # positive, since den is
+        pairs = np.stack((rows // g, den // g), axis=-1).reshape(len(rows), r, 2 * width)
+        values = np.concatenate(
+            (pairs[:, :, : 2 * dim].reshape(len(rows), -1), pairs[:, :, 2 * dim :].reshape(len(rows), -1)),
+            axis=1,
+        )
+        yield _ITEM_SEP.join([item] * len(rows)) % tuple(values.ravel().tolist())
 
 
 def _write_array(out: TextIO, chunks: Iterable[str], indent: int) -> None:

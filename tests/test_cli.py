@@ -421,6 +421,16 @@ class TestMalformedInput:
         assert code == 0
         assert json.loads(out)["predicted_exponents"] == ["2/3", "2/3"]
 
+    def test_inconsistent_flat_among_two_row_flats(self, capsys, tmp_path, embedded_doc):
+        # the file would load as one family of 2-flats but for this flat:
+        # x_1 = 0 and x_1 = 1
+        zero, one = [0, 1], [1, 1]
+        embedded_doc["flats"][4] = {"A": [[one, zero, zero, zero]] * 2, "b": [zero, one]}
+        self.assert_rejected(
+            capsys, tmp_path, json.dumps(embedded_doc), ("verify", "embed", "oracle"),
+            mentions="inconsistent system does not define a flat",
+        )
+
     def test_inner_ambient_dim_past_the_ambient_dim(self, capsys, tmp_path, embedded_doc):
         # without the check, verify exits 0 and reports the exponents for d=9
         embedded_doc["construction"]["inner_ambient_dim"] = 9

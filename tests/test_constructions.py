@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from inclab import (
     ConstructionConfig,
+    DegenerateRandomness,
     Flat,
     IncidenceInstance,
     IntVector,
     InvalidInput,
+    RatPoint,
     build_grid_construction,
     build_sphere_construction,
     contains,
@@ -23,6 +25,7 @@ from inclab import (
     find_collinear_triple,
     find_kst,
     flats_equal,
+    generic_extension,
     intersect,
     lattice_points,
     measure_max_coverage,
@@ -31,7 +34,8 @@ from inclab import (
     select_admissible_normals,
     verify_construction,
 )
-from inclab import incidence
+from inclab import constructions, geometry, incidence
+from inclab.geometry import HyperplaneFamily, _int_point_matrix
 from inclab.serialization import instance_to_dict
 
 from oracles import (
@@ -537,6 +541,92 @@ class TestEmbedding:
         assert before == after
         # built with no elimination, each is the value the constructor gives
         assert emb.flats == tuple(Flat(4, f.equations, f.rhs) for f in emb.flats)
+
+    @staticmethod
+    def _signed_inner(d):
+        """Hyperplanes of R^d with negative leading coefficients, rational
+        offsets and coefficients, and rank-1 systems of several rows (a zero
+        row and a multiple first), through rational and integer points."""
+        points = [RatPoint([Fraction(i, 3) - j for j in range(d)]) for i in range(6)]
+        base = [
+            ((-2,) + (3,) * (d - 1), Fraction(5, 3)),
+            ((0, -1) + (1,) * (d - 2), -4),
+            ((-1,) + (0,) * (d - 1), Fraction(-7, 2)),
+            ((Fraction(-1, 2),) + (2,) * (d - 1), Fraction(1, 6)),
+        ]
+        flats = [Flat(d, [a], [c]) for a, c in base]
+        a, c = base[0]
+        flats.append(Flat(d, [[0] * d, [2 * x for x in a], a], [0, 2 * c, c]))
+        flats.append(HyperplaneFamily(d, [(-3,) + (1,) * (d - 1)], [0, 0], [2, -5]))
+        flats = tuple(flats[:-1]) + tuple(flats[-1])
+        return replace(build_grid_construction(ConstructionConfig(d=d, m=4, n=4, box_side=2)),
+                       points=_int_point_matrix(points), flats=flats,
+                       padding_start=len(flats), predicted_incidences=0)
+
+    @staticmethod
+    def _flat_by_flat(inner, d_outer, k, rng):
+        """The embedding one ``generic_extension`` at a time on ``rng``."""
+        d = inner.ambient_dim
+        carrier = embedding_carrier(d, d_outer)
+        zeros = (0,) * (d_outer - d)
+        embedded = [Flat._spanned(d_outer, tuple(r + zeros for r in f.equations)
+                                  + carrier.equations, f.rhs + carrier.rhs, d - 1)
+                    for f in inner.flats]
+        if k == d - 1:
+            return tuple(embedded)
+        return tuple(generic_extension(f, k, d_outer, rng, within=carrier) for f in embedded)
+
+    @pytest.mark.parametrize("box", [None, 1, 0])
+    @pytest.mark.parametrize("d_inner, d_outer, k", [
+        (2, 4, 2), (2, 5, 3), (3, 5, 3), (2, 4, 1), (2, 3, 2),
+    ])
+    def test_shortcut_is_the_flat_by_flat_extension(
+            self, monkeypatch, d_inner, d_outer, k, box):
+        # the embedded hyperplane is read off its rows, not eliminated, and
+        # the draws are generic_extension's on the same Random: equal flats
+        # and an equal rng state, retries and give-ups included
+        if box is not None:
+            monkeypatch.setattr(geometry, "EXTENSION_BOX", box)
+        draws = fewest = 0
+        for inner in (self._signed_inner(d_inner),
+                      build_grid_construction(ConstructionConfig(d=d_inner, m=27, n=30, seed=2))):
+            used = []
+
+            class Seen(Random):
+                draws = 0
+
+                def __init__(self, seed):
+                    super().__init__(seed)
+                    used.append(self)
+
+                def randint(self, a, b):
+                    Seen.draws += 1
+                    return super().randint(a, b)
+
+            monkeypatch.setattr(constructions, "Random", Seen)
+            reference = Seen(7)
+            try:
+                expected = self._flat_by_flat(inner, d_outer, k, reference)
+            except DegenerateRandomness:
+                expected = None
+            reference_draws, Seen.draws = Seen.draws, 0
+            if expected is None:
+                assert box == 0
+                with pytest.raises(DegenerateRandomness):
+                    embed_configuration(inner, d_outer, k, seed=7)
+            else:
+                emb = embed_configuration(inner, d_outer, k, seed=7)
+                assert emb.flats == expected and expected == emb.flats
+                codim = d_outer - k
+                family = isinstance(emb.flats, geometry.FlatFamily)
+                assert family == (k > d_inner - 1 and codim > 1)
+            assert used[-1].getstate() == reference.getstate()
+            assert Seen.draws == reference_draws
+            draws += reference_draws
+            fewest += len(inner.flats) * (k - d_inner + 1) * d_outer
+        if box == 1 and k > d_inner - 1:
+            # with directions in {-1, 0, 1}^d some draws are retried
+            assert draws > fewest
 
     def test_dimension_preconditions(self):
         inner = self._inner(8)

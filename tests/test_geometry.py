@@ -185,6 +185,71 @@ class TestHyperplaneFamily:
             family.offsets[0] = 5
 
 
+# a flat's scale factors and denominators: small, negative, and past int64
+BLOCK_SCALES = st.one_of(st.integers(-4, 4).filter(bool),
+                         st.sampled_from((2**62, -(2**62) - 1, 2**63, -(2**70) + 1)))
+
+
+@st.composite
+def flat_families(draw):
+    """``(family, flats)``: random consistent systems of r >= 2 independent
+    equations through random points, each equation an integer multiple of
+    an integer row over an unreduced positive denominator, and the flats
+    ``Flat(...)`` makes of the same exact values."""
+    d = draw(st.integers(2, 5))
+    r = draw(st.integers(2, d))
+    rows, dens, flats = [], [], []
+    for _ in range(draw(st.integers(0, 5))):
+        through = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+        a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                          min_size=r, max_size=r).filter(lambda a: linalg.rank(a) == r))
+        block = [[k * x for x in row + [sum(map(int.__mul__, row, through))]]
+                 for row, k in zip(a, draw(st.lists(BLOCK_SCALES, min_size=r, max_size=r)))]
+        den = draw(st.lists(BLOCK_SCALES.map(abs), min_size=r, max_size=r))
+        rows.append(block)
+        dens.append(den)
+        values = [[Fraction(x, q) for x in row] for row, q in zip(block, den)]
+        flats.append(Flat(d, [v[:-1] for v in values], [v[-1] for v in values]))
+    return geometry.FlatFamily._of(d, r, rows, dens), flats
+
+
+class TestFlatFamily:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(flat_families(), st.integers(-7, 7), st.integers(-7, 7))
+    def test_family_is_its_flats(self, case, lo, hi):
+        family, flats = case
+        as_tuple = tuple(flats)
+        n, r, width = family.rows.shape
+        assert len(family) == n == len(flats)
+        assert list(family) == flats
+        assert [family[j] for j in range(-n, n)] == flats + flats
+        assert [f.dim for f in family] == [f.dim for f in flats] == [width - 1 - r] * n
+        assert family == as_tuple and as_tuple == family and family == flats
+        assert hash(family) == hash(as_tuple)
+        assert isinstance(family[lo:hi], geometry.FlatFamily)
+        assert family[lo:hi] == as_tuple[lo:hi] and as_tuple[lo:hi] == family[lo:hi]
+        assert family + as_tuple == as_tuple + family == as_tuple * 2
+        assert type(family + as_tuple) is type(as_tuple + family) is tuple
+        # positive denominators, int64 exactly when every entry is within
+        # 2^62, slices included
+        for part in (family, family[lo:hi]):
+            assert (part.den > 0).all()
+            big = max([abs(x) for x in part.rows.flat] + list(part.den.flat), default=0)
+            assert part.rows.dtype == part.den.dtype == (np.int64 if big <= 2**62 else object)
+        # no flat is a hyperplane: grouped as the per-flat path groups them
+        groups, others = _group_flats(family)
+        assert (groups, list(others)) == ({}, list(range(n)))
+        assert _group_flats(as_tuple) == ({}, list(range(n)))
+        assert IncidenceInstance([], family, 2, 1).flats is family
+
+    def test_immutable(self):
+        family = geometry.FlatFamily._of(2, 2, [[[1, 0, 0], [0, 1, 0]]], [[1, 1]])
+        with pytest.raises(AttributeError):
+            family.rows = None
+        with pytest.raises(ValueError):
+            family.den[0, 0] = 5
+
+
 ROW_VALUES = (0, 1, -7, 2**62, -(2**62), 2**62 + 1, -(2**62) - 1, 2**63, -(2**63),
               -(2**64) - 5, Fraction(1, 2), Fraction(-5, 3), Fraction(2**64 + 1, 6))
 

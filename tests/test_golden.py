@@ -57,9 +57,13 @@ CONSTRUCTIONS = {
         ConstructionConfig(d=5, m=216, n=300, seed=6, box_side=2, s=3)),
     "embed-k-inner-hyperplane": lambda: embed_configuration(grid_inner(), 4, 1, seed=3),
     "embed-k-above": lambda: embed_configuration(grid_inner(), 5, 3, seed=9),
+    # the shape the pipeline embeds: R^2 into R^4 as 2-flats
+    "embed-2-flats-in-r4": lambda: embed_configuration(grid_inner(), 4, 2, seed=5),
 }
 
 DIGESTS = {
+    "embed-2-flats-in-r4":
+        "4c09fa9f406a8a68c1352864f1298da3feccf328f45e53850d810f464975029e",
     "embed-k-above":
         "c7a8ff6d0fa8ba4d4c978f6d48e453beebd7c1262594d742aa0f86344bdf18c8",
     "embed-k-inner-hyperplane":
@@ -76,6 +80,8 @@ DIGESTS = {
         "4815c25f51b1325a8c9406ed5bed6c4072533f96a4f86c576bc1e386acb56da2",
     "sphere-d5-padded-points":
         "1bdff12ce0eacac5e45302693078b9e64514f02ade4e8c7523703df26cd065ef",
+    "masks-embed-2-flats-in-r4":
+        "7f86dbee9a587194d8d9c9fd36498c6b1eeb1096da96366a25c43da0943548bd",
     "masks-embed-k-above":
         "7f86dbee9a587194d8d9c9fd36498c6b1eeb1096da96366a25c43da0943548bd",
     "masks-grid-d2":
@@ -97,6 +103,7 @@ def test_construction_bytes(name):
 WITNESS_CASES = {
     "grid-d2": grid_inner,
     "embed-k-above": lambda: embed_configuration(grid_inner(), 4, 2, seed=11),
+    "embed-2-flats-in-r4": CONSTRUCTIONS["embed-2-flats-in-r4"],
     "sphere-d5-padded-points": CONSTRUCTIONS["sphere-d5-padded-points"],
 }
 

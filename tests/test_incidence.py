@@ -2,6 +2,7 @@
 
 import weakref
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inclab import incidence
+from inclab.geometry import FlatFamily
 from inclab import (
     Flat,
     IncidenceInstance,
@@ -34,6 +36,7 @@ from oracles import (
     int_root_floor,
     max_subspace_weight_bruteforce,
     most_sharing_bruteforce,
+    minor_rank,
     point_split_loop,
 )
 
@@ -348,6 +351,54 @@ class TestDenseNaive:
         flats.append(Flat(2, [[1, 1]] * 4 + [[1, -1]] * 4, [2] * 4 + [0] * 4))
         flats += [Flat(2, [[1, 0], [0, 1]], [1, 1]), Flat(2, [[2, 0]], [1])]
         assert_all_counts_agree(points, flats)
+
+
+@st.composite
+def block_instances(draw):
+    """Points across the int64 cuts, and a :class:`FlatFamily` of flats of
+    one codimension r >= 2 through some of them (or through a point of
+    their own), each equation scaled to integers by a small, negative or
+    past-int64 factor."""
+    d = draw(st.integers(2, 4))
+    coordinate = coordinates() if draw(st.booleans()) else st.integers(-3, 3)
+    point = st.tuples(*[coordinate] * d).map(RatPoint)
+    points = draw(st.lists(point, max_size=8))
+    r = draw(st.integers(2, d))
+    factors = (1, -1, 3, 2**63, -(2**62)) if draw(st.booleans()) else (1, -1, 3)
+    rows, dens = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        anchor = draw(st.sampled_from(points) if points else point)
+        a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                          min_size=r, max_size=r).filter(lambda a: minor_rank(a) == r))
+        block, den = [], []
+        for row in a:
+            values = row + [sum(x * y for x, y in zip(row, anchor.coords))]
+            scale = draw(st.sampled_from(factors)) * lcm(
+                *(Fraction(v).denominator for v in values))
+            block.append([int(v * scale) for v in values])
+            den.append(abs(scale))  # a negative scale negates the equation
+        rows.append(block)
+        dens.append(den)
+    return points, FlatFamily._of(d, r, rows, dens)
+
+
+class TestFlatFamilyCounts:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(block_instances(), st.sampled_from((incidence._DENSE_ENTRIES, 5, 1)))
+    def test_naive_hashed_masks_direct_agree(self, case, dense_entries):
+        # the block products, in int64 or Python ints and cut into blocks of
+        # any size, give each flat's member list as the per-flat pass does
+        points, family = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(incidence, "_DENSE_ENTRIES", dense_entries)
+            assert_all_counts_agree(points, family)
+            inst = IncidenceInstance(points, family, 2, 1)
+            flat_by_flat = IncidenceInstance(points, tuple(family), 2, 1)
+            assert inst.flats is family
+            assert inst._other_members == flat_by_flat._other_members
+            for stop in range(len(family)):
+                assert incidence._count_hashed(inst, stop) == count_incidences_direct(
+                    points, family[:stop])
 
 
 class TestMasks:

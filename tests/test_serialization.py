@@ -4,6 +4,7 @@ import hashlib
 import json
 from contextlib import suppress
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from inclab import (
     save_instance,
 )
 from inclab import serialization
-from inclab.geometry import HyperplaneFamily, PointRows
+from inclab.geometry import FlatFamily, HyperplaneFamily, PointRows
 from inclab.incidence import _group_flats
 from inclab.serialization import (
     _CHUNK,
@@ -213,6 +214,14 @@ def _boundary_flats(count, kind):
         offsets = (5, Fraction(-1, 2), 2**62 + 1, -(2**64))
         return HyperplaneFamily(3, normals, [i % 4 for i in range(count)],
                                 [offsets[i % 4] + i for i in range(count)])
+    if kind.startswith("blocks"):
+        # lines of R^3 over unreduced denominators, with rows and
+        # denominators past int64 for "blocks-object"
+        big = 2**63 if kind == "blocks-object" else 1
+        rows = [[[-2 * big, 0, -4, -6 * i], [0, -3, 0, i - 5]] for i in range(count)]
+        den = [[4 * big, 6 + i % 5] for i in range(count)]
+        return FlatFamily._of(3, 2, np.array(rows, dtype=object).reshape(count, 2, 4),
+                              np.array(den, dtype=object).reshape(count, 2))
     shapes = [
         lambda i: make_hyperplane(IntVector((1, 2, -(2**63) - i)), Fraction(i, 7)),
         lambda i: Flat(3, [[1, 0, 0], [0, 1, 0]], [i, Fraction(1, 2)]),
@@ -222,7 +231,8 @@ def _boundary_flats(count, kind):
     return tuple(shapes[i % len(shapes)](i) for i in range(count))
 
 
-@pytest.mark.parametrize("kind", ["family-int64", "family-exact", "tuple"])
+@pytest.mark.parametrize("kind", ["family-int64", "family-exact", "blocks-int64",
+                                  "blocks-object", "tuple"])
 @pytest.mark.parametrize("point_count, flat_count", [
     (0, 1), (1, 0), (1, 1),
     (_CHUNK - 1, _CHUNK + 1), (_CHUNK, _CHUNK), (_CHUNK + 1, _CHUNK - 1),
@@ -230,6 +240,9 @@ def _boundary_flats(count, kind):
 def test_writer_at_chunk_boundaries(tmp_path, kind, point_count, flat_count):
     inst = IncidenceInstance(_boundary_points(point_count),
                              _boundary_flats(flat_count, kind), 2, 3)
+    if kind.startswith("blocks"):
+        dtype = object if kind == "blocks-object" and flat_count else np.int64
+        assert isinstance(inst.flats, FlatFamily) and inst.flats.rows.dtype == dtype
     path = save_instance(tmp_path / "chunks.inc.json", inst)
     assert path.read_bytes() == canonical_json(instance_to_dict(inst)).encode()
 
@@ -311,6 +324,66 @@ def test_flats_no_family_holds_keep_their_errors(flat, message):
         dict_to_instance(doc)
 
 
+def _embedded_document():
+    """An instance file of 2-flats of R^4: each flat two rational rows."""
+    inner = build_grid_construction(ConstructionConfig(d=2, m=9, n=12, seed=1, box_side=2))
+    out = embed_configuration(inner, 4, 2, seed=2)
+    assert isinstance(out.flats, FlatFamily)
+    return instance_to_dict(IncidenceInstance(out.points, out.flats, 2, 2))
+
+
+def test_block_file_loads_as_a_family(tmp_path):
+    doc = _embedded_document()
+    loaded = dict_to_instance(doc)
+    assert isinstance(loaded.flats, FlatFamily)
+    # the file's flats, read one by one with Flat(...), in both directions
+    flat_by_flat = tuple(Flat(4, [[serialization._dec(a) for a in row] for row in spec["A"]],
+                              [serialization._dec(c) for c in spec["b"]])
+                         for spec in doc["flats"])
+    assert loaded.flats == flat_by_flat and flat_by_flat == loaded.flats
+    inst = IncidenceInstance(loaded.points, flat_by_flat, 2, 2)
+    for strategy in ("naive", "hashed"):
+        assert count_incidences(loaded, strategy) == count_incidences(inst, strategy)
+    path = save_instance(tmp_path / "blocks.inc.json", loaded)
+    assert path.read_text() == canonical_json(doc)
+
+
+def test_flats_of_lower_dimension_load_flat_by_flat():
+    # a repeated row: a system of two equations of rank 1 is a hyperplane
+    doc = _embedded_document()
+    spec = doc["flats"][3]
+    spec["A"][1], spec["b"][1] = spec["A"][0], spec["b"][0]
+    loaded = dict_to_instance(doc)
+    assert type(loaded.flats) is tuple
+    assert [f.dim for f in loaded.flats] == [2] * 3 + [3] + [2] * (len(doc["flats"]) - 4)
+
+
+def test_mixed_equation_counts_load_flat_by_flat():
+    doc = _embedded_document()
+    extra = Flat(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [1, Fraction(1, 2), 0])
+    doc["flats"].append(instance_to_dict(IncidenceInstance([], [extra], 2, 2))["flats"][0])
+    loaded = dict_to_instance(doc)
+    assert type(loaded.flats) is tuple and loaded.flats[-1] == extra
+    assert loaded.flats[:-1] == dict_to_instance(_embedded_document()).flats
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda spec: spec["b"].__setitem__(1, [1, 1]) or spec["A"].__setitem__(1, spec["A"][0]),
+     "inconsistent system"),
+    (lambda spec: spec["A"][1].append([1, 1]), "equation width"),
+    (lambda spec: spec["b"].append([1, 1]), "equation count"),
+    (lambda spec: spec["A"][1][2].__setitem__(1, 0), "zero denominator"),
+    (lambda spec: spec["b"][0].__setitem__(1, 0), "zero denominator"),
+    (lambda spec: spec["A"][0].__setitem__(0, [1, 2, 3]), "numerator, denominator"),
+    (lambda spec: spec["A"][0].__setitem__(0, [1.5, 2]), "numerator"),
+], ids=["inconsistent", "width", "count", "zero-den-row", "zero-den-rhs", "triple", "float"])
+def test_flats_no_block_family_holds_keep_their_errors(change, message):
+    doc = _embedded_document()
+    change(doc["flats"][5])
+    with pytest.raises(InvalidInput, match=message):
+        dict_to_instance(doc)
+
+
 @pytest.mark.parametrize("key, value", [
     ("normals_used", [[1, 1], [0, 0]]), ("t_measured", -1), ("predicted_incidences", -5),
 ])
@@ -377,6 +450,40 @@ def test_mutated_documents_fail_only_with_invalid_input(data):
     for load in (dict_to_instance, dict_to_construction):
         with suppress(InvalidInput):
             load(doc)
+
+
+PAIR_SCALES = st.one_of(st.integers(-3, 3).filter(bool),
+                        st.sampled_from((2**63, -(2**64) - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((0, 1)), st.lists(PAIR_SCALES, min_size=1, max_size=7))
+def test_families_load_over_any_denominators(which, scales):
+    # each pair [n, d] of the grid (hyperplanes) or the embedded (2-flats)
+    # document written as [k n, k d]: the same values over unreduced,
+    # negative denominators and entries past int64; the file still loads as
+    # one family, equal to its flats read one by one with Flat(...)
+    doc = json.loads(FUZZ_DOCUMENTS[which])
+    pairs = [pair for spec in doc["flats"] for pair in (*chain(*spec["A"]), *spec["b"])]
+    for i, pair in enumerate(pairs):
+        pair[0] *= scales[i % len(scales)]
+        pair[1] *= scales[i % len(scales)]
+    loaded = dict_to_instance(doc)
+    assert isinstance(loaded.flats, FlatFamily if which else HyperplaneFamily)
+    flat_by_flat = tuple(
+        Flat(doc["ambient_dim"], [[serialization._dec(a) for a in row] for row in spec["A"]],
+             [serialization._dec(c) for c in spec["b"]])
+        for spec in doc["flats"])
+    assert loaded.flats == flat_by_flat and flat_by_flat == loaded.flats
+    assert hash(loaded.flats) == hash(flat_by_flat)
+    assert [f.dim for f in loaded.flats] == [f.dim for f in flat_by_flat]
+    if which:
+        assert (loaded.flats.den > 0).all()
+    reference = dict_to_instance(json.loads(FUZZ_DOCUMENTS[which]))
+    assert canonical_json(instance_to_dict(loaded)) == canonical_json(
+        instance_to_dict(reference))
+    for strategy in ("naive", "hashed"):
+        assert count_incidences(loaded, strategy) == count_incidences(reference, strategy)
 
 
 # exact values: small, past int64 either way, and rational

@@ -52,24 +52,28 @@ def _reach(module: str, start: str) -> tuple[set[str], set[str]]:
 
 def test_naive_count_shares_no_code_with_the_hashed_path():
     # the reference count checks the grouped path, so it may not reach any
-    # of its grouping helpers, directly or through a module-level helper
+    # of its grouping helpers, directly or through a module-level helper.
+    # On a FlatFamily both paths read the same stored ``rows``, so there
+    # naive == hashed does not check the storage: the family's own tests
+    # compare it with the flats ``Flat(...)`` builds one by one
     _, names = _reach("incidence.py", "_count_naive")
     forbidden = {
         "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
         "_value_counts", "unique", "_group_family", "normals", "normal_ids",
-        "offsets",
+        "offsets", "_family_members",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
 
 
 def test_point_paths_compare_integers_only():
     # every point is one homogeneous integer row (P, q), so the split,
-    # membership, both dense counts and the multiplicity need no Fraction
-    # and no point-by-point substitution
+    # membership, both dense counts, a flat family's member lists and the
+    # multiplicity need no Fraction and no point-by-point substitution
     found = {}
     for module, start in (("geometry.py", "_split_coords"), ("incidence.py", "_exact_dots"),
                           ("incidence.py", "_members"), ("incidence.py", "_count_naive"),
                           ("incidence.py", "_count_dense"),
+                          ("incidence.py", "_family_members"),
                           ("incidence.py", "_max_point_multiplicity")):
         reached, names = _reach(module, start)
         hit = (reached | names) & {"Fraction", "contains"}
@@ -174,6 +178,16 @@ def test_generic_extension_reads_no_fraction_solution():
     reached, names = _reach("geometry.py", "generic_extension")
     assert "solve_rref" in names  # the rule follows the helpers
     assert "solution" not in reached | names
+
+
+def test_embedding_eliminates_no_embedded_hyperplane():
+    # an embedded hyperplane's system is already reduced, so the embedding
+    # reads its point and directions with solve_rref alone, and draws
+    # through the one extension helper; it never eliminates that system
+    reached, names = _reach("constructions.py", "embed_configuration")
+    assert {"solve_rref", "_extension_rows"} <= names
+    found = (reached | names) & {"integer_rref", "_solved", "generic_extension"}
+    assert not found, f"embed_configuration reaches {sorted(found)}"
 
 
 def test_integer_construction_paths_build_no_fraction():
