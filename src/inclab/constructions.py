@@ -40,16 +40,15 @@ from .exponents import DimensionChain, DimPair, term_from_chain
 from .geometry import (
     Flat,
     FlatFamily,
-    HyperplaneFamily,
     IntVector,
     PointRows,
     RatPoint,
     _dot,
     _extension_rows,
     _finite,
+    _hyperplanes,
     _int,
     _int_point_matrix,
-    _rows_flat,
     _split_coords,
     find_collinear_triple,
     is_primitive,
@@ -131,14 +130,15 @@ class ConstructionOutput:
 
     ``flats[:padding_start]`` are the construction hyperplanes; the rest
     are padding, each verified to contain no point.  A generator returns
-    its flats as one :class:`HyperplaneFamily`, which builds a ``Flat`` only
-    when one is read; so does a loaded file of hyperplanes.  An embedding
-    into k-flats of codimension 2 or more, and a loaded file of such flats,
-    holds one :class:`FlatFamily`, and any other embedding a tuple.  The
-    points of a generator, an embedding or a
-    loaded file are :class:`PointRows`, which build a ``RatPoint`` only when
-    one is read.  For sphere instances ``points[core_point_count:]`` are
-    padded sphere points, each verified to lie on no hyperplane.
+    its flats as one :class:`FlatFamily` of one-row blocks, which builds a
+    ``Flat`` only when one is read.  An embedding into k-flats with
+    k >= d_inner holds one family too, and so does a loaded file of flats
+    of one codimension (see :mod:`inclab.serialization`); the embedded
+    hyperplanes themselves are a tuple.  The points of a generator, an
+    embedding or a loaded file are :class:`PointRows`, which build a
+    ``RatPoint`` only when one is read.  For sphere instances
+    ``points[core_point_count:]`` are padded sphere points, each verified
+    to lie on no hyperplane.
     """
 
     variant: str
@@ -298,12 +298,12 @@ def _achieved_offsets(v: IntVector, split: PointRows) -> set:
 
 def _core_hyperplanes(
     normals: Sequence[IntVector], split: PointRows
-) -> tuple[HyperplaneFamily, dict[IntVector, set]]:
+) -> tuple[FlatFamily, dict[IntVector, set]]:
     """One hyperplane per normal and achieved offset, in that order, as one
-    family; and the offset sets."""
+    family of one-row blocks; and the offset sets."""
     achieved = {v: _achieved_offsets(v, split) for v in normals}
     offsets = [sorted(achieved[v]) for v in normals]
-    family = HyperplaneFamily(
+    family = _hyperplanes(
         split.ambient_dim,
         [v.coords for v in normals],
         np.repeat(np.arange(len(normals)), [len(cs) for cs in offsets]),
@@ -318,9 +318,9 @@ def _pad_hyperplanes(
     d: int,
     rng: Random,
     achieved: dict[IntVector, set],
-) -> HyperplaneFamily:
+) -> FlatFamily:
     """``count`` hyperplanes, each verified to contain no point, as one
-    family over the seeded pool of padding normals.
+    family of one-row blocks over the seeded pool of padding normals.
 
     A normal's full offset set over the points is computed once, or taken
     from ``achieved``; an offset outside it proves the hyperplane is
@@ -354,7 +354,7 @@ def _pad_hyperplanes(
         used.add((i, offset))
         normal_ids.append(i)
         offsets.append(offset)
-    return HyperplaneFamily(d, [v.coords for v in pool], normal_ids, offsets)
+    return _hyperplanes(d, [v.coords for v in pool], normal_ids, offsets)
 
 
 def build_grid_construction(cfg: ConstructionConfig) -> ConstructionOutput:
@@ -559,9 +559,9 @@ def embed_configuration(
     :func:`generic_extension` makes (:func:`_extension_rows`) on one
     shared ``Random``.  Each accepted nullspace row over ``qn``, with the
     base point ``P / q``, is kept as integers: ``row * q`` and
-    ``row @ P`` over ``qn * q``.  Extensions of codimension 2 or more are
-    held as one :class:`FlatFamily`; hyperplanes of R^{d_outer}, and the
-    embedded hyperplanes themselves (``k = d_inner - 1``), as a tuple.
+    ``row @ P`` over ``qn * q``.  The extensions are held as one
+    :class:`FlatFamily`, and the embedded hyperplanes themselves
+    (``k = d_inner - 1``) as a tuple.
     """
     d_inner = inner.ambient_dim
     if _int(d_outer, "d_outer") <= d_inner:
@@ -604,9 +604,7 @@ def embed_configuration(
             qn, normal_rows = _extension_rows(directions, k, d_outer, rng, carrier)
             blocks.append([[x * q for x in row] + [_dot(row, point)] for row in normal_rows])
             dens.append([qn * q] * len(normal_rows))
-        r = d_outer - k
-        flats = (FlatFamily._of(d_outer, r, blocks, dens) if r > 1
-                 else tuple(_rows_flat(d_outer, b, q) for b, q in zip(blocks, dens)))
+        flats = FlatFamily._of(d_outer, d_outer - k, blocks, dens)
     notes = inner.notes + (
         f"embedded from R^{d_inner} into R^{d_outer} as {k}-flats (seed {seed})",
     )

@@ -7,10 +7,9 @@ stored by a consistent linear system ``A x = b`` and nothing else, never by a
 parametrization and never in a canonical form: incidence is an exact dot
 product, an intersection is one elimination of the stacked systems, and set
 equality is one containment check between flats of equal dimension.  Many
-hyperplanes can be held as integer columns instead, in a
-:class:`HyperplaneFamily`, and many flats of one codimension r >= 2 as
-integer row blocks, in a :class:`FlatFamily`; each builds a flat only
-when it is read.
+flats of one codimension r >= 1, hyperplanes included (r = 1), can be held
+as integer row blocks instead, in a :class:`FlatFamily`, which builds a
+flat only when one is read.
 Many points are held the same way, as :class:`PointRows`: each point's
 primitive integer row P over its denominator q > 0, so x = P / q, with a
 :class:`RatPoint` built only when one is read.  :func:`_split_coords` is
@@ -254,127 +253,21 @@ class _ReadOnRequest(SequenceABC):
         return hash(tuple(self))
 
 
-class HyperplaneFamily(_ReadOnRequest):
-    """Hyperplanes of R^d held as integer columns: an immutable sequence of
-    :class:`Flat` that builds a flat only when one is read.
-
-    ``normals`` are nonzero integer rows, and hyperplane j is
-    ``{x : <normals[normal_ids[j]], x> = offsets[j]}``, the value
-    ``make_hyperplane`` gives.  ``offsets`` is an int64 array when
-    every offset fits, and otherwise an object array of exact ``int`` and
-    ``Fraction`` values.  Equality is element by element with any sequence
-    of flats, and the hash is the equal tuple's; ``+`` joins two families
-    into one, and a family and a tuple into a tuple.
-    """
-
-    __slots__ = ("ambient_dim", "normals", "normal_ids", "offsets")
-
-    def __init__(self, ambient_dim: int, normals: Iterable[Sequence[int]],
-                 normal_ids: Sequence[int], offsets: Sequence):
-        if _int(ambient_dim, "ambient dimension") < 1:
-            raise InvalidInput("ambient dimension must be positive")
-        rows = tuple(IntVector(row).coords for row in normals)
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise InvalidInput("normal width does not match ambient dimension")
-            if not any(row):
-                raise InvalidInput("hyperplane normal must be nonzero")
-        ids = np.asarray(normal_ids)
-        if ids.size and (ids.dtype.kind not in "iu"
-                         or not 0 <= ids.min() <= ids.max() < len(rows)):
-            raise InvalidInput("normal ids must be indices of the normals")
-        ids = ids.astype(np.int64).reshape(-1)
-        column = _offset_column(offsets)
-        if len(column) != len(ids):
-            raise InvalidInput("offset count does not match normal id count")
-        self._set(ambient_dim, rows, ids, column)
-
-    def _set(self, ambient_dim, normals, normal_ids, offsets) -> None:
-        normal_ids.flags.writeable = offsets.flags.writeable = False
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "normal_ids", normal_ids)
-        object.__setattr__(self, "offsets", offsets)
-
-    @classmethod
-    def _of(cls, ambient_dim, normals, normal_ids, offsets) -> "HyperplaneFamily":
-        """A family of columns already checked, with no further check."""
-        family = object.__new__(cls)
-        family._set(ambient_dim, normals, normal_ids, offsets)
-        return family
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def _flat(self, normal_id: int, offset) -> Flat:
-        d = self.ambient_dim
-        return Flat._spanned(d, (self.normals[normal_id],), (offset,), d - 1)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return HyperplaneFamily._of(self.ambient_dim, self.normals,
-                                        self.normal_ids[index], self.offsets[index])
-        offset = self.offsets[index]
-        return self._flat(int(self.normal_ids[index]),
-                          offset if self.offsets.dtype == object else int(offset))
-
-    def __iter__(self):
-        for normal_id, offset in zip(self.normal_ids.tolist(), self.offsets.tolist()):
-            yield self._flat(normal_id, offset)
-
-    def __add__(self, other):
-        if isinstance(other, tuple):
-            return tuple(self) + other
-        if not isinstance(other, HyperplaneFamily):
-            return NotImplemented
-        if other.ambient_dim != self.ambient_dim:
-            raise InvalidInput("families live in different ambient dimensions")
-        index = {row: i for i, row in enumerate(self.normals)}
-        extra = tuple(row for row in other.normals if row not in index)
-        index.update((row, len(self.normals) + i) for i, row in enumerate(extra))
-        remap = np.array([index[row] for row in other.normals], dtype=np.int64)
-        return HyperplaneFamily._of(
-            self.ambient_dim, self.normals + extra,
-            np.concatenate((self.normal_ids, remap[other.normal_ids])),
-            np.concatenate((self.offsets, other.offsets)),
-        )
-
-    def __radd__(self, other):
-        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"HyperplaneFamily({len(self)} hyperplanes of R^{self.ambient_dim}"
-                f" over {len(self.normals)} normals)")
-
-
-def _offset_column(offsets) -> np.ndarray:
-    """The exact values ``offsets`` as an int64 array when every one is an
-    integer that fits, else as an object array of ``int`` and ``Fraction``."""
-    values = list(offsets)
-    if all(type(c) is int for c in values):
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass  # an offset past int64
-    column = np.empty(len(values), dtype=object)
-    column[:] = [_exact(c) for c in values]
-    return column
-
-
 class FlatFamily(_ReadOnRequest):
-    """Flats of R^d of one codimension r >= 2 held as integer row blocks:
+    """Flats of R^d of one codimension r >= 1 held as integer row blocks:
     an immutable sequence of :class:`Flat` that builds a flat only when one
-    is read.
+    is read.  A family of hyperplanes is one with r = 1.
 
     ``rows`` has shape (n, r, d + 1) and ``den`` shape (n, r): equation i
     of flat j is ``[a | c] = rows[j, i] / den[j, i]``, read ``a . x = c``,
     with ``den[j, i] > 0`` and no other reduction.  Each flat's r equations
-    are independent and consistent, so flat j reads back as the
-    ``(d - r)``-flat of those exact values, the value ``Flat(...)`` gives.
-    Both arrays are int64 when every entry is within 2^62 and hold Python
-    ints otherwise.  Equality is element by element with any sequence of
-    flats, and the hash is the equal tuple's; ``+`` joins a family and a
-    tuple into a tuple.  Hyperplanes are a :class:`HyperplaneFamily`.
+    are independent and consistent (for r = 1: ``a`` is nonzero), so flat
+    j reads back as the ``(d - r)``-flat of those exact values, the value
+    ``Flat(...)`` gives.  Both arrays are int64 when every entry is within
+    2^62 and hold Python ints otherwise (:func:`_int_arrays`).  Equality is
+    element by element with any sequence of flats, and the hash is the
+    equal tuple's; ``+`` joins two families of one r and d into one
+    family, and a family and a tuple into a tuple.
     """
 
     __slots__ = ("ambient_dim", "rows", "den")
@@ -382,11 +275,13 @@ class FlatFamily(_ReadOnRequest):
     @classmethod
     def _of(cls, ambient_dim: int, codim: int, rows, den) -> "FlatFamily":
         """The family of integer row blocks ``rows`` over ``den``, nested
-        lists or arrays of any dtype, already known to hold independent,
-        consistent equations over positive denominators; with no further
-        check.  The embedding and the loader build every family here."""
+        lists or arrays of any integer dtype, already known to hold
+        independent, consistent equations over positive denominators; with
+        no further check.  Every family is built here."""
+        (rows, den), _ = _int_arrays(rows, den)
+        n = len(den)
         family = object.__new__(cls)
-        family._set(ambient_dim, *_block_arrays(rows, den, (len(den), codim, ambient_dim + 1)))
+        family._set(ambient_dim, rows.reshape(n, codim, ambient_dim + 1), den.reshape(n, codim))
         return family
 
     def _set(self, ambient_dim, rows, den) -> None:
@@ -410,7 +305,15 @@ class FlatFamily(_ReadOnRequest):
             yield _rows_flat(self.ambient_dim, rows, den)
 
     def __add__(self, other):
-        return tuple(self) + other if isinstance(other, tuple) else NotImplemented
+        if isinstance(other, tuple):
+            return tuple(self) + other
+        if not isinstance(other, FlatFamily):
+            return NotImplemented
+        if other.rows.shape[1:] != self.rows.shape[1:]:
+            raise InvalidInput("families differ in ambient dimension or codimension")
+        return FlatFamily._of(self.ambient_dim, self.rows.shape[1],
+                              np.concatenate((self.rows, other.rows)),
+                              np.concatenate((self.den, other.den)))
 
     def __radd__(self, other):
         return other + tuple(self) if isinstance(other, tuple) else NotImplemented
@@ -428,16 +331,39 @@ def _rows_flat(ambient_dim: int, rows: list[list[int]], den: list[int]) -> Flat:
                          tuple(v[-1] for v in values), ambient_dim - len(rows))
 
 
-def _block_arrays(rows, den, shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` and ``den`` as arrays of ``shape`` and ``shape[:2]``: both
-    int64 when every entry is within 2^62, else both of Python ints."""
-    try:
-        rows, den = np.array(rows, dtype=np.int64), np.array(den, dtype=np.int64)
-        if max(_largest(rows), _largest(den)) > _INT64_SAFE:
-            raise OverflowError  # near the int64 ends: keep Python ints
-    except OverflowError:
-        rows, den = np.array(rows, dtype=object), np.array(den, dtype=object)
-    return rows.reshape(shape), den.reshape(shape[:2])
+def _hyperplanes(ambient_dim: int, normals: Sequence[Sequence[int]],
+                 normal_ids: Sequence[int], offsets: Sequence) -> FlatFamily:
+    """The hyperplanes ``{x : normals[normal_ids[j]] . x = offsets[j]}``,
+    over nonzero integer normals and exact offsets, as one family of
+    one-row blocks: ``[a | c]`` over 1, and for a rational offset c = p / q
+    the row ``[a q | p]`` over q that :func:`linalg.clear_denominators`
+    makes, so the values ``make_hyperplane`` gives read back."""
+    if all(type(c) is int for c in offsets):
+        (table, column), _ = _int_arrays(normals, offsets)
+        rows = np.column_stack((table.reshape(-1, ambient_dim)[normal_ids], column))
+        return FlatFamily._of(ambient_dim, 1, rows, np.ones(len(column), table.dtype))
+    cleared = [linalg.clear_denominators((*normals[i], c)) for i, c in zip(normal_ids, offsets)]
+    return FlatFamily._of(ambient_dim, 1, [row for row, _ in cleared], [q for _, q in cleared])
+
+
+def _int_arrays(*values) -> tuple[list[np.ndarray], int]:
+    """The integer arrays or nested lists ``values`` as arrays of one
+    dtype, with their largest absolute entry: int64 when every entry is
+    within 2^62, and Python ints otherwise.  This is the one int64 rule of
+    stored rows, for points and flats alike.  A non-integer entry is
+    :class:`InvariantViolation`: ``np.array(..., dtype=np.int64)`` would
+    truncate a ``Fraction`` or float without a word."""
+    arrays = []
+    for value in values:
+        a = np.asarray(value)
+        if a.dtype.kind not in "iu":  # ints past int64, a Fraction or a float
+            a = np.asarray(value, dtype=object)
+            if not all(type(x) is int for x in a.flat):
+                raise InvariantViolation("integer rows hold a non-integer entry")
+        arrays.append(a)
+    largest = max(map(_largest, arrays))
+    dtype = np.int64 if largest <= _INT64_SAFE else object
+    return [a.astype(dtype, copy=False) for a in arrays], largest
 
 
 class PointRows(_ReadOnRequest):
@@ -447,11 +373,11 @@ class PointRows(_ReadOnRequest):
     Point i is ``matrix[i] / q[i]`` with ``q[i] > 0`` and no factor common
     to the row and ``q[i]``, so each point value has exactly one row.  Both
     arrays are int64 when every entry is within 2^62 and hold Python ints
-    otherwise; ``max_abs`` is the largest absolute entry (0 for no points)
-    and ``integral`` tells whether every q is 1.  Equality is element by
-    element with any sequence of points, and the hash is the equal
-    tuple's; ``+`` joins rows with rows or with a tuple of points into
-    rows.  Build one with :func:`_split_coords` or :func:`_int_point_matrix`.
+    otherwise (:func:`_int_arrays`); ``max_abs`` is the largest absolute
+    entry (0 for no points) and ``integral`` tells whether every q is 1.
+    Equality is element by element with any sequence of points, and the
+    hash is the equal tuple's; ``+`` joins rows with rows or with a tuple
+    of points into rows.  Build one with :func:`_split_coords` or :func:`_int_point_matrix`.
     """
 
     __slots__ = ("ambient_dim", "matrix", "q", "max_abs", "integral")
@@ -460,13 +386,11 @@ class PointRows(_ReadOnRequest):
     def _of(cls, ambient_dim: int, matrix: np.ndarray, q: np.ndarray) -> "PointRows":
         """The points ``matrix[i] / q[i]`` of rows already in that form, as
         int64 or Python ints, with no further check; the dtype is set by
-        the entries' bound."""
-        max_abs = max(_largest(matrix), _largest(q))
-        dtype = np.int64 if max_abs <= _INT64_SAFE else object
-        matrix = matrix.astype(dtype, copy=False).reshape(len(q), ambient_dim)
-        q = q.astype(dtype, copy=False)
+        :func:`_int_arrays`."""
+        (matrix, q), max_abs = _int_arrays(matrix, q)
         rows = object.__new__(cls)
-        rows._set(ambient_dim, matrix, q, max_abs, bool((q == 1).all()))
+        rows._set(ambient_dim, matrix.reshape(len(q), ambient_dim), q, max_abs,
+                  bool((q == 1).all()))
         return rows
 
     def _set(self, ambient_dim, matrix, q, max_abs, integral) -> None:

@@ -9,10 +9,10 @@ Two interchangeable counting strategies are provided and must always agree:
   that provably cannot overflow and in Python ints otherwise.
 * ``hashed`` -- hyperplanes are grouped by their primitive integer normal
   and points are bucketed by exact dot product, so each group costs one
-  pass over the points.  The dots of a normal with every point form one
-  array in point order: an int64 product when the magnitudes provably
-  fit, with an ``int`` or ``Fraction`` value built only for a point with
-  a denominator.
+  pass over the points; a family of hyperplanes is grouped off its rows.
+  The dots of a normal with every point form one array in point order:
+  an int64 product when the magnitudes provably fit, with an ``int`` or
+  ``Fraction`` value built only for a point with a denominator.
 
 Every point is stored once in homogeneous integer form: its primitive
 integer row P over its denominator q > 0, so x = P / q.  An equation
@@ -21,11 +21,12 @@ the naive count compare one integer product with zero.  An instance
 holds its points as these rows (:class:`~inclab.geometry.PointRows`),
 split once when they come as anything else, and classifies its flats
 once, for every count, the K_{s,t} certificate and the masks.  Flats of
-one codimension r >= 2 held as integer row blocks
+one codimension r held as integer row blocks
 (:class:`~inclab.geometry.FlatFamily`) are counted off those rows, with
 no flat built: each row [a | c] is zero on a point's (P, -q) exactly
-when the point meets it.  All counts
-are exact; there is no tolerance anywhere in this module.
+when the point meets it, and for r = 1 the hyperplane groups are read
+off the same rows.  All counts are exact; there is no tolerance anywhere in
+this module.
 
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
 reads the hyperplane groups: s points that are not all one point have
@@ -59,7 +60,6 @@ from .geometry import (
     _INT64_SAFE,
     Flat,
     FlatFamily,
-    HyperplaneFamily,
     PointRows,
     RatPoint,
     _exact,
@@ -84,9 +84,8 @@ class IncidenceInstance:
     ``points`` are always held as :class:`PointRows`, the homogeneous
     integer rows every count reads: rows are kept as they are, and any
     other sequence of points is split once.  ``flats`` is kept as it is
-    when it is a :class:`HyperplaneFamily`, so its hyperplanes are grouped
-    from its columns, or a :class:`FlatFamily`, whose row blocks every
-    count reads; any other sequence becomes a tuple.
+    when it is a :class:`FlatFamily`, whose row blocks every count and
+    the grouping read; any other sequence becomes a tuple.
     """
 
     points: Sequence[RatPoint]
@@ -96,7 +95,7 @@ class IncidenceInstance:
 
     def __init__(self, points: Sequence[RatPoint], flats: Sequence[Flat], s: int, t: int):
         pts = _int_point_matrix(points)
-        if isinstance(flats, (HyperplaneFamily, FlatFamily)):
+        if isinstance(flats, FlatFamily):
             fls, flat_dims = flats, {flats.ambient_dim} if len(flats) else set()
         else:
             fls = tuple(flats)
@@ -144,14 +143,15 @@ class IncidenceInstance:
     def _other_members(self) -> dict[int, list[int]]:
         """For each flat that is not a hyperplane, the indices of its points,
         ascending: one membership pass per flat, or block products for a
-        :class:`FlatFamily`, for the hashed counts, the K_{s,t} certificate
-        and the incidence masks."""
-        split = self.points
-        if isinstance(self.flats, FlatFamily):
+        :class:`FlatFamily` of codimension r >= 2, every flat of which is
+        one; for the hashed counts, the K_{s,t} certificate and the
+        incidence masks."""
+        split, others = self.points, self._grouping[1]
+        if isinstance(self.flats, FlatFamily) and others:
             return _family_members(split, self.flats)
         return {
             j: _members(split, self.flats[j].integer_equations()).tolist()
-            for j in self._grouping[1]
+            for j in others
         }
 
 
@@ -303,14 +303,12 @@ def _value_counts(dots: np.ndarray) -> dict:
 
 def _group_flats(flats: Sequence[Flat]) -> _Grouping:
     """Hyperplane indices by primitive normal, then by offset; and the
-    indices of every other flat.  A :class:`HyperplaneFamily` is grouped
-    from its columns (:func:`_group_family`); a :class:`FlatFamily` holds
-    no hyperplane, since each of its flats has r >= 2 independent
+    indices of every other flat.  A :class:`FlatFamily` of hyperplanes
+    (r = 1) is grouped off its rows (:func:`_group_rows`); any other family
+    holds no hyperplane, since each of its flats has r >= 2 independent
     equations; every other sequence is grouped flat by flat."""
-    if isinstance(flats, HyperplaneFamily):
-        return _group_family(flats)
     if isinstance(flats, FlatFamily):
-        return {}, range(len(flats))
+        return _group_rows(flats) if flats.rows.shape[1] == 1 else ({}, range(len(flats)))
     groups: _FlatGroups = defaultdict(lambda: defaultdict(list))
     others: list[int] = []
     for j, flat in enumerate(flats):
@@ -323,40 +321,39 @@ def _group_flats(flats: Sequence[Flat]) -> _Grouping:
     return groups, others
 
 
-def _group_family(family: HyperplaneFamily) -> _Grouping:
-    """:func:`_group_flats` of a family, read off its columns: one stable
-    sort over (normal id, offset) makes each group one run of hyperplane
-    indices, ascending within it, and no flat is built.  Each normal is
-    read by the rule :func:`_hyperplane_key` reads a hyperplane by, once;
-    only a normal that is not primitive and sign-canonical rescales its
-    offsets."""
-    keys: dict[tuple[int, ...], int] = {}
-    key_ids, scales = [], []
-    for row in family.normals:
-        key, scale = linalg.integer_row_and_offset(row, 1)
-        key_ids.append(keys.setdefault(key, len(keys)))
-        scales.append(scale)
-    ids = np.array(key_ids, dtype=np.int64)[family.normal_ids]
-    offsets = family.offsets
-    if any(scale != 1 for scale in scales):
-        offsets = np.empty(len(ids), dtype=object)
-        offsets[:] = [_exact(c * scales[i]) for i, c in
-                      zip(family.normal_ids.tolist(), family.offsets.tolist())]
-    order = np.lexsort((offsets, ids))
-    ids, offsets = ids[order], offsets[order]
-    change = (ids[1:] != ids[:-1]) | (offsets[1:] != offsets[:-1])
-    starts = np.flatnonzero(np.r_[len(order) > 0, change])
+def _group_rows(family: FlatFamily) -> _Grouping:
+    """:func:`_group_flats` of a family of hyperplanes, read off its rows
+    [a | c] with no flat built.  Row j's key is a / g and its offset c / g,
+    for g the gcd of a signed as a's first nonzero entry: the primitive,
+    sign-canonical normal and the offset :func:`_hyperplane_key` reads
+    (the row's denominator cancels), with a ``Fraction`` only where g does
+    not divide c.  One stable sort over (key, offset) makes each group one
+    run of hyperplane indices, ascending within it."""
+    a, c = family.rows[:, 0, :-1], family.rows[:, 0, -1]
+    # from 0: a reduce over one object column would keep that entry's sign
+    g = np.gcd.reduce(a, axis=1, initial=0)
+    g = np.where(a[np.arange(len(a)), (a != 0).argmax(axis=1)] < 0, -g, g)
+    keys, offsets = a // g[:, None], c // g
+    inexact = np.flatnonzero(c % g).tolist()
+    if inexact:
+        offsets = offsets.astype(object)
+        for j in inexact:
+            offsets[j] = Fraction(int(c[j]), int(g[j]))
+    order = np.lexsort((offsets, *keys.T[::-1]))
+    keys, offsets = keys[order], offsets[order]
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    new_run = new_key.copy()
+    new_run[1:] |= offsets[1:] != offsets[:-1]
+    starts = np.flatnonzero(new_run)
     bounds = np.r_[starts, len(order)].tolist()
     order = order.tolist()
-    normals = list(keys)
     groups: _FlatGroups = {}
-    last = None
-    for lo, hi, key_id, offset in zip(
-        bounds, bounds[1:], ids[starts].tolist(), offsets[starts].tolist()
+    for lo, hi, first, offset in zip(
+        bounds, bounds[1:], new_key[starts].tolist(), offsets[starts].tolist()
     ):
-        if key_id != last:
-            by_offset = groups[normals[key_id]] = {}
-            last = key_id
+        if first:  # one key tuple per normal, not one per (normal, offset) run
+            by_offset = groups[tuple(keys[lo].tolist())] = {}
         by_offset[offset] = order[lo:hi]
     return groups, []
 

@@ -10,19 +10,19 @@ newline.  :func:`save_instance` writes it directly: ``json.dumps`` renders
 the small members, and the points and flats are streamed ``_CHUNK`` at a
 time.  Each chunk is one ``%d`` template, repeated from one item template
 per point shape or equation count, filled from one flat list of integers:
-numerators and denominators, read off the points' rows, a
-:class:`HyperplaneFamily`'s columns and a :class:`FlatFamily`'s rows, or
-off every other flat's exact values.  The text goes to a new file beside
-the target, which replaces the target only once it is whole.
+numerators and denominators, read off the points' rows and a
+:class:`FlatFamily`'s rows, or off every other flat's exact values.  The
+text goes to a new file beside the target, which replaces the target only
+once it is whole.
 
 The loader builds no ``RatPoint``: it splits the decoded coordinates into
 rows once.  It decodes the flats' pairs once, straight to integer rows
 over the lcm of each equation's denominators, with no ``Fraction`` or
-``Flat`` built per flat.  A file whose every flat is one nonzero row of
-integer values loads as one :class:`HyperplaneFamily`, and a file whose
-every flat is a consistent system of the same r >= 2 independent
-equations as one :class:`FlatFamily`; any other file loads its flats one
-by one, with the errors of ``Flat(...)``.  The reference path,
+``Flat`` built per flat.  A file whose every flat is a consistent system
+of the same number r >= 1 of independent equations loads as one
+:class:`FlatFamily` (for r = 1: one row with a nonzero coefficient, a
+hyperplane); any other file loads its flats one by one, with the errors
+of ``Flat(...)``.  The reference path,
 ``canonical_json(instance_to_dict(...))``, builds the document and lets
 ``json`` render all of it; it shares no code with the writer, and the
 tests require the two texts to be equal.
@@ -47,7 +47,6 @@ from .errors import InvalidInput
 from .geometry import (
     Flat,
     FlatFamily,
-    HyperplaneFamily,
     IntVector,
     PointRows,
     _int,
@@ -188,13 +187,14 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
     return IncidenceInstance(points, flats, s, t)
 
 
-def _family(dim: int, specs: list) -> HyperplaneFamily | FlatFamily | None:
+def _family(dim: int, specs: list) -> FlatFamily | None:
     """The flats ``specs`` as one family when there are some, each a system
     of the same number r of equations of ``dim`` entries, and each reads as
-    a family item: for r = 1 a nonzero row of integer values, for r >= 2
-    independent, consistent equations (one :func:`linalg.integer_rref` of
-    each flat's integer rows).  Otherwise ``None``, and the file loads one
-    by one, with the errors of ``Flat(...)``.
+    a family item: independent, consistent equations.  One row with a
+    nonzero coefficient is, with no elimination, the rule ``Flat(...)``
+    uses; any other system takes one :func:`linalg.integer_rref` of its
+    integer rows.  Otherwise ``None``, and the file loads one by one, with
+    the errors of ``Flat(...)``.
 
     Each pair is decoded once, with :func:`_pair`'s checks and in the order
     the one-by-one path decodes them, so a bad pair raises the error that
@@ -220,32 +220,13 @@ def _family(dim: int, specs: list) -> HyperplaneFamily | FlatFamily | None:
         dens.append(den)
     if not blocks:
         return None
-    if len(blocks[0]) == 1:
-        return _hyperplane_family(dim, blocks, dens)
     for block in blocks:
+        if len(block) == 1 and any(block[0][:-1]):
+            continue  # a hyperplane
         _, pivots = linalg.integer_rref(block)
         if len(pivots) != len(block) or dim in pivots:
             return None  # flat errors, or flats of lower dimension
     return FlatFamily._of(dim, len(blocks[0]), blocks, dens)
-
-
-def _hyperplane_family(
-    dim: int, blocks: list[list[list[int]]], dens: list[list[int]]
-) -> HyperplaneFamily | None:
-    """The one-row blocks ``[[a | c]]`` over ``[[q]]`` as one family when
-    every ``a / q`` is a nonzero integer row, holding each distinct row
-    once; otherwise ``None``."""
-    index: dict[tuple[int, ...], int] = {}
-    normal_ids, offsets = [], []
-    for [row], [q] in zip(blocks, dens):
-        if any(a % q for a in row[:-1]):
-            return None  # a rational coefficient
-        normal = tuple(a // q for a in row[:-1])
-        if not any(normal):
-            return None
-        normal_ids.append(index.setdefault(normal, len(index)))
-        offsets.append(row[-1] // q if row[-1] % q == 0 else Fraction(row[-1], q))
-    return HyperplaneFamily(dim, list(index), normal_ids, offsets)
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:
@@ -355,11 +336,7 @@ def _point_chunks(points: PointRows, dim: int):
 
 def _flat_chunks(flats: Sequence[Flat], dim: int):
     """The flats' item texts, ``_CHUNK`` flats to a text, with one template
-    per equation count; a family's values come from its columns or row
-    blocks."""
-    if isinstance(flats, HyperplaneFamily):
-        yield from _family_chunks(flats, dim)
-        return
+    per equation count; a family's values come from its row blocks."""
     if isinstance(flats, FlatFamily):
         yield from _block_chunks(flats, dim)
         return
@@ -374,25 +351,6 @@ def _flat_chunks(flats: Sequence[Flat], dim: int):
             items.append(templates[rows])
         values = _pairs(c for f in chunk for c in chain(*f.equations, f.rhs))
         yield _ITEM_SEP.join(items) % tuple(values)
-
-
-def _family_chunks(family: HyperplaneFamily, dim: int):
-    """:func:`_flat_chunks` of a family: each chunk's values are one array
-    of the normal rows with denominator 1 and the offsets' pairs."""
-    item = _flat_template(dim, 1)
-    normals = np.array(family.normals, dtype=object).reshape(-1, dim)
-    if all(-(2**63) <= x < 2**63 for x in normals.flat):
-        normals = normals.astype(np.int64)
-    for lo in range(0, len(family), _CHUNK):
-        offsets = family.offsets[lo : lo + _CHUNK]
-        dtype = np.int64 if normals.dtype == offsets.dtype == np.int64 else object
-        values = np.ones((len(offsets), 2 * dim + 2), dtype=dtype)
-        values[:, : 2 * dim : 2] = normals[family.normal_ids[lo : lo + _CHUNK]]
-        if dtype == np.int64:
-            values[:, 2 * dim] = offsets
-        else:
-            values[:, 2 * dim :] = np.reshape(_pairs(offsets.tolist()), (-1, 2))
-        yield _ITEM_SEP.join([item] * len(offsets)) % tuple(values.ravel().tolist())
 
 
 def _block_chunks(family: FlatFamily, dim: int):

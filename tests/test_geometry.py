@@ -16,6 +16,7 @@ from inclab import (
     IncidenceInstance,
     IntVector,
     InvalidInput,
+    InvariantViolation,
     RatPoint,
     contains,
     embed_complex_hyperplane,
@@ -110,79 +111,20 @@ FAMILY_OFFSETS = st.one_of(
 
 
 @st.composite
-def families(draw):
-    """A family over random nonzero normals (scaled, negative and repeated
-    ones included), with int64 offsets or any exact ones."""
-    d = draw(st.integers(1, 5))
+def hyperplane_families(draw, d=None):
+    """``(family, flats)``: hyperplanes of R^d over random nonzero normals
+    (scaled, negative and repeated ones included), with int64 offsets or
+    any exact ones, as the builders make them, and the flats
+    ``make_hyperplane`` makes."""
+    d = draw(st.integers(1, 5)) if d is None else d
     normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
     normals = draw(st.lists(normal, max_size=4))
     offsets = st.integers(-9, 9) if draw(st.booleans()) else FAMILY_OFFSETS
-    flats = draw(st.lists(st.tuples(st.integers(0, 3), offsets),
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), offsets),
                           max_size=12 if normals else 0))
-    ids = [i % len(normals) for i, _ in flats]
-    return geometry.HyperplaneFamily(d, normals, ids, [c for _, c in flats])
-
-
-class TestHyperplaneFamily:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(families(), families(), st.integers(-14, 14), st.integers(-14, 14))
-    def test_family_is_its_hyperplanes(self, family, other, lo, hi):
-        flats = [make_hyperplane(IntVector(family.normals[i]), c)
-                 for i, c in zip(family.normal_ids.tolist(), family.offsets.tolist())]
-        as_tuple = tuple(flats)
-        assert list(family) == flats
-        assert [family[j] for j in range(-len(flats), len(flats))] == flats + flats
-        # grouped from the columns as the per-flat path groups the flats
-        assert _group_flats(family) == _group_flats(as_tuple)
-        assert IncidenceInstance([], family, 2, 1).flats is family
-        # the tuple operations
-        assert len(family) == len(flats)
-        assert family[lo:hi] == as_tuple[lo:hi] and as_tuple[lo:hi] == family[lo:hi]
-        assert family == as_tuple and as_tuple == family and family == flats
-        assert hash(family) == hash(as_tuple)
-        assert family + as_tuple == as_tuple + family == as_tuple * 2
-        assert type(family + as_tuple) is type(as_tuple + family) is tuple
-        if other.ambient_dim == family.ambient_dim:
-            joined = family + other
-            assert isinstance(joined, geometry.HyperplaneFamily)
-            assert joined == as_tuple + tuple(other)
-            assert _group_flats(joined) == _group_flats(tuple(joined))
-        else:
-            with pytest.raises(InvalidInput):
-                family + other
-
-    def test_offset_columns(self):
-        rational = geometry.HyperplaneFamily(
-            2, [(1, 2)], [0, 0, 0], [Fraction(4, 2), Fraction(1, 3), 2**62 + 1])
-        assert rational.offsets.dtype == object
-        assert [type(c) for c in rational.offsets] == [int, Fraction, int]
-        assert rational[0] == make_hyperplane(IntVector((1, 2)), 2)
-        wide = geometry.HyperplaneFamily(1, [(1,)], [0, 0], [2**63, -(2**63) - 1])
-        assert wide.offsets.dtype == object
-        fits = geometry.HyperplaneFamily(1, [(1,)], [0, 0], [2**63 - 1, -(2**63)])
-        assert fits.offsets.dtype == np.int64
-        assert list(fits) == [make_hyperplane(IntVector((1,)), c)
-                              for c in (2**63 - 1, -(2**63))]
-
-    @pytest.mark.parametrize("d, normals, ids, offsets", [
-        (2, [(0, 0)], [0], [1]),  # zero normal
-        (2, [(1, 0, 0)], [0], [1]),  # wrong width
-        (2, [(1, 0)], [1], [1]),  # id out of range
-        (2, [(1, 0)], [0.0], [1]),  # a float id
-        (2, [(1, 0)], [0, 0], [1]),  # more ids than offsets
-        (2, [(1, 0)], [0], [float("nan")]),
-        (2.0, [(1, 0)], [0], [1]),
-    ])
-    def test_malformed_columns_rejected(self, d, normals, ids, offsets):
-        with pytest.raises(InvalidInput):
-            geometry.HyperplaneFamily(d, normals, ids, offsets)
-
-    def test_immutable(self):
-        family = geometry.HyperplaneFamily(2, [(1, 0)], [0], [1])
-        with pytest.raises(AttributeError):
-            family.offsets = None
-        with pytest.raises(ValueError):
-            family.offsets[0] = 5
+    ids = [i % len(normals) for i, _ in pairs]
+    flats = [make_hyperplane(IntVector(normals[i]), c) for i, (_, c) in zip(ids, pairs)]
+    return geometry._hyperplanes(d, normals, ids, [c for _, c in pairs]), flats
 
 
 # a flat's scale factors and denominators: small, negative, and past int64
@@ -192,12 +134,12 @@ BLOCK_SCALES = st.one_of(st.integers(-4, 4).filter(bool),
 
 @st.composite
 def flat_families(draw):
-    """``(family, flats)``: random consistent systems of r >= 2 independent
+    """``(family, flats)``: random consistent systems of r >= 1 independent
     equations through random points, each equation an integer multiple of
     an integer row over an unreduced positive denominator, and the flats
     ``Flat(...)`` makes of the same exact values."""
     d = draw(st.integers(2, 5))
-    r = draw(st.integers(2, d))
+    r = draw(st.integers(1, d))
     rows, dens, flats = [], [], []
     for _ in range(draw(st.integers(0, 5))):
         through = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
@@ -211,6 +153,14 @@ def flat_families(draw):
         values = [[Fraction(x, q) for x in row] for row, q in zip(block, den)]
         flats.append(Flat(d, [v[:-1] for v in values], [v[-1] for v in values]))
     return geometry.FlatFamily._of(d, r, rows, dens), flats
+
+
+def assert_int64_rule(family):
+    """Positive denominators, and int64 exactly when every entry is within
+    2^62."""
+    assert (family.den > 0).all()
+    big = max([abs(x) for x in family.rows.flat] + list(family.den.flat), default=0)
+    assert family.rows.dtype == family.den.dtype == (np.int64 if big <= 2**62 else object)
 
 
 class TestFlatFamily:
@@ -230,17 +180,66 @@ class TestFlatFamily:
         assert family[lo:hi] == as_tuple[lo:hi] and as_tuple[lo:hi] == family[lo:hi]
         assert family + as_tuple == as_tuple + family == as_tuple * 2
         assert type(family + as_tuple) is type(as_tuple + family) is tuple
-        # positive denominators, int64 exactly when every entry is within
-        # 2^62, slices included
         for part in (family, family[lo:hi]):
-            assert (part.den > 0).all()
-            big = max([abs(x) for x in part.rows.flat] + list(part.den.flat), default=0)
-            assert part.rows.dtype == part.den.dtype == (np.int64 if big <= 2**62 else object)
-        # no flat is a hyperplane: grouped as the per-flat path groups them
+            assert_int64_rule(part)
+        # grouped as the per-flat path groups the flats: hyperplanes off
+        # their rows, over any denominators, and no other flat a hyperplane
         groups, others = _group_flats(family)
-        assert (groups, list(others)) == ({}, list(range(n)))
-        assert _group_flats(as_tuple) == ({}, list(range(n)))
+        assert groups == _group_flats(as_tuple)[0]
+        assert list(others) == list(_group_flats(as_tuple)[1])
+        assert list(others) == ([] if r == 1 else list(range(n)))
         assert IncidenceInstance([], family, 2, 1).flats is family
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+        hyperplane_families(d), hyperplane_families(d), hyperplane_families(d % 5 + 1))),
+        st.integers(-14, 14), st.integers(-14, 14))
+    def test_family_of_hyperplanes_is_its_hyperplanes(self, cases, lo, hi):
+        (family, flats), (other, other_flats), (elsewhere, _) = cases
+        as_tuple = tuple(flats)
+        assert family.rows.shape[1:] == (1, family.ambient_dim + 1)
+        assert list(family) == flats
+        assert [family[j] for j in range(-len(flats), len(flats))] == flats + flats
+        # grouped off the rows as the per-flat path groups the flats
+        assert _group_flats(family) == _group_flats(as_tuple)
+        assert IncidenceInstance([], family, 2, 1).flats is family
+        # the tuple operations
+        assert len(family) == len(flats)
+        assert family[lo:hi] == as_tuple[lo:hi] and as_tuple[lo:hi] == family[lo:hi]
+        assert family == as_tuple and as_tuple == family and family == flats
+        assert hash(family) == hash(as_tuple)
+        assert family + as_tuple == as_tuple + family == as_tuple * 2
+        assert type(family + as_tuple) is type(as_tuple + family) is tuple
+        # two families of one r and d join into one
+        joined = family + other
+        assert isinstance(joined, geometry.FlatFamily)
+        assert joined == as_tuple + tuple(other_flats)
+        assert _group_flats(joined) == _group_flats(tuple(joined))
+        assert_int64_rule(joined)
+        with pytest.raises(InvalidInput):
+            family + elsewhere
+        with pytest.raises(InvalidInput):
+            family + geometry.FlatFamily._of(family.ambient_dim, 2, [], [])
+
+    def test_hyperplane_offsets(self):
+        # a rational offset p / q is the row [a q | p] over q, and every
+        # offset reads back exact, past int64 included
+        rational = geometry._hyperplanes(
+            2, [(1, 2)], [0, 0, 0], [Fraction(4, 2), Fraction(1, 3), 2**62 + 1])
+        assert rational.rows.tolist() == [[[1, 2, 2]], [[3, 6, 1]], [[1, 2, 2**62 + 1]]]
+        assert rational.den.tolist() == [[1], [3], [1]]
+        assert rational.rows.dtype == object
+        assert [type(f.rhs[0]) for f in rational] == [int, Fraction, int]
+        assert rational[1] == make_hyperplane(IntVector((1, 2)), Fraction(1, 3))
+        assert rational[1].equations == ((1, 2),)
+        assert list(rational) == [make_hyperplane(IntVector((1, 2)), c)
+                                  for c in (2, Fraction(1, 3), 2**62 + 1)]
+        wide = geometry._hyperplanes(1, [(1,)], [0, 0], [2**63, -(2**63) - 1])
+        assert wide.rows.dtype == object
+        assert list(wide) == [make_hyperplane(IntVector((1,)), c) for c in (2**63, -(2**63) - 1)]
+        fits = geometry._hyperplanes(1, [(1,)], [0, 0], [2**62, -(2**62)])
+        assert fits.rows.dtype == fits.den.dtype == np.int64
+        assert list(fits) == [make_hyperplane(IntVector((1,)), c) for c in (2**62, -(2**62))]
 
     def test_immutable(self):
         family = geometry.FlatFamily._of(2, 2, [[[1, 0, 0], [0, 1, 0]]], [[1, 1]])
@@ -248,6 +247,44 @@ class TestFlatFamily:
             family.rows = None
         with pytest.raises(ValueError):
             family.den[0, 0] = 5
+        with pytest.raises(ValueError):
+            family.rows[0, 0, 0] = 5
+
+    def test_hyperplane_family_immutable(self):
+        family = geometry._hyperplanes(2, [(1, 0)], [0], [1])
+        with pytest.raises(AttributeError):
+            family.rows = None
+        with pytest.raises(ValueError):
+            family.den[0, 0] = 5
+        with pytest.raises(ValueError):
+            family.rows[0, 0, 0] = 5
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0])
+    def test_a_non_integer_entry_is_rejected(self, entry):
+        # np.array(..., dtype=np.int64) would truncate it without a word
+        with pytest.raises(InvariantViolation):
+            geometry.FlatFamily._of(2, 1, [[[1, 0, entry]]], [[1]])
+        with pytest.raises(InvariantViolation):
+            geometry.FlatFamily._of(2, 1, np.array([[[1, 0, entry]]]), [[1]])
+
+
+@pytest.mark.parametrize("entry", [2**62, -(2**62), 2**62 + 1, -(2**62) - 1, 2**63, -(2**63)])
+def test_points_and_flats_share_one_int64_rule(entry):
+    # int64 exactly when every entry is within 2^62, from lists, object
+    # arrays and int64 arrays alike
+    expected = np.int64 if abs(entry) <= 2**62 else object
+    points = geometry.PointRows._of(
+        2, np.array([[entry, 1]], dtype=object), np.array([1], dtype=object))
+    flats = geometry.FlatFamily._of(2, 1, [[[1, 0, entry]]], [[1]])
+    built = [(points.matrix, points.q), (flats.rows, flats.den)]
+    if entry < 2**63:
+        int64 = geometry.PointRows._of(2, np.array([[entry, 1]], dtype=np.int64), np.ones(1, int))
+        built.append((int64.matrix, int64.q))
+        assert int64 == points
+    for matrix, q in built:
+        assert matrix.dtype == q.dtype == expected
+    assert points.matrix.tolist() == [[entry, 1]] and flats.rows.tolist() == [[[1, 0, entry]]]
+    assert points.max_abs == abs(entry)
 
 
 ROW_VALUES = (0, 1, -7, 2**62, -(2**62), 2**62 + 1, -(2**62) - 1, 2**63, -(2**63),

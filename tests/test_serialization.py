@@ -28,7 +28,7 @@ from inclab import (
     save_instance,
 )
 from inclab import serialization
-from inclab.geometry import FlatFamily, HyperplaneFamily, PointRows
+from inclab.geometry import FlatFamily, PointRows, _hyperplanes
 from inclab.incidence import _group_flats
 from inclab.serialization import (
     _CHUNK,
@@ -203,17 +203,18 @@ def _boundary_points(count):
 
 
 def _boundary_flats(count, kind):
-    """``count`` flats of R^3: a family with int64 offsets, a family with
-    exact offsets past int64 and rational ones, or a tuple of hyperplanes,
-    lines, points and the whole space (mixed equation counts)."""
+    """``count`` flats of R^3: a family of hyperplanes with int64 offsets,
+    one with exact offsets past int64 and rational ones, a family of lines,
+    or a tuple of hyperplanes, lines, points and the whole space (mixed
+    equation counts)."""
     normals = [(1, 0, 0), (1, -2, 3), (0, 0, 1), (2**63, 1, 0)]
     if kind == "family-int64":
-        return HyperplaneFamily(3, normals[:3], [i % 3 for i in range(count)],
-                                [i - 9 for i in range(count)])
+        return _hyperplanes(3, normals[:3], [i % 3 for i in range(count)],
+                            [i - 9 for i in range(count)])
     if kind == "family-exact":
         offsets = (5, Fraction(-1, 2), 2**62 + 1, -(2**64))
-        return HyperplaneFamily(3, normals, [i % 4 for i in range(count)],
-                                [offsets[i % 4] + i for i in range(count)])
+        return _hyperplanes(3, normals, [i % 4 for i in range(count)],
+                            [offsets[i % 4] + i for i in range(count)])
     if kind.startswith("blocks"):
         # lines of R^3 over unreduced denominators, with rows and
         # denominators past int64 for "blocks-object"
@@ -287,7 +288,7 @@ def _hyperplane_instance(extra=()):
 def test_hyperplane_file_loads_as_a_family(tmp_path):
     inst = _hyperplane_instance()
     loaded = dict_to_instance(instance_to_dict(inst))
-    assert isinstance(loaded.flats, HyperplaneFamily)
+    assert isinstance(loaded.flats, FlatFamily) and loaded.flats.rows.shape[1] == 1
     assert isinstance(loaded.points, PointRows) and loaded.points == inst.points
     # the file's flats, read one by one with Flat(...), in both directions
     assert loaded.flats == inst.flats and inst.flats == loaded.flats
@@ -300,16 +301,28 @@ def test_hyperplane_file_loads_as_a_family(tmp_path):
 
 @pytest.mark.parametrize("extra", [
     Flat(2, [[0, 0]], [0]),  # a zero row: the whole plane
-    Flat(2, [[Fraction(1, 2), 1]], [3]),  # rational coefficients
     Flat(2, [[1, 0], [0, 1]], [1, Fraction(1, 2)]),  # two rows
     Flat(2, [], []),  # no rows
-], ids=["zero-row", "rational-row", "two-rows", "no-rows"])
+], ids=["zero-row", "two-rows", "no-rows"])
 def test_a_mixed_file_loads_flat_by_flat(extra):
     inst = _hyperplane_instance([extra])
     loaded = dict_to_instance(instance_to_dict(inst))
     assert type(loaded.flats) is tuple
     assert loaded.flats == inst.flats
     assert count_incidences(loaded, "naive") == count_incidences(inst, "naive")
+
+
+def test_a_rational_row_file_loads_as_a_family(tmp_path):
+    # a hyperplane with rational coefficients is one more one-row block
+    inst = _hyperplane_instance([Flat(2, [[Fraction(1, 2), 1]], [3])])
+    loaded = dict_to_instance(instance_to_dict(inst))
+    assert isinstance(loaded.flats, FlatFamily) and loaded.flats.rows.shape[1] == 1
+    assert loaded.flats == inst.flats and inst.flats == loaded.flats
+    assert _group_flats(loaded.flats) == _group_flats(inst.flats)
+    for strategy in ("naive", "hashed"):
+        assert count_incidences(loaded, strategy) == count_incidences(inst, strategy)
+    path = save_instance(tmp_path / "rational.inc.json", loaded)
+    assert path.read_text() == canonical_json(instance_to_dict(inst))
 
 
 @pytest.mark.parametrize("flat, message", [
@@ -346,6 +359,22 @@ def test_block_file_loads_as_a_family(tmp_path):
         assert count_incidences(loaded, strategy) == count_incidences(inst, strategy)
     path = save_instance(tmp_path / "blocks.inc.json", loaded)
     assert path.read_text() == canonical_json(doc)
+
+
+def test_embedding_into_hyperplanes_saves_and_counts_as_a_family(tmp_path):
+    # k = d_outer - 1: the extensions are one-row blocks over qn * q
+    inner = build_grid_construction(ConstructionConfig(d=2, m=9, n=12, seed=1, box_side=2))
+    out = embed_configuration(inner, 3, 2, seed=2)
+    assert isinstance(out.flats, FlatFamily) and out.flats.rows.shape[1] == 1
+    inst = IncidenceInstance(out.points, out.flats, 2, 2)
+    path = save_construction(tmp_path / "planes.inc.json", out, 2, 2)
+    assert path.read_text() == canonical_json(instance_to_dict(inst, out))
+    assert _group_flats(out.flats) == _group_flats(tuple(out.flats))
+    naive = count_incidences(inst, "naive")
+    assert naive == count_incidences(inst, "hashed") == count_incidences(
+        IncidenceInstance(inner.points, inner.flats, 2, 2))
+    loaded = load_construction(path)
+    assert isinstance(loaded.flats, FlatFamily) and loaded.flats == out.flats
 
 
 def test_flats_of_lower_dimension_load_flat_by_flat():
@@ -469,7 +498,7 @@ def test_families_load_over_any_denominators(which, scales):
         pair[0] *= scales[i % len(scales)]
         pair[1] *= scales[i % len(scales)]
     loaded = dict_to_instance(doc)
-    assert isinstance(loaded.flats, FlatFamily if which else HyperplaneFamily)
+    assert isinstance(loaded.flats, FlatFamily)
     flat_by_flat = tuple(
         Flat(doc["ambient_dim"], [[serialization._dec(a) for a in row] for row in spec["A"]],
              [serialization._dec(c) for c in spec["b"]])
@@ -477,8 +506,7 @@ def test_families_load_over_any_denominators(which, scales):
     assert loaded.flats == flat_by_flat and flat_by_flat == loaded.flats
     assert hash(loaded.flats) == hash(flat_by_flat)
     assert [f.dim for f in loaded.flats] == [f.dim for f in flat_by_flat]
-    if which:
-        assert (loaded.flats.den > 0).all()
+    assert (loaded.flats.den > 0).all()
     reference = dict_to_instance(json.loads(FUZZ_DOCUMENTS[which]))
     assert canonical_json(instance_to_dict(loaded)) == canonical_json(
         instance_to_dict(reference))

@@ -59,10 +59,19 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     _, names = _reach("incidence.py", "_count_naive")
     forbidden = {
         "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
-        "_value_counts", "unique", "_group_family", "normals", "normal_ids",
-        "offsets", "_family_members",
+        "_value_counts", "unique", "_group_rows", "_group_flats", "_grouping",
+        "_family_members",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
+
+
+def test_one_flat_family():
+    # hyperplanes are one-row blocks of FlatFamily: the retired container
+    # of their own is named nowhere (spelled in two parts, so that a search
+    # of the tree for it finds nothing either)
+    retired = "Hyperplane" + "Family"
+    found = [path.name for path in sorted(SOURCE.glob("*.py")) if retired in path.read_text()]
+    assert not found, f"{retired} named in {found}"
 
 
 def test_point_paths_compare_integers_only():
@@ -213,7 +222,7 @@ def test_integer_construction_paths_build_no_fraction():
 
 
 def test_constructions_fill_hyperplane_columns():
-    # the core and padding hyperplanes are written into a family's columns;
+    # the core and padding hyperplanes are written into a family's rows;
     # a flat is built only when one is read
     tree = ast.parse((SOURCE / "constructions.py").read_text())
     bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)
