@@ -30,7 +30,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from operator import length_hint
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +63,6 @@ from .incidence import (
     _heaviest_span,
     _int_root_floor,
     _max_subspace_weight,
-    _value_counts,
     count_incidences,
     kst_verdict,
 )
@@ -72,6 +72,7 @@ _GRID_LIMIT = 10**7
 _NAIVE_LIMIT = 4 * 10**7  # point-flat pairs up to which verify also counts naively
 _COLLINEAR_LIMIT = 2000  # sphere points up to which verify scans for collinear triples
 _PAD_NORMAL_BOX = 3
+_WORD_CHUNK = 4096  # 32-bit words a padding draws from its Random at a time
 _SPHERE_PAD_BOX = 40
 # variant -> (codimension of the guarded subspaces, drop e, slope a, regime):
 # the regime is m <= n^p with p = d - e, which is also the exponent sizing
@@ -293,7 +294,12 @@ def _box_side(d: int, m: int, n: int, eps: float, slope: int, power: int) -> flo
 
 def _achieved_offsets(v: IntVector, split: PointRows) -> set:
     """Exact set of dot products <v, p> over the split points."""
-    return set(_value_counts(_dot_values(split, v.coords)))
+    dots = _dot_values(split, v.coords)
+    if dots.dtype != object:
+        # with counts, np.unique sorts; without, numpy 2 hashes every value,
+        # several times slower here, and imports numpy.ma on first use
+        dots = np.unique(dots, return_counts=True)[0]
+    return set(dots.tolist())
 
 
 def _core_hyperplanes(
@@ -312,6 +318,49 @@ def _core_hyperplanes(
     return family, achieved
 
 
+def _words(rng: Random) -> Iterator[int]:
+    """The 32-bit words of ``rng``'s stream, in order, drawn
+    ``_WORD_CHUNK`` at a time: ``getrandbits(32 c)`` is c words of the
+    stream, the first one lowest, so one call and a little-endian read give
+    c of them.  Closing the generator gives back the words drawn and not
+    yet taken: ``rng`` is set to its state before the last chunk, and that
+    chunk's taken words are drawn again with one ``getrandbits``."""
+    while True:
+        state = rng.getstate()
+        bits = rng.getrandbits(32 * _WORD_CHUNK)
+        chunk = iter(np.frombuffer(bits.to_bytes(4 * _WORD_CHUNK, "little"), "<u4").tolist())
+        try:
+            yield from chunk
+        except GeneratorExit:
+            rng.setstate(state)
+            rng.getrandbits(32 * (_WORD_CHUNK - length_hint(chunk)))
+            raise
+
+
+def _randbelow(word: Callable[[], int], w: int) -> int:
+    """``Random._randbelow(w)`` of CPython 3.11 for w >= 1, on the stream's
+    words ``word()`` returns, so ``a + _randbelow(word, b - a + 1)`` is
+    ``randint(a, b)``: ``getrandbits(k)`` for k = w.bit_length(), drawn
+    again while it is w or more.  ``getrandbits(k)`` takes ceil(k / 32)
+    words, the first one lowest, and keeps the top k mod 32 bits of the
+    last one when 32 does not divide k."""
+    k = w.bit_length()
+    if k <= 32:  # one word a draw
+        shift = 32 - k
+        r = word() >> shift
+        while r >= w:
+            r = word() >> shift
+        return r
+    full, top = divmod(k - 1, 32)  # the words below the last, and its bits - 1
+    while True:
+        r = 0
+        for low in range(0, 32 * full, 32):
+            r |= word() << low
+        r |= word() >> (31 - top) << (32 * full)
+        if r < w:
+            return r
+
+
 def _pad_hyperplanes(
     split: PointRows,
     count: int,
@@ -324,36 +373,45 @@ def _pad_hyperplanes(
 
     A normal's full offset set over the points is computed once, or taken
     from ``achieved``; an offset outside it proves the hyperplane is
-    point-free.
+    point-free.  Each offset is the ``rng.randint`` draw, replayed from
+    words of ``rng`` (:func:`_words`, :func:`_randbelow`); ``rng`` ends
+    where those calls would leave it.
     """
     pool = primitive_vectors(2 * _PAD_NORMAL_BOX, d)
     rng.shuffle(pool)
-    # by pool index: the offset set, and its integer range
-    offset_sets: list[set | None] = [None] * len(pool)
-    ranges: list[tuple[int, int]] = [(0, 0)] * len(pool)
+    # by pool index: its offset set plus the offsets drawn for it, and the
+    # least offset and the number of offsets its draws range over
+    taken: list[set | None] = [None] * len(pool)
+    spans: list[tuple[int, int]] = [(0, 0)] * len(pool)
     normal_ids: list[int] = []
     offsets: list[int] = []
-    used: set[tuple[int, int]] = set()
-    attempts = 0
-    while len(offsets) < count:
-        attempts += 1
-        if attempts > 64 * count + 1024:
-            raise SizeShortfall(
-                f"could not place {count} point-free hyperplanes", achieved=len(offsets)
-            )
-        i = (len(offsets) + attempts) % len(pool)
-        if offset_sets[i] is None:
-            v = pool[i]
-            offset_sets[i] = achieved[v] if v in achieved else _achieved_offsets(v, split)
-            ints = [x for x in offset_sets[i] if type(x) is int]
-            ranges[i] = (min(ints, default=0), max(ints, default=0))
-        low, high = ranges[i]
-        offset = rng.randint(low - count - 8, high + count + 8)
-        if offset in offset_sets[i] or (i, offset) in used:
-            continue
-        used.add((i, offset))
-        normal_ids.append(i)
-        offsets.append(offset)
+    words = _words(rng)
+    word = words.__next__
+    placed = attempts = 0
+    try:
+        while placed < count:
+            attempts += 1
+            if attempts > 64 * count + 1024:
+                raise SizeShortfall(
+                    f"could not place {count} point-free hyperplanes", achieved=placed
+                )
+            i = (placed + attempts) % len(pool)
+            if taken[i] is None:
+                v = pool[i]
+                taken[i] = set(achieved[v]) if v in achieved else _achieved_offsets(v, split)
+                ints = [x for x in taken[i] if type(x) is int]
+                low, high = min(ints, default=0), max(ints, default=0)
+                spans[i] = (low - count - 8, high - low + 2 * count + 17)
+            least, width = spans[i]
+            offset = least + _randbelow(word, width)
+            if offset in taken[i]:
+                continue
+            taken[i].add(offset)
+            normal_ids.append(i)
+            offsets.append(offset)
+            placed += 1
+    finally:
+        words.close()
     return _hyperplanes(d, [v.coords for v in pool], normal_ids, offsets)
 
 

@@ -7,9 +7,10 @@ Two interchangeable counting strategies are provided and must always agree:
   buckets points by offset.  The flats' homogeneous equation rows are
   stacked and multiplied by a block of points at a time, in int64 where
   that provably cannot overflow and in Python ints otherwise.
-* ``hashed`` -- hyperplanes are grouped by their primitive integer normal
-  and points are bucketed by exact dot product, so each group costs one
-  pass over the points; a family of hyperplanes is grouped off its rows.
+* ``hashed`` -- hyperplanes are sorted into runs of one primitive integer
+  normal and one offset, and each normal costs one exact dot pass over the
+  points, which gives every run of it its point count; a family of
+  hyperplanes is keyed off its rows.
   The dots of a normal with every point form one array in point order:
   an int64 product when the magnitudes provably fit, with an ``int`` or
   ``Fraction`` value built only for a point with a denominator.
@@ -24,12 +25,12 @@ once, for every count, the K_{s,t} certificate and the masks.  Flats of
 one codimension r held as integer row blocks
 (:class:`~inclab.geometry.FlatFamily`) are counted off those rows, with
 no flat built: each row [a | c] is zero on a point's (P, -q) exactly
-when the point meets it, and for r = 1 the hyperplane groups are read
+when the point meets it, and for r = 1 the hyperplane runs are read
 off the same rows.  All counts are exact; there is no tolerance anywhere in
 this module.
 
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
-reads the hyperplane groups: s points that are not all one point have
+reads the hyperplane runs: s points that are not all one point have
 their common hyperplanes' normals in one (d-1)-dimensional linear
 subspace, so a bound on the hyperplanes they can share comes from the
 normals and the per-offset point counts, without enumerating any point
@@ -41,7 +42,6 @@ flat subsets of the incidence masks runs, within a work budget.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -50,7 +50,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from numbers import Rational
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,10 +71,31 @@ from .geometry import (
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
-# primitive normal -> offset -> indices of the hyperplanes with that key
-_FlatGroups = dict[tuple[int, ...], dict[int | Fraction, list[int]]]
-# _group_flats's result: (hyperplane groups, indices of every other flat)
-_Grouping = tuple[_FlatGroups, Sequence[int]]
+
+
+class _Runs(NamedTuple):
+    """The flats classified once: hyperplanes in runs of one primitive
+    normal (their key) and one offset, and the indices of every other flat.
+
+    ``order`` holds the hyperplane indices sorted by (key, offset), and
+    ascending within each run; run r is ``order[starts[r]:starts[r + 1]]``
+    (the last run ends at ``len(order)``), with key row
+    ``keys[run_key[r]]`` and offset ``offsets[r]``.  Keys ascend, so the
+    runs of one key are consecutive.  ``keys`` holds the primitive,
+    sign-canonical normals; ``offsets`` is int64, or object when one is a
+    ``Fraction`` or past int64; ``others`` ascends.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    run_key: np.ndarray
+    offsets: np.ndarray
+    keys: np.ndarray
+    others: np.ndarray
+
+    def key_bounds(self) -> list[int]:
+        """Key k's runs are ``range(bounds[k], bounds[k + 1])``."""
+        return np.searchsorted(self.run_key, np.arange(len(self.keys) + 1)).tolist()
 
 
 @dataclass(frozen=True)
@@ -121,23 +142,32 @@ class IncidenceInstance:
         raise InvalidInput("empty instance has no ambient dimension")
 
     @cached_property
-    def _grouping(self) -> _Grouping:
+    def _grouping(self) -> _Runs:
         """The flats classified once per instance, for the hashed counts,
         the K_{s,t} certificate and the incidence masks of the K_{s,t}
         search; kept while the instance lives."""
         return _group_flats(self.flats)
 
     @cached_property
-    def _offset_counts(self) -> dict[tuple[int, ...], dict[int | Fraction, int]]:
-        """For each hyperplane group, the number of points at each of its
-        offsets: one pass over the points per normal, for the hashed counts
-        and the K_{s,t} certificate."""
-        split = self.points
-        out = {}
-        for normal, by_offset in self._grouping[0].items():
-            counts = _value_counts(_dot_values(split, normal))
-            out[normal] = {offset: counts.get(offset, 0) for offset in by_offset}
-        return out
+    def _offset_counts(self) -> np.ndarray:
+        """The number of points on each hyperplane run, int64: one exact dot
+        pass over the points per key, for the hashed counts and the K_{s,t}
+        certificate.  int64 dots are sorted once and each run's offset is
+        found by two binary searches; any other dots are counted by hashing,
+        since sorting them compares Python objects pair by pair."""
+        runs = self._grouping
+        counts = np.zeros(len(runs.starts), dtype=np.int64)
+        bounds = runs.key_bounds()
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            dots, offsets = _dot_values(self.points, runs.keys[k].tolist()), runs.offsets[lo:hi]
+            if dots.dtype == object or offsets.dtype == object:
+                tally = Counter(dots.tolist())
+                counts[lo:hi] = [tally[c] for c in offsets.tolist()]
+            else:
+                dots.sort()
+                counts[lo:hi] = (np.searchsorted(dots, offsets, "right")
+                                 - np.searchsorted(dots, offsets))
+        return counts
 
     @cached_property
     def _other_members(self) -> dict[int, list[int]]:
@@ -146,12 +176,12 @@ class IncidenceInstance:
         :class:`FlatFamily` of codimension r >= 2, every flat of which is
         one; for the hashed counts, the K_{s,t} certificate and the
         incidence masks."""
-        split, others = self.points, self._grouping[1]
-        if isinstance(self.flats, FlatFamily) and others:
+        split, others = self.points, self._grouping.others
+        if isinstance(self.flats, FlatFamily) and len(others):
             return _family_members(split, self.flats)
         return {
             j: _members(split, self.flats[j].integer_equations()).tolist()
-            for j in others
+            for j in others.tolist()
         }
 
 
@@ -289,46 +319,42 @@ def _dot_values(split: PointRows, row: Sequence[int]) -> np.ndarray:
     return values
 
 
-def _value_counts(dots: np.ndarray) -> dict:
-    """Each distinct value in ``dots`` with its number of occurrences.
-
-    An int64 array goes through ``np.unique``; an object array is counted
-    by hashing, since sorting it compares Python objects pair by pair.
-    """
-    if dots.dtype == object:
-        return Counter(dots.tolist())
-    values, counts = np.unique(dots, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
-
-
-def _group_flats(flats: Sequence[Flat]) -> _Grouping:
-    """Hyperplane indices by primitive normal, then by offset; and the
+def _group_flats(flats: Sequence[Flat]) -> _Runs:
+    """The hyperplanes of ``flats`` as runs (:class:`_Runs`), and the
     indices of every other flat.  A :class:`FlatFamily` of hyperplanes
-    (r = 1) is grouped off its rows (:func:`_group_rows`); any other family
+    (r = 1) is keyed off its rows (:func:`_group_rows`); any other family
     holds no hyperplane, since each of its flats has r >= 2 independent
-    equations; every other sequence is grouped flat by flat."""
+    equations; every other sequence is keyed flat by flat with
+    :func:`_hyperplane_key`.  Either way one sort makes the runs."""
     if isinstance(flats, FlatFamily):
-        return _group_rows(flats) if flats.rows.shape[1] == 1 else ({}, range(len(flats)))
-    groups: _FlatGroups = defaultdict(lambda: defaultdict(list))
-    others: list[int] = []
-    for j, flat in enumerate(flats):
-        key = _hyperplane_key(flat)
-        if key is None:
-            others.append(j)
-        else:
-            normal, offset = key
-            groups[normal][offset].append(j)
-    return groups, others
+        if flats.rows.shape[1] == 1:
+            return _group_rows(flats)
+        ids, others = [], range(len(flats))
+    else:
+        ids, normals, offsets, others = [], [], [], []
+        for j, flat in enumerate(flats):
+            key = _hyperplane_key(flat)
+            if key is None:
+                others.append(j)
+            else:
+                ids.append(j)
+                normals.append(key[0])
+                offsets.append(key[1])
+    others = np.array(others, dtype=np.int64)
+    if not ids:
+        none = np.zeros(0, dtype=np.int64)
+        return _Runs(none, none, none, none, np.zeros((0, 0), dtype=np.int64), others)
+    return _sorted_runs(np.array(ids), np.array(normals, dtype=object),
+                        np.array(offsets, dtype=object), others)
 
 
-def _group_rows(family: FlatFamily) -> _Grouping:
-    """:func:`_group_flats` of a family of hyperplanes, read off its rows
+def _group_rows(family: FlatFamily) -> _Runs:
+    """:func:`_group_flats` of a family of hyperplanes, keyed off its rows
     [a | c] with no flat built.  Row j's key is a / g and its offset c / g,
     for g the gcd of a signed as a's first nonzero entry: the primitive,
     sign-canonical normal and the offset :func:`_hyperplane_key` reads
     (the row's denominator cancels), with a ``Fraction`` only where g does
-    not divide c.  One stable sort over (key, offset) makes each group one
-    run of hyperplane indices, ascending within it."""
+    not divide c."""
     a, c = family.rows[:, 0, :-1], family.rows[:, 0, -1]
     # from 0: a reduce over one object column would keep that entry's sign
     g = np.gcd.reduce(a, axis=1, initial=0)
@@ -339,36 +365,34 @@ def _group_rows(family: FlatFamily) -> _Grouping:
         offsets = offsets.astype(object)
         for j in inexact:
             offsets[j] = Fraction(int(c[j]), int(g[j]))
-    order = np.lexsort((offsets, *keys.T[::-1]))
-    keys, offsets = keys[order], offsets[order]
-    new_key = np.ones(len(order), dtype=bool)
+    return _sorted_runs(np.arange(len(a)), keys, offsets, np.zeros(0, dtype=np.int64))
+
+
+def _sorted_runs(
+    ids: np.ndarray, keys: np.ndarray, offsets: np.ndarray, others: np.ndarray
+) -> _Runs:
+    """:class:`_Runs` of the hyperplanes ``ids``, ascending, with key rows
+    ``keys`` and ``offsets``: one stable sort over (key, offset) makes each
+    run consecutive, its indices ascending."""
+    perm = np.lexsort((offsets, *keys.T[::-1]))
+    keys, offsets = keys[perm], offsets[perm]
+    new_key = np.ones(len(perm), dtype=bool)
     new_key[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     new_run = new_key.copy()
     new_run[1:] |= offsets[1:] != offsets[:-1]
     starts = np.flatnonzero(new_run)
-    bounds = np.r_[starts, len(order)].tolist()
-    order = order.tolist()
-    groups: _FlatGroups = {}
-    for lo, hi, first, offset in zip(
-        bounds, bounds[1:], new_key[starts].tolist(), offsets[starts].tolist()
-    ):
-        if first:  # one key tuple per normal, not one per (normal, offset) run
-            by_offset = groups[tuple(keys[lo].tolist())] = {}
-        by_offset[offset] = order[lo:hi]
-    return groups, []
+    run_key = np.cumsum(new_key[starts]) - 1
+    return _Runs(ids[perm], starts, run_key, offsets[starts], keys[new_key], others)
 
 
 def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
     """Incidences between the points and ``inst.flats[:stop]``, from the
-    instance's one classification of all its flats and its member lists."""
-    groups = inst._grouping[0]
-    offset_counts = inst._offset_counts
-    total = 0
-    for normal, by_offset in groups.items():
-        counts = offset_counts[normal]
-        # flat indices ascend within each list, so bisect counts those < stop
-        for offset, flat_ids in by_offset.items():
-            total += counts[offset] * bisect_left(flat_ids, stop)
+    instance's one classification of all its flats: each run's point count
+    times the number of its hyperplanes below ``stop``, plus the member
+    lists of the other flats below ``stop``."""
+    runs = inst._grouping
+    below = np.add.reduceat(runs.order < stop, runs.starts, dtype=np.int64)
+    total = int(inst._offset_counts @ below)
     for j, members in inst._other_members.items():
         if j < stop:
             total += len(members)
@@ -484,21 +508,21 @@ def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
     s points that are not all one point span a flat of dimension at least
     1, so every hyperplane through them has its normal in one linear
     subspace of dimension d-1, and all of them with one normal g share one
-    offset.  They meet at most w_g of the group with normal g, the most
-    flats at one (g, offset) whose bucket holds s points or more.  The
-    other flats they share are counted exactly: a tally of the s-subsets
-    of each non-hyperplane flat's member list gives the most such flats
-    sharing one s-subset.  When the largest total w_g inside a
-    (d-1)-subspace, plus that tally's maximum, is below t, no K_{s,t}
-    exists.  Reads the instance's one point split, its cached offset
-    counts and member lists; builds no incidence masks.
+    offset, so one run.  They meet at most w_g of the hyperplanes with
+    normal g, the longest run of g whose offset holds s points or more
+    (:func:`_key_weights`).  The other flats they share are counted
+    exactly: a tally of the s-subsets of each non-hyperplane flat's member
+    list gives the most such flats sharing one s-subset.  When the largest
+    total w_g inside a (d-1)-subspace, plus that tally's maximum, is below
+    t, no K_{s,t} exists.  Reads the instance's one point split, its
+    cached run point counts and member lists; builds no incidence masks.
     """
-    groups, others = inst._grouping
+    runs = inst._grouping
     s, t = inst.s, inst.t
-    # one dot pass per group, one membership pass per non-hyperplane flat
+    # one dot pass per key, one membership pass per non-hyperplane flat
     # and the point tally, each counted in the 64-point words the search
     # estimate counts
-    cost = (len(groups) + len(others) + 1) * _words(len(inst.points))
+    cost = (len(runs.keys) + len(runs.others) + 1) * _words(len(inst.points))
     if cost > limit:
         return "certificate over budget"
     repeat = _max_point_multiplicity(inst.points)
@@ -512,19 +536,23 @@ def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
     if cost > limit:
         return "certificate over budget"
     shared = _most_sharing(members, s)
-    weights = {}
-    for normal, by_offset in groups.items():
-        counts = inst._offset_counts[normal]
-        w = max((len(ids) for c, ids in by_offset.items() if counts[c] >= s), default=0)
-        if w:
-            weights[normal] = w
-    best = _max_subspace_weight(
-        list(weights), list(weights.values()), inst.ambient_dim - 1, limit - cost
-    )
+    normals, weights = _key_weights(inst)
+    best = _max_subspace_weight(normals, weights, inst.ambient_dim - 1, limit - cost)
     if best is None:
         return "certificate over budget"
     bound = best + shared
     return None if bound < t else f"certificate bound {bound} reaches t={t}"
+
+
+def _key_weights(inst: IncidenceInstance) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The certificate's w_g: for each key g with a run whose offset holds
+    at least s points, g and the length of its longest such run."""
+    runs = inst._grouping
+    lengths = np.diff(np.r_[runs.starts, len(runs.order)])
+    heavy = np.where(inst._offset_counts >= inst.s, lengths, 0)
+    w = np.maximum.reduceat(heavy, runs.key_bounds()[:-1])
+    kept = np.flatnonzero(w).tolist()
+    return [tuple(runs.keys[k].tolist()) for k in kept], w[kept].tolist()
 
 
 def _most_sharing(member_lists: Sequence[list[int]], s: int) -> int:
@@ -571,17 +599,21 @@ def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[i
 
 def _grouped_masks(inst: IncidenceInstance) -> list[int]:
     """:func:`incidence_masks` from the instance's one classification, one
-    point split and one member list per non-hyperplane flat."""
+    point split and one member list per non-hyperplane flat: the points of
+    each key are bucketed by exact dot value, and each run's hyperplane
+    bits go to the points in its offset's bucket."""
     masks = [0] * len(inst.points)
-    groups = inst._grouping[0]
-    split = inst.points
-    for normal, by_offset in groups.items():
+    runs = inst._grouping
+    order, offsets = runs.order.tolist(), runs.offsets.tolist()
+    run_bounds = np.r_[runs.starts, len(order)].tolist()
+    key_bounds = runs.key_bounds()
+    for k, (lo, hi) in enumerate(zip(key_bounds, key_bounds[1:])):
         buckets: dict = defaultdict(list)  # exact dot value -> point indices
-        for i, dot in enumerate(_dot_values(split, normal).tolist()):
+        for i, dot in enumerate(_dot_values(inst.points, runs.keys[k].tolist()).tolist()):
             buckets[dot].append(i)
-        for offset, flat_ids in by_offset.items():
-            bits = sum(1 << j for j in flat_ids)
-            for i in buckets.get(offset, ()):
+        for r in range(lo, hi):
+            bits = sum(1 << j for j in order[run_bounds[r] : run_bounds[r + 1]])
+            for i in buckets.get(offsets[r], ()):
                 masks[i] |= bits
     for j, members in inst._other_members.items():
         for i in members:

@@ -357,13 +357,19 @@ def _block_chunks(family: FlatFamily, dim: int):
     """:func:`_flat_chunks` of a :class:`FlatFamily`: each value
     ``rows[j, i, k] / den[j, i]`` is written over ``g = gcd(rows[j, i, k],
     den[j, i])`` in lowest terms, each flat's equations' pairs first and
-    then its right-hand sides'."""
+    then its right-hand sides'.  When every ``den`` is 1, as for generated
+    hyperplanes, each value is its entry over 1 with no gcd taken."""
     n, r, width = family.rows.shape
     item = _flat_template(dim, r)
+    integral = bool((family.den == 1).all())
     for lo in range(0, n, _CHUNK):
         rows, den = family.rows[lo : lo + _CHUNK], family.den[lo : lo + _CHUNK, :, None]
-        g = np.gcd(rows, den)  # positive, since den is
-        pairs = np.stack((rows // g, den // g), axis=-1).reshape(len(rows), r, 2 * width)
+        if integral:
+            num, den = rows, np.ones_like(rows)
+        else:
+            g = np.gcd(rows, den)  # positive, since den is
+            num, den = rows // g, den // g
+        pairs = np.stack((num, den), axis=-1).reshape(len(rows), r, 2 * width)
         values = np.concatenate(
             (pairs[:, :, : 2 * dim].reshape(len(rows), -1), pairs[:, :, 2 * dim :].reshape(len(rows), -1)),
             axis=1,

@@ -6,7 +6,9 @@ Gauss-Jordan elimination, direct membership evaluation, exhaustive chain
 enumeration, and recursive gcd.  Slow is fine; these run on small inputs
 only.  The one library name used is the ``Flat`` constructor, by which
 :func:`generic_extension_fraction` builds its result: that constructor's
-elimination is the slow path it stands for.
+elimination is the slow path it stands for.  :func:`pad_hyperplanes_loop`
+draws through ``Random.randint`` and takes the normal pool, the offset
+sets and the family from the library, whose word replay it checks.
 """
 
 from __future__ import annotations
@@ -186,6 +188,80 @@ def count_incidences_direct(points, flats) -> int:
             if point_on_flat(p.coords, f.equations, f.rhs):
                 total += 1
     return total
+
+
+def hyperplane_groups_nested(flats):
+    """Hyperplane indices by primitive normal, then by offset, in nested
+    dicts, and the indices of every other flat; flat by flat, the key of a
+    flat with one nonzero equation read with Fractions: the row times the
+    lcm L of its denominators, over the gcd g of that, signed as its first
+    nonzero entry, and the offset c L / g."""
+    groups, others = {}, []
+    for j, f in enumerate(flats):
+        if len(f.equations) != 1 or not any(f.equations[0]):
+            others.append(j)
+            continue
+        row = [Fraction(a) for a in f.equations[0]]
+        lcm = 1
+        for a in row:
+            lcm = lcm * a.denominator // gcd_euclid(lcm, a.denominator)
+        ints = [int(a * lcm) for a in row]
+        g = gcd_all(ints) * (-1 if next(v for v in ints if v) < 0 else 1)
+        offset = Fraction(f.rhs[0]) * lcm / g
+        offset = offset.numerator if offset.denominator == 1 else offset
+        groups.setdefault(tuple(v // g for v in ints), {}).setdefault(offset, []).append(j)
+    return groups, others
+
+
+def runs_as_nested(runs):
+    """The library's hyperplane runs (``incidence._Runs``) read back into
+    the nested form of :func:`hyperplane_groups_nested`."""
+    groups = {}
+    order, offsets = runs.order.tolist(), runs.offsets.tolist()
+    bounds = runs.starts.tolist() + [len(order)]
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        normal = tuple(runs.keys[runs.run_key[r]].tolist())
+        groups.setdefault(normal, {})[offsets[r]] = order[lo:hi]
+    return groups, runs.others.tolist()
+
+
+def same_runs(runs, other) -> bool:
+    """Whether two run classifications are equal field by field, values
+    compared exactly whatever the array dtypes."""
+    return [field.tolist() for field in runs] == [field.tolist() for field in other]
+
+
+def pad_hyperplanes_loop(split, count, d, rng, achieved):
+    """The padding hyperplanes one ``rng.randint`` call per attempt, with
+    the drawn (pool index, offset) pairs in one set: the library's padding
+    before it replayed its draws from words of ``rng``."""
+    from inclab.constructions import _PAD_NORMAL_BOX, _achieved_offsets, primitive_vectors
+    from inclab.geometry import _hyperplanes
+
+    pool = primitive_vectors(2 * _PAD_NORMAL_BOX, d)
+    rng.shuffle(pool)
+    offset_sets = [None] * len(pool)
+    ranges = [(0, 0)] * len(pool)
+    normal_ids, offsets, used = [], [], set()
+    attempts = 0
+    while len(offsets) < count:
+        attempts += 1
+        if attempts > 64 * count + 1024:
+            raise AssertionError("the reference loop gave up")
+        i = (len(offsets) + attempts) % len(pool)
+        if offset_sets[i] is None:
+            v = pool[i]
+            offset_sets[i] = achieved[v] if v in achieved else _achieved_offsets(v, split)
+            ints = [x for x in offset_sets[i] if type(x) is int]
+            ranges[i] = (min(ints, default=0), max(ints, default=0))
+        low, high = ranges[i]
+        offset = rng.randint(low - count - 8, high + count + 8)
+        if offset in offset_sets[i] or (i, offset) in used:
+            continue
+        used.add((i, offset))
+        normal_ids.append(i)
+        offsets.append(offset)
+    return _hyperplanes(d, [v.coords for v in pool], normal_ids, offsets)
 
 
 def first_kst_bruteforce(points, flats, s: int, t: int, side: str):

@@ -44,6 +44,7 @@ from oracles import (
     lattice_points_product,
     max_subspace_weight_bruteforce,
     minor_rank,
+    pad_hyperplanes_loop,
     primitive_vectors_product,
 )
 
@@ -340,6 +341,56 @@ class TestGridConstruction:
         assert any("regime" in note for note in out.notes)
 
 
+class TestPaddingDraws:
+    WIDTHS = list(range(1, 301)) + [2**j + e for j in range(1, 71) for e in (-1, 0, 1)]
+
+    def test_word_replay_is_randint_and_getrandbits(self):
+        # widths past 2^32 take several words a draw; no construction draws
+        # that wide, so they are pinned here
+        for w in self.WIDTHS:
+            rng, reference = Random(w), Random(w)
+            words = constructions._words(rng)
+            got = [constructions._randbelow(words.__next__, w) for _ in range(20)]
+            words.close()
+            assert got == [reference.randint(-5, w - 6) + 5 for _ in range(20)], w
+            assert rng.getstate() == reference.getstate(), w
+        # the words are getrandbits(32) in order, across chunks, and a
+        # stream closed before its first word leaves the Random as it was
+        rng, reference = Random(3), Random(3)
+        words = constructions._words(rng)
+        taken = 2 * constructions._WORD_CHUNK + 5
+        got = [next(words) for _ in range(taken)]
+        words.close()
+        assert got == [reference.getrandbits(32) for _ in range(taken)]
+        assert rng.getstate() == reference.getstate()
+        constructions._words(rng).close()
+        assert rng.getstate() == reference.getstate()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 4), st.integers(1, 300), st.integers(0, 2**32),
+           st.lists(st.tuples(st.integers(-9, 9), st.sampled_from((2, 3))), max_size=4),
+           st.integers(0, 6), st.sampled_from((1, 3, 64, 4096)))
+    def test_padding_is_the_randint_loop(self, d, count, seed, rational, known, chunk):
+        # grid points padded with rational points, as the sphere's, so the
+        # offset sets hold Fractions; the pool's first normals come with
+        # their offset sets, as core normals do
+        points = lattice_points(d, 2**d) + tuple(
+            RatPoint([Fraction(num, den)] + [1] * (d - 1)) for num, den in rational
+        )
+        achieved = {v: constructions._achieved_offsets(v, points)
+                    for v in primitive_vectors(2 * constructions._PAD_NORMAL_BOX, d)[:known]}
+        kept = {v: set(c) for v, c in achieved.items()}
+        rng, reference = Random(seed), Random(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "_WORD_CHUNK", chunk)
+            family = constructions._pad_hyperplanes(points, count, d, rng, achieved)
+        expected = pad_hyperplanes_loop(points, count, d, reference, achieved)
+        assert family.rows.tolist() == expected.rows.tolist()
+        assert family.den.tolist() == expected.den.tolist()
+        assert rng.getstate() == reference.getstate()
+        assert achieved == kept  # the drawn offsets go to copies
+
+
 class TestSphereConstruction:
     def test_requires_d_at_least_4(self):
         with pytest.raises(InvalidInput):
@@ -519,7 +570,8 @@ class TestEmbedding:
         inner = build_grid_construction(ConstructionConfig(d=2, m=size, n=size, seed=1))
         emb = embed_configuration(inner, 4, 2, seed=1)
         inst = IncidenceInstance(emb.points, emb.flats, 2, emb.t_measured + 1)
-        assert not inst._grouping[0] and len(inst._grouping[1]) == len(emb.flats)
+        runs = inst._grouping
+        assert not len(runs.order) and runs.others.tolist() == list(range(len(emb.flats)))
         assert incidence._certificate_gap(inst, incidence.DEFAULT_COMPARISON_LIMIT) is None
         if size > 256:
             # at 256 the pair search (130,560 mask words) is cheaper than the

@@ -37,8 +37,11 @@ from oracles import (
     fraction_solve_affine,
     gcd_all,
     generic_extension_fraction,
+    hyperplane_groups_nested,
     minor_rank,
     point_split_loop,
+    runs_as_nested,
+    same_runs,
 )
 
 
@@ -155,6 +158,15 @@ def flat_families(draw):
     return geometry.FlatFamily._of(d, r, rows, dens), flats
 
 
+def assert_same_runs(flats, other):
+    """``_group_flats`` of two equal flat sequences: equal runs, field by
+    field, which are the nested groups the per-flat oracle makes."""
+    runs = _group_flats(flats)
+    assert same_runs(runs, _group_flats(other))
+    assert runs_as_nested(runs) == hyperplane_groups_nested(other)
+    return runs
+
+
 def assert_int64_rule(family):
     """Positive denominators, and int64 exactly when every entry is within
     2^62."""
@@ -184,10 +196,8 @@ class TestFlatFamily:
             assert_int64_rule(part)
         # grouped as the per-flat path groups the flats: hyperplanes off
         # their rows, over any denominators, and no other flat a hyperplane
-        groups, others = _group_flats(family)
-        assert groups == _group_flats(as_tuple)[0]
-        assert list(others) == list(_group_flats(as_tuple)[1])
-        assert list(others) == ([] if r == 1 else list(range(n)))
+        runs = assert_same_runs(family, as_tuple)
+        assert runs.others.tolist() == ([] if r == 1 else list(range(n)))
         assert IncidenceInstance([], family, 2, 1).flats is family
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -201,7 +211,7 @@ class TestFlatFamily:
         assert list(family) == flats
         assert [family[j] for j in range(-len(flats), len(flats))] == flats + flats
         # grouped off the rows as the per-flat path groups the flats
-        assert _group_flats(family) == _group_flats(as_tuple)
+        assert_same_runs(family, as_tuple)
         assert IncidenceInstance([], family, 2, 1).flats is family
         # the tuple operations
         assert len(family) == len(flats)
@@ -214,7 +224,7 @@ class TestFlatFamily:
         joined = family + other
         assert isinstance(joined, geometry.FlatFamily)
         assert joined == as_tuple + tuple(other_flats)
-        assert _group_flats(joined) == _group_flats(tuple(joined))
+        assert_same_runs(joined, tuple(joined))
         assert_int64_rule(joined)
         with pytest.raises(InvalidInput):
             family + elsewhere

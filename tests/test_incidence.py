@@ -2,6 +2,7 @@
 
 import weakref
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from random import Random
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inclab import incidence
-from inclab.geometry import FlatFamily
+from inclab.geometry import FlatFamily, _hyperplanes
 from inclab import (
     Flat,
     IncidenceInstance,
@@ -33,10 +34,12 @@ from oracles import (
     first_kst_bruteforce,
     fraction_solve_affine,
     gcd_all,
+    hyperplane_groups_nested,
     int_root_floor,
     max_subspace_weight_bruteforce,
     most_sharing_bruteforce,
     minor_rank,
+    point_on_flat,
     point_split_loop,
 )
 
@@ -399,6 +402,62 @@ class TestFlatFamilyCounts:
             for stop in range(len(family)):
                 assert incidence._count_hashed(inst, stop) == count_incidences_direct(
                     points, family[:stop])
+
+
+@st.composite
+def hyperplane_runs(draw):
+    """Points and hyperplanes for the runs: rational points and points past
+    int64 (object dots), hyperplanes through points with normals past int64
+    and non-primitive normals, shifted off them by 1, a half, or past int64,
+    and duplicates; with an s for the certificate's w_g.  The points may
+    hold a grid of side 3, so that one normal has several runs of s points."""
+    d = draw(st.integers(2, 3))
+    points = draw(st.lists(st.tuples(*[coordinates()] * d).map(RatPoint), min_size=1,
+                           max_size=6))
+    if draw(st.booleans()):
+        points += [RatPoint(x) for x in product(range(3), repeat=d)]
+    entry = st.one_of(st.integers(-2, 2), st.sampled_from((2, 2**31, -(2**62), 2**63)))
+    normals, offsets = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("through", "through", "shifted", "duplicate")))
+        if kind == "duplicate" and normals:
+            k = draw(st.integers(0, len(normals) - 1))
+            normals.append(normals[k])
+            offsets.append(offsets[k])
+            continue
+        a = draw(st.tuples(*[entry] * d).filter(any)
+                 | st.sampled_from(((1,) * d, (2,) + (0,) * (d - 1))))
+        c = sum(x * y for x, y in zip(a, draw(st.sampled_from(points)).coords))
+        if kind == "shifted":
+            c += draw(st.sampled_from((1, Fraction(1, 2), 2**63)))
+        normals.append(a)
+        offsets.append(c)
+    family = _hyperplanes(d, normals, range(len(normals)), offsets)
+    return points, family, draw(st.integers(2, 3))
+
+
+class TestRuns:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hyperplane_runs())
+    def test_prefix_counts_and_certificate_weights(self, case):
+        points, family, s = case
+        for flats in (family, tuple(family)):
+            inst = IncidenceInstance(points, flats, s, 1)
+            for stop in range(len(flats) + 1):
+                assert incidence._count_hashed(inst, stop) == count_incidences_direct(
+                    points, flats[:stop]
+                )
+            # w_g: the longest run of each normal whose offset holds s
+            # points, from the oracle's nested grouping and direct counts
+            expected = {}
+            for normal, by_offset in hyperplane_groups_nested(flats)[0].items():
+                w = max((len(ids) for c, ids in by_offset.items()
+                         if sum(point_on_flat(p.coords, [normal], [c]) for p in points) >= s),
+                        default=0)
+                if w:
+                    expected[normal] = w
+            normals, weights = incidence._key_weights(inst)
+            assert dict(zip(normals, weights)) == expected
 
 
 class TestMasks:

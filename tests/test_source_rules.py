@@ -60,7 +60,8 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     forbidden = {
         "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
         "_value_counts", "unique", "_group_rows", "_group_flats", "_grouping",
-        "_family_members",
+        "_family_members", "_Runs", "_sorted_runs", "_offset_counts", "_key_weights",
+        "key_bounds", "searchsorted", "reduceat",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
 
@@ -72,6 +73,22 @@ def test_one_flat_family():
     retired = "Hyperplane" + "Family"
     found = [path.name for path in sorted(SOURCE.glob("*.py")) if retired in path.read_text()]
     assert not found, f"{retired} named in {found}"
+
+
+def test_runs_are_arrays():
+    # the hyperplanes are classified as run arrays: the nested per-run dict
+    # type is named nowhere (spelled in two parts, as above)
+    retired = "_Flat" + "Groups"
+    found = [path.name for path in sorted(SOURCE.glob("*.py")) if retired in path.read_text()]
+    assert not found, f"{retired} named in {found}"
+
+
+def test_padding_replays_its_draws():
+    # the padding offsets are randint draws replayed from words of the one
+    # Random; no randint call is left on that path
+    reached, names = _reach("constructions.py", "_pad_hyperplanes")
+    assert {"_words", "_randbelow"} <= reached  # the rule follows the helpers
+    assert "randint" not in names, "_pad_hyperplanes reaches randint"
 
 
 def test_point_paths_compare_integers_only():
