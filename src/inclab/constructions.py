@@ -44,12 +44,14 @@ from .geometry import (
     IntVector,
     PointRows,
     RatPoint,
-    _dot,
+    _INT64_SAFE,
     _extension_rows,
     _finite,
     _hyperplanes,
     _int,
+    _int_arrays,
     _int_point_matrix,
+    _largest,
     _split_coords,
     find_collinear_triple,
     is_primitive,
@@ -609,17 +611,19 @@ def embed_configuration(
     is verified exactly to meet F in nothing but the embedded hyperplane,
     so no new incidences are created and the count is preserved.
 
-    An embedded hyperplane's system is already reduced: its first equation
-    with a nonzero coefficient, made a primitive integer row with its
-    offset, then F's unit rows.  So its base point and directions are read
-    with one :func:`linalg.solve_rref` and no elimination, the same values
-    ``Flat._solved`` reads, and the draws are the ones
-    :func:`generic_extension` makes (:func:`_extension_rows`) on one
-    shared ``Random``.  Each accepted nullspace row over ``qn``, with the
-    base point ``P / q``, is kept as integers: ``row * q`` and
-    ``row @ P`` over ``qn * q``.  The extensions are held as one
-    :class:`FlatFamily`, and the embedded hyperplanes themselves
-    (``k = d_inner - 1``) as a tuple.
+    For k >= d_inner every step is one pass over all the hyperplanes.  Each
+    is read as a primitive integer row [a | c]: a family's rows as they
+    are, and any other flat's first equation with a nonzero coefficient.
+    The embedded hyperplane solves [a 0 | -c] y = 0 with F's unit rows, so
+    one :func:`linalg.nullspaces` of the [a | -c] stack, with zeros in F's
+    columns, reads its directions and, at the constants column, its base
+    point ``P / q``: the values ``Flat._solved`` reads.  The draws are
+    :func:`_extension_rows` on one ``Random``, the values
+    :func:`generic_extension` draws flat by flat.  Each accepted nullspace
+    row over ``qn`` is kept as integers, ``row * q`` and ``row @ P`` over
+    ``qn * q``, in int64 when the products provably fit and in Python ints
+    otherwise, in one :class:`FlatFamily`.  The embedded hyperplanes
+    themselves (``k = d_inner - 1``) are held as a tuple.
     """
     d_inner = inner.ambient_dim
     if _int(d_outer, "d_outer") <= d_inner:
@@ -628,40 +632,40 @@ def embed_configuration(
         raise InvalidInput(
             f"need {d_inner - 1} <= k < {d_outer} for the replacement flats"
         )
-    inner_flats = list(inner.flats)
-    for f in inner_flats:
-        if f.ambient_dim != d_inner or f.dim != d_inner - 1:
-            raise InvalidInput(f"inner configuration must consist of hyperplanes of R^{d_inner}")
+    hyperplane_rows = _hyperplane_rows(inner.flats, d_inner)
     rows = _int_point_matrix(inner.points)
     if len(rows) and rows.ambient_dim != d_inner:
         raise InvalidInput(f"inner configuration must consist of points of R^{d_inner}")
     carrier = embedding_carrier(d_inner, d_outer)
-    zeros = (0,) * (d_outer - d_inner)
     # a zero column appended to P keeps each row primitive over its q
     padding = np.zeros((len(rows), d_outer - d_inner), rows.matrix.dtype)
     points = PointRows._of(d_outer, np.hstack((rows.matrix, padding)), rows.q)
     rng = Random(_int(seed, "seed"))
     if k == d_inner - 1:
         # consistent by construction: a hyperplane plus the carrier's unit rows
+        zeros = (0,) * (d_outer - d_inner)
         flats = tuple(
             Flat._spanned(d_outer, tuple(r + zeros for r in f.equations) + carrier.equations,
                           f.rhs + carrier.rhs, d_inner - 1)
-            for f in inner_flats
+            for f in inner.flats
         )
     else:
-        units = [list(row) + [0] for row in carrier.equations]
-        pivots = list(range(d_inner, d_outer))
-        blocks, dens = [], []
-        for f in inner_flats:
-            # f has rank 1 and is consistent, so every equation with a
-            # nonzero coefficient is a multiple of this one
-            a, c = next((a, c) for a, c in zip(f.equations, f.rhs) if any(a))
-            top = linalg._integer_row(a + zeros + (c,))
-            pivot = next(i for i, x in enumerate(top) if x)
-            point, q, directions = linalg.solve_rref([top] + units, [pivot] + pivots, d_outer)
-            qn, normal_rows = _extension_rows(directions, k, d_outer, rng, carrier)
-            blocks.append([[x * q for x in row] + [_dot(row, point)] for row in normal_rows])
-            dens.append([qn * q] * len(normal_rows))
+        top = hyperplane_rows.copy()
+        top[:, -1] *= -1
+        q, found, _ = linalg.nullspaces(top[:, None, :])
+        point = np.zeros((len(top), d_outer), dtype=found.dtype)
+        point[:, :d_inner] = found[:, -1, :-1]
+        directions = np.zeros((len(top), d_inner - 1, d_outer), dtype=found.dtype)
+        directions[:, :, :d_inner] = found[:, :-1, :-1]
+        units = np.array(carrier.equations, dtype=np.int64)
+        qn, normal_rows = _extension_rows(directions, k, rng, units)
+        fits = (_largest(normal_rows) * max(_largest(q), d_inner * _largest(point))
+                <= _INT64_SAFE and _largest(qn) * _largest(q) <= _INT64_SAFE)
+        dtype = np.int64 if fits else object
+        normal_rows, q, qn, point = (a.astype(dtype) for a in (normal_rows, q, qn, point))
+        blocks = np.concatenate((normal_rows * q[:, None, None],
+                                 normal_rows @ point[:, :, None]), axis=2)
+        dens = np.repeat((qn * q)[:, None], d_outer - k, axis=1)
         flats = FlatFamily._of(d_outer, d_outer - k, blocks, dens)
     notes = inner.notes + (
         f"embedded from R^{d_inner} into R^{d_outer} as {k}-flats (seed {seed})",
@@ -676,6 +680,30 @@ def embed_configuration(
         inner_ambient_dim=d_inner,
         notes=notes,
     )
+
+
+def _hyperplane_rows(flats: Sequence[Flat], d: int) -> np.ndarray:
+    """The hyperplanes ``flats`` of R^d as primitive integer rows [a | c],
+    one per flat, of the dtype :func:`_int_arrays` picks: a family's rows
+    as they are (its denominators do not change the hyperplane), and any
+    other flat's first equation with a nonzero coefficient, cleared of its
+    denominators; a flat of rank 1 is consistent, so each of its equations
+    with a nonzero coefficient is a multiple of that one.  Any other flat
+    is :class:`InvalidInput`."""
+    wrong = InvalidInput(f"inner configuration must consist of hyperplanes of R^{d}")
+    if isinstance(flats, FlatFamily):
+        if len(flats) and (flats.ambient_dim != d or flats.rows.shape[1] != 1):
+            raise wrong
+        (rows,), _ = _int_arrays(flats.rows[:, 0])
+    else:
+        found = []
+        for f in flats:
+            if f.ambient_dim != d or f.dim != d - 1:
+                raise wrong
+            a, c = next((a, c) for a, c in zip(f.equations, f.rhs) if any(a))
+            found.append(linalg.clear_denominators(a + (c,))[0])
+        (rows,), _ = _int_arrays(np.array(found, dtype=object).reshape(len(found), d + 1))
+    return rows // np.gcd.reduce(rows, axis=1, initial=0)[:, None] if len(rows) else rows
 
 
 def embedding_carrier(d_inner: int, d_outer: int) -> Flat:

@@ -13,7 +13,11 @@ flat only when one is read.
 Many points are held the same way, as :class:`PointRows`: each point's
 primitive integer row P over its denominator q > 0, so x = P / q, with a
 :class:`RatPoint` built only when one is read.  :func:`_split_coords` is
-the one splitter of exact coordinates into such rows.
+the one splitter of exact coordinates into such rows.  Generic extensions
+draw through one routine, :func:`_extension_rows`, which checks the draws
+of a whole stack of flats at once with the batched minors of
+:mod:`inclab.linalg`: one call per embedding, and a stack of one for
+:func:`generic_extension`.
 
 Everything in this module is an immutable value after construction and all
 operations are pure functions, so objects can be shared freely across
@@ -33,11 +37,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
+from .linalg import _INT64_SAFE  # int64 point rows and sums of products within it cannot overflow
 from .errors import DegenerateRandomness, InvalidInput, InvariantViolation
 
 RETRY_BUDGET = 32
 EXTENSION_BOX = 10**6  # generic directions are drawn from [-B, B]^d
-_INT64_SAFE = 2**62  # int64 point rows and sums of products within it cannot overflow
 
 
 def _exact(x) -> int | Fraction:
@@ -614,10 +618,12 @@ def generic_extension(
 
     ``h`` is read in integers off one elimination of its system
     (``Flat._solved``: a base point ``P / q`` and directions), and the
-    draws are :func:`_extension_rows`.  The accepted integer nullspace rows
-    over their denominator, ``row / qn``, are the extension's equations,
-    so it is built with no further elimination (``Flat._spanned``), and
-    each right-hand side is one ``Fraction(row @ P, qn * q)``.
+    draws are :func:`_extension_rows` on a stack of one, so ``seed``, when
+    it is a ``Random``, ends where the draws leave it.  The accepted
+    integer nullspace rows over their denominator, ``row / qn``, are the
+    extension's equations, so it is built with no further elimination
+    (``Flat._spanned``), and each right-hand side is one
+    ``Fraction(row @ P, qn * q)``.
     """
     if _int(ambient_dim, "ambient dimension") != h.ambient_dim:
         raise InvalidInput("flat does not live in the stated ambient dimension")
@@ -626,14 +632,18 @@ def generic_extension(
             f"target dimension must satisfy {h.dim} < k < {ambient_dim}, got {target_dim}"
         )
     point, q, directions = h._solved()
+    guard = None
     if within is not None:
         if within.ambient_dim != ambient_dim:
             raise InvalidInput("guard flat lives in a different ambient dimension")
         if not _holds(within, point, q, directions):
             raise InvalidInput("guard flat must contain the flat being extended")
+        guard = _stack([linalg.clear_denominators(row)[0] for row in within.equations],
+                       ambient_dim)
     rng = seed if isinstance(seed, Random) else Random(_int(seed, "seed"))
     qn, normal_rows = _extension_rows(
-        directions, target_dim, ambient_dim, rng, within, retry_budget)
+        _stack(directions, ambient_dim)[None], target_dim, rng, guard, retry_budget)
+    qn, normal_rows = int(qn[0]), normal_rows[0].tolist()
     return Flat._spanned(
         ambient_dim,
         tuple(tuple(_exact(Fraction(x, qn)) for x in row) for row in normal_rows),
@@ -642,37 +652,66 @@ def generic_extension(
     )
 
 
-def _extension_rows(
-    directions: list[list[int]], target_dim: int, ambient_dim: int, rng: Random,
-    within: Flat | None, retry_budget: int = RETRY_BUDGET,
-) -> tuple[int, list[list[int]]]:
-    """The draws of a generic extension of the flat h whose directions are
-    ``directions`` in R^``ambient_dim``: ``(qn, rows)``, where the
-    ``row / qn`` are the equations (through the origin) of the span of h's
-    directions and the accepted draws, of dimension ``target_dim``.
+def _stack(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """The integer ``rows`` of ``width`` entries as one (len(rows), width)
+    array, of the dtype :func:`_int_arrays` picks."""
+    (stack,), _ = _int_arrays(np.array(rows, dtype=object).reshape(len(rows), width))
+    return stack
 
-    Each draw takes ``target_dim - len(directions)`` directions from
-    ``rng`` in ``[-EXTENSION_BOX, EXTENSION_BOX]^d`` and runs two
-    eliminations: the nullspace, and the rank of
-    :func:`_meets_only_in_base` when ``within`` (a flat containing h) is
-    given.  A dependent or degenerate draw is retried, up to
-    ``retry_budget`` draws, then :class:`DegenerateRandomness`.
+
+def _extension_rows(
+    directions: np.ndarray, target_dim: int, rng: Random,
+    guard: np.ndarray | None, retry_budget: int = RETRY_BUDGET,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of the generic extensions of N flats of R^d at once:
+    ``directions`` is an (N, h, d) integer stack, flat j's direction rows,
+    and the result is ``(qn, rows)``, where the ``rows[j] / qn[j]`` (d -
+    ``target_dim`` rows) are the equations through the origin of the span
+    of flat j's directions and its accepted draws.
+
+    Every draw is ``target_dim - h`` directions of d values
+    ``rng.randint(-EXTENSION_BOX, EXTENSION_BOX)``; one group is drawn per
+    flat, in flat order, and then one more per rejected draw.  A flat's
+    draw is rejected when the stack of its directions and the draw has a
+    rank below ``target_dim`` (:func:`linalg.nullspaces` reports it), or,
+    with the (w, d) integer rows ``guard`` of a flat W containing every
+    flat, when :func:`_meets_only_in_base` fails.  A rejected flat takes
+    the next group, and every later flat shifts by one group and is checked
+    again, so the values go to the flats as a loop drawing flat by flat,
+    retrying in place, hands them out; and so do the values a stack of one
+    takes from ``rng``.  A flat whose ``retry_budget`` draws are all
+    rejected raises :class:`DegenerateRandomness`.
     """
-    extra = target_dim - len(directions)
-    for _ in range(_int(retry_budget, "retry budget")):
-        drawn = [
-            [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(ambient_dim)]
-            for _ in range(extra)
-        ]
-        qn, normal_rows = linalg.nullspace(directions + drawn)
-        if ambient_dim - len(normal_rows) != target_dim:
-            continue  # the drawn directions are dependent
-        if within is not None and not _meets_only_in_base(within, drawn):
-            continue  # the extension meets within in more than h
-        return qn, normal_rows
-    raise DegenerateRandomness(
-        f"no verified generic extension after {retry_budget} draws"
-    )
+    n, h, d = directions.shape
+    extra = target_dim - h
+    budget = _int(retry_budget, "retry budget")
+    if n and budget < 1:
+        raise DegenerateRandomness(f"no verified generic extension after {budget} draws")
+    values = [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(n * extra * d)]
+    rejected = np.zeros(n, dtype=np.int64)
+    accepted: list[tuple[np.ndarray, np.ndarray]] = []
+    start = shift = 0
+    while True:
+        drawn = np.array(values[(start + shift) * extra * d :], dtype=np.int64).reshape(
+            n - start, extra, d)
+        qn, rows, bad = linalg.nullspaces(np.concatenate((directions[start:], drawn), axis=1))
+        if guard is not None:
+            bad |= ~_meets_only_in_base(guard, drawn)
+        if not bad.any():
+            accepted.append((qn, rows))
+            break
+        first = int(bad.argmax())
+        accepted.append((qn[:first], rows[:first]))
+        start += first
+        rejected[start] += 1
+        if rejected[start] == budget:
+            raise DegenerateRandomness(
+                f"no verified generic extension after {budget} draws"
+            )
+        values += [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(extra * d)]
+        shift += 1
+    return (np.concatenate([qn for qn, _ in accepted]),
+            np.concatenate([rows for _, rows in accepted]))
 
 
 def _holds(outer: Flat, point: Sequence[int], q: int, directions: Sequence[Sequence]) -> bool:
@@ -684,19 +723,23 @@ def _holds(outer: Flat, point: Sequence[int], q: int, directions: Sequence[Seque
     ) and not any(_dot(row, v) for row in outer.equations for v in directions)
 
 
-def _meets_only_in_base(within: Flat, drawn: Sequence[Sequence[int]]) -> bool:
-    """For a flat h inside ``within``: whether h extended by the directions
-    ``drawn`` gains their full dimension and meets ``within`` in h alone.
+def _meets_only_in_base(guard: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """For flats h inside the flat W whose equations are the (w, d) integer
+    rows ``guard``: whether h extended by the directions ``drawn[j]`` (an
+    (N, e, d) stack) gains their full dimension and meets W in h alone, for
+    each j.
 
-    A point p + u + e of the extension (p on h, u along h, e in the span of
-    E = ``drawn``) lies in ``within`` exactly when W e = 0, W the equations
-    of ``within``, since W vanishes on h's directions.  So both hold exactly
-    when W E c is nonzero for every nonzero coefficient vector c (a c with
-    E c = 0, or with E c along h, has W E c = 0): when W E has rank
-    ``len(drawn)``.
+    A point p + u + v of the extension (p on h, u along h, v in the span of
+    E = ``drawn[j]``) lies in W exactly when W v = 0, since W vanishes on
+    h's directions.  So both hold exactly when W E c is nonzero for every
+    nonzero coefficient vector c (a c with E c = 0, or with E c along h,
+    has W E c = 0): when E W^T has rank e (:func:`linalg.full_row_rank`).
+    The products are exact: int64 within 2^62, and Python ints past it.
     """
-    rows = [[_dot(row, e) for e in drawn] for row in within.equations]
-    return linalg.rank(rows) == len(drawn)
+    bound = _largest(guard) * guard.shape[1] * _largest(drawn)
+    dtype = np.int64 if bound <= _INT64_SAFE else object
+    products = drawn.astype(dtype) @ guard.T.astype(dtype)
+    return linalg.full_row_rank(products)
 
 
 def _dot(a: Sequence, b: Sequence) -> int | Fraction:

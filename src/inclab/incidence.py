@@ -5,8 +5,10 @@ Two interchangeable counting strategies are provided and must always agree:
 * ``naive``  -- every equation of every flat evaluated at every point,
   O(m n).  This is the reference path; it never groups flats by normal or
   buckets points by offset.  The flats' homogeneous equation rows are
-  stacked and multiplied by a block of points at a time, in int64 where
-  that provably cannot overflow and in Python ints otherwise.
+  stacked and multiplied by a block of points at a time: in float64
+  through BLAS where every partial sum is provably an integer within
+  2^53, so exact in any order, in int64 where that provably cannot
+  overflow, and in Python ints otherwise.
 * ``hashed`` -- hyperplanes are sorted into runs of one primitive integer
   normal and one offset, and each normal costs one exact dot pass over the
   points, which gives every run of it its point count; a family of
@@ -65,12 +67,14 @@ from .geometry import (
     _exact,
     _int,
     _int_point_matrix,
+    _largest,
     _split_coords,
     contains,
 )
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
+_FLOAT_EXACT = 2**53  # float64 holds every integer within it exactly
 
 
 class _Runs(NamedTuple):
@@ -212,60 +216,61 @@ def _count_naive(inst: IncidenceInstance) -> int:
 
     An equation a.x = c/e is the integer row (e a, -c), zero on a point's
     (P, q) exactly when the point meets it; a :class:`FlatFamily`'s rows
-    [a | c] are taken as they are, zero on (P, -q).  A flat is counted in
-    int64 when its rows provably fit, and in Python ints otherwise.
+    [a | c] are taken as they are, zero on (P, -q).  The flats of one
+    equation count are counted together in the first of float64, int64 and
+    Python ints that their rows provably fit (:func:`_fits_int64`), a
+    family as a whole and any other flat on its own.
     """
     matrix, q, max_abs = inst.points.matrix, inst.points.q, inst.points.max_abs
     total = 0
+    groups: dict[tuple[int, type], list] = defaultdict(list)
     if isinstance(inst.flats, FlatFamily):
-        systems, q = inst.flats.rows.tolist(), -q
+        rows, q = inst.flats.rows, -q
+        groups[rows.shape[1], _dense_dtype(rows, max_abs)] = rows
     else:
-        systems = []
         for flat in inst.flats:
             if not flat.equations:
                 total += len(inst.points)  # the whole space
                 continue
-            systems.append([
-                [c.denominator * a for a in row] + [-c.numerator]
-                for row, c in flat.integer_equations()
-            ])
-    # by int64 fit and equation count, so each group has one row count
-    groups: dict[tuple[bool, int], list[list[list[int]]]] = defaultdict(list)
-    for rows in systems:
-        groups[all(_fits_int64(row, max_abs) for row in rows), len(rows)].append(rows)
-    for (fits, _), group in groups.items():
-        if fits:
-            total += _count_dense(matrix, q, group)
-        else:
-            total += _count_dense(matrix.astype(object), q.astype(object), group)
+            rows = [[c.denominator * a for a in row] + [-c.numerator]
+                    for row, c in flat.integer_equations()]
+            groups[len(rows), _dense_dtype(rows, max_abs)].append(rows)
+    points = np.column_stack((matrix, q))
+    for (_, dtype), flats in groups.items():
+        total += _count_dense(points.astype(dtype), np.array(flats, dtype=dtype))
     return total
 
 
-def _count_dense(
-    matrix: np.ndarray, q: np.ndarray, flats: Sequence[Sequence[Sequence[int]]]
-) -> int:
-    """Pairs (point (P, q) of ``matrix`` and ``q``, flat) where the point
-    zeroes every homogeneous row of the flat, in the dtype of ``matrix``;
-    every flat has the same number r of rows.
+def _dense_dtype(rows, max_abs: int) -> type:
+    """The first of float64, int64 and Python ints (``object``) in which the
+    integer ``rows`` times any point row of entries within ``max_abs`` are
+    exact, partial sums included (:func:`_fits_int64`)."""
+    if _fits_int64(rows, max_abs, _FLOAT_EXACT):
+        return np.float64
+    return np.int64 if _fits_int64(rows, max_abs) else object
 
-    Flats are stacked into a row matrix a chunk at a time, and points are
-    taken a block at a time, so a block holds at most ``_DENSE_ENTRIES``
-    products (or one point's worth, for a flat with more rows than that).
-    A point is on flat i of a chunk when its products with rows i r, ...,
-    i r + r - 1 of the chunk are all zero: r strided columns of the block.
+
+def _count_dense(points: np.ndarray, flats: np.ndarray) -> int:
+    """Pairs (homogeneous point row of ``points``, flat) where the point
+    zeroes every row of the flat, for an (n, r, w) stack ``flats`` of the
+    dtype of ``points``: float64 products go through BLAS.
+
+    Flats are taken ``_DENSE_ENTRIES // r`` at a time and points a block at
+    a time, so a block holds at most ``_DENSE_ENTRIES`` products (or one
+    point's worth, for a flat with more rows than that).  A point is on
+    flat i of a chunk when its products with rows i r, ..., i r + r - 1 of
+    the chunk are all zero: r strided columns of the block.
     """
-    if not flats or not matrix.shape[0]:
+    n, r, width = flats.shape
+    if not n or not len(points):
         return 0
-    r = len(flats[0])
     per_chunk = max(1, _DENSE_ENTRIES // r)
     total = 0
-    for lo in range(0, len(flats), per_chunk):
-        rows = np.array([row for eqs in flats[lo : lo + per_chunk] for row in eqs],
-                        dtype=matrix.dtype)
+    for lo in range(0, n, per_chunk):
+        rows = flats[lo : lo + per_chunk].reshape(-1, width)
         step = max(1, _DENSE_ENTRIES // len(rows))
-        for p in range(0, matrix.shape[0], step):
-            points = np.column_stack((matrix[p : p + step], q[p : p + step]))
-            hits = points @ rows.T == 0
+        for p in range(0, len(points), step):
+            hits = points[p : p + step] @ rows.T == 0
             on = hits[:, ::r]
             for i in range(1, r):
                 on = on & hits[:, i::r]
@@ -282,10 +287,23 @@ def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], int | Fraction] | None
     return flat.integer_equations()[0]
 
 
-def _fits_int64(row: Sequence[int], max_abs: int) -> bool:
-    """Whether ``row`` dotted with any point row of entries within ``max_abs``
-    fits int64, partial sums included: ``sum|row| * max_abs <= 2^62``."""
-    return sum(map(abs, row)) * max_abs <= _INT64_SAFE
+def _fits_int64(rows, max_abs: int, bound: int = _INT64_SAFE) -> bool:
+    """Whether every integer row of ``rows`` (an array or nested sequence,
+    rows along its last axis) dotted with any point row of entries within
+    ``max_abs`` keeps every partial sum, and every entry, within ``bound``:
+    ``max(sum|row|, 1) * max_abs <= bound``.
+
+    For 2^62 the products fit int64.  For ``_FLOAT_EXACT`` = 2^53 every
+    entry and every partial sum is an integer float64 holds exactly, so a
+    float64 product is exact in any order, with or without FMA.
+    """
+    rows = np.asarray(rows)
+    width = rows.shape[-1]
+    if rows.dtype != object and _largest(rows) * width <= _INT64_SAFE:
+        norm = int(np.abs(rows).sum(axis=-1).max(initial=0))
+    else:
+        norm = max((sum(map(abs, row)) for row in rows.reshape(-1, width).tolist()), default=0)
+    return max(norm, 1) * max_abs <= bound
 
 
 def _exact_dots(split: PointRows, row: Sequence[int], c: int = 0) -> np.ndarray:
@@ -420,14 +438,18 @@ def _family_members(split: PointRows, family: FlatFamily) -> dict[int, list[int]
     The first rows of a block of flats are multiplied by a block of points
     at a time, at most ``_DENSE_ENTRIES`` products a block, and a flat's
     other rows are dotted only with the points its first row holds; in
-    int64 when every row provably fits, and in Python ints otherwise.
+    float64 through BLAS, int64 or Python ints, the first that every row
+    provably fits (:func:`_fits_int64`).
     """
     n, r, width = family.rows.shape
     m = len(split)
     rows = family.rows
-    points = np.column_stack((split.matrix, -split.q))
-    if not all(_fits_int64(row, split.max_abs) for row in rows.reshape(-1, width).tolist()):
-        rows, points = rows.astype(object), points.astype(object)
+    if _fits_int64(rows, split.max_abs, _FLOAT_EXACT):
+        dtype = np.float64
+    else:
+        dtype = np.int64 if _fits_int64(rows, split.max_abs) else object
+    rows = rows.astype(dtype)
+    points = np.column_stack((split.matrix, -split.q)).astype(dtype)
     flats_per_block = max(1, _DENSE_ENTRIES // max(1, m))
     points_per_block = max(1, _DENSE_ENTRIES // flats_per_block)
     members: dict[int, list[int]] = {}

@@ -9,13 +9,28 @@ solution off its rows in integers, as integer vectors over one common
 denominator.  Only :func:`integer_row_and_offset` builds a ``Fraction``, for
 a rational offset; a caller builds one only where a public value needs it.
 Inputs are never mutated.
+
+Stacks of N integer matrices of one shape (N, k, d) take a batched kernel
+with no elimination and no division: :func:`maximal_minors` builds their
+k x k minors by Laplace expansion, in int64 under a proved bound and on
+Python ints past it, at a cost that grows with C(d, k) per matrix.
+:func:`full_row_rank` and :func:`nullspaces` read the rank test and the
+nullspace (the one :func:`nullspace` gives) off those minors, most
+matrices off only the minors on their first k columns and its neighbours.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Sequence
+
+import numpy as np
+
+_INT64_SAFE = 2**62  # int64 sums of products within it cannot overflow
+_MINOR_ENTRIES = 2**16  # cap on the products one chunk of maximal_minors forms at a level
 
 
 def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -36,8 +51,10 @@ def integer_rref(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]
         r = len(pivots)
         if r == len(rows):
             break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, len(rows)):
+            if rows[pivot_row][c]:
+                break
+        else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         prow = rows[r]
@@ -71,10 +88,6 @@ def clear_denominators(row: Sequence) -> tuple[Sequence[int], int]:
         return row, 1
     q = lcm(*(x.denominator for x in row))
     return [x.numerator * (q // x.denominator) for x in row], q
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    return len(integer_rref(matrix)[1])
 
 
 def solve_rref(
@@ -142,3 +155,172 @@ def integer_row_and_offset(
     num, den = constant.numerator * scale, constant.denominator * g
     offset = num // den if num % den == 0 else Fraction(num, den)
     return tuple(v // g for v in ints), offset
+
+
+# ---------------------------------------------------------------------------
+# batched maximal minors
+# ---------------------------------------------------------------------------
+
+
+def maximal_minors(stack) -> np.ndarray:
+    """All C(d, k) k x k minors of every matrix of the (N, k, d) integer
+    ``stack``: an (N, C(d, k)) array whose column s is the minor on the
+    s-th column set of ``itertools.combinations(range(d), k)``.
+
+    Level i holds the minors of the first i rows on i-column sets, each one
+    Laplace expansion along row i of level i - 1.  Nothing is divided, so
+    every partial sum of a matrix is bounded by the product of its rows'
+    1-norms: the levels run in int64 when that product is within 2^62 for
+    every matrix, and on Python ints otherwise.  The work grows with
+    C(d, k); the stack is taken ``_MINOR_ENTRIES`` products at a time.
+    """
+    stack = np.asarray(stack)
+    _, k, d = stack.shape
+    return _minors(stack, tuple(combinations(range(d), k)))
+
+
+def full_row_rank(stack) -> np.ndarray:
+    """Whether each matrix of the (N, k, d) integer ``stack`` has rank k:
+    a nonzero minor on its first k columns, or, for the matrices where that
+    one is zero, a nonzero :func:`maximal_minors` entry."""
+    stack = np.asarray(stack)
+    n, k, d = stack.shape
+    if k > d:
+        return np.zeros(n, dtype=bool)
+    full = _minors(stack, (tuple(range(k)),))[:, 0] != 0
+    rest = np.flatnonzero(~full)
+    if len(rest):
+        full[rest] = (maximal_minors(stack[rest]) != 0).any(axis=1)
+    return full
+
+
+def nullspaces(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(q, directions, deficient)`` of the (N, k, d) integer ``stack``:
+    for every matrix of full row rank k, ``q[j]`` and ``directions[j]``
+    (d - k rows of d entries) equal :func:`nullspace` of matrix j, read off
+    its maximal minors with no elimination; ``deficient[j]`` marks the
+    matrices of lower rank, whose ``q`` and ``directions`` mean nothing.
+
+    The pivots P are the first column set, in lexicographic order, with a
+    nonzero minor D.  By Cramer's rule row i of the reduced echelon form is
+    N_i / D, where N_i[c] is ± the minor on P with p_i replaced by c.  So
+    q is the lcm over i of |D| / gcd(N_i), which divides D, and the entry
+    of the direction of free column f at p_i is -N_i[f] / (D / q): an exact
+    integer no larger than a minor, so nothing leaves the minors' bound.
+    Most matrices have P = {0, ..., k - 1}, and for them only the 1 + k (d
+    - k) minors on P and its neighbours are formed; all C(d, k) only for
+    the others.
+    """
+    stack = np.asarray(stack)
+    n, k, d = stack.shape
+    if k > d or not n:
+        return (np.ones(n, dtype=np.int64), np.zeros((n, max(d - k, 0), d), dtype=np.int64),
+                np.full(n, k > d))
+    sets, pivots, free, swapped, sign = _pivot_tables(d, k)
+    first = _minors(stack, (sets[0],) + tuple(sets[c] for c in swapped[0].ravel().tolist()))
+    det, cramer = first[:, 0].copy(), first[:, 1:].reshape(n, k, d - k) * sign[0]  # N_i[f]
+    s = np.zeros(n, dtype=np.intp)  # each matrix's pivot set
+    deficient = np.zeros(n, dtype=bool)
+    rest = np.flatnonzero(det == 0)
+    if len(rest):
+        minors = maximal_minors(stack[rest])
+        nonzero = minors != 0
+        deficient[rest] = ~nonzero.any(axis=1)
+        s[rest] = nonzero.argmax(axis=1)  # the first nonzero minor's column set
+        at = np.arange(len(rest))
+        det[rest] = np.where(deficient[rest], 1, minors[at, s[rest]])  # 1 keeps / defined
+        cramer[rest] = minors[at[:, None, None], swapped[s[rest]]] * sign[s[rest]]
+    content = np.gcd(np.gcd.reduce(cramer, axis=2, initial=0), det[:, None])
+    q = np.lcm.reduce(abs(det)[:, None] // content, axis=1, initial=1)
+    entries = -cramer // (det // q)[:, None, None]
+    directions = np.zeros((n, d - k, d), dtype=first.dtype)
+    at, rows = np.arange(n), np.arange(d - k)[None, :]
+    directions[at[:, None], rows, free[s]] = q[:, None]
+    directions[at[:, None, None], rows[:, :, None], pivots[s][:, None, :]] = (
+        entries.transpose(0, 2, 1))
+    return q, directions, deficient
+
+
+def _minors(stack: np.ndarray, sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The minors of every matrix of the (N, k, d) integer ``stack`` on the
+    k-column sets ``sets``, as :func:`maximal_minors` forms them: an (N,
+    len(sets)) array, int64 or Python ints."""
+    n = len(stack)
+    dtype = np.int64 if _norm_product(stack) <= _INT64_SAFE else object
+    stack = stack.astype(dtype, copy=False)
+    levels = _laplace_levels(sets)
+    per_chunk = max(1, _MINOR_ENTRIES // max((cols.size for cols, _, _ in levels), default=1))
+    out = np.empty((n, len(sets)), dtype=dtype)
+    for lo in range(0, n, per_chunk):
+        chunk = stack[lo : lo + per_chunk]
+        minors = np.ones((len(chunk), 1), dtype=dtype)  # the empty minor
+        for i, (cols, lower, sign) in enumerate(levels):
+            minors = (chunk[:, i, cols] * minors[:, lower] * sign).sum(axis=2)
+        out[lo : lo + per_chunk] = minors
+    return out
+
+
+def _norm_product(stack: np.ndarray) -> int:
+    """The largest product, over the matrices of ``stack``, of their rows'
+    1-norms (1 for matrices of no rows, 0 for no matrices)."""
+    if not stack.size:
+        return 0 if not len(stack) else 1
+    if stack.dtype != object and max(int(stack.max()), -int(stack.min())) * stack.shape[2] <= _INT64_SAFE:
+        norms = np.abs(stack).sum(axis=2)
+    else:
+        norms = abs(stack.astype(object)).sum(axis=2)
+    return max(map(prod, norms.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _laplace_levels(
+    sets: tuple[tuple[int, ...], ...],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each level i = 1..k of the minors on the k-column ``sets``: per
+    i-column set S that lies in one of them (the last level: ``sets``, in
+    order), its columns s_j, the index of S - s_j in level i - 1, and the
+    cofactor sign (-1)^(i - 1 + j)."""
+    k = len(sets[0]) if sets else 0
+    below = [list(sets)]
+    for i in range(k, 1, -1):
+        below.insert(0, list(dict.fromkeys(S[:j] + S[j + 1 :] for S in below[0] for j in range(i))))
+    index = {(): 0}
+    levels = []
+    for i, level in enumerate(below if k else [], 1):
+        cols = np.array(level, dtype=np.intp).reshape(len(level), i)
+        lower = np.array([[index[S[:j] + S[j + 1 :]] for j in range(i)] for S in level],
+                         dtype=np.intp).reshape(len(level), i)
+        sign = np.array([(-1) ** (i - 1 + j) for j in range(i)], dtype=np.int64)
+        levels.append(_frozen(cols, lower, sign))
+        index = {S: n for n, S in enumerate(level)}
+    return levels
+
+
+@lru_cache(maxsize=None)
+def _pivot_tables(d: int, k: int) -> tuple:
+    """The k-column sets P of R^d in combinations order, and per set: its
+    columns, its d - k free columns, and for pivot i and free column f the
+    index of the set P - p_i + f with the sign that moving f into place
+    gives (Cramer's numerator N_i[f] is that sign times that minor)."""
+    sets = tuple(combinations(range(d), k))
+    index = {S: n for n, S in enumerate(sets)}
+    free = [[c for c in range(d) if c not in S] for S in sets]
+    swapped = np.zeros((len(sets), k, d - k), dtype=np.intp)
+    sign = np.zeros((len(sets), k, d - k), dtype=np.int64)
+    for n, S in enumerate(sets):
+        for i in range(k):
+            rest = S[:i] + S[i + 1 :]
+            for j, f in enumerate(free[n]):
+                place = sum(c < f for c in rest)
+                swapped[n, i, j] = index[tuple(sorted(rest + (f,)))]
+                sign[n, i, j] = (-1) ** (i - place)
+    return (sets, *_frozen(np.array(sets, dtype=np.intp).reshape(len(sets), k),
+                           np.array(free, dtype=np.intp).reshape(len(sets), d - k),
+                           swapped, sign))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, read-only: the cached tables are shared by every call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

@@ -11,7 +11,8 @@ the small members, and the points and flats are streamed ``_CHUNK`` at a
 time.  Each chunk is one ``%d`` template, repeated from one item template
 per point shape or equation count, filled from one flat list of integers:
 numerators and denominators, read off the points' rows and a
-:class:`FlatFamily`'s rows, or off every other flat's exact values.  The
+:class:`FlatFamily`'s rows, or off every other flat's exact values; where
+every denominator is 1 the template holds them as the literal ``1``.  The
 text goes to a new file beside the target, which replaces the target only
 once it is whole.
 
@@ -21,8 +22,9 @@ over the lcm of each equation's denominators, with no ``Fraction`` or
 ``Flat`` built per flat.  A file whose every flat is a consistent system
 of the same number r >= 1 of independent equations loads as one
 :class:`FlatFamily` (for r = 1: one row with a nonzero coefficient, a
-hyperplane); any other file loads its flats one by one, with the errors
-of ``Flat(...)``.  The reference path,
+hyperplane), checked for every flat at once by
+:func:`~inclab.linalg.full_row_rank`, with no elimination per flat; any
+other file loads its flats one by one, with the errors of ``Flat(...)``.  The reference path,
 ``canonical_json(instance_to_dict(...))``, builds the document and lets
 ``json`` render all of it; it shares no code with the writer, and the
 tests require the two texts to be equal.
@@ -50,6 +52,7 @@ from .geometry import (
     IntVector,
     PointRows,
     _int,
+    _int_arrays,
     _split_coords,
 )
 from .incidence import IncidenceInstance
@@ -190,11 +193,12 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
 def _family(dim: int, specs: list) -> FlatFamily | None:
     """The flats ``specs`` as one family when there are some, each a system
     of the same number r of equations of ``dim`` entries, and each reads as
-    a family item: independent, consistent equations.  One row with a
-    nonzero coefficient is, with no elimination, the rule ``Flat(...)``
-    uses; any other system takes one :func:`linalg.integer_rref` of its
-    integer rows.  Otherwise ``None``, and the file loads one by one, with
-    the errors of ``Flat(...)``.
+    a family item: independent, consistent equations.  That is exactly a
+    coefficient matrix of full row rank r, which makes the system
+    consistent: one with a nonzero r x r minor, read for every flat at once
+    by :func:`linalg.full_row_rank` (for r = 1, a nonzero coefficient, the
+    rule ``Flat(...)`` reads a hyperplane by).  Otherwise ``None``, and the
+    file loads one by one, with the errors of ``Flat(...)``.
 
     Each pair is decoded once, with :func:`_pair`'s checks and in the order
     the one-by-one path decodes them, so a bad pair raises the error that
@@ -220,13 +224,10 @@ def _family(dim: int, specs: list) -> FlatFamily | None:
         dens.append(den)
     if not blocks:
         return None
-    for block in blocks:
-        if len(block) == 1 and any(block[0][:-1]):
-            continue  # a hyperplane
-        _, pivots = linalg.integer_rref(block)
-        if len(pivots) != len(block) or dim in pivots:
-            return None  # flat errors, or flats of lower dimension
-    return FlatFamily._of(dim, len(blocks[0]), blocks, dens)
+    (rows,), _ = _int_arrays(blocks)
+    if not linalg.full_row_rank(rows[:, :, :-1]).all():
+        return None  # flat errors, or flats of lower dimension
+    return FlatFamily._of(dim, len(blocks[0]), rows, dens)
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:
@@ -298,18 +299,19 @@ def _array(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
 
 
-def _rational_items(count: int, indent: int) -> list[str]:
+def _rational_items(count: int, indent: int, den: str = "%d") -> list[str]:
     """``count`` ``[numerator, denominator]`` items at ``indent`` spaces,
-    each a template of two ``%d``."""
+    each a template of a ``%d`` numerator over ``den``: ``%d`` too, or a
+    literal such as ``1``."""
     pad, end = "\n" + " " * (indent + 1), "\n" + " " * indent
-    return [f"[{pad}%d,{pad}%d{end}]"] * count
+    return [f"[{pad}%d,{pad}{den}{end}]"] * count
 
 
-def _flat_template(dim: int, rows: int) -> str:
+def _flat_template(dim: int, rows: int, den: str = "%d") -> str:
     """The ``%d`` template of a flat of ``rows`` equations in R^dim: each
-    row's pairs, then the right-hand side's."""
-    a = [_array(_rational_items(dim, 5), 5)] * rows
-    b = _array(_rational_items(rows, 4), 4)
+    row's pairs, then the right-hand side's, over ``den``."""
+    a = [_array(_rational_items(dim, 5, den), 5)] * rows
+    b = _array(_rational_items(rows, 4, den), 4)
     return '{\n   "A": ' + _array(a, 4) + ',\n   "b": ' + b + "\n  }"
 
 
@@ -321,15 +323,16 @@ def _pairs(values) -> list[int]:
 def _point_chunks(points: PointRows, dim: int):
     """The points' item texts, ``_CHUNK`` points to a text, read off their
     rows: coordinate k of a point is ``P[k] / q``, written over ``g =
-    gcd(P[k], q)`` in lowest terms."""
-    item = _array(_rational_items(dim, 3), 3)
+    gcd(P[k], q)`` in lowest terms.  When every q is 1 the template holds
+    the denominators as the literal 1, and only the rows fill it."""
+    item = _array(_rational_items(dim, 3, "1" if points.integral else "%d"), 3)
     for lo in range(0, len(points), _CHUNK):
         rows, q = points.matrix[lo : lo + _CHUNK], points.q[lo : lo + _CHUNK, None]
-        values = np.ones((len(q), 2 * dim), dtype=rows.dtype)
         if points.integral:
-            values[:, ::2] = rows
+            values = rows
         else:
             g = np.gcd(rows, q)  # positive, since q is
+            values = np.empty((len(q), 2 * dim), dtype=rows.dtype)
             values[:, ::2], values[:, 1::2] = rows // g, q // g
         yield _ITEM_SEP.join([item] * len(q)) % tuple(values.ravel().tolist())
 
@@ -358,22 +361,21 @@ def _block_chunks(family: FlatFamily, dim: int):
     ``rows[j, i, k] / den[j, i]`` is written over ``g = gcd(rows[j, i, k],
     den[j, i])`` in lowest terms, each flat's equations' pairs first and
     then its right-hand sides'.  When every ``den`` is 1, as for generated
-    hyperplanes, each value is its entry over 1 with no gcd taken."""
+    hyperplanes, the template holds the denominators as the literal 1, and
+    only the entries fill it, with no gcd taken."""
     n, r, width = family.rows.shape
-    item = _flat_template(dim, r)
     integral = bool((family.den == 1).all())
+    item = _flat_template(dim, r, "1" if integral else "%d")
+    split = dim if integral else 2 * dim  # the fields of a row's coefficients
     for lo in range(0, n, _CHUNK):
         rows, den = family.rows[lo : lo + _CHUNK], family.den[lo : lo + _CHUNK, :, None]
         if integral:
-            num, den = rows, np.ones_like(rows)
+            values = rows
         else:
             g = np.gcd(rows, den)  # positive, since den is
-            num, den = rows // g, den // g
-        pairs = np.stack((num, den), axis=-1).reshape(len(rows), r, 2 * width)
-        values = np.concatenate(
-            (pairs[:, :, : 2 * dim].reshape(len(rows), -1), pairs[:, :, 2 * dim :].reshape(len(rows), -1)),
-            axis=1,
-        )
+            values = np.stack((rows // g, den // g), axis=-1).reshape(len(rows), r, 2 * width)
+        values = np.concatenate((values[:, :, :split].reshape(len(rows), -1),
+                                 values[:, :, split:].reshape(len(rows), -1)), axis=1)
         yield _ITEM_SEP.join([item] * len(rows)) % tuple(values.ravel().tolist())
 
 

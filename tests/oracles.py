@@ -4,19 +4,32 @@ Everything here is deliberately brute force and shares no code with the
 library paths it checks: determinant-by-cofactor rank, Fraction
 Gauss-Jordan elimination, direct membership evaluation, exhaustive chain
 enumeration, and recursive gcd.  Slow is fine; these run on small inputs
-only.  The one library name used is the ``Flat`` constructor, by which
-:func:`generic_extension_fraction` builds its result: that constructor's
-elimination is the slow path it stands for.  :func:`pad_hyperplanes_loop`
-draws through ``Random.randint`` and takes the normal pool, the offset
-sets and the family from the library, whose word replay it checks.
+only.  Three use the library, each for a reason.  The ``Flat``
+constructor builds the result of :func:`generic_extension_fraction`:
+that constructor's elimination is the slow path it stands for.
+:func:`pad_hyperplanes_loop` draws through ``Random.randint`` and takes
+the normal pool, the offset sets and the family from the library, whose
+word replay it checks.  :func:`embed_extensions_loop` is the embedding
+flat by flat on the library's elimination kernel (``integer_rref``,
+``solve_rref`` and ``nullspace``), the slow path that the batched
+maximal minors replace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 
-from inclab import Flat
+from inclab import Flat, linalg
+
+
+class SmallBox(Random):
+    """Draws every integer from {0, 1}, whatever range is asked for, so that
+    dependent draws, draws inside a guard and so retries are common."""
+
+    def randint(self, a, b):
+        return super().randint(0, 1)
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -145,6 +158,44 @@ def generic_extension_fraction(h, target_dim, ambient_dim, rng, within, retry_bu
                 continue
         return candidate
     return None
+
+
+def embed_extensions_loop(flats, d_inner, d_outer, k, rng, box, retry_budget):
+    """The row blocks and denominators of the generic k-flats that extend
+    the hyperplanes ``flats`` of R^d_inner, embedded in the carrier
+    {x_j = 0 for j >= d_inner} of R^d_outer, flat by flat: each
+    hyperplane's first equation with a nonzero coefficient as a primitive
+    integer row, its base point ``P / q`` and directions read by
+    ``solve_rref`` with the carrier's unit rows, and then draws of
+    ``rng.randint(-box, box)``, each checked by one ``nullspace`` and the
+    rank of the guard product (one ``integer_rref``), until one is
+    accepted.  Each accepted nullspace row over ``qn`` gives the row
+    ``row * q | row @ P`` over ``qn * q``.  ``None`` when a flat's
+    ``retry_budget`` draws are all rejected."""
+    zeros = [0] * (d_outer - d_inner)
+    units = [[int(j == i) for j in range(d_outer)] + [0] for i in range(d_inner, d_outer)]
+    blocks, dens = [], []
+    for f in flats:
+        a, c = next((a, c) for a, c in zip(f.equations, f.rhs) if any(a))
+        top = linalg._integer_row(list(a) + zeros + [c])
+        pivot = next(i for i, x in enumerate(top) if x)
+        point, q, directions = linalg.solve_rref(
+            [top] + units, [pivot] + list(range(d_inner, d_outer)), d_outer)
+        for _ in range(retry_budget):
+            drawn = [[rng.randint(-box, box) for _ in range(d_outer)]
+                     for _ in range(k - len(directions))]
+            qn, normal_rows = linalg.nullspace(directions + drawn)
+            if d_outer - len(normal_rows) != k:
+                continue
+            guard = [[e[i] for e in drawn] for i in range(d_inner, d_outer)]
+            if len(linalg.integer_rref(guard)[1]) == len(drawn):
+                break
+        else:
+            return None
+        blocks.append([[x * q for x in row] + [sum(x * y for x, y in zip(row, point))]
+                       for row in normal_rows])
+        dens.append([qn * q] * len(normal_rows))
+    return blocks, dens
 
 
 def _fraction_dot(a, b) -> Fraction:

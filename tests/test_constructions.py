@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -39,8 +40,10 @@ from inclab.geometry import _hyperplanes, _int_point_matrix
 from inclab.serialization import instance_to_dict
 
 from oracles import (
+    SmallBox,
     collinear_triples_bruteforce,
     count_incidences_direct,
+    embed_extensions_loop,
     lattice_points_product,
     max_subspace_weight_bruteforce,
     minor_rank,
@@ -663,6 +666,9 @@ class TestEmbedding:
                 expected = None
             reference_draws, Seen.draws = Seen.draws, 0
             if expected is None:
+                # the embedding draws one group per flat before it checks
+                # any, so a give-up leaves its own Random further on than
+                # the flat-by-flat loop; that Random is discarded with it
                 assert box == 0
                 with pytest.raises(DegenerateRandomness):
                     embed_configuration(inner, d_outer, k, seed=7)
@@ -671,8 +677,8 @@ class TestEmbedding:
                 assert emb.flats == expected and expected == emb.flats
                 family = isinstance(emb.flats, geometry.FlatFamily)
                 assert family == (k > d_inner - 1)
-            assert used[-1].getstate() == reference.getstate()
-            assert Seen.draws == reference_draws
+                assert used[-1].getstate() == reference.getstate()
+                assert Seen.draws == reference_draws
             draws += reference_draws
             fewest += len(inner.flats) * (k - d_inner + 1) * d_outer
         if box == 1 and k > d_inner - 1:
@@ -687,6 +693,92 @@ class TestEmbedding:
             embed_configuration(inner, 4, 0, seed=0)
         with pytest.raises(InvalidInput):
             embed_configuration(inner, 4, 4, seed=0)
+
+
+@lru_cache(maxsize=None)
+def _small_grid(d):
+    return build_grid_construction(ConstructionConfig(d=d, m=4, n=4, box_side=2))
+
+
+@st.composite
+def embed_inputs(draw):
+    """Hyperplanes of R^d (d 2 to 4, possibly none) as a family or as a
+    tuple of flats with scaled, rational or redundant rows, in an inner
+    configuration; an outer dimension up to d + 3 and every k >= d; a seed
+    and whether the draws come from {0, 1} (:class:`SmallBox`)."""
+    d = draw(st.integers(2, 4))
+    d_outer = draw(st.integers(d + 1, d + 3))
+    k = draw(st.integers(d, d_outer - 1))
+    normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    rational = st.fractions(-3, 3, max_denominator=4)
+    count = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        normals = draw(st.lists(normal, min_size=1, max_size=3))
+        ids = draw(st.lists(st.integers(0, len(normals) - 1), min_size=count, max_size=count))
+        offsets = draw(st.lists(st.one_of(st.integers(-5, 5), rational),
+                                min_size=count, max_size=count))
+        flats = _hyperplanes(d, normals, ids, offsets)
+    else:
+        flats = []
+        for _ in range(count):
+            a, c = draw(normal), draw(rational)
+            kind = draw(st.sampled_from(("plain", "scaled", "redundant")))
+            if kind == "scaled":
+                factor = draw(rational.filter(bool))
+                flats.append(Flat(d, [[factor * x for x in a]], [factor * c]))
+            elif kind == "redundant":  # a zero row and a multiple first
+                flats.append(Flat(d, [[0] * d, [2 * x for x in a], a], [0, 2 * c, c]))
+            else:
+                flats.append(Flat(d, [a], [c]))
+        flats = tuple(flats)
+    inner = replace(_small_grid(d), flats=flats, padding_start=len(flats),
+                    predicted_incidences=0)
+    return inner, d_outer, k, draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+class TestEmbeddingOracle:
+    @staticmethod
+    def _check(inner, d_outer, k, seed, source):
+        expected = embed_extensions_loop(inner.flats, inner.ambient_dim, d_outer, k,
+                                         source(seed), geometry.EXTENSION_BOX,
+                                         geometry.RETRY_BUDGET)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(constructions, "Random", source)
+            if expected is None:
+                with pytest.raises(DegenerateRandomness):
+                    embed_configuration(inner, d_outer, k, seed)
+                return None
+            emb = embed_configuration(inner, d_outer, k, seed)
+        assert (emb.flats.rows.tolist(), emb.flats.den.tolist()) == expected
+        return emb
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(embed_inputs())
+    def test_batched_embedding_is_the_flat_by_flat_loop(self, case):
+        # the minors kernel reads every flat and every draw as the
+        # eliminations of the flat-by-flat loop do, value for value
+        inner, d_outer, k, seed, small = case
+        self._check(inner, d_outer, k, seed, SmallBox if small else Random)
+
+    def test_retries_mid_stack_shift_the_later_flats(self):
+        # with draws from {0, 1} some flats past the first are retried, and
+        # every later flat takes the group after the one it would have had
+        inner = TestEmbedding._signed_inner(3)
+        inner = replace(inner, flats=inner.flats * 3)
+        group = (4 - 2) * 6  # the values of one draw: 2 directions in R^6
+        draws = []
+
+        class Counted(SmallBox):
+            def randint(self, a, b):
+                draws.append(a)
+                return super().randint(a, b)
+
+        # with a budget of one draw: the first flat takes its first draw
+        assert embed_extensions_loop(inner.flats[:1], 3, 6, 4, Counted(11), 1, 1) is not None
+        del draws[:]
+        assert self._check(inner, 6, 4, 11, Counted) is not None
+        # the loop's draws and then as many of the stack's, past one group a flat
+        assert len(draws) > 2 * len(inner.flats) * group
 
 
 class TestNonIntegerParameters:

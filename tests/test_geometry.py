@@ -42,6 +42,7 @@ from oracles import (
     point_split_loop,
     runs_as_nested,
     same_runs,
+    SmallBox,
 )
 
 
@@ -147,7 +148,8 @@ def flat_families(draw):
     for _ in range(draw(st.integers(0, 5))):
         through = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
         a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
-                          min_size=r, max_size=r).filter(lambda a: linalg.rank(a) == r))
+                          min_size=r, max_size=r).filter(
+            lambda a: len(linalg.integer_rref(a)[1]) == r))
         block = [[k * x for x in row + [sum(map(int.__mul__, row, through))]]
                  for row, k in zip(a, draw(st.lists(BLOCK_SCALES, min_size=r, max_size=r)))]
         den = draw(st.lists(BLOCK_SCALES.map(abs), min_size=r, max_size=r))
@@ -860,14 +862,6 @@ def guarded_draws(draw):
     return _flat_through(point, h_dirs, d), guard, point, h_dirs, drawn
 
 
-class SmallBox(Random):
-    """Draws every integer from {0, 1}, whatever range is asked for, so that
-    dependent draws, draws inside the guard and so retries are common."""
-
-    def randint(self, a, b):
-        return super().randint(0, 1)
-
-
 @st.composite
 def extension_cases(draw):
     """A flat h of R^d, a target dimension, a guard flat or None, and a
@@ -948,7 +942,10 @@ class TestGuardChecks:
             return
         extension = _flat_through(point, h_dirs + drawn, d)
         wanted = extension.dim == h.dim + len(drawn) and _meet_dim(extension, guard) == h.dim
-        assert geometry._meets_only_in_base(guard, drawn) == wanted
+        rows = [linalg.clear_denominators(row)[0] for row in guard.equations]
+        got = geometry._meets_only_in_base(np.array(rows, dtype=object).reshape(-1, d),
+                                           np.array([drawn]))
+        assert got.tolist() == [wanted]
 
 
 class TestCollinearity:

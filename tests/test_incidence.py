@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inclab import incidence
-from inclab.geometry import FlatFamily, _hyperplanes
+from inclab.geometry import FlatFamily, _hyperplanes, _int_point_matrix
 from inclab import (
     Flat,
     IncidenceInstance,
@@ -402,6 +402,52 @@ class TestFlatFamilyCounts:
             for stop in range(len(family)):
                 assert incidence._count_hashed(inst, stop) == count_incidences_direct(
                     points, family[:stop])
+
+
+def _bound_instance(norm, max_abs):
+    """Points of R^3 whose largest entry is ``max_abs``, with lines {x = u,
+    y = v} (a family of two-row blocks) and planes (a family of one-row
+    blocks) whose largest row 1-norm is ``norm``: the rows [1, 0, 0 | u]
+    with u = norm - 1 and rows of smaller norm, through some points."""
+    u = norm - 1
+    points = [RatPoint(c) for c in ((u, 1, max_abs), (u, 1, 0), (u - 1, 1, 1),
+                                    (u, 2, -max_abs), (0, 0, 1), (1, 1, 7))]
+    lines = FlatFamily._of(3, 2, [[[1, 0, 0, u], [0, 1, 0, 1]],
+                                  [[1, 0, 0, u - 1], [0, 1, 0, 1]],
+                                  [[1, 0, 0, 0], [0, 1, 0, 0]]], np.ones((3, 2), np.int64))
+    planes = _hyperplanes(3, [(1, 0, 0), (0, 1, 0)], [0, 0, 1, 1], [u, u - 1, 1, 2])
+    return points, lines, planes
+
+
+class TestProductGuard:
+    @pytest.mark.parametrize("norm, max_abs, dtype", [
+        (2**26, 2**27, np.float64),  # sum|row| * max_abs = 2^53
+        (3, (2**53 + 1) // 3, np.int64),  # 2^53 + 1
+        (2**31 - 1, 2**31 + 1, np.int64),  # 2^62 - 1
+        (2**31 - 2**16 + 1, 2**31 + 2**16 + 1, object),  # 2^62 + 1
+    ])
+    def test_counts_and_members_on_either_side_of_each_bound(
+            self, monkeypatch, norm, max_abs, dtype):
+        # float64 up to 2^53, int64 up to 2^62 and Python ints past it, and
+        # each count and member list exact on its side of every bound
+        points, lines, planes = _bound_instance(norm, max_abs)
+        assert _int_point_matrix(points).max_abs == max_abs
+        float_exact = dtype is np.float64
+        assert incidence._fits_int64(lines.rows, max_abs, incidence._FLOAT_EXACT) == float_exact
+        assert incidence._fits_int64(lines.rows, max_abs) == (dtype is not object)
+        products = []
+        count_dense = incidence._count_dense
+        monkeypatch.setattr(incidence, "_count_dense",
+                            lambda pts, flats: products.append(pts.dtype) or count_dense(pts, flats))
+        for flats in (lines, planes):
+            count_incidences(IncidenceInstance(points, flats, 2, 1), "naive")
+        assert products == [np.dtype(dtype)] * 2
+        for flats in (lines, planes, tuple(lines) + tuple(planes)):
+            assert_all_counts_agree(points, flats)
+        inst = IncidenceInstance(points, lines, 2, 1)
+        assert inst._other_members == {
+            j: incidence._members(inst.points, f.integer_equations()).tolist()
+            for j, f in enumerate(lines)}
 
 
 @st.composite

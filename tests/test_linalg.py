@@ -2,24 +2,31 @@
 Fraction Gauss-Jordan oracle."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from inclab import Flat, InvalidInput, linalg
 
-from oracles import fraction_row_echelon, fraction_solve_affine, minor_rank
+from oracles import determinant, fraction_row_echelon, fraction_solve_affine, minor_rank
 
 
 def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def rank(matrix):
+    """The rank as the number of pivots of the integer kernel."""
+    return len(linalg.integer_rref(matrix)[1])
+
+
 def test_rank_small_cases():
-    assert linalg.rank(frac_matrix([[1, 2], [2, 4]])) == 1
-    assert linalg.rank(frac_matrix([[1, 0], [0, 1]])) == 2
-    assert linalg.rank(frac_matrix([[0, 0], [0, 0]])) == 0
+    assert rank(frac_matrix([[1, 2], [2, 4]])) == 1
+    assert rank(frac_matrix([[1, 0], [0, 1]])) == 2
+    assert rank(frac_matrix([[0, 0], [0, 0]])) == 0
 
 
 def test_rank_matches_minor_rank_on_random_matrices():
@@ -31,7 +38,7 @@ def test_rank_matches_minor_rank_on_random_matrices():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n_cols)]
             for _ in range(n_rows)
         ]
-        assert linalg.rank(m) == minor_rank(m)
+        assert rank(m) == minor_rank(m)
 
 
 def test_solve_rref_substitutes_back():
@@ -48,7 +55,7 @@ def test_solve_rref_substitutes_back():
         solved = linalg.solve_rref(*linalg.integer_rref(augmented), n_cols)
         if solved is None:
             # inconsistent: rank of [A|b] must exceed rank of A
-            assert linalg.rank(augmented) > linalg.rank(a)
+            assert rank(augmented) > rank(a)
             continue
         point, q, directions = solved
         assert q > 0
@@ -57,7 +64,7 @@ def test_solve_rref_substitutes_back():
         for vec in directions:
             for row in a:
                 assert sum(x * y for x, y in zip(row, vec)) == 0
-        assert len(directions) == n_cols - linalg.rank(a)
+        assert len(directions) == n_cols - rank(a)
 
 
 def test_nullspace_dimension_and_membership():
@@ -193,7 +200,7 @@ def test_integer_kernel_matches_the_fraction_oracle(system):
     q, directions = linalg.nullspace(a)
     assert _over_q(([0] * width, q, directions)) == fraction_solve_affine(a, [0] * len(a))
     rank_a = minor_rank(a)
-    assert linalg.rank(a) == rank_a
+    assert rank(a) == rank_a
     if minor_rank(augmented) > rank_a:
         with pytest.raises(InvalidInput):
             Flat(width, a, b)
@@ -213,3 +220,64 @@ def test_int_rows_skip_the_denominator_pass_with_the_same_result(row, factor):
         got = linalg._integer_row(ints)
         assert got == linalg._integer_row([Fraction(x) for x in ints])
         assert type(got) is list and all(type(x) is int for x in got)
+
+
+@st.composite
+def minor_stacks(draw):
+    """An (N, k, d) integer stack, d 1 to 6 and k 1 to d + 1, of one entry
+    scale: small, up to 10^6, or up to 2^31, where the products of the
+    rows' 1-norms fall on either side of 2^62; a matrix may have a zero
+    column or a row that is a multiple of another."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, d + 1))
+    scale = draw(st.sampled_from((3, 10**6, 2**31)))
+    entry = st.integers(-scale, scale)
+    stack = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=k, max_size=k))
+        kind = draw(st.sampled_from(("plain", "zero column", "dependent")))
+        if kind == "zero column":
+            column = draw(st.integers(0, d - 1))
+            for row in m:
+                row[column] = 0
+        elif kind == "dependent" and k > 1:
+            m[-1] = [draw(st.integers(-2, 2)) * x for x in m[0]]
+        stack.append(m)
+    return stack
+
+
+def _assert_kernel_matches_the_oracles(stack):
+    """Every minor is the cofactor determinant of its column set, the rank
+    test is the elimination kernel's, and every matrix of full row rank has
+    the nullspace of the elimination kernel."""
+    k, d = len(stack[0]), len(stack[0][0])
+    minors = linalg.maximal_minors(np.array(stack))
+    full = linalg.full_row_rank(np.array(stack))
+    q, directions, deficient = linalg.nullspaces(np.array(stack))
+    for j, m in enumerate(stack):
+        assert minors[j].tolist() == [
+            determinant([[row[c] for c in cols] for row in m])
+            for cols in combinations(range(d), k)]
+        assert bool(full[j]) == (not deficient[j]) == (rank(m) == k)
+        if not deficient[j]:
+            assert (int(q[j]), directions[j].tolist()) == linalg.nullspace(m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(minor_stacks())
+def test_minors_kernel_matches_the_oracles(stack):
+    _assert_kernel_matches_the_oracles(stack)
+
+
+@pytest.mark.parametrize("stack, dtype", [
+    ([[[2**31 - 1, 1], [2**31 - 1, -1]]], np.int64),  # 1-norms multiply to 2^62
+    ([[[2**31, 1], [2**31, -1]]], object),  # just past it
+    ([[[2**32, 2**32], [2**32, 2**32 - 1]]], object),  # its products overflow int64
+    ([[[2**31 - 1, 1, 0], [0, 2**31 - 1, 1]], [[1, 2, 3], [2, 4, 6]]], np.int64),
+    ([[[2**31, 1, 0], [0, 2**31 - 1, 1]], [[0, 0, 3], [0, 0, 6]]], object),
+])
+def test_minors_kernel_across_the_int64_bound(stack, dtype):
+    # within 2^62 the levels run in int64, past it on Python ints, and the
+    # minors and nullspaces are exact either way
+    assert linalg.maximal_minors(np.array(stack, dtype=object)).dtype == dtype
+    _assert_kernel_matches_the_oracles(stack)

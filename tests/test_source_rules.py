@@ -52,11 +52,13 @@ def _reach(module: str, start: str) -> tuple[set[str], set[str]]:
 
 def test_naive_count_shares_no_code_with_the_hashed_path():
     # the reference count checks the grouped path, so it may not reach any
-    # of its grouping helpers, directly or through a module-level helper.
-    # On a FlatFamily both paths read the same stored ``rows``, so there
-    # naive == hashed does not check the storage: the family's own tests
-    # compare it with the flats ``Flat(...)`` builds one by one
-    _, names = _reach("incidence.py", "_count_naive")
+    # of its grouping helpers, directly or through a module-level helper;
+    # the one function both reach is the product guard, which picks float64,
+    # int64 or Python ints and so cannot change a count.  On a FlatFamily
+    # both paths read the same stored ``rows``, so there naive == hashed
+    # does not check the storage: the family's own tests compare it with
+    # the flats ``Flat(...)`` builds one by one
+    naive, names = _reach("incidence.py", "_count_naive")
     forbidden = {
         "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
         "_value_counts", "unique", "_group_rows", "_group_flats", "_grouping",
@@ -64,6 +66,9 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
         "key_bounds", "searchsorted", "reduceat",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
+    hashed, _ = _reach("incidence.py", "_count_hashed")
+    assert "_family_members" in hashed  # the rule follows the cached properties
+    assert naive & hashed == {"_fits_int64"}, f"both reach {sorted(naive & hashed)}"
 
 
 def test_one_flat_family():
@@ -191,9 +196,10 @@ def test_set_equality_is_one_containment_check():
 
 
 def test_exact_kernel_builds_no_fraction():
-    # elimination and the one solution reader stay in integers; callers
-    # build a Fraction only where a public value needs one
-    for start in ("integer_rref", "solve_rref", "nullspace", "rank"):
+    # elimination, the one solution reader and the batched minors stay in
+    # integers; callers build a Fraction only where a public value needs one
+    for start in ("integer_rref", "solve_rref", "nullspace", "maximal_minors", "full_row_rank",
+                  "nullspaces"):
         _, names = _reach("linalg.py", start)
         assert "Fraction" not in names, f"{start} reaches Fraction"
 
@@ -207,13 +213,24 @@ def test_generic_extension_reads_no_fraction_solution():
 
 
 def test_embedding_eliminates_no_embedded_hyperplane():
-    # an embedded hyperplane's system is already reduced, so the embedding
-    # reads its point and directions with solve_rref alone, and draws
-    # through the one extension helper; it never eliminates that system
-    reached, names = _reach("constructions.py", "embed_configuration")
-    assert {"solve_rref", "_extension_rows"} <= names
-    found = (reached | names) & {"integer_rref", "_solved", "generic_extension"}
-    assert not found, f"embed_configuration reaches {sorted(found)}"
+    # the embedding reads every hyperplane, checks every draw and takes
+    # every nullspace through the batched minors kernel, and the loader
+    # checks every block through it: no elimination per flat.  The draws
+    # are the one extension routine's, which generic_extension runs too
+    elimination = {"integer_rref", "nullspace", "solve_rref", "rank", "_solved"}
+    found = {}
+    for module, start, wanted in (
+            ("constructions.py", "embed_configuration", {"nullspaces", "_extension_rows"}),
+            ("geometry.py", "_extension_rows", {"nullspaces", "full_row_rank"}),
+            ("serialization.py", "_family", {"full_row_rank"})):
+        reached, names = _reach(module, start)
+        assert wanted <= names, f"{start} names {sorted(wanted - names)} nowhere"
+        hit = (reached | names) & (elimination | {"generic_extension"})
+        if hit:
+            found[start] = sorted(hit)
+    assert not found, f"per-flat elimination in {found}"
+    _, names = _reach("geometry.py", "generic_extension")
+    assert "_extension_rows" in names
 
 
 def test_integer_construction_paths_build_no_fraction():
