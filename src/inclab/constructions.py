@@ -44,14 +44,12 @@ from .geometry import (
     IntVector,
     PointRows,
     RatPoint,
-    _INT64_SAFE,
     _extension_rows,
     _finite,
     _hyperplanes,
     _int,
     _int_arrays,
     _int_point_matrix,
-    _largest,
     _split_coords,
     find_collinear_triple,
     is_primitive,
@@ -659,9 +657,10 @@ def embed_configuration(
         directions[:, :, :d_inner] = found[:, :-1, :-1]
         units = np.array(carrier.equations, dtype=np.int64)
         qn, normal_rows = _extension_rows(directions, k, rng, units)
-        fits = (_largest(normal_rows) * max(_largest(q), d_inner * _largest(point))
-                <= _INT64_SAFE and _largest(qn) * _largest(q) <= _INT64_SAFE)
-        dtype = np.int64 if fits else object
+        dtypes = {linalg._product_dtype(normal_rows, q),
+                  linalg._product_dtype(normal_rows, point, d_inner),
+                  linalg._product_dtype(qn, q)}
+        dtype = object if object in dtypes else np.int64
         normal_rows, q, qn, point = (a.astype(dtype) for a in (normal_rows, q, qn, point))
         blocks = np.concatenate((normal_rows * q[:, None, None],
                                  normal_rows @ point[:, :, None]), axis=2)

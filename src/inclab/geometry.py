@@ -37,7 +37,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import _INT64_SAFE  # int64 point rows and sums of products within it cannot overflow
+# int64 point rows and sums of products within _INT64_SAFE cannot overflow
+from .linalg import _INT64_SAFE, _largest
 from .errors import DegenerateRandomness, InvalidInput, InvariantViolation
 
 RETRY_BUDGET = 32
@@ -442,12 +443,6 @@ class PointRows(_ReadOnRequest):
         return f"PointRows({len(self)} points of R^{self.ambient_dim})"
 
 
-def _largest(a: np.ndarray) -> int:
-    """The largest absolute entry of ``a``, 0 when it has none; two bounds,
-    not ``np.abs``, since abs(-2^63) wraps to itself in int64."""
-    return max(int(a.max()), -int(a.min())) if a.size else 0
-
-
 def _int_point_matrix(points: Iterable[RatPoint | IntVector]) -> PointRows:
     """``points`` as rows: :class:`PointRows` as they are, and any other
     points, or integer vectors, split once by :func:`_split_coords`."""
@@ -680,13 +675,17 @@ def _extension_rows(
     again, so the values go to the flats as a loop drawing flat by flat,
     retrying in place, hands them out; and so do the values a stack of one
     takes from ``rng``.  A flat whose ``retry_budget`` draws are all
-    rejected raises :class:`DegenerateRandomness`.
+    rejected raises :class:`DegenerateRandomness`, with ``rng`` where that
+    loop leaves it: the groups drawn ahead for later flats are given back by
+    setting ``rng`` to its state before the first draw and drawing again the
+    loop's values.
     """
     n, h, d = directions.shape
     extra = target_dim - h
     budget = _int(retry_budget, "retry budget")
     if n and budget < 1:
         raise DegenerateRandomness(f"no verified generic extension after {budget} draws")
+    state = rng.getstate() if n > 1 else None  # a stack of one never draws ahead
     values = [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(n * extra * d)]
     rejected = np.zeros(n, dtype=np.int64)
     accepted: list[tuple[np.ndarray, np.ndarray]] = []
@@ -705,6 +704,10 @@ def _extension_rows(
         start += first
         rejected[start] += 1
         if rejected[start] == budget:
+            if start < n - 1:
+                rng.setstate(state)
+                for _ in range((start + shift + 1) * extra * d):
+                    rng.randint(-EXTENSION_BOX, EXTENSION_BOX)
             raise DegenerateRandomness(
                 f"no verified generic extension after {budget} draws"
             )
@@ -736,8 +739,7 @@ def _meets_only_in_base(guard: np.ndarray, drawn: np.ndarray) -> np.ndarray:
     has W E c = 0): when E W^T has rank e (:func:`linalg.full_row_rank`).
     The products are exact: int64 within 2^62, and Python ints past it.
     """
-    bound = _largest(guard) * guard.shape[1] * _largest(drawn)
-    dtype = np.int64 if bound <= _INT64_SAFE else object
+    dtype = linalg._product_dtype(drawn, guard, guard.shape[1])
     products = drawn.astype(dtype) @ guard.T.astype(dtype)
     return linalg.full_row_rank(products)
 

@@ -291,7 +291,8 @@ def _fits_int64(rows, max_abs: int, bound: int = _INT64_SAFE) -> bool:
     """Whether every integer row of ``rows`` (an array or nested sequence,
     rows along its last axis) dotted with any point row of entries within
     ``max_abs`` keeps every partial sum, and every entry, within ``bound``:
-    ``max(sum|row|, 1) * max_abs <= bound``.
+    ``max(sum|row|, 1) * max(max_abs, 1) <= bound``, so the rows fit too
+    when there are no points to multiply.
 
     For 2^62 the products fit int64.  For ``_FLOAT_EXACT`` = 2^53 every
     entry and every partial sum is an integer float64 holds exactly, so a
@@ -303,7 +304,7 @@ def _fits_int64(rows, max_abs: int, bound: int = _INT64_SAFE) -> bool:
         norm = int(np.abs(rows).sum(axis=-1).max(initial=0))
     else:
         norm = max((sum(map(abs, row)) for row in rows.reshape(-1, width).tolist()), default=0)
-    return max(norm, 1) * max_abs <= bound
+    return max(norm, 1) * max(max_abs, 1) <= bound
 
 
 def _exact_dots(split: PointRows, row: Sequence[int], c: int = 0) -> np.ndarray:
@@ -439,16 +440,12 @@ def _family_members(split: PointRows, family: FlatFamily) -> dict[int, list[int]
     at a time, at most ``_DENSE_ENTRIES`` products a block, and a flat's
     other rows are dotted only with the points its first row holds; in
     float64 through BLAS, int64 or Python ints, the first that every row
-    provably fits (:func:`_fits_int64`).
+    provably fits (:func:`_dense_dtype`).
     """
     n, r, width = family.rows.shape
     m = len(split)
-    rows = family.rows
-    if _fits_int64(rows, split.max_abs, _FLOAT_EXACT):
-        dtype = np.float64
-    else:
-        dtype = np.int64 if _fits_int64(rows, split.max_abs) else object
-    rows = rows.astype(dtype)
+    dtype = _dense_dtype(family.rows, split.max_abs)
+    rows = family.rows.astype(dtype)
     points = np.column_stack((split.matrix, -split.q)).astype(dtype)
     flats_per_block = max(1, _DENSE_ENTRIES // max(1, m))
     points_per_block = max(1, _DENSE_ENTRIES // flats_per_block)

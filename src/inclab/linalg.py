@@ -265,11 +265,24 @@ def _norm_product(stack: np.ndarray) -> int:
     1-norms (1 for matrices of no rows, 0 for no matrices)."""
     if not stack.size:
         return 0 if not len(stack) else 1
-    if stack.dtype != object and max(int(stack.max()), -int(stack.min())) * stack.shape[2] <= _INT64_SAFE:
+    if stack.dtype != object and _largest(stack) * stack.shape[2] <= _INT64_SAFE:
         norms = np.abs(stack).sum(axis=2)
     else:
         norms = abs(stack.astype(object)).sum(axis=2)
     return max(map(prod, norms.tolist()))
+
+
+def _largest(a: np.ndarray) -> int:
+    """The largest absolute entry of ``a``, 0 when it has none; two bounds,
+    not ``np.abs``, since abs(-2^63) wraps to itself in int64."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _product_dtype(a: np.ndarray, b: np.ndarray, width: int = 1) -> type:
+    """int64 when every sum of ``width`` products of an entry of the
+    integer array ``a`` and one of ``b`` provably fits, ``largest(a) *
+    width * largest(b) <= 2^62``, and Python ints (``object``) otherwise."""
+    return np.int64 if _largest(a) * width * _largest(b) <= _INT64_SAFE else object
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ from functools import lru_cache
 from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -665,20 +666,25 @@ class TestEmbedding:
             except DegenerateRandomness:
                 expected = None
             reference_draws, Seen.draws = Seen.draws, 0
+            ahead = 0
             if expected is None:
-                # the embedding draws one group per flat before it checks
-                # any, so a give-up leaves its own Random further on than
-                # the flat-by-flat loop; that Random is discarded with it
+                # every draw is rejected, so the first flat gives up: the
+                # embedding drew one group per flat before any check and
+                # then one per retry, and on giving up it sets its Random
+                # back and draws again the loop's values, so the Random
+                # ends where the loop's does, after these extra calls
                 assert box == 0
                 with pytest.raises(DegenerateRandomness):
                     embed_configuration(inner, d_outer, k, seed=7)
+                ahead = ((len(inner.flats) + geometry.RETRY_BUDGET - 1)
+                         * (k - d_inner + 1) * d_outer)
             else:
                 emb = embed_configuration(inner, d_outer, k, seed=7)
                 assert emb.flats == expected and expected == emb.flats
                 family = isinstance(emb.flats, geometry.FlatFamily)
                 assert family == (k > d_inner - 1)
-                assert used[-1].getstate() == reference.getstate()
-                assert Seen.draws == reference_draws
+            assert used[-1].getstate() == reference.getstate()
+            assert Seen.draws == reference_draws + ahead
             draws += reference_draws
             fewest += len(inner.flats) * (k - d_inner + 1) * d_outer
         if box == 1 and k > d_inner - 1:
@@ -779,6 +785,36 @@ class TestEmbeddingOracle:
         assert self._check(inner, 6, 4, 11, Counted) is not None
         # the loop's draws and then as many of the stack's, past one group a flat
         assert len(draws) > 2 * len(inner.flats) * group
+
+    def test_a_give_up_mid_stack_leaves_the_loops_state(self):
+        # a flat past the first gives up after the stack drew groups for the
+        # flats after it: the Random ends where drawing flat by flat, a stack
+        # of one at a time, leaves it
+        units = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
+        mid_stack = 0
+        for seed in range(40):
+            directions = np.array([[[1, j % 3 - 1, 0, 0]] for j in range(6)], dtype=np.int64)
+            stacked, alone = SmallBox(seed), SmallBox(seed)
+            try:
+                stacked_rows = geometry._extension_rows(directions, 3, stacked, units, 2)
+            except DegenerateRandomness:
+                stacked_rows = None
+            alone_rows, gave_up = [], None
+            for j in range(len(directions)):
+                try:
+                    alone_rows.append(
+                        geometry._extension_rows(directions[j : j + 1], 3, alone, units, 2))
+                except DegenerateRandomness:
+                    gave_up = j
+                    break
+            assert stacked.getstate() == alone.getstate()
+            if gave_up is None:
+                assert [x.tolist() for x in stacked_rows] == [
+                    np.concatenate(parts).tolist() for parts in zip(*alone_rows)]
+            else:
+                assert stacked_rows is None
+                mid_stack += 0 < gave_up < len(directions) - 1
+        assert mid_stack
 
 
 class TestNonIntegerParameters:

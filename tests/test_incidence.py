@@ -449,6 +449,20 @@ class TestProductGuard:
             j: incidence._members(inst.points, f.integer_equations()).tolist()
             for j, f in enumerate(lines)}
 
+    def test_no_points_convert_no_row(self):
+        # with no points max_abs is 0, which bounds no row: coefficients
+        # past float64's range are counted and listed without a conversion
+        huge = 2**1100
+        planes = _hyperplanes(3, [(huge, 1, 0)], [0], [3])
+        lines = FlatFamily._of(3, 2, [[[huge, 0, 0, 1], [0, 1, 0, 1]]],
+                               np.ones((1, 2), np.int64))
+        assert not incidence._fits_int64(planes.rows, 0)
+        assert incidence._dense_dtype(lines.rows, 0) is object
+        for flats in (planes, lines, tuple(planes) + tuple(lines)):
+            assert_all_counts_agree([], flats)
+            assert count_incidences(IncidenceInstance([], flats, 2, 1), "naive") == 0
+        assert IncidenceInstance([], lines, 2, 1)._other_members == {0: []}
+
 
 @st.composite
 def hyperplane_runs(draw):

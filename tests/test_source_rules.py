@@ -53,11 +53,12 @@ def _reach(module: str, start: str) -> tuple[set[str], set[str]]:
 def test_naive_count_shares_no_code_with_the_hashed_path():
     # the reference count checks the grouped path, so it may not reach any
     # of its grouping helpers, directly or through a module-level helper;
-    # the one function both reach is the product guard, which picks float64,
-    # int64 or Python ints and so cannot change a count.  On a FlatFamily
-    # both paths read the same stored ``rows``, so there naive == hashed
-    # does not check the storage: the family's own tests compare it with
-    # the flats ``Flat(...)`` builds one by one
+    # the functions both reach are the product guard and the dtype choice
+    # made from it, which pick float64, int64 or Python ints and so cannot
+    # change a count.  On a FlatFamily both paths read the same stored
+    # ``rows``, so there naive == hashed does not check the storage: the
+    # family's own tests compare it with the flats ``Flat(...)`` builds one
+    # by one
     naive, names = _reach("incidence.py", "_count_naive")
     forbidden = {
         "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
@@ -68,7 +69,8 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
     hashed, _ = _reach("incidence.py", "_count_hashed")
     assert "_family_members" in hashed  # the rule follows the cached properties
-    assert naive & hashed == {"_fits_int64"}, f"both reach {sorted(naive & hashed)}"
+    assert naive & hashed == {"_fits_int64", "_dense_dtype"}, (
+        f"both reach {sorted(naive & hashed)}")
 
 
 def test_one_flat_family():
