@@ -28,16 +28,21 @@ one codimension r held as integer row blocks
 (:class:`~inclab.geometry.FlatFamily`) are counted off those rows, with
 no flat built: each row [a | c] is zero on a point's (P, -q) exactly
 when the point meets it, and for r = 1 the hyperplane runs are read
-off the same rows.  All counts are exact; there is no tolerance anywhere in
+off the same rows.  For r >= 2 the hashed path runs in the points'
+affine hull A when it is smaller than R^d: the points are read in A's
+free coordinates, and each flat whose trace on A is a hyperplane of A
+joins the runs (:func:`_hull_frame`); the naive count still reads the
+original rows.  All counts are exact; there is no tolerance anywhere in
 this module.
 
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
-reads the hyperplane runs: s points that are not all one point have
-their common hyperplanes' normals in one (d-1)-dimensional linear
-subspace, so a bound on the hyperplanes they can share comes from the
-normals and the per-offset point counts, without enumerating any point
-subset.  The other flats they share are tallied exactly from the
-s-subsets of each such flat's member list.  When the sum of the two is
+reads the hyperplane runs, keyed in R^e (e = d, or the dimension of A):
+s points that are not all one point have their common hyperplanes'
+normals in one (e-1)-dimensional linear subspace, so a bound on the
+hyperplanes they can share comes from the normals and the per-offset
+point counts, without enumerating any point subset.  The other flats
+they share are tallied exactly from the s-subsets of each such flat's
+member list.  When the sum of the two is
 below t the instance is free; otherwise a pruned search over point or
 flat subsets of the incidence masks runs, within a work budget.
 """
@@ -78,8 +83,9 @@ _FLOAT_EXACT = 2**53  # float64 holds every integer within it exactly
 
 
 class _Runs(NamedTuple):
-    """The flats classified once: hyperplanes in runs of one primitive
-    normal (their key) and one offset, and the indices of every other flat.
+    """The flats classified once: hyperplanes (of R^d, or of the points'
+    affine hull in its free coordinates) in runs of one primitive normal
+    (their key) and one offset, and the indices of every other flat.
 
     ``order`` holds the hyperplane indices sorted by (key, offset), and
     ascending within each run; run r is ``order[starts[r]:starts[r + 1]]``
@@ -146,24 +152,45 @@ class IncidenceInstance:
         raise InvalidInput("empty instance has no ambient dimension")
 
     @cached_property
+    def _frame(self) -> tuple[PointRows, _Runs]:
+        """The points and the flat classification that the hashed counts,
+        the K_{s,t} certificate and the incidence masks read, built once
+        and kept while the instance lives.  For a :class:`FlatFamily` of
+        codimension r >= 2 whose points' affine hull A has dimension 1 <= e
+        < d, the points in A's free coordinates and the runs of the flats
+        whose trace on A is a hyperplane of A (:func:`_hull_frame`);
+        otherwise the points as they are and :func:`_group_flats`."""
+        flats, points = self.flats, self.points
+        if isinstance(flats, FlatFamily) and flats.rows.shape[1] > 1 and len(points) > 1:
+            frame = _hull_frame(points, flats)
+            if frame is not None:
+                return frame
+        return points, _group_flats(flats)
+
+    @property
+    def _hashed_points(self) -> PointRows:
+        """The points the runs are keyed in: :attr:`_frame`'s."""
+        return self._frame[0]
+
+    @property
     def _grouping(self) -> _Runs:
-        """The flats classified once per instance, for the hashed counts,
-        the K_{s,t} certificate and the incidence masks of the K_{s,t}
-        search; kept while the instance lives."""
-        return _group_flats(self.flats)
+        """The flats classified once per instance: :attr:`_frame`'s runs."""
+        return self._frame[1]
 
     @cached_property
     def _offset_counts(self) -> np.ndarray:
         """The number of points on each hyperplane run, int64: one exact dot
-        pass over the points per key, for the hashed counts and the K_{s,t}
-        certificate.  int64 dots are sorted once and each run's offset is
-        found by two binary searches; any other dots are counted by hashing,
-        since sorting them compares Python objects pair by pair."""
+        pass over the hashed points per key, for the hashed counts and the
+        K_{s,t} certificate.  int64 dots are sorted once and each run's
+        offset is found by two binary searches; any other dots are counted
+        by hashing, since sorting them compares Python objects pair by
+        pair."""
         runs = self._grouping
         counts = np.zeros(len(runs.starts), dtype=np.int64)
         bounds = runs.key_bounds()
         for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            dots, offsets = _dot_values(self.points, runs.keys[k].tolist()), runs.offsets[lo:hi]
+            dots = _dot_values(self._hashed_points, runs.keys[k].tolist())
+            offsets = runs.offsets[lo:hi]
             if dots.dtype == object or offsets.dtype == object:
                 tally = Counter(dots.tolist())
                 counts[lo:hi] = [tally[c] for c in offsets.tolist()]
@@ -175,14 +202,14 @@ class IncidenceInstance:
 
     @cached_property
     def _other_members(self) -> dict[int, list[int]]:
-        """For each flat that is not a hyperplane, the indices of its points,
-        ascending: one membership pass per flat, or block products for a
-        :class:`FlatFamily` of codimension r >= 2, every flat of which is
-        one; for the hashed counts, the K_{s,t} certificate and the
-        incidence masks."""
+        """For each flat outside the runs, the indices of its points,
+        ascending, read off its original equations: one membership pass per
+        flat, or block products for the flats of a :class:`FlatFamily`;
+        for the hashed counts, the K_{s,t} certificate and the incidence
+        masks."""
         split, others = self.points, self._grouping.others
-        if isinstance(self.flats, FlatFamily) and len(others):
-            return _family_members(split, self.flats)
+        if isinstance(self.flats, FlatFamily):
+            return _family_members(split, self.flats.rows[others], others.tolist())
         return {
             j: _members(split, self.flats[j].integer_equations()).tolist()
             for j in others.tolist()
@@ -369,12 +396,18 @@ def _group_flats(flats: Sequence[Flat]) -> _Runs:
 
 def _group_rows(family: FlatFamily) -> _Runs:
     """:func:`_group_flats` of a family of hyperplanes, keyed off its rows
-    [a | c] with no flat built.  Row j's key is a / g and its offset c / g,
-    for g the gcd of a signed as a's first nonzero entry: the primitive,
-    sign-canonical normal and the offset :func:`_hyperplane_key` reads
-    (the row's denominator cancels), with a ``Fraction`` only where g does
-    not divide c."""
+    [a | c] with no flat built (:func:`_row_keys`)."""
     a, c = family.rows[:, 0, :-1], family.rows[:, 0, -1]
+    return _sorted_runs(np.arange(len(a)), *_row_keys(a, c), np.zeros(0, dtype=np.int64))
+
+
+def _row_keys(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and offsets of the hyperplanes ``a[j] . x = c[j]``, each
+    ``a[j]`` a nonzero integer row: a / g and c / g, for g the gcd of a
+    signed as a's first nonzero entry, which are the primitive,
+    sign-canonical normal and the offset :func:`_hyperplane_key` reads
+    (a positive scale of the row cancels), with a ``Fraction`` only where
+    g does not divide c."""
     # from 0: a reduce over one object column would keep that entry's sign
     g = np.gcd.reduce(a, axis=1, initial=0)
     g = np.where(a[np.arange(len(a)), (a != 0).argmax(axis=1)] < 0, -g, g)
@@ -384,7 +417,7 @@ def _group_rows(family: FlatFamily) -> _Runs:
         offsets = offsets.astype(object)
         for j in inexact:
             offsets[j] = Fraction(int(c[j]), int(g[j]))
-    return _sorted_runs(np.arange(len(a)), keys, offsets, np.zeros(0, dtype=np.int64))
+    return keys, offsets
 
 
 def _sorted_runs(
@@ -431,10 +464,11 @@ def _members(
     return np.flatnonzero(on)
 
 
-def _family_members(split: PointRows, family: FlatFamily) -> dict[int, list[int]]:
-    """For each flat of ``family``, the indices of the split points on it,
-    ascending: those where every row [a | c] of the flat is zero on the
-    point's (P, -q).
+def _family_members(split: PointRows, rows: np.ndarray, ids: list[int]) -> dict[int, list[int]]:
+    """For each flat j of the (n, r, d + 1) row blocks ``rows`` of a
+    :class:`FlatFamily`, under its index ``ids[j]``, the indices of the
+    split points on it, ascending: those where every row [a | c] of the
+    flat is zero on the point's (P, -q).
 
     The first rows of a block of flats are multiplied by a block of points
     at a time, at most ``_DENSE_ENTRIES`` products a block, and a flat's
@@ -442,15 +476,14 @@ def _family_members(split: PointRows, family: FlatFamily) -> dict[int, list[int]
     float64 through BLAS, int64 or Python ints, the first that every row
     provably fits (:func:`_dense_dtype`).
     """
-    n, r, width = family.rows.shape
     m = len(split)
-    dtype = _dense_dtype(family.rows, split.max_abs)
-    rows = family.rows.astype(dtype)
+    dtype = _dense_dtype(rows, split.max_abs)
+    rows = rows.astype(dtype)
     points = np.column_stack((split.matrix, -split.q)).astype(dtype)
     flats_per_block = max(1, _DENSE_ENTRIES // max(1, m))
     points_per_block = max(1, _DENSE_ENTRIES // flats_per_block)
     members: dict[int, list[int]] = {}
-    for lo in range(0, n, flats_per_block):
+    for lo in range(0, len(rows), flats_per_block):
         block = rows[lo : lo + flats_per_block]
         on = np.zeros((len(block), m), dtype=bool)
         for p in range(0, m, points_per_block):
@@ -459,12 +492,72 @@ def _family_members(split: PointRows, family: FlatFamily) -> dict[int, list[int]
             rest = (block[flat_ids, 1:] * chunk[point_ids, None]).sum(axis=-1)
             held = ~(rest != 0).any(axis=1)
             on[flat_ids[held], p + point_ids[held]] = True
-        ids = np.nonzero(on)[1].tolist()
+        found = np.nonzero(on)[1].tolist()
         start = 0
-        for j, end in enumerate(np.cumsum(on.sum(axis=1)).tolist(), lo):
-            members[j] = ids[start:end]
+        for j, end in zip(ids[lo : lo + flats_per_block], np.cumsum(on.sum(axis=1)).tolist()):
+            members[j] = found[start:end]
             start = end
     return members
+
+
+def _hull_frame(points: PointRows, family: FlatFamily) -> tuple[PointRows, _Runs] | None:
+    """:attr:`IncidenceInstance._frame` of a family of codimension r >= 2,
+    or ``None`` when the points' affine hull A (:func:`linalg.affine_hull`)
+    is a point or all of R^d.
+
+    The projection onto A's e free coordinates is a bijection from A onto
+    R^e, so a point meets a flat F exactly when its projection meets the
+    trace of F on A there, and every witness, as index sets, is unchanged.  The
+    flats whose trace is a hyperplane of A (:func:`_hull_traces`) are
+    keyed off its row by :func:`_row_keys`, the rule of a family of
+    hyperplanes, into runs that keep their original indices; every other
+    flat (a trace that is empty, all of A, or of lower dimension) stays
+    outside the runs, with its member list read off its original rows.
+    """
+    free, t = linalg.affine_hull(points.matrix, points.q)
+    if not 0 < len(free) < points.ambient_dim:
+        return None
+    ids, h = _hull_traces(family.rows, t)
+    others = np.flatnonzero(~np.isin(np.arange(len(family)), ids))
+    return (_hull_points(points, free),
+            _sorted_runs(ids, *_row_keys(h[:, :-1], h[:, -1]), others))
+
+
+def _hull_points(points: PointRows, free: list[int]) -> PointRows:
+    """The points in the free coordinates of their affine hull: each row
+    ``(P[free], q)`` divided by its gcd, so in the one primitive form."""
+    matrix, q = points.matrix[:, free], points.q
+    g = np.gcd(np.gcd.reduce(matrix, axis=1, initial=0), q)  # positive, since q is
+    return PointRows._of(len(free), matrix // g[:, None], q // g)
+
+
+def _hull_traces(rows: np.ndarray, t: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The flats, of the (n, r, d + 1) row blocks ``rows`` (each [a | c],
+    read a . x = c), whose trace on the affine hull A of :func:`linalg.
+    affine_hull`'s ``t`` is a hyperplane of A: their ascending indices,
+    and each one's trace row h = [a' | c'] in A's free coordinates.
+
+    Substituting ``q_B x = t [x_free; 1]`` turns [a | c] into ``[a | -c] @
+    t`` with the sign of its last entry flipped: every row of every flat
+    in one batched product, int64 when it provably fits and Python ints
+    past it.  A trace is a hyperplane of A when some row has a nonzero
+    coefficient part and every row is a multiple of the first such row h,
+    constants included: every 2 x 2 minor of each stack [h; row] is zero
+    (:func:`linalg.maximal_minors`).
+    """
+    _, r, width = rows.shape
+    t = np.array(t, dtype=object)
+    t[-1, :] *= -1  # [a | c] @ t = [a | -c] @ T, its last entry negated
+    t[:, -1] *= -1
+    dtype = linalg._product_dtype(rows, t, width)
+    traces = rows.astype(dtype) @ t.astype(dtype)
+    lead = (traces[:, :, :-1] != 0).any(axis=2)
+    ids = np.flatnonzero(lead.any(axis=1))
+    h = traces[ids, lead[ids].argmax(axis=1)]
+    pairs = np.stack((np.broadcast_to(h[:, None], traces[ids].shape), traces[ids]), axis=2)
+    minors = linalg.maximal_minors(pairs.reshape(len(ids) * r, 2, t.shape[1]))
+    flat = ~(minors != 0).reshape(len(ids), r * minors.shape[1]).any(axis=1)
+    return ids[flat], h[flat]
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +617,21 @@ def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
     """Why the certificate cannot show ``inst`` K_{s,t}-free, or ``None``
     when it does.
 
-    s points that are not all one point span a flat of dimension at least
-    1, so every hyperplane through them has its normal in one linear
-    subspace of dimension d-1, and all of them with one normal g share one
-    offset, so one run.  They meet at most w_g of the hyperplanes with
-    normal g, the longest run of g whose offset holds s points or more
-    (:func:`_key_weights`).  The other flats they share are counted
-    exactly: a tally of the s-subsets of each non-hyperplane flat's member
-    list gives the most such flats sharing one s-subset.  When the largest
-    total w_g inside a (d-1)-subspace, plus that tally's maximum, is below
-    t, no K_{s,t} exists.  Reads the instance's one point split, its
-    cached run point counts and member lists; builds no incidence masks.
+    The runs are keyed in the e coordinates of the hashed points: R^d, or
+    the free coordinates of the points' affine hull A (e < d) for a
+    family it reduces, where A is R^e and the runs are the hyperplanes of
+    A.  s points that are not all one point span a flat of dimension at
+    least 1 in A, so every hyperplane of A through them has its normal in
+    one linear subspace of dimension e - 1 (the key width less one) of
+    R^e, and all of them with one normal g share one offset, so one run.
+    They meet at most w_g of the hyperplanes with normal g, the longest
+    run of g whose offset holds s points or more (:func:`_key_weights`).
+    The other flats they share are counted exactly: a tally of the
+    s-subsets of each other flat's member list gives the most such flats
+    sharing one s-subset.  When the largest total w_g inside an (e -
+    1)-subspace, plus that tally's maximum, is below t, no K_{s,t} exists.
+    Reads the instance's one point split, its cached run point counts and
+    member lists; builds no incidence masks.
     """
     runs = inst._grouping
     s, t = inst.s, inst.t
@@ -556,7 +653,8 @@ def _certificate_gap(inst: IncidenceInstance, limit: int) -> str | None:
         return "certificate over budget"
     shared = _most_sharing(members, s)
     normals, weights = _key_weights(inst)
-    best = _max_subspace_weight(normals, weights, inst.ambient_dim - 1, limit - cost)
+    best = _max_subspace_weight(normals, weights, inst._hashed_points.ambient_dim - 1,
+                                limit - cost)
     if best is None:
         return "certificate over budget"
     bound = best + shared
@@ -617,9 +715,9 @@ def incidence_masks(points: Sequence[RatPoint], flats: Sequence[Flat]) -> list[i
 
 
 def _grouped_masks(inst: IncidenceInstance) -> list[int]:
-    """:func:`incidence_masks` from the instance's one classification, one
-    point split and one member list per non-hyperplane flat: the points of
-    each key are bucketed by exact dot value, and each run's hyperplane
+    """:func:`incidence_masks` from the instance's one classification, its
+    hashed points and one member list per flat outside the runs: the
+    points of each key are bucketed by exact dot value, and each run's
     bits go to the points in its offset's bucket."""
     masks = [0] * len(inst.points)
     runs = inst._grouping
@@ -628,7 +726,7 @@ def _grouped_masks(inst: IncidenceInstance) -> list[int]:
     key_bounds = runs.key_bounds()
     for k, (lo, hi) in enumerate(zip(key_bounds, key_bounds[1:])):
         buckets: dict = defaultdict(list)  # exact dot value -> point indices
-        for i, dot in enumerate(_dot_values(inst.points, runs.keys[k].tolist()).tolist()):
+        for i, dot in enumerate(_dot_values(inst._hashed_points, runs.keys[k].tolist()).tolist()):
             buckets[dot].append(i)
         for r in range(lo, hi):
             bits = sum(1 << j for j in order[run_bounds[r] : run_bounds[r + 1]])

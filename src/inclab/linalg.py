@@ -6,7 +6,8 @@ nullspace is exact.  Elimination is fraction-free: :func:`integer_rref`
 scales each row to integers once (a row of ``int``s only to its primitive
 form) and eliminates on Python integers, and :func:`solve_rref` reads every
 solution off its rows in integers, as integer vectors over one common
-denominator.  Only :func:`integer_row_and_offset` builds a ``Fraction``, for
+denominator; :func:`affine_hull` reads a point set's affine hull the
+same way.  Only :func:`integer_row_and_offset` builds a ``Fraction``, for
 a rational offset; a caller builds one only where a public value needs it.
 Inputs are never mutated.
 
@@ -131,6 +132,47 @@ def nullspace(a: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     # the homogeneous system's constants column, appended after elimination
     _, q, directions = solve_rref([row + [0] for row in rows], pivots, len(a[0]))
     return q, directions
+
+
+def affine_hull(matrix: np.ndarray, q: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """The affine hull A of the m >= 1 points ``matrix[i] / q[i]`` of R^d
+    (integer rows, ``q > 0``) as a graph over its free coordinates:
+    ``(free, T)``, the ascending columns ``free`` of A's e = dim A free
+    coordinates and an integer (d + 1) x (e + 1) matrix ``T`` with
+    ``q_B [x; 1] = T [x[free]; 1]`` for every x in A, where q_B > 0 is
+    T's last entry.  e = 0 for one point value, and e = d when the points
+    span R^d.
+
+    A basis of the homogeneous differences ``P_i q_0 - P_0 q_i`` grows one
+    independent difference at a time.  The normals ``[n | -c]`` of the
+    homogeneous rows ``[P | q]`` taken so far (one :func:`nullspace`) vanish
+    on difference i exactly when ``n . x_i = c`` for x_i = P_i / q_i, so
+    each step is one product of every row with those normals, int64 when
+    it provably fits and Python ints past it; the first row with a nonzero
+    product joins the basis, and a step with none leaves the normals of A,
+    at most e + 1 products.  A's equations ``n . x = c`` are then read with
+    :func:`integer_rref` and :func:`solve_rref`: a point ``P_B / q_B`` of
+    A (zero at the free columns) and its directions, each q_B at its own
+    free column, are the columns of T.
+    """
+    points = np.column_stack((matrix, q))
+    d = points.shape[1] - 1
+    basis = [points[0].tolist()]
+    while True:
+        _, normals = nullspace(basis)
+        if not normals:
+            break  # the basis spans R^(d+1): A is R^d
+        n = np.array(normals, dtype=object)
+        dtype = _product_dtype(points, n, d + 1)
+        hit = np.flatnonzero((points.astype(dtype) @ n.T.astype(dtype) != 0).any(axis=1))
+        if not len(hit):
+            break
+        basis.append(points[hit[0]].tolist())
+    rows, pivots = integer_rref([row[:-1] + [-row[-1]] for row in normals])
+    point, q_b, directions = solve_rref(rows, pivots, d)
+    free = [c for c in range(d) if c not in set(pivots)]
+    columns = [v + [0] for v in directions] + [point + [q_b]]
+    return free, [list(row) for row in zip(*columns)]
 
 
 def integer_row_and_offset(
@@ -280,9 +322,11 @@ def _largest(a: np.ndarray) -> int:
 
 def _product_dtype(a: np.ndarray, b: np.ndarray, width: int = 1) -> type:
     """int64 when every sum of ``width`` products of an entry of the
-    integer array ``a`` and one of ``b`` provably fits, ``largest(a) *
-    width * largest(b) <= 2^62``, and Python ints (``object``) otherwise."""
-    return np.int64 if _largest(a) * width * _largest(b) <= _INT64_SAFE else object
+    integer array ``a`` and one of ``b`` provably fits, and so does every
+    entry: ``max(largest(a), 1) * width * max(largest(b), 1) <= 2^62``;
+    Python ints (``object``) otherwise."""
+    return (np.int64 if max(_largest(a), 1) * width * max(_largest(b), 1) <= _INT64_SAFE
+            else object)
 
 
 @lru_cache(maxsize=None)

@@ -16,11 +16,14 @@ every denominator is 1 the template holds them as the literal ``1``.  The
 text goes to a new file beside the target, which replaces the target only
 once it is whole.
 
-The loader builds no ``RatPoint``: it splits the decoded coordinates into
-rows once.  It decodes the flats' pairs once, straight to integer rows
-over the lcm of each equation's denominators, with no ``Fraction`` or
-``Flat`` built per flat.  A file whose every flat is a consistent system
-of the same number r >= 1 of independent equations loads as one
+The loader decodes the points and the flats as integer arrays, level by
+level (:func:`_int_leaves`), with no ``RatPoint``, ``Fraction`` or
+``Flat`` built: points over the denominator 1 are the rows at once, and
+the flats' pairs become integer rows over the lcm of each equation's
+denominators.  Any irregular pair leaves the file to the pair-by-pair
+path, which raises its errors; points with a denominator are decoded
+that way too and split into rows once.  A file whose every flat is a
+consistent system of the same number r >= 1 of independent equations loads as one
 :class:`FlatFamily` (for r = 1: one row with a nonzero coefficient, a
 hyperplane), checked for every flat at once by
 :func:`~inclab.linalg.full_row_rank`, with no elimination per flat; any
@@ -37,7 +40,6 @@ import os
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from pathlib import Path
 from typing import Any, Iterable, Sequence, TextIO
 
@@ -163,14 +165,17 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
     dim = _int(_field(doc, "ambient_dim", "instance"), "ambient_dim")
     if dim < 1:
         raise InvalidInput(f"ambient_dim must be positive, got {dim}")
-    coords = []
-    for i, row in enumerate(_list(_field(doc, "points", "instance"), "points")):
-        if len(_list(row, f"point {i}")) != dim:
-            raise InvalidInput(
-                f"point {i} has {len(row)} coordinates in an ambient_dim {dim} file"
-            )
-        coords.append([_dec(c) for c in row])
-    points = _split_coords(coords, dim)
+    items = _field(doc, "points", "instance")
+    points = _point_rows(dim, items)
+    if points is None:
+        coords = []
+        for i, row in enumerate(_list(items, "points")):
+            if len(_list(row, f"point {i}")) != dim:
+                raise InvalidInput(
+                    f"point {i} has {len(row)} coordinates in an ambient_dim {dim} file"
+                )
+            coords.append([_dec(c) for c in row])
+        points = _split_coords(coords, dim)
     specs = _list(_field(doc, "flats", "instance"), "flats")
     flats = _family(dim, specs)
     if flats is None:
@@ -190,6 +195,18 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
     return IncidenceInstance(points, flats, s, t)
 
 
+def _point_rows(dim: int, items: Any) -> PointRows | None:
+    """The points ``items`` as rows when every one decodes as an array
+    (:func:`_int_leaves`) of ``dim`` integer coordinates over the
+    denominator 1: the numerators are the rows.  Otherwise ``None``, and
+    the points are decoded pair by pair and split by :func:`_split_coords`,
+    with that path's errors."""
+    pairs = _int_leaves(items, (len(items) if type(items) is list else 0, dim, 2))
+    if pairs is None or (pairs[..., 1] != 1).any():
+        return None
+    return PointRows._of(dim, pairs[..., 0], np.ones(len(items), dtype=np.int64))
+
+
 def _family(dim: int, specs: list) -> FlatFamily | None:
     """The flats ``specs`` as one family when there are some, each a system
     of the same number r of equations of ``dim`` entries, and each reads as
@@ -200,34 +217,72 @@ def _family(dim: int, specs: list) -> FlatFamily | None:
     rule ``Flat(...)`` reads a hyperplane by).  Otherwise ``None``, and the
     file loads one by one, with the errors of ``Flat(...)``.
 
-    Each pair is decoded once, with :func:`_pair`'s checks and in the order
-    the one-by-one path decodes them, so a bad pair raises the error that
-    path would; each equation is scaled by the lcm of its denominators to
-    an integer row [a | c], and no ``Fraction`` is built for it.
+    The pairs are decoded as arrays (:func:`_int_leaves`), with no
+    ``Fraction`` built: any irregular pair, such as a zero denominator or a
+    leaf that is not an integer, gives ``None``, and the one-by-one path
+    raises its error.  Each denominator is made positive, and each
+    equation is scaled by the lcm of its denominators to an integer row [a
+    | c] over that lcm (:func:`_over_lcm`).
     """
-    blocks, dens = [], []
-    for spec in specs:
-        rows, rhs = (spec.get("A"), spec.get("b")) if isinstance(spec, dict) else (0, 0)
-        if not (isinstance(rows, list) and isinstance(rhs, list)
-                and len(blocks[0] if blocks else rows) == len(rows) == len(rhs) >= 1
-                and all(isinstance(row, list) and len(row) == dim for row in rows)):
-            return None
-        pairs = [[_pair(a) for a in row] for row in rows]
-        for row, c in zip(pairs, map(_pair, rhs)):
-            row.append(c)
-        block, den = [], []
-        for row in pairs:
-            q = lcm(*(d for _, d in row))
-            block.append([num * (q // d) for num, d in row])
-            den.append(q)
-        blocks.append(block)
-        dens.append(den)
-    if not blocks:
+    if not specs or set(map(type, specs)) != {dict}:
         return None
-    (rows,), _ = _int_arrays(blocks)
+    coefficients, constants = ([spec.get(key) for spec in specs] for key in ("A", "b"))
+    r = len(coefficients[0]) if type(coefficients[0]) is list else 0
+    a = _int_leaves(coefficients, (len(specs), r, dim, 2))
+    b = _int_leaves(constants, (len(specs), r, 2))
+    if not r or a is None or b is None:
+        return None
+    pairs = np.concatenate((a, b[:, :, None]), axis=2)
+    num, den = pairs[..., 0], pairs[..., 1]
+    if not den.all():
+        return None
+    negative = den < 0
+    rows, q = _over_lcm(np.where(negative, -num, num), np.where(negative, -den, den))
     if not linalg.full_row_rank(rows[:, :, :-1]).all():
         return None  # flat errors, or flats of lower dimension
-    return FlatFamily._of(dim, len(blocks[0]), rows, dens)
+    return FlatFamily._of(dim, r, rows, q)
+
+
+def _int_leaves(items: Any, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The integers of the nested lists ``items`` as one array of
+    ``shape``, decoded level by level: each level a list of lists of the
+    length ``shape`` gives, and every leaf exactly an ``int`` (so no
+    ``bool``, float or string); ``None`` otherwise.  The array is int64
+    when every entry is within 2^62, and Python ints otherwise
+    (:func:`_int_arrays`): its dtype is never left to numpy's inference,
+    which reads 2^63 beside small ints as float64."""
+    level = [items]
+    for length in shape:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
+            return None
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) != {int}:
+        return None
+    try:
+        leaves = np.array(level, dtype=np.int64)
+    except OverflowError:  # past int64
+        leaves = np.array(level, dtype=object)
+    (leaves,), _ = _int_arrays(leaves.reshape(shape))
+    return leaves
+
+
+def _over_lcm(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, q)``: each equation ``num / den`` (along the last axis,
+    every ``den`` positive) as the integer row ``rows`` over ``q``, the
+    lcm of its denominators.  The lcm is taken one denominator at a time,
+    in int64 while each step provably stays within 2^62
+    (:func:`linalg._product_dtype`) and in Python ints from the first step
+    that might not; the rows likewise."""
+    q = den[..., 0]
+    for k in range(1, den.shape[-1]):
+        step = q // np.gcd(q, den[..., k])
+        if linalg._product_dtype(step, den[..., k]) is object:
+            step, den, num = step.astype(object), den.astype(object), num.astype(object)
+        q = step * den[..., k]
+    scale = q[..., None] // den
+    if linalg._product_dtype(scale, num) is object:
+        scale, num = scale.astype(object), num.astype(object)
+    return num * scale, q
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:

@@ -4,7 +4,7 @@ Everything here is deliberately brute force and shares no code with the
 library paths it checks: determinant-by-cofactor rank, Fraction
 Gauss-Jordan elimination, direct membership evaluation, exhaustive chain
 enumeration, and recursive gcd.  Slow is fine; these run on small inputs
-only.  Three use the library, each for a reason.  The ``Flat``
+only.  Four use the library, each for a reason.  The ``Flat``
 constructor builds the result of :func:`generic_extension_fraction`:
 that constructor's elimination is the slow path it stands for.
 :func:`pad_hyperplanes_loop` draws through ``Random.randint`` and takes
@@ -12,7 +12,9 @@ the normal pool, the offset sets and the family from the library, whose
 word replay it checks.  :func:`embed_extensions_loop` is the embedding
 flat by flat on the library's elimination kernel (``integer_rref``,
 ``solve_rref`` and ``nullspace``), the slow path that the batched
-maximal minors replace.
+maximal minors replace.  :func:`family_per_pair` checks each pair with
+the loader's own pair check, whose errors the array decode must leave to
+the flat-by-flat path.
 """
 
 from __future__ import annotations
@@ -313,6 +315,42 @@ def pad_hyperplanes_loop(split, count, d, rng, achieved):
         normal_ids.append(i)
         offsets.append(offset)
     return _hyperplanes(d, [v.coords for v in pool], normal_ids, offsets)
+
+
+def family_per_pair(dim: int, specs):
+    """The flats ``specs`` of an instance document decoded one pair at a
+    time, as the loader did before it decoded arrays: ``(rows, den)`` as
+    nested lists, each equation's pairs scaled by the lcm of its
+    denominators, when every flat is a system of the same number r >= 1
+    of equations of ``dim`` entries with independent coefficient rows (by
+    :func:`minor_rank`); otherwise ``None``.  A bad pair raises the
+    loader's own pair error (``serialization._pair``), in the order the
+    flat-by-flat path decodes the pairs."""
+    from inclab.serialization import _pair
+
+    blocks, dens = [], []
+    for spec in specs:
+        rows, rhs = (spec.get("A"), spec.get("b")) if isinstance(spec, dict) else (0, 0)
+        if not (isinstance(rows, list) and isinstance(rhs, list)
+                and len(blocks[0] if blocks else rows) == len(rows) == len(rhs) >= 1
+                and all(isinstance(row, list) and len(row) == dim for row in rows)):
+            return None
+        pairs = [[_pair(a) for a in row] for row in rows]
+        for row, c in zip(pairs, map(_pair, rhs)):
+            row.append(c)
+        block, den = [], []
+        for row in pairs:
+            q = 1
+            for _, d in row:
+                q = q * abs(d) // gcd_euclid(q, d)
+            block.append([num * (q // d) for num, d in row])
+            den.append(q)
+        blocks.append(block)
+        dens.append(den)
+    if not blocks or any(minor_rank([row[:-1] for row in block]) < len(block)
+                         for block in blocks):
+        return None
+    return blocks, dens
 
 
 def first_kst_bruteforce(points, flats, s: int, t: int, side: str):

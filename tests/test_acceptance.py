@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from inclab import (
     ComplexHyperplane,
     ComplexRational,
@@ -177,6 +179,30 @@ def test_criterion_6_slope_recovery(tmp_path):
     report(
         f"PASS criterion 6: fitted composite slope {fitted:.4f} vs predicted"
         f" {predicted:.4f} (|delta| = {delta:.4f} <= 0.1) in {elapsed:.1f}s"
+    )
+
+
+@pytest.mark.parametrize("d, top", [(3, 4096), (4, 1024)], ids=["d3", "d4"])
+def test_criterion_6_slope_recovery_beyond_the_plane(d, top):
+    """The grid ladder in R^3 and R^4, doubling from 256: every rung has
+    I = m_actual |V| and a "free" K_{2,t} verdict, and the fitted
+    composite slope is within 0.1 of the predicted value."""
+    started = time.time()
+    ladder = tuple((m, m) for m in (256, 512, 1024, 2048, 4096) if m <= top)
+    result = run_sweep(SweepSpec(construction="a", d=d, ladder=ladder, s=2, seed=1))
+    for rung in result["rungs"]:
+        assert not rung["failed"], rung
+        assert rung["incidences"] == rung["m_actual"] * rung["normals"], rung
+        assert rung["kst_status"] == "free", rung
+    fitted = result["prediction"]["fitted_composite_slope"]
+    predicted = result["prediction"]["composite_slope"]
+    delta = abs(fitted - predicted)
+    assert delta <= 0.1, f"slope delta {delta:.4f} exceeds 0.1"
+    elapsed = time.time() - started
+    report(
+        f"PASS criterion 6 (d={d}): {len(ladder)} rungs free with I = m|V|, fitted"
+        f" composite slope {fitted:.4f} vs predicted {predicted:.4f}"
+        f" (|delta| = {delta:.4f} <= 0.1) in {elapsed:.1f}s"
     )
 
 

@@ -79,6 +79,26 @@ class TestConstructVerifyRoundTrip:
         assert payload["counts_agree"]
         assert payload["matches_predicted"]
 
+    def test_verify_prints_null_for_a_skipped_naive_recount(self, capsys, tmp_path, monkeypatch):
+        from inclab import constructions
+
+        target = str(tmp_path / "inst.inc.json")
+        code, _, _ = run_cli(
+            capsys, "construct", "--variant", "a", "--d", "2", "--m", "25",
+            "--n", "40", "--seed", "1", "--box-side", "2", "-o", target,
+        )
+        assert code == 0
+        doc = json.loads(open(target).read())
+        monkeypatch.setattr(constructions, "_NAIVE_LIMIT",
+                            len(doc["points"]) * len(doc["flats"]) - 1)
+        code, out, _ = run_cli(capsys, "verify", target, "--s", "2", "--t", str(doc["t"]))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["naive_count"] is None and payload["counts_agree"] is None
+        assert '"naive_count": null' in out and '"counts_agree": null' in out
+        assert payload["notes"] == ["naive recount skipped above the size cap"]
+        assert payload["kst_status"] == "free" and payload["matches_predicted"]
+
     def test_verify_corrupted_exits_one_with_witness(self, capsys, tmp_path):
         target = str(tmp_path / "inst.inc.json")
         run_cli(

@@ -36,7 +36,7 @@ from inclab import (
     select_admissible_normals,
     verify_construction,
 )
-from inclab import constructions, geometry, incidence
+from inclab import constructions, geometry, incidence, linalg
 from inclab.geometry import _hyperplanes, _int_point_matrix
 from inclab.serialization import instance_to_dict
 
@@ -569,21 +569,22 @@ class TestEmbedding:
 
     @pytest.mark.parametrize("size", [256, 1024])
     def test_embedded_grid_is_certified_free(self, size, monkeypatch):
-        # every embedded flat is a 2-flat of R^4, none a hyperplane; two of
-        # them share at most one point, which the member-list tally proves
+        # every embedded flat is a 2-flat of R^4, none a hyperplane; in the
+        # points' affine hull, the carrier plane, each is a line, so every
+        # flat joins a run and the certificate reads the planar grid's runs
         inner = build_grid_construction(ConstructionConfig(d=2, m=size, n=size, seed=1))
         emb = embed_configuration(inner, 4, 2, seed=1)
         inst = IncidenceInstance(emb.points, emb.flats, 2, emb.t_measured + 1)
         runs = inst._grouping
-        assert not len(runs.order) and runs.others.tolist() == list(range(len(emb.flats)))
+        assert sorted(runs.order.tolist()) == list(range(len(emb.flats)))
+        assert not len(runs.others) and inst._other_members == {}
+        assert inst._hashed_points == inner.points
         assert incidence._certificate_gap(inst, incidence.DEFAULT_COMPARISON_LIMIT) is None
-        if size > 256:
-            # at 256 the pair search (130,560 mask words) is cheaper than the
-            # tally (6,320 pairs at 64 words each), and find_kst runs it
-            def no_search(*args):
-                raise AssertionError("the mask search ran")
 
-            monkeypatch.setattr(incidence, "_first_common_subset", no_search)
+        def no_search(*args):
+            raise AssertionError("the mask search ran")
+
+        monkeypatch.setattr(incidence, "_first_common_subset", no_search)
         assert find_kst(inst) is None
         report = verify_construction(emb, 2, emb.t_measured + 1)
         assert report.kst_status == "free" and report.counts_agree
@@ -945,6 +946,51 @@ class TestVerifyConstruction:
         assert calls == [len(out.points)]
         assert report.counts_agree and report.matches_predicted
         assert report.kst_status == "free"
+
+    def test_embedded_flats_are_classified_once(self, monkeypatch):
+        # on an embedded family the hashed count, the core count and the
+        # K_{s,t} certificate share one affine hull and one classification
+        # of the flats' traces on it, and no flat goes by _group_flats
+        inner = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))
+        emb = embed_configuration(inner, 4, 2, seed=3)
+        hulls, groupings = [], []
+        affine_hull, group_flats = linalg.affine_hull, incidence._group_flats
+        monkeypatch.setattr(
+            linalg, "affine_hull", lambda matrix, q: hulls.append(len(q)) or affine_hull(matrix, q))
+        monkeypatch.setattr(
+            incidence, "_group_flats", lambda flats: groupings.append(len(flats)) or group_flats(flats))
+        report = verify_construction(emb, 2, emb.t_measured + 1)
+        assert hulls == [len(emb.points)] and groupings == []
+        assert report.kst_status == "free"
+        assert report.core_count == count_incidences_direct(
+            emb.points, emb.flats[: emb.padding_start]
+        )
+
+    def test_embedded_points_are_split_once(self, monkeypatch):
+        # the naive count reads the instance's one point split, and both
+        # hashed counts and the certificate one projection of it onto the
+        # free coordinates of the points' affine hull
+        inner = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))
+        emb = embed_configuration(inner, 4, 2, seed=3)
+        splits, projections = [], []
+        split, hull_points = incidence._int_point_matrix, incidence._hull_points
+        monkeypatch.setattr(
+            incidence, "_int_point_matrix", lambda points: splits.append(len(points)) or split(points))
+        monkeypatch.setattr(incidence, "_hull_points", lambda points, free: projections.append(
+            len(points)) or hull_points(points, free))
+        report = verify_construction(emb, 2, emb.t_measured + 1)
+        assert splits == projections == [len(emb.points)]
+        assert report.counts_agree and report.matches_predicted
+        assert report.kst_status == "free"
+
+    def test_a_skipped_naive_recount_is_noted(self, monkeypatch):
+        out = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))
+        monkeypatch.setattr(constructions, "_NAIVE_LIMIT", len(out.points) * len(out.flats) - 1)
+        report = verify_construction(out, 2, out.t_measured + 1)
+        assert report.naive_count is None and report.counts_agree is None
+        assert report.notes == ("naive recount skipped above the size cap",)
+        assert report.hashed_count == count_incidences_direct(out.points, out.flats)
+        assert report.matches_predicted and report.kst_status == "free"
 
     def test_unverified_search_is_noted(self):
         out = build_grid_construction(ConstructionConfig(d=2, m=49, n=60, seed=3, box_side=3))

@@ -390,7 +390,8 @@ class TestFlatFamilyCounts:
     @given(block_instances(), st.sampled_from((incidence._DENSE_ENTRIES, 5, 1)))
     def test_naive_hashed_masks_direct_agree(self, case, dense_entries):
         # the block products, in int64 or Python ints and cut into blocks of
-        # any size, give each flat's member list as the per-flat pass does
+        # any size, give the masks the per-flat pass gives, and each member
+        # list of a flat left outside the hull's runs as that pass does
         points, family = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(incidence, "_DENSE_ENTRIES", dense_entries)
@@ -398,7 +399,9 @@ class TestFlatFamilyCounts:
             inst = IncidenceInstance(points, family, 2, 1)
             flat_by_flat = IncidenceInstance(points, tuple(family), 2, 1)
             assert inst.flats is family
-            assert inst._other_members == flat_by_flat._other_members
+            assert incidence._grouped_masks(inst) == incidence._grouped_masks(flat_by_flat)
+            assert inst._other_members == {
+                j: flat_by_flat._other_members[j] for j in inst._grouping.others.tolist()}
             for stop in range(len(family)):
                 assert incidence._count_hashed(inst, stop) == count_incidences_direct(
                     points, family[:stop])
@@ -814,6 +817,157 @@ def certificate_instances(draw):
             a = draw(normal)
             flats.append(Flat(d, [a], [sum(x * c for x, c in zip(a, anchor.coords))]))
     return points, flats, draw(st.integers(2, 4)), draw(st.integers(1, 4))
+
+
+def _scaled_rows(rows, rhs, factor):
+    """Each equation ``row . x = c`` as an integer row [a | c] times a
+    positive or negative ``factor`` and its lcm of denominators, over the
+    absolute value of that scale."""
+    block, den = [], []
+    for row, c in zip(rows, rhs):
+        values = list(row) + [c]
+        scale = factor * lcm(*(Fraction(v).denominator for v in values))
+        block.append([int(v * scale) for v in values])
+        den.append(abs(scale))
+    return block, den
+
+
+@st.composite
+def hull_instances(draw):
+    """Points in an affine subspace A of R^d (d 2-5, dimension e from 1 to
+    d - 1, a rational base point, entries near 2^62 or small), some
+    repeated and some rational, and a :class:`FlatFamily` of r = 1-3 rows a
+    flat whose traces on A are a hyperplane of A (its other rows normals
+    of A), rank 1 only through redundant rows, empty, all of A, or of
+    lower dimension; with s and t."""
+    d = draw(st.integers(2, 5))
+    e = draw(st.integers(1, d - 1))
+    small = st.integers(-2, 2)
+    # rows in echelon form: independent, with small entries after each pivot
+    pivots = sorted(draw(st.permutations(range(d)))[:e])
+    directions = [[0] * c + [draw(st.sampled_from((1, -1, 2)))]
+                  + draw(st.lists(small, min_size=d - c - 1, max_size=d - c - 1))
+                  for c in pivots]
+    near = (0, 1, 2**62 - 1, -(2**62) + 3) if draw(st.booleans()) else (0, 1, -3)
+    base = [draw(st.sampled_from(near)) + Fraction(draw(st.integers(0, 2)), 3)
+            for _ in range(d)]
+    weight = st.one_of(small, st.builds(Fraction, st.integers(-3, 3), st.just(2)))
+    points = []
+    for _ in range(draw(st.integers(1, e + 4))):
+        if points and draw(st.integers(0, 4)) == 0:
+            points.append(draw(st.sampled_from(points)))  # a repeated point
+            continue
+        lam = draw(st.lists(weight, min_size=e, max_size=e))
+        points.append(RatPoint([b + sum(w * v[k] for w, v in zip(lam, directions))
+                                for k, b in enumerate(base)]))
+    _, basis = fraction_solve_affine(directions, [0] * e)
+    normals = [[int(x * lcm(*(y.denominator for y in n))) for x in n] for n in basis]
+    r = draw(st.integers(1, min(3, d)))
+    factors = st.sampled_from((1, -1, 3))
+    rows, dens = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        anchor = draw(st.sampled_from(points)).coords
+        kind = draw(st.sampled_from(("hyperplane", "redundant", "empty", "whole", "lower")))
+        g = draw(st.lists(small, min_size=d, max_size=d))
+        mix = st.lists(st.integers(-2, 2), min_size=len(normals), max_size=len(normals))
+
+        def normal_row():
+            coeffs = draw(mix)
+            return [sum(c * n[k] for c, n in zip(coeffs, normals)) for k in range(d)]
+
+        if kind in ("hyperplane", "empty"):
+            a = [g] + [normal_row() for _ in range(r - 1)]
+        elif kind == "redundant":
+            a = [[draw(st.sampled_from((1, -1, 2))) * x + y for x, y in zip(g, normal_row())]
+                 for _ in range(r)]
+        elif kind == "whole":
+            a = [normal_row() for _ in range(r)]
+        else:
+            a = draw(st.lists(st.lists(small, min_size=d, max_size=d), min_size=r,
+                              max_size=r))
+        if minor_rank(a) != r:
+            continue
+        rhs = [sum(x * y for x, y in zip(row, anchor)) for row in a]
+        if kind == "empty":
+            rhs[-1] += draw(st.sampled_from((1, Fraction(1, 2))))
+        block, den = _scaled_rows(a, rhs, draw(factors))
+        rows.append(block)
+        dens.append(den)
+    family = FlatFamily._of(d, r, rows, dens)
+    return points, family, draw(st.integers(2, 3)), draw(st.integers(1, 3))
+
+
+def _hull_dimension(points):
+    """The dimension of the points' affine hull, by minor rank of their
+    differences from the first; -1 for no points."""
+    if not points:
+        return -1
+    first = points[0].coords
+    return minor_rank([[Fraction(x) - y for x, y in zip(p.coords, first)] for p in points[1:]])
+
+
+def _trace_dimension(flat, points):
+    """The dimension of the flat's trace on the points' affine hull, from
+    the stacked equations of both by Fraction elimination; None when the
+    trace is empty."""
+    first = points[0].coords
+    differences = [[Fraction(x) - y for x, y in zip(p.coords, first)] for p in points[1:]]
+    rows, rhs = list(flat.equations), list(flat.rhs)
+    if differences:
+        _, normals = fraction_solve_affine(differences, [0] * len(differences))
+        rows += normals
+        rhs += [sum(n * x for n, x in zip(normal, first)) for normal in normals]
+    else:  # one point: the hull is that point
+        rows += [[int(i == j) for j in range(len(first))] for i in range(len(first))]
+        rhs += list(first)
+    solved = fraction_solve_affine(rows, rhs)
+    return None if solved is None else len(solved[1])
+
+
+class TestHullReduction:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hull_instances())
+    def test_the_reduced_family_agrees_with_the_flats_one_by_one(self, case):
+        points, family, s, t = case
+        inst = IncidenceInstance(points, family, s, t)
+        flat_by_flat = IncidenceInstance(points, tuple(family), s, t)
+        e = _hull_dimension(points)
+        reduced = family.rows.shape[1] > 1 and 0 < e < family.ambient_dim
+        if reduced:
+            assert inst._hashed_points.ambient_dim == e
+            # a flat joins the runs exactly when its trace is a hyperplane
+            # of the hull, and keeps its index there
+            in_runs = set(inst._grouping.order.tolist())
+            for j, flat in enumerate(family):
+                assert (j in in_runs) == (_trace_dimension(flat, points) == e - 1)
+        else:
+            assert inst._hashed_points is inst.points
+        direct = count_incidences_direct(points, family)
+        assert count_incidences(inst, "naive") == count_incidences(inst, "hashed") == direct
+        for stop in range(len(family) + 1):
+            assert incidence._count_hashed(inst, stop) == count_incidences_direct(
+                points, family[:stop])
+        assert incidence._grouped_masks(inst) == incidence._grouped_masks(flat_by_flat)
+        status, witness, _ = incidence.kst_verdict(inst)
+        assert (status, witness) == incidence.kst_verdict(flat_by_flat)[:2]
+        if incidence._certificate_gap(inst, incidence.DEFAULT_COMPARISON_LIMIT) is None:
+            assert first_kst_bruteforce(points, list(family), s, t, "points") is None
+
+    def test_a_line_of_points_keys_its_traces_by_one_coordinate(self):
+        # e = 1: the hull is the line x = y = z of R^3, read in z; the lines
+        # x = c, y = z meet it in one point each, so they are runs of the
+        # key (1,), and the line x = y = z itself stays outside the runs
+        points = [P(c, c, c) for c in range(4)]
+        family = FlatFamily._of(3, 2, [[[1, 0, 0, c], [0, 1, -1, 0]] for c in (0, 1, 1, 3)]
+                                + [[[1, -1, 0, 0], [0, 1, -1, 0]]], np.ones((5, 2), np.int64))
+        inst = IncidenceInstance(points, family, 2, 2)
+        assert inst._hashed_points == [P(c) for c in range(4)]
+        assert inst._grouping.keys.tolist() == [[1]] and inst._grouping.others.tolist() == [4]
+        assert count_incidences(inst) == count_incidences_direct(points, family) == 8
+        assert incidence._certificate_gap(inst, 10**9) is None
+        # the whole line holds every pair once, and no run holds two points
+        assert incidence._certificate_gap(IncidenceInstance(points, family, 2, 1), 10**9) == (
+            "certificate bound 1 reaches t=1")
 
 
 class TestKstCertificate:

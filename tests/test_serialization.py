@@ -28,7 +28,7 @@ from inclab import (
     save_instance,
 )
 from inclab import serialization
-from inclab.geometry import FlatFamily, PointRows, _hyperplanes
+from inclab.geometry import FlatFamily, PointRows, _hyperplanes, _split_coords
 from inclab.incidence import _group_flats
 from inclab.serialization import (
     _CHUNK,
@@ -37,7 +37,7 @@ from inclab.serialization import (
     dict_to_instance,
     instance_to_dict,
 )
-from oracles import same_runs
+from oracles import family_per_pair, same_runs
 from test_golden import CONSTRUCTIONS, DIGESTS
 
 
@@ -426,6 +426,109 @@ def test_flats_no_block_family_holds_keep_their_errors(change, message):
     doc = _embedded_document()
     change(doc["flats"][5])
     with pytest.raises(InvalidInput, match=message):
+        dict_to_instance(doc)
+
+
+def _scale_pair(pair, k):
+    pair[0], pair[1] = pair[0] * k, pair[1] * k
+
+
+def _flat_pairs(doc):
+    return [pair for spec in doc["flats"] for pair in (*chain(*spec["A"]), *spec["b"])]
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: None,
+    lambda doc: [_scale_pair(pair, -1) for pair in _flat_pairs(doc)[::3]],
+    lambda doc: [_scale_pair(pair, 6) for pair in _flat_pairs(doc)[1::2]],
+    lambda doc: [_scale_pair(pair, -(2**63) - 5) for pair in _flat_pairs(doc)[::4]],
+    lambda doc: _flat_pairs(doc)[2].__setitem__(0, 2**63 * _flat_pairs(doc)[2][1]),
+    lambda doc: _flat_pairs(doc)[2].__setitem__(0, 2**62 * _flat_pairs(doc)[2][1]),
+    lambda doc: [pair.__setitem__(1, den) for pair, den in zip(
+        doc["flats"][0]["A"][0], (2**31 - 1, 2**32 + 15, 2**29 + 11, 7))],
+    lambda doc: doc["flats"][1]["A"][0].append([1, 1]),
+    lambda doc: doc["flats"][1]["b"].append([1, 1]),
+    lambda doc: doc["flats"][1]["A"].__setitem__(0, {"0": 1}),
+], ids=["as-written", "negative-den", "unreduced", "den-past-int64", "2^63-beside-small",
+        "2^62-beside-small", "lcm-past-2^62", "ragged-row", "ragged-rhs", "object-row"])
+def test_array_decode_matches_the_per_pair_loop(change):
+    # the same integer rows over the same denominators, of the one dtype
+    # the int64 rule gives both: int64 within 2^62, Python ints past it
+    doc = _embedded_document()
+    change(doc)
+    expected = family_per_pair(4, doc["flats"])
+    family = serialization._family(4, doc["flats"])
+    if expected is None:
+        assert family is None
+        return
+    rows, den = expected
+    assert family.rows.tolist() == rows and family.den.tolist() == den
+    largest = max(abs(x) for x in chain(*chain(*rows), *den))
+    dtype = np.int64 if largest <= 2**62 else object
+    assert family.rows.dtype == family.den.dtype == dtype
+
+
+@pytest.mark.parametrize("leaf", [True, 1.0, "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("where", ["numerator", "denominator", "rhs"])
+def test_irregular_leaves_raise_the_per_pair_errors(leaf, where):
+    # the array decode gives such a document up, and the flat-by-flat path
+    # raises the error the per-pair loop raised
+    doc = _embedded_document()
+    pair = doc["flats"][2]["b"][1] if where == "rhs" else doc["flats"][2]["A"][1][3]
+    pair[where == "denominator"] = leaf
+    assert serialization._family(4, doc["flats"]) is None
+    with pytest.raises(InvalidInput) as per_pair:
+        family_per_pair(4, doc["flats"])
+    with pytest.raises(InvalidInput) as loaded:
+        dict_to_instance(doc)
+    assert str(loaded.value) == str(per_pair.value)
+
+
+def test_zero_denominators_raise_the_per_pair_error():
+    doc = _embedded_document()
+    doc["flats"][4]["A"][0][1][1] = 0
+    assert serialization._family(4, doc["flats"]) is None
+    with pytest.raises(InvalidInput, match="zero denominator") as per_pair:
+        family_per_pair(4, doc["flats"])
+    with pytest.raises(InvalidInput) as loaded:
+        dict_to_instance(doc)
+    assert str(loaded.value) == str(per_pair.value)
+
+
+@pytest.mark.parametrize("coordinates, decoded", [
+    ([[0, 1], [2**62, 1]], True),
+    ([[2**63, 1], [1, 1]], True),  # numpy alone would read this as float64
+    ([[-(2**63), 1], [-(2**64), 1]], True),
+    ([[1, 2], [3, 1]], False),  # a denominator: split by the per-pair path
+    ([[-1, -1], [3, 1]], False),
+    ([[True, 1], [3, 1]], False),
+    ([[1.0, 1], [3, 1]], False),
+], ids=["2^62", "2^63", "past-int64", "rational", "negative-den", "bool", "float"])
+def test_points_decode_as_rows(coordinates, decoded):
+    # integral points go straight to rows, equal to the per-pair split and
+    # of its dtype; anything else is left to the per-pair path
+    doc = _plain_doc()
+    doc["points"] = [coordinates, [[0, 1], [0, 1]]]
+    rows = serialization._point_rows(2, doc["points"])
+    assert (rows is not None) == decoded
+    try:
+        per_pair = _split_coords([[serialization._dec(c) for c in point]
+                                  for point in doc["points"]], 2)
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput, match=str(exc)):
+            dict_to_instance(doc)
+        return
+    if rows is not None:
+        assert rows == per_pair
+        assert (rows.matrix.dtype, rows.q.dtype) == (per_pair.matrix.dtype, per_pair.q.dtype)
+    assert dict_to_instance(doc).points == per_pair
+
+
+def test_a_ragged_point_raises_the_per_pair_error():
+    doc = _plain_doc()
+    doc["points"][1] = doc["points"][1][:1]
+    assert serialization._point_rows(2, doc["points"]) is None
+    with pytest.raises(InvalidInput, match="point 1 has 1 coordinates"):
         dict_to_instance(doc)
 
 

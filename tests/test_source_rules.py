@@ -64,11 +64,13 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
         "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
         "_value_counts", "unique", "_group_rows", "_group_flats", "_grouping",
         "_family_members", "_Runs", "_sorted_runs", "_offset_counts", "_key_weights",
-        "key_bounds", "searchsorted", "reduceat",
+        "key_bounds", "searchsorted", "reduceat", "_frame", "_hashed_points",
+        "_hull_frame", "_hull_points", "_hull_traces", "affine_hull", "_row_keys",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
     hashed, _ = _reach("incidence.py", "_count_hashed")
-    assert "_family_members" in hashed  # the rule follows the cached properties
+    # the rule follows the cached properties
+    assert {"_family_members", "_hull_frame", "_hull_traces"} <= hashed
     assert naive & hashed == {"_fits_int64", "_dense_dtype"}, (
         f"both reach {sorted(naive & hashed)}")
 
@@ -113,6 +115,23 @@ def test_point_paths_compare_integers_only():
         if hit:
             found[start] = sorted(hit)
     assert not found, f"integer point paths reach {found}"
+
+
+def test_hull_reduction_and_array_decode_build_no_fraction_or_flat():
+    # the affine hull, the points projected into it, the flats' traces on
+    # it and the loader's array decode stay in integer arrays: no Fraction
+    # and no Flat per point, flat or pair
+    found = {}
+    for module, start in (("linalg.py", "affine_hull"), ("incidence.py", "_hull_points"),
+                          ("incidence.py", "_hull_traces"), ("serialization.py", "_family"),
+                          ("serialization.py", "_point_rows")):
+        reached, names = _reach(module, start)
+        hit = (reached | names) & {"Fraction", "Flat", "_dec", "_pair"}
+        if hit:
+            found[start] = sorted(hit)
+    assert not found, f"reached {found}"
+    _, names = _reach("serialization.py", "_family")
+    assert {"_int_leaves", "_over_lcm", "full_row_rank"} <= names
 
 
 def test_kst_certificate_builds_no_masks():
