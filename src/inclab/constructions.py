@@ -46,6 +46,7 @@ from .geometry import (
     RatPoint,
     _extension_rows,
     _finite,
+    _flat_family,
     _hyperplanes,
     _int,
     _int_arrays,
@@ -69,7 +70,7 @@ from .incidence import (
 
 DEFAULT_EPSILON_PRIME = 0.1
 _GRID_LIMIT = 10**7
-_NAIVE_LIMIT = 4 * 10**7  # point-flat pairs up to which verify also counts naively
+_NAIVE_LIMIT = 4 * 10**8  # point-flat pairs up to which verify also counts naively
 _COLLINEAR_LIMIT = 2000  # sphere points up to which verify scans for collinear triples
 _PAD_NORMAL_BOX = 3
 _WORD_CHUNK = 4096  # 32-bit words a padding draws from its Random at a time
@@ -130,13 +131,9 @@ class ConstructionOutput:
     """A generated configuration plus its verified bookkeeping.
 
     ``flats[:padding_start]`` are the construction hyperplanes; the rest
-    are padding, each verified to contain no point.  A generator returns
-    its flats as one :class:`FlatFamily` of one-row blocks, which builds a
-    ``Flat`` only when one is read.  An embedding into k-flats with
-    k >= d_inner holds one family too, and so does a loaded file of flats
-    of one codimension (see :mod:`inclab.serialization`); the embedded
-    hyperplanes themselves are a tuple.  The points of a generator, an
-    embedding or a loaded file are :class:`PointRows`, which build a
+    are padding, each verified to contain no point.  The flats of a
+    generator, an embedding or a loaded file are one :class:`FlatFamily`,
+    and their points :class:`PointRows`, which build a ``Flat`` or a
     ``RatPoint`` only when one is read.  For sphere instances
     ``points[core_point_count:]`` are padded sphere points, each verified
     to lie on no hyperplane.
@@ -609,19 +606,19 @@ def embed_configuration(
     is verified exactly to meet F in nothing but the embedded hyperplane,
     so no new incidences are created and the count is preserved.
 
-    For k >= d_inner every step is one pass over all the hyperplanes.  Each
-    is read as a primitive integer row [a | c]: a family's rows as they
-    are, and any other flat's first equation with a nonzero coefficient.
-    The embedded hyperplane solves [a 0 | -c] y = 0 with F's unit rows, so
-    one :func:`linalg.nullspaces` of the [a | -c] stack, with zeros in F's
-    columns, reads its directions and, at the constants column, its base
-    point ``P / q``: the values ``Flat._solved`` reads.  The draws are
-    :func:`_extension_rows` on one ``Random``, the values
-    :func:`generic_extension` draws flat by flat.  Each accepted nullspace
-    row over ``qn`` is kept as integers, ``row * q`` and ``row @ P`` over
-    ``qn * q``, in int64 when the products provably fit and in Python ints
-    otherwise, in one :class:`FlatFamily`.  The embedded hyperplanes
-    themselves (``k = d_inner - 1``) are held as a tuple.
+    The hyperplanes are read as one :class:`FlatFamily`.  For k = d_inner
+    - 1 each keeps its rows, with zeros in F's columns, then F's unit rows
+    (:func:`_carried`).  Otherwise each is its first row with a nonzero
+    coefficient, a primitive integer row [a | c] (:func:`_hyperplane_rows`),
+    and every step is one pass over all of them.  The embedded hyperplane
+    solves [a 0 | -c] y = 0 with F's unit rows, so one
+    :func:`linalg.nullspaces` of the [a | -c] stack reads its directions
+    and, at the constants column, its base point ``P / q``: the values
+    ``Flat._solved`` reads.  The draws are :func:`_extension_rows` on one
+    ``Random``, the values :func:`generic_extension` draws flat by flat.
+    Each accepted nullspace row over ``qn`` is kept as integers, ``row * q``
+    and ``row @ P`` over ``qn * q``, in int64 when the products provably
+    fit and in Python ints otherwise.
     """
     d_inner = inner.ambient_dim
     if _int(d_outer, "d_outer") <= d_inner:
@@ -630,7 +627,10 @@ def embed_configuration(
         raise InvalidInput(
             f"need {d_inner - 1} <= k < {d_outer} for the replacement flats"
         )
-    hyperplane_rows = _hyperplane_rows(inner.flats, d_inner)
+    hyperplanes = _flat_family(inner.flats, d_inner)
+    if len(hyperplanes) and (hyperplanes.ambient_dim != d_inner
+                             or (hyperplanes.dims != d_inner - 1).any()):
+        raise InvalidInput(f"inner configuration must consist of hyperplanes of R^{d_inner}")
     rows = _int_point_matrix(inner.points)
     if len(rows) and rows.ambient_dim != d_inner:
         raise InvalidInput(f"inner configuration must consist of points of R^{d_inner}")
@@ -640,15 +640,9 @@ def embed_configuration(
     points = PointRows._of(d_outer, np.hstack((rows.matrix, padding)), rows.q)
     rng = Random(_int(seed, "seed"))
     if k == d_inner - 1:
-        # consistent by construction: a hyperplane plus the carrier's unit rows
-        zeros = (0,) * (d_outer - d_inner)
-        flats = tuple(
-            Flat._spanned(d_outer, tuple(r + zeros for r in f.equations) + carrier.equations,
-                          f.rhs + carrier.rhs, d_inner - 1)
-            for f in inner.flats
-        )
+        flats = _carried(hyperplanes, d_outer)
     else:
-        top = hyperplane_rows.copy()
+        top = _hyperplane_rows(hyperplanes)
         top[:, -1] *= -1
         q, found, _ = linalg.nullspaces(top[:, None, :])
         point = np.zeros((len(top), d_outer), dtype=found.dtype)
@@ -681,28 +675,29 @@ def embed_configuration(
     )
 
 
-def _hyperplane_rows(flats: Sequence[Flat], d: int) -> np.ndarray:
-    """The hyperplanes ``flats`` of R^d as primitive integer rows [a | c],
-    one per flat, of the dtype :func:`_int_arrays` picks: a family's rows
-    as they are (its denominators do not change the hyperplane), and any
-    other flat's first equation with a nonzero coefficient, cleared of its
-    denominators; a flat of rank 1 is consistent, so each of its equations
-    with a nonzero coefficient is a multiple of that one.  Any other flat
-    is :class:`InvalidInput`."""
-    wrong = InvalidInput(f"inner configuration must consist of hyperplanes of R^{d}")
-    if isinstance(flats, FlatFamily):
-        if len(flats) and (flats.ambient_dim != d or flats.rows.shape[1] != 1):
-            raise wrong
-        (rows,), _ = _int_arrays(flats.rows[:, 0])
-    else:
-        found = []
-        for f in flats:
-            if f.ambient_dim != d or f.dim != d - 1:
-                raise wrong
-            a, c = next((a, c) for a, c in zip(f.equations, f.rhs) if any(a))
-            found.append(linalg.clear_denominators(a + (c,))[0])
-        (rows,), _ = _int_arrays(np.array(found, dtype=object).reshape(len(found), d + 1))
-    return rows // np.gcd.reduce(rows, axis=1, initial=0)[:, None] if len(rows) else rows
+def _carried(family: FlatFamily, d_outer: int) -> FlatFamily:
+    """The hyperplanes ``family`` of R^d embedded in the carrier {x_j = 0
+    for j >= d} of R^``d_outer``: each flat's rows as they are, with zeros
+    in the carrier's columns, and after its last row the carrier's unit
+    rows over 1."""
+    d, n, extra = family.ambient_dim, len(family), d_outer - family.ambient_dim
+    after = np.repeat(family.starts[1:], extra)
+    rows = np.insert(np.insert(family.rows, [d] * extra, 0, axis=1), after,
+                     np.tile(np.eye(d_outer + 1, dtype=np.int64)[d:d_outer], (n, 1)), axis=0)
+    return FlatFamily._from(d_outer, rows, np.insert(family.den, after, 1),
+                            family.starts + extra * np.arange(n + 1), family.dims)
+
+
+def _hyperplane_rows(family: FlatFamily) -> np.ndarray:
+    """The hyperplanes ``family`` of R^d as primitive integer rows [a | c],
+    one per flat, of the dtype :func:`_int_arrays` picks: each flat's first
+    row with a nonzero coefficient (its denominator does not change the
+    hyperplane).  A flat of dimension d - 1 is consistent, so each of its
+    rows with a nonzero coefficient is a multiple of that one."""
+    rows = family.rows
+    lead = np.where((rows[:, :-1] != 0).any(axis=1), np.arange(len(rows)), len(rows))
+    (rows,), _ = _int_arrays(rows[np.minimum.reduceat(lead, family.starts[:-1])])
+    return rows // np.gcd.reduce(rows, axis=1, initial=0)[:, None]
 
 
 def embedding_carrier(d_inner: int, d_outer: int) -> Flat:

@@ -7,17 +7,16 @@ stored by a consistent linear system ``A x = b`` and nothing else, never by a
 parametrization and never in a canonical form: incidence is an exact dot
 product, an intersection is one elimination of the stacked systems, and set
 equality is one containment check between flats of equal dimension.  Many
-flats of one codimension r >= 1, hyperplanes included (r = 1), can be held
-as integer row blocks instead, in a :class:`FlatFamily`, which builds a
-flat only when one is read.
-Many points are held the same way, as :class:`PointRows`: each point's
-primitive integer row P over its denominator q > 0, so x = P / q, with a
-:class:`RatPoint` built only when one is read.  :func:`_split_coords` is
-the one splitter of exact coordinates into such rows.  Generic extensions
-draw through one routine, :func:`_extension_rows`, which checks the draws
-of a whole stack of flats at once with the batched minors of
-:mod:`inclab.linalg`: one call per embedding, and a stack of one for
-:func:`generic_extension`.
+flats are held as integer rows instead, in one :class:`FlatFamily` of any
+row counts, which builds a flat only when one is read; any other flat
+sequence becomes one family once (:func:`_flat_family`).  Many points are
+held the same way, as :class:`PointRows`: each point's primitive integer
+row P over its denominator q > 0, so x = P / q, with a :class:`RatPoint`
+built only when one is read.  :func:`_split_coords` is the one splitter
+of exact coordinates into such rows.  Generic extensions draw through one
+routine, :func:`_extension_rows`, which checks the draws of a whole stack
+of flats at once with the batched minors of :mod:`inclab.linalg`: one
+call per embedding, and a stack of one for :func:`generic_extension`.
 
 Everything in this module is an immutable value after construction and all
 operations are pure functions, so objects can be shared freely across
@@ -259,81 +258,164 @@ class _ReadOnRequest(SequenceABC):
 
 
 class FlatFamily(_ReadOnRequest):
-    """Flats of R^d of one codimension r >= 1 held as integer row blocks:
-    an immutable sequence of :class:`Flat` that builds a flat only when one
-    is read.  A family of hyperplanes is one with r = 1.
+    """Flats of R^d held as integer rows: an immutable sequence of
+    :class:`Flat` that builds a flat only when one is read.  Any other flat
+    sequence becomes one family, once (:func:`_flat_family`).
 
-    ``rows`` has shape (n, r, d + 1) and ``den`` shape (n, r): equation i
-    of flat j is ``[a | c] = rows[j, i] / den[j, i]``, read ``a . x = c``,
-    with ``den[j, i] > 0`` and no other reduction.  Each flat's r equations
-    are independent and consistent (for r = 1: ``a`` is nonzero), so flat
-    j reads back as the ``(d - r)``-flat of those exact values, the value
-    ``Flat(...)`` gives.  Both arrays are int64 when every entry is within
-    2^62 and hold Python ints otherwise (:func:`_int_arrays`).  Equality is
-    element by element with any sequence of flats, and the hash is the
-    equal tuple's; ``+`` joins two families of one r and d into one
-    family, and a family and a tuple into a tuple.
+    Row i is ``[a | c] = rows[i] / den[i]``, read ``a . x = c``, with
+    ``den[i] > 0`` and no other reduction; ``rows`` is (N, d + 1) and
+    ``den`` (N,), int64 when every entry is within 2^62 and Python ints
+    otherwise (:func:`_int_arrays`).  Flat j's rows are
+    ``rows[starts[j]:starts[j + 1]]`` as they were given, redundant and
+    zero rows included (no rows: the whole space), a consistent system of
+    dimension ``dims[j]``, so it reads back as the value ``Flat(...)``
+    gives.  :meth:`_stacks` hands out the flats of each row count at once.
+    Equality is element by element with any sequence of flats, and the hash
+    is the equal tuple's; ``+`` joins it with a family or a tuple of flats
+    of its ambient dimension into one family.
     """
 
-    __slots__ = ("ambient_dim", "rows", "den")
+    __slots__ = ("ambient_dim", "rows", "den", "starts", "dims")
 
     @classmethod
     def _of(cls, ambient_dim: int, codim: int, rows, den) -> "FlatFamily":
-        """The family of integer row blocks ``rows`` over ``den``, nested
-        lists or arrays of any integer dtype, already known to hold
-        independent, consistent equations over positive denominators; with
-        no further check.  Every family is built here."""
+        """The family of blocks of ``codim`` >= 1 rows ``rows`` over ``den``,
+        of any integer dtype, known to be independent and consistent."""
         (rows, den), _ = _int_arrays(rows, den)
-        n = len(den)
+        n = den.size // codim
+        return cls._from(ambient_dim, rows.reshape(-1, ambient_dim + 1), den.reshape(-1),
+                         np.arange(n + 1) * codim, np.full(n, ambient_dim - codim))
+
+    @classmethod
+    def _from(cls, ambient_dim: int, rows, den, starts, dims) -> "FlatFamily":
+        """The family of the fields ``rows``, ``den``, ``starts`` and
+        ``dims``, known to be consistent; every family is built here."""
+        (rows, den), _ = _int_arrays(rows, den)
         family = object.__new__(cls)
-        family._set(ambient_dim, rows.reshape(n, codim, ambient_dim + 1), den.reshape(n, codim))
+        family._set(ambient_dim, rows, den, np.asarray(starts, dtype=np.int64),
+                    np.asarray(dims, dtype=np.int64))
         return family
 
-    def _set(self, ambient_dim, rows, den) -> None:
-        rows.flags.writeable = den.flags.writeable = False
+    def _set(self, ambient_dim, rows, den, starts, dims) -> None:
+        for a in (rows, den, starts, dims):
+            a.flags.writeable = False
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "dims", dims)
+
+    def _stacks(self, ids=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The flats ``ids`` (all by default) by row count r, ascending: per
+        r their indices, ascending, and their rows and denominators as an
+        (n_r, r, d + 1) and an (n_r, r) stack, views of ``rows`` and ``den``
+        when every flat has r rows."""
+        counts, n, width = np.diff(self.starts), len(self), self.ambient_dim + 1
+        if ids is None:
+            if n and counts.min() == counts.max():
+                r = int(counts[0])
+                return [(np.arange(n), self.rows.reshape(n, r, width), self.den.reshape(n, r))]
+            ids = np.arange(n)
+        stacks = []
+        for r in np.unique(counts[ids]).tolist():
+            at = ids[counts[ids] == r]
+            index = self.starts[at][:, None] + np.arange(r)
+            stacks.append((at, self.rows[index], self.den[index]))
+        return stacks
 
     def __len__(self) -> int:
-        return len(self.den)
+        return len(self.dims)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return FlatFamily._of(self.ambient_dim, self.rows.shape[1],
-                                  self.rows[index], self.den[index])
-        return _rows_flat(self.ambient_dim, self.rows[index].tolist(),
-                          self.den[index].tolist())
+            ids = np.arange(len(self))[index]
+            counts = np.diff(self.starts)[ids]
+            starts = np.r_[0, np.cumsum(counts)]
+            at = np.arange(starts[-1]) + np.repeat(self.starts[ids] - starts[:-1], counts)
+            return FlatFamily._from(self.ambient_dim, self.rows[at], self.den[at], starts,
+                                    self.dims[ids])
+        j = range(len(self))[index]
+        lo, hi = self.starts[j], self.starts[j + 1]
+        return _rows_flat(self.ambient_dim, self.rows[lo:hi].tolist(), self.den[lo:hi].tolist(),
+                          int(self.dims[j]))
 
     def __iter__(self):
-        for rows, den in zip(self.rows.tolist(), self.den.tolist()):
-            yield _rows_flat(self.ambient_dim, rows, den)
+        rows, den, starts = self.rows.tolist(), self.den.tolist(), self.starts.tolist()
+        for lo, hi, dim in zip(starts, starts[1:], self.dims.tolist()):
+            yield _rows_flat(self.ambient_dim, rows[lo:hi], den[lo:hi], dim)
 
     def __add__(self, other):
         if isinstance(other, tuple):
-            return tuple(self) + other
-        if not isinstance(other, FlatFamily):
+            other = _flat_family(other, self.ambient_dim)
+        elif not isinstance(other, FlatFamily):
             return NotImplemented
-        if other.rows.shape[1:] != self.rows.shape[1:]:
-            raise InvalidInput("families differ in ambient dimension or codimension")
-        return FlatFamily._of(self.ambient_dim, self.rows.shape[1],
-                              np.concatenate((self.rows, other.rows)),
-                              np.concatenate((self.den, other.den)))
+        if other.ambient_dim != self.ambient_dim:
+            raise InvalidInput("flats live in different ambient dimensions")
+        return FlatFamily._from(self.ambient_dim, np.concatenate((self.rows, other.rows)),
+                                np.concatenate((self.den, other.den)),
+                                np.r_[self.starts, other.starts[1:] + self.starts[-1]],
+                                np.r_[self.dims, other.dims])
 
     def __radd__(self, other):
-        return other + tuple(self) if isinstance(other, tuple) else NotImplemented
+        return _flat_family(other, self.ambient_dim) + self if isinstance(other, tuple) else (
+            NotImplemented)
 
     def __repr__(self) -> str:
-        return (f"FlatFamily({len(self)} flats of R^{self.ambient_dim}"
-                f" of codimension {self.rows.shape[1]})")
+        return f"FlatFamily({len(self)} flats of R^{self.ambient_dim}, {len(self.rows)} rows)"
 
 
-def _rows_flat(ambient_dim: int, rows: list[list[int]], den: list[int]) -> Flat:
-    """The flat of the independent, consistent equations ``rows[i] /
-    den[i]`` (each ``[a | c]``, over ``den[i] > 0``), with no elimination."""
+def _rows_flat(ambient_dim: int, rows: list[list[int]], den: list[int], dim: int) -> Flat:
+    """The ``dim``-flat of the consistent equations ``rows[i] / den[i]``
+    (each ``[a | c]``, over ``den[i] > 0``), with no elimination."""
     values = [[Fraction(x, q) if x % q else x // q for x in row] for row, q in zip(rows, den)]
     return Flat._spanned(ambient_dim, tuple(tuple(v[:-1]) for v in values),
-                         tuple(v[-1] for v in values), ambient_dim - len(rows))
+                         tuple(v[-1] for v in values), dim)
+
+
+def _flat_family(flats: Sequence[Flat], ambient_dim: int = 0) -> FlatFamily:
+    """``flats`` as one :class:`FlatFamily`: a family as it is, and any
+    other flats by their exact systems (:func:`_exact_family`), or as no
+    flats of R^``ambient_dim``.  Several ambient dimensions are
+    :class:`InvalidInput`."""
+    if isinstance(flats, FlatFamily):
+        return flats
+    flats = tuple(flats)
+    dims = {f.ambient_dim for f in flats}
+    if len(dims) > 1:
+        raise InvalidInput(f"mixed ambient dimensions in flats: {sorted(dims)}")
+    return _exact_family(next(iter(dims), ambient_dim), [(f.equations, f.rhs) for f in flats])
+
+
+def _exact_family(ambient_dim: int, systems: Sequence[tuple[Sequence, Sequence]]) -> FlatFamily:
+    """The flats of the systems ``(equations, rhs)`` of exact values, each
+    equation ``[a | c]`` in order, cleared by the lcm of its own
+    denominators (:func:`_row_family`)."""
+    cleared = [linalg.clear_denominators((*a, c)) for eqs, b in systems for a, c in zip(eqs, b)]
+    rows = np.array([ints for ints, _ in cleared], dtype=object).reshape(
+        len(cleared), ambient_dim + 1)
+    return _row_family(ambient_dim, rows, np.array([q for _, q in cleared], dtype=object),
+                       [len(rhs) for _, rhs in systems])
+
+
+def _row_family(ambient_dim: int, rows, den, counts: Sequence[int]) -> FlatFamily:
+    """The flats of the integer rows ``rows`` [a | c] over ``den`` > 0, flat
+    j the next ``counts[j]`` of them.  A flat of r rows whose coefficients
+    have full row rank (one :func:`linalg.full_row_rank` call per r) is
+    consistent, of dimension d - r; any other flat's dimension is read off
+    one :func:`linalg.integer_rref` of [A | b], and an inconsistent one is
+    the :class:`InvalidInput` ``Flat(...)`` raises."""
+    starts = np.r_[0, np.cumsum(counts, dtype=np.int64)]
+    family = FlatFamily._from(ambient_dim, rows, den, starts, np.zeros(len(counts)))
+    dims = np.zeros(len(family), dtype=np.int64)
+    for ids, stack, _ in family._stacks():
+        full = linalg.full_row_rank(stack[:, :, :-1])
+        dims[ids] = ambient_dim - stack.shape[1]
+        for j, block in zip(ids[~full].tolist(), stack[~full].tolist()):
+            _, pivots = linalg.integer_rref(block)
+            if ambient_dim in pivots:
+                raise InvalidInput("inconsistent system does not define a flat")
+            dims[j] = ambient_dim - len(pivots)
+    return FlatFamily._from(ambient_dim, family.rows, family.den, starts, dims)
 
 
 def _hyperplanes(ambient_dim: int, normals: Sequence[Sequence[int]],

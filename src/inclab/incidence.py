@@ -4,36 +4,29 @@ Two interchangeable counting strategies are provided and must always agree:
 
 * ``naive``  -- every equation of every flat evaluated at every point,
   O(m n).  This is the reference path; it never groups flats by normal or
-  buckets points by offset.  The flats' homogeneous equation rows are
-  stacked and multiplied by a block of points at a time: in float64
-  through BLAS where every partial sum is provably an integer within
-  2^53, so exact in any order, in int64 where that provably cannot
-  overflow, and in Python ints otherwise.
+  buckets points by offset.  A flat's first row is multiplied by a block
+  of points at a time, and its other rows only at the points the first
+  holds: in float64 through BLAS where every partial sum is provably an
+  integer within 2^53, so exact in any order, in int64 where that
+  provably cannot overflow, and in Python ints otherwise.
 * ``hashed`` -- hyperplanes are sorted into runs of one primitive integer
-  normal and one offset, and each normal costs one exact dot pass over the
-  points, which gives every run of it its point count; a family of
-  hyperplanes is keyed off its rows.
-  The dots of a normal with every point form one array in point order:
-  an int64 product when the magnitudes provably fit, with an ``int`` or
-  ``Fraction`` value built only for a point with a denominator.
+  normal and one offset, keyed off their rows, and each normal costs one
+  exact dot pass over the points, which gives every run of it its point
+  count: an int64 product when the magnitudes provably fit, with an
+  ``int`` or ``Fraction`` value built only for a point with a denominator.
 
 Every point is stored once in homogeneous integer form: its primitive
-integer row P over its denominator q > 0, so x = P / q.  An equation
-a.x = c/e then holds exactly when (e a).P - c q = 0, so membership and
-the naive count compare one integer product with zero.  An instance
-holds its points as these rows (:class:`~inclab.geometry.PointRows`),
-split once when they come as anything else, and classifies its flats
-once, for every count, the K_{s,t} certificate and the masks.  Flats of
-one codimension r held as integer row blocks
-(:class:`~inclab.geometry.FlatFamily`) are counted off those rows, with
-no flat built: each row [a | c] is zero on a point's (P, -q) exactly
-when the point meets it, and for r = 1 the hyperplane runs are read
-off the same rows.  For r >= 2 the hashed path runs in the points'
-affine hull A when it is smaller than R^d: the points are read in A's
-free coordinates, and each flat whose trace on A is a hyperplane of A
-joins the runs (:func:`_hull_frame`); the naive count still reads the
-original rows.  All counts are exact; there is no tolerance anywhere in
-this module.
+integer row P over its denominator q > 0, so x = P / q
+(:class:`~inclab.geometry.PointRows`), and every flat as integer rows [a |
+c] of one :class:`~inclab.geometry.FlatFamily`, each zero on a point's (P,
+-q) exactly when the point meets it; an instance converts any other
+points or flats once, and classifies its flats once, for every count, the
+K_{s,t} certificate and the masks, with no flat built.  When every flat
+has two rows or more, the hashed path runs in the points' affine hull A
+when it is smaller than R^d: the points are read in A's free coordinates,
+and each flat whose trace on A is a hyperplane of A joins the runs
+(:func:`_hull_frame`); the naive count still reads the original rows.
+All counts are exact; there is no tolerance anywhere in this module.
 
 K_{s,t} freeness is settled by one of two exact paths.  The certificate
 reads the hyperplane runs, keyed in R^e (e = d, or the dimension of A):
@@ -56,7 +49,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from numbers import Rational
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,6 +62,7 @@ from .geometry import (
     PointRows,
     RatPoint,
     _exact,
+    _flat_family,
     _int,
     _int_point_matrix,
     _largest,
@@ -113,10 +106,9 @@ class IncidenceInstance:
     """A point set, a flat family, and the forbidden-subgraph parameters.
 
     ``points`` are always held as :class:`PointRows`, the homogeneous
-    integer rows every count reads: rows are kept as they are, and any
-    other sequence of points is split once.  ``flats`` is kept as it is
-    when it is a :class:`FlatFamily`, whose row blocks every count and
-    the grouping read; any other sequence becomes a tuple.
+    integer rows every count reads, and ``flats`` as a :class:`FlatFamily`,
+    whose rows every count and the grouping read: rows and families are
+    kept as they are, and any other sequence is converted once.
     """
 
     points: Sequence[RatPoint]
@@ -126,12 +118,8 @@ class IncidenceInstance:
 
     def __init__(self, points: Sequence[RatPoint], flats: Sequence[Flat], s: int, t: int):
         pts = _int_point_matrix(points)
-        if isinstance(flats, FlatFamily):
-            fls, flat_dims = flats, {flats.ambient_dim} if len(flats) else set()
-        else:
-            fls = tuple(flats)
-            flat_dims = {f.ambient_dim for f in fls}
-        dims = ({pts.ambient_dim} if len(pts) else set()) | flat_dims
+        fls = _flat_family(flats, pts.ambient_dim)
+        dims = {x.ambient_dim for x in (pts, fls) if len(x)}
         if len(dims) > 1:
             raise InvalidInput(f"mixed ambient dimensions in instance: {sorted(dims)}")
         if _int(s, "s") < 2:
@@ -147,21 +135,21 @@ class IncidenceInstance:
     def ambient_dim(self) -> int:
         if len(self.points):
             return self.points.ambient_dim
-        if self.flats:
-            return self.flats[0].ambient_dim
+        if len(self.flats):
+            return self.flats.ambient_dim
         raise InvalidInput("empty instance has no ambient dimension")
 
     @cached_property
     def _frame(self) -> tuple[PointRows, _Runs]:
         """The points and the flat classification that the hashed counts,
         the K_{s,t} certificate and the incidence masks read, built once
-        and kept while the instance lives.  For a :class:`FlatFamily` of
-        codimension r >= 2 whose points' affine hull A has dimension 1 <= e
-        < d, the points in A's free coordinates and the runs of the flats
-        whose trace on A is a hyperplane of A (:func:`_hull_frame`);
-        otherwise the points as they are and :func:`_group_flats`."""
+        and kept while the instance lives.  When every flat has two rows or
+        more and the points' affine hull A has dimension 1 <= e < d, the
+        points in A's free coordinates and the runs of the flats whose trace
+        on A is a hyperplane of A (:func:`_hull_frame`); otherwise the
+        points as they are and :func:`_group_flats`."""
         flats, points = self.flats, self.points
-        if isinstance(flats, FlatFamily) and flats.rows.shape[1] > 1 and len(points) > 1:
+        if len(points) > 1 and len(flats) and np.diff(flats.starts).min() >= 2:
             frame = _hull_frame(points, flats)
             if frame is not None:
                 return frame
@@ -203,17 +191,10 @@ class IncidenceInstance:
     @cached_property
     def _other_members(self) -> dict[int, list[int]]:
         """For each flat outside the runs, the indices of its points,
-        ascending, read off its original equations: one membership pass per
-        flat, or block products for the flats of a :class:`FlatFamily`;
+        ascending, read off its original rows (:func:`_family_members`);
         for the hashed counts, the K_{s,t} certificate and the incidence
         masks."""
-        split, others = self.points, self._grouping.others
-        if isinstance(self.flats, FlatFamily):
-            return _family_members(split, self.flats.rows[others], others.tolist())
-        return {
-            j: _members(split, self.flats[j].integer_equations()).tolist()
-            for j in others.tolist()
-        }
+        return _family_members(self.points, self.flats._stacks(self._grouping.others))
 
 
 @dataclass(frozen=True)
@@ -239,32 +220,15 @@ def count_incidences(inst: IncidenceInstance, strategy: str = "auto") -> int:
 
 
 def _count_naive(inst: IncidenceInstance) -> int:
-    """Reference count: evaluate every equation of every flat at every point.
-
-    An equation a.x = c/e is the integer row (e a, -c), zero on a point's
-    (P, q) exactly when the point meets it; a :class:`FlatFamily`'s rows
-    [a | c] are taken as they are, zero on (P, -q).  The flats of one
-    equation count are counted together in the first of float64, int64 and
-    Python ints that their rows provably fit (:func:`_fits_int64`), a
-    family as a whole and any other flat on its own.
-    """
-    matrix, q, max_abs = inst.points.matrix, inst.points.q, inst.points.max_abs
+    """Reference count: every row [a | c] of every flat evaluated at every
+    point's (P, -q), zero exactly when the point meets it; one row count at
+    a time, in the first of float64, int64 and Python ints that its rows
+    provably fit (:func:`_dense_dtype`)."""
+    points = np.column_stack((inst.points.matrix, -inst.points.q))
     total = 0
-    groups: dict[tuple[int, type], list] = defaultdict(list)
-    if isinstance(inst.flats, FlatFamily):
-        rows, q = inst.flats.rows, -q
-        groups[rows.shape[1], _dense_dtype(rows, max_abs)] = rows
-    else:
-        for flat in inst.flats:
-            if not flat.equations:
-                total += len(inst.points)  # the whole space
-                continue
-            rows = [[c.denominator * a for a in row] + [-c.numerator]
-                    for row, c in flat.integer_equations()]
-            groups[len(rows), _dense_dtype(rows, max_abs)].append(rows)
-    points = np.column_stack((matrix, q))
-    for (_, dtype), flats in groups.items():
-        total += _count_dense(points.astype(dtype), np.array(flats, dtype=dtype))
+    for _, rows, _ in inst.flats._stacks():
+        dtype = _dense_dtype(rows, inst.points.max_abs)
+        total += _count_dense(points.astype(dtype), rows.astype(dtype))
     return total
 
 
@@ -280,38 +244,28 @@ def _dense_dtype(rows, max_abs: int) -> type:
 def _count_dense(points: np.ndarray, flats: np.ndarray) -> int:
     """Pairs (homogeneous point row of ``points``, flat) where the point
     zeroes every row of the flat, for an (n, r, w) stack ``flats`` of the
-    dtype of ``points``: float64 products go through BLAS.
-
-    Flats are taken ``_DENSE_ENTRIES // r`` at a time and points a block at
-    a time, so a block holds at most ``_DENSE_ENTRIES`` products (or one
-    point's worth, for a flat with more rows than that).  A point is on
-    flat i of a chunk when its products with rows i r, ..., i r + r - 1 of
-    the chunk are all zero: r strided columns of the block.
-    """
-    n, r, width = flats.shape
-    if not n or not len(points):
-        return 0
-    per_chunk = max(1, _DENSE_ENTRIES // r)
+    dtype of ``points`` (float64 products go through BLAS).  The first rows
+    of ``_DENSE_ENTRIES`` flats at a time meet a block of points at a time,
+    at most ``_DENSE_ENTRIES`` products a block (or one point's worth), and
+    the other rows only the points the first holds; a flat of no rows holds
+    every point."""
+    n, r, _ = flats.shape
+    if not r:
+        return n * len(points)
     total = 0
-    for lo in range(0, n, per_chunk):
-        rows = flats[lo : lo + per_chunk].reshape(-1, width)
-        step = max(1, _DENSE_ENTRIES // len(rows))
+    for lo in range(0, n, _DENSE_ENTRIES):
+        block = flats[lo : lo + _DENSE_ENTRIES]
+        first = block[:, 0].T
+        step = max(1, _DENSE_ENTRIES // len(block))
         for p in range(0, len(points), step):
-            hits = points[p : p + step] @ rows.T == 0
-            on = hits[:, ::r]
-            for i in range(1, r):
-                on = on & hits[:, i::r]
-            total += int(np.count_nonzero(on))
+            chunk = points[p : p + step]
+            hits = chunk @ first == 0
+            total += int(np.count_nonzero(hits))
+            if r > 1:  # less the hits that another row of the flat misses
+                point_ids, flat_ids = np.divmod(np.flatnonzero(hits), hits.shape[1])
+                rest = (chunk[point_ids, None] * block[flat_ids, 1:]).sum(axis=-1)
+                total -= int(np.count_nonzero((rest != 0).any(axis=1)))
     return total
-
-
-def _hyperplane_key(flat: Flat) -> tuple[tuple[int, ...], int | Fraction] | None:
-    """Primitive integer normal and scaled offset of a flat with one nonzero
-    equation, the rule :class:`Flat` reads a hyperplane by; ``None`` for
-    every other flat."""
-    if len(flat.equations) != 1 or not any(flat.equations[0]):
-        return None
-    return flat.integer_equations()[0]
 
 
 def _fits_int64(rows, max_abs: int, bound: int = _INT64_SAFE) -> bool:
@@ -334,22 +288,15 @@ def _fits_int64(rows, max_abs: int, bound: int = _INT64_SAFE) -> bool:
     return max(norm, 1) * max(max_abs, 1) <= bound
 
 
-def _exact_dots(split: PointRows, row: Sequence[int], c: int = 0) -> np.ndarray:
-    """``row @ P - c * q`` over the split points, in point order: zero
-    exactly at the points on the hyperplane ``row . x = c``.
-
-    One int64 product when ``(sum|row| + |c|) * max_abs`` provably fits;
-    otherwise Python ints in an object array.  Either way it is exact.
-    """
-    matrix, q = split.matrix, split.q
-    if not len(q):
+def _exact_dots(split: PointRows, row: Sequence[int]) -> np.ndarray:
+    """``row @ P`` over the split points, in point order, exact: one int64
+    product when ``sum|row| * max_abs`` provably fits, and Python ints in
+    an object array otherwise."""
+    if not len(split.q):
         return np.zeros(0, dtype=np.int64)  # no points: no columns to multiply
-    if _fits_int64((*row, c), split.max_abs):
-        dots = matrix @ np.array(row, dtype=np.int64)
-    else:
-        matrix, q = matrix.astype(object), q.astype(object)
-        dots = matrix @ np.array(row, dtype=object)
-    return dots - c * q if c else dots
+    if _fits_int64(row, split.max_abs):
+        return split.matrix @ np.array(row, dtype=np.int64)
+    return split.matrix.astype(object) @ np.array(row, dtype=object)
 
 
 def _dot_values(split: PointRows, row: Sequence[int]) -> np.ndarray:
@@ -365,49 +312,38 @@ def _dot_values(split: PointRows, row: Sequence[int]) -> np.ndarray:
     return values
 
 
-def _group_flats(flats: Sequence[Flat]) -> _Runs:
-    """The hyperplanes of ``flats`` as runs (:class:`_Runs`), and the
-    indices of every other flat.  A :class:`FlatFamily` of hyperplanes
-    (r = 1) is keyed off its rows (:func:`_group_rows`); any other family
-    holds no hyperplane, since each of its flats has r >= 2 independent
-    equations; every other sequence is keyed flat by flat with
-    :func:`_hyperplane_key`.  Either way one sort makes the runs."""
-    if isinstance(flats, FlatFamily):
-        if flats.rows.shape[1] == 1:
-            return _group_rows(flats)
-        ids, others = [], range(len(flats))
-    else:
-        ids, normals, offsets, others = [], [], [], []
-        for j, flat in enumerate(flats):
-            key = _hyperplane_key(flat)
-            if key is None:
-                others.append(j)
-            else:
-                ids.append(j)
-                normals.append(key[0])
-                offsets.append(key[1])
-    others = np.array(others, dtype=np.int64)
-    if not ids:
+def _group_flats(family: FlatFamily) -> _Runs:
+    """The hyperplanes of ``family`` as runs (:class:`_Runs`), keyed off
+    their rows [a | c] with no flat built (:func:`_row_keys`), and the
+    indices of every other flat.  A hyperplane is a flat of exactly one
+    row, with a nonzero ``a``: the rule ``Flat(...)`` reads one by."""
+    ids = np.flatnonzero(np.diff(family.starts) == 1)
+    rows = family.rows if len(ids) == len(family.rows) else family.rows[family.starts[ids]]
+    # column by column: numpy's any over a short last axis is several times slower
+    lead = np.any([rows[:, k] != 0 for k in range(family.ambient_dim)], axis=0)
+    if not lead.all():
+        ids, rows = ids[lead], rows[lead]
+    others = _complement(ids, len(family))
+    if not len(ids):  # nothing to key, in as few as no coordinates
         none = np.zeros(0, dtype=np.int64)
         return _Runs(none, none, none, none, np.zeros((0, 0), dtype=np.int64), others)
-    return _sorted_runs(np.array(ids), np.array(normals, dtype=object),
-                        np.array(offsets, dtype=object), others)
+    return _sorted_runs(ids, *_row_keys(rows[:, :-1], rows[:, -1]), others)
 
 
-def _group_rows(family: FlatFamily) -> _Runs:
-    """:func:`_group_flats` of a family of hyperplanes, keyed off its rows
-    [a | c] with no flat built (:func:`_row_keys`)."""
-    a, c = family.rows[:, 0, :-1], family.rows[:, 0, -1]
-    return _sorted_runs(np.arange(len(a)), *_row_keys(a, c), np.zeros(0, dtype=np.int64))
+def _complement(ids: np.ndarray, n: int) -> np.ndarray:
+    """The indices below ``n`` that are not in ``ids``, ascending."""
+    outside = np.ones(n, dtype=bool)
+    outside[ids] = False
+    return np.flatnonzero(outside)
 
 
 def _row_keys(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The keys and offsets of the hyperplanes ``a[j] . x = c[j]``, each
     ``a[j]`` a nonzero integer row: a / g and c / g, for g the gcd of a
     signed as a's first nonzero entry, which are the primitive,
-    sign-canonical normal and the offset :func:`_hyperplane_key` reads
-    (a positive scale of the row cancels), with a ``Fraction`` only where
-    g does not divide c."""
+    sign-canonical normal and the offset :meth:`Flat.integer_equations`
+    reads (a positive scale of the row cancels), with a ``Fraction`` only
+    where g does not divide c."""
     # from 0: a reduce over one object column would keep that entry's sign
     g = np.gcd.reduce(a, axis=1, initial=0)
     g = np.where(a[np.arange(len(a)), (a != 0).argmax(axis=1)] < 0, -g, g)
@@ -451,59 +387,59 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
     return total
 
 
-def _members(
-    split: PointRows, equations: Sequence[tuple[Sequence[int], Rational]]
-) -> np.ndarray:
-    """Indices of the split points meeting every integer ``(row, offset)``
-    equation, ascending: for an offset c/e, those where
-    ``(e row) @ P - c q`` is zero."""
+def _members(split: PointRows, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Indices of the split points x with ``row . x = 0`` for every integer
+    row of ``rows``, ascending."""
     on = np.ones(len(split.q), dtype=bool)
-    for row, offset in equations:
-        e = offset.denominator
-        on &= _exact_dots(split, [e * a for a in row], offset.numerator) == 0
+    for row in rows:
+        on &= _exact_dots(split, row) == 0
     return np.flatnonzero(on)
 
 
-def _family_members(split: PointRows, rows: np.ndarray, ids: list[int]) -> dict[int, list[int]]:
-    """For each flat j of the (n, r, d + 1) row blocks ``rows`` of a
-    :class:`FlatFamily`, under its index ``ids[j]``, the indices of the
-    split points on it, ascending: those where every row [a | c] of the
-    flat is zero on the point's (P, -q).
-
-    The first rows of a block of flats are multiplied by a block of points
-    at a time, at most ``_DENSE_ENTRIES`` products a block, and a flat's
-    other rows are dotted only with the points its first row holds; in
-    float64 through BLAS, int64 or Python ints, the first that every row
-    provably fits (:func:`_dense_dtype`).
-    """
+def _family_members(
+    split: PointRows, stacks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> dict[int, list[int]]:
+    """For each flat of the row ``stacks`` (:meth:`FlatFamily._stacks`),
+    under its index, the indices of the split points on it, ascending:
+    where every row [a | c] of the flat is zero on the point's (P, -q), and
+    every point for a flat of no rows.  The first rows of a block of flats
+    meet a block of points at a time, at most ``_DENSE_ENTRIES`` products a
+    block, and the other rows only the points the first holds; in float64
+    through BLAS, int64 or Python ints, the first that every row provably
+    fits (:func:`_dense_dtype`)."""
     m = len(split)
-    dtype = _dense_dtype(rows, split.max_abs)
-    rows = rows.astype(dtype)
-    points = np.column_stack((split.matrix, -split.q)).astype(dtype)
     flats_per_block = max(1, _DENSE_ENTRIES // max(1, m))
     points_per_block = max(1, _DENSE_ENTRIES // flats_per_block)
+    homogeneous = np.column_stack((split.matrix, -split.q))
     members: dict[int, list[int]] = {}
-    for lo in range(0, len(rows), flats_per_block):
-        block = rows[lo : lo + flats_per_block]
-        on = np.zeros((len(block), m), dtype=bool)
-        for p in range(0, m, points_per_block):
-            chunk = points[p : p + points_per_block]
-            flat_ids, point_ids = np.nonzero(block[:, 0] @ chunk.T == 0)
-            rest = (block[flat_ids, 1:] * chunk[point_ids, None]).sum(axis=-1)
-            held = ~(rest != 0).any(axis=1)
-            on[flat_ids[held], p + point_ids[held]] = True
-        found = np.nonzero(on)[1].tolist()
-        start = 0
-        for j, end in zip(ids[lo : lo + flats_per_block], np.cumsum(on.sum(axis=1)).tolist()):
-            members[j] = found[start:end]
-            start = end
+    for ids, rows, _ in stacks:
+        if not rows.shape[1]:
+            members.update((j, list(range(m))) for j in ids.tolist())
+            continue
+        dtype = _dense_dtype(rows, split.max_abs)
+        rows, points = rows.astype(dtype), homogeneous.astype(dtype)
+        for lo in range(0, len(rows), flats_per_block):
+            block = rows[lo : lo + flats_per_block]
+            on = np.zeros((len(block), m), dtype=bool)
+            for p in range(0, m, points_per_block):
+                chunk = points[p : p + points_per_block]
+                flat_ids, point_ids = np.nonzero(block[:, 0] @ chunk.T == 0)
+                rest = (block[flat_ids, 1:] * chunk[point_ids, None]).sum(axis=-1)
+                held = ~(rest != 0).any(axis=1)
+                on[flat_ids[held], p + point_ids[held]] = True
+            found = np.nonzero(on)[1].tolist()
+            start = 0
+            for j, end in zip(ids[lo : lo + flats_per_block].tolist(),
+                              np.cumsum(on.sum(axis=1)).tolist()):
+                members[j] = found[start:end]
+                start = end
     return members
 
 
 def _hull_frame(points: PointRows, family: FlatFamily) -> tuple[PointRows, _Runs] | None:
-    """:attr:`IncidenceInstance._frame` of a family of codimension r >= 2,
-    or ``None`` when the points' affine hull A (:func:`linalg.affine_hull`)
-    is a point or all of R^d.
+    """:attr:`IncidenceInstance._frame` of a family whose every flat has
+    two rows or more, or ``None`` when the points' affine hull A
+    (:func:`linalg.affine_hull`) is a point or all of R^d.
 
     The projection onto A's e free coordinates is a bijection from A onto
     R^e, so a point meets a flat F exactly when its projection meets the
@@ -513,14 +449,18 @@ def _hull_frame(points: PointRows, family: FlatFamily) -> tuple[PointRows, _Runs
     hyperplanes, into runs that keep their original indices; every other
     flat (a trace that is empty, all of A, or of lower dimension) stays
     outside the runs, with its member list read off its original rows.
+    The traces are taken one row count at a time.
     """
     free, t = linalg.affine_hull(points.matrix, points.q)
     if not 0 < len(free) < points.ambient_dim:
         return None
-    ids, h = _hull_traces(family.rows, t)
-    others = np.flatnonzero(~np.isin(np.arange(len(family)), ids))
+    traced = [(at[found], h) for at, rows, _ in family._stacks()
+              for found, h in [_hull_traces(rows, t)]]
+    ids = np.concatenate([at for at, _ in traced])
+    order = np.argsort(ids, kind="stable")
+    ids, h = ids[order], np.concatenate([h for _, h in traced])[order]
     return (_hull_points(points, free),
-            _sorted_runs(ids, *_row_keys(h[:, :-1], h[:, -1]), others))
+            _sorted_runs(ids, *_row_keys(h[:, :-1], h[:, -1]), _complement(ids, len(family))))
 
 
 def _hull_points(points: PointRows, free: list[int]) -> PointRows:
@@ -579,7 +519,7 @@ def _heaviest_span(
         rows = [list(v) for v in fixed] + [list(vectors[i]) for i in subset]
         # no rows only for flat_dim 0, whose one span is the origin
         _, basis = linalg.nullspace(rows or [[0] * len(vectors[0])])
-        best = max(best, int(weights[_members(split, [(row, 0) for row in basis])].sum()))
+        best = max(best, int(weights[_members(split, basis)].sum()))
         if best > cap:
             break
     return best

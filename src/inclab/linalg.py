@@ -304,14 +304,15 @@ def _minors(stack: np.ndarray, sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
 
 def _norm_product(stack: np.ndarray) -> int:
     """The largest product, over the matrices of ``stack``, of their rows'
-    1-norms (1 for matrices of no rows, 0 for no matrices)."""
+    1-norms, each taken as at least 1, so that a zero row leaves every
+    entry bounded too (1 for matrices of no rows, 0 for no matrices)."""
     if not stack.size:
         return 0 if not len(stack) else 1
     if stack.dtype != object and _largest(stack) * stack.shape[2] <= _INT64_SAFE:
         norms = np.abs(stack).sum(axis=2)
     else:
         norms = abs(stack.astype(object)).sum(axis=2)
-    return max(map(prod, norms.tolist()))
+    return max(map(prod, np.maximum(norms, 1).tolist()))
 
 
 def _largest(a: np.ndarray) -> int:

@@ -8,26 +8,19 @@ with the verified bookkeeping so they can be re-checked and embedded.
 The file text is ``json.dumps(doc, sort_keys=True, indent=1)`` plus a
 newline.  :func:`save_instance` writes it directly: ``json.dumps`` renders
 the small members, and the points and flats are streamed ``_CHUNK`` at a
-time.  Each chunk is one ``%d`` template, repeated from one item template
-per point shape or equation count, filled from one flat list of integers:
-numerators and denominators, read off the points' rows and a
-:class:`FlatFamily`'s rows, or off every other flat's exact values; where
-every denominator is 1 the template holds them as the literal ``1``.  The
-text goes to a new file beside the target, which replaces the target only
-once it is whole.
+time, each chunk one ``%d`` template, repeated from one item template per
+point shape or row count and filled off the points' and the
+:class:`FlatFamily`'s rows; where every denominator is 1 the template
+holds them as the literal ``1``.  The text goes to a new file beside the
+target, which replaces the target only once it is whole.
 
 The loader decodes the points and the flats as integer arrays, level by
 level (:func:`_int_leaves`), with no ``RatPoint``, ``Fraction`` or
-``Flat`` built: points over the denominator 1 are the rows at once, and
-the flats' pairs become integer rows over the lcm of each equation's
-denominators.  Any irregular pair leaves the file to the pair-by-pair
-path, which raises its errors; points with a denominator are decoded
-that way too and split into rows once.  A file whose every flat is a
-consistent system of the same number r >= 1 of independent equations loads as one
-:class:`FlatFamily` (for r = 1: one row with a nonzero coefficient, a
-hyperplane), checked for every flat at once by
-:func:`~inclab.linalg.full_row_rank`, with no elimination per flat; any
-other file loads its flats one by one, with the errors of ``Flat(...)``.  The reference path,
+``Flat`` built: each point and each equation over the lcm of its
+denominators.  The flats of a file of any other shape, or an irregular
+pair, are decoded pair by pair, which raises the file's errors.  Either
+way the flats load as one :class:`FlatFamily`, whose dimensions one
+:func:`~inclab.geometry._row_family` reads.  The reference path,
 ``canonical_json(instance_to_dict(...))``, builds the document and lets
 ``json`` render all of it; it shares no code with the writer, and the
 tests require the two texts to be equal.
@@ -41,7 +34,7 @@ from contextlib import suppress
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, TextIO
 
 import numpy as np
 
@@ -49,12 +42,13 @@ from . import linalg
 from .constructions import ConstructionOutput
 from .errors import InvalidInput
 from .geometry import (
-    Flat,
     FlatFamily,
     IntVector,
     PointRows,
+    _exact_family,
     _int,
     _int_arrays,
+    _row_family,
     _split_coords,
 )
 from .incidence import IncidenceInstance
@@ -185,11 +179,14 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
                 raise InvalidInput(f"flat {j} must be an object with 'A' and 'b'")
             rows = _list(_field(spec, "A", f"flat {j}"), f"flat {j} 'A'")
             rhs = _list(_field(spec, "b", f"flat {j}"), f"flat {j} 'b'")
-            systems.append((
-                [[_dec(a) for a in _list(row, f"flat {j} row")] for row in rows],
-                [_dec(c) for c in rhs],
-            ))
-        flats = [Flat(dim, rows, rhs) for rows, rhs in systems]
+            systems.append(([[_dec(a) for a in _list(row, f"flat {j} row")] for row in rows],
+                            [_dec(c) for c in rhs]))
+        for rows, rhs in systems:  # the shape checks of Flat(...)
+            if len(rows) != len(rhs):
+                raise InvalidInput("equation count does not match right-hand side")
+            if any(len(row) != dim for row in rows):
+                raise InvalidInput("equation width does not match ambient dimension")
+        flats = _exact_family(dim, systems)
     s = _int(doc.get("s", 2), "s")
     t = _int(doc.get("t", 1), "t")
     return IncidenceInstance(points, flats, s, t)
@@ -197,32 +194,29 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
 
 def _point_rows(dim: int, items: Any) -> PointRows | None:
     """The points ``items`` as rows when every one decodes as an array
-    (:func:`_int_leaves`) of ``dim`` integer coordinates over the
-    denominator 1: the numerators are the rows.  Otherwise ``None``, and
-    the points are decoded pair by pair and split by :func:`_split_coords`,
-    with that path's errors."""
+    (:func:`_int_leaves`) of ``dim`` integer pairs with nonzero
+    denominators: integer points as they are, and any others over the lcm
+    of their denominators (:func:`_over_lcm`) and then over their gcd, the
+    one primitive form of :func:`_split_coords`.  Otherwise ``None``, and
+    the per-pair path decodes and splits them, with its errors."""
     pairs = _int_leaves(items, (len(items) if type(items) is list else 0, dim, 2))
-    if pairs is None or (pairs[..., 1] != 1).any():
+    if pairs is None or not pairs[..., 1].all():
         return None
-    return PointRows._of(dim, pairs[..., 0], np.ones(len(items), dtype=np.int64))
+    if (pairs[..., 1] == 1).all():
+        return PointRows._of(dim, pairs[..., 0], np.ones(len(items), dtype=np.int64))
+    num, q = _over_lcm(pairs)
+    g = np.gcd(np.gcd.reduce(num, axis=1, initial=0), q)  # positive, since q is
+    return PointRows._of(dim, num // g[:, None], q // g)
 
 
 def _family(dim: int, specs: list) -> FlatFamily | None:
     """The flats ``specs`` as one family when there are some, each a system
-    of the same number r of equations of ``dim`` entries, and each reads as
-    a family item: independent, consistent equations.  That is exactly a
-    coefficient matrix of full row rank r, which makes the system
-    consistent: one with a nonzero r x r minor, read for every flat at once
-    by :func:`linalg.full_row_rank` (for r = 1, a nonzero coefficient, the
-    rule ``Flat(...)`` reads a hyperplane by).  Otherwise ``None``, and the
-    file loads one by one, with the errors of ``Flat(...)``.
-
-    The pairs are decoded as arrays (:func:`_int_leaves`), with no
-    ``Fraction`` built: any irregular pair, such as a zero denominator or a
-    leaf that is not an integer, gives ``None``, and the one-by-one path
-    raises its error.  Each denominator is made positive, and each
-    equation is scaled by the lcm of its denominators to an integer row [a
-    | c] over that lcm (:func:`_over_lcm`).
+    of the same number r >= 1 of equations of ``dim`` entries, decoded as
+    arrays (:func:`_int_leaves`), with no ``Fraction`` built: each equation
+    an integer row [a | c] over the lcm of its denominators
+    (:func:`_over_lcm`).  Any other file, or an irregular pair, such as a
+    zero denominator or a leaf that is not an integer, gives ``None``: the
+    pair-by-pair path then decodes the file and raises its errors.
     """
     if not specs or set(map(type, specs)) != {dict}:
         return None
@@ -233,14 +227,10 @@ def _family(dim: int, specs: list) -> FlatFamily | None:
     if not r or a is None or b is None:
         return None
     pairs = np.concatenate((a, b[:, :, None]), axis=2)
-    num, den = pairs[..., 0], pairs[..., 1]
-    if not den.all():
+    if not pairs[..., 1].all():
         return None
-    negative = den < 0
-    rows, q = _over_lcm(np.where(negative, -num, num), np.where(negative, -den, den))
-    if not linalg.full_row_rank(rows[:, :, :-1]).all():
-        return None  # flat errors, or flats of lower dimension
-    return FlatFamily._of(dim, r, rows, q)
+    rows, q = _over_lcm(pairs)
+    return _row_family(dim, rows.reshape(-1, dim + 1), q.reshape(-1), [r] * len(specs))
 
 
 def _int_leaves(items: Any, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -266,13 +256,15 @@ def _int_leaves(items: Any, shape: tuple[int, ...]) -> np.ndarray | None:
     return leaves
 
 
-def _over_lcm(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, q)``: each equation ``num / den`` (along the last axis,
-    every ``den`` positive) as the integer row ``rows`` over ``q``, the
-    lcm of its denominators.  The lcm is taken one denominator at a time,
-    in int64 while each step provably stays within 2^62
-    (:func:`linalg._product_dtype`) and in Python ints from the first step
-    that might not; the rows likewise."""
+def _over_lcm(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, q)``: the rationals of each row of integer ``pairs`` (...,
+    k, 2), every denominator nonzero, as the integer row ``rows`` over ``q``
+    > 0, the lcm of their denominators made positive.  The lcm is taken one
+    denominator at a time, in int64 while each step provably stays within
+    2^62 (:func:`linalg._product_dtype`) and in Python ints from the first
+    step that might not; the rows likewise."""
+    num, den = pairs[..., 0], pairs[..., 1]
+    num, den = np.where(den < 0, -num, num), abs(den)
     q = den[..., 0]
     for k in range(1, den.shape[-1]):
         step = q // np.gcd(q, den[..., k])
@@ -370,11 +362,6 @@ def _flat_template(dim: int, rows: int, den: str = "%d") -> str:
     return '{\n   "A": ' + _array(a, 4) + ',\n   "b": ' + b + "\n  }"
 
 
-def _pairs(values) -> list[int]:
-    """The numerator and denominator of each exact value, in order."""
-    return [x for c in values for x in (c.numerator, c.denominator)]
-
-
 def _point_chunks(points: PointRows, dim: int):
     """The points' item texts, ``_CHUNK`` points to a text, read off their
     rows: coordinate k of a point is ``P[k] / q``, written over ``g =
@@ -392,46 +379,39 @@ def _point_chunks(points: PointRows, dim: int):
         yield _ITEM_SEP.join([item] * len(q)) % tuple(values.ravel().tolist())
 
 
-def _flat_chunks(flats: Sequence[Flat], dim: int):
+def _flat_chunks(family: FlatFamily, dim: int):
     """The flats' item texts, ``_CHUNK`` flats to a text, with one template
-    per equation count; a family's values come from its row blocks."""
-    if isinstance(flats, FlatFamily):
-        yield from _block_chunks(flats, dim)
-        return
-    templates: dict[int, str] = {}
-    for lo in range(0, len(flats), _CHUNK):
-        chunk = flats[lo : lo + _CHUNK]
-        items = []
-        for f in chunk:
-            rows = len(f.rhs)
-            if rows not in templates:
-                templates[rows] = _flat_template(dim, rows)
-            items.append(templates[rows])
-        values = _pairs(c for f in chunk for c in chain(*f.equations, f.rhs))
-        yield _ITEM_SEP.join(items) % tuple(values)
-
-
-def _block_chunks(family: FlatFamily, dim: int):
-    """:func:`_flat_chunks` of a :class:`FlatFamily`: each value
-    ``rows[j, i, k] / den[j, i]`` is written over ``g = gcd(rows[j, i, k],
-    den[j, i])`` in lowest terms, each flat's equations' pairs first and
-    then its right-hand sides'.  When every ``den`` is 1, as for generated
-    hyperplanes, the template holds the denominators as the literal 1, and
-    only the entries fill it, with no gcd taken."""
-    n, r, width = family.rows.shape
+    per row count, filled off the rows, one run of flats of one row count
+    at a time: each value ``rows[i, k] / den[i]`` is written over ``g =
+    gcd(rows[i, k], den[i])`` in lowest terms, each flat's equations' pairs
+    first and then its right-hand sides'.  When every ``den`` is 1, as for
+    generated hyperplanes, the templates hold the denominators as the
+    literal 1, and only the entries fill them, with no gcd taken."""
     integral = bool((family.den == 1).all())
-    item = _flat_template(dim, r, "1" if integral else "%d")
+    templates: dict[int, str] = {}  # by row count, each made when first met
     split = dim if integral else 2 * dim  # the fields of a row's coefficients
-    for lo in range(0, n, _CHUNK):
-        rows, den = family.rows[lo : lo + _CHUNK], family.den[lo : lo + _CHUNK, :, None]
+    for lo in range(0, len(family), _CHUNK):
+        starts = family.starts[lo : lo + _CHUNK + 1]
+        rows = family.rows[starts[0] : starts[-1]]
         if integral:
             values = rows
         else:
+            den = family.den[starts[0] : starts[-1], None]
             g = np.gcd(rows, den)  # positive, since den is
-            values = np.stack((rows // g, den // g), axis=-1).reshape(len(rows), r, 2 * width)
-        values = np.concatenate((values[:, :, :split].reshape(len(rows), -1),
-                                 values[:, :, split:].reshape(len(rows), -1)), axis=1)
-        yield _ITEM_SEP.join([item] * len(rows)) % tuple(values.ravel().tolist())
+            values = np.stack((rows // g, den // g), axis=-1).reshape(len(rows), 2 * (dim + 1))
+        counts = np.diff(starts)
+        bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+        at = (starts[bounds] - starts[0]).tolist()  # each run's first row, and the end
+        items, parts = [], []
+        for a, b, first, end in zip(bounds, bounds[1:], at, at[1:]):  # flats a..b - 1: r rows
+            r = int(counts[a])
+            if r not in templates:
+                templates[r] = _flat_template(dim, r, "1" if integral else "%d")
+            run = values[first:end].reshape(b - a, r, values.shape[1])
+            parts.append(np.concatenate((run[:, :, :split].reshape(b - a, r * split),
+                                         run[:, :, split:].reshape(b - a, -1)), axis=1).ravel())
+            items += [templates[r]] * (b - a)
+        yield _ITEM_SEP.join(items) % tuple(np.concatenate(parts).tolist())
 
 
 def _write_array(out: TextIO, chunks: Iterable[str], indent: int) -> None:

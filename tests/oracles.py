@@ -322,8 +322,7 @@ def family_per_pair(dim: int, specs):
     time, as the loader did before it decoded arrays: ``(rows, den)`` as
     nested lists, each equation's pairs scaled by the lcm of its
     denominators, when every flat is a system of the same number r >= 1
-    of equations of ``dim`` entries with independent coefficient rows (by
-    :func:`minor_rank`); otherwise ``None``.  A bad pair raises the
+    of equations of ``dim`` entries; otherwise ``None``.  A bad pair raises the
     loader's own pair error (``serialization._pair``), in the order the
     flat-by-flat path decodes the pairs."""
     from inclab.serialization import _pair
@@ -347,10 +346,7 @@ def family_per_pair(dim: int, specs):
             den.append(q)
         blocks.append(block)
         dens.append(den)
-    if not blocks or any(minor_rank([row[:-1] for row in block]) < len(block)
-                         for block in blocks):
-        return None
-    return blocks, dens
+    return (blocks, dens) if blocks else None
 
 
 def first_kst_bruteforce(points, flats, s: int, t: int, side: str):

@@ -41,7 +41,6 @@ from oracles import (
     minor_rank,
     point_split_loop,
     runs_as_nested,
-    same_runs,
     SmallBox,
 )
 
@@ -160,12 +159,11 @@ def flat_families(draw):
     return geometry.FlatFamily._of(d, r, rows, dens), flats
 
 
-def assert_same_runs(flats, other):
-    """``_group_flats`` of two equal flat sequences: equal runs, field by
-    field, which are the nested groups the per-flat oracle makes."""
-    runs = _group_flats(flats)
-    assert same_runs(runs, _group_flats(other))
-    assert runs_as_nested(runs) == hyperplane_groups_nested(other)
+def assert_same_runs(family, flats):
+    """``_group_flats`` of a family: the nested groups the per-flat oracle
+    makes of the equal ``flats``."""
+    runs = _group_flats(family)
+    assert runs_as_nested(runs) == hyperplane_groups_nested(flats)
     return runs
 
 
@@ -183,18 +181,21 @@ class TestFlatFamily:
     def test_family_is_its_flats(self, case, lo, hi):
         family, flats = case
         as_tuple = tuple(flats)
-        n, r, width = family.rows.shape
-        assert len(family) == n == len(flats)
+        n, width = len(family), family.ambient_dim + 1
+        assert n == len(flats) and family.rows.shape[1] == width
+        r = len(family.rows) // n if n else 1
+        assert np.diff(family.starts).tolist() == [r] * n
         assert list(family) == flats
         assert [family[j] for j in range(-n, n)] == flats + flats
         assert [f.dim for f in family] == [f.dim for f in flats] == [width - 1 - r] * n
+        assert family.dims.tolist() == [width - 1 - r] * n
         assert family == as_tuple and as_tuple == family and family == flats
         assert hash(family) == hash(as_tuple)
         assert isinstance(family[lo:hi], geometry.FlatFamily)
         assert family[lo:hi] == as_tuple[lo:hi] and as_tuple[lo:hi] == family[lo:hi]
         assert family + as_tuple == as_tuple + family == as_tuple * 2
-        assert type(family + as_tuple) is type(as_tuple + family) is tuple
-        for part in (family, family[lo:hi]):
+        assert type(family + as_tuple) is type(as_tuple + family) is geometry.FlatFamily
+        for part in (family, family[lo:hi], family + as_tuple):
             assert_int64_rule(part)
         # grouped as the per-flat path groups the flats: hyperplanes off
         # their rows, over any denominators, and no other flat a hyperplane
@@ -209,7 +210,8 @@ class TestFlatFamily:
     def test_family_of_hyperplanes_is_its_hyperplanes(self, cases, lo, hi):
         (family, flats), (other, other_flats), (elsewhere, _) = cases
         as_tuple = tuple(flats)
-        assert family.rows.shape[1:] == (1, family.ambient_dim + 1)
+        assert family.rows.shape == (len(flats), family.ambient_dim + 1)
+        assert np.diff(family.starts).tolist() == [1] * len(flats)
         assert list(family) == flats
         assert [family[j] for j in range(-len(flats), len(flats))] == flats + flats
         # grouped off the rows as the per-flat path groups the flats
@@ -221,25 +223,25 @@ class TestFlatFamily:
         assert family == as_tuple and as_tuple == family and family == flats
         assert hash(family) == hash(as_tuple)
         assert family + as_tuple == as_tuple + family == as_tuple * 2
-        assert type(family + as_tuple) is type(as_tuple + family) is tuple
-        # two families of one r and d join into one
+        assert type(family + as_tuple) is type(as_tuple + family) is geometry.FlatFamily
+        # two families of one d join into one, of one r or of several
         joined = family + other
         assert isinstance(joined, geometry.FlatFamily)
         assert joined == as_tuple + tuple(other_flats)
         assert_same_runs(joined, tuple(joined))
         assert_int64_rule(joined)
+        whole = (Flat(family.ambient_dim, [], []),)
+        assert family + whole == as_tuple + whole and whole + family == whole + as_tuple
         with pytest.raises(InvalidInput):
             family + elsewhere
-        with pytest.raises(InvalidInput):
-            family + geometry.FlatFamily._of(family.ambient_dim, 2, [], [])
 
     def test_hyperplane_offsets(self):
         # a rational offset p / q is the row [a q | p] over q, and every
         # offset reads back exact, past int64 included
         rational = geometry._hyperplanes(
             2, [(1, 2)], [0, 0, 0], [Fraction(4, 2), Fraction(1, 3), 2**62 + 1])
-        assert rational.rows.tolist() == [[[1, 2, 2]], [[3, 6, 1]], [[1, 2, 2**62 + 1]]]
-        assert rational.den.tolist() == [[1], [3], [1]]
+        assert rational.rows.tolist() == [[1, 2, 2], [3, 6, 1], [1, 2, 2**62 + 1]]
+        assert rational.den.tolist() == [1, 3, 1]
         assert rational.rows.dtype == object
         assert [type(f.rhs[0]) for f in rational] == [int, Fraction, int]
         assert rational[1] == make_hyperplane(IntVector((1, 2)), Fraction(1, 3))
@@ -258,18 +260,18 @@ class TestFlatFamily:
         with pytest.raises(AttributeError):
             family.rows = None
         with pytest.raises(ValueError):
-            family.den[0, 0] = 5
+            family.den[0] = 5
         with pytest.raises(ValueError):
-            family.rows[0, 0, 0] = 5
+            family.rows[0, 0] = 5
 
     def test_hyperplane_family_immutable(self):
         family = geometry._hyperplanes(2, [(1, 0)], [0], [1])
         with pytest.raises(AttributeError):
             family.rows = None
         with pytest.raises(ValueError):
-            family.den[0, 0] = 5
+            family.den[0] = 5
         with pytest.raises(ValueError):
-            family.rows[0, 0, 0] = 5
+            family.rows[0, 0] = 5
 
     @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0])
     def test_a_non_integer_entry_is_rejected(self, entry):
@@ -295,7 +297,7 @@ def test_points_and_flats_share_one_int64_rule(entry):
         assert int64 == points
     for matrix, q in built:
         assert matrix.dtype == q.dtype == expected
-    assert points.matrix.tolist() == [[entry, 1]] and flats.rows.tolist() == [[[1, 0, entry]]]
+    assert points.matrix.tolist() == [[entry, 1]] and flats.rows.tolist() == [[1, 0, entry]]
     assert points.max_abs == abs(entry)
 
 

@@ -1,5 +1,6 @@
 """Counting strategies, K_{s,t} search, and the reporting bound."""
 
+import io
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inclab import incidence
-from inclab.geometry import FlatFamily, _hyperplanes, _int_point_matrix
+from inclab import incidence, serialization
+from inclab.geometry import (
+    FlatFamily, _exact_family, _flat_family, _hyperplanes, _int_point_matrix)
 from inclab import (
     Flat,
     IncidenceInstance,
@@ -273,6 +275,25 @@ def mixed_instances(draw):
     return points, flats
 
 
+def direct_masks(points, flats):
+    """Per-point bitmasks of incident flats, by pair-by-pair substitution."""
+    return [sum(1 << j for j, f in enumerate(flats) if point_on_flat(p.coords, f.equations, f.rhs))
+            for p in points]
+
+
+def assert_verdict_is_the_bruteforce(inst, points, flats):
+    """The instance's K_{s,t} verdict: "free" exactly when the brute force
+    finds no witness, and a witness the brute force's first on one side."""
+    status, witness, _ = incidence.kst_verdict(inst)
+    found = tuple(first_kst_bruteforce(points, flats, inst.s, inst.t, side)
+                  for side in ("points", "flats"))
+    if status == "free":
+        assert found == (None, None)
+    else:
+        assert status == "witness"
+        assert (witness.point_indices, witness.flat_indices) in found
+
+
 def assert_all_counts_agree(points, flats):
     inst = IncidenceInstance(points, flats, 2, 1)
     naive = count_incidences(inst, "naive")
@@ -385,23 +406,128 @@ def block_instances(draw):
     return points, FlatFamily._of(d, r, rows, dens)
 
 
+# exact values of a flat's equations: small, rational and past int64
+EXACT_ENTRIES = st.one_of(
+    st.integers(-2, 2), st.builds(Fraction, st.integers(-5, 5), st.sampled_from((2, 3, 6))),
+    st.sampled_from((2**62 + 1, -(2**63), 2**70)))
+
+
+@st.composite
+def flat_systems(draw, d, anchors, consistent=True):
+    """``(rows, rhs)``: exact systems of R^d through one of ``anchors`` (or
+    a point of their own): a hyperplane, a random system of up to d + 1
+    rows (redundant ones included), a hyperplane written as several
+    proportional rows and zero rows, zero rows alone, or no rows (the
+    whole space); when not ``consistent``, a right-hand side may be shifted
+    off the anchor, which makes some systems inconsistent."""
+    anchor = draw(st.sampled_from(anchors)) if anchors else [0] * d
+    row = st.lists(EXACT_ENTRIES, min_size=d, max_size=d)
+    kind = draw(st.sampled_from(("hyperplane", "system", "redundant", "zero", "whole")))
+    if kind == "whole":
+        return [], []
+    if kind == "zero":
+        rows = [[0] * d] * draw(st.integers(1, 2))
+    elif kind == "redundant":
+        a = draw(row.filter(any))
+        rows = [[k * x for x in a] for k in draw(st.lists(
+            st.sampled_from((1, 0, -1, 3, Fraction(1, 2))), min_size=2, max_size=3))]
+    else:
+        rows = draw(st.lists(row, min_size=1, max_size=1 if kind == "hyperplane" else d + 1))
+    rhs = [sum(a * x for a, x in zip(r, anchor)) for r in rows]
+    if not consistent and draw(st.booleans()):
+        rhs[-1] += draw(st.sampled_from((1, Fraction(1, 2), 2**63)))
+    return rows, rhs
+
+
+@st.composite
+def converted_instances(draw):
+    """Points (rational ones and ones past int64; sometimes all in the
+    hyperplane x_d = 0, so that flats of two rows or more are keyed in
+    their affine hull) and flats built one by one with ``Flat(...)``: any
+    mix of row counts, r = 0 included; with s and t."""
+    d = draw(st.integers(1, 4))
+    flat_points = d > 1 and draw(st.booleans())
+    coordinate = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.just(2)),
+                           st.sampled_from((2**63, -(2**62) - 1)))
+    points = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), max_size=6))
+    if flat_points:
+        points = [p[:-1] + [0] for p in points]
+    systems = draw(st.lists(flat_systems(d, points), max_size=7))
+    flats = [Flat(d, rows, rhs) for rows, rhs in systems]
+    if draw(st.booleans()):  # every flat of two rows or more
+        flats = [f for f in flats if len(f.rhs) > 1]
+    return [RatPoint(p) for p in points], flats, draw(st.integers(2, 3)), draw(st.integers(1, 3))
+
+
+class TestFlatConversion:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(converted_instances())
+    def test_flats_one_by_one_become_one_family(self, case):
+        # the family reads back the flats given, equal both ways, writes the
+        # reference text, and counts, masks and verdicts agree with pair-by-
+        # pair substitution and the brute force
+        points, flats, s, t = case
+        inst = IncidenceInstance(points, flats, s, t)
+        family = inst.flats
+        assert isinstance(family, FlatFamily) and _flat_family(family) is family
+        assert list(family) == flats and [family[j] for j in range(len(flats))] == flats
+        assert family == tuple(flats) and tuple(flats) == family
+        assert hash(family) == hash(tuple(flats))
+        assert family.dims.tolist() == [f.dim for f in flats]
+        assert np.diff(family.starts).tolist() == [len(f.rhs) for f in flats]
+        assert (family.den > 0).all()
+        if points or flats:  # an empty instance has no ambient dimension to write
+            text = io.StringIO()
+            serialization._write_instance(text, inst, None)
+            assert text.getvalue() == serialization.canonical_json(
+                serialization.instance_to_dict(inst))
+        direct = count_incidences_direct(points, flats)
+        assert count_incidences(inst, "naive") == count_incidences(inst, "hashed") == direct
+        assert incidence._grouped_masks(inst) == direct_masks(points, flats)
+        assert_verdict_is_the_bruteforce(inst, points, flats)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(flat_systems(d, [], consistent=False), min_size=1, max_size=4))))
+    def test_an_inconsistent_system_raises_the_flat_error(self, case):
+        # the rows of any exact systems, inconsistent ones included: the
+        # error Flat(...) raises for the first inconsistent one, or the
+        # flats Flat(...) builds
+        d, systems = case
+        try:
+            flats = [Flat(d, rows, rhs) for rows, rhs in systems]
+        except InvalidInput as exc:
+            with pytest.raises(InvalidInput, match=str(exc)):
+                _exact_family(d, systems)
+            doc = {"schema": 1, "kind": "incidence-instance", "ambient_dim": d, "points": [],
+                   "flats": [{"A": [[[Fraction(a).numerator, Fraction(a).denominator]
+                                     for a in row] for row in rows],
+                              "b": [[Fraction(c).numerator, Fraction(c).denominator]
+                                    for c in rhs]} for rows, rhs in systems]}
+            with pytest.raises(InvalidInput, match=str(exc)):
+                serialization.dict_to_instance(doc)
+            return
+        assert _exact_family(d, systems) == flats
+
+
 class TestFlatFamilyCounts:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(block_instances(), st.sampled_from((incidence._DENSE_ENTRIES, 5, 1)))
     def test_naive_hashed_masks_direct_agree(self, case, dense_entries):
         # the block products, in int64 or Python ints and cut into blocks of
-        # any size, give the masks the per-flat pass gives, and each member
-        # list of a flat left outside the hull's runs as that pass does
+        # any size, give the masks substitution gives, and each member list
+        # of a flat left outside the hull's runs as substitution does
         points, family = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(incidence, "_DENSE_ENTRIES", dense_entries)
             assert_all_counts_agree(points, family)
             inst = IncidenceInstance(points, family, 2, 1)
-            flat_by_flat = IncidenceInstance(points, tuple(family), 2, 1)
             assert inst.flats is family
-            assert incidence._grouped_masks(inst) == incidence._grouped_masks(flat_by_flat)
+            masks = direct_masks(points, family)
+            assert incidence._grouped_masks(inst) == masks
             assert inst._other_members == {
-                j: flat_by_flat._other_members[j] for j in inst._grouping.others.tolist()}
+                j: [i for i, mask in enumerate(masks) if mask >> j & 1]
+                for j in inst._grouping.others.tolist()}
             for stop in range(len(family)):
                 assert incidence._count_hashed(inst, stop) == count_incidences_direct(
                     points, family[:stop])
@@ -448,9 +574,9 @@ class TestProductGuard:
         for flats in (lines, planes, tuple(lines) + tuple(planes)):
             assert_all_counts_agree(points, flats)
         inst = IncidenceInstance(points, lines, 2, 1)
+        masks = direct_masks(points, lines)
         assert inst._other_members == {
-            j: incidence._members(inst.points, f.integer_equations()).tolist()
-            for j, f in enumerate(lines)}
+            j: [i for i, mask in enumerate(masks) if mask >> j & 1] for j in range(len(lines))}
 
     def test_no_points_convert_no_row(self):
         # with no points max_abs is 0, which bounds no row: coefficients
@@ -930,9 +1056,9 @@ class TestHullReduction:
     def test_the_reduced_family_agrees_with_the_flats_one_by_one(self, case):
         points, family, s, t = case
         inst = IncidenceInstance(points, family, s, t)
-        flat_by_flat = IncidenceInstance(points, tuple(family), s, t)
         e = _hull_dimension(points)
-        reduced = family.rows.shape[1] > 1 and 0 < e < family.ambient_dim
+        reduced = (len(family) and np.diff(family.starts).min() > 1
+                   and 0 < e < family.ambient_dim)
         if reduced:
             assert inst._hashed_points.ambient_dim == e
             # a flat joins the runs exactly when its trace is a hyperplane
@@ -947,9 +1073,8 @@ class TestHullReduction:
         for stop in range(len(family) + 1):
             assert incidence._count_hashed(inst, stop) == count_incidences_direct(
                 points, family[:stop])
-        assert incidence._grouped_masks(inst) == incidence._grouped_masks(flat_by_flat)
-        status, witness, _ = incidence.kst_verdict(inst)
-        assert (status, witness) == incidence.kst_verdict(flat_by_flat)[:2]
+        assert incidence._grouped_masks(inst) == direct_masks(points, family)
+        assert_verdict_is_the_bruteforce(inst, points, list(family))
         if incidence._certificate_gap(inst, incidence.DEFAULT_COMPARISON_LIMIT) is None:
             assert first_kst_bruteforce(points, list(family), s, t, "points") is None
 
@@ -1019,8 +1144,10 @@ class TestKstCertificate:
     def test_the_tally_is_charged_per_subset(self):
         # one pass per line and one for the points, one word each, then
         # 64 words for each pair on a line: C(4, 2) = 6 on the axis, and 1
-        # on the line x = 0, y = z through points 0 and 4
-        points = [P(x, 0, 0) for x in range(4)] + [P(0, 1, 1)]
+        # on the line x = 0, y = z through points 0 and 4; the point (0, 0,
+        # 1) is on neither line, and makes the points span R^3, so that no
+        # line is keyed in their affine hull
+        points = [P(x, 0, 0) for x in range(4)] + [P(0, 1, 1), P(0, 0, 1)]
         flats = [Flat(3, [[0, 1, 0], [0, 0, 1]], [0, 0]),
                  Flat(3, [[1, 0, 0], [0, 1, -1]], [0, 0])]
         inst = IncidenceInstance(points, flats, 2, 2)

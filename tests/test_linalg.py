@@ -275,6 +275,9 @@ def test_minors_kernel_matches_the_oracles(stack):
     ([[[2**32, 2**32], [2**32, 2**32 - 1]]], object),  # its products overflow int64
     ([[[2**31 - 1, 1, 0], [0, 2**31 - 1, 1]], [[1, 2, 3], [2, 4, 6]]], np.int64),
     ([[[2**31, 1, 0], [0, 2**31 - 1, 1]], [[0, 0, 3], [0, 0, 6]]], object),
+    # a zero row makes the 1-norms' product 0, which bounds no entry
+    ([[[0, 0, 0], [0, 0, 2**63]]], object),
+    ([[[0, 0], [2**62, 1]], [[1, 1], [1, 1]]], object),
 ])
 def test_minors_kernel_across_the_int64_bound(stack, dtype):
     # within 2^62 the levels run in int64, past it on Python ints, and the

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from contextlib import suppress
 from fractions import Fraction
 from itertools import chain
@@ -37,7 +38,7 @@ from inclab.serialization import (
     dict_to_instance,
     instance_to_dict,
 )
-from oracles import family_per_pair, same_runs
+from oracles import family_per_pair, hyperplane_groups_nested, runs_as_nested
 from test_golden import CONSTRUCTIONS, DIGESTS
 
 
@@ -304,11 +305,11 @@ def _hyperplane_instance(extra=()):
 def test_hyperplane_file_loads_as_a_family(tmp_path):
     inst = _hyperplane_instance()
     loaded = dict_to_instance(instance_to_dict(inst))
-    assert isinstance(loaded.flats, FlatFamily) and loaded.flats.rows.shape[1] == 1
+    assert isinstance(loaded.flats, FlatFamily) and loaded.flats.rows.shape == (7, 3)
     assert isinstance(loaded.points, PointRows) and loaded.points == inst.points
     # the file's flats, read one by one with Flat(...), in both directions
     assert loaded.flats == inst.flats and inst.flats == loaded.flats
-    assert same_runs(_group_flats(loaded.flats), _group_flats(inst.flats))
+    assert runs_as_nested(_group_flats(loaded.flats)) == hyperplane_groups_nested(inst.flats)
     for strategy in ("naive", "hashed"):
         assert count_incidences(loaded, strategy) == count_incidences(inst, strategy)
     path = save_instance(tmp_path / "family.inc.json", loaded)
@@ -320,21 +321,28 @@ def test_hyperplane_file_loads_as_a_family(tmp_path):
     Flat(2, [[1, 0], [0, 1]], [1, Fraction(1, 2)]),  # two rows
     Flat(2, [], []),  # no rows
 ], ids=["zero-row", "two-rows", "no-rows"])
-def test_a_mixed_file_loads_flat_by_flat(extra):
+def test_a_mixed_file_loads_flat_by_flat(extra, tmp_path):
+    # one family, whose rows write the file's text again: decoded as arrays
+    # when every flat has one row, and pair by pair otherwise
     inst = _hyperplane_instance([extra])
-    loaded = dict_to_instance(instance_to_dict(inst))
-    assert type(loaded.flats) is tuple
-    assert loaded.flats == inst.flats
+    doc = instance_to_dict(inst)
+    assert (serialization._family(2, doc["flats"]) is None) == (len(extra.rhs) != 1)
+    loaded = dict_to_instance(doc)
+    assert isinstance(loaded.flats, FlatFamily)
+    assert loaded.flats == inst.flats and inst.flats == loaded.flats
+    assert loaded.flats[-1] == extra
     assert count_incidences(loaded, "naive") == count_incidences(inst, "naive")
+    path = save_instance(tmp_path / "mixed.inc.json", loaded)
+    assert path.read_text() == canonical_json(doc)
 
 
 def test_a_rational_row_file_loads_as_a_family(tmp_path):
     # a hyperplane with rational coefficients is one more one-row block
     inst = _hyperplane_instance([Flat(2, [[Fraction(1, 2), 1]], [3])])
     loaded = dict_to_instance(instance_to_dict(inst))
-    assert isinstance(loaded.flats, FlatFamily) and loaded.flats.rows.shape[1] == 1
+    assert isinstance(loaded.flats, FlatFamily) and loaded.flats.rows.shape == (8, 3)
     assert loaded.flats == inst.flats and inst.flats == loaded.flats
-    assert same_runs(_group_flats(loaded.flats), _group_flats(inst.flats))
+    assert runs_as_nested(_group_flats(loaded.flats)) == hyperplane_groups_nested(inst.flats)
     for strategy in ("naive", "hashed"):
         assert count_incidences(loaded, strategy) == count_incidences(inst, strategy)
     path = save_instance(tmp_path / "rational.inc.json", loaded)
@@ -381,11 +389,12 @@ def test_embedding_into_hyperplanes_saves_and_counts_as_a_family(tmp_path):
     # k = d_outer - 1: the extensions are one-row blocks over qn * q
     inner = build_grid_construction(ConstructionConfig(d=2, m=9, n=12, seed=1, box_side=2))
     out = embed_configuration(inner, 3, 2, seed=2)
-    assert isinstance(out.flats, FlatFamily) and out.flats.rows.shape[1] == 1
+    assert isinstance(out.flats, FlatFamily)
+    assert np.diff(out.flats.starts).tolist() == [1] * len(out.flats)
     inst = IncidenceInstance(out.points, out.flats, 2, 2)
     path = save_construction(tmp_path / "planes.inc.json", out, 2, 2)
     assert path.read_text() == canonical_json(instance_to_dict(inst, out))
-    assert same_runs(_group_flats(out.flats), _group_flats(tuple(out.flats)))
+    assert runs_as_nested(_group_flats(out.flats)) == hyperplane_groups_nested(tuple(out.flats))
     naive = count_incidences(inst, "naive")
     assert naive == count_incidences(inst, "hashed") == count_incidences(
         IncidenceInstance(inner.points, inner.flats, 2, 2))
@@ -394,13 +403,16 @@ def test_embedding_into_hyperplanes_saves_and_counts_as_a_family(tmp_path):
 
 
 def test_flats_of_lower_dimension_load_flat_by_flat():
-    # a repeated row: a system of two equations of rank 1 is a hyperplane
+    # a repeated row: a system of two equations of rank 1 is a hyperplane,
+    # whose dimension one elimination reads; the rows are kept as written
     doc = _embedded_document()
     spec = doc["flats"][3]
     spec["A"][1], spec["b"][1] = spec["A"][0], spec["b"][0]
     loaded = dict_to_instance(doc)
-    assert type(loaded.flats) is tuple
-    assert [f.dim for f in loaded.flats] == [2] * 3 + [3] + [2] * (len(doc["flats"]) - 4)
+    assert isinstance(loaded.flats, FlatFamily)
+    dims = [2] * 3 + [3] + [2] * (len(doc["flats"]) - 4)
+    assert [f.dim for f in loaded.flats] == loaded.flats.dims.tolist() == dims
+    assert canonical_json(instance_to_dict(loaded)) == canonical_json(doc)
 
 
 def test_mixed_equation_counts_load_flat_by_flat():
@@ -408,7 +420,7 @@ def test_mixed_equation_counts_load_flat_by_flat():
     extra = Flat(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [1, Fraction(1, 2), 0])
     doc["flats"].append(instance_to_dict(IncidenceInstance([], [extra], 2, 2))["flats"][0])
     loaded = dict_to_instance(doc)
-    assert type(loaded.flats) is tuple and loaded.flats[-1] == extra
+    assert isinstance(loaded.flats, FlatFamily) and loaded.flats[-1] == extra
     assert loaded.flats[:-1] == dict_to_instance(_embedded_document()).flats
 
 
@@ -462,7 +474,7 @@ def test_array_decode_matches_the_per_pair_loop(change):
         assert family is None
         return
     rows, den = expected
-    assert family.rows.tolist() == rows and family.den.tolist() == den
+    assert family.rows.tolist() == list(chain(*rows)) and family.den.tolist() == list(chain(*den))
     largest = max(abs(x) for x in chain(*chain(*rows), *den))
     dtype = np.int64 if largest <= 2**62 else object
     assert family.rows.dtype == family.den.dtype == dtype
@@ -499,14 +511,20 @@ def test_zero_denominators_raise_the_per_pair_error():
     ([[0, 1], [2**62, 1]], True),
     ([[2**63, 1], [1, 1]], True),  # numpy alone would read this as float64
     ([[-(2**63), 1], [-(2**64), 1]], True),
-    ([[1, 2], [3, 1]], False),  # a denominator: split by the per-pair path
-    ([[-1, -1], [3, 1]], False),
+    ([[1, 2], [3, 1]], True),
+    ([[-1, -1], [3, 1]], True),
+    ([[6, -4], [-10, 15]], True),  # negative and unreduced
+    ([[2**64, 3 * 2**64], [1, 2**63 + 1]], True),  # past int64, unreduced
+    ([[3, 2**62], [5, 2**61]], True),  # an lcm of 2^62
+    ([[1, 0], [3, 1]], False),  # a zero denominator: the per-pair error
     ([[True, 1], [3, 1]], False),
     ([[1.0, 1], [3, 1]], False),
-], ids=["2^62", "2^63", "past-int64", "rational", "negative-den", "bool", "float"])
+], ids=["2^62", "2^63", "past-int64", "rational", "negative-den", "unreduced",
+        "den-past-int64", "lcm-2^62", "zero-den", "bool", "float"])
 def test_points_decode_as_rows(coordinates, decoded):
-    # integral points go straight to rows, equal to the per-pair split and
-    # of its dtype; anything else is left to the per-pair path
+    # points of integer pairs with nonzero denominators go straight to
+    # rows, equal to the per-pair split and of its dtype; anything else is
+    # left to the per-pair path
     doc = _plain_doc()
     doc["points"] = [coordinates, [[0, 1], [0, 1]]]
     rows = serialization._point_rows(2, doc["points"])
@@ -515,13 +533,39 @@ def test_points_decode_as_rows(coordinates, decoded):
         per_pair = _split_coords([[serialization._dec(c) for c in point]
                                   for point in doc["points"]], 2)
     except InvalidInput as exc:
-        with pytest.raises(InvalidInput, match=str(exc)):
+        with pytest.raises(InvalidInput, match=re.escape(str(exc))):
             dict_to_instance(doc)
         return
     if rows is not None:
-        assert rows == per_pair
-        assert (rows.matrix.dtype, rows.q.dtype) == (per_pair.matrix.dtype, per_pair.q.dtype)
+        assert_same_point_rows(rows, per_pair)
     assert dict_to_instance(doc).points == per_pair
+
+
+def assert_same_point_rows(rows, other):
+    """Equal rows and denominators, of one dtype: the one primitive form."""
+    assert rows == other
+    assert rows.matrix.tolist() == other.matrix.tolist() and rows.q.tolist() == other.q.tolist()
+    assert (rows.matrix.dtype, rows.q.dtype) == (other.matrix.dtype, other.q.dtype)
+
+
+# a numerator or a nonzero denominator: small, negative, near and past int64
+POINT_PAIRS = st.tuples(
+    st.integers(-6, 6) | st.sampled_from((2**62, -(2**62) - 1, -(2**63), 2**64 + 1)),
+    st.integers(-6, 6).filter(bool) | st.sampled_from((2**61, -(2**62), 2**63, -3 * 2**64)),
+).map(list)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.just(dim), st.lists(st.lists(POINT_PAIRS, min_size=dim, max_size=dim), min_size=1,
+                           max_size=5))))
+def test_point_pairs_decode_as_the_split_does(case):
+    # negative, unreduced and past-int64 pairs: each point over the lcm of
+    # its denominators and then over its gcd, as the per-pair split makes it
+    dim, points = case
+    rows = serialization._point_rows(dim, points)
+    assert_same_point_rows(rows, _split_coords(
+        [[serialization._dec(c) for c in point] for point in points], dim))
 
 
 def test_a_ragged_point_raises_the_per_pair_error():

@@ -55,14 +55,14 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     # of its grouping helpers, directly or through a module-level helper;
     # the functions both reach are the product guard and the dtype choice
     # made from it, which pick float64, int64 or Python ints and so cannot
-    # change a count.  On a FlatFamily both paths read the same stored
-    # ``rows``, so there naive == hashed does not check the storage: the
-    # family's own tests compare it with the flats ``Flat(...)`` builds one
-    # by one
+    # change a count.  Every instance holds its flats as one FlatFamily, and
+    # both paths read its stored rows (``FlatFamily._stacks``), so naive ==
+    # hashed does not check the storage: the conversion's own tests compare
+    # it with the flats ``Flat(...)`` builds one by one
     naive, names = _reach("incidence.py", "_count_naive")
     forbidden = {
-        "_hyperplane_key", "_count_hashed", "_members", "_exact_dots",
-        "_value_counts", "unique", "_group_rows", "_group_flats", "_grouping",
+        "_count_hashed", "_members", "_exact_dots", "_value_counts", "unique",
+        "_group_flats", "_complement", "_grouping",
         "_family_members", "_Runs", "_sorted_runs", "_offset_counts", "_key_weights",
         "key_bounds", "searchsorted", "reduceat", "_frame", "_hashed_points",
         "_hull_frame", "_hull_points", "_hull_traces", "affine_hull", "_row_keys",
@@ -80,6 +80,26 @@ def test_one_flat_family():
     # of their own is named nowhere (spelled in two parts, so that a search
     # of the tree for it finds nothing either)
     retired = "Hyperplane" + "Family"
+    found = [path.name for path in sorted(SOURCE.glob("*.py")) if retired in path.read_text()]
+    assert not found, f"{retired} named in {found}"
+
+
+def test_one_flat_store():
+    # any flat sequence becomes one FlatFamily, once, where an instance or
+    # an embedding takes it: the counting, grouping, writing, loading and
+    # embedding layers keep no second branch for other sequences, and the
+    # per-flat hyperplane key is named nowhere (spelled in two parts, as
+    # above)
+    branches = {}
+    for name in ("incidence.py", "serialization.py", "constructions.py"):
+        tree = ast.parse((SOURCE / name).read_text())
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                 and "FlatFamily" in _referenced_names(node.args[1])]
+        if found:
+            branches[name] = found
+    assert not branches, f"isinstance(..., FlatFamily) at {branches}"
+    retired = "_hyperplane" + "_key"
     found = [path.name for path in sorted(SOURCE.glob("*.py")) if retired in path.read_text()]
     assert not found, f"{retired} named in {found}"
 
@@ -131,7 +151,9 @@ def test_hull_reduction_and_array_decode_build_no_fraction_or_flat():
             found[start] = sorted(hit)
     assert not found, f"reached {found}"
     _, names = _reach("serialization.py", "_family")
-    assert {"_int_leaves", "_over_lcm", "full_row_rank"} <= names
+    assert {"_int_leaves", "_over_lcm", "_row_family"} <= names
+    _, names = _reach("serialization.py", "_point_rows")
+    assert {"_int_leaves", "_over_lcm"} <= names
 
 
 def test_kst_certificate_builds_no_masks():
@@ -236,14 +258,15 @@ def test_generic_extension_reads_no_fraction_solution():
 def test_embedding_eliminates_no_embedded_hyperplane():
     # the embedding reads every hyperplane, checks every draw and takes
     # every nullspace through the batched minors kernel, and the loader
-    # checks every block through it: no elimination per flat.  The draws
-    # are the one extension routine's, which generic_extension runs too
+    # hands every block to the one row converter, which checks them
+    # through it too: no elimination per flat of full rank.  The draws are
+    # the one extension routine's, which generic_extension runs too
     elimination = {"integer_rref", "nullspace", "solve_rref", "rank", "_solved"}
     found = {}
     for module, start, wanted in (
             ("constructions.py", "embed_configuration", {"nullspaces", "_extension_rows"}),
             ("geometry.py", "_extension_rows", {"nullspaces", "full_row_rank"}),
-            ("serialization.py", "_family", {"full_row_rank"})):
+            ("serialization.py", "_family", {"_row_family"})):
         reached, names = _reach(module, start)
         assert wanted <= names, f"{start} names {sorted(wanted - names)} nowhere"
         hit = (reached | names) & (elimination | {"generic_extension"})
@@ -252,6 +275,8 @@ def test_embedding_eliminates_no_embedded_hyperplane():
     assert not found, f"per-flat elimination in {found}"
     _, names = _reach("geometry.py", "generic_extension")
     assert "_extension_rows" in names
+    _, names = _reach("geometry.py", "_row_family")
+    assert "full_row_rank" in names
 
 
 def test_integer_construction_paths_build_no_fraction():
