@@ -610,15 +610,13 @@ def embed_configuration(
     - 1 each keeps its rows, with zeros in F's columns, then F's unit rows
     (:func:`_carried`).  Otherwise each is its first row with a nonzero
     coefficient, a primitive integer row [a | c] (:func:`_hyperplane_rows`),
-    and every step is one pass over all of them.  The embedded hyperplane
-    solves [a 0 | -c] y = 0 with F's unit rows, so one
-    :func:`linalg.nullspaces` of the [a | -c] stack reads its directions
-    and, at the constants column, its base point ``P / q``: the values
-    ``Flat._solved`` reads.  The draws are :func:`_extension_rows` on one
-    ``Random``, the values :func:`generic_extension` draws flat by flat.
-    Each accepted nullspace row over ``qn`` is kept as integers, ``row * q``
-    and ``row @ P`` over ``qn * q``, in int64 when the products provably
-    fit and in Python ints otherwise.
+    and every step is one pass over all of them: one
+    :func:`linalg.nullspaces` of the [a | -c] stack reads each embedded
+    hyperplane's directions and base point ``P / q`` (``Flat._solved``'s
+    values), and the draws are :func:`_extension_rows` on one ``Random``,
+    :func:`generic_extension`'s values.  Each accepted row over ``qn`` is
+    kept as integers, ``row * q`` and ``row @ P`` over ``qn * q``, in the
+    dtype :func:`linalg._exact_dtype` allows.
     """
     d_inner = inner.ambient_dim
     if _int(d_outer, "d_outer") <= d_inner:
@@ -651,10 +649,10 @@ def embed_configuration(
         directions[:, :, :d_inner] = found[:, :-1, :-1]
         units = np.array(carrier.equations, dtype=np.int64)
         qn, normal_rows = _extension_rows(directions, k, rng, units)
-        dtypes = {linalg._product_dtype(normal_rows, q),
-                  linalg._product_dtype(normal_rows, point, d_inner),
-                  linalg._product_dtype(qn, q)}
-        dtype = object if object in dtypes else np.int64
+        # every entry and partial sum of row * q, row @ P and qn * q
+        large = [max(linalg._largest(a), 1) for a in (normal_rows, q, qn, point)]
+        bound = max(large[0] * large[1], large[0] * d_inner * large[3], large[2] * large[1])
+        dtype = object if linalg._exact_dtype(bound) is object else np.int64
         normal_rows, q, qn, point = (a.astype(dtype) for a in (normal_rows, q, qn, point))
         blocks = np.concatenate((normal_rows * q[:, None, None],
                                  normal_rows @ point[:, :, None]), axis=2)
@@ -695,7 +693,7 @@ def _hyperplane_rows(family: FlatFamily) -> np.ndarray:
     hyperplane).  A flat of dimension d - 1 is consistent, so each of its
     rows with a nonzero coefficient is a multiple of that one."""
     rows = family.rows
-    lead = np.where((rows[:, :-1] != 0).any(axis=1), np.arange(len(rows)), len(rows))
+    lead = np.where(linalg._any_last(rows[:, :-1] != 0), np.arange(len(rows)), len(rows))
     (rows,), _ = _int_arrays(rows[np.minimum.reduceat(lead, family.starts[:-1])])
     return rows // np.gcd.reduce(rows, axis=1, initial=0)[:, None]
 

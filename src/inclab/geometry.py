@@ -2,7 +2,9 @@
 
 Every coordinate, coefficient and right-hand side is exact: an ``int`` when
 integral and a ``fractions.Fraction`` only when not (:func:`_exact`), which
-compare and hash alike; nothing here ever touches floating point.  A flat is
+compare and hash alike.  A float64 array is only ever a product of
+integers proved exact (:func:`linalg._exact_dtype`), never a rounded
+value.  A flat is
 stored by a consistent linear system ``A x = b`` and nothing else, never by a
 parametrization and never in a canonical form: incidence is an exact dot
 product, an intersection is one elimination of the stacked systems, and set
@@ -12,8 +14,10 @@ row counts, which builds a flat only when one is read; any other flat
 sequence becomes one family once (:func:`_flat_family`).  Many points are
 held the same way, as :class:`PointRows`: each point's primitive integer
 row P over its denominator q > 0, so x = P / q, with a :class:`RatPoint`
-built only when one is read.  :func:`_split_coords` is the one splitter
-of exact coordinates into such rows.  Generic extensions draw through one
+built only when one is read.  :func:`_over_lcm` is the one clearer of
+exact rows and points, as (numerator, denominator) arrays, and
+:func:`_primitive_rows` the one primitive form of point rows.  Generic
+extensions draw through one
 routine, :func:`_extension_rows`, which checks the draws of a whole stack
 of flats at once with the batched minors of :mod:`inclab.linalg`: one
 call per embedding, and a stack of one for :func:`generic_extension`.
@@ -36,8 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-# int64 point rows and sums of products within _INT64_SAFE cannot overflow
-from .linalg import _INT64_SAFE, _largest
+from .linalg import _exact_dtype, _largest
 from .errors import DegenerateRandomness, InvalidInput, InvariantViolation
 
 RETRY_BUDGET = 32
@@ -388,12 +391,10 @@ def _flat_family(flats: Sequence[Flat], ambient_dim: int = 0) -> FlatFamily:
 
 def _exact_family(ambient_dim: int, systems: Sequence[tuple[Sequence, Sequence]]) -> FlatFamily:
     """The flats of the systems ``(equations, rhs)`` of exact values, each
-    equation ``[a | c]`` in order, cleared by the lcm of its own
-    denominators (:func:`_row_family`)."""
-    cleared = [linalg.clear_denominators((*a, c)) for eqs, b in systems for a, c in zip(eqs, b)]
-    rows = np.array([ints for ints, _ in cleared], dtype=object).reshape(
-        len(cleared), ambient_dim + 1)
-    return _row_family(ambient_dim, rows, np.array([q for _, q in cleared], dtype=object),
+    equation ``[a | c]`` in order, over the lcm of its own denominators
+    (:func:`_over_lcm`, :func:`_row_family`)."""
+    rows = [(*a, c) for eqs, b in systems for a, c in zip(eqs, b)]
+    return _row_family(ambient_dim, *_over_lcm(_pairs(rows, ambient_dim + 1)),
                        [len(rhs) for _, rhs in systems])
 
 
@@ -423,21 +424,20 @@ def _hyperplanes(ambient_dim: int, normals: Sequence[Sequence[int]],
     """The hyperplanes ``{x : normals[normal_ids[j]] . x = offsets[j]}``,
     over nonzero integer normals and exact offsets, as one family of
     one-row blocks: ``[a | c]`` over 1, and for a rational offset c = p / q
-    the row ``[a q | p]`` over q that :func:`linalg.clear_denominators`
-    makes, so the values ``make_hyperplane`` gives read back."""
+    the row ``[a q | p]`` over q (:func:`_exact_family`), so the values
+    ``make_hyperplane`` gives read back."""
     if all(type(c) is int for c in offsets):
         (table, column), _ = _int_arrays(normals, offsets)
         rows = np.column_stack((table.reshape(-1, ambient_dim)[normal_ids], column))
         return FlatFamily._of(ambient_dim, 1, rows, np.ones(len(column), table.dtype))
-    cleared = [linalg.clear_denominators((*normals[i], c)) for i, c in zip(normal_ids, offsets)]
-    return FlatFamily._of(ambient_dim, 1, [row for row, _ in cleared], [q for _, q in cleared])
+    return _exact_family(ambient_dim, [([normals[i]], [c]) for i, c in zip(normal_ids, offsets)])
 
 
 def _int_arrays(*values) -> tuple[list[np.ndarray], int]:
     """The integer arrays or nested lists ``values`` as arrays of one
     dtype, with their largest absolute entry: int64 when every entry is
-    within 2^62, and Python ints otherwise.  This is the one int64 rule of
-    stored rows, for points and flats alike.  A non-integer entry is
+    within 2^62 (:func:`linalg._exact_dtype`), and Python ints otherwise,
+    for points and flats alike.  A non-integer entry is
     :class:`InvariantViolation`: ``np.array(..., dtype=np.int64)`` would
     truncate a ``Fraction`` or float without a word."""
     arrays = []
@@ -449,7 +449,7 @@ def _int_arrays(*values) -> tuple[list[np.ndarray], int]:
                 raise InvariantViolation("integer rows hold a non-integer entry")
         arrays.append(a)
     largest = max(map(_largest, arrays))
-    dtype = np.int64 if largest <= _INT64_SAFE else object
+    dtype = object if _exact_dtype(largest) is object else np.int64
     return [a.astype(dtype, copy=False) for a in arrays], largest
 
 
@@ -542,16 +542,52 @@ def _split_coords(coords: Sequence[Sequence[Rational]], dim: int) -> PointRows:
     entries, are ``coords``.
 
     One ``np.array`` of every coordinate when numpy reads them all as
-    int64; otherwise point by point, each over the lcm of its denominators.
+    int64; otherwise each over the lcm of its denominators
+    (:func:`_over_lcm`), in the one primitive form (:func:`_primitive_rows`).
     """
     if coords:
         # Fractions and ints past int64 make an object or float array
         matrix = np.array(coords)
         if matrix.dtype == np.int64:
             return PointRows._of(dim, matrix, np.ones(len(coords), np.int64))
-    pairs = [linalg.clear_denominators(cs) for cs in coords]
-    return PointRows._of(dim, np.array([ints for ints, _ in pairs], dtype=object),
-                         np.array([q for _, q in pairs], dtype=object))
+    return _primitive_rows(dim, *_over_lcm(_pairs(coords, dim)))
+
+
+def _primitive_rows(dim: int, matrix: np.ndarray, q: np.ndarray) -> PointRows:
+    """The points ``matrix[i] / q[i]`` of R^``dim`` (``q > 0``) in the one
+    primitive form: each integer row and its q divided by their gcd."""
+    g = np.gcd(np.gcd.reduce(matrix, axis=1, initial=0), q)  # positive, since q is
+    return PointRows._of(dim, matrix // g[:, None], q // g)
+
+
+def _pairs(rows: Sequence[Sequence[Rational]], width: int) -> np.ndarray:
+    """The exact values ``rows``, each of ``width`` entries, as one integer
+    (len(rows), width, 2) array of (numerator, denominator) pairs."""
+    pairs = np.array([[(x.numerator, x.denominator) for x in row] for row in rows], dtype=object)
+    (pairs,), _ = _int_arrays(pairs.reshape(len(rows), width, 2))
+    return pairs
+
+
+def _over_lcm(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, q)``: each row of the integer (..., k, 2) (numerator,
+    denominator) ``pairs`` as the integer row ``rows`` over ``q`` > 0, the
+    lcm of its denominators; a zero denominator is :class:`InvalidInput`.
+    Each lcm step, and then the rows, run in int64 while they provably fit
+    and in Python ints from the first that might not."""
+    num, den = pairs[..., 0], pairs[..., 1]
+    if not den.all():
+        raise InvalidInput("zero denominator in a rational")
+    num, den = np.where(den < 0, -num, num), abs(den)
+    q = np.ones(den.shape[:-1], dtype=den.dtype)
+    for k in range(den.shape[-1]):
+        step = q // np.gcd(q, den[..., k])
+        if _exact_dtype(max(_largest(step), 1) * max(_largest(den[..., k]), 1)) is object:
+            step, den, num = step.astype(object), den.astype(object), num.astype(object)
+        q = step * den[..., k]
+    scale = q[..., None] // den
+    if _exact_dtype(max(_largest(scale), 1) * max(_largest(num), 1)) is object:
+        scale, num = scale.astype(object), num.astype(object)
+    return num * scale, q
 
 
 def contains(f: Flat, p: RatPoint) -> bool:
@@ -695,12 +731,10 @@ def generic_extension(
 
     ``h`` is read in integers off one elimination of its system
     (``Flat._solved``: a base point ``P / q`` and directions), and the
-    draws are :func:`_extension_rows` on a stack of one, so ``seed``, when
-    it is a ``Random``, ends where the draws leave it.  The accepted
-    integer nullspace rows over their denominator, ``row / qn``, are the
-    extension's equations, so it is built with no further elimination
-    (``Flat._spanned``), and each right-hand side is one
-    ``Fraction(row @ P, qn * q)``.
+    draws are :func:`_extension_rows` on a stack of one (a ``Random`` seed
+    ends where they leave it).  The accepted nullspace rows ``row / qn``
+    are the extension's equations (``Flat._spanned``), each right-hand
+    side one ``Fraction(row @ P, qn * q)``.
     """
     if _int(ambient_dim, "ambient dimension") != h.ambient_dim:
         raise InvalidInput("flat does not live in the stated ambient dimension")
@@ -715,11 +749,11 @@ def generic_extension(
             raise InvalidInput("guard flat lives in a different ambient dimension")
         if not _holds(within, point, q, directions):
             raise InvalidInput("guard flat must contain the flat being extended")
-        guard = _stack([linalg.clear_denominators(row)[0] for row in within.equations],
-                       ambient_dim)
+        guard, _ = _over_lcm(_pairs(within.equations, ambient_dim))
     rng = seed if isinstance(seed, Random) else Random(_int(seed, "seed"))
-    qn, normal_rows = _extension_rows(
-        _stack(directions, ambient_dim)[None], target_dim, rng, guard, retry_budget)
+    (directions,), _ = _int_arrays(np.array(directions, dtype=object).reshape(
+        len(directions), ambient_dim))
+    qn, normal_rows = _extension_rows(directions[None], target_dim, rng, guard, retry_budget)
     qn, normal_rows = int(qn[0]), normal_rows[0].tolist()
     return Flat._spanned(
         ambient_dim,
@@ -729,38 +763,28 @@ def generic_extension(
     )
 
 
-def _stack(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    """The integer ``rows`` of ``width`` entries as one (len(rows), width)
-    array, of the dtype :func:`_int_arrays` picks."""
-    (stack,), _ = _int_arrays(np.array(rows, dtype=object).reshape(len(rows), width))
-    return stack
-
-
 def _extension_rows(
     directions: np.ndarray, target_dim: int, rng: Random,
     guard: np.ndarray | None, retry_budget: int = RETRY_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of the generic extensions of N flats of R^d at once:
-    ``directions`` is an (N, h, d) integer stack, flat j's direction rows,
-    and the result is ``(qn, rows)``, where the ``rows[j] / qn[j]`` (d -
-    ``target_dim`` rows) are the equations through the origin of the span
-    of flat j's directions and its accepted draws.
+    """The draws of the generic extensions of N flats of R^d at once, for
+    the (N, h, d) integer stack ``directions`` of their direction rows:
+    ``(qn, rows)``, where the ``rows[j] / qn[j]`` (d - ``target_dim`` rows)
+    are the equations through the origin of the span of flat j's
+    directions and its accepted draws.
 
     Every draw is ``target_dim - h`` directions of d values
-    ``rng.randint(-EXTENSION_BOX, EXTENSION_BOX)``; one group is drawn per
-    flat, in flat order, and then one more per rejected draw.  A flat's
-    draw is rejected when the stack of its directions and the draw has a
-    rank below ``target_dim`` (:func:`linalg.nullspaces` reports it), or,
-    with the (w, d) integer rows ``guard`` of a flat W containing every
-    flat, when :func:`_meets_only_in_base` fails.  A rejected flat takes
-    the next group, and every later flat shifts by one group and is checked
-    again, so the values go to the flats as a loop drawing flat by flat,
-    retrying in place, hands them out; and so do the values a stack of one
-    takes from ``rng``.  A flat whose ``retry_budget`` draws are all
-    rejected raises :class:`DegenerateRandomness`, with ``rng`` where that
-    loop leaves it: the groups drawn ahead for later flats are given back by
-    setting ``rng`` to its state before the first draw and drawing again the
-    loop's values.
+    ``rng.randint(-EXTENSION_BOX, EXTENSION_BOX)`` (:func:`_randints`); one
+    group per flat, in flat order, then one per rejected draw.  A draw is
+    rejected when its stack with the flat's directions has rank below
+    ``target_dim`` (:func:`linalg.nullspaces`), or, for the (w, d) integer
+    rows ``guard`` of a flat W containing every flat, when
+    :func:`_meets_only_in_base` fails.  A rejected flat takes the next
+    group and every later flat shifts by one, so the values go to the flats
+    as a loop drawing flat by flat hands them out.  A flat whose
+    ``retry_budget`` draws are all rejected raises
+    :class:`DegenerateRandomness`, with ``rng`` set back before the first
+    draw and made to draw that loop's values again.
     """
     n, h, d = directions.shape
     extra = target_dim - h
@@ -768,13 +792,12 @@ def _extension_rows(
     if n and budget < 1:
         raise DegenerateRandomness(f"no verified generic extension after {budget} draws")
     state = rng.getstate() if n > 1 else None  # a stack of one never draws ahead
-    values = [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(n * extra * d)]
+    values = _randints(rng, n * extra * d, -EXTENSION_BOX, EXTENSION_BOX)
     rejected = np.zeros(n, dtype=np.int64)
     accepted: list[tuple[np.ndarray, np.ndarray]] = []
     start = shift = 0
     while True:
-        drawn = np.array(values[(start + shift) * extra * d :], dtype=np.int64).reshape(
-            n - start, extra, d)
+        drawn = values[(start + shift) * extra * d :].reshape(n - start, extra, d)
         qn, rows, bad = linalg.nullspaces(np.concatenate((directions[start:], drawn), axis=1))
         if guard is not None:
             bad |= ~_meets_only_in_base(guard, drawn)
@@ -788,15 +811,33 @@ def _extension_rows(
         if rejected[start] == budget:
             if start < n - 1:
                 rng.setstate(state)
-                for _ in range((start + shift + 1) * extra * d):
-                    rng.randint(-EXTENSION_BOX, EXTENSION_BOX)
+                _randints(rng, (start + shift + 1) * extra * d, -EXTENSION_BOX, EXTENSION_BOX)
             raise DegenerateRandomness(
                 f"no verified generic extension after {budget} draws"
             )
-        values += [rng.randint(-EXTENSION_BOX, EXTENSION_BOX) for _ in range(extra * d)]
+        values = np.concatenate((values, _randints(rng, extra * d, -EXTENSION_BOX, EXTENSION_BOX)))
         shift += 1
     return (np.concatenate([qn for qn, _ in accepted]),
             np.concatenate([rows for _, rows in accepted]))
+
+
+def _randints(rng: Random, n: int, low: int, high: int) -> np.ndarray:
+    """``[rng.randint(low, high) for _ in range(n)]`` as an int64 array, and
+    ``rng`` where those calls leave it, for a width w = high - low + 1 of k
+    = 1 to 32 bits (else :class:`InvalidInput`).  Each call takes 32-bit
+    words until one's top k bits are below w; each round draws, with one
+    ``getrandbits``, a word per value still wanted and keeps those that pass."""
+    width = high - low + 1
+    if not 0 < width < 2**32:
+        raise InvalidInput(f"draws of width {width} do not fit one 32-bit word")
+    k = width.bit_length()
+    kept, wanted = [], n
+    while wanted:
+        bits = rng.getrandbits(32 * wanted).to_bytes(4 * wanted, "little")
+        values = np.frombuffer(bits, "<u4") >> (32 - k)
+        kept.append(values[values < width])
+        wanted -= len(kept[-1])
+    return np.concatenate(kept, dtype=np.int64) + low if kept else np.zeros(0, np.int64)
 
 
 def _holds(outer: Flat, point: Sequence[int], q: int, directions: Sequence[Sequence]) -> bool:
@@ -819,11 +860,10 @@ def _meets_only_in_base(guard: np.ndarray, drawn: np.ndarray) -> np.ndarray:
     h's directions.  So both hold exactly when W E c is nonzero for every
     nonzero coefficient vector c (a c with E c = 0, or with E c along h,
     has W E c = 0): when E W^T has rank e (:func:`linalg.full_row_rank`).
-    The products are exact: int64 within 2^62, and Python ints past it.
+    The products are exact (:func:`linalg._exact_product`).
     """
-    dtype = linalg._product_dtype(drawn, guard, guard.shape[1])
-    products = drawn.astype(dtype) @ guard.T.astype(dtype)
-    return linalg.full_row_rank(products)
+    bound = max(_largest(drawn), 1) * guard.shape[1] * max(_largest(guard), 1)
+    return linalg.full_row_rank(linalg._exact_product(drawn, guard.T, bound))
 
 
 def _dot(a: Sequence, b: Sequence) -> int | Fraction:

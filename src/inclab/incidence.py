@@ -6,14 +6,13 @@ Two interchangeable counting strategies are provided and must always agree:
   O(m n).  This is the reference path; it never groups flats by normal or
   buckets points by offset.  A flat's first row is multiplied by a block
   of points at a time, and its other rows only at the points the first
-  holds: in float64 through BLAS where every partial sum is provably an
-  integer within 2^53, so exact in any order, in int64 where that
-  provably cannot overflow, and in Python ints otherwise.
+  holds: in the dtype :func:`linalg._exact_dtype` picks from a bound on
+  every partial sum, float64 through BLAS, int64, or Python ints.
 * ``hashed`` -- hyperplanes are sorted into runs of one primitive integer
   normal and one offset, keyed off their rows, and each normal costs one
   exact dot pass over the points, which gives every run of it its point
-  count: an int64 product when the magnitudes provably fit, with an
-  ``int`` or ``Fraction`` value built only for a point with a denominator.
+  count, by the same rule, with an ``int`` or ``Fraction`` value built
+  only for a point with a denominator.
 
 Every point is stored once in homogeneous integer form: its primitive
 integer row P over its denominator q > 0, so x = P / q
@@ -56,7 +55,6 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInput, InvariantViolation, ResourceLimit
 from .geometry import (
-    _INT64_SAFE,
     Flat,
     FlatFamily,
     PointRows,
@@ -65,14 +63,13 @@ from .geometry import (
     _flat_family,
     _int,
     _int_point_matrix,
-    _largest,
+    _primitive_rows,
     _split_coords,
     contains,
 )
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
-_FLOAT_EXACT = 2**53  # float64 holds every integer within it exactly
 
 
 class _Runs(NamedTuple):
@@ -222,23 +219,15 @@ def count_incidences(inst: IncidenceInstance, strategy: str = "auto") -> int:
 def _count_naive(inst: IncidenceInstance) -> int:
     """Reference count: every row [a | c] of every flat evaluated at every
     point's (P, -q), zero exactly when the point meets it; one row count at
-    a time, in the first of float64, int64 and Python ints that its rows
-    provably fit (:func:`_dense_dtype`)."""
+    a time, in the dtype :func:`linalg._exact_dtype` picks for the bound
+    max(sum|row|, 1) * max(max_abs, 1) on every partial sum."""
     points = np.column_stack((inst.points.matrix, -inst.points.q))
     total = 0
     for _, rows, _ in inst.flats._stacks():
-        dtype = _dense_dtype(rows, inst.points.max_abs)
+        norm = int(linalg._norms(rows).max(initial=0))
+        dtype = linalg._exact_dtype(max(norm, 1) * max(inst.points.max_abs, 1))
         total += _count_dense(points.astype(dtype), rows.astype(dtype))
     return total
-
-
-def _dense_dtype(rows, max_abs: int) -> type:
-    """The first of float64, int64 and Python ints (``object``) in which the
-    integer ``rows`` times any point row of entries within ``max_abs`` are
-    exact, partial sums included (:func:`_fits_int64`)."""
-    if _fits_int64(rows, max_abs, _FLOAT_EXACT):
-        return np.float64
-    return np.int64 if _fits_int64(rows, max_abs) else object
 
 
 def _count_dense(points: np.ndarray, flats: np.ndarray) -> int:
@@ -268,35 +257,14 @@ def _count_dense(points: np.ndarray, flats: np.ndarray) -> int:
     return total
 
 
-def _fits_int64(rows, max_abs: int, bound: int = _INT64_SAFE) -> bool:
-    """Whether every integer row of ``rows`` (an array or nested sequence,
-    rows along its last axis) dotted with any point row of entries within
-    ``max_abs`` keeps every partial sum, and every entry, within ``bound``:
-    ``max(sum|row|, 1) * max(max_abs, 1) <= bound``, so the rows fit too
-    when there are no points to multiply.
-
-    For 2^62 the products fit int64.  For ``_FLOAT_EXACT`` = 2^53 every
-    entry and every partial sum is an integer float64 holds exactly, so a
-    float64 product is exact in any order, with or without FMA.
-    """
-    rows = np.asarray(rows)
-    width = rows.shape[-1]
-    if rows.dtype != object and _largest(rows) * width <= _INT64_SAFE:
-        norm = int(np.abs(rows).sum(axis=-1).max(initial=0))
-    else:
-        norm = max((sum(map(abs, row)) for row in rows.reshape(-1, width).tolist()), default=0)
-    return max(norm, 1) * max(max_abs, 1) <= bound
-
-
 def _exact_dots(split: PointRows, row: Sequence[int]) -> np.ndarray:
-    """``row @ P`` over the split points, in point order, exact: one int64
-    product when ``sum|row| * max_abs`` provably fits, and Python ints in
-    an object array otherwise."""
+    """``row @ P`` over the split points, in point order, int64 or Python
+    ints: one exact product (:func:`linalg._exact_product`) for the bound
+    max(sum|row|, 1) * max(max_abs, 1) of the naive count."""
     if not len(split.q):
         return np.zeros(0, dtype=np.int64)  # no points: no columns to multiply
-    if _fits_int64(row, split.max_abs):
-        return split.matrix @ np.array(row, dtype=np.int64)
-    return split.matrix.astype(object) @ np.array(row, dtype=object)
+    bound = max(sum(map(abs, row)), 1) * max(split.max_abs, 1)
+    return linalg._exact_product(split.matrix, np.array(row, dtype=object)[:, None], bound)[:, 0]
 
 
 def _dot_values(split: PointRows, row: Sequence[int]) -> np.ndarray:
@@ -319,8 +287,7 @@ def _group_flats(family: FlatFamily) -> _Runs:
     row, with a nonzero ``a``: the rule ``Flat(...)`` reads one by."""
     ids = np.flatnonzero(np.diff(family.starts) == 1)
     rows = family.rows if len(ids) == len(family.rows) else family.rows[family.starts[ids]]
-    # column by column: numpy's any over a short last axis is several times slower
-    lead = np.any([rows[:, k] != 0 for k in range(family.ambient_dim)], axis=0)
+    lead = linalg._any_last(rows[:, :-1] != 0)
     if not lead.all():
         ids, rows = ids[lead], rows[lead]
     others = _complement(ids, len(family))
@@ -365,7 +332,7 @@ def _sorted_runs(
     perm = np.lexsort((offsets, *keys.T[::-1]))
     keys, offsets = keys[perm], offsets[perm]
     new_key = np.ones(len(perm), dtype=bool)
-    new_key[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    new_key[1:] = linalg._any_last(keys[1:] != keys[:-1])
     new_run = new_key.copy()
     new_run[1:] |= offsets[1:] != offsets[:-1]
     starts = np.flatnonzero(new_run)
@@ -404,9 +371,8 @@ def _family_members(
     where every row [a | c] of the flat is zero on the point's (P, -q), and
     every point for a flat of no rows.  The first rows of a block of flats
     meet a block of points at a time, at most ``_DENSE_ENTRIES`` products a
-    block, and the other rows only the points the first holds; in float64
-    through BLAS, int64 or Python ints, the first that every row provably
-    fits (:func:`_dense_dtype`)."""
+    block, and the other rows only the points the first holds; in the dtype
+    :func:`linalg._exact_dtype` picks for the naive count's bound."""
     m = len(split)
     flats_per_block = max(1, _DENSE_ENTRIES // max(1, m))
     points_per_block = max(1, _DENSE_ENTRIES // flats_per_block)
@@ -416,7 +382,8 @@ def _family_members(
         if not rows.shape[1]:
             members.update((j, list(range(m))) for j in ids.tolist())
             continue
-        dtype = _dense_dtype(rows, split.max_abs)
+        norm = int(linalg._norms(rows).max(initial=0))
+        dtype = linalg._exact_dtype(max(norm, 1) * max(split.max_abs, 1))
         rows, points = rows.astype(dtype), homogeneous.astype(dtype)
         for lo in range(0, len(rows), flats_per_block):
             block = rows[lo : lo + flats_per_block]
@@ -442,14 +409,12 @@ def _hull_frame(points: PointRows, family: FlatFamily) -> tuple[PointRows, _Runs
     (:func:`linalg.affine_hull`) is a point or all of R^d.
 
     The projection onto A's e free coordinates is a bijection from A onto
-    R^e, so a point meets a flat F exactly when its projection meets the
-    trace of F on A there, and every witness, as index sets, is unchanged.  The
-    flats whose trace is a hyperplane of A (:func:`_hull_traces`) are
-    keyed off its row by :func:`_row_keys`, the rule of a family of
-    hyperplanes, into runs that keep their original indices; every other
-    flat (a trace that is empty, all of A, or of lower dimension) stays
-    outside the runs, with its member list read off its original rows.
-    The traces are taken one row count at a time.
+    R^e, so a point meets a flat F exactly when its projection meets F's
+    trace on A, and every witness, as index sets, is unchanged.  The flats
+    whose trace is a hyperplane of A (:func:`_hull_traces`, one row count at
+    a time) are keyed off it by :func:`_row_keys` into runs that keep their
+    original indices; every other flat stays outside the runs, with its
+    member list read off its original rows.
     """
     free, t = linalg.affine_hull(points.matrix, points.q)
     if not 0 < len(free) < points.ambient_dim:
@@ -465,10 +430,8 @@ def _hull_frame(points: PointRows, family: FlatFamily) -> tuple[PointRows, _Runs
 
 def _hull_points(points: PointRows, free: list[int]) -> PointRows:
     """The points in the free coordinates of their affine hull: each row
-    ``(P[free], q)`` divided by its gcd, so in the one primitive form."""
-    matrix, q = points.matrix[:, free], points.q
-    g = np.gcd(np.gcd.reduce(matrix, axis=1, initial=0), q)  # positive, since q is
-    return PointRows._of(len(free), matrix // g[:, None], q // g)
+    ``(P[free], q)`` in the one primitive form."""
+    return _primitive_rows(len(free), points.matrix[:, free], points.q)
 
 
 def _hull_traces(rows: np.ndarray, t: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -479,24 +442,23 @@ def _hull_traces(rows: np.ndarray, t: list[list[int]]) -> tuple[np.ndarray, np.n
 
     Substituting ``q_B x = t [x_free; 1]`` turns [a | c] into ``[a | -c] @
     t`` with the sign of its last entry flipped: every row of every flat
-    in one batched product, int64 when it provably fits and Python ints
-    past it.  A trace is a hyperplane of A when some row has a nonzero
-    coefficient part and every row is a multiple of the first such row h,
-    constants included: every 2 x 2 minor of each stack [h; row] is zero
-    (:func:`linalg.maximal_minors`).
+    in one :func:`linalg._exact_product`.  A trace is a hyperplane of A
+    when some row has a nonzero coefficient part and every row is a
+    multiple of the first such row h, constants included: every 2 x 2
+    minor of each stack [h; row] is zero (:func:`linalg.maximal_minors`).
     """
     _, r, width = rows.shape
     t = np.array(t, dtype=object)
     t[-1, :] *= -1  # [a | c] @ t = [a | -c] @ T, its last entry negated
     t[:, -1] *= -1
-    dtype = linalg._product_dtype(rows, t, width)
-    traces = rows.astype(dtype) @ t.astype(dtype)
-    lead = (traces[:, :, :-1] != 0).any(axis=2)
-    ids = np.flatnonzero(lead.any(axis=1))
+    bound = max(linalg._largest(rows), 1) * width * max(linalg._largest(t), 1)
+    traces = linalg._exact_product(rows, t, bound)
+    lead = linalg._any_last(traces[:, :, :-1] != 0)
+    ids = np.flatnonzero(linalg._any_last(lead))
     h = traces[ids, lead[ids].argmax(axis=1)]
     pairs = np.stack((np.broadcast_to(h[:, None], traces[ids].shape), traces[ids]), axis=2)
     minors = linalg.maximal_minors(pairs.reshape(len(ids) * r, 2, t.shape[1]))
-    flat = ~(minors != 0).reshape(len(ids), r * minors.shape[1]).any(axis=1)
+    flat = ~linalg._any_last((minors != 0).reshape(len(ids), r * minors.shape[1]))
     return ids[flat], h[flat]
 
 
@@ -640,7 +602,7 @@ def _max_point_multiplicity(split: PointRows) -> int:
     form per point."""
     rows = np.column_stack((split.matrix, split.q))
     rows = rows[np.lexsort(rows.T)]  # equal rows become runs
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    starts = np.flatnonzero(np.r_[True, linalg._any_last(rows[1:] != rows[:-1])])
     return int(np.diff(np.r_[starts, len(rows)]).max())
 
 

@@ -1,14 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of exact numbers (``int`` or ``Fraction``).  No
-floating point appears anywhere in this module; every rank, solution, and
-nullspace is exact.  Elimination is fraction-free: :func:`integer_rref`
-scales each row to integers once (a row of ``int``s only to its primitive
-form) and eliminates on Python integers, and :func:`solve_rref` reads every
-solution off its rows in integers, as integer vectors over one common
-denominator; :func:`affine_hull` reads a point set's affine hull the
-same way.  Only :func:`integer_row_and_offset` builds a ``Fraction``, for
-a rational offset; a caller builds one only where a public value needs it.
+Matrices are lists of rows of exact numbers (``int`` or ``Fraction``), and
+every rank, solution, and nullspace is exact.  A float64 array only ever
+holds integers below 2^53, never a rounded value: :func:`_exact_dtype`,
+the one rule of integer dtypes, picks it only for such a proved bound.
+Elimination is fraction-free: :func:`integer_rref` scales each row to
+integers once (a row of ``int``s only to its primitive form) and
+eliminates on Python integers, and :func:`solve_rref` reads every solution
+and :func:`affine_hull` a point set's affine hull off its rows in
+integers, as integer vectors over one common denominator.  Only
+:func:`integer_row_and_offset` builds a ``Fraction``, for a rational
+offset; a caller builds one only where a public value needs it.
 Inputs are never mutated.
 
 Stacks of N integer matrices of one shape (N, k, d) take a batched kernel
@@ -30,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+_FLOAT_EXACT = 2**53  # float64 holds every integer within it exactly
 _INT64_SAFE = 2**62  # int64 sums of products within it cannot overflow
 _MINOR_ENTRIES = 2**16  # cap on the products one chunk of maximal_minors forms at a level
 
@@ -147,13 +150,13 @@ def affine_hull(matrix: np.ndarray, q: np.ndarray) -> tuple[list[int], list[list
     independent difference at a time.  The normals ``[n | -c]`` of the
     homogeneous rows ``[P | q]`` taken so far (one :func:`nullspace`) vanish
     on difference i exactly when ``n . x_i = c`` for x_i = P_i / q_i, so
-    each step is one product of every row with those normals, int64 when
-    it provably fits and Python ints past it; the first row with a nonzero
-    product joins the basis, and a step with none leaves the normals of A,
-    at most e + 1 products.  A's equations ``n . x = c`` are then read with
-    :func:`integer_rref` and :func:`solve_rref`: a point ``P_B / q_B`` of
-    A (zero at the free columns) and its directions, each q_B at its own
-    free column, are the columns of T.
+    each step is one :func:`_exact_product` of every row with those
+    normals; the first row with a nonzero product joins the basis, and a
+    step with none leaves the normals of A, at most e + 1 steps.  A's
+    equations ``n . x = c`` are then read with :func:`integer_rref` and
+    :func:`solve_rref`: a point ``P_B / q_B`` of A (zero at the free
+    columns) and its directions, each q_B at its own free column, are the
+    columns of T.
     """
     points = np.column_stack((matrix, q))
     d = points.shape[1] - 1
@@ -163,8 +166,8 @@ def affine_hull(matrix: np.ndarray, q: np.ndarray) -> tuple[list[int], list[list
         if not normals:
             break  # the basis spans R^(d+1): A is R^d
         n = np.array(normals, dtype=object)
-        dtype = _product_dtype(points, n, d + 1)
-        hit = np.flatnonzero((points.astype(dtype) @ n.T.astype(dtype) != 0).any(axis=1))
+        bound = max(_largest(points), 1) * (d + 1) * max(_largest(n), 1)
+        hit = np.flatnonzero(_any_last(_exact_product(points, n.T, bound) != 0))
         if not len(hit):
             break
         basis.append(points[hit[0]].tolist())
@@ -288,7 +291,10 @@ def _minors(stack: np.ndarray, sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
     k-column sets ``sets``, as :func:`maximal_minors` forms them: an (N,
     len(sets)) array, int64 or Python ints."""
     n = len(stack)
-    dtype = np.int64 if _norm_product(stack) <= _INT64_SAFE else object
+    # every partial sum is within the product of its matrix's row 1-norms,
+    # each at least 1 so that a zero row bounds the entries too
+    bound = max(map(prod, np.maximum(_norms(stack), 1).tolist()), default=0)
+    dtype = object if _exact_dtype(bound) is object else np.int64
     stack = stack.astype(dtype, copy=False)
     levels = _laplace_levels(sets)
     per_chunk = max(1, _MINOR_ENTRIES // max((cols.size for cols, _, _ in levels), default=1))
@@ -302,17 +308,12 @@ def _minors(stack: np.ndarray, sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return out
 
 
-def _norm_product(stack: np.ndarray) -> int:
-    """The largest product, over the matrices of ``stack``, of their rows'
-    1-norms, each taken as at least 1, so that a zero row leaves every
-    entry bounded too (1 for matrices of no rows, 0 for no matrices)."""
-    if not stack.size:
-        return 0 if not len(stack) else 1
-    if stack.dtype != object and _largest(stack) * stack.shape[2] <= _INT64_SAFE:
-        norms = np.abs(stack).sum(axis=2)
-    else:
-        norms = abs(stack.astype(object)).sum(axis=2)
-    return max(map(prod, np.maximum(norms, 1).tolist()))
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The 1-norms of the integer rows along the last axis of ``a``: int64
+    when they provably fit, and Python ints otherwise."""
+    if a.dtype != object and _exact_dtype(_largest(a) * a.shape[-1]) is not object:
+        return np.abs(a).sum(axis=-1)
+    return abs(a.astype(object)).sum(axis=-1)
 
 
 def _largest(a: np.ndarray) -> int:
@@ -321,13 +322,33 @@ def _largest(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _product_dtype(a: np.ndarray, b: np.ndarray, width: int = 1) -> type:
-    """int64 when every sum of ``width`` products of an entry of the
-    integer array ``a`` and one of ``b`` provably fits, and so does every
-    entry: ``max(largest(a), 1) * width * max(largest(b), 1) <= 2^62``;
-    Python ints (``object``) otherwise."""
-    return (np.int64 if max(_largest(a), 1) * width * max(_largest(b), 1) <= _INT64_SAFE
-            else object)
+def _exact_product(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """``a @ b`` of integer rows ``a`` (..., w) and an integer (w, c) ``b``
+    as one 2-D product, in the dtype :func:`_exact_dtype` picks for the
+    caller's ``bound`` on every entry and partial sum, as int64 or Python ints."""
+    dtype = _exact_dtype(bound)
+    rows = a.reshape(prod(a.shape[:-1]), a.shape[-1]).astype(dtype, copy=False)
+    product = (rows @ b.astype(dtype, copy=False)).reshape(*a.shape[:-1], b.shape[1])
+    return product.astype(np.int64) if dtype is np.float64 else product
+
+
+def _any_last(a: np.ndarray) -> np.ndarray:
+    """``a.any(axis=-1)`` of a boolean array as an OR of its last axis's
+    columns, several times faster than numpy's reduction over a short axis."""
+    out = np.zeros(a.shape[:-1], dtype=bool)
+    for k in range(a.shape[-1]):
+        out |= a[..., k]
+    return out
+
+
+def _exact_dtype(bound: int) -> type:
+    """The dtype of an integer product whose every entry and partial sum is
+    within ``bound``: float64 within 2^53, where each is an integer float64
+    holds exactly, so the product is exact in any order, with or without
+    FMA; int64 within 2^62, and Python ints (``object``) past it."""
+    if bound <= _FLOAT_EXACT:
+        return np.float64
+    return np.int64 if bound <= _INT64_SAFE else object
 
 
 @lru_cache(maxsize=None)

@@ -17,13 +17,14 @@ target, which replaces the target only once it is whole.
 The loader decodes the points and the flats as integer arrays, level by
 level (:func:`_int_leaves`), with no ``RatPoint``, ``Fraction`` or
 ``Flat`` built: each point and each equation over the lcm of its
-denominators.  The flats of a file of any other shape, or an irregular
-pair, are decoded pair by pair, which raises the file's errors.  Either
-way the flats load as one :class:`FlatFamily`, whose dimensions one
-:func:`~inclab.geometry._row_family` reads.  The reference path,
-``canonical_json(instance_to_dict(...))``, builds the document and lets
-``json`` render all of it; it shares no code with the writer, and the
-tests require the two texts to be equal.
+denominators (:func:`~inclab.geometry._over_lcm`), each point in the one
+primitive form (:func:`~inclab.geometry._primitive_rows`).  The flats of
+a file of any other shape, or an irregular pair, are decoded pair by
+pair, which raises the file's errors.  Either way the flats load as one
+:class:`FlatFamily`, whose dimensions :func:`~inclab.geometry._row_family`
+reads.  The reference path, ``canonical_json(instance_to_dict(...))``,
+builds the document and lets ``json`` render all of it; it shares no code
+with the writer, and the tests require the two texts to be equal.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Any, Iterable, TextIO
 
 import numpy as np
 
-from . import linalg
 from .constructions import ConstructionOutput
 from .errors import InvalidInput
 from .geometry import (
@@ -48,6 +48,8 @@ from .geometry import (
     _exact_family,
     _int,
     _int_arrays,
+    _over_lcm,
+    _primitive_rows,
     _row_family,
     _split_coords,
 )
@@ -195,18 +197,14 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
 def _point_rows(dim: int, items: Any) -> PointRows | None:
     """The points ``items`` as rows when every one decodes as an array
     (:func:`_int_leaves`) of ``dim`` integer pairs with nonzero
-    denominators: integer points as they are, and any others over the lcm
-    of their denominators (:func:`_over_lcm`) and then over their gcd, the
-    one primitive form of :func:`_split_coords`.  Otherwise ``None``, and
-    the per-pair path decodes and splits them, with its errors."""
+    denominators: each over the lcm of its denominators (:func:`_over_lcm`)
+    in the one primitive form (:func:`_primitive_rows`), as
+    :func:`_split_coords` splits them.  Otherwise ``None``, and the per-pair
+    path decodes and splits them, with its errors."""
     pairs = _int_leaves(items, (len(items) if type(items) is list else 0, dim, 2))
     if pairs is None or not pairs[..., 1].all():
         return None
-    if (pairs[..., 1] == 1).all():
-        return PointRows._of(dim, pairs[..., 0], np.ones(len(items), dtype=np.int64))
-    num, q = _over_lcm(pairs)
-    g = np.gcd(np.gcd.reduce(num, axis=1, initial=0), q)  # positive, since q is
-    return PointRows._of(dim, num // g[:, None], q // g)
+    return _primitive_rows(dim, *_over_lcm(pairs))
 
 
 def _family(dim: int, specs: list) -> FlatFamily | None:
@@ -254,27 +252,6 @@ def _int_leaves(items: Any, shape: tuple[int, ...]) -> np.ndarray | None:
         leaves = np.array(level, dtype=object)
     (leaves,), _ = _int_arrays(leaves.reshape(shape))
     return leaves
-
-
-def _over_lcm(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, q)``: the rationals of each row of integer ``pairs`` (...,
-    k, 2), every denominator nonzero, as the integer row ``rows`` over ``q``
-    > 0, the lcm of their denominators made positive.  The lcm is taken one
-    denominator at a time, in int64 while each step provably stays within
-    2^62 (:func:`linalg._product_dtype`) and in Python ints from the first
-    step that might not; the rows likewise."""
-    num, den = pairs[..., 0], pairs[..., 1]
-    num, den = np.where(den < 0, -num, num), abs(den)
-    q = den[..., 0]
-    for k in range(1, den.shape[-1]):
-        step = q // np.gcd(q, den[..., k])
-        if linalg._product_dtype(step, den[..., k]) is object:
-            step, den, num = step.astype(object), den.astype(object), num.astype(object)
-        q = step * den[..., k]
-    scale = q[..., None] // den
-    if linalg._product_dtype(scale, num) is object:
-        scale, num = scale.astype(object), num.astype(object)
-    return num * scale, q
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:

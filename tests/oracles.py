@@ -21,17 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from random import Random
 
 from inclab import Flat, linalg
-
-
-class SmallBox(Random):
-    """Draws every integer from {0, 1}, whatever range is asked for, so that
-    dependent draws, draws inside a guard and so retries are common."""
-
-    def randint(self, a, b):
-        return super().randint(0, 1)
 
 
 def gcd_euclid(a: int, b: int) -> int:

@@ -41,7 +41,6 @@ from inclab.geometry import _hyperplanes, _int_point_matrix
 from inclab.serialization import instance_to_dict
 
 from oracles import (
-    SmallBox,
     collinear_triples_bruteforce,
     count_incidences_direct,
     embed_extensions_loop,
@@ -641,7 +640,8 @@ class TestEmbedding:
             self, monkeypatch, d_inner, d_outer, k, box):
         # the embedded hyperplane is read off its rows, not eliminated, and
         # the draws are generic_extension's on the same Random: equal flats
-        # and an equal rng state, retries and give-ups included
+        # and an equal rng state, retries and give-ups included; and both
+        # end where the oracle's loop of randint calls ends
         if box is not None:
             monkeypatch.setattr(geometry, "EXTENSION_BOX", box)
         draws = fewest = 0
@@ -650,43 +650,36 @@ class TestEmbedding:
             used = []
 
             class Seen(Random):
-                draws = 0
-
                 def __init__(self, seed):
                     super().__init__(seed)
                     used.append(self)
 
-                def randint(self, a, b):
-                    Seen.draws += 1
-                    return super().randint(a, b)
-
             monkeypatch.setattr(constructions, "Random", Seen)
-            reference = Seen(7)
+            reference = Random(7)
             try:
                 expected = self._flat_by_flat(inner, d_outer, k, reference)
             except DegenerateRandomness:
                 expected = None
-            reference_draws, Seen.draws = Seen.draws, 0
-            ahead = 0
             if expected is None:
-                # every draw is rejected, so the first flat gives up: the
-                # embedding drew one group per flat before any check and
-                # then one per retry, and on giving up it sets its Random
-                # back and draws again the loop's values, so the Random
-                # ends where the loop's does, after these extra calls
+                # every draw is rejected, so the first flat gives up; the
+                # embedding drew one group per flat before any check, and on
+                # giving up it sets its Random back and draws again the
+                # loop's values
                 assert box == 0
                 with pytest.raises(DegenerateRandomness):
                     embed_configuration(inner, d_outer, k, seed=7)
-                ahead = ((len(inner.flats) + geometry.RETRY_BUDGET - 1)
-                         * (k - d_inner + 1) * d_outer)
             else:
                 emb = embed_configuration(inner, d_outer, k, seed=7)
                 assert emb.flats == expected and expected == emb.flats
                 assert isinstance(emb.flats, geometry.FlatFamily)
             assert used[-1].getstate() == reference.getstate()
-            assert Seen.draws == reference_draws + ahead
-            draws += reference_draws
-            fewest += len(inner.flats) * (k - d_inner + 1) * d_outer
+            if k > d_inner - 1:
+                counted = Counted(7)
+                embed_extensions_loop(inner.flats, d_inner, d_outer, k, counted,
+                                      geometry.EXTENSION_BOX, geometry.RETRY_BUDGET)
+                assert counted.getstate() == reference.getstate()
+                draws += counted.draws
+                fewest += len(inner.flats) * (k - d_inner + 1) * d_outer
         if box == 1 and k > d_inner - 1:
             # with directions in {-1, 0, 1}^d some draws are retried
             assert draws > fewest
@@ -701,6 +694,16 @@ class TestEmbedding:
             embed_configuration(inner, 4, 4, seed=0)
 
 
+class Counted(Random):
+    """A ``Random`` that counts its ``randint`` calls."""
+
+    draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
 @lru_cache(maxsize=None)
 def _small_grid(d):
     return build_grid_construction(ConstructionConfig(d=d, m=4, n=4, box_side=2))
@@ -711,7 +714,7 @@ def embed_inputs(draw):
     """Hyperplanes of R^d (d 2 to 4, possibly none) as a family or as a
     tuple of flats with scaled, rational or redundant rows, in an inner
     configuration; an outer dimension up to d + 3 and every k >= d; a seed
-    and whether the draws come from {0, 1} (:class:`SmallBox`)."""
+    and whether the draws come from {-1, 0, 1}, where retries are common."""
     d = draw(st.integers(2, 4))
     d_outer = draw(st.integers(d + 1, d + 3))
     k = draw(st.integers(d, d_outer - 1))
@@ -744,21 +747,38 @@ def embed_inputs(draw):
 
 class TestEmbeddingOracle:
     @staticmethod
-    def _check(inner, d_outer, k, seed, source):
-        expected = embed_extensions_loop(inner.flats, inner.ambient_dim, d_outer, k,
-                                         source(seed), geometry.EXTENSION_BOX,
-                                         geometry.RETRY_BUDGET)
+    def _check(inner, d_outer, k, seed, box=None, budget=geometry.RETRY_BUDGET):
+        """The embedding against the oracle's loop of ``randint`` calls on
+        ``Random(seed)``, with draws from [-box, box] and ``budget`` draws a
+        flat: equal rows, or a give-up for both, and equal ``Random``
+        states after either."""
+        used = []
+
+        class Seen(Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                used.append(self)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(constructions, "Random", source)
+            if box is not None:
+                patch.setattr(geometry, "EXTENSION_BOX", box)
+            oracle = Random(seed)
+            expected = embed_extensions_loop(inner.flats, inner.ambient_dim, d_outer, k,
+                                             oracle, geometry.EXTENSION_BOX, budget)
+            patch.setattr(constructions, "Random", Seen)
+            patch.setattr(constructions, "_extension_rows", lambda *args: (
+                geometry._extension_rows(*args, retry_budget=budget)))
             if expected is None:
                 with pytest.raises(DegenerateRandomness):
                     embed_configuration(inner, d_outer, k, seed)
+                assert used[-1].getstate() == oracle.getstate()
                 return None
             emb = embed_configuration(inner, d_outer, k, seed)
         blocks, dens = expected
         assert emb.flats.rows.tolist() == list(chain(*blocks))
         assert emb.flats.den.tolist() == list(chain(*dens))
         assert np.diff(emb.flats.starts).tolist() == [len(b) for b in blocks]
+        assert used[-1].getstate() == oracle.getstate()
         return emb
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -767,37 +787,47 @@ class TestEmbeddingOracle:
         # the minors kernel reads every flat and every draw as the
         # eliminations of the flat-by-flat loop do, value for value
         inner, d_outer, k, seed, small = case
-        self._check(inner, d_outer, k, seed, SmallBox if small else Random)
+        self._check(inner, d_outer, k, seed, 1 if small else None)
 
     def test_retries_mid_stack_shift_the_later_flats(self):
-        # with draws from {0, 1} some flats past the first are retried, and
-        # every later flat takes the group after the one it would have had
+        # with draws from {-1, 0, 1} some flats past the first are retried,
+        # and every later flat takes the group after the one it would have had
         inner = TestEmbedding._signed_inner(3)
         inner = replace(inner, flats=inner.flats * 3)
         group = (4 - 2) * 6  # the values of one draw: 2 directions in R^6
-        draws = []
-
-        class Counted(SmallBox):
-            def randint(self, a, b):
-                draws.append(a)
-                return super().randint(a, b)
-
         # with a budget of one draw: the first flat takes its first draw
-        assert embed_extensions_loop(inner.flats[:1], 3, 6, 4, Counted(11), 1, 1) is not None
-        del draws[:]
-        assert self._check(inner, 6, 4, 11, Counted) is not None
-        # the loop's draws and then as many of the stack's, past one group a flat
-        assert len(draws) > 2 * len(inner.flats) * group
+        assert embed_extensions_loop(inner.flats[:1], 3, 6, 4, Random(1), 1, 1) is not None
+        counted = Counted(1)
+        assert embed_extensions_loop(inner.flats, 3, 6, 4, counted, 1,
+                                     geometry.RETRY_BUDGET) is not None
+        assert counted.draws > len(inner.flats) * group
+        assert self._check(inner, 6, 4, 1, box=1) is not None
 
-    def test_a_give_up_mid_stack_leaves_the_loops_state(self):
+    def test_a_give_up_mid_stack_is_the_loops(self):
+        # with draws from {-1, 0, 1} and one draw a flat, a flat past the
+        # first gives up after the stack drew groups for the flats after
+        # it: the embedding raises where the loop does, and its Random ends
+        # where the loop's does
+        inner = TestEmbedding._signed_inner(3)
+        inner = replace(inner, flats=inner.flats * 3)
+        mid_stack = 0
+        for seed in range(20):
+            counted = Counted(seed)
+            if embed_extensions_loop(inner.flats, 3, 6, 4, counted, 1, 1) is None:
+                mid_stack += counted.draws > 6 * 2
+            self._check(inner, 6, 4, seed, box=1, budget=1)
+        assert mid_stack
+
+    def test_a_give_up_mid_stack_leaves_the_loops_state(self, monkeypatch):
         # a flat past the first gives up after the stack drew groups for the
         # flats after it: the Random ends where drawing flat by flat, a stack
         # of one at a time, leaves it
+        monkeypatch.setattr(geometry, "EXTENSION_BOX", 1)
         units = np.array([[0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)
         mid_stack = 0
         for seed in range(40):
             directions = np.array([[[1, j % 3 - 1, 0, 0]] for j in range(6)], dtype=np.int64)
-            stacked, alone = SmallBox(seed), SmallBox(seed)
+            stacked, alone = Random(seed), Random(seed)
             try:
                 stacked_rows = geometry._extension_rows(directions, 3, stacked, units, 2)
             except DegenerateRandomness:
@@ -818,6 +848,24 @@ class TestEmbeddingOracle:
                 assert stacked_rows is None
                 mid_stack += 0 < gave_up < len(directions) - 1
         assert mid_stack
+
+    @pytest.mark.parametrize("low, high", [(-10**6, 10**6), (0, 0), (-1, 1), (5, 2**31 + 4),
+                                           (0, 2**32 - 2), (-7, 2**20)])
+    def test_replayed_draws_are_the_randint_loop(self, low, high):
+        # one getrandbits replays randint call for call, and leaves the
+        # Random where the calls leave it, for every width of one word
+        for seed in range(12):
+            for n in (0, 1, 7, 4096):
+                rng, reference = Random(seed), Random(seed)
+                got = geometry._randints(rng, n, low, high)
+                assert got.dtype == np.int64
+                assert got.tolist() == [reference.randint(low, high) for _ in range(n)]
+                assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("low, high", [(0, 2**32 - 1), (-(2**40), 2**40), (3, 2)])
+    def test_draws_past_one_word_or_empty_are_refused(self, low, high):
+        with pytest.raises(InvalidInput):
+            geometry._randints(Random(1), 3, low, high)
 
 
 class TestNonIntegerParameters:

@@ -41,7 +41,6 @@ from oracles import (
     minor_rank,
     point_split_loop,
     runs_as_nested,
-    SmallBox,
 )
 
 
@@ -771,26 +770,19 @@ class TestGenericExtension:
             with pytest.raises(InvalidInput):
                 generic_extension(z_axis, 2, 3, seed=1, within=within)
 
-    def test_draw_inside_guard_flat_is_rejected_then_retried(self):
-        class ScriptedRandom(Random):
-            def __init__(self, values):
-                super().__init__(0)
-                self.values = list(values)
-
-            def randint(self, a, b):
-                value = self.values.pop(0)
-                if not a <= value <= b:
-                    raise AssertionError(f"scripted value {value} outside [{a}, {b}]")
-                return value
-
+    def test_draw_inside_guard_flat_is_rejected_then_retried(self, monkeypatch):
+        monkeypatch.setattr(geometry, "EXTENSION_BOX", 5)
         z_axis = Flat(3, [[1, 0, 0], [0, 1, 0]], [0, 0])
         within = make_hyperplane(IntVector((1, 0, 0)), 0)  # x = 0 contains the z-axis
-        # first draw (0, 5, 3) lies in x = 0: the extension is ``within``
-        # itself and meets it in a plane; second draw (1, 0, 0) is generic
-        rng = ScriptedRandom([0, 5, 3, 1, 0, 0])
+        # with draws from [-5, 5], the first draw of seed 7, (0, -3, 1), lies
+        # in x = 0: the extension is ``within`` itself and meets it in a
+        # plane; the second, (5, -5, -4), is generic
+        reference = Random(7)
+        assert [reference.randint(-5, 5) for _ in range(6)] == [0, -3, 1, 5, -5, -4]
+        rng = Random(7)
         plane = generic_extension(z_axis, 2, 3, seed=rng, within=within)
-        assert rng.values == []  # exactly two draws were made
-        assert flats_equal(plane, make_hyperplane(IntVector((0, 1, 0)), 0))
+        assert rng.getstate() == reference.getstate()  # exactly two draws were made
+        assert flats_equal(plane, make_hyperplane(IntVector((1, 1, 0)), 0))
         meet = intersect(plane, within)
         assert meet is not None and flats_equal(meet, z_axis)
 
@@ -866,9 +858,10 @@ def guarded_draws(draw):
 
 @st.composite
 def extension_cases(draw):
-    """A flat h of R^d, a target dimension, a guard flat or None, and a
-    draw source given twice: the seed for the library and an equal stream
-    for the oracle."""
+    """A flat h of R^d, a target dimension, a guard flat or None, a draw
+    source given twice (the seed for the library and an equal stream for
+    the oracle), and the draws' box: the library's, {-1, 0, 1}, where
+    retries are common, or {0}, where every draw is rejected."""
     d = draw(st.integers(2, 5))
     vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
     rational = st.fractions(-3, 3, max_denominator=4)
@@ -898,11 +891,10 @@ def extension_cases(draw):
     else:
         within = Flat(d, carrier, [0] * len(carrier))
     seed = draw(st.integers(0, 2**32))
-    source = draw(st.sampled_from(("seed", "random", "small", "small")))
-    if source == "seed":
-        return h, target, within, seed, Random(seed)
-    box = SmallBox if source == "small" else Random
-    return h, target, within, box(seed), box(seed)
+    box = draw(st.sampled_from((None, None, 1, 1, 0)))
+    if draw(st.booleans()):
+        return h, target, within, seed, Random(seed), box
+    return h, target, within, Random(seed), Random(seed), box
 
 
 class TestExtensionOracle:
@@ -911,21 +903,28 @@ class TestExtensionOracle:
     def test_integer_path_matches_the_fraction_oracle(self, case):
         # the same draws through h.solution(), Fraction dots and Flat(...)
         # give the same flat, value for value and type for type
-        h, target, within, seed, oracle_rng = case
+        h, target, within, seed, oracle_rng, box = case
         d = h.ambient_dim
-        try:
-            expected = generic_extension_fraction(
-                h, target, d, oracle_rng, within,
-                geometry.RETRY_BUDGET, geometry.EXTENSION_BOX)
-        except ValueError:
-            with pytest.raises(InvalidInput):
-                generic_extension(h, target, d, seed, within=within)
-            return
+        with pytest.MonkeyPatch.context() as patch:
+            if box is not None:
+                patch.setattr(geometry, "EXTENSION_BOX", box)
+            try:
+                expected = generic_extension_fraction(
+                    h, target, d, oracle_rng, within,
+                    geometry.RETRY_BUDGET, geometry.EXTENSION_BOX)
+            except ValueError:
+                with pytest.raises(InvalidInput):
+                    generic_extension(h, target, d, seed, within=within)
+                return
+            if expected is None:
+                with pytest.raises(DegenerateRandomness):
+                    generic_extension(h, target, d, seed, within=within)
+            else:
+                got = generic_extension(h, target, d, seed, within=within)
+        if isinstance(seed, Random):  # it ends where the oracle's randint calls end
+            assert seed.getstate() == oracle_rng.getstate()
         if expected is None:
-            with pytest.raises(DegenerateRandomness):
-                generic_extension(h, target, d, seed, within=within)
             return
-        got = generic_extension(h, target, d, seed, within=within)
         assert (got.equations, got.rhs, got.dim) == (expected.equations, expected.rhs, expected.dim)
         assert [list(map(type, row)) for row in got.equations + (got.rhs,)] == [
             list(map(type, row)) for row in expected.equations + (expected.rhs,)]

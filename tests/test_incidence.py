@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inclab import incidence, serialization
+from inclab import incidence, linalg, serialization
 from inclab.geometry import (
     FlatFamily, _exact_family, _flat_family, _hyperplanes, _int_point_matrix)
 from inclab import (
@@ -553,6 +553,7 @@ class TestProductGuard:
         (2**26, 2**27, np.float64),  # sum|row| * max_abs = 2^53
         (3, (2**53 + 1) // 3, np.int64),  # 2^53 + 1
         (2**31 - 1, 2**31 + 1, np.int64),  # 2^62 - 1
+        (2**31, 2**31, np.int64),  # 2^62
         (2**31 - 2**16 + 1, 2**31 + 2**16 + 1, object),  # 2^62 + 1
     ])
     def test_counts_and_members_on_either_side_of_each_bound(
@@ -561,9 +562,8 @@ class TestProductGuard:
         # each count and member list exact on its side of every bound
         points, lines, planes = _bound_instance(norm, max_abs)
         assert _int_point_matrix(points).max_abs == max_abs
-        float_exact = dtype is np.float64
-        assert incidence._fits_int64(lines.rows, max_abs, incidence._FLOAT_EXACT) == float_exact
-        assert incidence._fits_int64(lines.rows, max_abs) == (dtype is not object)
+        assert int(linalg._norms(lines.rows).max()) == norm
+        assert linalg._exact_dtype(norm * max_abs) is dtype
         products = []
         count_dense = incidence._count_dense
         monkeypatch.setattr(incidence, "_count_dense",
@@ -585,8 +585,8 @@ class TestProductGuard:
         planes = _hyperplanes(3, [(huge, 1, 0)], [0], [3])
         lines = FlatFamily._of(3, 2, [[[huge, 0, 0, 1], [0, 1, 0, 1]]],
                                np.ones((1, 2), np.int64))
-        assert not incidence._fits_int64(planes.rows, 0)
-        assert incidence._dense_dtype(lines.rows, 0) is object
+        for rows in (planes.rows, lines.rows):
+            assert linalg._exact_dtype(int(linalg._norms(rows).max())) is object
         for flats in (planes, lines, tuple(planes) + tuple(lines)):
             assert_all_counts_agree([], flats)
             assert count_incidences(IncidenceInstance([], flats, 2, 1), "naive") == 0

@@ -50,15 +50,22 @@ def _reach(module: str, start: str) -> tuple[set[str], set[str]]:
     return seen, names
 
 
+def _library_functions() -> set[str]:
+    """The module-level functions of every library module."""
+    return {n.name for path in SOURCE.glob("*.py") for n in ast.parse(path.read_text()).body
+            if isinstance(n, ast.FunctionDef)}
+
+
 def test_naive_count_shares_no_code_with_the_hashed_path():
     # the reference count checks the grouped path, so it may not reach any
     # of its grouping helpers, directly or through a module-level helper;
-    # the functions both reach are the product guard and the dtype choice
-    # made from it, which pick float64, int64 or Python ints and so cannot
-    # change a count.  Every instance holds its flats as one FlatFamily, and
-    # both paths read its stored rows (``FlatFamily._stacks``), so naive ==
-    # hashed does not check the storage: the conversion's own tests compare
-    # it with the flats ``Flat(...)`` builds one by one
+    # the library functions both name are the one dtype chooser and the
+    # row 1-norms each states its bound with, which pick float64, int64 or
+    # Python ints and so cannot change a count.  Every instance holds its
+    # flats as one FlatFamily, and both paths read its stored rows
+    # (``FlatFamily._stacks``), so naive == hashed does not check the
+    # storage: the conversion's own tests compare it with the flats
+    # ``Flat(...)`` builds one by one
     naive, names = _reach("incidence.py", "_count_naive")
     forbidden = {
         "_count_hashed", "_members", "_exact_dots", "_value_counts", "unique",
@@ -68,11 +75,50 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
         "_hull_frame", "_hull_points", "_hull_traces", "affine_hull", "_row_keys",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
-    hashed, _ = _reach("incidence.py", "_count_hashed")
+    hashed, hashed_names = _reach("incidence.py", "_count_hashed")
     # the rule follows the cached properties
     assert {"_family_members", "_hull_frame", "_hull_traces"} <= hashed
-    assert naive & hashed == {"_fits_int64", "_dense_dtype"}, (
-        f"both reach {sorted(naive & hashed)}")
+    assert not naive & hashed, f"both reach {sorted(naive & hashed)}"
+    shared = names & hashed_names & _library_functions()
+    assert shared == {"_exact_dtype", "_norms"}, f"both name {sorted(shared)}"
+
+
+def test_one_dtype_chooser():
+    # every integer dtype is picked by linalg._exact_dtype from a proved
+    # bound: no other function compares with its limits, and the rules it
+    # replaced are named nowhere (spelled in two parts, as below)
+    limits = {"_INT64_SAFE", "_FLOAT_EXACT"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and _referenced_names(node) & limits:
+                found.append(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & limits:
+                found.append(f"{path.name}:import")
+    assert found == ["linalg.py:_exact_dtype"], f"the limits are read in {found}"
+    retired = ["_fits" + "_int64", "_dense" + "_dtype", "_product" + "_dtype"]
+    found = [(path.name, name) for path in sorted(SOURCE.glob("*.py"))
+             for name in retired if name in path.read_text()]
+    assert not found, f"retired dtype rules named in {found}"
+
+
+def test_one_clearer_and_one_primitive_form():
+    # exact rows and points are cleared by geometry._over_lcm; the
+    # per-row clearer of the elimination kernel stays inside linalg, and
+    # every point split, decoded file and hull projection takes the one
+    # primitive form
+    found = [path.name for path in sorted(SOURCE.glob("*.py"))
+             if path.name != "linalg.py" and "clear_denominators" in path.read_text()]
+    assert not found, f"clear_denominators named in {found}"
+    for module, start in (("geometry.py", "_split_coords"), ("serialization.py", "_point_rows"),
+                          ("incidence.py", "_hull_points")):
+        _, names = _reach(module, start)
+        assert "_primitive_rows" in names, f"{start} names no _primitive_rows"
+    for module, start in (("geometry.py", "_exact_family"), ("geometry.py", "_hyperplanes"),
+                          ("geometry.py", "generic_extension"), ("geometry.py", "_split_coords"),
+                          ("serialization.py", "_family"), ("serialization.py", "_point_rows")):
+        _, names = _reach(module, start)
+        assert "_over_lcm" in names, f"{start} names no _over_lcm"
 
 
 def test_one_flat_family():
@@ -118,6 +164,14 @@ def test_padding_replays_its_draws():
     reached, names = _reach("constructions.py", "_pad_hyperplanes")
     assert {"_words", "_randbelow"} <= reached  # the rule follows the helpers
     assert "randint" not in names, "_pad_hyperplanes reaches randint"
+
+
+def test_extension_draws_are_replayed():
+    # the generic extensions' directions are randint draws replayed from
+    # words of one getrandbits; no randint call is left on that path
+    reached, names = _reach("geometry.py", "_extension_rows")
+    assert "_randints" in reached and "getrandbits" in names  # the rule follows the helper
+    assert "randint" not in names, "_extension_rows reaches randint"
 
 
 def test_point_paths_compare_integers_only():
