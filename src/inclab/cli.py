@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
+from functools import cache
 
 from . import serialization
 from .constructions import (
@@ -220,9 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built once per process: parsing
+    leaves it as it was, and building it takes about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

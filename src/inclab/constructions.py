@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
 from operator import length_hint
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .incidence import (
     IncidenceInstance,
     KstWitness,
     _count_hashed,
+    _dot_tally,
     _dot_values,
     _heaviest_span,
     _int_root_floor,
@@ -290,29 +291,28 @@ def _box_side(d: int, m: int, n: int, eps: float, slope: int, power: int) -> flo
 
 
 def _achieved_offsets(v: IntVector, split: PointRows) -> set:
-    """Exact set of dot products <v, p> over the split points."""
+    """Exact set of dot products <v, p> over the split points: int64 dots
+    tallied (:func:`_dot_tally`), and Python ints or ``Fraction`` values
+    hashed once, since the set needs no order."""
     dots = _dot_values(split, v.coords)
-    if dots.dtype != object:
-        # with counts, np.unique sorts; without, numpy 2 hashes every value,
-        # several times slower here, and imports numpy.ma on first use
-        dots = np.unique(dots, return_counts=True)[0]
-    return set(dots.tolist())
+    return set(dots.tolist() if dots.dtype == object else _dot_tally(dots)[0].tolist())
 
 
 def _core_hyperplanes(
     normals: Sequence[IntVector], split: PointRows
 ) -> tuple[FlatFamily, dict[IntVector, set]]:
-    """One hyperplane per normal and achieved offset, in that order, as one
-    family of one-row blocks; and the offset sets."""
-    achieved = {v: _achieved_offsets(v, split) for v in normals}
-    offsets = [sorted(achieved[v]) for v in normals]
+    """One hyperplane per normal and achieved offset, ascending, in that
+    order, as one family of one-row blocks; and the offset sets.  The
+    offsets are each normal's tallied dot values (:func:`_dot_tally`),
+    already ascending."""
+    offsets = [_dot_tally(_dot_values(split, v.coords))[0] for v in normals]
     family = _hyperplanes(
         split.ambient_dim,
         [v.coords for v in normals],
         np.repeat(np.arange(len(normals)), [len(cs) for cs in offsets]),
-        [c for cs in offsets for c in cs],
+        np.concatenate(offsets) if offsets else np.zeros(0, dtype=np.int64),
     )
-    return family, achieved
+    return family, {v: set(cs.tolist()) for v, cs in zip(normals, offsets)}
 
 
 def _words(rng: Random) -> Iterator[int]:
@@ -334,28 +334,29 @@ def _words(rng: Random) -> Iterator[int]:
             raise
 
 
-def _randbelow(word: Callable[[], int], w: int) -> int:
-    """``Random._randbelow(w)`` of CPython 3.11 for w >= 1, on the stream's
-    words ``word()`` returns, so ``a + _randbelow(word, b - a + 1)`` is
-    ``randint(a, b)``: ``getrandbits(k)`` for k = w.bit_length(), drawn
-    again while it is w or more.  ``getrandbits(k)`` takes ceil(k / 32)
-    words, the first one lowest, and keeps the top k mod 32 bits of the
-    last one when 32 does not divide k."""
-    k = w.bit_length()
-    if k <= 32:  # one word a draw
-        shift = 32 - k
-        r = word() >> shift
-        while r >= w:
-            r = word() >> shift
-        return r
-    full, top = divmod(k - 1, 32)  # the words below the last, and its bits - 1
-    while True:
-        r = 0
-        for low in range(0, 32 * full, 32):
-            r |= word() << low
-        r |= word() >> (31 - top) << (32 * full)
-        if r < w:
-            return r
+def _pad_draws(
+    i: int, v: IntVector, split: PointRows, count: int, achieved: dict[IntVector, set]
+) -> tuple[int, int, int, bytearray, int]:
+    """``(shift, width, i << 32, taken, least)`` for the padding draws of
+    pool normal ``v`` at pool index ``i``: ``rng.randint(least, least +
+    width - 1)`` is ``least + (word >> shift)`` for the first word whose
+    top bits are below ``width`` (CPython 3.11's ``Random._randbelow``),
+    over a range ``count + 8`` past the least and the largest integer
+    offset of ``v`` over the points (from ``achieved``, or tallied); ``i <<
+    32`` plus a place in the range codes a draw; and ``taken`` is a bitmap
+    over the range marking those offsets (a ``Fraction`` never equals a
+    draw).  A width past one 32-bit word, which needs 2^31 hyperplanes, is
+    :class:`InvalidInput`."""
+    ints = [x for x in (achieved[v] if v in achieved else _achieved_offsets(v, split))
+            if type(x) is int]
+    low, high = min(ints, default=0), max(ints, default=0)
+    least, width = low - count - 8, high - low + 2 * count + 17
+    if width >= 2**32:
+        raise InvalidInput(f"padding draws of width {width} do not fit one 32-bit word")
+    taken = bytearray(width)
+    for x in ints:
+        taken[x - least] = 1
+    return 32 - width.bit_length(), width, i << 32, taken, least
 
 
 def _pad_hyperplanes(
@@ -370,46 +371,50 @@ def _pad_hyperplanes(
 
     A normal's full offset set over the points is computed once, or taken
     from ``achieved``; an offset outside it proves the hyperplane is
-    point-free.  Each offset is the ``rng.randint`` draw, replayed from
-    words of ``rng`` (:func:`_words`, :func:`_randbelow`); ``rng`` ends
-    where those calls would leave it.
+    point-free.  Each offset is the ``rng.randint`` draw of attempt a,
+    replayed from words of ``rng`` (:func:`_words`, :func:`_pad_draws`) in
+    one pass over them: a word below the current normal's width ends an
+    attempt, which takes pool index (placed + a) mod len(pool); ``rng``
+    ends where those calls would leave it.
     """
     pool = primitive_vectors(2 * _PAD_NORMAL_BOX, d)
     rng.shuffle(pool)
-    # by pool index: its offset set plus the offsets drawn for it, and the
-    # least offset and the number of offsets its draws range over
-    taken: list[set | None] = [None] * len(pool)
-    spans: list[tuple[int, int]] = [(0, 0)] * len(pool)
-    normal_ids: list[int] = []
-    offsets: list[int] = []
+    size, limit = len(pool), 64 * count + 1024
+    draws: list = [None] * size
+    codes: list[int] = []  # (pool index << 32) + place, of each placed offset
+    placed, attempts = 0, 1
     words = _words(rng)
-    word = words.__next__
-    placed = attempts = 0
     try:
-        while placed < count:
-            attempts += 1
-            if attempts > 64 * count + 1024:
-                raise SizeShortfall(
-                    f"could not place {count} point-free hyperplanes", achieved=placed
-                )
-            i = (placed + attempts) % len(pool)
-            if taken[i] is None:
-                v = pool[i]
-                taken[i] = set(achieved[v]) if v in achieved else _achieved_offsets(v, split)
-                ints = [x for x in taken[i] if type(x) is int]
-                low, high = min(ints, default=0), max(ints, default=0)
-                spans[i] = (low - count - 8, high - low + 2 * count + 17)
-            least, width = spans[i]
-            offset = least + _randbelow(word, width)
-            if offset in taken[i]:
-                continue
-            taken[i].add(offset)
-            normal_ids.append(i)
-            offsets.append(offset)
-            placed += 1
+        if count:
+            i = 1 % size
+            draws[i] = _pad_draws(i, pool[i], split, count, achieved)
+            shift, width, base, taken, _ = draws[i]
+            for word in words:
+                r = word >> shift
+                if r >= width:  # drawn again, within the attempt
+                    continue
+                if not taken[r]:
+                    taken[r] = 1
+                    codes.append(base + r)
+                    placed += 1
+                    if placed == count:
+                        break
+                attempts += 1
+                if attempts > limit:
+                    raise SizeShortfall(
+                        f"could not place {count} point-free hyperplanes", achieved=placed
+                    )
+                i = (placed + attempts) % size
+                if draws[i] is None:
+                    draws[i] = _pad_draws(i, pool[i], split, count, achieved)
+                shift, width, base, taken, _ = draws[i]
     finally:
         words.close()
-    return _hyperplanes(d, [v.coords for v in pool], normal_ids, offsets)
+    code = np.array(codes, dtype=np.int64)
+    (least,), _ = _int_arrays([0 if at is None else at[-1] for at in draws])
+    normal_ids = code >> 32
+    return _hyperplanes(d, [v.coords for v in pool], normal_ids,
+                        least[normal_ids] + (code & 0xFFFFFFFF))
 
 
 def build_grid_construction(cfg: ConstructionConfig) -> ConstructionOutput:

@@ -425,8 +425,10 @@ def _hyperplanes(ambient_dim: int, normals: Sequence[Sequence[int]],
     over nonzero integer normals and exact offsets, as one family of
     one-row blocks: ``[a | c]`` over 1, and for a rational offset c = p / q
     the row ``[a q | p]`` over q (:func:`_exact_family`), so the values
-    ``make_hyperplane`` gives read back."""
-    if all(type(c) is int for c in offsets):
+    ``make_hyperplane`` gives read back.  int64 offsets in an array are
+    taken as they are, with no scan for a ``Fraction``."""
+    if (isinstance(offsets, np.ndarray) and offsets.dtype == np.int64
+            or all(type(c) is int for c in offsets)):
         (table, column), _ = _int_arrays(normals, offsets)
         rows = np.column_stack((table.reshape(-1, ambient_dim)[normal_ids], column))
         return FlatFamily._of(ambient_dim, 1, rows, np.ones(len(column), table.dtype))

@@ -47,7 +47,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -166,10 +166,11 @@ class IncidenceInstance:
     def _offset_counts(self) -> np.ndarray:
         """The number of points on each hyperplane run, int64: one exact dot
         pass over the hashed points per key, for the hashed counts and the
-        K_{s,t} certificate.  int64 dots are sorted once and each run's
-        offset is found by two binary searches; any other dots are counted
-        by hashing, since sorting them compares Python objects pair by
-        pair."""
+        K_{s,t} certificate.  int64 dots are tallied once (:func:`_dot_tally`)
+        and each run's count is read off the tally by one binary search
+        over its distinct values; any other dots are counted by hashing,
+        where their order is not needed, since sorting them compares Python
+        objects pair by pair."""
         runs = self._grouping
         counts = np.zeros(len(runs.starts), dtype=np.int64)
         bounds = runs.key_bounds()
@@ -179,10 +180,11 @@ class IncidenceInstance:
             if dots.dtype == object or offsets.dtype == object:
                 tally = Counter(dots.tolist())
                 counts[lo:hi] = [tally[c] for c in offsets.tolist()]
-            else:
-                dots.sort()
-                counts[lo:hi] = (np.searchsorted(dots, offsets, "right")
-                                 - np.searchsorted(dots, offsets))
+                continue
+            values, tally = _dot_tally(dots)
+            if len(values):
+                at = np.minimum(np.searchsorted(values, offsets), len(values) - 1)
+                counts[lo:hi] = np.where(values[at] == offsets, tally[at], 0)
         return counts
 
     @cached_property
@@ -280,6 +282,26 @@ def _dot_values(split: PointRows, row: Sequence[int]) -> np.ndarray:
     return values
 
 
+def _dot_tally(dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct exact values of ``dots``, ascending, and how many times
+    each occurs (int64).  int64 dots spanning at most 4 len + 1024 values
+    are counted by ``np.bincount`` over [min, max], so the count array
+    stays linear in the dots; wider int64 dots by one ``np.unique``; Python
+    ints and ``Fraction`` values by hashing, and then sorted."""
+    if dots.dtype == object:
+        tally = Counter(dots.tolist())
+        values = sorted(tally)
+        return np.array(values, dtype=object), np.array([tally[v] for v in values], dtype=np.int64)
+    if not len(dots):
+        return dots, np.zeros(0, dtype=np.int64)
+    low, high = int(dots.min()), int(dots.max())
+    if high - low > 4 * len(dots) + 1024:
+        return np.unique(dots, return_counts=True)
+    counts = np.bincount(dots - low)  # each difference is at most the span
+    values = np.flatnonzero(counts)
+    return values + low, counts[values]
+
+
 def _group_flats(family: FlatFamily) -> _Runs:
     """The hyperplanes of ``family`` as runs (:class:`_Runs`), keyed off
     their rows [a | c] with no flat built (:func:`_row_keys`), and the
@@ -310,10 +332,15 @@ def _row_keys(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signed as a's first nonzero entry, which are the primitive,
     sign-canonical normal and the offset :meth:`Flat.integer_equations`
     reads (a positive scale of the row cancels), with a ``Fraction`` only
-    where g does not divide c."""
-    # from 0: a reduce over one object column would keep that entry's sign
-    g = np.gcd.reduce(a, axis=1, initial=0)
-    g = np.where(a[np.arange(len(a)), (a != 0).argmax(axis=1)] < 0, -g, g)
+    where g does not divide c.  The gcd and the first nonzero entry are
+    taken one column at a time, last column first: a reduce or an
+    ``argmax`` over the short row axis is several times slower."""
+    # from 0: a gcd with one object entry alone would keep its sign
+    g, lead = np.zeros(len(a), dtype=a.dtype), a[:, -1]
+    for column in a.T[::-1]:
+        g = np.gcd(g, column)
+        lead = np.where(column != 0, column, lead)
+    g = np.where(lead < 0, -g, g)
     keys, offsets = a // g[:, None], c // g
     inexact = np.flatnonzero(c % g).tolist()
     if inexact:
@@ -327,9 +354,9 @@ def _sorted_runs(
     ids: np.ndarray, keys: np.ndarray, offsets: np.ndarray, others: np.ndarray
 ) -> _Runs:
     """:class:`_Runs` of the hyperplanes ``ids``, ascending, with key rows
-    ``keys`` and ``offsets``: one stable sort over (key, offset) makes each
-    run consecutive, its indices ascending."""
-    perm = np.lexsort((offsets, *keys.T[::-1]))
+    ``keys`` and ``offsets``: one sort over (key, offset, position) makes
+    each run consecutive, its indices ascending (:func:`_run_order`)."""
+    perm = _run_order(keys, offsets)
     keys, offsets = keys[perm], offsets[perm]
     new_key = np.ones(len(perm), dtype=bool)
     new_key[1:] = linalg._any_last(keys[1:] != keys[:-1])
@@ -338,6 +365,30 @@ def _sorted_runs(
     starts = np.flatnonzero(new_run)
     run_key = np.cumsum(new_key[starts]) - 1
     return _Runs(ids[perm], starts, run_key, offsets[starts], keys[new_key], others)
+
+
+def _run_order(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The positions of the (key row, offset) pairs sorted by key, then
+    offset, then position.  When every column is int64 and the packed
+    bound n * prod(max - min + 1) over the key columns and the offsets is
+    at most 2^62, each pair is one int64 code in that mixed radix with the
+    position as its last digit, below the bound, so one plain sort of
+    distinct codes gives the order; otherwise one stable ``np.lexsort``."""
+    n = len(offsets)
+    columns = [*keys.T, offsets]
+    if n and all(col.dtype == np.int64 for col in columns):
+        lows = [int(col.min()) for col in columns]
+        sides = [int(col.max()) - low + 1 for col, low in zip(columns, lows)]
+        if n * prod(sides) <= 2**62:
+            code = np.zeros(n, dtype=np.int64)
+            for col, low, side in zip(columns, lows, sides):
+                code *= side
+                code += col - low
+            code *= n
+            code += np.arange(n)
+            code.sort()
+            return code % n
+    return np.lexsort((offsets, *keys.T[::-1]))
 
 
 def _count_hashed(inst: IncidenceInstance, stop: int) -> int:

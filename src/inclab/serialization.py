@@ -8,11 +8,14 @@ with the verified bookkeeping so they can be re-checked and embedded.
 The file text is ``json.dumps(doc, sort_keys=True, indent=1)`` plus a
 newline.  :func:`save_instance` writes it directly: ``json.dumps`` renders
 the small members, and the points and flats are streamed ``_CHUNK`` at a
-time, each chunk one ``%d`` template, repeated from one item template per
-point shape or row count and filled off the points' and the
-:class:`FlatFamily`'s rows; where every denominator is 1 the template
-holds them as the literal ``1``.  The text goes to a new file beside the
-target, which replaces the target only once it is whole.
+time, from one item template per point shape or row count and the
+values read off the points' and the :class:`FlatFamily`'s rows; where
+every denominator is 1 the template holds them as the literal ``1``.
+A chunk is the template's literal pieces joined with its fields' texts,
+most of them read from value tables, or one ``%`` fill of the repeated
+template when most fields have no table (:func:`_render`).  The text
+goes to a new file beside the target, which replaces the target only
+once it is whole.
 
 The loader decodes the points and the flats as integer arrays, level by
 level (:func:`_int_leaves`), with no ``RatPoint``, ``Fraction`` or
@@ -339,11 +342,56 @@ def _flat_template(dim: int, rows: int, den: str = "%d") -> str:
     return '{\n   "A": ' + _array(a, 4) + ',\n   "b": ' + b + "\n  }"
 
 
+def _render(template: str, values: np.ndarray) -> str:
+    """The items of ``template``, one per row of the (n, F) integer array
+    ``values``, joined by ``_ITEM_SEP``.  When at least half the columns
+    read their texts from a table (:func:`_tables`), the template's
+    literal pieces around its F ``%d`` fields are joined with the fields'
+    decimal texts, so no literal byte is scanned again, and the other
+    columns are rendered in one ``%d`` pass; otherwise, since most fields
+    are converted anyway, the items' template is filled in one ``%``
+    pass."""
+    n, fields = values.shape
+    tables = _tables(values)
+    if tables is None:
+        return _ITEM_SEP.join([template] * n) % tuple(values.ravel().tolist())
+    pieces = template.split("%d")
+    out = np.empty((n, 2 * fields + 1), dtype=object)
+    out[:, ::2] = np.array(pieces, dtype=object)
+    out[1:, 0] = _ITEM_SEP + pieces[0]
+    for k, (low, table) in tables.items():
+        out[:, 2 * k + 1] = table[(values[:, k] - low).astype(np.intp)]
+    wide = [k for k in range(fields) if k not in tables]
+    if wide:
+        numbers = values[:, wide].ravel().tolist()
+        texts = ("%d " * len(numbers) % tuple(numbers)).split()
+        out[:, [2 * k + 1 for k in wide]] = np.array(texts, dtype=object).reshape(n, len(wide))
+    return "".join(out.ravel().tolist())
+
+
+def _tables(values: np.ndarray) -> dict[int, tuple[int, np.ndarray]] | None:
+    """For each column of the (n, F) integer array ``values`` whose values
+    span fewer than n values, its least value and the texts of its range,
+    ascending, rendered once; ``None`` when fewer than half the columns
+    do.  The first 64 rows rule out most columns that do not, before any
+    column is read whole."""
+    n, fields = values.shape
+    head = values[:64]
+    # an int64 difference past 2^63 wraps negative: it rules no column out
+    if 2 * int(np.count_nonzero(head.max(axis=0) - head.min(axis=0) < n - 1)) < fields:
+        return None
+    lows, highs = values.min(axis=0).tolist(), values.max(axis=0).tolist()
+    tables = {k: (low, np.array([str(x) for x in range(low, high + 1)], dtype=object))
+              for k, (low, high) in enumerate(zip(lows, highs)) if high - low + 1 < n}
+    return tables if 2 * len(tables) >= fields else None
+
+
 def _point_chunks(points: PointRows, dim: int):
     """The points' item texts, ``_CHUNK`` points to a text, read off their
-    rows: coordinate k of a point is ``P[k] / q``, written over ``g =
-    gcd(P[k], q)`` in lowest terms.  When every q is 1 the template holds
-    the denominators as the literal 1, and only the rows fill it."""
+    rows (:func:`_render`): coordinate k of a point is ``P[k] / q``,
+    written over ``g = gcd(P[k], q)`` in lowest terms.  When every q is 1
+    the template holds the denominators as the literal 1, and only the
+    rows fill it."""
     item = _array(_rational_items(dim, 3, "1" if points.integral else "%d"), 3)
     for lo in range(0, len(points), _CHUNK):
         rows, q = points.matrix[lo : lo + _CHUNK], points.q[lo : lo + _CHUNK, None]
@@ -353,17 +401,18 @@ def _point_chunks(points: PointRows, dim: int):
             g = np.gcd(rows, q)  # positive, since q is
             values = np.empty((len(q), 2 * dim), dtype=rows.dtype)
             values[:, ::2], values[:, 1::2] = rows // g, q // g
-        yield _ITEM_SEP.join([item] * len(q)) % tuple(values.ravel().tolist())
+        yield _render(item, values)
 
 
 def _flat_chunks(family: FlatFamily, dim: int):
     """The flats' item texts, ``_CHUNK`` flats to a text, with one template
-    per row count, filled off the rows, one run of flats of one row count
-    at a time: each value ``rows[i, k] / den[i]`` is written over ``g =
-    gcd(rows[i, k], den[i])`` in lowest terms, each flat's equations' pairs
-    first and then its right-hand sides'.  When every ``den`` is 1, as for
-    generated hyperplanes, the templates hold the denominators as the
-    literal 1, and only the entries fill them, with no gcd taken."""
+    per row count, filled off the rows (:func:`_render`), one run of flats
+    of one row count at a time: each value ``rows[i, k] / den[i]`` is
+    written over ``g = gcd(rows[i, k], den[i])`` in lowest terms, each
+    flat's equations' pairs first and then its right-hand sides'.  When
+    every ``den`` is 1, as for generated hyperplanes, the templates hold
+    the denominators as the literal 1, and only the entries fill them,
+    with no gcd taken."""
     integral = bool((family.den == 1).all())
     templates: dict[int, str] = {}  # by row count, each made when first met
     split = dim if integral else 2 * dim  # the fields of a row's coefficients
@@ -379,16 +428,16 @@ def _flat_chunks(family: FlatFamily, dim: int):
         counts = np.diff(starts)
         bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
         at = (starts[bounds] - starts[0]).tolist()  # each run's first row, and the end
-        items, parts = [], []
+        texts = []
         for a, b, first, end in zip(bounds, bounds[1:], at, at[1:]):  # flats a..b - 1: r rows
             r = int(counts[a])
             if r not in templates:
                 templates[r] = _flat_template(dim, r, "1" if integral else "%d")
             run = values[first:end].reshape(b - a, r, values.shape[1])
-            parts.append(np.concatenate((run[:, :, :split].reshape(b - a, r * split),
-                                         run[:, :, split:].reshape(b - a, -1)), axis=1).ravel())
-            items += [templates[r]] * (b - a)
-        yield _ITEM_SEP.join(items) % tuple(np.concatenate(parts).tolist())
+            texts.append(_render(templates[r], np.concatenate(
+                (run[:, :, :split].reshape(b - a, r * split), run[:, :, split:].reshape(b - a, -1)),
+                axis=1)))
+        yield _ITEM_SEP.join(texts)
 
 
 def _write_array(out: TextIO, chunks: Iterable[str], indent: int) -> None:

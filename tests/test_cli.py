@@ -519,3 +519,34 @@ class TestUnusableArguments:
         assert err.startswith("error: ")
         assert not target.exists()
 
+
+
+class TestOneParserPerProcess:
+    def test_calls_in_one_process_read_as_fresh_processes(self, capsys, tmp_path, monkeypatch):
+        # main builds its parser once per process: a run of calls with
+        # different subcommands, a rejected argument among them, gives
+        # each call the output and exit code of a fresh process
+        monkeypatch.chdir(tmp_path)
+        calls = [
+            ["construct", "--variant", "a", "--d", "2", "--m", "16", "--n", "16",
+             "--seed", "1", "-o", "grid.inc.json"],
+            ["verify", "grid.inc.json", "--s", "2", "--t", "3"],
+            ["exponents", "--k", "1", "--d", "2", "--s", "2"],
+            ["verify", "grid.inc.json", "--s", "two", "--t", "3"],
+            ["oracle", "count", "grid.inc.json"],
+            ["exponents", "--k", "2", "--d", "3", "--s", "2", "--json"],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects an argument
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0, 0]
+        env = dict(os.environ, PYTHONPATH=str(Path(inclab.__file__).parent.parent))
+        for argv, expected in zip(calls, in_process):
+            done = subprocess.run([sys.executable, "-m", "inclab", *argv], cwd=tmp_path,
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert (done.returncode, done.stdout, done.stderr) == expected, argv

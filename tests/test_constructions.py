@@ -18,6 +18,7 @@ from inclab import (
     IntVector,
     InvalidInput,
     RatPoint,
+    SizeShortfall,
     build_grid_construction,
     build_sphere_construction,
     contains,
@@ -345,18 +346,35 @@ class TestGridConstruction:
 
 
 class TestPaddingDraws:
-    WIDTHS = list(range(1, 301)) + [2**j + e for j in range(1, 71) for e in (-1, 0, 1)]
+    WIDTHS = list(range(19, 301)) + [2**j + e for j in range(5, 21) for e in (-1, 0, 1)]
 
     def test_word_replay_is_randint_and_getrandbits(self):
-        # widths past 2^32 take several words a draw; no construction draws
-        # that wide, so they are pinned here
+        # a padding normal's draw is one 32-bit word: randint(least, least +
+        # width - 1) is least + (word >> shift) for the first word below the
+        # width; a count of 1 runs the range 9 past the offsets {0, w - 19},
+        # so its width is w.  Widths of 2^32 or more, which would need 2^31
+        # hyperplanes, are refused before any bitmap is made
+        v = IntVector((1, 0))
+        split = lattice_points(2, 1)
         for w in self.WIDTHS:
+            shift, width, base, taken, least = constructions._pad_draws(
+                3, v, split, 1, {v: {0, w - 19, Fraction(1, 2)}})
+            assert (width, base, least, len(taken)) == (w, 3 << 32, -9, w)
+            assert [i for i, bit in enumerate(taken) if bit] == sorted({9, w - 10})
             rng, reference = Random(w), Random(w)
             words = constructions._words(rng)
-            got = [constructions._randbelow(words.__next__, w) for _ in range(20)]
+            got = []
+            for word in words:
+                if word >> shift < width:
+                    got.append(least + (word >> shift))
+                    if len(got) == 20:
+                        break
             words.close()
-            assert got == [reference.randint(-5, w - 6) + 5 for _ in range(20)], w
+            assert got == [reference.randint(least, least + width - 1) for _ in range(20)], w
             assert rng.getstate() == reference.getstate(), w
+        for w in (2**32, 2**32 + 1, 2**70):
+            with pytest.raises(InvalidInput, match="do not fit one 32-bit word"):
+                constructions._pad_draws(0, v, split, 1, {v: {0, w - 19}})
         # the words are getrandbits(32) in order, across chunks, and a
         # stream closed before its first word leaves the Random as it was
         rng, reference = Random(3), Random(3)
@@ -392,6 +410,31 @@ class TestPaddingDraws:
         assert family.den.tolist() == expected.den.tolist()
         assert rng.getstate() == reference.getstate()
         assert achieved == kept  # the drawn offsets go to copies
+
+
+    def test_a_give_up_leaves_the_random_where_the_loop_does(self, monkeypatch):
+        # one pool normal whose offsets fill 2 * 10^4 of its draw range of
+        # 20018: most draws hit one of them, so the attempt cap of 1088 is
+        # met on some seeds
+        v = IntVector((1, 0))
+        monkeypatch.setattr(constructions, "primitive_vectors", lambda side, d: [v])
+        points = lattice_points(2, 4)
+        achieved = {v: set(range(2 * 10**4))}
+        outcomes = []
+        for seed in range(12):
+            rng, reference = Random(seed), Random(seed)
+            try:
+                expected = pad_hyperplanes_loop(points, 1, 2, reference, achieved)
+            except AssertionError:  # the loop gave up
+                with pytest.raises(SizeShortfall, match="could not place 1 point-free"):
+                    constructions._pad_hyperplanes(points, 1, 2, rng, achieved)
+                outcomes.append("gave up")
+            else:
+                family = constructions._pad_hyperplanes(points, 1, 2, rng, achieved)
+                assert family.rows.tolist() == expected.rows.tolist()
+                outcomes.append("placed")
+            assert rng.getstate() == reference.getstate(), seed
+        assert set(outcomes) == {"gave up", "placed"}
 
 
 class TestSphereConstruction:

@@ -2,6 +2,7 @@
 
 import io
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -43,6 +44,7 @@ from oracles import (
     minor_rank,
     point_on_flat,
     point_split_loop,
+    same_runs,
 )
 
 
@@ -647,6 +649,123 @@ class TestRuns:
                     expected[normal] = w
             normals, weights = incidence._key_weights(inst)
             assert dict(zip(normals, weights)) == expected
+
+
+def assert_tally(dots):
+    """``_dot_tally`` against a ``Counter``, and against ``np.unique`` for
+    int64 dots."""
+    values, counts = incidence._dot_tally(dots)
+    expected = Counter(dots.tolist())
+    assert values.tolist() == sorted(expected)
+    assert counts.tolist() == [expected[v] for v in sorted(expected)]
+    assert counts.dtype == np.int64
+    if dots.dtype != object:
+        unique, unique_counts = np.unique(dots, return_counts=True)
+        assert values.dtype == np.int64
+        assert values.tolist() == unique.tolist()
+        assert counts.tolist() == unique_counts.tolist()
+
+
+def spied(monkeypatch, name):
+    """The calls of ``np.<name>`` while a test runs, in a list."""
+    calls, real = [], getattr(np, name)
+    monkeypatch.setattr(np, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+    return calls
+
+
+class TestDotTally:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-(2**62), 2**62), st.lists(st.integers(0, 3000), max_size=60))
+    def test_int64_dots(self, base, steps):
+        # negative and positive values, repeats, one value and no dots,
+        # on both sides of the span at which the tally stops counting bins
+        assert_tally(np.array([base + x for x in steps], dtype=np.int64))
+
+    @pytest.mark.parametrize("extra, counted", [(0, "bincount"), (1, "unique")])
+    def test_the_span_rule(self, monkeypatch, extra, counted):
+        for n in (2, 5, 100):
+            span = 4 * n + 1024 + extra
+            dots = np.array([-7] * (n - 1) + [span - 7], dtype=np.int64)
+            assert_tally(dots)
+            with monkeypatch.context() as patch:
+                calls = spied(patch, counted)
+                incidence._dot_tally(dots)
+            assert calls == [counted]
+
+    def test_no_dots_one_value_and_negative_dots(self):
+        for dots in ([], [5], [-3, -3, -3], [-(2**63), 2**63 - 1, -(2**63)]):
+            assert_tally(np.array(dots, dtype=np.int64))
+
+    def test_dots_past_int64_and_rational_points(self):
+        points = [RatPoint((2**63, 1)), RatPoint((2**63, 1)), RatPoint((-5, 2)),
+                  RatPoint((Fraction(1, 2), 0)), RatPoint((Fraction(3, 2), -1))]
+        split = _int_point_matrix(points)
+        for row in ((1, 0), (1, 1), (0, 1), (2, -3)):
+            dots = incidence._dot_values(split, row)
+            assert dots.dtype == object
+            assert_tally(dots)
+            values, counts = incidence._dot_tally(dots)
+            expected = Counter(sum(a * x for a, x in zip(row, p.coords)) for p in points)
+            assert dict(zip(values.tolist(), counts.tolist())) == expected
+
+
+class TestRunKernels:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hyperplane_runs())
+    def test_offset_counts_are_the_direct_counts(self, case):
+        points, family, _ = case
+        inst = IncidenceInstance(points, family, 2, 1)
+        runs = inst._grouping
+        ends = np.r_[runs.starts, len(runs.order)].tolist()
+        expected = [count_incidences_direct(points, [family[int(runs.order[lo])]])
+                    for lo in ends[:-1]]
+        assert inst._offset_counts.tolist() == expected
+
+    @staticmethod
+    def runs_both_ways(monkeypatch, keys, offsets):
+        ids = np.arange(len(offsets)) * 2
+        others = np.zeros(0, dtype=np.int64)
+        packed = incidence._sorted_runs(ids, keys, offsets, others)
+        with monkeypatch.context() as patch:
+            patch.setattr(incidence, "_run_order",
+                          lambda k, c: np.lexsort((c, *k.T[::-1])))
+            lexsorted = incidence._sorted_runs(ids, keys, offsets, others)
+        assert same_runs(packed, lexsorted)
+        return packed
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.integers(-(2**61), 2**61), st.integers(0, 40), st.data())
+    def test_packed_runs_are_the_lexsorted_runs(self, width, base, n, data):
+        small = st.integers(-2, 2)
+        keys = np.array(data.draw(st.lists(st.tuples(*[small] * width), min_size=n,
+                                           max_size=n)), dtype=np.int64).reshape(n, width)
+        offsets = np.array([base + x for x in data.draw(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n))], dtype=np.int64)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.runs_both_ways(monkeypatch, keys, offsets)
+
+    @pytest.mark.parametrize("extra, path", [(0, "packed"), (1, "lexsort")])
+    def test_the_packed_bound_is_2_to_the_62(self, monkeypatch, extra, path):
+        # n * (key side) * (offset side) = 4 * 2^30 * 2^30 = 2^62 packs; one
+        # more offset value does not.  The lows sit at the int64 edges.
+        low = -(2**63)
+        keys = np.array([[low], [low + 2**30 - 1], [low], [low + 2**30 - 1]], dtype=np.int64)
+        offsets = np.array([2**63 - 2**30 - extra, 2**63 - 1, 2**63 - 1,
+                            2**63 - 2**30 - extra], dtype=np.int64)
+        assert 4 * 2**30 * (2**30 + extra) == 2**62 + extra * 2**32
+        calls = spied(monkeypatch, "lexsort")
+        runs = self.runs_both_ways(monkeypatch, keys, offsets)
+        # the second call is the lexsorted reference's
+        assert calls == (["lexsort"] if path == "lexsort" else []) + ["lexsort"]
+        assert runs.order.tolist() == [0, 4, 6, 2]
+
+    def test_object_columns_take_the_lexsort(self, monkeypatch):
+        keys = np.array([[2**63], [1], [2**63]], dtype=object)
+        offsets = np.array([0, 5, -1], dtype=np.int64)
+        calls = spied(monkeypatch, "lexsort")
+        runs = self.runs_both_ways(monkeypatch, keys, offsets)
+        assert calls == ["lexsort", "lexsort"]
+        assert runs.order.tolist() == [2, 4, 0]
 
 
 class TestMasks:

@@ -744,3 +744,71 @@ def test_saved_construction_has_the_golden_bytes(tmp_path, name):
     out = CONSTRUCTIONS[name]()
     path = save_construction(tmp_path / f"{name}.inc.json", out, 2, out.t_measured + 1)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+@st.composite
+def tabled_instances(draw):
+    """Instances whose columns repeat within a chunk, for the writer's
+    value tables: up to 30 points and 30 flats, each column's entries from
+    a few values or from a wide range (past int64 included), integral or
+    over small denominators, flats of zero to two rows mixed, and either
+    side possibly empty."""
+    dim = draw(st.integers(1, 3))
+    few = st.integers(-2, 2)
+    wide = st.integers(-(10**6), 10**6) | st.integers(-(2**70), 2**70)
+    den = st.sampled_from((1, 2, 3)) if draw(st.booleans()) else st.just(1)
+
+    def entry(kind):
+        return st.builds(Fraction, few if kind == "few" else wide, den)
+
+    kinds = st.lists(st.sampled_from(("few", "few", "wide")), min_size=dim, max_size=dim)
+    point = st.tuples(*map(entry, draw(kinds))).map(RatPoint)
+    points = draw(st.lists(point, max_size=30))
+    row = st.tuples(*map(entry, draw(kinds)))
+    through = draw(st.tuples(*[few] * dim))
+    flat_list = []
+    for count in draw(st.lists(st.sampled_from((0, 1, 1, 2)), min_size=0 if points else 1,
+                               max_size=30)):
+        rows = draw(st.lists(row.filter(any), min_size=count, max_size=count))
+        flat_list.append(Flat(dim, rows, [sum(a * x for a, x in zip(r, through))
+                                          for r in rows]))
+    return IncidenceInstance(points, flat_list, 2, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tabled_instances(), st.sampled_from((3, 8, _CHUNK)))
+def test_tabled_text_equals_the_reference_path(tmp_path_factory, inst, chunk):
+    path = tmp_path_factory.getbasetemp() / "tabled.inc.json"
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(serialization, "_CHUNK", chunk)
+        save_instance(path, inst)
+    assert path.read_bytes() == canonical_json(instance_to_dict(inst)).encode()
+
+
+@pytest.mark.parametrize("side", [_CHUNK - 1, _CHUNK])
+def test_a_column_is_tabled_when_it_spans_fewer_values_than_rows(tmp_path, side):
+    # x runs over `side` values in a chunk of _CHUNK points, and y is 0:
+    # x is tabled only when it spans fewer values than the chunk holds,
+    # and y always, so the chunk is joined from its pieces either way
+    xs = [i % side - 5 for i in range(_CHUNK)]
+    points = PointRows._of(2, np.array([[x, 0] for x in xs]), np.ones(_CHUNK, np.int64))
+    tables = serialization._tables(points.matrix)
+    assert sorted(tables) == ([0, 1] if side < _CHUNK else [1])
+    assert tables[1][0] == 0 and tables[1][1].tolist() == ["0"]
+    inst = IncidenceInstance(points, [], 2, 1)
+    path = save_instance(tmp_path / "column.inc.json", inst)
+    assert path.read_bytes() == canonical_json(instance_to_dict(inst)).encode()
+
+
+def test_mostly_wide_columns_fill_one_template():
+    # fewer than half the columns tabled: one % pass over the items'
+    # template, which the first 64 rows decide without reading a column
+    # whole; a column of one value is tabled
+    values = np.array([[i, 7 * i, 0] for i in range(100)], dtype=np.int64)
+    assert serialization._tables(values) is None
+    join = serialization._ITEM_SEP.join
+    assert serialization._render("[%d, %d, %d]", values) == join(
+        f"[{i}, {7 * i}, 0]" for i in range(100))
+    assert sorted(serialization._tables(values[:, [2, 2, 0]])) == [0, 1]
+    assert serialization._render("[%d, %d, %d]", values[:, [2, 2, 0]]) == join(
+        f"[0, 0, {i}]" for i in range(100))

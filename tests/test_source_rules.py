@@ -73,6 +73,7 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
         "_family_members", "_Runs", "_sorted_runs", "_offset_counts", "_key_weights",
         "key_bounds", "searchsorted", "reduceat", "_frame", "_hashed_points",
         "_hull_frame", "_hull_points", "_hull_traces", "affine_hull", "_row_keys",
+        "_dot_tally", "_run_order", "bincount", "lexsort",
     }
     assert not names & forbidden, f"_count_naive reaches {sorted(names & forbidden)}"
     hashed, hashed_names = _reach("incidence.py", "_count_hashed")
@@ -160,10 +161,21 @@ def test_runs_are_arrays():
 
 def test_padding_replays_its_draws():
     # the padding offsets are randint draws replayed from words of the one
-    # Random; no randint call is left on that path
+    # Random, one word a draw; no randint call and no multi-word draw is
+    # left on that path
     reached, names = _reach("constructions.py", "_pad_hyperplanes")
-    assert {"_words", "_randbelow"} <= reached  # the rule follows the helpers
-    assert "randint" not in names, "_pad_hyperplanes reaches randint"
+    assert {"_words", "_pad_draws"} <= reached  # the rule follows the helpers
+    found = (reached | names) & {"randint", "_randbelow"}
+    assert not found, f"_pad_hyperplanes reaches {sorted(found)}"
+
+
+def test_offsets_and_run_counts_read_one_tally():
+    # the construction's offset sets and the hashed path's run counts are
+    # read off one tally of the exact dot values
+    _, names = _reach("constructions.py", "_achieved_offsets")
+    assert "_dot_tally" in names, "_achieved_offsets names no _dot_tally"
+    reached, _ = _reach("incidence.py", "_offset_counts")
+    assert "_dot_tally" in reached, "_offset_counts reaches no _dot_tally"
 
 
 def test_extension_draws_are_replayed():
