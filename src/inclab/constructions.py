@@ -302,10 +302,14 @@ def _core_hyperplanes(
     normals: Sequence[IntVector], split: PointRows
 ) -> tuple[FlatFamily, dict[IntVector, set]]:
     """One hyperplane per normal and achieved offset, ascending, in that
-    order, as one family of one-row blocks; and the offset sets.  The
-    offsets are each normal's tallied dot values (:func:`_dot_tally`),
-    already ascending."""
-    offsets = [_dot_tally(_dot_values(split, v.coords))[0] for v in normals]
+    order, as one family of one-row blocks; and the offset sets.  int64
+    dots are tallied (:func:`_dot_tally`), already ascending; Python ints
+    and ``Fraction`` values are hashed once and sorted."""
+    offsets = []
+    for v in normals:
+        dots = _dot_values(split, v.coords)
+        offsets.append(np.array(sorted(set(dots.tolist())), dtype=object)
+                       if dots.dtype == object else _dot_tally(dots)[0])
     family = _hyperplanes(
         split.ambient_dim,
         [v.coords for v in normals],
@@ -335,28 +339,23 @@ def _words(rng: Random) -> Iterator[int]:
 
 
 def _pad_draws(
-    i: int, v: IntVector, split: PointRows, count: int, achieved: dict[IntVector, set]
-) -> tuple[int, int, int, bytearray, int]:
-    """``(shift, width, i << 32, taken, least)`` for the padding draws of
-    pool normal ``v`` at pool index ``i``: ``rng.randint(least, least +
-    width - 1)`` is ``least + (word >> shift)`` for the first word whose
-    top bits are below ``width`` (CPython 3.11's ``Random._randbelow``),
-    over a range ``count + 8`` past the least and the largest integer
-    offset of ``v`` over the points (from ``achieved``, or tallied); ``i <<
-    32`` plus a place in the range codes a draw; and ``taken`` is a bitmap
-    over the range marking those offsets (a ``Fraction`` never equals a
-    draw).  A width past one 32-bit word, which needs 2^31 hyperplanes, is
-    :class:`InvalidInput`."""
+    v: IntVector, split: PointRows, count: int, achieved: dict[IntVector, set]
+) -> tuple[int, int, int, set[int]]:
+    """``(shift, width, least, taken)`` for the padding draws of pool normal
+    ``v``: ``rng.randint(least, least + width - 1)`` is ``least + (word >>
+    shift)`` for the first word whose top bits are below ``width`` (CPython
+    3.11's ``Random._randbelow``), over a range ``count + 8`` past the
+    least and the largest integer offset of ``v`` over the points (from
+    ``achieved``, or tallied); and ``taken`` holds those offsets as places
+    in the range (a ``Fraction`` never equals a draw).  A width past one
+    32-bit word, which needs 2^31 hyperplanes, is :class:`InvalidInput`."""
     ints = [x for x in (achieved[v] if v in achieved else _achieved_offsets(v, split))
             if type(x) is int]
     low, high = min(ints, default=0), max(ints, default=0)
     least, width = low - count - 8, high - low + 2 * count + 17
     if width >= 2**32:
         raise InvalidInput(f"padding draws of width {width} do not fit one 32-bit word")
-    taken = bytearray(width)
-    for x in ints:
-        taken[x - least] = 1
-    return 32 - width.bit_length(), width, i << 32, taken, least
+    return 32 - width.bit_length(), width, least, {x - least for x in ints}
 
 
 def _pad_hyperplanes(
@@ -381,21 +380,23 @@ def _pad_hyperplanes(
     rng.shuffle(pool)
     size, limit = len(pool), 64 * count + 1024
     draws: list = [None] * size
-    codes: list[int] = []  # (pool index << 32) + place, of each placed offset
+    normal_ids: list[int] = []
+    offsets: list[int] = []
     placed, attempts = 0, 1
     words = _words(rng)
     try:
         if count:
             i = 1 % size
-            draws[i] = _pad_draws(i, pool[i], split, count, achieved)
-            shift, width, base, taken, _ = draws[i]
+            draws[i] = _pad_draws(pool[i], split, count, achieved)
+            shift, width, least, taken = draws[i]
             for word in words:
                 r = word >> shift
                 if r >= width:  # drawn again, within the attempt
                     continue
-                if not taken[r]:
-                    taken[r] = 1
-                    codes.append(base + r)
+                if r not in taken:
+                    taken.add(r)
+                    normal_ids.append(i)
+                    offsets.append(least + r)
                     placed += 1
                     if placed == count:
                         break
@@ -406,15 +407,12 @@ def _pad_hyperplanes(
                     )
                 i = (placed + attempts) % size
                 if draws[i] is None:
-                    draws[i] = _pad_draws(i, pool[i], split, count, achieved)
-                shift, width, base, taken, _ = draws[i]
+                    draws[i] = _pad_draws(pool[i], split, count, achieved)
+                shift, width, least, taken = draws[i]
     finally:
         words.close()
-    code = np.array(codes, dtype=np.int64)
-    (least,), _ = _int_arrays([0 if at is None else at[-1] for at in draws])
-    normal_ids = code >> 32
-    return _hyperplanes(d, [v.coords for v in pool], normal_ids,
-                        least[normal_ids] + (code & 0xFFFFFFFF))
+    (column,), _ = _int_arrays(offsets)
+    return _hyperplanes(d, [v.coords for v in pool], normal_ids, column)
 
 
 def build_grid_construction(cfg: ConstructionConfig) -> ConstructionOutput:

@@ -283,15 +283,11 @@ def _dot_values(split: PointRows, row: Sequence[int]) -> np.ndarray:
 
 
 def _dot_tally(dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct exact values of ``dots``, ascending, and how many times
-    each occurs (int64).  int64 dots spanning at most 4 len + 1024 values
+    """The distinct values of the int64 ``dots``, ascending, and how many
+    times each occurs (int64).  Dots spanning at most 4 len + 1024 values
     are counted by ``np.bincount`` over [min, max], so the count array
-    stays linear in the dots; wider int64 dots by one ``np.unique``; Python
-    ints and ``Fraction`` values by hashing, and then sorted."""
-    if dots.dtype == object:
-        tally = Counter(dots.tolist())
-        values = sorted(tally)
-        return np.array(values, dtype=object), np.array([tally[v] for v in values], dtype=np.int64)
+    stays linear in the dots; wider ones by one ``np.unique``.  Python-int
+    and ``Fraction`` dots are hashed by the callers instead."""
     if not len(dots):
         return dots, np.zeros(0, dtype=np.int64)
     low, high = int(dots.min()), int(dots.max())

@@ -346,35 +346,37 @@ class TestGridConstruction:
 
 
 class TestPaddingDraws:
-    WIDTHS = list(range(19, 301)) + [2**j + e for j in range(5, 21) for e in (-1, 0, 1)]
+    # the least padding range is 2 * 1 + 17 wide, and the widest one word
+    # draws is 2^32 - 1, where the shift is 0
+    WIDTHS = (list(range(19, 301)) + [2**j + e for j in range(5, 32) for e in (-1, 0, 1)]
+              + [2**32 - 1])
 
-    def test_word_replay_is_randint_and_getrandbits(self):
+    def test_word_replay_is_randint_and_getrandbits(self, monkeypatch):
         # a padding normal's draw is one 32-bit word: randint(least, least +
         # width - 1) is least + (word >> shift) for the first word below the
-        # width; a count of 1 runs the range 9 past the offsets {0, w - 19},
-        # so its width is w.  Widths of 2^32 or more, which would need 2^31
-        # hyperplanes, are refused before any bitmap is made
+        # width.  One pool normal with the offsets {0, w - 2c - 17} and a
+        # count of c draws over exactly w places, so the padding loop is
+        # pinned against the randint loop at every one-word width; its taken
+        # places are a set, so a wide range costs no more than a narrow one.
+        # Widths of 2^32 or more, which would need 2^31 hyperplanes, are
+        # refused
         v = IntVector((1, 0))
+        monkeypatch.setattr(constructions, "primitive_vectors", lambda side, d: [v])
         split = lattice_points(2, 1)
         for w in self.WIDTHS:
-            shift, width, base, taken, least = constructions._pad_draws(
-                3, v, split, 1, {v: {0, w - 19, Fraction(1, 2)}})
-            assert (width, base, least, len(taken)) == (w, 3 << 32, -9, w)
-            assert [i for i, bit in enumerate(taken) if bit] == sorted({9, w - 10})
+            count = min(20, (w - 17) // 2)
+            achieved = {v: {0, w - 2 * count - 17, Fraction(1, 2)}}
+            shift, width, least, taken = constructions._pad_draws(v, split, count, achieved)
+            assert (shift, width, least) == (32 - w.bit_length(), w, -count - 8), w
+            assert taken == {count + 8, w - count - 9}, w
             rng, reference = Random(w), Random(w)
-            words = constructions._words(rng)
-            got = []
-            for word in words:
-                if word >> shift < width:
-                    got.append(least + (word >> shift))
-                    if len(got) == 20:
-                        break
-            words.close()
-            assert got == [reference.randint(least, least + width - 1) for _ in range(20)], w
+            family = constructions._pad_hyperplanes(split, count, 2, rng, achieved)
+            expected = pad_hyperplanes_loop(split, count, 2, reference, achieved)
+            assert family.rows.tolist() == expected.rows.tolist(), w
             assert rng.getstate() == reference.getstate(), w
         for w in (2**32, 2**32 + 1, 2**70):
             with pytest.raises(InvalidInput, match="do not fit one 32-bit word"):
-                constructions._pad_draws(0, v, split, 1, {v: {0, w - 19}})
+                constructions._pad_draws(v, split, 1, {v: {0, w - 19}})
         # the words are getrandbits(32) in order, across chunks, and a
         # stream closed before its first word leaves the Random as it was
         rng, reference = Random(3), Random(3)
@@ -410,7 +412,6 @@ class TestPaddingDraws:
         assert family.den.tolist() == expected.den.tolist()
         assert rng.getstate() == reference.getstate()
         assert achieved == kept  # the drawn offsets go to copies
-
 
     def test_a_give_up_leaves_the_random_where_the_loop_does(self, monkeypatch):
         # one pool normal whose offsets fill 2 * 10^4 of its draw range of

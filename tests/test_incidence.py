@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inclab import incidence, linalg, serialization
+from inclab import constructions, incidence, linalg, serialization
 from inclab.geometry import (
     FlatFamily, _exact_family, _flat_family, _hyperplanes, _int_point_matrix)
 from inclab import (
@@ -652,18 +652,15 @@ class TestRuns:
 
 
 def assert_tally(dots):
-    """``_dot_tally`` against a ``Counter``, and against ``np.unique`` for
-    int64 dots."""
+    """``_dot_tally`` of int64 dots against a ``Counter`` and ``np.unique``."""
     values, counts = incidence._dot_tally(dots)
     expected = Counter(dots.tolist())
     assert values.tolist() == sorted(expected)
     assert counts.tolist() == [expected[v] for v in sorted(expected)]
-    assert counts.dtype == np.int64
-    if dots.dtype != object:
-        unique, unique_counts = np.unique(dots, return_counts=True)
-        assert values.dtype == np.int64
-        assert values.tolist() == unique.tolist()
-        assert counts.tolist() == unique_counts.tolist()
+    assert values.dtype == counts.dtype == np.int64
+    unique, unique_counts = np.unique(dots, return_counts=True)
+    assert values.tolist() == unique.tolist()
+    assert counts.tolist() == unique_counts.tolist()
 
 
 def spied(monkeypatch, name):
@@ -697,16 +694,24 @@ class TestDotTally:
             assert_tally(np.array(dots, dtype=np.int64))
 
     def test_dots_past_int64_and_rational_points(self):
+        # such dots are Python ints and Fractions, which the tally's callers
+        # hash: the offset sets, the core's ascending offsets and the run
+        # counts against a Counter and the direct count
         points = [RatPoint((2**63, 1)), RatPoint((2**63, 1)), RatPoint((-5, 2)),
                   RatPoint((Fraction(1, 2), 0)), RatPoint((Fraction(3, 2), -1))]
         split = _int_point_matrix(points)
-        for row in ((1, 0), (1, 1), (0, 1), (2, -3)):
-            dots = incidence._dot_values(split, row)
-            assert dots.dtype == object
-            assert_tally(dots)
-            values, counts = incidence._dot_tally(dots)
-            expected = Counter(sum(a * x for a, x in zip(row, p.coords)) for p in points)
-            assert dict(zip(values.tolist(), counts.tolist())) == expected
+        rows = ((1, 0), (1, 1), (0, 1), (2, -3))
+        expected = [Counter(sum(a * x for a, x in zip(row, p.coords)) for p in points)
+                    for row in rows]
+        for row, tally in zip(rows, expected):
+            assert incidence._dot_values(split, row).dtype == object
+            assert constructions._achieved_offsets(IntVector(row), split) == set(tally)
+        family, achieved = constructions._core_hyperplanes(list(map(IntVector, rows)), split)
+        assert list(family) == [make_hyperplane(IntVector(row), c)
+                                for row, tally in zip(rows, expected) for c in sorted(tally)]
+        assert achieved == {IntVector(row): set(tally) for row, tally in zip(rows, expected)}
+        inst = IncidenceInstance(points, family, 2, 1)
+        assert count_incidences(inst) == count_incidences_direct(points, list(family))
 
 
 class TestRunKernels:
