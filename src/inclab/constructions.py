@@ -51,7 +51,6 @@ from .geometry import (
     _int,
     _int_arrays,
     _int_point_matrix,
-    _split_coords,
     find_collinear_triple,
     is_primitive,
 )
@@ -218,41 +217,39 @@ def select_admissible_normals(
     ``flat_dim`` contains more than ``t_max`` of them.
 
     Candidates are visited in seeded random order, and each is accepted
-    when no span of itself and ``flat_dim - 1`` accepted normals holds more
-    than ``t_max`` of them.  The largest such load among the accepted
+    when no span of itself and ``flat_dim - 1`` accepted normals, kept as
+    one integer array, holds more than ``t_max`` of them
+    (:func:`_heaviest_span`).  The largest such load among the accepted
     normals is ``t_measured``, the exact coverage of the final set.
     """
     for value, what in ((flat_dim, "flat_dim"), (t_max, "t_max"),
                         (target_size, "target_size"), (seed, "seed")):
         _int(value, what)
+    if flat_dim < 1:
+        raise InvalidInput(f"guarded dimension must be at least 1 (got {flat_dim})")
+    if t_max < flat_dim:
+        raise InvalidInput(f"t_max={t_max} below {flat_dim} is unsatisfiable in general position")
     if not candidates:
         return NormalSelection((), 0, True, target_size)
     d = candidates[0].dim
-    if flat_dim not in (d - 1, d - 2) or flat_dim < 1:
-        raise InvalidInput(
-            f"guarded dimension must be d-1 or d-2 (got {flat_dim} in R^{d})"
-        )
+    if flat_dim not in (d - 1, d - 2):
+        raise InvalidInput(f"guarded dimension must be d-1 or d-2 (got {flat_dim} in R^{d})")
     for v in candidates:
         if v.dim != d:
             raise InvalidInput("candidates have mixed dimensions")
         if not is_primitive(v):
             raise InvalidInput(f"candidate {v.coords} is not primitive")
-    if t_max < flat_dim:
-        raise InvalidInput(
-            f"t_max={t_max} below {flat_dim} is unsatisfiable in general position"
-        )
     order = sorted(candidates, key=lambda v: v.coords)
     Random(seed).shuffle(order)
 
-    coords: list[tuple[int, ...]] = []  # the accepted normals
-    split, weights = _split_coords(coords, d), np.ones(0, np.int64)
-    t_measured = 0
-    for cand in order:
-        if len(coords) >= target_size:
+    (rows,), _ = _int_arrays([v.coords for v in order])
+    accepted = np.empty((max(0, min(target_size, len(rows))), d), dtype=rows.dtype)
+    weights, count, t_measured = np.ones(len(accepted), np.int64), 0, 0
+    for i in range(len(rows)):
+        if count >= target_size:
             break
-        load = 1 + _heaviest_span(
-            (cand.coords,), coords, split, weights, flat_dim, t_max - 1
-        )
+        load = 1 + _heaviest_span(rows[i : i + 1], accepted[:count], weights[:count],
+                                  flat_dim, t_max - 1)
         if load > t_max:
             continue
         # the largest load is the exact coverage: each checked span has
@@ -260,9 +257,9 @@ def select_admissible_normals(
         # normal accepted into a subspace W checks a span (itself and
         # flat_dim - 1 earlier normals) holding every earlier member of W
         t_measured = max(t_measured, load)
-        coords.append(cand.coords)
-        split, weights = _split_coords(coords, d), np.ones(len(coords), np.int64)
-    vectors = tuple(map(IntVector, sorted(coords)))
+        accepted[count] = rows[i]
+        count += 1
+    vectors = tuple(map(IntVector, sorted(map(tuple, accepted[:count].tolist()))))
     return NormalSelection(vectors, t_measured, True, target_size)
 
 

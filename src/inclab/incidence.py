@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, prod
 from typing import NamedTuple, Sequence
 
@@ -62,14 +62,15 @@ from .geometry import (
     _exact,
     _flat_family,
     _int,
+    _int_arrays,
     _int_point_matrix,
     _primitive_rows,
-    _split_coords,
     contains,
 )
 
 DEFAULT_COMPARISON_LIMIT = 10**9
 _DENSE_ENTRIES = 2**16  # cap on one (points x equation rows) block of the naive count
+_SPAN_ENTRIES = 2**18  # cap on the stack and product entries of one chunk of _heaviest_span
 
 
 class _Runs(NamedTuple):
@@ -401,15 +402,6 @@ def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
     return total
 
 
-def _members(split: PointRows, rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Indices of the split points x with ``row . x = 0`` for every integer
-    row of ``rows``, ascending."""
-    on = np.ones(len(split.q), dtype=bool)
-    for row in rows:
-        on &= _exact_dots(split, row) == 0
-    return np.flatnonzero(on)
-
-
 def _family_members(
     split: PointRows, stacks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
 ) -> dict[int, list[int]]:
@@ -515,46 +507,62 @@ def _hull_traces(rows: np.ndarray, t: list[list[int]]) -> tuple[np.ndarray, np.n
 
 
 def _heaviest_span(
-    fixed: Sequence[tuple[int, ...]], vectors: Sequence[tuple[int, ...]],
-    split: PointRows, weights: np.ndarray, flat_dim: int, cap: int,
+    fixed: np.ndarray, vectors: np.ndarray, weights: np.ndarray, flat_dim: int, cap: int
 ) -> int:
-    """Largest total weight of the integer ``vectors`` (split as ``split``) in
-    the span of ``fixed`` and ``flat_dim - len(fixed)`` of them, over every
-    choice, or the first total above ``cap``.  The library's one walk over
-    spanning subsets: a nullspace, a membership pass and a sum per subset."""
-    best = 0
-    size = min(flat_dim - len(fixed), len(vectors))
-    for subset in combinations(range(len(vectors)), size):
-        rows = [list(v) for v in fixed] + [list(vectors[i]) for i in subset]
-        # no rows only for flat_dim 0, whose one span is the origin
-        _, basis = linalg.nullspace(rows or [[0] * len(vectors[0])])
-        best = max(best, int(weights[_members(split, basis)].sum()))
+    """Largest total weight of the (n, d) integer ``vectors`` in the span of
+    the ``fixed`` rows (none, or one nonzero vector) and ``flat_dim -
+    len(fixed)`` of the vectors, over every choice, or a total above
+    ``cap``: the library's one walk over spanning subsets.  Each chunk of
+    subsets, at most ``_SPAN_ENTRIES`` entries, is one (c, k, d) stack for
+    :func:`linalg.nullspaces`, one exact product of every vector with each
+    stack's nullspace rows (all zero for a vector in its span) and one
+    product with the weights, until a chunk's best total passes ``cap``.
+
+    Skipping a stack of rank below k is exact.  A basis of its span from
+    its rows can hold the fixed vector; if some stack has rank k, more
+    vectors complete that basis to a stack of rank k whose span holds it,
+    and if none has, one span of the walk holds every vector, so the
+    answer is the total weight.  For ``flat_dim`` 0 the one stack has no
+    rows and spans the origin.
+    """
+    n, d = vectors.shape
+    size = min(flat_dim - len(fixed), n)
+    k = len(fixed) + size
+    per_chunk = max(1, _SPAN_ENTRIES // (d * (n + k + 1)))
+    subsets = combinations(range(n), size)
+    largest = max(linalg._largest(vectors), 1) * d
+    best = -1  # no stack of rank k yet
+    while chunk := list(islice(subsets, per_chunk)):
+        c = len(chunk)
+        chosen = vectors[np.array(chunk, dtype=np.intp).reshape(c, size)]
+        stack = np.concatenate((np.broadcast_to(fixed, (c, *fixed.shape)), chosen), axis=1)
+        _, rows, deficient = linalg.nullspaces(stack)
+        product = linalg._exact_product(
+            vectors, rows.reshape(c * (d - k), d).T, largest * max(linalg._largest(rows), 1))
+        totals = weights @ ~linalg._any_last(product.reshape(n, c, d - k) != 0)
+        best = max(best, int(totals[~deficient].max(initial=-1)))
         if best > cap:
             break
-    return best
+    return int(weights.sum()) if best < 0 else best
 
 
 def _max_subspace_weight(
     vectors: Sequence[tuple[int, ...]], weights: Sequence[int], flat_dim: int, limit: int
 ) -> int | None:
     """Largest total weight of the integer ``vectors`` inside one linear
-    subspace of dimension ``flat_dim``, by exhaustive search over spanning
-    subsets; ``None`` when that search would exceed ``limit`` work.
-
-    Exact for nonnegative weights: every subset spans at most ``flat_dim``
-    dimensions, and the vectors inside a ``flat_dim``-subspace, completed to
-    ``flat_dim`` vectors, span a subspace holding all of them (dependent
-    subsets included).
-    """
+    subspace of dimension ``flat_dim``, or ``None`` when the walk
+    (:func:`_heaviest_span`) would exceed ``limit`` work.  Exact for
+    nonnegative weights: the vectors inside a ``flat_dim``-subspace,
+    completed to ``flat_dim`` vectors, span a subspace holding them all."""
     n = len(vectors)
     if n <= flat_dim:
         return sum(weights)
     d = len(vectors[0])
     if comb(n, flat_dim) * (n * d + d**3) > limit:
         return None
-    split, w = _split_coords(vectors, d), np.array(weights, dtype=np.int64)
-    # no span outweighs all the vectors, so the search never stops early
-    return _heaviest_span((), vectors, split, w, flat_dim, sum(weights))
+    (rows,), _ = _int_arrays(vectors)
+    # no span outweighs all the vectors, so the walk never stops early
+    return _heaviest_span(rows[:0], rows, np.array(weights, np.int64), flat_dim, sum(weights))
 
 
 def _words(n: int) -> int:

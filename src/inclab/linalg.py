@@ -17,9 +17,9 @@ Stacks of N integer matrices of one shape (N, k, d) take a batched kernel
 with no elimination and no division: :func:`maximal_minors` builds their
 k x k minors by Laplace expansion, in int64 under a proved bound and on
 Python ints past it, at a cost that grows with C(d, k) per matrix.
-:func:`full_row_rank` and :func:`nullspaces` read the rank test and the
-nullspace (the one :func:`nullspace` gives) off those minors, most
-matrices off only the minors on their first k columns and its neighbours.
+:func:`full_row_rank` and :func:`nullspaces` read the rank test and
+every nullspace of the library off those minors, most matrices off only
+the minors on their first k columns and its neighbours.
 """
 
 from __future__ import annotations
@@ -126,17 +126,6 @@ def solve_rref(
     return point, q, directions
 
 
-def nullspace(a: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
-    """``(q, directions)``: the ``direction / q`` are a basis of
-    ``{x : a @ x = 0}``, as :func:`solve_rref` reads it."""
-    if not a:
-        raise ValueError("empty system has no well-defined column count")
-    rows, pivots = integer_rref(a)
-    # the homogeneous system's constants column, appended after elimination
-    _, q, directions = solve_rref([row + [0] for row in rows], pivots, len(a[0]))
-    return q, directions
-
-
 def affine_hull(matrix: np.ndarray, q: np.ndarray) -> tuple[list[int], list[list[int]]]:
     """The affine hull A of the m >= 1 points ``matrix[i] / q[i]`` of R^d
     (integer rows, ``q > 0``) as a graph over its free coordinates:
@@ -148,11 +137,12 @@ def affine_hull(matrix: np.ndarray, q: np.ndarray) -> tuple[list[int], list[list
 
     A basis of the homogeneous differences ``P_i q_0 - P_0 q_i`` grows one
     independent difference at a time.  The normals ``[n | -c]`` of the
-    homogeneous rows ``[P | q]`` taken so far (one :func:`nullspace`) vanish
-    on difference i exactly when ``n . x_i = c`` for x_i = P_i / q_i, so
-    each step is one :func:`_exact_product` of every row with those
-    normals; the first row with a nonzero product joins the basis, and a
-    step with none leaves the normals of A, at most e + 1 steps.  A's
+    homogeneous rows ``[P | q]`` taken so far (one :func:`nullspaces` of
+    a stack of one) vanish on difference i exactly when ``n . x_i = c``
+    for x_i = P_i / q_i, so each step is one :func:`_exact_product` of
+    every row with those normals; the first row with a nonzero product
+    joins the basis, and a step with none leaves the normals of A, at most
+    e + 1 steps.  A's
     equations ``n . x = c`` are then read with :func:`integer_rref` and
     :func:`solve_rref`: a point ``P_B / q_B`` of A (zero at the free
     columns) and its directions, each q_B at its own free column, are the
@@ -160,18 +150,17 @@ def affine_hull(matrix: np.ndarray, q: np.ndarray) -> tuple[list[int], list[list
     """
     points = np.column_stack((matrix, q))
     d = points.shape[1] - 1
-    basis = [points[0].tolist()]
+    basis = points[:1]
     while True:
-        _, normals = nullspace(basis)
-        if not normals:
+        _, (normals,), _ = nullspaces(basis[None])  # independent rows: never deficient
+        if not len(normals):
             break  # the basis spans R^(d+1): A is R^d
-        n = np.array(normals, dtype=object)
-        bound = max(_largest(points), 1) * (d + 1) * max(_largest(n), 1)
-        hit = np.flatnonzero(_any_last(_exact_product(points, n.T, bound) != 0))
+        bound = max(_largest(points), 1) * (d + 1) * max(_largest(normals), 1)
+        hit = np.flatnonzero(_any_last(_exact_product(points, normals.T, bound) != 0))
         if not len(hit):
             break
-        basis.append(points[hit[0]].tolist())
-    rows, pivots = integer_rref([row[:-1] + [-row[-1]] for row in normals])
+        basis = np.concatenate((basis, points[hit[:1]]))
+    rows, pivots = integer_rref([row[:-1] + [-row[-1]] for row in normals.tolist()])
     point, q_b, directions = solve_rref(rows, pivots, d)
     free = [c for c in range(d) if c not in set(pivots)]
     columns = [v + [0] for v in directions] + [point + [q_b]]
@@ -241,10 +230,11 @@ def full_row_rank(stack) -> np.ndarray:
 
 def nullspaces(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(q, directions, deficient)`` of the (N, k, d) integer ``stack``:
-    for every matrix of full row rank k, ``q[j]`` and ``directions[j]``
-    (d - k rows of d entries) equal :func:`nullspace` of matrix j, read off
-    its maximal minors with no elimination; ``deficient[j]`` marks the
-    matrices of lower rank, whose ``q`` and ``directions`` mean nothing.
+    for every matrix j of full row rank k, the ``q[j]`` and ``directions[j]``
+    (d - k rows of d entries) that :func:`solve_rref` reads off its
+    :func:`integer_rref`, read off its maximal minors with no elimination;
+    ``deficient[j]`` marks the matrices of lower rank, whose ``q`` and
+    ``directions`` mean nothing.
 
     The pivots P are the first column set, in lexicographic order, with a
     nonzero minor D.  By Cramer's rule row i of the reduced echelon form is
@@ -261,8 +251,8 @@ def nullspaces(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k > d or not n:
         return (np.ones(n, dtype=np.int64), np.zeros((n, max(d - k, 0), d), dtype=np.int64),
                 np.full(n, k > d))
-    sets, pivots, free, swapped, sign = _pivot_tables(d, k)
-    first = _minors(stack, (sets[0],) + tuple(sets[c] for c in swapped[0].ravel().tolist()))
+    near, pivots, free, swapped, sign = _pivot_tables(d, k)
+    first = _minors(stack, near)
     det, cramer = first[:, 0].copy(), first[:, 1:].reshape(n, k, d - k) * sign[0]  # N_i[f]
     s = np.zeros(n, dtype=np.intp)  # each matrix's pivot set
     deficient = np.zeros(n, dtype=bool)
@@ -377,10 +367,12 @@ def _laplace_levels(
 
 @lru_cache(maxsize=None)
 def _pivot_tables(d: int, k: int) -> tuple:
-    """The k-column sets P of R^d in combinations order, and per set: its
-    columns, its d - k free columns, and for pivot i and free column f the
-    index of the set P - p_i + f with the sign that moving f into place
-    gives (Cramer's numerator N_i[f] is that sign times that minor)."""
+    """The first k-column set P of R^d and the sets P - p_i + f, whose
+    minors :func:`nullspaces` forms first; and per k-column set, in
+    combinations order: its columns, its d - k free columns, and for pivot
+    i and free column f the index of P - p_i + f with the sign that moving
+    f into place gives (Cramer's numerator N_i[f] is that sign times that
+    minor)."""
     sets = tuple(combinations(range(d), k))
     index = {S: n for n, S in enumerate(sets)}
     free = [[c for c in range(d) if c not in S] for S in sets]
@@ -393,7 +385,8 @@ def _pivot_tables(d: int, k: int) -> tuple:
                 place = sum(c < f for c in rest)
                 swapped[n, i, j] = index[tuple(sorted(rest + (f,)))]
                 sign[n, i, j] = (-1) ** (i - place)
-    return (sets, *_frozen(np.array(sets, dtype=np.intp).reshape(len(sets), k),
+    near = (sets[0],) + tuple(sets[c] for c in swapped[0].ravel().tolist())
+    return (near, *_frozen(np.array(sets, dtype=np.intp).reshape(len(sets), k),
                            np.array(free, dtype=np.intp).reshape(len(sets), d - k),
                            swapped, sign))
 

@@ -4,17 +4,18 @@ Everything here is deliberately brute force and shares no code with the
 library paths it checks: determinant-by-cofactor rank, Fraction
 Gauss-Jordan elimination, direct membership evaluation, exhaustive chain
 enumeration, and recursive gcd.  Slow is fine; these run on small inputs
-only.  Four use the library, each for a reason.  The ``Flat``
+only.  Five use the library, each for a reason.  The ``Flat``
 constructor builds the result of :func:`generic_extension_fraction`:
 that constructor's elimination is the slow path it stands for.
 :func:`pad_hyperplanes_loop` draws through ``Random.randint`` and takes
 the normal pool, the offset sets and the family from the library, whose
-word replay it checks.  :func:`embed_extensions_loop` is the embedding
-flat by flat on the library's elimination kernel (``integer_rref``,
-``solve_rref`` and ``nullspace``), the slow path that the batched
-maximal minors replace.  :func:`family_per_pair` checks each pair with
-the loader's own pair check, whose errors the array decode must leave to
-the flat-by-flat path.
+word replay it checks.  :func:`rref_nullspace` reads a nullspace off the
+library's elimination kernel (``integer_rref`` and ``solve_rref``), the
+slow path that the batched maximal minors replace, and
+:func:`embed_extensions_loop` is the embedding flat by flat on it.
+:func:`family_per_pair` checks each pair with the loader's own pair
+check, whose errors the array decode must leave to the flat-by-flat
+path.
 """
 
 from __future__ import annotations
@@ -153,6 +154,14 @@ def generic_extension_fraction(h, target_dim, ambient_dim, rng, within, retry_bu
     return None
 
 
+def rref_nullspace(a):
+    """``(q, directions)`` of the exact matrix ``a``: the ``direction / q``
+    are the basis of ``{x : a @ x = 0}`` that ``solve_rref`` reads off the
+    library's ``integer_rref``, the elimination the batched minors replace."""
+    rows, pivots = linalg.integer_rref(a)
+    return linalg.solve_rref([row + [0] for row in rows], pivots, len(a[0]))[1:]
+
+
 def embed_extensions_loop(flats, d_inner, d_outer, k, rng, box, retry_budget):
     """The row blocks and denominators of the generic k-flats that extend
     the hyperplanes ``flats`` of R^d_inner, embedded in the carrier
@@ -160,8 +169,8 @@ def embed_extensions_loop(flats, d_inner, d_outer, k, rng, box, retry_budget):
     hyperplane's first equation with a nonzero coefficient as a primitive
     integer row, its base point ``P / q`` and directions read by
     ``solve_rref`` with the carrier's unit rows, and then draws of
-    ``rng.randint(-box, box)``, each checked by one ``nullspace`` and the
-    rank of the guard product (one ``integer_rref``), until one is
+    ``rng.randint(-box, box)``, each checked by one :func:`rref_nullspace`
+    and the rank of the guard product (one ``integer_rref``), until one is
     accepted.  Each accepted nullspace row over ``qn`` gives the row
     ``row * q | row @ P`` over ``qn * q``.  ``None`` when a flat's
     ``retry_budget`` draws are all rejected."""
@@ -177,7 +186,7 @@ def embed_extensions_loop(flats, d_inner, d_outer, k, rng, box, retry_budget):
         for _ in range(retry_budget):
             drawn = [[rng.randint(-box, box) for _ in range(d_outer)]
                      for _ in range(k - len(directions))]
-            qn, normal_rows = linalg.nullspace(directions + drawn)
+            qn, normal_rows = rref_nullspace(directions + drawn)
             if d_outer - len(normal_rows) != k:
                 continue
             guard = [[e[i] for e in drawn] for i in range(d_inner, d_outer)]

@@ -519,6 +519,18 @@ class TestUnusableArguments:
         assert err.startswith("error: ")
         assert not target.exists()
 
+    @pytest.mark.parametrize("n", ["10", "100"])
+    def test_t_cap_below_the_guarded_dimension(self, capsys, tmp_path, n):
+        # the sphere's guarded dimension is d - 2 = 2; at n = 10 the normal
+        # box is empty, and the cap is refused all the same
+        target = tmp_path / "x.inc.json"
+        code, out, err = run_cli(
+            capsys, "construct", "--variant", "b", "--d", "4", "--m", "10", "--n", n,
+            "--t-cap", "1", "-o", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "t_max=1 below 2" in err
+        assert not target.exists()
 
 
 class TestOneParserPerProcess:

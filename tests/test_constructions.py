@@ -199,24 +199,20 @@ class TestNormalSelection:
         assert sel.t_measured < len(sel.vectors)
 
     def test_subspace_count_is_exact_across_int64_bound(self):
-        from inclab.incidence import _int_point_matrix, _members
-
+        # the walk's membership products run in int64 or on Python ints,
+        # by the vectors' and the nullspace rows' largest entries
         rng = Random(62)
         for _ in range(60):
             scale = rng.choice((1, 2**31 - 1, 2**31 + 1, 2**61 + 3, 2**62))
             rows = [
-                [rng.randint(-1, 1) * (scale if rng.random() < 0.5 else 1)
-                 for _ in range(3)]
+                tuple(rng.randint(-1, 1) * (scale if rng.random() < 0.5 else 1)
+                      for _ in range(3))
                 for _ in range(rng.randint(1, 8))
             ]
-            split = _int_point_matrix([IntVector(row) for row in rows])
-            eqs = [tuple(rng.randint(-3, 3) for _ in range(3))
-                   for _ in range(rng.randint(1, 2))]
-            expected = sum(
-                1 for row in rows
-                if all(sum(a * x for a, x in zip(e, row)) == 0 for e in eqs)
-            )
-            assert len(_members(split, eqs)) == expected
+            flat_dim = rng.randint(1, 2)
+            assert incidence._max_subspace_weight(
+                rows, [1] * len(rows), flat_dim, 10**9
+            ) == max_subspace_weight_bruteforce(rows, [1] * len(rows), flat_dim)
 
     def test_non_primitive_candidates_rejected(self):
         with pytest.raises(InvalidInput):
@@ -225,6 +221,18 @@ class TestNormalSelection:
     def test_guarded_dimension_validated(self):
         with pytest.raises(InvalidInput):
             select_admissible_normals(primitive_vectors(2, 4), 1, 2, 4, seed=0)
+
+    @pytest.mark.parametrize("box", [1, 2])
+    def test_checks_that_need_no_candidate_run_on_an_empty_box(self, box):
+        # primitive_vectors(1, 4) is empty: a cap below the guarded
+        # dimension, or a guarded dimension below 1, is refused either way
+        candidates = primitive_vectors(box, 4)
+        assert bool(candidates) == (box == 2)
+        with pytest.raises(InvalidInput, match="t_max=1 below 2"):
+            select_admissible_normals(candidates, 2, 1, 4, seed=0)
+        with pytest.raises(InvalidInput, match="guarded dimension"):
+            select_admissible_normals(candidates, 0, 2, 4, seed=0)
+        assert select_admissible_normals(candidates, 2, 2, 0, seed=0).vectors == ()
 
 
 class TestGridConstruction:

@@ -40,6 +40,7 @@ from oracles import (
     hyperplane_groups_nested,
     minor_rank,
     point_split_loop,
+    rref_nullspace,
     runs_as_nested,
 )
 
@@ -552,7 +553,7 @@ class TestSolution:
         for _ in range(80):
             d = rng.randint(2, 5)
             spanned = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(1, d))]
-            q, rows = linalg.nullspace(spanned)
+            q, rows = rref_nullspace(spanned)
             if not rows:
                 continue
             normals = [[Fraction(x, q) for x in row] for row in rows]

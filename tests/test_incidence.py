@@ -10,9 +10,9 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from inclab import constructions, incidence, linalg, serialization
+from inclab import constructions, geometry, incidence, linalg, serialization
 from inclab.geometry import (
     FlatFamily, _exact_family, _flat_family, _hyperplanes, _int_point_matrix)
 from inclab import (
@@ -1306,6 +1306,92 @@ class TestKstCertificate:
                                      max_size=len(vectors)))
         got = incidence._max_subspace_weight(vectors, weights, flat_dim, 10**9)
         assert got == max_subspace_weight_bruteforce(vectors, weights, flat_dim)
+
+
+SPAN_ENTRIES = (2**62, 2**62 + 1, -(2**63), 2**63 + 5, -(2**70) - 3)
+
+
+@st.composite
+def span_families(draw):
+    """``(d, vectors, flat_dim, weights)``: up to seven nonzero integer
+    vectors of R^d, d 2 to 5, each a combination of r basis vectors with
+    coefficients -2 to 2, so subsets are dependent, r = 1 puts every
+    vector on one line and r below ``flat_dim`` makes every spanning stack
+    deficient; a basis entry may lie past 2^62 or past int64.  Two more
+    vectors may be near copies, each differing from a vector by 1 in one
+    entry, so some membership products are 1 on entries past 2^62.
+    ``flat_dim`` is d - 1, d - 2 or 0, and weights run 1 to 3."""
+    d = draw(st.integers(2, 5))
+    flat_dim = draw(st.sampled_from(sorted({d - 1, d - 2, 0})))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from(SPAN_ENTRIES))
+    r = draw(st.integers(1, d))
+    basis = draw(st.lists(st.tuples(*[entry] * d), min_size=r, max_size=r))
+    coefficients = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), max_size=5))
+    vectors = [v for v in (tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(d))
+                           for cs in coefficients) if any(v)]
+    for i, j, step in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, d - 1),
+                                              st.sampled_from((-1, 1))), max_size=2)):
+        if vectors:  # a near copy: one entry moved by 1, off a wide vector's line
+            v = list(vectors[i % len(vectors)])
+            v[j] += step
+            if any(v):
+                vectors.append(tuple(v))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(vectors), max_size=len(vectors)))
+    return d, vectors, flat_dim, weights
+
+
+class TestSpanWalk:
+    """The batched walk over spanning subsets against the rank oracle."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(span_families())
+    @example((3, [], 2, []))  # no vectors
+    @example((3, [(1, 2, 3), (2, 4, 6), (-1, -2, -3)], 2, [1, 2, 3]))  # one line
+    @example((4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], 3, [3, 1, 2]))  # rank 2 < 3
+    @example((3, [(2**63, 1, 0), (1, 2**62 + 1, 0), (0, 0, 1)], 1, [1, 1, 1]))
+    def test_max_subspace_weight_matches_the_rank_oracle(self, family):
+        _, vectors, flat_dim, weights = family
+        assert incidence._max_subspace_weight(vectors, weights, flat_dim, 10**12) == (
+            max_subspace_weight_bruteforce(vectors, weights, flat_dim))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(span_families(), st.data())
+    def test_cap_and_one_fixed_vector(self, family, data):
+        # with the greedy's one fixed vector, the largest weight over spans
+        # holding it: the oracle over the vectors and the fixed one, whose
+        # weight above the total forces it into the subset.  The result
+        # passes the cap exactly when that maximum does, and equals it
+        # otherwise
+        d, vectors, flat_dim, weights = family
+        total = sum(weights)
+        fixed = []
+        if flat_dim and data.draw(st.booleans()):
+            fixed = [data.draw(st.tuples(*[st.sampled_from((0, 1, -2, 2**63))] * d))]
+            if vectors and data.draw(st.booleans()):  # in the vectors' span
+                i, j = data.draw(st.tuples(*[st.integers(0, len(vectors) - 1)] * 2))
+                fixed = [tuple(x + y for x, y in zip(vectors[i], vectors[j]))]
+            if not any(fixed[0]):
+                fixed = [(1,) * d]
+        heavy = total + 1
+        best = max_subspace_weight_bruteforce(
+            vectors + fixed, weights + [heavy] * len(fixed), flat_dim) - heavy * len(fixed)
+        cap = data.draw(st.integers(-1, total + 1))
+        (fixed_rows, rows), _ = geometry._int_arrays(fixed, vectors)
+        got = incidence._heaviest_span(
+            fixed_rows.reshape(len(fixed), d), rows.reshape(len(vectors), d),
+            np.array(weights, dtype=np.int64), flat_dim, cap)
+        assert (got > cap) == (best > cap)
+        if best <= cap:
+            assert got == best
+
+    def test_a_deficient_stack_counts_nothing(self):
+        # the fixed vector and its double span a line, whose stack is
+        # deficient; its nullspace rows mean nothing (they would hold the
+        # three vectors of the plane z = 0, which misses the fixed
+        # vector), and every plane through the fixed vector holds two
+        vectors = np.array([(2, 4, 6), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert incidence._heaviest_span(
+            np.array([(1, 2, 3)]), vectors, np.ones(4, dtype=np.int64), 2, 4) == 2
 
 
 SPLIT_VALUES = (0, 1, -7, 2**62, -(2**62), 2**62 + 1, -(2**62) - 1, -(2**63), 2**63,

@@ -68,7 +68,7 @@ def test_naive_count_shares_no_code_with_the_hashed_path():
     # ``Flat(...)`` builds one by one
     naive, names = _reach("incidence.py", "_count_naive")
     forbidden = {
-        "_count_hashed", "_members", "_exact_dots", "_value_counts", "unique",
+        "_count_hashed", "_exact_dots", "_value_counts", "unique",
         "_group_flats", "_complement", "_grouping",
         "_family_members", "_Runs", "_sorted_runs", "_offset_counts", "_key_weights",
         "key_bounds", "searchsorted", "reduceat", "_frame", "_hashed_points",
@@ -192,8 +192,7 @@ def test_point_paths_compare_integers_only():
     # multiplicity need no Fraction and no point-by-point substitution
     found = {}
     for module, start in (("geometry.py", "_split_coords"), ("incidence.py", "_exact_dots"),
-                          ("incidence.py", "_members"), ("incidence.py", "_count_naive"),
-                          ("incidence.py", "_count_dense"),
+                          ("incidence.py", "_count_naive"), ("incidence.py", "_count_dense"),
                           ("incidence.py", "_family_members"),
                           ("incidence.py", "_max_point_multiplicity")):
         reached, names = _reach(module, start)
@@ -307,8 +306,7 @@ def test_set_equality_is_one_containment_check():
 def test_exact_kernel_builds_no_fraction():
     # elimination, the one solution reader and the batched minors stay in
     # integers; callers build a Fraction only where a public value needs one
-    for start in ("integer_rref", "solve_rref", "nullspace", "maximal_minors", "full_row_rank",
-                  "nullspaces"):
+    for start in ("integer_rref", "solve_rref", "maximal_minors", "full_row_rank", "nullspaces"):
         _, names = _reach("linalg.py", start)
         assert "Fraction" not in names, f"{start} reaches Fraction"
 
@@ -327,7 +325,7 @@ def test_embedding_eliminates_no_embedded_hyperplane():
     # hands every block to the one row converter, which checks them
     # through it too: no elimination per flat of full rank.  The draws are
     # the one extension routine's, which generic_extension runs too
-    elimination = {"integer_rref", "nullspace", "solve_rref", "rank", "_solved"}
+    elimination = {"integer_rref", "solve_rref", "rank", "_solved"}
     found = {}
     for module, start, wanted in (
             ("constructions.py", "embed_configuration", {"nullspaces", "_extension_rows"}),
@@ -395,11 +393,37 @@ def test_constructions_fill_point_rows():
 
 def test_one_walk_over_spanning_subsets():
     # selection measures its coverage in the acceptance walk itself, so it
-    # runs no second search; and one incidence function takes the spans
+    # runs no second search; the one walk takes every span's nullspace
+    # from the batched minors kernel, with no elimination per subset, and
+    # no library function names the retired one-matrix nullspace
     _, names = _reach("constructions.py", "select_admissible_normals")
     found = names & {"measure_max_coverage", "_max_subspace_weight"}
     assert not found, f"select_admissible_normals reaches {sorted(found)}"
-    tree = ast.parse((SOURCE / "incidence.py").read_text())
-    walkers = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
-               and "nullspace" in _referenced_names(n)]
-    assert walkers == ["_heaviest_span"], f"nullspace named in {walkers}"
+    _, names = _reach("incidence.py", "_heaviest_span")
+    assert "nullspaces" in names, "_heaviest_span names no nullspaces"
+    kernel = {n.name for n in ast.parse((SOURCE / "linalg.py").read_text()).body
+              if isinstance(n, ast.FunctionDef)}
+    for start in names & kernel:  # the linalg functions it calls, and theirs
+        names |= _reach("linalg.py", start)[1]
+    found = names & {"integer_rref", "solve_rref"}
+    assert not found, f"_heaviest_span reaches {sorted(found)}"
+    found = [f"{path.name}:{node.name}" for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and "nullspace" in _referenced_names(node)]
+    assert not found, f"nullspace named in {found}"
+
+
+def test_few_callers_of_the_elimination_kernel():
+    # integer_rref, the Python Gauss-Jordan, serves a flat's own system,
+    # the rank-deficient blocks of the row converter, the affine hull's
+    # equations and the exponent system; every other nullspace or rank
+    # comes from the batched minors kernel
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for owner, body in [("", tree.body)] + [(f"{n.name}.", n.body) for n in tree.body
+                                                if isinstance(n, ast.ClassDef)]:
+            found |= {owner + n.name for n in body if isinstance(n, ast.FunctionDef)
+                      and "integer_rref" in _referenced_names(n)}
+    assert found == {"Flat.__init__", "Flat._solved", "_row_family", "affine_hull",
+                     "term_from_system"}, f"integer_rref named in {sorted(found)}"
