@@ -654,9 +654,8 @@ def _most_sharing(member_lists: Sequence[list[int]], s: int) -> int:
 def _max_point_multiplicity(split: PointRows) -> int:
     """The most times one point value occurs among the split points: the
     most equal (P, q) rows, since the primitive form with q > 0 is one
-    form per point."""
-    rows = np.column_stack((split.matrix, split.q))
-    rows = rows[np.lexsort(rows.T)]  # equal rows become runs
+    form per point.  Their order (:func:`_run_order`) makes equal rows runs."""
+    rows = np.column_stack((split.matrix, split.q))[_run_order(split.matrix, split.q)]
     starts = np.flatnonzero(np.r_[True, linalg._any_last(rows[1:] != rows[:-1])])
     return int(np.diff(np.r_[starts, len(rows)]).max())
 

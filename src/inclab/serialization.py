@@ -17,21 +17,34 @@ template when most fields have no table (:func:`_render`).  The text
 goes to a new file beside the target, which replaces the target only
 once it is whole.
 
-The loader decodes the points and the flats as integer arrays, level by
-level (:func:`_int_leaves`), with no ``RatPoint``, ``Fraction`` or
-``Flat`` built: each point and each equation over the lcm of its
-denominators (:func:`~inclab.geometry._over_lcm`), each point in the one
-primitive form (:func:`~inclab.geometry._primitive_rows`).  The flats of
-a file of any other shape, or an irregular pair, are decoded pair by
-pair, which raises the file's errors.  Either way the flats load as one
-:class:`FlatFamily`, whose dimensions :func:`~inclab.geometry._row_family`
-reads.  The reference path, ``canonical_json(instance_to_dict(...))``,
-builds the document and lets ``json`` render all of it; it shares no code
-with the writer, and the tests require the two texts to be equal.
+A file laid out exactly as the writer lays it out is read straight from
+its bytes (:func:`_read_written`): the points and flats arrays are cut
+out of the text and checked against the writer's own item templates,
+their entries decoded by numpy a window at a time, and the small members
+parsed by ``json`` and accepted only as their own canonical text.  Any
+other text (hand-written or re-indented, CRLF, an empty array, flats of
+mixed row counts, an entry past 18 digits, a zero denominator) falls back
+to ``json.loads``, the loader's reference path, which raises the
+file's errors.
+
+Either way the points and the flats become integer pair arrays (the
+JSON path decodes them level by level, :func:`_int_leaves`), with no
+``RatPoint``, ``Fraction`` or ``Flat`` built: each point and each
+equation over the lcm of its denominators
+(:func:`~inclab.geometry._over_lcm`), each point in the one primitive
+form (:func:`~inclab.geometry._primitive_rows`).  The flats of a file of
+any other shape, or an irregular pair, are decoded pair by pair, which
+raises the file's errors.  The flats load as one :class:`FlatFamily`,
+whose dimensions :func:`~inclab.geometry._row_family` reads.
+
+The writer's reference path, ``canonical_json(instance_to_dict(...))``,
+builds the document and lets ``json`` render all of it; it shares no
+code with the writer, and the tests require the two texts to be equal.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import suppress
@@ -175,11 +188,11 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
                 )
             coords.append([_dec(c) for c in row])
         points = _split_coords(coords, dim)
-    specs = _list(_field(doc, "flats", "instance"), "flats")
+    specs = _field(doc, "flats", "instance")
     flats = _family(dim, specs)
     if flats is None:
         systems = []
-        for j, spec in enumerate(specs):
+        for j, spec in enumerate(_list(specs, "flats")):
             if not isinstance(spec, dict):
                 raise InvalidInput(f"flat {j} must be an object with 'A' and 'b'")
             rows = _list(_field(spec, "A", f"flat {j}"), f"flat {j} 'A'")
@@ -203,8 +216,12 @@ def _point_rows(dim: int, items: Any) -> PointRows | None:
     denominators: each over the lcm of its denominators (:func:`_over_lcm`)
     in the one primitive form (:func:`_primitive_rows`), as
     :func:`_split_coords` splits them.  Otherwise ``None``, and the per-pair
-    path decodes and splits them, with its errors."""
-    pairs = _int_leaves(items, (len(items) if type(items) is list else 0, dim, 2))
+    path decodes and splits them, with its errors.  ``items`` may be the
+    (n, dim, 2) pairs :func:`_read_written` decoded."""
+    if type(items) is np.ndarray:
+        pairs = items if items.ndim == 3 and items.shape[1:] == (dim, 2) else None
+    else:
+        pairs = _int_leaves(items, (len(items) if type(items) is list else 0, dim, 2))
     if pairs is None or not pairs[..., 1].all():
         return None
     return _primitive_rows(dim, *_over_lcm(pairs))
@@ -218,20 +235,24 @@ def _family(dim: int, specs: list) -> FlatFamily | None:
     (:func:`_over_lcm`).  Any other file, or an irregular pair, such as a
     zero denominator or a leaf that is not an integer, gives ``None``: the
     pair-by-pair path then decodes the file and raises its errors.
+    ``specs`` may be the (n, r, dim + 1, 2) pairs :func:`_read_written`
+    decoded.
     """
-    if not specs or set(map(type, specs)) != {dict}:
+    if type(specs) is np.ndarray:
+        pairs = specs if specs.ndim == 4 and specs.shape[2:] == (dim + 1, 2) else None
+    elif type(specs) is list and specs and set(map(type, specs)) == {dict}:
+        coefficients, constants = ([spec.get(key) for spec in specs] for key in ("A", "b"))
+        r = len(coefficients[0]) if type(coefficients[0]) is list else 0
+        a = _int_leaves(coefficients, (len(specs), r, dim, 2))
+        b = _int_leaves(constants, (len(specs), r, 2))
+        pairs = None if a is None or b is None else np.concatenate((a, b[:, :, None]), axis=2)
+    else:
         return None
-    coefficients, constants = ([spec.get(key) for spec in specs] for key in ("A", "b"))
-    r = len(coefficients[0]) if type(coefficients[0]) is list else 0
-    a = _int_leaves(coefficients, (len(specs), r, dim, 2))
-    b = _int_leaves(constants, (len(specs), r, 2))
-    if not r or a is None or b is None:
-        return None
-    pairs = np.concatenate((a, b[:, :, None]), axis=2)
-    if not pairs[..., 1].all():
+    if pairs is None or not pairs.size or not pairs[..., 1].all():
         return None
     rows, q = _over_lcm(pairs)
-    return _row_family(dim, rows.reshape(-1, dim + 1), q.reshape(-1), [r] * len(specs))
+    n, r = pairs.shape[:2]
+    return _row_family(dim, rows.reshape(-1, dim + 1), q.reshape(-1), [r] * n)
 
 
 def _int_leaves(items: Any, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -527,11 +548,159 @@ def save_construction(
     return save_instance(path, inst, out)
 
 
+def _read_written(data: bytes) -> dict | None:
+    """The document of the file text ``data`` when it is laid out exactly
+    as :func:`save_instance` writes it, its points and flats as the int64
+    pair arrays (n, d, 2) and (n, r, d + 1, 2) that :func:`_point_rows` and
+    :func:`_family` take as they are; ``None`` for any other text.
+
+    Both arrays are cut out of the text, and the rest, each replaced by
+    ``[]``, must be its own canonical JSON (:func:`canonical_json`), which
+    pins them to the top-level keys.  Each must be the writer's item
+    template repeated (:func:`_template_values`), with every entry a JSON
+    integer of at most 18 digits and every denominator nonzero.  An empty
+    array, flats of mixed row counts, a longer entry, a zero denominator or
+    any other layout is left to ``json``, whose path raises the file's
+    errors."""
+    flats_key, points_key, close = b'\n "flats": ', b'\n "points": ', b"\n ]"
+    # the points come last but for a few small members, so each search
+    # from the end reads little more than the points
+    f0 = data.find(flats_key) + len(flats_key)
+    p0 = data.rfind(points_key) + len(points_key)
+    f1, p1 = data.rfind(close, f0, p0) + len(close), data.rfind(close, p0) + len(close)
+    if (f0 < len(flats_key) or not f0 < f1 <= p0 < p1
+            or data[f0 : f0 + 2] != b"[\n" or data[p0 : p0 + 2] != b"[\n"):
+        return None
+    try:
+        rest = (data[:f0] + b"[]" + data[f1:p0] + b"[]" + data[p1:]).decode("ascii")
+        doc = json.loads(rest)
+    except ValueError:  # not ASCII, or not JSON
+        return None
+    if type(doc) is not dict or canonical_json(doc) != rest:
+        return None
+    dim, brace = doc.get("ambient_dim"), data.find(b"}", f0, f1)  # "}" closes the first flat
+    # a point's 2 d integers and the bytes between them take 4 d bytes or more
+    if type(dim) is not int or not 1 <= dim <= (p1 - p0) // 4 or brace < 0:
+        return None
+    # the equations of the first flat: its integers over the 2 (d + 1) of one
+    first = np.frombuffer(data, np.uint8, brace - f0, f0)
+    r = len(_edges(_number_bytes(first)[1])) // 2 // (2 * dim + 2)
+    flats = _template_values(data, f0, f1, _flat_template(dim, r)) if r else None
+    points = None if flats is None else _template_values(
+        data, p0, p1, _array(_rational_items(dim, 3), 3))
+    if points is None:
+        return None
+    n, split = len(flats), 2 * r * dim  # each flat's coefficient fields, then its constants'
+    flats = np.concatenate((flats[:, :split].reshape(n, r, dim, 2),
+                            flats[:, split:].reshape(n, r, 1, 2)), axis=2)
+    points = points.reshape(len(points), dim, 2)
+    if not (flats[..., 1].all() and points[..., 1].all()):
+        return None
+    doc["flats"], doc["points"] = flats, points
+    return doc
+
+
+_WINDOW = 1 << 16  # bytes of an array's text read at a time
+
+
+def _number_bytes(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the bytes ``text`` are ``-``, and which are ``-`` or a digit."""
+    minus = text == ord("-")
+    return minus, (text >= ord("0")) & (text <= ord("9")) | minus
+
+
+def _edges(number: np.ndarray) -> np.ndarray:
+    """The starts and ends, alternating, of the runs of true in ``number``."""
+    return np.flatnonzero(np.diff(number, prepend=False, append=False))
+
+
+def _template_values(data: bytes, lo: int, hi: int, template: str) -> np.ndarray | None:
+    """The integers of ``data[lo:hi]`` as an (n, F) int64 array when that
+    text is ``_array([template] * n, 2)`` with each of the template's F
+    ``%d`` fields a JSON integer of at most 18 digits, below 10^18 < 2^62;
+    ``None`` otherwise.  The bytes around the integers must be the
+    template's other bytes, repeated, and each gap between two integers
+    its gap in the template.
+
+    The text is read in windows of at most ``_WINDOW`` bytes, each ending
+    at a newline, so no integer spans two and no array holds more than a
+    byte per byte of a window, or an entry per integer.  A window's values
+    are summed one decimal place at a time for all its integers, from the
+    highest place; an index before a short integer's first digit is masked
+    off, and its least, above -18, wraps to a byte of the window, which
+    holds an integer of as many digits."""
+    pieces = template.split("%d")
+    fields = len(pieces) - 1
+    head, tail = _array(["%d"], 2).split("%d")
+    unit = "".join(pieces) + _ITEM_SEP  # an item's other bytes, then the separator
+    hi -= len(tail)
+    if data[hi : hi + len(tail)] != tail.encode("ascii"):
+        return None
+    found: list[tuple[np.ndarray, ...]] = []  # each window's starts, ends and values
+    at, other = lo, 0  # where the window starts, and the other bytes before it
+    while at < hi:
+        end = hi if hi - at <= _WINDOW else data.rfind(b"\n", at, at + _WINDOW) + 1
+        if end <= at:
+            return None
+        text = np.frombuffer(data, np.uint8, end - at, at)
+        minus, number = _number_bytes(text)
+        edges = _edges(number)
+        starts, ends = edges[::2], edges[1::2]
+        negative = minus[starts]
+        digits = ends - starts - negative
+        if len(starts) and (
+                digits.min() < 1 or digits.max() > 18
+                or np.count_nonzero(minus) != np.count_nonzero(negative)
+                or ((text[starts + negative] == ord("0")) & (digits > 1)).any()):
+            return None
+        literal = text[~number].tobytes()
+        if literal != _periodic(head, unit, other, len(literal)).encode("ascii"):
+            return None
+        values = np.zeros(len(starts), dtype=np.int64)
+        for place in range(int(digits.max(initial=0)), 0, -1):
+            values *= 10
+            values += (text[ends - place] - ord("0")) * (place <= digits)
+        found.append((starts + (at - lo), ends + (at - lo), np.where(negative, -values, values)))
+        at, other = end, other + len(literal)
+    if not found:
+        return None
+    starts, ends, values = map(np.concatenate, zip(*found))
+    n, extra = divmod(len(starts), fields)
+    if extra or not n or other != len(head) + n * len(unit) - len(_ITEM_SEP):
+        return None
+    # the gaps of two items: the first's lead, F - 1 within, the gap
+    # between the items, F - 1 within, the last's tail
+    two = [len(piece) for piece in _array([template] * 2, 2).split("%d")]
+    gaps = np.tile(two[1 : fields + 1], n)
+    gaps[-1] = two[-1]
+    after = np.append(starts[1:], hi + len(tail) - lo) - ends
+    if starts[0] != two[0] or not np.array_equal(after, gaps):
+        return None
+    return values.reshape(n, fields)
+
+
+def _periodic(head: str, unit: str, start: int, length: int) -> str:
+    """Characters ``start`` to ``start + length`` of ``head`` followed by
+    ``unit`` repeated without end."""
+    if start < len(head):
+        return (head + unit * (length // len(unit) + 1))[start : start + length]
+    start = (start - len(head)) % len(unit)
+    return (unit * ((start + length) // len(unit) + 1))[start : start + length]
+
+
 def load_document(path: str | Path) -> dict:
     """The JSON document in ``path``; :class:`InvalidInput` when it cannot
-    be read or parsed.  Its consumers check its shape."""
+    be read or parsed.  Its consumers check its shape.  A file as
+    :func:`save_instance` writes it is read straight from its bytes
+    (:func:`_read_written`), its points and flats as integer pair arrays;
+    any other file is decoded as ``Path.read_text`` decodes it and parsed
+    by ``json``, the reference path."""
     try:
-        return json.loads(Path(path).read_text())
+        data = Path(path).read_bytes()
+        doc = _read_written(data)
+        if doc is None:
+            doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="locale").read())
+        return doc
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import inclab
+from inclab import serialization
 from inclab.cli import main
 
 
@@ -194,6 +195,29 @@ class TestEmbedCommand:
         code, outer_count, _ = run_cli(capsys, "oracle", "count", dst)
         assert code == 0
         assert inner_count.strip() == outer_count.strip()
+
+
+    def test_written_and_compact_files_give_the_same_outputs(self, capsys, tmp_path):
+        # the written layout is read straight from its bytes and the same
+        # document dumped compactly through json: every output is the same
+        written = tmp_path / "written.inc.json"
+        run_cli(capsys, "construct", "--variant", "a", "--d", "2", "--m", "16",
+                "--n", "25", "--seed", "3", "--box-side", "2", "-o", str(written))
+        compact = tmp_path / "compact.inc.json"
+        compact.write_text(json.dumps(json.loads(written.read_text())))
+        assert serialization._read_written(written.read_bytes()) is not None
+        assert serialization._read_written(compact.read_bytes()) is None
+        outputs = []
+        for name, src in (("w", written), ("c", compact)):
+            dst = tmp_path / f"{name}.outer.inc.json"
+            verify = run_cli(capsys, "verify", str(src), "--s", "2", "--t", "2")
+            embed = run_cli(capsys, "embed", str(src), "--d-outer", "4", "--k", "2",
+                            "-o", str(dst))
+            outer = run_cli(capsys, "verify", str(dst), "--s", "2", "--t", "2")
+            outputs.append((verify, embed[0], embed[1].replace(str(dst), "OUT"),
+                            outer, dst.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0][0] == 0 and outputs[0][3][0] == 0
 
 
 class TestOracleCount:

@@ -1416,6 +1416,18 @@ class TestPointSplit:
         for row, q in zip(rows, qs):
             assert q > 0 and gcd_all(row + [q]) == 1
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.one_of(st.integers(-2, 2), st.sampled_from(SPLIT_VALUES))] * d)
+        .map(RatPoint), min_size=1, max_size=12)), st.integers(0, 4))
+    def test_multiplicity_equals_a_count_of_point_tuples(self, points, copies):
+        # repeated points, rational ones included, and rows past 2^62, whose
+        # order falls back from the one packed int64 sort to np.lexsort
+        points = points + points[:copies]
+        split = incidence._int_point_matrix(points)
+        expected = max(Counter(p.coords for p in points).values())
+        assert incidence._max_point_multiplicity(split) == expected
+
     def test_rational_points_beside_one_past_int64_run_in_python_ints(self):
         # one coordinate past 2^62 moves the whole split, rational points
         # included, to Python ints

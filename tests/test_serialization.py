@@ -812,3 +812,192 @@ def test_mostly_wide_columns_fill_one_template():
     assert sorted(serialization._tables(values[:, [2, 2, 0]])) == [0, 1]
     assert serialization._render("[%d, %d, %d]", values[:, [2, 2, 0]]) == join(
         f"[0, 0, {i}]" for i in range(100))
+
+
+# the text reader: files as the writer lays them out are read from their
+# bytes (serialization._read_written); any other text takes the json path
+
+READ_ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(10**15), 10**15),
+                         st.fractions(max_denominator=50))
+PAST_18_DIGITS = st.sampled_from((10**18, -(10**18), 2**62 + 1, -(2**63)))
+
+
+@st.composite
+def written_instances(draw):
+    """Instances and construction blocks as ``save_instance`` and
+    ``save_construction`` write them: integer or rational points,
+    hyperplanes and k-flats of r = 1-3 rows through a point, all of one
+    row count or mixed (zero rows included), entries of up to 18 digits
+    or, in some instances, past 2^62, and either side possibly empty."""
+    dim = draw(st.integers(1, 4))
+    entries = READ_ENTRIES | PAST_18_DIGITS if draw(st.integers(0, 3)) == 0 else READ_ENTRIES
+    widest = st.sampled_from((10**18 - 1, -(10**18) + 1))  # 18 digits
+    if draw(st.booleans()):
+        entry = st.integers(-3, 3) | widest
+    else:
+        entry = entries | widest
+    point = st.lists(entry, min_size=dim, max_size=dim).map(RatPoint)
+    empty = draw(st.sampled_from(("", "", "", "points", "flats")))  # the side left empty
+    points = draw(st.lists(point, min_size=empty != "points", max_size=6 * (empty != "points")))
+    through = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))  # rhs within 18 digits
+    mixed = st.integers(1, 3) if draw(st.booleans()) else st.integers(0, 3)
+    one = draw(st.integers(1, 3))
+    flat_list = []
+    for count in draw(st.lists(mixed if draw(st.integers(0, 2)) == 0 else st.just(one),
+                               min_size=empty != "flats", max_size=6 * (empty != "flats"))):
+        rows = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim)
+                             .filter(lambda row: any(row)), min_size=count, max_size=count))
+        flat_list.append(Flat(dim, rows, [sum(a * x for a, x in zip(row, through))
+                                          for row in rows]))
+    inst = IncidenceInstance(points, flat_list, draw(st.integers(2, 4)), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        return inst, None
+    return inst, ConstructionOutput(
+        variant=draw(st.sampled_from(("a", "b", "embed"))), ambient_dim=dim,
+        points=inst.points, flats=inst.flats,
+        normals_used=(IntVector([1] * dim),), t_measured=draw(st.integers(0, 9)),
+        t_verified=draw(st.booleans()), predicted_incidences=draw(st.integers(0, 2**70)),
+        padding_start=len(flat_list), core_point_count=len(points),
+        seed=draw(st.integers()), inner_ambient_dim=None,
+        notes=tuple(draw(st.lists(NOTES, max_size=2))))
+
+
+def _read_by_the_reader(doc) -> bool:
+    """Whether the text reader takes the written ``doc``: points and flats
+    both present, every flat of one row count r >= 1, every entry of at
+    most 18 digits."""
+    pairs = [*chain(*doc["points"]), *(pair for spec in doc["flats"]
+                                       for pair in (*chain(*spec["A"]), *spec["b"]))]
+    return bool(doc["points"] and doc["flats"]
+                and len({len(spec["A"]) for spec in doc["flats"]}) == 1
+                and doc["flats"][0]["A"]
+                and max(len(str(abs(x))) for pair in pairs for x in pair) <= 18)
+
+
+def _assert_same_instance(got, want):
+    arrays = ((got.points.matrix, want.points.matrix), (got.points.q, want.points.q),
+              (got.flats.rows, want.flats.rows), (got.flats.den, want.flats.den),
+              (got.flats.starts, want.flats.starts), (got.flats.dims, want.flats.dims))
+    for a, b in arrays:
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+    assert (got.ambient_dim, got.s, got.t) == (want.ambient_dim, want.s, want.t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(written_instances(), st.sampled_from((32, 100, serialization._WINDOW)))
+def test_written_files_read_from_their_bytes_as_json_reads_them(
+        tmp_path_factory, case, window):
+    inst, construction = case
+    base = tmp_path_factory.getbasetemp()
+    path = save_instance(base / "read.inc.json", inst, construction)
+    data = path.read_bytes()
+    doc = json.loads(data)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(serialization, "_WINDOW", window)
+        read = serialization._read_written(data)
+        loaded = load_instance(path)
+        block = load_construction(path) if construction is not None else None
+    assert (read is not None) == _read_by_the_reader(doc)
+    reference = dict_to_instance(doc)
+    _assert_same_instance(loaded, reference)
+    if read is not None:
+        assert read.keys() == doc.keys()
+        assert {k: v for k, v in read.items() if k not in ("points", "flats")} == {
+            k: v for k, v in doc.items() if k not in ("points", "flats")}
+        _assert_same_instance(dict_to_instance(read), reference)
+    if construction is not None:
+        assert block == dict_to_construction(doc)
+    again = save_instance(base / "again.inc.json", loaded, block)
+    assert again.read_bytes() == data
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_every_golden_file_is_read_from_its_bytes(tmp_path, name):
+    out = CONSTRUCTIONS[name]()
+    path = save_construction(tmp_path / f"{name}.inc.json", out, 2, out.t_measured + 1)
+    doc = json.loads(path.read_bytes())
+    read = serialization._read_written(path.read_bytes())
+    assert read is not None
+    _assert_same_instance(dict_to_instance(read), dict_to_instance(doc))
+    assert dict_to_construction(read) == dict_to_construction(doc) == load_construction(path)
+
+
+def _entry(data: bytes, key: bytes, k: int) -> tuple[re.Match, int]:
+    """The k-th integer after the member ``key`` of the text ``data``, and
+    where the member starts."""
+    return list(re.finditer(rb"-?\d+", data[data.index(key):]))[k], data.index(key)
+
+
+def _replace_entry(data: bytes, key: bytes, k: int, text: bytes) -> bytes:
+    match, at = _entry(data, key, k)
+    return data[: at + match.start()] + text + data[at + match.end():]
+
+
+def _reordered(data: bytes) -> bytes:
+    doc = json.loads(data)
+    return (json.dumps({**{k: v for k, v in doc.items() if k != "ambient_dim"},
+                        "ambient_dim": doc["ambient_dim"]}, indent=1) + "\n").encode()
+
+
+def _moved(data: bytes) -> bytes:
+    """The first point entry moved past the comma after it."""
+    match, at = _entry(data, b'"points"', 0)
+    start, end = at + match.start(), at + match.end()
+    return data[:start] + b"," + match.group() + data[end + 1 :]
+
+
+MUTATIONS = {
+    "space after an entry": lambda d: _replace_entry(d, b'"points"', 0, b"%s " % _entry(
+        d, b'"points"', 0)[0].group()),
+    "space before the points": lambda d: d.replace(b'"points": [', b'"points":  [', 1),
+    "crlf": lambda d: d.replace(b"\n", b"\r\n"),
+    "float": lambda d: _replace_entry(d, b'"points"', 0, b"1.0"),
+    "true": lambda d: _replace_entry(d, b'"flats"', 2, b"true"),
+    "leading zero": lambda d: _replace_entry(d, b'"points"', 2, b"01"),
+    "lone minus": lambda d: _replace_entry(d, b'"flats"', 0, b"-"),
+    "19 digits": lambda d: _replace_entry(d, b'"flats"', 0, b"1234567890123456789"),
+    "19 digits negative": lambda d: _replace_entry(d, b'"points"', 0, b"-1000000000000000000"),
+    "minus inside an entry": lambda d: _replace_entry(d, b'"flats"', 3, b"2-3"),
+    "tab for a space": lambda d: d.replace(b'"points": [\n ', b'"points": [\n\t', 1),
+    "entry moved past its comma": _moved,
+    "keys reordered": _reordered,
+    "key duplicated": lambda d: d.replace(b"{\n", b'{\n "s": 7,\n', 1),
+    "points duplicated": lambda d: d.replace(b"{\n", b'{\n "points": [],\n', 1),
+    "zero denominator of a point": lambda d: _replace_entry(d, b'"points"', 1, b"0"),
+    "zero denominator of a flat": lambda d: _replace_entry(d, b'"flats"', 1, b"0"),
+    "truncated": lambda d: d[: len(d) // 2],
+    "last bytes cut": lambda d: d[:-2],
+}
+
+
+def _json_path(path):
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from None
+    return dict_to_instance(doc)
+
+
+def _outcome(load, path):
+    try:
+        inst = load(path)
+    except InvalidInput as exc:
+        return "error", str(exc)
+    return "ok", canonical_json(instance_to_dict(inst))
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("base", ["grid-d2", "sphere-d5-padded-points", "rational"])
+def test_any_other_text_takes_the_json_path(tmp_path, base, mutation):
+    # each mutation of a written file makes the reader decline, and the
+    # load then gives what the json path gives: the instance or the error
+    if base == "rational":
+        path = save_instance(tmp_path / "base.inc.json", small_instance())
+    else:
+        out = CONSTRUCTIONS[base]()
+        path = save_construction(tmp_path / "base.inc.json", out, 2, out.t_measured + 1)
+    assert serialization._read_written(path.read_bytes()) is not None
+    mutated = MUTATIONS[mutation](path.read_bytes())
+    assert serialization._read_written(mutated) is None
+    path.write_bytes(mutated)
+    assert _outcome(load_instance, path) == _outcome(_json_path, path)

@@ -204,12 +204,13 @@ def test_point_paths_compare_integers_only():
 
 def test_hull_reduction_and_array_decode_build_no_fraction_or_flat():
     # the affine hull, the points projected into it, the flats' traces on
-    # it and the loader's array decode stay in integer arrays: no Fraction
-    # and no Flat per point, flat or pair
+    # it, the loader's array decode and the text reader stay in integer
+    # arrays: no Fraction and no Flat per point, flat or pair
     found = {}
     for module, start in (("linalg.py", "affine_hull"), ("incidence.py", "_hull_points"),
                           ("incidence.py", "_hull_traces"), ("serialization.py", "_family"),
-                          ("serialization.py", "_point_rows")):
+                          ("serialization.py", "_point_rows"),
+                          ("serialization.py", "_read_written")):
         reached, names = _reach(module, start)
         hit = (reached | names) & {"Fraction", "Flat", "_dec", "_pair"}
         if hit:
@@ -219,6 +220,22 @@ def test_hull_reduction_and_array_decode_build_no_fraction_or_flat():
     assert {"_int_leaves", "_over_lcm", "_row_family"} <= names
     _, names = _reach("serialization.py", "_point_rows")
     assert {"_int_leaves", "_over_lcm"} <= names
+
+
+def test_the_text_reader_takes_its_layout_from_the_writer():
+    # the reader's expected items are the writer's templates, repeated: it
+    # reaches them, and no string of its own spells an item's layout again
+    writer = {"_array", "_rational_items", "_flat_template"}
+    reached, names = _reach("serialization.py", "_read_written")
+    assert writer <= reached and "_ITEM_SEP" in names
+    tree = ast.parse((SOURCE / "serialization.py").read_text())
+    own = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in reached - writer]
+    strings = [c.value for f in own for statement in f.body[bool(ast.get_docstring(f)):]
+               for c in ast.walk(statement)
+               if isinstance(c, ast.Constant) and isinstance(c.value, (str, bytes))]
+    spelled = [s for s in strings
+               if any(piece in (s if isinstance(s, str) else s.decode()) for piece in (",", '"A"', '"b"'))]
+    assert not spelled, f"the reader spells {spelled}"
 
 
 def test_kst_certificate_builds_no_masks():
