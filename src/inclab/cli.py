@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict, fields
 from functools import cache
 
-from . import serialization
+from . import heap, serialization
 from .constructions import (
     ConstructionConfig,
     build_grid_construction,
@@ -230,6 +230,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    heap.fix()
     try:
         return args.func(args)
     except (
@@ -241,6 +242,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        heap.trim()
 
 
 if __name__ == "__main__":

@@ -364,28 +364,40 @@ def _sorted_runs(
     return _Runs(ids[perm], starts, run_key, offsets[starts], keys[new_key], others)
 
 
+def _packed_codes(columns: list[np.ndarray], scale: int) -> np.ndarray | None:
+    """Each row of the int64 ``columns`` as one int64 code in the mixed
+    radix of their ranges max - min + 1, so that codes order as the rows
+    do and are equal only for equal rows; ``None`` when there is no row, a
+    column is not int64, or ``scale`` times the bound prod(max - min + 1)
+    passes 2^62."""
+    n = len(columns[-1])
+    if not n or any(col.dtype != np.int64 for col in columns):
+        return None
+    lows = [int(col.min()) for col in columns]
+    sides = [int(col.max()) - low + 1 for col, low in zip(columns, lows)]
+    if scale * prod(sides) > 2**62:
+        return None
+    code = np.zeros(n, dtype=np.int64)
+    for col, low, side in zip(columns, lows, sides):
+        code *= side
+        code += col - low
+    return code
+
+
 def _run_order(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The positions of the (key row, offset) pairs sorted by key, then
-    offset, then position.  When every column is int64 and the packed
-    bound n * prod(max - min + 1) over the key columns and the offsets is
-    at most 2^62, each pair is one int64 code in that mixed radix with the
-    position as its last digit, below the bound, so one plain sort of
-    distinct codes gives the order; otherwise one stable ``np.lexsort``."""
+    offset, then position.  When the pairs pack into int64 codes
+    (:func:`_packed_codes`) with room for the position as a last digit,
+    below n times their bound, one plain sort of distinct codes gives the
+    order; otherwise one stable ``np.lexsort``."""
     n = len(offsets)
-    columns = [*keys.T, offsets]
-    if n and all(col.dtype == np.int64 for col in columns):
-        lows = [int(col.min()) for col in columns]
-        sides = [int(col.max()) - low + 1 for col, low in zip(columns, lows)]
-        if n * prod(sides) <= 2**62:
-            code = np.zeros(n, dtype=np.int64)
-            for col, low, side in zip(columns, lows, sides):
-                code *= side
-                code += col - low
-            code *= n
-            code += np.arange(n)
-            code.sort()
-            return code % n
-    return np.lexsort((offsets, *keys.T[::-1]))
+    code = _packed_codes([*keys.T, offsets], n)
+    if code is None:
+        return np.lexsort((offsets, *keys.T[::-1]))
+    code *= n
+    code += np.arange(n)
+    code.sort()
+    return code % n
 
 
 def _count_hashed(inst: IncidenceInstance, stop: int) -> int:
@@ -654,10 +666,18 @@ def _most_sharing(member_lists: Sequence[list[int]], s: int) -> int:
 def _max_point_multiplicity(split: PointRows) -> int:
     """The most times one point value occurs among the split points: the
     most equal (P, q) rows, since the primitive form with q > 0 is one
-    form per point.  Their order (:func:`_run_order`) makes equal rows runs."""
-    rows = np.column_stack((split.matrix, split.q))[_run_order(split.matrix, split.q)]
-    starts = np.flatnonzero(np.r_[True, linalg._any_last(rows[1:] != rows[:-1])])
-    return int(np.diff(np.r_[starts, len(rows)]).max())
+    form per point.  Sorted, equal rows are runs: the rows' int64 codes
+    (:func:`_packed_codes`), sorted in place, with no copy of the rows;
+    otherwise the rows in their order (:func:`_run_order`)."""
+    code = _packed_codes([*split.matrix.T, split.q], 1)
+    if code is None:
+        rows = np.column_stack((split.matrix, split.q))[_run_order(split.matrix, split.q)]
+        new = linalg._any_last(rows[1:] != rows[:-1])
+    else:
+        code.sort()
+        new = code[1:] != code[:-1]
+    starts = np.flatnonzero(np.r_[True, new])
+    return int(np.diff(np.r_[starts, len(split.q)]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import inclab
-from inclab import serialization
+from inclab import heap, serialization
 from inclab.cli import main
 
 
@@ -586,3 +587,58 @@ class TestOneParserPerProcess:
             done = subprocess.run([sys.executable, "-m", "inclab", *argv], cwd=tmp_path,
                                   capture_output=True, text=True, env=env, timeout=120)
             assert (done.returncode, done.stdout, done.stderr) == expected, argv
+
+
+class TestHeapPolicy:
+    class FakeLibc:
+        def __init__(self, free):
+            self.free, self.calls = free, []
+
+        def mallopt(self, param, value):
+            self.calls.append(("mallopt", param, value))
+            return 1
+
+        def mallinfo2(self):
+            return types.SimpleNamespace(fordblks=self.free)
+
+        def malloc_trim(self, pad):
+            self.calls.append(("malloc_trim", pad))
+            return 1
+
+    FIXED = [("mallopt", -3, heap.MMAP_THRESHOLD), ("mallopt", -1, 2 * heap.MMAP_THRESHOLD)]
+
+    @pytest.mark.parametrize("argv, expected_code", [
+        (["exponents", "--k", "1", "--d", "2", "--s", "2", "--json"], 0),
+        (["verify", "missing.inc.json", "--s", "2", "--t", "3"], 2),
+    ])
+    def test_each_command_fixes_the_thresholds_then_trims(
+            self, capsys, tmp_path, monkeypatch, argv, expected_code):
+        # the thresholds are fixed before the command runs, and the heap is
+        # trimmed once it is done, on the error path too
+        monkeypatch.chdir(tmp_path)
+        libc = self.FakeLibc(free=heap.TRIM_FREE)
+        monkeypatch.setattr(heap, "_glibc", lambda: libc)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert libc.calls == self.FIXED + [("malloc_trim", 0)]
+
+    def test_a_little_free_heap_is_kept(self, capsys, monkeypatch):
+        libc = self.FakeLibc(free=heap.TRIM_FREE - 1)
+        monkeypatch.setattr(heap, "_glibc", lambda: libc)
+        code, _, _ = run_cli(capsys, "exponents", "--k", "1", "--d", "2", "--s", "2")
+        assert code == 0
+        assert libc.calls == self.FIXED
+
+    def test_no_glibc_leaves_the_allocator_alone(self, capsys, monkeypatch):
+        monkeypatch.setattr(heap, "_glibc", lambda: None)
+        code, out, _ = run_cli(capsys, "exponents", "--k", "1", "--d", "2", "--s", "2")
+        assert code == 0 and "m^(2/3+eps)" in out
+
+    def test_glibc_is_found_with_its_controls(self):
+        libc = heap._glibc()
+        assert libc is None or all(hasattr(libc, name) for name in
+                                   ("mallopt", "malloc_trim", "mallinfo2"))
+        if ("CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {})
+                and os.confstr("CS_GNU_LIBC_VERSION") >= "glibc 2.33"):
+            assert libc is not None
+            assert libc.mallinfo2().arena > 0
