@@ -16,11 +16,13 @@ held the same way, as :class:`PointRows`: each point's primitive integer
 row P over its denominator q > 0, so x = P / q, with a :class:`RatPoint`
 built only when one is read.  :func:`_over_lcm` is the one clearer of
 exact rows and points, as (numerator, denominator) arrays, and
-:func:`_primitive_rows` the one primitive form of point rows.  Generic
-extensions draw through one
-routine, :func:`_extension_rows`, which checks the draws of a whole stack
-of flats at once with the batched minors of :mod:`inclab.linalg`: one
-call per embedding, and a stack of one for :func:`generic_extension`.
+:func:`_primitive_rows` the one primitive form of point rows: pair arrays
+become points through :func:`_points_of_pairs` and flats through
+:func:`_family_of_pairs`, whatever they were read from.  Generic
+extensions draw through one routine, :func:`_extension_rows`, which
+checks the draws of a whole stack of flats at once with the batched
+minors of :mod:`inclab.linalg`: one call per embedding, and a stack of
+one for :func:`generic_extension`.
 
 Everything in this module is an immutable value after construction and all
 operations are pure functions, so objects can be shared freely across
@@ -391,11 +393,18 @@ def _flat_family(flats: Sequence[Flat], ambient_dim: int = 0) -> FlatFamily:
 
 def _exact_family(ambient_dim: int, systems: Sequence[tuple[Sequence, Sequence]]) -> FlatFamily:
     """The flats of the systems ``(equations, rhs)`` of exact values, each
-    equation ``[a | c]`` in order, over the lcm of its own denominators
-    (:func:`_over_lcm`, :func:`_row_family`)."""
+    equation ``[a | c]`` in order, by their pairs (:func:`_family_of_pairs`)."""
     rows = [(*a, c) for eqs, b in systems for a, c in zip(eqs, b)]
-    return _row_family(ambient_dim, *_over_lcm(_pairs(rows, ambient_dim + 1)),
-                       [len(rhs) for _, rhs in systems])
+    return _family_of_pairs(ambient_dim, _pairs(rows, ambient_dim + 1),
+                            [len(rhs) for _, rhs in systems])
+
+
+def _family_of_pairs(ambient_dim: int, pairs: np.ndarray, counts: Sequence[int]) -> FlatFamily:
+    """The flats of the integer (R, d + 1, 2) (numerator, denominator)
+    ``pairs`` of equations ``[a | c]``, flat j the next ``counts[j]`` of
+    them: each equation over the lcm of its own denominators
+    (:func:`_over_lcm`, :func:`_row_family`)."""
+    return _row_family(ambient_dim, *_over_lcm(pairs), counts)
 
 
 def _row_family(ambient_dim: int, rows, den, counts: Sequence[int]) -> FlatFamily:
@@ -544,15 +553,21 @@ def _split_coords(coords: Sequence[Sequence[Rational]], dim: int) -> PointRows:
     entries, are ``coords``.
 
     One ``np.array`` of every coordinate when numpy reads them all as
-    int64; otherwise each over the lcm of its denominators
-    (:func:`_over_lcm`), in the one primitive form (:func:`_primitive_rows`).
+    int64; otherwise by their pairs (:func:`_points_of_pairs`).
     """
     if coords:
         # Fractions and ints past int64 make an object or float array
         matrix = np.array(coords)
         if matrix.dtype == np.int64:
             return PointRows._of(dim, matrix, np.ones(len(coords), np.int64))
-    return _primitive_rows(dim, *_over_lcm(_pairs(coords, dim)))
+    return _points_of_pairs(dim, _pairs(coords, dim))
+
+
+def _points_of_pairs(dim: int, pairs: np.ndarray) -> PointRows:
+    """The points of the integer (n, ``dim``, 2) (numerator, denominator)
+    ``pairs``: each over the lcm of its denominators (:func:`_over_lcm`),
+    in the one primitive form (:func:`_primitive_rows`)."""
+    return _primitive_rows(dim, *_over_lcm(pairs))
 
 
 def _primitive_rows(dim: int, matrix: np.ndarray, q: np.ndarray) -> PointRows:

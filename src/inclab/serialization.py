@@ -17,25 +17,25 @@ template when most fields have no table (:func:`_render`).  The text
 goes to a new file beside the target, which replaces the target only
 once it is whole.
 
-A file laid out exactly as the writer lays it out is read straight from
-its bytes (:func:`_read_written`): the points and flats arrays are cut
-out of the text and checked against the writer's own item templates,
-their entries decoded by numpy a window at a time, and the small members
+The points and the flats have two decoders.  A file laid out exactly as
+the writer lays it out is read straight from its bytes
+(:func:`_read_written`): the points and flats arrays are cut out of the
+text and checked against the writer's own item templates, their entries
+decoded by numpy a window at a time into integer pair arrays, with no
+``RatPoint``, ``Fraction`` or ``Flat`` built, and the small members
 parsed by ``json`` and accepted only as their own canonical text.  Any
-other text (hand-written or re-indented, CRLF, an empty array, flats of
-mixed row counts, an entry past 18 digits, a zero denominator) falls back
-to ``json.loads``, the loader's reference path, which raises the
-file's errors.
+other text (hand-written, re-indented or compact, CRLF, an empty array,
+flats of mixed row counts, an entry past 18 digits, a zero denominator)
+is parsed by ``json.loads`` and decoded pair by pair (:func:`_dec`), the
+loader's reference path, which raises the file's errors; such text loads
+several times slower than the written layout.
 
-Either way the points and the flats become integer pair arrays (the
-JSON path decodes them level by level, :func:`_int_leaves`), with no
-``RatPoint``, ``Fraction`` or ``Flat`` built: each point and each
-equation over the lcm of its denominators
-(:func:`~inclab.geometry._over_lcm`), each point in the one primitive
-form (:func:`~inclab.geometry._primitive_rows`).  The flats of a file of
-any other shape, or an irregular pair, are decoded pair by pair, which
-raises the file's errors.  The flats load as one :class:`FlatFamily`,
-whose dimensions :func:`~inclab.geometry._row_family` reads.
+Either way the pairs take one route to rows: the points through
+:func:`~inclab.geometry._points_of_pairs`, each over the lcm of its
+denominators in the one primitive form, and the flats through
+:func:`~inclab.geometry._family_of_pairs`, each equation over the lcm of
+its denominators, into one :class:`FlatFamily` whose dimensions
+:func:`~inclab.geometry._row_family` reads.
 
 The writer's reference path, ``canonical_json(instance_to_dict(...))``,
 builds the document and lets ``json`` render all of it; it shares no
@@ -49,7 +49,6 @@ import json
 import os
 from contextlib import suppress
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
@@ -62,11 +61,9 @@ from .geometry import (
     IntVector,
     PointRows,
     _exact_family,
+    _family_of_pairs,
     _int,
-    _int_arrays,
-    _over_lcm,
-    _primitive_rows,
-    _row_family,
+    _points_of_pairs,
     _split_coords,
 )
 from .incidence import IncidenceInstance
@@ -177,9 +174,12 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
     dim = _int(_field(doc, "ambient_dim", "instance"), "ambient_dim")
     if dim < 1:
         raise InvalidInput(f"ambient_dim must be positive, got {dim}")
-    items = _field(doc, "points", "instance")
-    points = _point_rows(dim, items)
-    if points is None:
+    items, specs = _field(doc, "points", "instance"), _field(doc, "flats", "instance")
+    if type(items) is np.ndarray:  # the pair arrays _read_written decoded
+        n, r = specs.shape[:2]
+        points = _points_of_pairs(dim, items)
+        flats = _family_of_pairs(dim, specs.reshape(n * r, dim + 1, 2), [r] * n)
+    else:
         coords = []
         for i, row in enumerate(_list(items, "points")):
             if len(_list(row, f"point {i}")) != dim:
@@ -188,9 +188,6 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
                 )
             coords.append([_dec(c) for c in row])
         points = _split_coords(coords, dim)
-    specs = _field(doc, "flats", "instance")
-    flats = _family(dim, specs)
-    if flats is None:
         systems = []
         for j, spec in enumerate(_list(specs, "flats")):
             if not isinstance(spec, dict):
@@ -208,74 +205,6 @@ def dict_to_instance(doc: dict) -> IncidenceInstance:
     s = _int(doc.get("s", 2), "s")
     t = _int(doc.get("t", 1), "t")
     return IncidenceInstance(points, flats, s, t)
-
-
-def _point_rows(dim: int, items: Any) -> PointRows | None:
-    """The points ``items`` as rows when every one decodes as an array
-    (:func:`_int_leaves`) of ``dim`` integer pairs with nonzero
-    denominators: each over the lcm of its denominators (:func:`_over_lcm`)
-    in the one primitive form (:func:`_primitive_rows`), as
-    :func:`_split_coords` splits them.  Otherwise ``None``, and the per-pair
-    path decodes and splits them, with its errors.  ``items`` may be the
-    (n, dim, 2) pairs :func:`_read_written` decoded."""
-    if type(items) is np.ndarray:
-        pairs = items if items.ndim == 3 and items.shape[1:] == (dim, 2) else None
-    else:
-        pairs = _int_leaves(items, (len(items) if type(items) is list else 0, dim, 2))
-    if pairs is None or not pairs[..., 1].all():
-        return None
-    return _primitive_rows(dim, *_over_lcm(pairs))
-
-
-def _family(dim: int, specs: list) -> FlatFamily | None:
-    """The flats ``specs`` as one family when there are some, each a system
-    of the same number r >= 1 of equations of ``dim`` entries, decoded as
-    arrays (:func:`_int_leaves`), with no ``Fraction`` built: each equation
-    an integer row [a | c] over the lcm of its denominators
-    (:func:`_over_lcm`).  Any other file, or an irregular pair, such as a
-    zero denominator or a leaf that is not an integer, gives ``None``: the
-    pair-by-pair path then decodes the file and raises its errors.
-    ``specs`` may be the (n, r, dim + 1, 2) pairs :func:`_read_written`
-    decoded.
-    """
-    if type(specs) is np.ndarray:
-        pairs = specs if specs.ndim == 4 and specs.shape[2:] == (dim + 1, 2) else None
-    elif type(specs) is list and specs and set(map(type, specs)) == {dict}:
-        coefficients, constants = ([spec.get(key) for spec in specs] for key in ("A", "b"))
-        r = len(coefficients[0]) if type(coefficients[0]) is list else 0
-        a = _int_leaves(coefficients, (len(specs), r, dim, 2))
-        b = _int_leaves(constants, (len(specs), r, 2))
-        pairs = None if a is None or b is None else np.concatenate((a, b[:, :, None]), axis=2)
-    else:
-        return None
-    if pairs is None or not pairs.size or not pairs[..., 1].all():
-        return None
-    rows, q = _over_lcm(pairs)
-    n, r = pairs.shape[:2]
-    return _row_family(dim, rows.reshape(-1, dim + 1), q.reshape(-1), [r] * n)
-
-
-def _int_leaves(items: Any, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The integers of the nested lists ``items`` as one array of
-    ``shape``, decoded level by level: each level a list of lists of the
-    length ``shape`` gives, and every leaf exactly an ``int`` (so no
-    ``bool``, float or string); ``None`` otherwise.  The array is int64
-    when every entry is within 2^62, and Python ints otherwise
-    (:func:`_int_arrays`): its dtype is never left to numpy's inference,
-    which reads 2^63 beside small ints as float64."""
-    level = [items]
-    for length in shape:
-        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
-            return None
-        level = list(chain.from_iterable(level))
-    if set(map(type, level)) != {int}:
-        return None
-    try:
-        leaves = np.array(level, dtype=np.int64)
-    except OverflowError:  # past int64
-        leaves = np.array(level, dtype=object)
-    (leaves,), _ = _int_arrays(leaves.reshape(shape))
-    return leaves
 
 
 def dict_to_construction(doc: dict) -> ConstructionOutput:
@@ -551,8 +480,8 @@ def save_construction(
 def _read_written(data: bytes) -> dict | None:
     """The document of the file text ``data`` when it is laid out exactly
     as :func:`save_instance` writes it, its points and flats as the int64
-    pair arrays (n, d, 2) and (n, r, d + 1, 2) that :func:`_point_rows` and
-    :func:`_family` take as they are; ``None`` for any other text.
+    pair arrays (n, d, 2) and (n, r, d + 1, 2) that :func:`dict_to_instance`
+    takes as they are; ``None`` for any other text.
 
     Both arrays are cut out of the text, and the rest, each replaced by
     ``[]``, must be its own canonical JSON (:func:`canonical_json`), which
@@ -690,19 +619,23 @@ def _periodic(head: str, unit: str, start: int, length: int) -> str:
 
 def load_document(path: str | Path) -> dict:
     """The JSON document in ``path``; :class:`InvalidInput` when it cannot
-    be read or parsed.  Its consumers check its shape.  A file as
-    :func:`save_instance` writes it is read straight from its bytes
-    (:func:`_read_written`), its points and flats as integer pair arrays;
-    any other file is decoded as ``Path.read_text`` decodes it and parsed
-    by ``json``, the reference path."""
+    be read or parsed.  Its consumers check its shape.  One of two
+    decoders reads it: a file as :func:`save_instance` writes it is read
+    straight from its bytes (:func:`_read_written`), its points and flats
+    as integer pair arrays; any other file is decoded as
+    ``Path.read_text`` decodes it and parsed by ``json``, its points and
+    flats left as lists for the reference path to decode pair by pair."""
     try:
         data = Path(path).read_bytes()
-        doc = _read_written(data)
-        if doc is None:
-            doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="locale").read())
-        return doc
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
+    doc = _read_written(data)
+    if doc is None:
+        try:
+            doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="locale").read())
+        except ValueError as exc:  # not text, not JSON, or an integer past Python's digit limit
+            raise InvalidInput(f"cannot read {path}: {exc}") from None
+    return doc
 
 
 def load_instance(path: str | Path) -> IncidenceInstance:

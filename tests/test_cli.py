@@ -217,6 +217,9 @@ class TestEmbedCommand:
             outer = run_cli(capsys, "verify", str(dst), "--s", "2", "--t", "2")
             outputs.append((verify, embed[0], embed[1].replace(str(dst), "OUT"),
                             outer, dst.read_bytes()))
+        # embed writes the reader's layout too, so every file a construct,
+        # verify, embed, verify run loads is read from its bytes
+        assert serialization._read_written((tmp_path / "w.outer.inc.json").read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0][0][0] == 0 and outputs[0][3][0] == 0
 
@@ -357,6 +360,22 @@ class TestMalformedInput:
     def test_missing_ambient_dim(self, capsys, tmp_path, construction_doc):
         del construction_doc["ambient_dim"]
         self.assert_instance_rejected(capsys, tmp_path, json.dumps(construction_doc))
+
+    @pytest.mark.parametrize("layout", ["written", "compact"])
+    @pytest.mark.parametrize("where", ["point", "seed"])
+    def test_an_integer_past_the_digit_limit(self, capsys, tmp_path, construction_doc, layout,
+                                             where):
+        # json refuses to read an integer of more than 4300 digits; in the
+        # writer's layout too, the text reader leaves it to json
+        marker = 7_777_777_777_777_777
+        if where == "point":
+            construction_doc["points"][0][0][0] = marker
+        else:
+            construction_doc["construction"]["seed"] = marker
+        dump = serialization.canonical_json if layout == "written" else json.dumps
+        text = dump(construction_doc).replace(str(marker), "1" + "0" * 4999, 1)
+        self.assert_rejected(capsys, tmp_path, text, ("verify", "embed", "oracle", "sweep"),
+                             mentions="cannot read")
 
     def test_zero_denominator(self, capsys, tmp_path, construction_doc):
         construction_doc["points"][0][0] = [1, 0]

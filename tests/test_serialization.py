@@ -38,7 +38,7 @@ from inclab.serialization import (
     dict_to_instance,
     instance_to_dict,
 )
-from oracles import family_per_pair, hyperplane_groups_nested, runs_as_nested
+from oracles import hyperplane_groups_nested, runs_as_nested
 from test_golden import CONSTRUCTIONS, DIGESTS
 
 
@@ -322,11 +322,10 @@ def test_hyperplane_file_loads_as_a_family(tmp_path):
     Flat(2, [], []),  # no rows
 ], ids=["zero-row", "two-rows", "no-rows"])
 def test_a_mixed_file_loads_flat_by_flat(extra, tmp_path):
-    # one family, whose rows write the file's text again: decoded as arrays
-    # when every flat has one row, and pair by pair otherwise
+    # one family of one-row and other flats, decoded pair by pair, whose
+    # rows write the file's text again
     inst = _hyperplane_instance([extra])
     doc = instance_to_dict(inst)
-    assert (serialization._family(2, doc["flats"]) is None) == (len(extra.rhs) != 1)
     loaded = dict_to_instance(doc)
     assert isinstance(loaded.flats, FlatFamily)
     assert loaded.flats == inst.flats and inst.flats == loaded.flats
@@ -449,96 +448,116 @@ def _flat_pairs(doc):
     return [pair for spec in doc["flats"] for pair in (*chain(*spec["A"]), *spec["b"])]
 
 
-@pytest.mark.parametrize("change", [
-    lambda doc: None,
-    lambda doc: [_scale_pair(pair, -1) for pair in _flat_pairs(doc)[::3]],
-    lambda doc: [_scale_pair(pair, 6) for pair in _flat_pairs(doc)[1::2]],
-    lambda doc: [_scale_pair(pair, -(2**63) - 5) for pair in _flat_pairs(doc)[::4]],
-    lambda doc: _flat_pairs(doc)[2].__setitem__(0, 2**63 * _flat_pairs(doc)[2][1]),
-    lambda doc: _flat_pairs(doc)[2].__setitem__(0, 2**62 * _flat_pairs(doc)[2][1]),
-    lambda doc: [pair.__setitem__(1, den) for pair, den in zip(
-        doc["flats"][0]["A"][0], (2**31 - 1, 2**32 + 15, 2**29 + 11, 7))],
-    lambda doc: doc["flats"][1]["A"][0].append([1, 1]),
-    lambda doc: doc["flats"][1]["b"].append([1, 1]),
-    lambda doc: doc["flats"][1]["A"].__setitem__(0, {"0": 1}),
+def _loads_pair_by_pair(doc, directory, message=None) -> bool:
+    """Write ``doc`` as file text in the writer's layout
+    (:func:`canonical_json`) and compact, and check that ``load_instance``
+    reads both as its pairs decoded one by one (``_dec``) give: the points
+    :func:`_split_coords` makes, of its dtype, and the flats ``Flat(...)``
+    makes flat by flat, their rows int64 within 2^62 and Python ints past
+    it, with equal naive and hashed counts.  When that decode, or
+    ``message``, names an error, both layouts must raise it in the same
+    words.  Returns whether the text reader takes the written text."""
+    dim, dec = doc["ambient_dim"], serialization._dec
+    written, compact = directory / "written.inc.json", directory / "compact.inc.json"
+    written.write_text(canonical_json(doc))
+    compact.write_text(json.dumps(doc, separators=(",", ":")))
+    if message is None:
+        try:
+            points = _split_coords([[dec(c) for c in point] for point in doc["points"]], dim)
+            flats = tuple(Flat(dim, [[dec(a) for a in row] for row in spec["A"]],
+                               [dec(c) for c in spec["b"]]) for spec in doc["flats"])
+        except InvalidInput as exc:
+            message = str(exc)
+    for path in (written, compact):
+        if message is not None:
+            with pytest.raises(InvalidInput) as raised:
+                load_instance(path)
+            assert str(raised.value) == message
+            continue
+        loaded = load_instance(path)
+        assert_same_point_rows(loaded.points, points)
+        assert isinstance(loaded.flats, FlatFamily)
+        assert loaded.flats == flats and flats == loaded.flats
+        assert hash(loaded.flats) == hash(flats)
+        assert loaded.flats.dims.tolist() == [f.dim for f in flats]
+        largest = max(map(abs, [*loaded.flats.rows.ravel().tolist(), *loaded.flats.den.tolist()]))
+        dtype = np.int64 if largest <= 2**62 else object
+        assert loaded.flats.rows.dtype == loaded.flats.den.dtype == dtype
+        naive = count_incidences(loaded, "naive")
+        assert naive == count_incidences(loaded, "hashed") == count_incidences(
+            IncidenceInstance(points, flats, loaded.s, loaded.t), "naive")
+    return serialization._read_written(written.read_bytes()) is not None
+
+
+@pytest.mark.parametrize("change, read, message", [
+    (lambda doc: None, True, None),
+    (lambda doc: [_scale_pair(pair, -1) for pair in _flat_pairs(doc)[::3]], True, None),
+    (lambda doc: [_scale_pair(pair, 6) for pair in _flat_pairs(doc)[1::2]], True, None),
+    (lambda doc: [_scale_pair(pair, -(2**63) - 5) for pair in _flat_pairs(doc)[::4]],
+     False, None),
+    (lambda doc: _flat_pairs(doc)[2].__setitem__(0, 2**63 * _flat_pairs(doc)[2][1]),
+     False, None),
+    (lambda doc: _flat_pairs(doc)[2].__setitem__(0, 2**62 * _flat_pairs(doc)[2][1]),
+     False, None),
+    (lambda doc: [pair.__setitem__(1, den) for pair, den in zip(
+        doc["flats"][0]["A"][0], (2**31 - 1, 2**32 + 15, 2**29 + 11, 7))], True, None),
+    (lambda doc: doc["flats"][1]["A"][0].append([1, 1]), False,
+     "equation width does not match ambient dimension"),
+    (lambda doc: doc["flats"][1]["b"].append([1, 1]), False,
+     "equation count does not match right-hand side"),
+    (lambda doc: doc["flats"][1]["A"].__setitem__(0, {"0": 1}), False,
+     "flat 1 row must be a list, got {'0': 1}"),
 ], ids=["as-written", "negative-den", "unreduced", "den-past-int64", "2^63-beside-small",
         "2^62-beside-small", "lcm-past-2^62", "ragged-row", "ragged-rhs", "object-row"])
-def test_array_decode_matches_the_per_pair_loop(change):
-    # the same integer rows over the same denominators, of the one dtype
-    # the int64 rule gives both: int64 within 2^62, Python ints past it
+def test_array_decode_matches_the_per_pair_loop(change, read, message, tmp_path):
+    # the embedded document, changed, as written and as compact text: the
+    # text reader's pair arrays (where it takes the written text) and the
+    # per-pair path give the values of the pairs decoded one by one, over
+    # negative, unreduced and past-int64 denominators, or the same error
     doc = _embedded_document()
     change(doc)
-    expected = family_per_pair(4, doc["flats"])
-    family = serialization._family(4, doc["flats"])
-    if expected is None:
-        assert family is None
-        return
-    rows, den = expected
-    assert family.rows.tolist() == list(chain(*rows)) and family.den.tolist() == list(chain(*den))
-    largest = max(abs(x) for x in chain(*chain(*rows), *den))
-    dtype = np.int64 if largest <= 2**62 else object
-    assert family.rows.dtype == family.den.dtype == dtype
+    assert _loads_pair_by_pair(doc, tmp_path, message) == read
 
 
 @pytest.mark.parametrize("leaf", [True, 1.0, "1", None, [1]], ids=repr)
 @pytest.mark.parametrize("where", ["numerator", "denominator", "rhs"])
-def test_irregular_leaves_raise_the_per_pair_errors(leaf, where):
-    # the array decode gives such a document up, and the flat-by-flat path
-    # raises the error the per-pair loop raised
+def test_irregular_leaves_raise_the_per_pair_errors(leaf, where, tmp_path):
+    # either layout raises the error of the irregular pair decoded alone
     doc = _embedded_document()
     pair = doc["flats"][2]["b"][1] if where == "rhs" else doc["flats"][2]["A"][1][3]
     pair[where == "denominator"] = leaf
-    assert serialization._family(4, doc["flats"]) is None
     with pytest.raises(InvalidInput) as per_pair:
-        family_per_pair(4, doc["flats"])
-    with pytest.raises(InvalidInput) as loaded:
-        dict_to_instance(doc)
-    assert str(loaded.value) == str(per_pair.value)
+        serialization._dec(pair)
+    assert not _loads_pair_by_pair(doc, tmp_path, str(per_pair.value))
 
 
-def test_zero_denominators_raise_the_per_pair_error():
+def test_zero_denominators_raise_the_per_pair_error(tmp_path):
     doc = _embedded_document()
     doc["flats"][4]["A"][0][1][1] = 0
-    assert serialization._family(4, doc["flats"]) is None
-    with pytest.raises(InvalidInput, match="zero denominator") as per_pair:
-        family_per_pair(4, doc["flats"])
-    with pytest.raises(InvalidInput) as loaded:
-        dict_to_instance(doc)
-    assert str(loaded.value) == str(per_pair.value)
+    assert not _loads_pair_by_pair(doc, tmp_path, "zero denominator in rational "
+                                   f"{doc['flats'][4]['A'][0][1]!r}")
 
 
-@pytest.mark.parametrize("coordinates, decoded", [
-    ([[0, 1], [2**62, 1]], True),
-    ([[2**63, 1], [1, 1]], True),  # numpy alone would read this as float64
-    ([[-(2**63), 1], [-(2**64), 1]], True),
+@pytest.mark.parametrize("coordinates, read", [
+    ([[0, 1], [2**62, 1]], False),  # 2^62 has 19 digits
+    ([[2**63, 1], [1, 1]], False),  # numpy alone would read this as float64
+    ([[-(2**63), 1], [-(2**64), 1]], False),
     ([[1, 2], [3, 1]], True),
     ([[-1, -1], [3, 1]], True),
     ([[6, -4], [-10, 15]], True),  # negative and unreduced
-    ([[2**64, 3 * 2**64], [1, 2**63 + 1]], True),  # past int64, unreduced
-    ([[3, 2**62], [5, 2**61]], True),  # an lcm of 2^62
+    ([[2**64, 3 * 2**64], [1, 2**63 + 1]], False),  # past int64, unreduced
+    ([[3, 2**62], [5, 2**61]], False),  # an lcm of 2^62
     ([[1, 0], [3, 1]], False),  # a zero denominator: the per-pair error
     ([[True, 1], [3, 1]], False),
     ([[1.0, 1], [3, 1]], False),
 ], ids=["2^62", "2^63", "past-int64", "rational", "negative-den", "unreduced",
         "den-past-int64", "lcm-2^62", "zero-den", "bool", "float"])
-def test_points_decode_as_rows(coordinates, decoded):
-    # points of integer pairs with nonzero denominators go straight to
-    # rows, equal to the per-pair split and of its dtype; anything else is
-    # left to the per-pair path
+def test_points_decode_as_rows(coordinates, read, tmp_path):
+    # points as written and as compact text load as the per-pair split
+    # makes them, of its dtype, or raise its error
     doc = _plain_doc()
     doc["points"] = [coordinates, [[0, 1], [0, 1]]]
-    rows = serialization._point_rows(2, doc["points"])
-    assert (rows is not None) == decoded
-    try:
-        per_pair = _split_coords([[serialization._dec(c) for c in point]
-                                  for point in doc["points"]], 2)
-    except InvalidInput as exc:
-        with pytest.raises(InvalidInput, match=re.escape(str(exc))):
-            dict_to_instance(doc)
-        return
-    if rows is not None:
-        assert_same_point_rows(rows, per_pair)
-    assert dict_to_instance(doc).points == per_pair
+    assert _loads_pair_by_pair(doc, tmp_path) == read
 
 
 def assert_same_point_rows(rows, other):
@@ -559,21 +578,21 @@ POINT_PAIRS = st.tuples(
 @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
     st.just(dim), st.lists(st.lists(POINT_PAIRS, min_size=dim, max_size=dim), min_size=1,
                            max_size=5))))
-def test_point_pairs_decode_as_the_split_does(case):
-    # negative, unreduced and past-int64 pairs: each point over the lcm of
-    # its denominators and then over its gcd, as the per-pair split makes it
+def test_point_pairs_decode_as_the_split_does(tmp_path_factory, case):
+    # negative, unreduced and past-int64 pairs, as written and as compact
+    # text: each point over the lcm of its denominators and then over its
+    # gcd, as the per-pair split makes it
     dim, points = case
-    rows = serialization._point_rows(dim, points)
-    assert_same_point_rows(rows, _split_coords(
-        [[serialization._dec(c) for c in point] for point in points], dim))
+    plane = make_hyperplane(IntVector([1] + [0] * (dim - 1)), 0)
+    doc = {**instance_to_dict(IncidenceInstance([], [plane], 2, 1)), "points": points}
+    _loads_pair_by_pair(doc, tmp_path_factory.getbasetemp())
 
 
-def test_a_ragged_point_raises_the_per_pair_error():
+def test_a_ragged_point_raises_the_per_pair_error(tmp_path):
     doc = _plain_doc()
     doc["points"][1] = doc["points"][1][:1]
-    assert serialization._point_rows(2, doc["points"]) is None
-    with pytest.raises(InvalidInput, match="point 1 has 1 coordinates"):
-        dict_to_instance(doc)
+    assert not _loads_pair_by_pair(doc, tmp_path,
+                                   "point 1 has 1 coordinates in an ambient_dim 2 file")
 
 
 @pytest.mark.parametrize("key, value", [

@@ -107,19 +107,38 @@ def test_one_clearer_and_one_primitive_form():
     # exact rows and points are cleared by geometry._over_lcm; the
     # per-row clearer of the elimination kernel stays inside linalg, and
     # every point split, decoded file and hull projection takes the one
-    # primitive form
+    # primitive form.  Pairs take one route to rows: the loader hands the
+    # text reader's pair arrays and the per-pair path's values to the same
+    # two helpers, and names no clearer or row converter of its own
     found = [path.name for path in sorted(SOURCE.glob("*.py"))
              if path.name != "linalg.py" and "clear_denominators" in path.read_text()]
     assert not found, f"clear_denominators named in {found}"
-    for module, start in (("geometry.py", "_split_coords"), ("serialization.py", "_point_rows"),
-                          ("incidence.py", "_hull_points")):
+    for module, start in (("geometry.py", "_split_coords"), ("incidence.py", "_hull_points")):
         _, names = _reach(module, start)
         assert "_primitive_rows" in names, f"{start} names no _primitive_rows"
     for module, start in (("geometry.py", "_exact_family"), ("geometry.py", "_hyperplanes"),
-                          ("geometry.py", "generic_extension"), ("geometry.py", "_split_coords"),
-                          ("serialization.py", "_family"), ("serialization.py", "_point_rows")):
+                          ("geometry.py", "generic_extension"), ("geometry.py", "_split_coords")):
         _, names = _reach(module, start)
         assert "_over_lcm" in names, f"{start} names no _over_lcm"
+    assert "_points_of_pairs" in _reach("geometry.py", "_split_coords")[1]
+    assert "_family_of_pairs" in _reach("geometry.py", "_exact_family")[1]
+    _, names = _reach("serialization.py", "dict_to_instance")
+    assert {"_points_of_pairs", "_family_of_pairs", "_split_coords", "_exact_family"} <= names
+    tree = ast.parse((SOURCE / "serialization.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    found = (imported | _referenced_names(tree)) & {
+        "_over_lcm", "_primitive_rows", "_row_family", "_int_arrays"}
+    assert not found, f"serialization.py names {sorted(found)}"
+
+
+def test_two_decoders_for_instance_files():
+    # a written file's pairs come from the text reader and any other
+    # file's from the per-pair path: the array tier between them, which
+    # decoded json's lists level by level, is named nowhere (spelled in two
+    # parts, as below)
+    retired = "_int" + "_leaves"
+    found = [path.name for path in sorted(SOURCE.glob("*.py")) if retired in path.read_text()]
+    assert not found, f"{retired} named in {found}"
 
 
 def test_one_flat_family():
@@ -204,22 +223,22 @@ def test_point_paths_compare_integers_only():
 
 def test_hull_reduction_and_array_decode_build_no_fraction_or_flat():
     # the affine hull, the points projected into it, the flats' traces on
-    # it, the loader's array decode and the text reader stay in integer
-    # arrays: no Fraction and no Flat per point, flat or pair
+    # it, the text reader and the rows it hands its pair arrays to stay in
+    # integer arrays: no Fraction and no Flat per point, flat or pair
     found = {}
     for module, start in (("linalg.py", "affine_hull"), ("incidence.py", "_hull_points"),
-                          ("incidence.py", "_hull_traces"), ("serialization.py", "_family"),
-                          ("serialization.py", "_point_rows"),
-                          ("serialization.py", "_read_written")):
+                          ("incidence.py", "_hull_traces"), ("serialization.py", "_read_written"),
+                          ("geometry.py", "_points_of_pairs"),
+                          ("geometry.py", "_family_of_pairs")):
         reached, names = _reach(module, start)
         hit = (reached | names) & {"Fraction", "Flat", "_dec", "_pair"}
         if hit:
             found[start] = sorted(hit)
     assert not found, f"reached {found}"
-    _, names = _reach("serialization.py", "_family")
-    assert {"_int_leaves", "_over_lcm", "_row_family"} <= names
-    _, names = _reach("serialization.py", "_point_rows")
-    assert {"_int_leaves", "_over_lcm"} <= names
+    _, names = _reach("geometry.py", "_family_of_pairs")
+    assert {"_over_lcm", "_row_family"} <= names
+    _, names = _reach("geometry.py", "_points_of_pairs")
+    assert {"_over_lcm", "_primitive_rows"} <= names
 
 
 def test_the_text_reader_takes_its_layout_from_the_writer():
@@ -347,7 +366,7 @@ def test_embedding_eliminates_no_embedded_hyperplane():
     for module, start, wanted in (
             ("constructions.py", "embed_configuration", {"nullspaces", "_extension_rows"}),
             ("geometry.py", "_extension_rows", {"nullspaces", "full_row_rank"}),
-            ("serialization.py", "_family", {"_row_family"})):
+            ("serialization.py", "dict_to_instance", {"_family_of_pairs", "_exact_family"})):
         reached, names = _reach(module, start)
         assert wanted <= names, f"{start} names {sorted(wanted - names)} nowhere"
         hit = (reached | names) & (elimination | {"generic_extension"})
